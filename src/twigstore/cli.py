@@ -15,6 +15,7 @@ from .errors import (
     CorruptSnapshot,
     EmptyInput,
     IoFailure,
+    MalformedInput,
     MalformedXml,
     NotFound,
     NotRangeCapable,
@@ -35,7 +36,7 @@ _USER_ERRORS = (
     NotRangeCapable,
     IoFailure,
     CorruptSnapshot,
-    ValueError,
+    MalformedInput,
     FileNotFoundError,
 )
 
@@ -47,8 +48,11 @@ def _escape_payload(payload: str) -> str:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _load_config(path: str) -> StoreConfig:

@@ -9,6 +9,10 @@ class MalformedXml(TwigstoreError):
     """Input text is not well-formed XML (unbalanced tags, multiple roots, ...)."""
 
 
+class MalformedInput(TwigstoreError, ValueError):
+    """A config, triple or triple-query text is not in its expected format."""
+
+
 class EmptyInput(TwigstoreError):
     """Input text is empty or whitespace-only."""
 

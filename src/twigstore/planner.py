@@ -39,7 +39,7 @@ from .indexing import (
 from .netsim import Envelope, Network, NetworkStats, PeerId
 from .overlay import pack_bytes, unpack_bytes
 from .pattern import CHILD, TreePattern
-from .twigjoin import Binding, axis_holds, sort_bindings
+from .twigjoin import Binding, sort_bindings, stack_join
 
 DESC_FANOUT = 4  # ancestor multiplicity assumed for descendant-axis joins
 PAYLOAD_ESTIMATE = 256  # assumed serialized bytes per recomposed resource
@@ -812,24 +812,16 @@ def _run_join(plan: Plan, ctx: ExecutionContext) -> Dataset:
         p_ds, c_ds = left, right
     else:
         p_ds, c_ds = right, left
-    p_col = p_ds.cols.index(plan.parent_var)
-    c_col = c_ds.cols.index(plan.child_var)
-
-    by_doc: dict[int, list[tuple[StructuralId, ...]]] = {}
-    for row in c_ds.rows:
-        by_doc.setdefault(row[c_col].doc_id, []).append(row)
-    out_rows = []
-    for prow in p_ds.rows:
-        plabel = prow[p_col]
-        for crow in by_doc.get(plabel.doc_id, ()):
-            if axis_holds(plan.axis, plabel, crow[c_col]):
-                if p_ds is left:
-                    out_rows.append(prow + crow)
-                else:
-                    out_rows.append(crow + prow)
-    cols = left.cols + right.cols
+    pairs = stack_join(
+        plan.axis, p_ds.rows, p_ds.cols.index(plan.parent_var),
+        c_ds.rows, c_ds.cols.index(plan.child_var),
+    )
+    if p_ds is left:
+        out_rows = [prow + crow for prow, crow in pairs]
+    else:
+        out_rows = [crow + prow for prow, crow in pairs]
     out_rows.sort()
-    return Dataset(cols, out_rows, plan.site)
+    return Dataset(left.cols + right.cols, out_rows, plan.site)
 
 
 def _run_recompose(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnseedablePattern
+from .errors import MalformedInput, UnseedablePattern
 from .netsim import PeerId
 from .overlay import DhtService
 
@@ -33,7 +33,7 @@ class Triple:
     def from_text(cls, line: str) -> "Triple":
         parts = line.split("\t")
         if len(parts) != 3 or not all(parts):
-            raise ValueError(f"bad triple line: {line!r}")
+            raise MalformedInput(f"bad triple line: {line!r}")
         return cls(*parts)
 
     def position(self, i: int) -> str:
@@ -72,7 +72,7 @@ class ConjunctiveQuery:
         known = {v for p in self.patterns for v in p.variables()}
         for var in self.projection:
             if var not in known:
-                raise ValueError(f"projected variable {var} occurs in no pattern")
+                raise MalformedInput(f"projected variable {var} occurs in no pattern")
 
 
 def index_triples(
@@ -167,18 +167,18 @@ def parse_query_text(text: str) -> ConjunctiveQuery:
     """Query file format: a "SELECT ?x ?y" header, then one pattern per line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].upper().startswith("SELECT"):
-        raise ValueError("query must start with a SELECT header")
+        raise MalformedInput("query must start with a SELECT header")
     projection = lines[0].split()[1:]
     if not projection or not all(v.startswith("?") for v in projection):
-        raise ValueError("SELECT header must list ?variables")
+        raise MalformedInput("SELECT header must list ?variables")
     patterns = []
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"bad pattern line: {line!r}")
+            raise MalformedInput(f"bad pattern line: {line!r}")
         patterns.append(TriplePattern(*parts))
     if not patterns:
-        raise ValueError("query has no patterns")
+        raise MalformedInput("query has no patterns")
     query = ConjunctiveQuery(patterns, projection)
     query.validate()
     return query

@@ -1,7 +1,8 @@
 """Storage/query service facade with interchangeable backends.
 
 The centralized backend keeps documents in one process and answers
-pattern queries with the naive evaluator.  The p2p backend hosts a
+pattern queries with ``eval_local``, the stack-based structural join over
+candidates drawn from the in-memory documents.  The p2p backend hosts a
 simulated peer network with the configured overlays, indexes every
 ingested document, and answers queries through the decompose -> rewrite ->
 place -> execute pipeline.  Both backends return identical resource lists
@@ -28,7 +29,13 @@ from .document import (
     serialize_document,
     serialize_node,
 )
-from .errors import CorruptSnapshot, IoFailure, NotFound, UnsupportedWildcardRoot
+from .errors import (
+    CorruptSnapshot,
+    IoFailure,
+    MalformedInput,
+    NotFound,
+    UnsupportedWildcardRoot,
+)
 from .indexing import IndexService
 from .netsim import Network, NetworkStats, PeerId
 from .overlay import DhtService, fnv1a64
@@ -40,7 +47,7 @@ from .rdfstore import (
     eval_nested_loop,
     index_triples,
 )
-from .twigjoin import Binding, QueryCache, eval_naive
+from .twigjoin import Binding, eval_local
 
 CENTRALIZED = "centralized"
 P2P = "p2p"
@@ -59,18 +66,18 @@ class StoreConfig:
 
     def validate(self) -> None:
         if self.backend not in (CENTRALIZED, P2P):
-            raise ValueError(f"unknown backend {self.backend!r}")
+            raise MalformedInput(f"unknown backend {self.backend!r}")
         if self.backend == P2P:
             if self.peer_count < 1:
-                raise ValueError("p2p backend needs peer_count >= 1")
+                raise MalformedInput("p2p backend needs peer_count >= 1")
             if not any(kind == "hash" for _, kind in self.overlays):
-                raise ValueError("p2p backend needs at least one hash overlay")
+                raise MalformedInput("p2p backend needs at least one hash overlay")
         ids = [dht_id for dht_id, _ in self.overlays]
         if len(ids) != len(set(ids)):
-            raise ValueError("overlay ids must be unique")
+            raise MalformedInput("overlay ids must be unique")
         for _, kind in self.overlays:
             if kind not in ("hash", "range"):
-                raise ValueError(f"unknown overlay kind {kind!r}")
+                raise MalformedInput(f"unknown overlay kind {kind!r}")
 
     def to_text(self) -> str:
         overlays = ",".join(f"{i}:{kind}" for i, kind in self.overlays)
@@ -92,27 +99,34 @@ class StoreConfig:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value")
+                raise MalformedInput(f"line {lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "backend":
                 config.backend = value
             elif key == "peer_count":
-                config.peer_count = int(value)
+                config.peer_count = _parse_int(lineno, value)
             elif key == "overlays":
                 config.overlays = []
                 for item in filter(None, value.split(",")):
                     dht_id, _, kind = item.partition(":")
-                    config.overlays.append((int(dht_id), kind))
+                    config.overlays.append((_parse_int(lineno, dht_id), kind))
             elif key == "resource_granularity":
                 config.resource_granularity = set(filter(None, value.split(",")))
             elif key == "snapshot_path":
                 config.snapshot_path = value
             elif key == "seed":
-                config.seed = int(value)
+                config.seed = _parse_int(lineno, value)
             else:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
+                raise MalformedInput(f"line {lineno}: unknown key {key!r}")
         config.validate()
         return config
+
+
+def _parse_int(lineno: int, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInput(f"line {lineno}: {text!r} is not an integer") from None
 
 
 @dataclass
@@ -159,7 +173,6 @@ class Store:
         self.index = IndexService(self.dht, self.hash_dht, self.range_dht)
         self.doc_homes: dict[int, tuple[Document, PeerId]] = {}
         self.exec_ctx = planner.ExecutionContext(self.index, self.doc_homes)
-        self.caches: dict[PeerId, QueryCache] = {p: QueryCache() for p in self.members}
         self.peer_resources: dict[PeerId, dict[str, Resource]] = {
             p: {} for p in self.members
         }
@@ -220,7 +233,7 @@ class Store:
                 "pattern has no named node to seed an index lookup"
             )
         if self.config.backend == CENTRALIZED:
-            bindings = eval_naive(pattern, list(self.documents.values()))
+            bindings = eval_local(pattern, list(self.documents.values()))
             return QueryResult(self._bindings_to_resources(pattern, bindings),
                                NetworkStats())
         before = self.net.stats.copy()

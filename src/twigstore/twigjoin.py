@@ -1,18 +1,19 @@
-"""Tree-pattern evaluation: naive enumeration and distributed joins.
+"""Tree-pattern evaluation over one stack-based structural-join kernel.
 
-``eval_naive`` exhaustively enumerates node assignments over in-memory
-documents; it is both the centralized backend's engine and the ground
-truth for everything distributed.
-
-``eval_distributed`` fetches one posting list per pattern node from the
-overlays, then runs a stack-based holistic structural join: each
-root-to-leaf path of the pattern is evaluated in a single pass over its
-merged, (doc, start)-ordered candidate lists, and branching is handled by
-merging path solutions on their shared nodes.  Results are bindings; no
+``stack_join`` is the only structural join: Stack-Tree-Desc (Al-Khalifa
+et al., ICDE 2002) over two row lists sorted by their join column's
+(doc, start), with a stack of open ancestors.  ``holistic_join`` folds it
+over a pattern's edges; the planner's StructJoin operator calls it
+directly.  ``eval_distributed`` feeds ``holistic_join`` with posting lists
+fetched from the overlays, ``eval_local`` with candidates drawn from
+in-memory documents (the centralized backend).  Results are bindings; no
 payloads move until recomposition.
 
+``eval_naive`` exhaustively enumerates node assignments; it is the test
+oracle only and no backend calls it.
+
 A ``Binding`` is a tuple of structural ids aligned with ``pattern.nodes``.
-Both evaluators sort results by return-node ids, then by the full tuple.
+All evaluators sort results by return-node ids, then by the full tuple.
 """
 
 from __future__ import annotations
@@ -72,6 +73,21 @@ def _node_matches(doc: Document, node: Node, pnode: PNode) -> bool:
     return True
 
 
+def _doc_candidates(
+    pattern: TreePattern, doc: Document
+) -> list[list[StructuralId]]:
+    """One candidate list per pattern node, drawn from one document."""
+    cands: list[list[StructuralId]] = []
+    for pnode in pattern.nodes:
+        labels = [
+            node.label for node in doc.nodes if _node_matches(doc, node, pnode)
+        ]
+        if pnode.idx == 0 and pattern.root_axis == CHILD:
+            labels = [lb for lb in labels if lb.depth == 1]
+        cands.append(labels)
+    return cands
+
+
 def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     """Exhaustive enumeration oracle; sorted canonically."""
     n = len(pattern.nodes)
@@ -80,14 +96,7 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     results: list[Binding] = []
 
     for doc in docs:
-        cands: list[list[StructuralId]] = []
-        for pnode in pattern.nodes:
-            labels = [
-                node.label for node in doc.nodes if _node_matches(doc, node, pnode)
-            ]
-            if pnode.idx == 0 and pattern.root_axis == CHILD:
-                labels = [lb for lb in labels if lb.depth == 1]
-            cands.append(labels)
+        cands = _doc_candidates(pattern, doc)
         if any(not c for c in cands):
             continue
         bound: list[StructuralId | None] = [None] * n
@@ -112,6 +121,14 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
         assign(0)
 
     return sort_bindings(pattern, results)
+
+
+def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
+    """The centralized backend's evaluator; equals eval_naive."""
+    bindings: list[Binding] = []
+    for doc in docs:
+        bindings.extend(holistic_join(pattern, _doc_candidates(pattern, doc)))
+    return sort_bindings(pattern, bindings)
 
 
 def _bfs_order(pattern: TreePattern) -> list[int]:
@@ -212,122 +229,73 @@ def eval_distributed(
 def holistic_join(
     pattern: TreePattern, cands: list[list[StructuralId]]
 ) -> list[Binding]:
-    """Join candidate lists over the pattern's edges.
+    """Join candidate lists over the pattern's edges (unsorted bindings).
 
-    Root-to-leaf paths are each evaluated with a per-path stack pass, then
-    path solutions are merged on shared nodes.
+    ``stack_join`` is folded over the edges in BFS order, so each edge's
+    parent column is already bound when the edge is joined.
     """
     if any(not c for c in cands):
         return []
-    paths = _root_paths(pattern)
-    merged: list[tuple[StructuralId, ...]] | None = None
-    merged_vars: list[int] = []
-    for path in paths:
-        rows = _path_stack(pattern, path, cands)
-        if merged is None:
-            merged, merged_vars = rows, list(path)
-        else:
-            merged, merged_vars = _merge_on_shared(
-                merged, merged_vars, rows, list(path)
-            )
-        if not merged:
+    order = _bfs_order(pattern)
+    slot = {idx: col for col, idx in enumerate(order)}
+    parent_of = {c: (p, axis) for p, c, axis in pattern.edges}
+    rows: list[tuple[StructuralId, ...]] = [(lb,) for lb in cands[0]]
+    for idx in order[1:]:
+        p, axis = parent_of[idx]
+        pairs = stack_join(axis, rows, slot[p], [(lb,) for lb in cands[idx]], 0)
+        rows = [prow + crow for prow, crow in pairs]
+        if not rows:
             return []
-    slot = {var: i for i, var in enumerate(merged_vars)}
-    n = len(pattern.nodes)
-    return [tuple(row[slot[i]] for i in range(n)) for row in merged]
+    return [tuple(row[slot[i]] for i in range(len(order))) for row in rows]
 
 
-def _root_paths(pattern: TreePattern) -> list[list[int]]:
-    paths: list[list[int]] = []
+def stack_join(
+    axis: str,
+    parents: list[tuple[StructuralId, ...]],
+    p_col: int,
+    children: list[tuple[StructuralId, ...]],
+    c_col: int,
+) -> list[tuple[tuple[StructuralId, ...], tuple[StructuralId, ...]]]:
+    """Every (parent row, child row) whose labels satisfy ``axis``.
 
-    def walk(idx: int, acc: list[int]) -> None:
-        acc = acc + [idx]
-        kids = pattern.children(idx)
-        if not kids:
-            paths.append(acc)
-            return
-        for child, _ in kids:
-            walk(child, acc)
-
-    walk(0, [])
-    return paths
-
-
-def _path_stack(
-    pattern: TreePattern, path: list[int], cands: list[list[StructuralId]]
-) -> list[tuple[StructuralId, ...]]:
-    """All matches of one root-to-leaf path, via a single merged-stream pass."""
-    depth_axes = []
-    for level in range(1, len(path)):
-        edge = pattern.parent_edge(path[level])
-        depth_axes.append(edge[1])  # type: ignore[index]
-
-    stream: list[tuple[int, int, int, StructuralId]] = []
-    for level, idx in enumerate(path):
-        for label in cands[idx]:
-            stream.append((label.doc_id, label.start, level, label))
-    stream.sort(key=lambda item: item[:3])
-
-    k = len(path)
-    stacks: list[list[StructuralId]] = [[] for _ in range(k)]
-    current_doc = None
-    out: list[tuple[StructuralId, ...]] = []
-
-    def emit(leaf: StructuralId) -> None:
-        chosen: list[StructuralId | None] = [None] * k
-        chosen[k - 1] = leaf
-
-        def pick(level: int) -> None:
-            if level < 0:
-                out.append(tuple(chosen))  # type: ignore[arg-type]  # path order
-                return
-            below = chosen[level + 1]
-            for entry in stacks[level]:
-                if axis_holds(depth_axes[level], entry, below):
-                    chosen[level] = entry
-                    pick(level - 1)
-
-        if k == 1:
-            out.append((leaf,))
+    Stack-Tree-Desc: both lists are merged in (doc, start) order while a
+    stack holds the open parent labels, outermost first, each with its
+    rows (duplicate labels share one entry).  A child is joined before
+    any parent at its own start is pushed: a node is not its own ancestor.
+    Labels must come from parsed documents, whose intervals nest.
+    """
+    parents = sorted(parents, key=lambda r: (r[p_col].doc_id, r[p_col].start))
+    children = sorted(children, key=lambda r: (r[c_col].doc_id, r[c_col].start))
+    stack: list[tuple[StructuralId, list[tuple[StructuralId, ...]]]] = []
+    out = []
+    i = 0
+    for crow in children:
+        c = crow[c_col]
+        while i < len(parents):
+            prow = parents[i]
+            p = prow[p_col]
+            if (p.doc_id, p.start) >= (c.doc_id, c.start):
+                break
+            i += 1
+            _close(stack, p)
+            if stack and stack[-1][0].start == p.start:
+                stack[-1][1].append(prow)
+            else:
+                stack.append((p, [prow]))
+        _close(stack, c)
+        if axis == CHILD:
+            # the parent is the deepest open ancestor, if it is a candidate
+            if stack and stack[-1][0].depth == c.depth - 1:
+                out.extend((prow, crow) for prow in stack[-1][1])
         else:
-            pick(k - 2)
-
-    for doc_id, start, level, label in stream:
-        if doc_id != current_doc:
-            current_doc = doc_id
-            for st in stacks:
-                st.clear()
-        for st in stacks:
-            while st and st[-1].end < start:
-                st.pop()
-        if level == k - 1:
-            if k == 1 or stacks[level - 1]:
-                emit(label)
-        elif level == 0 or stacks[level - 1]:
-            stacks[level].append(label)
+            for _, prows in stack:
+                out.extend((prow, crow) for prow in prows)
     return out
 
 
-def _merge_on_shared(
-    left_rows: list[tuple[StructuralId, ...]],
-    left_vars: list[int],
-    right_rows: list[tuple[StructuralId, ...]],
-    right_vars: list[int],
-) -> tuple[list[tuple[StructuralId, ...]], list[int]]:
-    shared = [v for v in right_vars if v in left_vars]
-    right_extra = [i for i, v in enumerate(right_vars) if v not in left_vars]
-    left_pos = {v: i for i, v in enumerate(left_vars)}
-    right_pos = {v: i for i, v in enumerate(right_vars)}
-
-    by_key: dict[tuple, list[tuple[StructuralId, ...]]] = {}
-    for row in right_rows:
-        key = tuple(row[right_pos[v]] for v in shared)
-        by_key.setdefault(key, []).append(row)
-
-    out_vars = left_vars + [right_vars[i] for i in right_extra]
-    out_rows = []
-    for row in left_rows:
-        key = tuple(row[left_pos[v]] for v in shared)
-        for match in by_key.get(key, ()):
-            out_rows.append(row + tuple(match[i] for i in right_extra))
-    return out_rows, out_vars
+def _close(stack: list, label: StructuralId) -> None:
+    """Pop the open labels that do not contain ``label``."""
+    while stack and (
+        stack[-1][0].doc_id != label.doc_id or stack[-1][0].end < label.start
+    ):
+        stack.pop()

@@ -28,7 +28,7 @@ from twigstore.rdfstore import (
     parse_query_text,
 )
 from twigstore.store import Store, StoreConfig, snapshot
-from twigstore.twigjoin import eval_distributed, eval_naive
+from twigstore.twigjoin import eval_distributed, eval_local, eval_naive
 
 from helpers import (
     index_corpus,
@@ -80,6 +80,9 @@ def test_criterion_1_tree_pattern_oracle_equivalence():
                 naive = eval_naive(pattern, docs)
                 dist = eval_distributed(pattern, 1, index)
                 assert dist == naive, f"divergence on {pattern}"
+                assert eval_local(pattern, docs) == naive, (
+                    f"local divergence on {pattern}"
+                )
                 trials += 1
         assert trials >= 500
 

@@ -1,6 +1,7 @@
 import pytest
 
 from twigstore.cli import main
+from twigstore.store import Store
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
@@ -78,6 +79,10 @@ def test_user_errors_exit_1(workdir, capsys):
     assert main(["query", "//sec[!"]) == 1
     assert main(["ingest", "missing.xml"]) == 1
     assert main(["query", "//*!"]) == 1
+    (workdir / "latin1.xml").write_bytes(b"<doc>caf\xe9</doc>")
+    assert main(["ingest", "latin1.xml"]) == 1
+    (workdir / "bad.rq").write_text("SELECT ?q\n?x type Doc\n", encoding="utf-8")
+    assert main(["rdf-query", "bad.rq"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -85,6 +90,17 @@ def test_user_errors_exit_1(workdir, capsys):
 def test_bad_config_exit_1(workdir, capsys):
     (workdir / "store.cfg").write_text("backend=weird\n", encoding="utf-8")
     assert main(["stats"]) == 1
+    (workdir / "store.cfg").write_text("peer_count=many\n", encoding="utf-8")
+    assert main(["stats"]) == 1
+
+
+def test_internal_value_error_exit_2(workdir, capsys, monkeypatch):
+    def fault(self, text):
+        raise ValueError("unknown operator Bogus")
+
+    monkeypatch.setattr(Store, "query", fault)
+    assert main(["query", "//par!"]) == 2
+    assert "internal error:" in capsys.readouterr().err
 
 
 def test_corrupt_snapshot_exit_1(workdir, capsys):

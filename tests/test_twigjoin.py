@@ -1,13 +1,27 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from twigstore.document import StructuralId, parse_document
 from twigstore.errors import UnsupportedWildcardRoot
-from twigstore.pattern import parse_pattern
-from twigstore.twigjoin import QueryCache, eval_distributed, eval_naive
+from twigstore.pattern import CHILD, DESCENDANT, parse_pattern
+from twigstore.twigjoin import (
+    QueryCache,
+    axis_holds,
+    eval_distributed,
+    eval_naive,
+    stack_join,
+)
 
-from helpers import index_corpus, make_cluster, random_corpus, random_pattern
+from helpers import (
+    index_corpus,
+    make_cluster,
+    random_corpus,
+    random_document_text,
+    random_pattern,
+)
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
@@ -34,6 +48,31 @@ def test_naive_root_axis():
     doc = parse_document(D1, 1)
     assert eval_naive(parse_pattern("/sec!"), [doc]) == []
     assert len(eval_naive(parse_pattern("/doc!"), [doc])) == 1
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    axis=st.sampled_from([CHILD, DESCENDANT]),
+    data=st.data(),
+)
+def test_stack_join_matches_nested_loop(seed, axis, data):
+    rng = random.Random(seed)
+    docs = [parse_document(random_document_text(rng, 25), d) for d in (1, 2, 3)]
+    labels = st.sampled_from([node.label for doc in docs for node in doc.nodes])
+    p_labels = data.draw(st.lists(labels, max_size=30))
+    # children reuse parent labels, as in //*//a: a node is not its own ancestor
+    c_labels = data.draw(st.lists(labels, max_size=30)) + p_labels[::2]
+    # the marker column repeats, so equal rows occur and must all be kept
+    parents = [(i % 2, lb) for i, lb in enumerate(p_labels)]
+    children = [(lb, i % 2) for i, lb in enumerate(c_labels)]
+    got = stack_join(axis, parents, 1, children, 0)
+    want = [
+        (prow, crow)
+        for prow in parents
+        for crow in children
+        if axis_holds(axis, prow[1], crow[0])
+    ]
+    assert Counter(got) == Counter(want)
 
 
 def cluster_with(docs, peer_count=4, shortcut=False):
