@@ -25,7 +25,11 @@ TEXT = "text"
 ATTRIBUTE = "attribute"
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+_INT_RE = re.compile(r"([+-]?)0*([0-9]+)")
+
+# text counts as an integer only within +-INT_WINDOW, on both backends
+INT_WINDOW = 10**18
+_WINDOW_DIGITS = len(str(INT_WINDOW))
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -113,11 +117,17 @@ def split_words(text: str) -> list[str]:
 
 
 def parse_int_content(text: str) -> int | None:
-    """The integer value of a text node whose full content is a decimal int."""
-    stripped = text.strip()
-    if _INT_RE.fullmatch(stripped):
-        return int(stripped)
-    return None
+    """The value of a text node whose full content is a decimal integer
+    within +-INT_WINDOW; None for any other text.
+
+    Digits are counted, leading zeros aside, before ``int`` runs, so text
+    of any length is answered without reaching int's digit limit.
+    """
+    m = _INT_RE.fullmatch(text.strip())
+    if m is None or len(m.group(2)) > _WINDOW_DIGITS:
+        return None
+    value = int(m.group(1) + m.group(2))
+    return value if -INT_WINDOW <= value <= INT_WINDOW else None
 
 
 def parse_document(xml_text: str, doc_id: int) -> Document:

@@ -11,16 +11,16 @@ Index keys are prefix-disjoint by construction:
 A posting is one structural id, serialized fixed-width (4 x 64-bit,
 big-endian) so list sizes are predictable for the planner's cost model.
 Integer values are encoded as offset 20-digit decimals, which preserves
-order under byte-wise comparison; values with |v| > 10^18 are not
-range-indexable.
+order under byte-wise comparison; ``parse_int_content`` already refuses
+text outside the +-10^18 window this encoding covers.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .document import ATTRIBUTE, TEXT, Document, Node, StructuralId, \
-    parse_int_content, split_words
+from .document import ATTRIBUTE, INT_WINDOW, TEXT, Document, Node, \
+    StructuralId, parse_int_content, split_words
 from .overlay import DhtService
 from .netsim import PeerId
 
@@ -28,7 +28,6 @@ POSTING_SIZE = 32
 CATALOG_KEY = "c:tags"
 
 _INT_OFFSET = 10**19
-_INT_WINDOW = 10**18
 
 
 def encode_posting(sid: StructuralId) -> bytes:
@@ -49,7 +48,7 @@ def word_key(word: str) -> str:
 
 
 def encode_int(value: int) -> str:
-    if abs(value) > _INT_WINDOW + 1:
+    if abs(value) > INT_WINDOW + 1:
         raise ValueError(f"{value} outside the range-indexable window")
     return f"{value + _INT_OFFSET:020d}"
 
@@ -89,7 +88,7 @@ class IndexService:
 
         def publish_value(element: Node, value: int) -> None:
             nonlocal published
-            if self.range_dht is None or abs(value) > _INT_WINDOW:
+            if self.range_dht is None:
                 return
             key = value_key(element.name, value)
             self.dht.put(self.range_dht, via, key, encode_posting(element.label))
@@ -134,8 +133,8 @@ class IndexService:
         """Postings of ``tag`` elements with integer content in [lo, hi]."""
         if self.range_dht is None:
             return []
-        lo = max(lo, -_INT_WINDOW)
-        hi = min(hi, _INT_WINDOW)
+        lo = max(lo, -INT_WINDOW)
+        hi = min(hi, INT_WINDOW)
         if lo > hi:
             return []
         lo_key = value_key(tag, lo)

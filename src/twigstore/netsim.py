@@ -113,8 +113,8 @@ class Network:
     def pending_count(self) -> int:
         return len(self._queue)
 
-    def run_until_quiescent(self, max_ticks: int) -> NetworkStats:
-        """Drain the queue tick by tick; returns accumulated stats.
+    def run_until_quiescent(self, max_ticks: int) -> None:
+        """Drain the queue tick by tick; ``stats`` accumulates deliveries.
 
         Raises TickBudgetExceeded (leaving undelivered envelopes queued) if
         more than ``max_ticks`` ticks would be needed.
@@ -134,4 +134,3 @@ class Network:
                 if handler is None:
                     raise UnknownPeer(f"peer {env.to_peer} vanished before delivery")
                 handler(self, env)
-        return self.stats.copy()

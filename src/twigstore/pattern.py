@@ -181,6 +181,12 @@ class _Parser:
         node.word = word
         self.pos = m.end()
 
+    def parse_int(self, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise self.fail("integer has too many digits") from None
+
     def parse_range(self, node: PNode) -> None:
         if node.word is not None or node.has_range:
             raise self.fail("at most one value predicate per node")
@@ -188,7 +194,7 @@ class _Parser:
         m = _INT_RE.match(self.text, self.pos)
         if not m:
             raise self.fail("expected an integer")
-        lo = int(m.group())
+        lo = self.parse_int(m.group())
         self.pos = m.end()
         self.skip_ws()
         if not self.text.startswith("..", self.pos):
@@ -198,7 +204,7 @@ class _Parser:
         m = _INT_RE.match(self.text, self.pos)
         if not m:
             raise self.fail("expected an integer")
-        hi = int(m.group())
+        hi = self.parse_int(m.group())
         self.pos = m.end()
         if lo > hi:
             raise self.fail("empty integer range")

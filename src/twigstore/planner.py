@@ -25,7 +25,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .document import Document, Resource, StructuralId, serialize_node
+from .document import INT_WINDOW, Document, Resource, StructuralId, serialize_node
 from .errors import NotRangeCapable, PlanSiteUnreachable, UnsupportedWildcardRoot
 from .indexing import (
     POSTING_SIZE,
@@ -227,7 +227,7 @@ class PlanBuilder:
             tag = pnode.name
             if dht is None:
                 raise NotRangeCapable("no range overlay configured")
-            lo_clamped = min(max(pnode.lo, -(10**18)), 10**18)
+            lo_clamped = min(max(pnode.lo, -INT_WINDOW), INT_WINDOW)
             site = (
                 self.query_peer
                 if pnode.is_wildcard
@@ -345,8 +345,8 @@ def range_stat(stats: dict[str, int], tag: str, lo: int, hi: int) -> int:
     else:
         tags = [tag]
     for t in tags:
-        lo_key = value_key(t, max(lo, -(10**18)))
-        hi_key = value_key(t, min(hi, 10**18))
+        lo_key = value_key(t, max(lo, -INT_WINDOW))
+        hi_key = value_key(t, min(hi, INT_WINDOW))
         for key, count in stats.items():
             if key.startswith(f"v:{t}=") and lo_key <= key <= hi_key:
                 total += count

@@ -142,7 +142,6 @@ class Store:
         config.validate()
         self.config = config
         self.documents: dict[int, Document] = {}
-        self.doc_texts: dict[int, str] = {}
         self.triples: list[Triple] = []
         self.probe_count = 0
         self._next_doc_id = 1
@@ -189,7 +188,6 @@ class Store:
     def _register(self, doc: Document) -> list[str]:
         doc_id = doc.doc_id
         self.documents[doc_id] = doc
-        self.doc_texts[doc_id] = serialize_document(doc)
         resources = extract_resources(doc, self.config.resource_granularity)
         if self.config.backend == CENTRALIZED:
             for res in resources:
@@ -304,7 +302,8 @@ class Store:
 
 # -- snapshot format -------------------------------------------------------------
 
-_MAGIC = b"TWIGSNAP1\n"
+_MAGIC = b"TWIGSNAP2\n"
+_RETIRED_MAGIC = b"TWIGSNAP1\n"
 
 
 def _record(tag: bytes, payload: bytes) -> bytes:
@@ -313,26 +312,16 @@ def _record(tag: bytes, payload: bytes) -> bytes:
 
 
 def snapshot(store: Store, path: str) -> None:
-    """Write documents, resources, triples, config, and stats to ``path``."""
+    """Write config, documents, triples, and stats to ``path``.
+
+    Resources are not written: ``restore`` derives them again from each
+    document and the config's ``resource_granularity``.
+    """
     blob = bytearray(_MAGIC)
     blob += _record(b"CONF", store.config.to_text().encode("utf-8"))
     for doc_id in sorted(store.documents):
-        payload = struct.pack(">Q", doc_id) + store.doc_texts[doc_id].encode("utf-8")
-        blob += _record(b"DOC\x00", payload)
-    for resource in _all_resources(store):
-        payload = (
-            struct.pack(
-                ">QQQQQ",
-                resource.doc_id,
-                resource.root_label.start,
-                resource.root_label.end,
-                resource.root_label.depth,
-                len(resource.resource_id.encode("utf-8")),
-            )
-            + resource.resource_id.encode("utf-8")
-            + resource.payload.encode("utf-8")
-        )
-        blob += _record(b"RSRC", payload)
+        text = serialize_document(store.documents[doc_id])
+        blob += _record(b"DOC\x00", struct.pack(">Q", doc_id) + text.encode("utf-8"))
     for triple in store.triples:
         blob += _record(b"TRPL", triple.text().encode("utf-8"))
     blob += _record(b"NSTA", store.stats.report().encode("utf-8"))
@@ -344,17 +333,6 @@ def snapshot(store: Store, path: str) -> None:
         raise IoFailure(str(exc)) from None
 
 
-def _all_resources(store: Store) -> list[Resource]:
-    if store.config.backend == CENTRALIZED:
-        items = list(store.resources.values())
-    else:
-        items = [
-            res for peer in store.members
-            for res in store.peer_resources[peer].values()
-        ]
-    return sorted(items, key=lambda r: (r.doc_id, r.root_label.start))
-
-
 def restore(path: str) -> Store:
     """Rebuild an equivalent store from a snapshot file."""
     try:
@@ -362,6 +340,10 @@ def restore(path: str) -> Store:
             blob = fh.read()
     except OSError as exc:
         raise IoFailure(str(exc)) from None
+    if blob.startswith(_RETIRED_MAGIC):
+        raise CorruptSnapshot(
+            "TWIGSNAP1 snapshots are no longer read; re-ingest the documents"
+        )
     if len(blob) < len(_MAGIC) + 8 or not blob.startswith(_MAGIC):
         raise CorruptSnapshot("bad magic or truncated file")
     body, checksum = blob[:-8], struct.unpack(">Q", blob[-8:])[0]
@@ -386,7 +368,6 @@ def restore(path: str) -> Store:
     config = StoreConfig.from_text(records[0][1].decode("utf-8"))
     store = Store(config)
 
-    saved_resources: list[tuple[int, StructuralId, str, str]] = []
     saved_report = ""
     for tag, payload in records[1:]:
         if tag == b"DOC\x00":
@@ -395,13 +376,6 @@ def restore(path: str) -> Store:
             doc = parse_document(xml_text, doc_id)
             store._register(doc)
             store._next_doc_id = max(store._next_doc_id, doc_id + 1)
-        elif tag == b"RSRC":
-            doc_id, start, end, depth, id_len = struct.unpack_from(">QQQQQ", payload, 0)
-            rid = payload[40 : 40 + id_len].decode("utf-8")
-            text = payload[40 + id_len :].decode("utf-8")
-            saved_resources.append(
-                (doc_id, StructuralId(doc_id, start, end, depth), rid, text)
-            )
         elif tag == b"TRPL":
             store.rdf_load([Triple.from_text(payload.decode("utf-8"))])
         elif tag == b"NSTA":
@@ -409,24 +383,9 @@ def restore(path: str) -> Store:
         else:
             raise CorruptSnapshot(f"unknown record tag {tag!r}")
 
-    _verify_resources(store, saved_resources)
     if config.backend == P2P:
         _restore_stats(store.net.stats, saved_report)
     return store
-
-
-def _verify_resources(
-    store: Store, saved: list[tuple[int, StructuralId, str, str]]
-) -> None:
-    rebuilt = {
-        res.resource_id: res for res in _all_resources(store)
-    }
-    if len(rebuilt) != len(saved):
-        raise CorruptSnapshot("resource records disagree with rebuilt documents")
-    for doc_id, label, rid, text in saved:
-        res = rebuilt.get(rid)
-        if res is None or res.root_label != label or res.payload != text:
-            raise CorruptSnapshot(f"resource {rid!r} does not match its document")
 
 
 def _restore_stats(stats: NetworkStats, report: str) -> None:

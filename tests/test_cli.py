@@ -1,6 +1,9 @@
+import struct
+
 import pytest
 
 from twigstore.cli import main
+from twigstore.overlay import fnv1a64
 from twigstore.store import Store
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
@@ -83,6 +86,7 @@ def test_user_errors_exit_1(workdir, capsys):
     assert main(["ingest", "latin1.xml"]) == 1
     (workdir / "bad.rq").write_text("SELECT ?q\n?x type Doc\n", encoding="utf-8")
     assert main(["rdf-query", "bad.rq"]) == 1
+    assert main(["query", "//c in 0.." + "9" * 5000 + "!"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -108,3 +112,8 @@ def test_corrupt_snapshot_exit_1(workdir, capsys):
     (workdir / "demo.snap").write_bytes(blob[:-4])
     assert main(["stats"]) == 1
     assert "error:" in capsys.readouterr().err
+    # a well-formed file in the retired version-1 format
+    body = b"TWIGSNAP1\n" + blob[len(b"TWIGSNAP2\n") : -8]
+    (workdir / "demo.snap").write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+    assert main(["stats"]) == 1
+    assert "TWIGSNAP1" in capsys.readouterr().err

@@ -109,8 +109,8 @@ def test_forward_chain_bytes():
 def test_empty_queue_returns_immediately():
     net = Network()
     before = net.stats.copy()
-    stats = net.run_until_quiescent(1)
-    assert stats.delta_since(before).messages_sent == 0
+    net.run_until_quiescent(1)
+    assert net.stats.delta_since(before).messages_sent == 0
 
 
 def test_tick_budget_conserves_envelopes():

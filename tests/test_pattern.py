@@ -60,6 +60,13 @@ def test_syntax_errors_carry_position():
         assert err.value.pos == pos, text
 
 
+def test_integer_too_long_for_int_is_a_syntax_error():
+    with pytest.raises(PatternSyntaxError):
+        parse_pattern("//c in 0.." + "9" * 5000 + "!")
+    with pytest.raises(PatternSyntaxError):
+        parse_pattern("//c in -" + "9" * 5000 + "..0!")
+
+
 def test_one_value_predicate_per_node():
     with pytest.raises(PatternSyntaxError):
         parse_pattern('//a="x" in 1..2')

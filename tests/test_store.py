@@ -1,8 +1,10 @@
 import random
+import struct
 
 import pytest
 
 from twigstore.errors import CorruptSnapshot, MalformedXml, NotFound
+from twigstore.overlay import fnv1a64
 from twigstore.rdfstore import Triple, parse_query_text
 from twigstore.store import P2P, Store, StoreConfig, restore, snapshot
 
@@ -125,8 +127,27 @@ def test_rdf_both_backends(tmp_path):
     assert results[0] == results[1] == [("a", "b")]
 
 
+def test_backends_agree_beyond_the_integer_window(tmp_path):
+    # 10^19 is outside the +-10^18 window, and 5,000 digits exceed the
+    # 4,300 digits int() accepts: neither text counts as an integer
+    cases = [
+        ("<r><c>10000000000000000000</c></r>", "//c in 0..99999999999999999999!"),
+        ("<r><c>" + "7" * 5000 + "</c></r>", "//c in 0..9!"),
+        ("<r><c>-" + "0" * 5000 + "12</c></r>", "//c in -20..0!"),
+    ]
+    for text, pattern in cases:
+        answers = []
+        for backend in ("centralized", "p2p"):
+            store = Store(config(backend, tmp_path))
+            assert store.store_resource(text) == ["1#1"]
+            answers.append([r.resource_id for r in store.query(pattern).resources])
+        assert answers[0] == answers[1], (text[:40], pattern)
+    assert answers[0] == ["1#2"]  # leading zeros do not count as digits
+
+
 def test_snapshot_round_trip(tmp_path, any_store):
-    any_store.store_resource(D1)
+    ids = any_store.store_resource(D1)
+    ids += any_store.store_resource("<lib><par>two</par><par>3</par></lib>")
     any_store.rdf_load([Triple("a", "type", "Doc")])
     path = str(tmp_path / "x.snap")
     snapshot(any_store, path)
@@ -137,7 +158,45 @@ def test_snapshot_round_trip(tmp_path, any_store):
         (r.resource_id, r.payload) for r in any_store.query(q).resources
     ]
     assert again.get_resource("1#6").payload == "<par>xml</par>"
+    assert len(ids) == 5
+    for rid in ids:
+        original, restored = any_store.get_resource(rid), again.get_resource(rid)
+        assert restored.payload == original.payload
+        assert restored.root_label == original.root_label
     assert again.rdf_query(parse_query_text("SELECT ?x\n?x type Doc\n")) == [("a",)]
+
+
+def _record_tags(blob: bytes) -> list[bytes]:
+    off, end, tags = blob.index(b"\n") + 1, len(blob) - 8, []
+    while off < end:
+        tags.append(blob[off : off + 4])
+        (length,) = struct.unpack_from(">Q", blob, off + 4)
+        off += 12 + length
+    assert off == end
+    return tags
+
+
+def test_snapshot_records_in_order(tmp_path, any_store):
+    any_store.store_resource(D1)
+    any_store.store_resource(D1)
+    any_store.rdf_load([Triple("a", "type", "Doc"), Triple("a", "author", "b")])
+    path = tmp_path / "x.snap"
+    snapshot(any_store, str(path))
+    blob = path.read_bytes()
+    assert blob.startswith(b"TWIGSNAP2\n")
+    assert _record_tags(blob) == [
+        b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"TRPL", b"NSTA"
+    ]
+
+
+def test_restore_refuses_version_1(tmp_path, any_store):
+    any_store.store_resource(D1)
+    path = tmp_path / "x.snap"
+    snapshot(any_store, str(path))
+    body = b"TWIGSNAP1\n" + path.read_bytes()[len(b"TWIGSNAP2\n") : -8]
+    path.write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+    with pytest.raises(CorruptSnapshot, match="TWIGSNAP1"):
+        restore(str(path))
 
 
 def test_restore_truncated_file(tmp_path, any_store):
