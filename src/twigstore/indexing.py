@@ -21,7 +21,7 @@ import struct
 
 from .document import ATTRIBUTE, INT_WINDOW, TEXT, Document, Node, \
     StructuralId, parse_int_content, split_words
-from .overlay import DhtService
+from .overlay import DhtService, PutFn
 from .netsim import PeerId
 
 POSTING_SIZE = 32
@@ -74,15 +74,22 @@ class IndexService:
 
     # -- publication -----------------------------------------------------
 
-    def index_document(self, doc: Document, via: PeerId) -> int:
-        """Publish all postings for ``doc``; returns the count published."""
+    def index_document(
+        self, doc: Document, via: PeerId, put: PutFn | None = None
+    ) -> int:
+        """Publish all postings for ``doc``; returns the count published.
+
+        ``put`` defaults to the routed ``DhtService.put``; snapshot restore
+        passes ``DhtService.put_direct``.
+        """
+        put = put or self.dht.put
         self.epoch += 1
         published = 0
         catalog: dict[str, None] = {}
 
         def publish_hash(key: str, sid: StructuralId) -> None:
             nonlocal published
-            self.dht.put(self.hash_dht, via, key, encode_posting(sid))
+            put(self.hash_dht, via, key, encode_posting(sid))
             self.stats[key] = self.stats.get(key, 0) + 1
             published += 1
 
@@ -91,7 +98,7 @@ class IndexService:
             if self.range_dht is None:
                 return
             key = value_key(element.name, value)
-            self.dht.put(self.range_dht, via, key, encode_posting(element.label))
+            put(self.range_dht, via, key, encode_posting(element.label))
             self.stats[key] = self.stats.get(key, 0) + 1
             published += 1
 
@@ -114,7 +121,7 @@ class IndexService:
 
         visit(doc.root)
         for name in catalog:
-            self.dht.put(self.hash_dht, via, CATALOG_KEY, name.encode("utf-8"))
+            put(self.hash_dht, via, CATALOG_KEY, name.encode("utf-8"))
         return published
 
     # -- lookups -----------------------------------------------------------

@@ -15,12 +15,16 @@ get):
 
 Values under one key form a multiset; duplicates are preserved.  Keys are
 handed over synchronously on join/leave (control plane); only data
-operations generate accounted traffic.
+operations generate accounted traffic.  ``DhtService.put_direct`` is the
+one control-plane data operation: it stores a value on the key's owner
+without sending a message, which is how snapshot restore rebuilds the
+overlays.  Response value counts take 2 bytes, or 6 from 0xFFFF values up.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -78,6 +82,21 @@ def pack_bytes(raw: bytes) -> bytes:
     return struct.pack(">I", len(raw)) + raw
 
 
+def pack_count(n: int) -> bytes:
+    """A value count: 2 bytes below 0xFFFF, else 0xFFFF and 4 more bytes."""
+    if n < 0xFFFF:
+        return struct.pack(">H", n)
+    return struct.pack(">HI", 0xFFFF, n)
+
+
+def unpack_count(buf: bytes, off: int) -> tuple[int, int]:
+    (n,) = struct.unpack_from(">H", buf, off)
+    if n < 0xFFFF:
+        return n, off + 2
+    (n,) = struct.unpack_from(">I", buf, off + 2)
+    return n, off + 6
+
+
 def unpack_str(buf: bytes, off: int) -> tuple[str, int]:
     (n,) = struct.unpack_from(">H", buf, off)
     off += 2
@@ -106,7 +125,13 @@ class RangeState:
 
 
 class HashOverlay:
-    """Ring overlay with exact-key put/get and multi-value semantics."""
+    """Ring overlay with exact-key put/get and multi-value semantics.
+
+    The ring is kept as ``(position, peer)`` pairs sorted by position, plus
+    the bare positions for ``bisect``; both are rebuilt only when the
+    membership changes.  Key positions are memoized, so routing a key
+    hop by hop hashes it once.
+    """
 
     kind = "hash"
 
@@ -117,28 +142,31 @@ class HashOverlay:
         self.mode = mode
         self.shortcut = shortcut
         self.members: dict[PeerId, RingState] = {}
+        self._ring: list[tuple[int, PeerId]] = []
+        self._positions: list[int] = []
+        self._key_positions: dict[str, int] = {}
 
     def key_position(self, key: str) -> int:
-        if self.mode == "decimal":
-            return int(key)
-        return ring_hash(key)
+        pos = self._key_positions.get(key)
+        if pos is None:
+            pos = int(key) if self.mode == "decimal" else ring_hash(key)
+            self._key_positions[key] = pos
+        return pos
 
     def peer_position(self, peer: PeerId) -> int:
         if self.mode == "decimal":
             return peer
         return ring_hash(str(peer))
 
-    def _sorted_members(self) -> list[tuple[int, PeerId]]:
-        return sorted((st.position, pid) for pid, st in self.members.items())
+    def _rebuild_ring(self) -> None:
+        self._ring = sorted((st.position, pid) for pid, st in self.members.items())
+        self._positions = [pos for pos, _ in self._ring]
 
     def owner_of_position(self, pos: int) -> PeerId:
         if not self.members:
             raise NoMembers(f"overlay {self.dht_id} has no members")
-        ring = self._sorted_members()
-        for mpos, pid in ring:
-            if mpos >= pos:
-                return pid
-        return ring[0][1]
+        i = bisect_left(self._positions, pos)
+        return self._ring[i if i < len(self._ring) else 0][1]
 
     def owner_of(self, key: str) -> PeerId:
         return self.owner_of_position(self.key_position(key))
@@ -160,10 +188,12 @@ class HashOverlay:
         if peer in self.members:
             raise AlreadyMember(f"peer {peer} already in overlay {self.dht_id}")
         pos = self.peer_position(peer)
-        if any(st.position == pos for st in self.members.values()):
+        i = bisect_left(self._positions, pos)
+        if i < len(self._positions) and self._positions[i] == pos:
             raise ValueError(f"ring position collision for peer {peer}")
         if not self.members:
             self.members[peer] = RingState(pos, peer, peer)
+            self._rebuild_ring()
             return
         succ = self.owner_of_position(pos)
         succ_state = self.members[succ]
@@ -171,6 +201,7 @@ class HashOverlay:
         self.members[peer] = RingState(pos, succ, pred)
         self.members[pred].successor = peer
         succ_state.predecessor = peer
+        self._rebuild_ring()
         # hand over the arc (pred, pos] from the old owner
         moved = [
             k for k in succ_state.store
@@ -186,6 +217,7 @@ class HashOverlay:
             raise NotMember(f"peer {peer} not in overlay {self.dht_id}")
         if st.successor == peer:  # last member
             del self.members[peer]
+            self._rebuild_ring()
             return
         succ_state = self.members[st.successor]
         for k, values in st.store.items():
@@ -193,6 +225,7 @@ class HashOverlay:
         self.members[st.predecessor].successor = st.successor
         succ_state.predecessor = st.predecessor
         del self.members[peer]
+        self._rebuild_ring()
 
     def local_values(self, peer: PeerId, key: str) -> list[bytes]:
         return list(self.members[peer].store.get(key, []))
@@ -328,6 +361,13 @@ class RangeOverlay:
 
 
 Overlay = HashOverlay | RangeOverlay
+# ``DhtService.put`` or ``DhtService.put_direct``: (dht_id, via, key, value)
+PutFn = Callable[[int, PeerId, str, bytes], None]
+
+
+def _values_response(req: int, values: list[bytes]) -> bytes:
+    head = bytes([_HASH_GET_RESP]) + struct.pack(">I", req) + pack_count(len(values))
+    return head + b"".join(map(pack_bytes, values))
 
 
 class DhtService:
@@ -412,6 +452,17 @@ class DhtService:
             payload = bytes([_RANGE_PUT, ov.dht_id]) + pack_str(key) + pack_bytes(value)
             self.net.send(via, owner, payload)
         self.net.run_until_quiescent(self.tick_budget)
+
+    def put_direct(self, dht_id: int, via: PeerId, key: str, value: bytes) -> None:
+        """Control-plane put: store ``value`` on the key's owner at once.
+
+        The outcome equals ``put``'s (same owner, same value order), but no
+        envelope is sent and the stats do not move.  Snapshot restore uses
+        it to rebuild the overlays without replaying their traffic.
+        """
+        ov = self._overlay(dht_id)
+        self._check_member(ov, via)
+        ov.store_value(ov.owner_of(key), key, value)
 
     def get(self, dht_id: int, via: PeerId, key: str) -> list[bytes]:
         ov = self._overlay(dht_id)
@@ -525,18 +576,14 @@ class DhtService:
         req, origin = struct.unpack_from(">IQ", env.payload, 2)
         key, _ = unpack_str(env.payload, 14)
         if ov.owns(me, ov.key_position(key)):
-            values = ov.local_values(me, key)
-            resp = bytes([_HASH_GET_RESP]) + struct.pack(">IH", req, len(values))
-            for v in values:
-                resp += pack_bytes(v)
-            net.send(me, origin, resp)
+            net.send(me, origin, _values_response(req, ov.local_values(me, key)))
         else:
             net.send(me, ov.members[me].successor, env.payload)
 
     def _on_get_resp(self, env: Envelope) -> None:
-        req, count = struct.unpack_from(">IH", env.payload, 1)
+        (req,) = struct.unpack_from(">I", env.payload, 1)
+        count, off = unpack_count(env.payload, 5)
         values = []
-        off = 7
         for _ in range(count):
             v, off = unpack_bytes(env.payload, off)
             values.append(v)
@@ -555,10 +602,7 @@ class DhtService:
         req, origin = struct.unpack_from(">IQ", env.payload, 2)
         key, _ = unpack_str(env.payload, 14)
         values = ov.local_values(env.to_peer, key)
-        resp = bytes([_HASH_GET_RESP]) + struct.pack(">IH", req, len(values))
-        for v in values:
-            resp += pack_bytes(v)
-        net.send(env.to_peer, origin, resp)
+        net.send(env.to_peer, origin, _values_response(req, values))
 
     def _on_range_scan(self, net: Network, env: Envelope) -> None:
         ov = self._overlay(env.payload[1])
@@ -567,15 +611,15 @@ class DhtService:
         lo, off = unpack_str(env.payload, 14)
         hi, _ = unpack_str(env.payload, off)
         items = ov.local_scan(env.to_peer, lo, hi)
-        resp = bytes([_RANGE_RESP]) + struct.pack(">IH", req, len(items))
+        parts = [bytes([_RANGE_RESP]), struct.pack(">I", req), pack_count(len(items))]
         for k, v in items:
-            resp += pack_str(k) + pack_bytes(v)
-        net.send(env.to_peer, origin, resp)
+            parts += (pack_str(k), pack_bytes(v))
+        net.send(env.to_peer, origin, b"".join(parts))
 
     def _on_range_resp(self, env: Envelope) -> None:
-        req, count = struct.unpack_from(">IH", env.payload, 1)
+        (req,) = struct.unpack_from(">I", env.payload, 1)
+        count, off = unpack_count(env.payload, 5)
         items = []
-        off = 7
         for _ in range(count):
             k, off = unpack_str(env.payload, off)
             v, off = unpack_bytes(env.payload, off)

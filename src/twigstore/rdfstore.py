@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedInput, UnseedablePattern
 from .netsim import PeerId
-from .overlay import DhtService
+from .overlay import DhtService, PutFn
 
 S, P, O = 0, 1, 2
 _KEY_PREFIX = ("s:", "p:", "o:")
@@ -76,13 +76,22 @@ class ConjunctiveQuery:
 
 
 def index_triples(
-    triples: list[Triple], via: PeerId, dht: DhtService, dht_id: int
+    triples: list[Triple],
+    via: PeerId,
+    dht: DhtService,
+    dht_id: int,
+    put: PutFn | None = None,
 ) -> int:
-    """Store each triple under its three position keys; returns triple count."""
+    """Store each triple under its three position keys; returns triple count.
+
+    ``put`` defaults to the routed ``dht.put``; snapshot restore passes
+    ``dht.put_direct``.
+    """
+    put = put or dht.put
     for triple in triples:
         raw = triple.text().encode("utf-8")
         for i in (S, P, O):
-            dht.put(dht_id, via, _KEY_PREFIX[i] + triple.position(i), raw)
+            put(dht_id, via, _KEY_PREFIX[i] + triple.position(i), raw)
     return len(triples)
 
 

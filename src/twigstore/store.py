@@ -38,7 +38,7 @@ from .errors import (
 )
 from .indexing import IndexService
 from .netsim import Network, NetworkStats, PeerId
-from .overlay import DhtService, fnv1a64
+from .overlay import DhtService, PutFn, fnv1a64
 from .pattern import TreePattern, parse_pattern
 from .rdfstore import (
     ConjunctiveQuery,
@@ -185,7 +185,12 @@ class Store:
         self._next_doc_id += 1
         return self._register(doc)
 
-    def _register(self, doc: Document) -> list[str]:
+    def _register(self, doc: Document, put: PutFn | None = None) -> list[str]:
+        """Record ``doc`` and publish its ``r:``/``d:`` keys and postings.
+
+        ``put`` defaults to the routed ``DhtService.put``; snapshot restore
+        passes ``DhtService.put_direct``.
+        """
         doc_id = doc.doc_id
         self.documents[doc_id] = doc
         resources = extract_resources(doc, self.config.resource_granularity)
@@ -194,15 +199,14 @@ class Store:
                 self.resources[res.resource_id] = res
             return [res.resource_id for res in resources]
 
+        put = put or self.dht.put
         home = self.members[(doc_id - 1) % len(self.members)]
         self.doc_homes[doc_id] = (doc, home)
         for res in resources:
             self.peer_resources[home][res.resource_id] = res
-            self.dht.put(
-                self.hash_dht, home, "r:" + res.resource_id, struct.pack(">Q", home)
-            )
-        self.dht.put(self.hash_dht, home, f"d:{doc_id}", struct.pack(">Q", home))
-        self.index.index_document(doc, home)
+            put(self.hash_dht, home, "r:" + res.resource_id, struct.pack(">Q", home))
+        put(self.hash_dht, home, f"d:{doc_id}", struct.pack(">Q", home))
+        self.index.index_document(doc, home, put)
         return [res.resource_id for res in resources]
 
     # -- resource access ----------------------------------------------------
@@ -334,7 +338,12 @@ def snapshot(store: Store, path: str) -> None:
 
 
 def restore(path: str) -> Store:
-    """Rebuild an equivalent store from a snapshot file."""
+    """Rebuild an equivalent store from a snapshot file.
+
+    A p2p store's postings go straight to their owners through
+    ``DhtService.put_direct``: no message is simulated, and the stats are
+    the ones the ``NSTA`` record saved.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -365,33 +374,41 @@ def restore(path: str) -> Store:
 
     if not records or records[0][0] != b"CONF":
         raise CorruptSnapshot("missing CONFIG record")
-    config = StoreConfig.from_text(records[0][1].decode("utf-8"))
+    config = StoreConfig.from_text(_utf8(*records[0]))
     store = Store(config)
+    put = store.dht.put_direct if config.backend == P2P else None
 
     saved_report = ""
     for tag, payload in records[1:]:
         if tag == b"DOC\x00":
+            if len(payload) < 8:
+                raise CorruptSnapshot("DOC record too short for its doc id")
             (doc_id,) = struct.unpack_from(">Q", payload, 0)
-            xml_text = payload[8:].decode("utf-8")
-            doc = parse_document(xml_text, doc_id)
-            store._register(doc)
+            doc = parse_document(_utf8(tag, payload[8:]), doc_id)
+            store._register(doc, put)
             store._next_doc_id = max(store._next_doc_id, doc_id + 1)
         elif tag == b"TRPL":
-            store.rdf_load([Triple.from_text(payload.decode("utf-8"))])
+            store.triples.append(Triple.from_text(_utf8(tag, payload)))
         elif tag == b"NSTA":
-            saved_report = payload.decode("utf-8")
+            saved_report = _utf8(tag, payload)
         else:
             raise CorruptSnapshot(f"unknown record tag {tag!r}")
 
     if config.backend == P2P:
+        index_triples(store.triples, store.query_peer, store.dht, store.hash_dht, put)
         _restore_stats(store.net.stats, saved_report)
     return store
 
 
+def _utf8(tag: bytes, payload: bytes) -> str:
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorruptSnapshot(f"{tag!r} record is not UTF-8 text") from None
+
+
 def _restore_stats(stats: NetworkStats, report: str) -> None:
-    stats.per_edge.clear()
-    stats.messages_sent = 0
-    stats.bytes_sent = 0
+    """Load a fresh store's stats from a saved ``report()`` text."""
     for line in report.splitlines():
         parts = line.split()
         if len(parts) != 4:  # skips the 3-token totals line

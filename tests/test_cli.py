@@ -117,3 +117,20 @@ def test_corrupt_snapshot_exit_1(workdir, capsys):
     (workdir / "demo.snap").write_bytes(body + struct.pack(">Q", fnv1a64(body)))
     assert main(["stats"]) == 1
     assert "TWIGSNAP1" in capsys.readouterr().err
+    # checksummed files whose records do not decode
+    conf = (workdir / "store.cfg").read_bytes()
+    doc_id = struct.pack(">Q", 1)
+    bad_records = [
+        [(b"CONF", conf), (b"DOC\x00", b"\x00\x01")],
+        [(b"CONF", conf), (b"DOC\x00", doc_id + b"<a>caf\xe9</a>")],
+        [(b"CONF", conf), (b"TRPL", b"a\tb\t\xff")],
+        [(b"CONF", conf), (b"NSTA", b"total 0 \xff")],
+        [(b"CONF", conf + b"\xff")],
+    ]
+    for records in bad_records:
+        body = b"TWIGSNAP2\n" + b"".join(
+            tag + struct.pack(">Q", len(payload)) + payload for tag, payload in records
+        )
+        (workdir / "demo.snap").write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+        assert main(["stats"]) == 1, records[-1]
+        assert "error:" in capsys.readouterr().err

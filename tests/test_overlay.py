@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twigstore.errors import (
     AlreadyMember,
@@ -10,7 +11,13 @@ from twigstore.errors import (
     NotRangeCapable,
 )
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService, fnv1a64
+from twigstore.overlay import (
+    DhtService,
+    fnv1a64,
+    pack_count,
+    ring_hash,
+    unpack_count,
+)
 
 
 def make_service(peer_ids, hash_mode="decimal", shortcut=False, range_domain=None):
@@ -306,3 +313,56 @@ def test_dump_format():
     lines = dht.dump().splitlines()
     assert "0 50 50 1" in lines
     assert "1 10 [0,100) 1" in lines
+
+
+def test_value_count_widens_only_from_0xffff():
+    assert pack_count(0) == b"\x00\x00"
+    assert pack_count(0xFFFE) == b"\xff\xfe"  # the old 16-bit field
+    assert pack_count(0xFFFF) == b"\xff\xff\x00\x00\xff\xff"
+    for n in (0, 7, 0xFFFE, 0xFFFF, 0x10000, 2**32 - 1):
+        assert unpack_count(b"x" + pack_count(n), 1) == (n, 1 + len(pack_count(n)))
+
+
+def test_remote_reads_of_65536_values():
+    # one key holding more values than a 16-bit count can say
+    values = [i.to_bytes(3, "big") for i in range(65_536)]
+    net, dht = make_service([10, 50], range_domain=(Fraction(0), Fraction(100)))
+    for p in (10, 50):
+        dht.join(0, p)
+        dht.join(1, p)
+    hash_ov, range_ov = dht.overlays[0], dht.overlays[1]
+    assert hash_ov.owner_of("42") == 50 and range_ov.owner_of("70") == 50
+    for v in values:
+        hash_ov.store_value(50, "42", v)
+        range_ov.store_value(50, "70", v)
+    assert dht.get(0, 10, "42") == values
+    assert dht.get(1, 10, "70") == values
+    assert dht.get_range(1, 10, "60", "80") == [("70", v) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    churn=st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=40),
+    keys=st.lists(st.text(max_size=8), min_size=1, max_size=12),
+)
+def test_cached_ring_matches_brute_force_owner(churn, keys):
+    pool = range(1, 41)
+    net, dht = make_service(pool, hash_mode="fnv")
+    ov = dht.overlays[0]
+    dht.join(0, 1)
+    for joining, peer in churn:
+        if joining and peer not in ov.members:
+            dht.join(0, peer)
+        elif not joining and peer in ov.members and len(ov.members) > 1:
+            dht.leave(0, peer)
+    ring = sorted((state.position, pid) for pid, state in ov.members.items())
+    members = [pid for _, pid in ring]
+    for i, key in enumerate(keys):
+        assert ov.key_position(key) == ring_hash(key)
+        kpos = ring_hash(key)
+        owner = next((pid for pos, pid in ring if pos >= kpos), ring[0][1])
+        assert ov.owner_of(key) == owner
+        value = f"v{i}".encode()
+        dht.put(0, members[i % len(members)], key, value)
+        assert value in ov.members[owner].store[key]
+        assert value in dht.get(0, members[-1 - i % len(members)], key)

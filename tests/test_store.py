@@ -4,6 +4,7 @@ import struct
 import pytest
 
 from twigstore.errors import CorruptSnapshot, MalformedXml, NotFound
+from twigstore.netsim import Network
 from twigstore.overlay import fnv1a64
 from twigstore.rdfstore import Triple, parse_query_text
 from twigstore.store import P2P, Store, StoreConfig, restore, snapshot
@@ -231,6 +232,57 @@ def test_restored_p2p_store_reproduces_stats(tmp_path):
     d_original = store.query("//paper[/year in 2000..2005]!").stats.report()
     d_restored = again.query("//paper[/year in 2000..2005]!").stats.report()
     assert d_original == d_restored
+
+
+def _overlay_stores(store):
+    """Every per-peer store, with key order and value order."""
+    return {
+        (dht_id, peer): [(key, list(values)) for key, values in state.store.items()]
+        for dht_id, overlay in store.dht.overlays.items()
+        for peer, state in overlay.members.items()
+    }
+
+
+@pytest.mark.parametrize("peers", [1, 8, 32])
+def test_restore_places_postings_without_messages(tmp_path, monkeypatch, peers):
+    store = Store(config("p2p", tmp_path, granularity=("paper",), peers=peers))
+    for i in range(12):
+        store.store_resource(
+            f"<lib><paper id=\"p{i}\"><year>{1990 + i % 5}</year>"
+            f"<title>dht xml t{i % 3}</title></paper><par>{i}</par></lib>"
+        )
+    store.rdf_load([Triple(f"p{i}", "cites", f"p{i // 2}") for i in range(10)])
+    store.query("//paper[/year in 1991..1993]/title!")
+    path = str(tmp_path / "x.snap")
+    snapshot(store, path)
+
+    sends = []
+    real_send = Network.send
+    monkeypatch.setattr(
+        Network, "send", lambda net, *args: sends.append(args) or real_send(net, *args)
+    )
+    again = restore(path)
+    assert sends == []
+    monkeypatch.undo()
+
+    assert _overlay_stores(again) == _overlay_stores(store)
+    assert again.index.stats == store.index.stats
+    assert again.index.epoch == store.index.epoch
+    assert again.stats_report() == store.stats_report()
+
+    # both stores go on identically: same ids, answers and traffic
+    new_doc = "<lib><paper><year>1992</year><title>late dht</title></paper></lib>"
+    assert again.store_resource(new_doc) == store.store_resource(new_doc)
+    for q in ("//paper[/year in 1991..1993]/title!", '//paper[/title="dht"]!'):
+        a, b = store.query(q), again.query(q)
+        assert [(r.resource_id, r.payload) for r in a.resources] == [
+            (r.resource_id, r.payload) for r in b.resources
+        ]
+        assert a.stats.report() == b.stats.report()
+    rdf = parse_query_text("SELECT ?x\n?x cites p2\n")
+    assert store.rdf_query(rdf) == again.rdf_query(rdf) == [("p4",), ("p5",)]
+    assert again.stats_report() == store.stats_report()
+    assert _overlay_stores(again) == _overlay_stores(store)
 
 
 def test_single_peer_p2p_store(tmp_path):
