@@ -57,7 +57,8 @@ class Node:
 
 @dataclass(slots=True)
 class Document:
-    """Parsed XML document; immutable after construction.
+    """Parsed XML document; immutable after construction, apart from the
+    name postings ``named`` builds on first use.
 
     ``nodes`` is in document (start) order, with the root first.
     """
@@ -67,6 +68,7 @@ class Document:
     nodes: list[Node] = field(default_factory=list)
     _children: dict[int, list[Node]] = field(default_factory=dict)
     _by_start: dict[int, Node] = field(default_factory=dict)
+    _by_name: dict[str, list[Node]] | None = None
 
     def finish(self) -> None:
         self.root = self.nodes[0]
@@ -84,6 +86,20 @@ class Document:
         if node is None:
             raise UnknownNode(f"no node at start {start} in document {self.doc_id}")
         return node
+
+    def named(self, name: str) -> list[Node]:
+        """The element and attribute nodes called ``name``, in document order.
+
+        The postings of every name are built in one pass on the first call,
+        so parsing (every p2p ingest and restore) never pays for them.
+        """
+        if self._by_name is None:
+            by_name: dict[str, list[Node]] = {}
+            for node in self.nodes:
+                if node.kind != TEXT:
+                    by_name.setdefault(node.name, []).append(node)
+            self._by_name = by_name
+        return self._by_name.get(name, [])
 
     def children(self, node: Node) -> list[Node]:
         return self._children.get(node.node_id, [])

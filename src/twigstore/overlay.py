@@ -18,7 +18,8 @@ handed over synchronously on join/leave (control plane); only data
 operations generate accounted traffic.  ``DhtService.put_direct`` is the
 one control-plane data operation: it stores a value on the key's owner
 without sending a message, which is how snapshot restore rebuilds the
-overlays.  Response value counts take 2 bytes, or 6 from 0xFFFF values up.
+overlays.  Response value counts and key lengths take 2 bytes, or 6 from
+0xFFFF up.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ _RANGE_RESP = 0x07
 
 
 def pack_str(text: str) -> bytes:
+    """UTF-8 text after its byte length, which ``pack_count`` encodes."""
     raw = text.encode("utf-8")
-    return struct.pack(">H", len(raw)) + raw
+    return pack_count(len(raw)) + raw
 
 
 def pack_bytes(raw: bytes) -> bytes:
@@ -83,7 +85,7 @@ def pack_bytes(raw: bytes) -> bytes:
 
 
 def pack_count(n: int) -> bytes:
-    """A value count: 2 bytes below 0xFFFF, else 0xFFFF and 4 more bytes."""
+    """A count or length: 2 bytes below 0xFFFF, else 0xFFFF and 4 more bytes."""
     if n < 0xFFFF:
         return struct.pack(">H", n)
     return struct.pack(">HI", 0xFFFF, n)
@@ -98,8 +100,7 @@ def unpack_count(buf: bytes, off: int) -> tuple[int, int]:
 
 
 def unpack_str(buf: bytes, off: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from(">H", buf, off)
-    off += 2
+    n, off = unpack_count(buf, off)
     return buf[off : off + n].decode("utf-8"), off + n
 
 

@@ -2,7 +2,7 @@
 
 The centralized backend keeps documents in one process and answers
 pattern queries with ``eval_local``, the stack-based structural join over
-candidates drawn from the in-memory documents.  The p2p backend hosts a
+candidates drawn from the documents' name postings.  The p2p backend hosts a
 simulated peer network with the configured overlays, indexes every
 ingested document, and answers queries through the decompose -> rewrite ->
 place -> execute pipeline.  Both backends return identical resource lists
@@ -270,13 +270,8 @@ class Store:
         targets.sort()
         out = []
         for sid in targets:
-            doc = self.documents[sid.doc_id]
-            out.append(
-                Resource(
-                    f"{sid.doc_id}#{sid.start}", sid.doc_id, sid,
-                    serialize_node(doc, doc.node_by_start(sid.start).label),
-                )
-            )
+            payload = serialize_node(self.documents[sid.doc_id], sid)
+            out.append(Resource(f"{sid.doc_id}#{sid.start}", sid.doc_id, sid, payload))
         return out
 
     # -- rdf ------------------------------------------------------------------

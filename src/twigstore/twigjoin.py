@@ -5,18 +5,22 @@ et al., ICDE 2002) over two row lists sorted by their join column's
 (doc, start), with a stack of open ancestors.  ``holistic_join`` folds it
 over a pattern's edges; the planner's StructJoin operator calls it
 directly.  ``eval_distributed`` feeds ``holistic_join`` with posting lists
-fetched from the overlays, ``eval_local`` with candidates drawn from
-in-memory documents (the centralized backend).  Results are bindings; no
+fetched from the overlays, ``eval_local`` (the centralized backend) with
+candidates drawn from each in-memory document's name postings, the
+per-tag element streams the stack joins assume.  Results are bindings; no
 payloads move until recomposition.
 
-``eval_naive`` exhaustively enumerates node assignments; it is the test
-oracle only and no backend calls it.
+``eval_naive`` scans every node of every document for every pattern node
+and exhaustively enumerates node assignments; it is the test oracle only
+and no backend calls it.
 
 A ``Binding`` is a tuple of structural ids aligned with ``pattern.nodes``.
 All evaluators sort results by return-node ids, then by the full tuple.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .document import (
     ATTRIBUTE,
@@ -57,8 +61,10 @@ def _node_matches(doc: Document, node: Node, pnode: PNode) -> bool:
     if not pnode.is_wildcard and node.name != pnode.name:
         return False
     if pnode.word is not None:
+        # every word of split_words(text) is a substring of text.lower()
         if not any(
-            pnode.word in split_words(text) for text in doc.text_children(node)
+            pnode.word in text.lower() and pnode.word in split_words(text)
+            for text in doc.text_children(node)
         ):
             return False
     if pnode.has_range:
@@ -73,14 +79,27 @@ def _node_matches(doc: Document, node: Node, pnode: PNode) -> bool:
     return True
 
 
+def _all_nodes(doc: Document, pnode: PNode) -> list[Node]:
+    return doc.nodes
+
+
+def _named_nodes(doc: Document, pnode: PNode) -> list[Node]:
+    return doc.nodes if pnode.is_wildcard else doc.named(pnode.name)
+
+
 def _doc_candidates(
-    pattern: TreePattern, doc: Document
+    pattern: TreePattern,
+    doc: Document,
+    pool: Callable[[Document, PNode], list[Node]],
 ) -> list[list[StructuralId]]:
-    """One candidate list per pattern node, drawn from one document."""
+    """One candidate list per pattern node: the nodes of ``pool(doc, pnode)``
+    that match it, in document order."""
     cands: list[list[StructuralId]] = []
     for pnode in pattern.nodes:
         labels = [
-            node.label for node in doc.nodes if _node_matches(doc, node, pnode)
+            node.label
+            for node in pool(doc, pnode)
+            if _node_matches(doc, node, pnode)
         ]
         if pnode.idx == 0 and pattern.root_axis == CHILD:
             labels = [lb for lb in labels if lb.depth == 1]
@@ -96,7 +115,7 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     results: list[Binding] = []
 
     for doc in docs:
-        cands = _doc_candidates(pattern, doc)
+        cands = _doc_candidates(pattern, doc, _all_nodes)
         if any(not c for c in cands):
             continue
         bound: list[StructuralId | None] = [None] * n
@@ -124,10 +143,16 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
 
 
 def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
-    """The centralized backend's evaluator; equals eval_naive."""
+    """The centralized backend's evaluator; equals eval_naive.
+
+    A named pattern node draws its candidates from the document's postings
+    for that name (``Document.named``), a wildcard from all of its nodes;
+    ``_node_matches`` then decides every candidate.
+    """
     bindings: list[Binding] = []
     for doc in docs:
-        bindings.extend(holistic_join(pattern, _doc_candidates(pattern, doc)))
+        cands = _doc_candidates(pattern, doc, _named_nodes)
+        bindings.extend(holistic_join(pattern, cands))
     return sort_bindings(pattern, bindings)
 
 

@@ -61,6 +61,18 @@ def test_attributes_are_child_nodes():
     assert attr.label.start == attr.label.end
 
 
+def test_name_postings_hold_elements_and_attributes_only():
+    # text "a" and the attribute value "b" look like names but are not
+    doc = parse_document('<a id="b"><b>a</b>a<a/></a>', 1)
+    assert doc._by_name is None  # parsing never builds the postings
+    assert [(n.kind, n.label.start) for n in doc.named("a")] == [
+        (ELEMENT, 1), (ELEMENT, 7)
+    ]
+    assert [n.label.start for n in doc.named("b")] == [3]
+    assert [(n.kind, n.attr_value) for n in doc.named("@id")] == [(ATTRIBUTE, "b")]
+    assert doc.named("c") == []
+
+
 def test_whitespace_only_text_dropped():
     doc = parse_document("<a>\n  <b/>\n</a>", 1)
     assert [n.kind for n in doc.nodes] == [ELEMENT, ELEMENT]

@@ -15,8 +15,10 @@ from twigstore.overlay import (
     DhtService,
     fnv1a64,
     pack_count,
+    pack_str,
     ring_hash,
     unpack_count,
+    unpack_str,
 )
 
 
@@ -321,6 +323,15 @@ def test_value_count_widens_only_from_0xffff():
     assert pack_count(0xFFFF) == b"\xff\xff\x00\x00\xff\xff"
     for n in (0, 7, 0xFFFE, 0xFFFF, 0x10000, 2**32 - 1):
         assert unpack_count(b"x" + pack_count(n), 1) == (n, 1 + len(pack_count(n)))
+
+
+def test_key_length_widens_only_from_0xffff():
+    assert pack_str("ab") == b"\x00\x02ab"  # the old 16-bit field
+    for n in (0, 0xFFFE, 0xFFFF, 70_000):
+        key = "k" * n
+        packed = pack_str(key)
+        assert packed[: len(packed) - n] == pack_count(n)
+        assert unpack_str(b"x" + packed + b"y", 1) == (key, 1 + len(packed))
 
 
 def test_remote_reads_of_65536_values():

@@ -146,6 +146,19 @@ def test_backends_agree_beyond_the_integer_window(tmp_path):
     assert answers[0] == ["1#2"]  # leading zeros do not count as digits
 
 
+def test_index_keys_longer_than_64_kib(tmp_path):
+    # the word posting key "w:" + 70,000 letters exceeds a 16-bit length
+    word = "a" * 70_000
+    text = f"<r><t>{word}</t></r>"
+    for backend in ("centralized", "p2p"):
+        store = Store(config(backend, tmp_path, granularity=()))
+        assert store.store_resource(text) == ["1#1"]
+        result = store.query(f'//t="{word}"!')
+        assert [(r.resource_id, r.payload) for r in result.resources] == [
+            ("1#2", f"<t>{word}</t>")
+        ], backend
+
+
 def test_snapshot_round_trip(tmp_path, any_store):
     ids = any_store.store_resource(D1)
     ids += any_store.store_resource("<lib><par>two</par><par>3</par></lib>")

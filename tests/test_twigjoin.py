@@ -11,6 +11,7 @@ from twigstore.twigjoin import (
     QueryCache,
     axis_holds,
     eval_distributed,
+    eval_local,
     eval_naive,
     stack_join,
 )
@@ -127,6 +128,16 @@ def test_cache_hit_equals_fresh_evaluation():
         assert cached == fresh
 
 
+def test_word_predicate_matches_whole_words_in_any_case():
+    # "xmldata" contains "xml" but not as a word
+    docs = [parse_document("<r><t>Big XML</t><t>xml-data</t><t>xmldata</t></r>", 1)]
+    pattern = parse_pattern('//t="xml"!')
+    net, dht, index = cluster_with(docs)
+    want = eval_distributed(pattern, 1, index)
+    assert [b[0].start for b in want] == [2, 5]
+    assert eval_local(pattern, docs) == eval_naive(pattern, docs) == want
+
+
 def test_all_wildcard_raises():
     docs = [parse_document(D1, 1)]
     net, dht, index = cluster_with(docs)
@@ -162,3 +173,56 @@ def test_results_independent_of_peer_count():
         net, dht, index = cluster_with(docs, peer_count=peer_count)
         outputs.append([eval_distributed(p, 1, index) for p in patterns])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# tag names double as text, attribute values and predicate words, so a
+# text node or an attribute value can look like a name or a word
+LOCAL_TAGS = ["a", "b", "c"]
+LOCAL_WORDS = ["a", "b", "xml", "dht"]
+LOCAL_TEXTS = ["a", "b", "xml", "XML dht", "b-a", "7", " 1999 ", "-3", "0012"]
+
+
+@st.composite
+def local_element(draw, depth=1):
+    """(XML text, own text) of a random element; a tail may repeat the
+    text of the child it follows."""
+    tag = draw(st.sampled_from(LOCAL_TAGS))
+    attrs = draw(
+        st.dictionaries(
+            st.sampled_from(["id", "lang"]), st.sampled_from(LOCAL_TEXTS), max_size=2
+        )
+    )
+    own = draw(st.sampled_from(["", *LOCAL_TEXTS]))
+    body = own
+    for _ in range(draw(st.integers(0, 3 if depth < 4 else 0))):
+        child, child_text = draw(local_element(depth + 1))
+        body += child + draw(st.sampled_from(["", child_text, *LOCAL_TEXTS]))
+    head = tag + "".join(f' {k}="{v}"' for k, v in attrs.items())
+    return f"<{head}>{body}</{tag}>", own
+
+
+@st.composite
+def local_pattern(draw, depth=1):
+    axis = draw(st.sampled_from(["/", "//"]))
+    name = draw(st.sampled_from([*LOCAL_TAGS, "*", "@id", "@lang"]))
+    text = axis + name
+    pred = draw(st.sampled_from(["", "", "word", "range"]))
+    if pred == "word":
+        text += '="%s"' % draw(st.sampled_from(LOCAL_WORDS))
+    elif pred == "range":
+        lo = draw(st.sampled_from([-5, 0, 8, 1990]))
+        text += f" in {lo}..{lo + draw(st.integers(0, 12))}"
+    for _ in range(draw(st.integers(0, 2 if depth < 3 else 0))):
+        text += "[" + draw(local_pattern(depth + 1)) + "]"
+    return text + draw(st.sampled_from(["", "!"]))
+
+
+@given(
+    texts=st.lists(local_element(), min_size=1, max_size=3),
+    patterns=st.lists(local_pattern(), min_size=1, max_size=4),
+)
+def test_local_candidates_from_postings_match_naive(texts, patterns):
+    docs = [parse_document(t, i) for i, (t, _) in enumerate(texts, start=1)]
+    for text in patterns:
+        pattern = parse_pattern(text)
+        assert eval_local(pattern, docs) == eval_naive(pattern, docs), text
