@@ -21,7 +21,7 @@ import struct
 
 from .document import ATTRIBUTE, INT_WINDOW, TEXT, Document, Node, \
     StructuralId, parse_int_content, split_words
-from .overlay import DhtService, PutFn
+from .overlay import DhtService, Items, PutFn
 from .netsim import PeerId
 
 POSTING_SIZE = 32
@@ -75,53 +75,49 @@ class IndexService:
     # -- publication -----------------------------------------------------
 
     def index_document(
-        self, doc: Document, via: PeerId, put: PutFn | None = None
+        self, doc: Document, via: PeerId, put: PutFn | None = None, lead: Items = ()
     ) -> int:
         """Publish all postings for ``doc``; returns the count published.
 
-        ``put`` defaults to the routed ``DhtService.put``; snapshot restore
-        passes ``DhtService.put_direct``.
+        The hash overlay gets one batch: the ``lead`` items (the store's
+        ``r:``/``d:`` keys), the postings, then the catalog values.  The
+        range overlay gets one batch of value postings.  ``put`` defaults to
+        the routed ``DhtService.put``; snapshot restore passes
+        ``DhtService.put_direct``.
         """
-        put = put or self.dht.put
         self.epoch += 1
-        published = 0
+        hashed: Items = list(lead)
+        ranged: Items = []
         catalog: dict[str, None] = {}
 
-        def publish_hash(key: str, sid: StructuralId) -> None:
-            nonlocal published
-            put(self.hash_dht, via, key, encode_posting(sid))
+        def publish(batch: Items, key: str, sid: StructuralId) -> None:
+            batch.append((key, encode_posting(sid)))
             self.stats[key] = self.stats.get(key, 0) + 1
-            published += 1
 
-        def publish_value(element: Node, value: int) -> None:
-            nonlocal published
-            if self.range_dht is None:
-                return
-            key = value_key(element.name, value)
-            put(self.range_dht, via, key, encode_posting(element.label))
-            self.stats[key] = self.stats.get(key, 0) + 1
-            published += 1
-
-        def visit(node: Node) -> None:
-            # node is always an element; attributes and text are handled inline
+        # (node, its parent element) in document order, with an explicit
+        # stack: a recursive closure would be a reference cycle keeping both
+        # batches alive until the next full garbage collection
+        stack: list[tuple[Node, Node]] = [(doc.root, doc.root)]
+        while stack:
+            node, parent = stack.pop()
+            if node.kind == TEXT:
+                for word in dict.fromkeys(split_words(node.name_or_value)):
+                    publish(hashed, word_key(word), parent.label)
+                value = parse_int_content(node.name_or_value)
+                if value is not None and self.range_dht is not None:
+                    publish(ranged, value_key(parent.name, value), parent.label)
+                continue
             catalog.setdefault(node.name, None)
-            publish_hash(tag_key(node.name), node.label)
-            for child in doc.children(node):
-                if child.kind == TEXT:
-                    for word in dict.fromkeys(split_words(child.name_or_value)):
-                        publish_hash(word_key(word), node.label)
-                    value = parse_int_content(child.name_or_value)
-                    if value is not None:
-                        publish_value(node, value)
-                elif child.kind == ATTRIBUTE:
-                    catalog.setdefault(child.name, None)
-                    publish_hash(tag_key(child.name), child.label)
-                else:
-                    visit(child)
+            publish(hashed, tag_key(node.name), node.label)
+            if node.kind != ATTRIBUTE:
+                stack += ((child, node) for child in reversed(doc.children(node)))
 
-        visit(doc.root)
-        for name in catalog:
-            put(self.hash_dht, via, CATALOG_KEY, name.encode("utf-8"))
+        published = len(hashed) - len(lead) + len(ranged)
+        hashed += ((CATALOG_KEY, name.encode("utf-8")) for name in catalog)
+        put = put or self.dht.put
+        put(self.hash_dht, via, hashed)
+        if ranged:
+            put(self.range_dht, via, ranged)
         return published
 
     # -- lookups -----------------------------------------------------------

@@ -4,22 +4,34 @@ Two overlay kinds share the per-peer endpoint surface (join, leave, put,
 get):
 
 * ``HashOverlay`` — a ring of peers ordered by a 64-bit position; a key
-  lives on the first peer at or clockwise after its position.  Routing is
-  successor-by-successor (one simulated message per hop) unless the
-  overlay's shortcut table is enabled, in which case the requesting peer
-  contacts the owner directly.
+  lives on the first peer at or clockwise after its position.  Routing
+  follows Chord (Stoica et al., SIGCOMM 2001): a peer that does not own a
+  key hands it to its successor when the successor owns it, else to its
+  closest finger before the key, where the fingers of the peer at ``p``
+  are the owners of ``p + 2**i`` for i in 0..63.  Each hop is one
+  simulated message, O(log peers) of them per key.  With the
+  overlay's shortcut table enabled, the requesting peer contacts the owner
+  directly.
 * ``RangeOverlay`` — an order-preserving partition of the key domain into
   half-open intervals, one per peer, split at the midpoint on join.  It
   additionally supports ``get_range``, contacting exactly the peers whose
   intervals intersect the queried interval.
 
-Values under one key form a multiset; duplicates are preserved.  Keys are
-handed over synchronously on join/leave (control plane); only data
-operations generate accounted traffic.  ``DhtService.put_direct`` is the
-one control-plane data operation: it stores a value on the key's owner
-without sending a message, which is how snapshot restore rebuilds the
-overlays.  Response value counts and key lengths take 2 bytes, or 6 from
-0xFFFF up.
+Values under one key form a multiset; duplicates are preserved, in the
+order they were put.  Keys are handed over synchronously on join/leave
+(control plane); only data operations generate accounted traffic.
+
+``DhtService.put`` publishes a batch of ``(key, value)`` items.  On a hash
+overlay each peer on the way, the publisher included, stores the items it
+owns and sends the rest on as one envelope per next hop, so a batch splits
+along the routing tree; a range overlay's publisher sends one envelope per
+owner.  All items one peer owns take the same path, so each key keeps its
+value order.  A put envelope is the wire tag, the overlay id, an item count
+and the items, each a key (``pack_str``) and a value (``pack_bytes``).
+``DhtService.put_direct`` is the one control-plane data operation: it
+stores the items on their owners without sending a message, which is how
+snapshot restore rebuilds the overlays.  Item and response value counts
+and key lengths take 2 bytes, or 6 from 0xFFFF up.
 """
 
 from __future__ import annotations
@@ -110,6 +122,27 @@ def unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
     return bytes(buf[off : off + n]), off + n
 
 
+Items = list[tuple[str, bytes]]
+
+
+def pack_items(items: Items) -> bytes:
+    """An item count (``pack_count``), then each key and value."""
+    parts = [pack_count(len(items))]
+    for key, value in items:
+        parts += (pack_str(key), pack_bytes(value))
+    return b"".join(parts)
+
+
+def unpack_items(buf: bytes, off: int) -> Items:
+    count, off = unpack_count(buf, off)
+    items = []
+    for _ in range(count):
+        key, off = unpack_str(buf, off)
+        value, off = unpack_bytes(buf, off)
+        items.append((key, value))
+    return items
+
+
 @dataclass
 class RingState:
     position: int
@@ -130,8 +163,9 @@ class HashOverlay:
 
     The ring is kept as ``(position, peer)`` pairs sorted by position, plus
     the bare positions for ``bisect``; both are rebuilt only when the
-    membership changes.  Key positions are memoized, so routing a key
-    hop by hop hashes it once.
+    membership changes.  Each peer's finger table is built from the sorted
+    ring on the first hop it routes and dropped with the ring.  Key
+    positions are memoized, so routing a key hop by hop hashes it once.
     """
 
     kind = "hash"
@@ -145,6 +179,8 @@ class HashOverlay:
         self.members: dict[PeerId, RingState] = {}
         self._ring: list[tuple[int, PeerId]] = []
         self._positions: list[int] = []
+        # peer -> (clockwise distances, fingers), nearest first, self excluded
+        self._fingers: dict[PeerId, tuple[list[int], list[PeerId]]] = {}
         self._key_positions: dict[str, int] = {}
 
     def key_position(self, key: str) -> int:
@@ -162,6 +198,7 @@ class HashOverlay:
     def _rebuild_ring(self) -> None:
         self._ring = sorted((st.position, pid) for pid, st in self.members.items())
         self._positions = [pos for pos, _ in self._ring]
+        self._fingers.clear()
 
     def owner_of_position(self, pos: int) -> PeerId:
         if not self.members:
@@ -171,6 +208,26 @@ class HashOverlay:
 
     def owner_of(self, key: str) -> PeerId:
         return self.owner_of_position(self.key_position(key))
+
+    def _finger_table(self, peer: PeerId) -> tuple[list[int], list[PeerId]]:
+        pos = self.members[peer].position
+        dist: dict[PeerId, int] = {}
+        for i in range(64):
+            finger = self.owner_of_position((pos + (1 << i)) & _MASK64)
+            if finger != peer and finger not in dist:
+                dist[finger] = (self.members[finger].position - pos) & _MASK64
+        table = sorted((d, finger) for finger, d in dist.items())
+        return [d for d, _ in table], [finger for _, finger in table]
+
+    def next_hop(self, peer: PeerId, key_pos: int) -> PeerId:
+        """Where ``peer`` sends a key it does not own: its successor when the
+        successor owns the key, else its closest finger before the key."""
+        table = self._fingers.get(peer)
+        if table is None:
+            table = self._fingers[peer] = self._finger_table(peer)
+        dists, fingers = table
+        i = bisect_left(dists, (key_pos - self.members[peer].position) & _MASK64)
+        return fingers[max(i - 1, 0)]
 
     @staticmethod
     def _in_arc(pos: int, lo_excl: int, hi_incl: int) -> bool:
@@ -362,8 +419,8 @@ class RangeOverlay:
 
 
 Overlay = HashOverlay | RangeOverlay
-# ``DhtService.put`` or ``DhtService.put_direct``: (dht_id, via, key, value)
-PutFn = Callable[[int, PeerId, str, bytes], None]
+# ``DhtService.put`` or ``DhtService.put_direct``: (dht_id, via, items)
+PutFn = Callable[[int, PeerId, Items], None]
 
 
 def _values_response(req: int, values: list[bytes]) -> bytes:
@@ -434,36 +491,37 @@ class DhtService:
 
     # -- data operations -------------------------------------------------
 
-    def put(self, dht_id: int, via: PeerId, key: str, value: bytes) -> None:
+    def put(self, dht_id: int, via: PeerId, items: Items) -> None:
+        """Publish ``items`` from ``via``, then drain the simulator once."""
         ov = self._overlay(dht_id)
         self._check_member(ov, via)
         if isinstance(ov, HashOverlay):
-            kpos = ov.key_position(key)
-            if ov.owns(via, kpos):
-                ov.store_value(via, key, value)
-                return
-            payload = bytes([_HASH_PUT, ov.dht_id]) + pack_str(key) + pack_bytes(value)
-            first_hop = ov.owner_of(key) if ov.shortcut else ov.members[via].successor
-            self.net.send(via, first_hop, payload)
+            sent = self._route_hash_items(ov, via, items)
         else:
-            owner = ov.owner_of(key)
-            if owner == via:
-                ov.store_value(via, key, value)
-                return
-            payload = bytes([_RANGE_PUT, ov.dht_id]) + pack_str(key) + pack_bytes(value)
-            self.net.send(via, owner, payload)
-        self.net.run_until_quiescent(self.tick_budget)
+            groups: dict[PeerId, Items] = {}
+            for key, value in items:
+                owner = ov.owner_of(key)
+                if owner == via:
+                    ov.store_value(via, key, value)
+                else:
+                    groups.setdefault(owner, []).append((key, value))
+            for owner, group in groups.items():
+                self.net.send(via, owner, bytes([_RANGE_PUT, ov.dht_id]) + pack_items(group))
+            sent = bool(groups)
+        if sent:
+            self.net.run_until_quiescent(self.tick_budget)
 
-    def put_direct(self, dht_id: int, via: PeerId, key: str, value: bytes) -> None:
-        """Control-plane put: store ``value`` on the key's owner at once.
+    def put_direct(self, dht_id: int, via: PeerId, items: Items) -> None:
+        """Control-plane put: store each item on its key's owner at once.
 
-        The outcome equals ``put``'s (same owner, same value order), but no
+        The outcome equals ``put``'s (same owners, same value order), but no
         envelope is sent and the stats do not move.  Snapshot restore uses
         it to rebuild the overlays without replaying their traffic.
         """
         ov = self._overlay(dht_id)
         self._check_member(ov, via)
-        ov.store_value(ov.owner_of(key), key, value)
+        for key, value in items:
+            ov.store_value(ov.owner_of(key), key, value)
 
     def get(self, dht_id: int, via: PeerId, key: str) -> list[bytes]:
         ov = self._overlay(dht_id)
@@ -474,7 +532,7 @@ class DhtService:
         req = self._new_request()
         if isinstance(ov, HashOverlay):
             tag = _HASH_GET
-            first_hop = owner if ov.shortcut else ov.members[via].successor
+            first_hop = owner if ov.shortcut else ov.next_hop(via, ov.key_position(key))
         else:
             tag = _RANGE_GET
             first_hop = owner
@@ -533,6 +591,21 @@ class DhtService:
         self._next_req += 1
         return self._next_req
 
+    def _route_hash_items(self, ov: HashOverlay, me: PeerId, items: Items) -> bool:
+        """Store the items ``me`` owns and send the rest on, one envelope per
+        next hop; returns whether anything was sent."""
+        groups: dict[PeerId, Items] = {}
+        for key, value in items:
+            kpos = ov.key_position(key)
+            if ov.owns(me, kpos):
+                ov.store_value(me, key, value)
+            else:
+                hop = ov.owner_of_position(kpos) if ov.shortcut else ov.next_hop(me, kpos)
+                groups.setdefault(hop, []).append((key, value))
+        for hop, group in groups.items():
+            self.net.send(me, hop, bytes([_HASH_PUT, ov.dht_id]) + pack_items(group))
+        return bool(groups)
+
     def _take_response(self, req: int) -> list:
         if req not in self._responses:
             raise RuntimeError(f"request {req} produced no response")
@@ -562,13 +635,7 @@ class DhtService:
     def _on_hash_put(self, net: Network, env: Envelope) -> None:
         ov = self._overlay(env.payload[1])
         assert isinstance(ov, HashOverlay)
-        me = env.to_peer
-        key, off = unpack_str(env.payload, 2)
-        if ov.owns(me, ov.key_position(key)):
-            value, _ = unpack_bytes(env.payload, off)
-            ov.store_value(me, key, value)
-        else:
-            net.send(me, ov.members[me].successor, env.payload)
+        self._route_hash_items(ov, env.to_peer, unpack_items(env.payload, 2))
 
     def _on_hash_get(self, net: Network, env: Envelope) -> None:
         ov = self._overlay(env.payload[1])
@@ -576,10 +643,11 @@ class DhtService:
         me = env.to_peer
         req, origin = struct.unpack_from(">IQ", env.payload, 2)
         key, _ = unpack_str(env.payload, 14)
-        if ov.owns(me, ov.key_position(key)):
+        kpos = ov.key_position(key)
+        if ov.owns(me, kpos):
             net.send(me, origin, _values_response(req, ov.local_values(me, key)))
         else:
-            net.send(me, ov.members[me].successor, env.payload)
+            net.send(me, ov.next_hop(me, kpos), env.payload)
 
     def _on_get_resp(self, env: Envelope) -> None:
         (req,) = struct.unpack_from(">I", env.payload, 1)
@@ -593,9 +661,8 @@ class DhtService:
     def _on_range_put(self, env: Envelope) -> None:
         ov = self._overlay(env.payload[1])
         assert isinstance(ov, RangeOverlay)
-        key, off = unpack_str(env.payload, 2)
-        value, _ = unpack_bytes(env.payload, off)
-        ov.store_value(env.to_peer, key, value)
+        for key, value in unpack_items(env.payload, 2):
+            ov.store_value(env.to_peer, key, value)
 
     def _on_range_get(self, net: Network, env: Envelope) -> None:
         ov = self._overlay(env.payload[1])
@@ -612,20 +679,12 @@ class DhtService:
         lo, off = unpack_str(env.payload, 14)
         hi, _ = unpack_str(env.payload, off)
         items = ov.local_scan(env.to_peer, lo, hi)
-        parts = [bytes([_RANGE_RESP]), struct.pack(">I", req), pack_count(len(items))]
-        for k, v in items:
-            parts += (pack_str(k), pack_bytes(v))
-        net.send(env.to_peer, origin, b"".join(parts))
+        head = bytes([_RANGE_RESP]) + struct.pack(">I", req)
+        net.send(env.to_peer, origin, head + pack_items(items))
 
     def _on_range_resp(self, env: Envelope) -> None:
         (req,) = struct.unpack_from(">I", env.payload, 1)
-        count, off = unpack_count(env.payload, 5)
-        items = []
-        for _ in range(count):
-            k, off = unpack_str(env.payload, off)
-            v, off = unpack_bytes(env.payload, off)
-            items.append((k, v))
-        self._responses[req] = items
+        self._responses[req] = unpack_items(env.payload, 5)
 
     # -- diagnostics -------------------------------------------------------
 

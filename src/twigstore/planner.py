@@ -651,7 +651,11 @@ class Dataset:
 
 
 def encode_dataset(ds: Dataset) -> bytes:
-    head = struct.pack(">BI", len(ds.cols), len(ds.rows))
+    """Column count (1 byte below 0xFF, else 0xFF and 4 more bytes), row
+    count, column ids, then each row's postings."""
+    ncols = len(ds.cols)
+    head = struct.pack(">B", ncols) if ncols < 0xFF else struct.pack(">BI", 0xFF, ncols)
+    head += struct.pack(">I", len(ds.rows))
     head += b"".join(struct.pack(">H", c) for c in ds.cols)
     body = b"".join(
         encode_posting(sid) for row in ds.rows for sid in row
@@ -660,8 +664,12 @@ def encode_dataset(ds: Dataset) -> bytes:
 
 
 def decode_dataset(payload: bytes, site: PeerId) -> Dataset:
-    ncols, nrows = struct.unpack_from(">BI", payload, 0)
-    off = 5
+    ncols, off = payload[0], 1
+    if ncols == 0xFF:
+        (ncols,) = struct.unpack_from(">I", payload, off)
+        off += 4
+    (nrows,) = struct.unpack_from(">I", payload, off)
+    off += 4
     cols = struct.unpack_from(f">{ncols}H", payload, off) if ncols else ()
     off += 2 * ncols
     rows = []
@@ -700,8 +708,8 @@ class ExecutionContext:
     def _on_fetch(self, net: Network, env: Envelope) -> None:
         req, origin, doc_id, start = struct.unpack_from(">IQQQ", env.payload, 1)
         doc, _home = self.documents[doc_id]
-        node = doc.node_by_start(start)
-        payload = serialize_node(doc, node.label).encode("utf-8")
+        label = doc.node_by_start(start).label  # the request carries the start only
+        payload = serialize_node(doc, label).encode("utf-8")
         net.send(env.to_peer, origin, bytes([TAG_FETCH_RESP])
                  + struct.pack(">I", req) + pack_bytes(payload))
 
@@ -713,7 +721,7 @@ class ExecutionContext:
     def fetch_subtree(self, via: PeerId, sid: StructuralId) -> str:
         doc, home = self.documents[sid.doc_id]
         if home == via:
-            return serialize_node(doc, doc.node_by_start(sid.start).label)
+            return serialize_node(doc, sid)
         self._next_req += 1
         req = self._next_req
         self.net.send(

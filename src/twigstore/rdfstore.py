@@ -29,12 +29,21 @@ class Triple:
     def text(self) -> str:
         return f"{self.subject}\t{self.predicate}\t{self.object}"
 
+    def check(self) -> None:
+        """Refuse a triple that ``text`` cannot carry: an empty field, or a
+        tab or newline inside one."""
+        for term in (self.subject, self.predicate, self.object):
+            if not term or "\t" in term or "\n" in term:
+                raise MalformedInput(f"bad triple field {term!r} in {self!r}")
+
     @classmethod
     def from_text(cls, line: str) -> "Triple":
         parts = line.split("\t")
-        if len(parts) != 3 or not all(parts):
+        if len(parts) != 3:
             raise MalformedInput(f"bad triple line: {line!r}")
-        return cls(*parts)
+        triple = cls(*parts)
+        triple.check()
+        return triple
 
     def position(self, i: int) -> str:
         return (self.subject, self.predicate, self.object)[i]
@@ -82,16 +91,17 @@ def index_triples(
     dht_id: int,
     put: PutFn | None = None,
 ) -> int:
-    """Store each triple under its three position keys; returns triple count.
+    """Store each triple under its three position keys, all in one batch;
+    returns triple count.
 
     ``put`` defaults to the routed ``dht.put``; snapshot restore passes
     ``dht.put_direct``.
     """
-    put = put or dht.put
+    items = []
     for triple in triples:
         raw = triple.text().encode("utf-8")
-        for i in (S, P, O):
-            put(dht_id, via, _KEY_PREFIX[i] + triple.position(i), raw)
+        items += ((_KEY_PREFIX[i] + triple.position(i), raw) for i in (S, P, O))
+    (put or dht.put)(dht_id, via, items)
     return len(triples)
 
 

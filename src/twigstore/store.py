@@ -186,7 +186,8 @@ class Store:
         return self._register(doc)
 
     def _register(self, doc: Document, put: PutFn | None = None) -> list[str]:
-        """Record ``doc`` and publish its ``r:``/``d:`` keys and postings.
+        """Record ``doc`` and publish its ``r:``/``d:`` keys and postings,
+        one batch per overlay.
 
         ``put`` defaults to the routed ``DhtService.put``; snapshot restore
         passes ``DhtService.put_direct``.
@@ -199,14 +200,15 @@ class Store:
                 self.resources[res.resource_id] = res
             return [res.resource_id for res in resources]
 
-        put = put or self.dht.put
         home = self.members[(doc_id - 1) % len(self.members)]
         self.doc_homes[doc_id] = (doc, home)
+        where = struct.pack(">Q", home)
+        home_keys = []
         for res in resources:
             self.peer_resources[home][res.resource_id] = res
-            put(self.hash_dht, home, "r:" + res.resource_id, struct.pack(">Q", home))
-        put(self.hash_dht, home, f"d:{doc_id}", struct.pack(">Q", home))
-        self.index.index_document(doc, home, put)
+            home_keys.append(("r:" + res.resource_id, where))
+        home_keys.append((f"d:{doc_id}", where))
+        self.index.index_document(doc, home, put, home_keys)
         return [res.resource_id for res in resources]
 
     # -- resource access ----------------------------------------------------
@@ -277,6 +279,10 @@ class Store:
     # -- rdf ------------------------------------------------------------------
 
     def rdf_load(self, triples: list[Triple]) -> int:
+        """Store ``triples``; refuses them all if any cannot be written as
+        the tab-separated text the p2p index and the snapshot hold."""
+        for triple in triples:
+            triple.check()
         self.triples.extend(triples)
         if self.config.backend == P2P:
             index_triples(triples, self.query_peer, self.dht, self.hash_dht)
@@ -313,6 +319,9 @@ def _record(tag: bytes, payload: bytes) -> bytes:
 def snapshot(store: Store, path: str) -> None:
     """Write config, documents, triples, and stats to ``path``.
 
+    All triples go in one ``TRPL`` record, one per line; ``Store.rdf_load``
+    refuses a triple whose text could not be read back.
+
     Resources are not written: ``restore`` derives them again from each
     document and the config's ``resource_granularity``.
     """
@@ -321,8 +330,9 @@ def snapshot(store: Store, path: str) -> None:
     for doc_id in sorted(store.documents):
         text = serialize_document(store.documents[doc_id])
         blob += _record(b"DOC\x00", struct.pack(">Q", doc_id) + text.encode("utf-8"))
-    for triple in store.triples:
-        blob += _record(b"TRPL", triple.text().encode("utf-8"))
+    if store.triples:
+        text = "\n".join(triple.text() for triple in store.triples)
+        blob += _record(b"TRPL", text.encode("utf-8"))
     blob += _record(b"NSTA", store.stats.report().encode("utf-8"))
     blob += struct.pack(">Q", fnv1a64(bytes(blob)))
     try:
@@ -383,7 +393,9 @@ def restore(path: str) -> Store:
             store._register(doc, put)
             store._next_doc_id = max(store._next_doc_id, doc_id + 1)
         elif tag == b"TRPL":
-            store.triples.append(Triple.from_text(_utf8(tag, payload)))
+            # one triple per line; older files hold one triple per record
+            lines = _utf8(tag, payload).split("\n")
+            store.triples.extend(Triple.from_text(line) for line in lines)
         elif tag == b"NSTA":
             saved_report = _utf8(tag, payload)
         else:

@@ -194,7 +194,7 @@ def test_criterion_4_dht_consistency_under_churn():
             elif roll < 0.62:
                 key = f"key{rng.randint(0, 60):03d}"
                 value = f"v{step}".encode()
-                dht.put(ov, rng.choice(members[ov]), key, value)
+                dht.put(ov, rng.choice(members[ov]), [(key, value)])
                 shadow[ov].setdefault(key, []).append(value)
             else:
                 key = f"key{rng.randint(0, 60):03d}"
@@ -233,7 +233,7 @@ def test_criterion_5_interval_search():
             elif roll < 0.55:
                 key = f"key{rng.randint(0, 80):03d}"
                 value = f"v{step}".encode()
-                dht.put(0, rng.choice(members), key, value)
+                dht.put(0, rng.choice(members), [(key, value)])
                 shadow.setdefault(key, []).append(value)
             else:
                 lo = f"key{rng.randint(0, 80):03d}"

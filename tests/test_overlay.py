@@ -18,6 +18,7 @@ from twigstore.overlay import (
     pack_str,
     ring_hash,
     unpack_count,
+    unpack_items,
     unpack_str,
 )
 
@@ -70,7 +71,7 @@ def test_hash_leave_absorbs_arc():
     net, dht = make_service([10, 30, 50, 90])
     for p in (10, 30, 50, 90):
         dht.join(0, p)
-    dht.put(0, 10, "25", b"v")
+    dht.put(0, 10, [("25", b"v")])
     dht.leave(0, 30)
     ov = dht.overlays[0]
     assert ov.owner_of("25") == 50
@@ -98,8 +99,8 @@ def test_put_get_multiset():
     net, dht = make_service([10, 50, 90])
     for p in (10, 50, 90):
         dht.join(0, p)
-    dht.put(0, 10, "42", b"v1")
-    dht.put(0, 90, "42", b"v2")
+    dht.put(0, 10, [("42", b"v1")])
+    dht.put(0, 90, [("42", b"v2")])
     assert sorted(dht.get(0, 50, "42")) == [b"v1", b"v2"]
     assert dht.get(0, 10, "77") == []
     # key 42 is owned by peer 50
@@ -112,7 +113,7 @@ def test_local_put_costs_zero_bytes():
     for p in (10, 50, 90):
         dht.join(0, p)
     before = net.stats.bytes_sent
-    dht.put(0, 50, "42", b"value")  # 50 owns 42
+    dht.put(0, 50, [("42", b"value")])  # 50 owns 42
     assert net.stats.bytes_sent == before
 
 
@@ -121,7 +122,7 @@ def test_remote_put_routes_by_successor_hops():
     for p in (10, 50, 90):
         dht.join(0, p)
     before = net.stats.messages_sent
-    dht.put(0, 90, "42", b"v")  # 90 -> 10 -> 50
+    dht.put(0, 90, [("42", b"v")])  # 90 -> 10 -> 50
     assert net.stats.messages_sent - before == 2
 
 
@@ -130,7 +131,7 @@ def test_shortcut_routes_direct():
     for p in (10, 50, 90):
         dht.join(0, p)
     before = net.stats.messages_sent
-    dht.put(0, 90, "42", b"v")
+    dht.put(0, 90, [("42", b"v")])
     assert net.stats.messages_sent - before == 1
 
 
@@ -138,7 +139,7 @@ def test_key_transferred_on_owner_leave():
     net, dht = make_service([10, 30, 50])
     for p in (10, 30, 50):
         dht.join(0, p)
-    dht.put(0, 10, "27", b"kept")
+    dht.put(0, 10, [("27", b"kept")])
     assert dht.overlays[0].owner_of("27") == 30
     dht.leave(0, 30)
     assert dht.get(0, 50, "27") == [b"kept"]
@@ -149,7 +150,7 @@ def test_get_range_basics():
     dht.join(1, 1)
     dht.join(1, 2)
     for key in ("5", "12", "17", "30"):
-        dht.put(1, 1, key, key.encode())
+        dht.put(1, 1, [(key, key.encode())])
     assert dht.get_range(1, 1, "10", "20") == [("12", b"12"), ("17", b"17")]
     assert dht.get_range(1, 1, "15", "15") == []
     assert dht.get_range(1, 2, "40", "60") == []
@@ -183,7 +184,7 @@ def test_range_leave_smaller_neighbor_absorbs():
     # ranges now: 1 -> [0,25), 3 -> [25,50), 2 -> [50,100)
     assert (ov.members[1].lo, ov.members[1].hi) == (0, 25)
     assert (ov.members[3].lo, ov.members[3].hi) == (25, 50)
-    dht.put(1, 1, "30", b"x")
+    dht.put(1, 1, [("30", b"x")])
     dht.leave(1, 3)
     # left neighbor [0,25) is smaller than right neighbor [50,100)
     assert (ov.members[1].lo, ov.members[1].hi) == (0, 50)
@@ -261,12 +262,12 @@ def test_churn_against_shadow_map(seed):
         elif op < 0.6:
             key = str(rng.randint(0, 40))
             value = f"v{step}".encode()
-            dht.put(0, rng.choice(hash_members), key, value)
+            dht.put(0, rng.choice(hash_members), [(key, value)])
             shadow_hash.setdefault(key, []).append(value)
         elif op < 0.75:
             key = f"k{rng.randint(0, 40):03d}"
             value = f"r{step}".encode()
-            dht.put(1, rng.choice(range_members), key, value)
+            dht.put(1, rng.choice(range_members), [(key, value)])
             shadow_range.setdefault(key, []).append(value)
         elif op < 0.9:
             key = str(rng.randint(0, 40))
@@ -301,7 +302,7 @@ def test_successor_routing_hop_bound():
     for via in positions:
         for key in ("3", "40", "70", "99"):
             before = net.stats.messages_sent
-            dht.put(0, via, key, b"v")
+            dht.put(0, via, [(key, b"v")])
             assert net.stats.messages_sent - before <= len(positions)
 
 
@@ -309,9 +310,9 @@ def test_dump_format():
     net, dht = make_service([10, 50], range_domain=(Fraction(0), Fraction(100)))
     dht.join(0, 10)
     dht.join(0, 50)
-    dht.put(0, 10, "42", b"v")
+    dht.put(0, 10, [("42", b"v")])
     dht.join(1, 10)
-    dht.put(1, 10, "7", b"w")
+    dht.put(1, 10, [("7", b"w")])
     lines = dht.dump().splitlines()
     assert "0 50 50 1" in lines
     assert "1 10 [0,100) 1" in lines
@@ -374,6 +375,118 @@ def test_cached_ring_matches_brute_force_owner(churn, keys):
         owner = next((pid for pos, pid in ring if pos >= kpos), ring[0][1])
         assert ov.owner_of(key) == owner
         value = f"v{i}".encode()
-        dht.put(0, members[i % len(members)], key, value)
+        dht.put(0, members[i % len(members)], [(key, value)])
         assert value in ov.members[owner].store[key]
         assert value in dht.get(0, members[-1 - i % len(members)], key)
+
+
+def _chord_hop(ov, peer, key):
+    """Chord's next hop from ``peer`` toward ``key``, by brute force: the
+    successor if it owns the key, else the farthest finger before the key,
+    the fingers being the owners of ``position + 2**i`` for i in 0..63."""
+    span = 1 << 64
+    ring = sorted((state.position, pid) for pid, state in ov.members.items())
+    pos = ov.members[peer].position
+    fingers = set()
+    for i in range(64):
+        target = (pos + (1 << i)) % span
+        fingers.add(next((pid for p, pid in ring if p >= target), ring[0][1]))
+    fingers.discard(peer)
+    dist = {f: (ov.members[f].position - pos) % span for f in fingers}
+    kpos = int(key) if ov.mode == "decimal" else ring_hash(key)
+    d = (kpos - pos) % span
+    successor = min(fingers, key=dist.get)
+    if d <= dist[successor]:
+        return successor
+    return max((f for f in fingers if dist[f] < d), key=dist.get)
+
+
+def _check_hops(ov, sent):
+    """Every put and get request went to Chord's next hop for its keys."""
+    for frm, to, payload in sent:
+        if payload[0] == 0x01:
+            keys = [key for key, _ in unpack_items(payload, 2)]
+        elif payload[0] == 0x02:
+            keys = [unpack_str(payload, 14)[0]]
+        else:  # the owner's answer goes straight back to the requester
+            continue
+        for key in keys:
+            assert to == _chord_hop(ov, frm, key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(["fnv", "decimal"]),
+    pool=st.lists(
+        st.integers(0, 60) | st.integers(0, 2**64 - 1), min_size=1, max_size=8, unique=True
+    ),
+    steps=st.lists(
+        st.tuples(st.booleans(), st.integers(1, 40), st.lists(st.integers(0, 7), max_size=12)),
+        max_size=25,
+    ),
+)
+def test_finger_routed_batches_reach_the_owner_in_order(mode, pool, steps):
+    keys = [str(k) for k in pool]
+    net, dht = make_service(range(1, 41), hash_mode=mode)
+    ov = dht.overlays[0]
+    sent = []
+    real_send = net.send
+    net.send = lambda frm, to, payload: sent.append((frm, to, payload)) or real_send(
+        frm, to, payload
+    )
+    dht.join(0, 1)
+    shadow: dict[str, list[bytes]] = {}
+    for n, (joining, peer, picks) in enumerate(steps):
+        if joining and peer not in ov.members:
+            dht.join(0, peer)
+        elif not joining and peer in ov.members and len(ov.members) > 1:
+            dht.leave(0, peer)
+        members = sorted(ov.members)
+        items = [(keys[i % len(keys)], f"{n}.{j}".encode()) for j, i in enumerate(picks)]
+        sent.clear()
+        dht.put(0, members[peer % len(members)], items)
+        _check_hops(ov, sent)
+        for key, value in items:
+            shadow.setdefault(key, []).append(value)
+        for key in {key for key, _ in items}:
+            assert ov.members[ov.owner_of(key)].store[key] == shadow[key]
+            sent.clear()
+            assert dht.get(0, members[(peer + len(key)) % len(members)], key) == shadow[key]
+            _check_hops(ov, sent)
+
+
+def test_finger_routing_hop_bound_at_64_peers():
+    net, dht = make_service(range(1, 65), hash_mode="fnv")
+    for p in range(1, 65):
+        dht.join(0, p)
+    keys = [f"t:name{i}" for i in range(512)]
+    # a successor walk would average about 32 hops here
+    before = net.stats.messages_sent
+    for i, key in enumerate(keys):
+        dht.put(0, 1 + i % 64, [(key, b"v")])
+    assert 1 <= (net.stats.messages_sent - before) / len(keys) <= 6
+    # a get adds the owner's one-message answer to the route
+    before = net.stats.messages_sent
+    for i, key in enumerate(keys):
+        assert dht.get(0, 64 - i % 64, key) == [b"v"]
+    assert 2 <= (net.stats.messages_sent - before) / len(keys) <= 7
+
+
+def test_batch_shares_envelopes_along_the_route():
+    net, dht = make_service([10, 50, 90], range_domain=(Fraction(0), Fraction(100)))
+    for p in (10, 50, 90):
+        dht.join(0, p)
+        dht.join(1, p)
+    before = net.stats.messages_sent
+    # 50 owns (10, 50] and 90 owns (50, 90]; 90 routes through 10
+    dht.put(0, 90, [("42", b"a"), ("60", b"own"), ("20", b"b"), ("42", b"c")])
+    assert net.stats.messages_sent - before == 2  # 90 -> 10 -> 50, one envelope each
+    assert dht.overlays[0].members[50].store == {"42": [b"a", b"c"], "20": [b"b"]}
+    assert dht.overlays[0].members[90].store == {"60": [b"own"]}
+    # the range overlay splits [0, 100) into [0, 25), [25, 50), [50, 100)
+    before = net.stats.messages_sent
+    dht.put(1, 10, [("30", b"x"), ("70", b"y"), ("5", b"z"), ("31", b"w")])
+    assert net.stats.messages_sent - before == 2  # one envelope per remote owner
+    assert dht.get_range(1, 50, "0", "100") == [
+        ("5", b"z"), ("30", b"x"), ("31", b"w"), ("70", b"y")
+    ]

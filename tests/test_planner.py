@@ -314,6 +314,21 @@ def test_dataset_wire_round_trip():
     assert back.cols == (0, 2) and back.rows == rows and back.site == 7
 
 
+def test_dataset_column_count_widens_only_from_0xff():
+    from twigstore.document import StructuralId
+    from twigstore.planner import Dataset, decode_dataset, encode_dataset
+
+    sid = StructuralId(1, 2, 3, 1)
+    for ncols, head in ((254, 5), (255, 9), (256, 9), (300, 9)):
+        ds = Dataset(tuple(range(ncols)), [(sid,) * ncols] * 2, site=3)
+        raw = encode_dataset(ds)
+        assert len(raw) == head + 2 * ncols + 2 * ncols * 32
+        back = decode_dataset(raw, site=5)
+        assert back.cols == ds.cols and back.rows == ds.rows and back.site == 5
+    # below 0xFF the count keeps its one byte
+    assert encode_dataset(Dataset((7,), [], site=1))[:5] == b"\x01\x00\x00\x00\x00"
+
+
 def test_skew_workload_placed_beats_naive():
     net, index, ctx, builder, pattern, _, doc = skew_cluster(200, 8)
     dec = decompose(pattern)

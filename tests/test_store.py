@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from twigstore.errors import CorruptSnapshot, MalformedXml, NotFound
+from twigstore.errors import CorruptSnapshot, MalformedInput, MalformedXml, NotFound
 from twigstore.netsim import Network
 from twigstore.overlay import fnv1a64
 from twigstore.rdfstore import Triple, parse_query_text
@@ -128,6 +128,23 @@ def test_rdf_both_backends(tmp_path):
     assert results[0] == results[1] == [("a", "b")]
 
 
+@pytest.mark.parametrize(
+    "bad", [Triple("a\tb", "knows", "c"), Triple("a", "kn\nows", "c"), Triple("a", "knows", "")]
+)
+def test_rdf_load_refuses_separators_and_empty_fields(tmp_path, any_store, bad):
+    # a tab or a newline inside a field, or an empty field, would not survive
+    # the tab-separated triple text the p2p index and the snapshot hold
+    before = any_store.stats_report()
+    with pytest.raises(MalformedInput):
+        any_store.rdf_load([Triple("x", "knows", "y"), bad])
+    assert any_store.triples == []
+    assert any_store.stats_report() == before
+    assert any_store.rdf_query(parse_query_text("SELECT ?s\n?s knows ?o\n")) == []
+    path = str(tmp_path / "x.snap")
+    snapshot(any_store, path)
+    assert restore(path).triples == []
+
+
 def test_backends_agree_beyond_the_integer_window(tmp_path):
     # 10^19 is outside the +-10^18 window, and 5,000 digits exceed the
     # 4,300 digits int() accepts: neither text counts as an integer
@@ -198,9 +215,31 @@ def test_snapshot_records_in_order(tmp_path, any_store):
     snapshot(any_store, str(path))
     blob = path.read_bytes()
     assert blob.startswith(b"TWIGSNAP2\n")
-    assert _record_tags(blob) == [
-        b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"TRPL", b"NSTA"
-    ]
+    # all triples share one TRPL record, one per line
+    assert _record_tags(blob) == [b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"NSTA"]
+    assert b"a\ttype\tDoc\na\tauthor\tb" in blob
+
+
+def test_restore_reads_one_triple_per_record(tmp_path, any_store):
+    # files written before all triples shared one TRPL record
+    triples = [Triple("a", "type", "Doc"), Triple("a", "author", "b")]
+    any_store.store_resource(D1)
+    any_store.rdf_load(triples)
+    path = tmp_path / "x.snap"
+    snapshot(any_store, str(path))
+    blob = path.read_bytes()
+    at = blob.index(b"TRPL")
+    (length,) = struct.unpack_from(">Q", blob, at + 4)
+    split = b"".join(
+        b"TRPL" + struct.pack(">Q", len(raw)) + raw
+        for raw in (t.text().encode("utf-8") for t in triples)
+    )
+    body = blob[:at] + split + blob[at + 12 + length : -8]
+    path.write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+    again = restore(str(path))
+    assert again.triples == triples
+    query = parse_query_text("SELECT ?x ?y\n?x author ?y\n")
+    assert again.rdf_query(query) == any_store.rdf_query(query) == [("a", "b")]
 
 
 def test_restore_refuses_version_1(tmp_path, any_store):
