@@ -2,7 +2,7 @@
 
 Public surface: document parsing and interval labels, the deterministic
 network harness, hash/range overlays, the posting index, tree patterns
-with naive and distributed evaluation, the transfer-minimizing planner,
+with the naive evaluation oracle, the transfer-minimizing planner,
 conjunctive RDF queries, and the store facade with centralized and p2p
 backends.
 """
@@ -22,7 +22,7 @@ from .netsim import Network, NetworkStats
 from .overlay import DhtService, HashOverlay, RangeOverlay
 from .indexing import IndexService
 from .pattern import TreePattern, canonical, parse_pattern
-from .twigjoin import QueryCache, eval_distributed, eval_naive
+from .twigjoin import QueryCache, eval_naive
 from .planner import decompose, execute, place, plan_to_xml, rewrite
 from .rdfstore import ConjunctiveQuery, Triple, eval_conjunctive, index_triples
 from .store import QueryResult, Store, StoreConfig, restore, snapshot
@@ -48,7 +48,6 @@ __all__ = [
     "canonical",
     "decompose",
     "eval_conjunctive",
-    "eval_distributed",
     "eval_naive",
     "execute",
     "extract_resources",

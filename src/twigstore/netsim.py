@@ -24,7 +24,6 @@ class Envelope:
     from_peer: PeerId
     to_peer: PeerId
     payload: bytes
-    size: int
     deliver_at: int
 
 
@@ -76,8 +75,7 @@ class NetworkStats:
 class Network:
     """Single-threaded event loop hosting peers and their message handlers."""
 
-    def __init__(self, header_overhead: int = 0):
-        self.header_overhead = header_overhead
+    def __init__(self):
         self.peers: dict[PeerId, Behavior] = {}
         self.stats = NetworkStats()
         self.tick = 0
@@ -99,13 +97,7 @@ class Network:
             raise UnknownPeer(f"sender {from_peer} does not exist")
         if to_peer not in self.peers:
             raise UnknownPeer(f"recipient {to_peer} does not exist")
-        env = Envelope(
-            from_peer,
-            to_peer,
-            payload,
-            len(payload) + self.header_overhead,
-            self.tick + 1,
-        )
+        env = Envelope(from_peer, to_peer, payload, self.tick + 1)
         self._seq += 1
         heapq.heappush(self._queue, (env.deliver_at, self._seq, env))
 
@@ -129,7 +121,7 @@ class Network:
             self.tick = next_tick
             while self._queue and self._queue[0][0] == self.tick:
                 _, _, env = heapq.heappop(self._queue)
-                self.stats.record(env.from_peer, env.to_peer, env.size)
+                self.stats.record(env.from_peer, env.to_peer, len(env.payload))
                 handler = self.peers.get(env.to_peer)
                 if handler is None:
                     raise UnknownPeer(f"peer {env.to_peer} vanished before delivery")

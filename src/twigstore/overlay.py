@@ -9,9 +9,7 @@ get):
   key hands it to its successor when the successor owns it, else to its
   closest finger before the key, where the fingers of the peer at ``p``
   are the owners of ``p + 2**i`` for i in 0..63.  Each hop is one
-  simulated message, O(log peers) of them per key.  With the
-  overlay's shortcut table enabled, the requesting peer contacts the owner
-  directly.
+  simulated message, O(log peers) of them per key.
 * ``RangeOverlay`` — an order-preserving partition of the key domain into
   half-open intervals, one per peer, split at the midpoint on join.  It
   additionally supports ``get_range``, contacting exactly the peers whose
@@ -170,12 +168,11 @@ class HashOverlay:
 
     kind = "hash"
 
-    def __init__(self, dht_id: int, mode: str = "fnv", shortcut: bool = False):
+    def __init__(self, dht_id: int, mode: str = "fnv"):
         if mode not in ("fnv", "decimal"):
             raise ValueError(f"unknown hash mode {mode!r}")
         self.dht_id = dht_id
         self.mode = mode
-        self.shortcut = shortcut
         self.members: dict[PeerId, RingState] = {}
         self._ring: list[tuple[int, PeerId]] = []
         self._positions: list[int] = []
@@ -454,12 +451,10 @@ class DhtService:
     def register_handler(self, tag: int, fn: Callable[[Network, Envelope], None]) -> None:
         self._extra_handlers[tag] = fn
 
-    def create_hash_overlay(
-        self, dht_id: int, mode: str = "fnv", shortcut: bool = False
-    ) -> HashOverlay:
+    def create_hash_overlay(self, dht_id: int, mode: str = "fnv") -> HashOverlay:
         if dht_id in self.overlays:
             raise ValueError(f"overlay id {dht_id} already in use")
-        ov = HashOverlay(dht_id, mode, shortcut)
+        ov = HashOverlay(dht_id, mode)
         self.overlays[dht_id] = ov
         return ov
 
@@ -532,7 +527,7 @@ class DhtService:
         req = self._new_request()
         if isinstance(ov, HashOverlay):
             tag = _HASH_GET
-            first_hop = owner if ov.shortcut else ov.next_hop(via, ov.key_position(key))
+            first_hop = ov.next_hop(via, ov.key_position(key))
         else:
             tag = _RANGE_GET
             first_hop = owner
@@ -600,8 +595,7 @@ class DhtService:
             if ov.owns(me, kpos):
                 ov.store_value(me, key, value)
             else:
-                hop = ov.owner_of_position(kpos) if ov.shortcut else ov.next_hop(me, kpos)
-                groups.setdefault(hop, []).append((key, value))
+                groups.setdefault(ov.next_hop(me, kpos), []).append((key, value))
         for hop, group in groups.items():
             self.net.send(me, hop, bytes([_HASH_PUT, ov.dht_id]) + pack_items(group))
         return bool(groups)
@@ -685,24 +679,3 @@ class DhtService:
     def _on_range_resp(self, env: Envelope) -> None:
         (req,) = struct.unpack_from(">I", env.payload, 1)
         self._responses[req] = unpack_items(env.payload, 5)
-
-    # -- diagnostics -------------------------------------------------------
-
-    def dump(self) -> str:
-        """Membership/key distribution: "dht_id peer_id range_or_position key_count"."""
-        lines = []
-        for dht_id in sorted(self.overlays):
-            ov = self.overlays[dht_id]
-            if isinstance(ov, HashOverlay):
-                rows = sorted(
-                    (st.position, pid, len(st.store)) for pid, st in ov.members.items()
-                )
-                for pos, pid, nkeys in rows:
-                    lines.append(f"{dht_id} {pid} {pos} {nkeys}")
-            else:
-                rows = sorted(
-                    (st.lo, st.hi, pid, len(st.store)) for pid, st in ov.members.items()
-                )
-                for lo, hi, pid, nkeys in rows:
-                    lines.append(f"{dht_id} {pid} [{lo},{hi}) {nkeys}")
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -382,7 +382,7 @@ def annotate(plan: Plan, stats: dict[str, int]) -> None:
         if plan.axis != CHILD:
             rows = int(rows * DESC_FANOUT) + 1
         plan.est_rows = rows if bound else 0
-    else:  # Ship, At, Recompose pass rows through
+    else:  # Ship and Recompose pass rows through
         plan.est_rows = plan.kids[0].est_rows
     if plan.op == "Recompose":
         plan.est_bytes = plan.est_rows * PAYLOAD_ESTIMATE
@@ -481,8 +481,6 @@ def _match_dead_op(plan: Plan, parent: Plan | None) -> bool:
         return True
     if plan.op == "Intersect" and len(plan.kids) == 1:
         return True
-    if plan.op == "At" and plan.kids[0].site == plan.site:
-        return True
     return False
 
 
@@ -573,7 +571,7 @@ def rewrite(
 
 
 def _strip_transport(plan: Plan) -> Plan:
-    if plan.op in ("Ship", "At"):
+    if plan.op == "Ship":
         return _strip_transport(plan.kids[0])
     node = replace(plan, kids=[_strip_transport(k) for k in plan.kids])
     return node
@@ -762,13 +760,6 @@ def _run(plan: Plan, ctx: ExecutionContext):
     if plan.op == "Ship":
         ds = _run(plan.kids[0], ctx)
         return ctx.ship(ds, plan.site)
-    if plan.op == "At":
-        ds = _run(plan.kids[0], ctx)
-        if ds.site != plan.site:
-            raise PlanSiteUnreachable(
-                f"At expected input at {plan.site}, found {ds.site}"
-            )
-        return ds
     if plan.op == "Intersect":
         left = _run(plan.kids[0], ctx)
         right = _run(plan.kids[1], ctx)

@@ -78,6 +78,12 @@ class ConjunctiveQuery:
     projection: list[str]
 
     def validate(self) -> None:
+        """Refuse a projected variable no pattern binds, and a pattern with
+        no constant: no key could seed its lookup, so neither backend
+        answers it."""
+        for pattern in self.patterns:
+            if not pattern.constants():
+                raise UnseedablePattern(f"pattern {pattern} has no constant position")
         known = {v for p in self.patterns for v in p.variables()}
         for var in self.projection:
             if var not in known:
@@ -126,12 +132,9 @@ def eval_conjunctive(
     query.validate()
     per_pattern: list[list[dict[str, str]]] = []
     for pattern in query.patterns:
-        constants = pattern.constants()
-        if not constants:
-            raise UnseedablePattern(f"pattern {pattern} has no constant position")
         fetched = [
             (i, dht.get(dht_id, via, _KEY_PREFIX[i] + text))
-            for i, text in constants
+            for i, text in pattern.constants()
         ]
         # most selective constant seeds; ties already favor s, then p, then o
         fetched.sort(key=lambda item: (len(item[1]), item[0]))

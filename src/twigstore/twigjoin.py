@@ -2,13 +2,13 @@
 
 ``stack_join`` is the only structural join: Stack-Tree-Desc (Al-Khalifa
 et al., ICDE 2002) over two row lists sorted by their join column's
-(doc, start), with a stack of open ancestors.  ``holistic_join`` folds it
-over a pattern's edges; the planner's StructJoin operator calls it
-directly.  ``eval_distributed`` feeds ``holistic_join`` with posting lists
-fetched from the overlays, ``eval_local`` (the centralized backend) with
-candidates drawn from each in-memory document's name postings, the
-per-tag element streams the stack joins assume.  Results are bindings; no
-payloads move until recomposition.
+(doc, start), with a stack of open ancestors.  The planner's StructJoin
+operator calls it directly; that is the p2p backend's only tree-pattern
+path.  ``holistic_join`` folds it over a pattern's edges for
+``eval_local`` (the centralized backend), which feeds it candidates drawn
+from each in-memory document's name postings, the per-tag element streams
+the stack joins assume.  Results are bindings; no payloads move until
+recomposition.
 
 ``eval_naive`` scans every node of every document for every pattern node
 and exhaustively enumerates node assignments; it is the test oracle only
@@ -33,10 +33,7 @@ from .document import (
     parse_int_content,
     split_words,
 )
-from .errors import UnsupportedWildcardRoot
-from .indexing import IndexService
-from .netsim import PeerId
-from .pattern import CHILD, PNode, TreePattern, canonical
+from .pattern import CHILD, PNode, TreePattern
 
 Binding = tuple[StructuralId, ...]
 
@@ -169,11 +166,16 @@ def _bfs_order(pattern: TreePattern) -> list[int]:
     return order
 
 
-# -- distributed evaluation -------------------------------------------------
+# -- query cache ------------------------------------------------------------
 
 
 class QueryCache:
-    """Per-peer cache keyed by canonical pattern text, epoch-invalidated."""
+    """Cache keyed by canonical pattern text, epoch-invalidated.
+
+    No evaluator consults it.  It stays, with ``IndexService.epoch``, only
+    because the benchmark traces ``QueryCache.lookup``; both go when that
+    trace target is retired.
+    """
 
     def __init__(self):
         self.entries: dict[str, tuple[int, tuple[Binding, ...]]] = {}
@@ -192,69 +194,14 @@ class QueryCache:
         self.entries[fingerprint] = (epoch, tuple(bindings))
 
 
-def fetch_candidates(
-    pattern: TreePattern, via: PeerId, index: IndexService
-) -> list[list[StructuralId]]:
-    """One deduplicated, (doc, start)-sorted candidate list per node."""
-    cands: list[list[StructuralId]] = []
-    for pnode in pattern.nodes:
-        if pnode.has_range:
-            if pnode.is_wildcard:
-                pool: set[StructuralId] = set()
-                for tag in index.known_tags(via):
-                    pool.update(
-                        index.lookup_value_range(tag, pnode.lo, pnode.hi, via)
-                    )
-                labels = sorted(pool)
-            else:
-                labels = sorted(
-                    set(index.lookup_value_range(pnode.name, pnode.lo, pnode.hi, via))
-                )
-        elif pnode.word is not None:
-            words = set(index.lookup_word(pnode.word, via))
-            if pnode.is_wildcard:
-                labels = sorted(words)
-            else:
-                tags = set(index.lookup_tag(pnode.name, via))
-                labels = sorted(tags & words)
-        elif pnode.is_wildcard:
-            labels = index.lookup_all(via)
-        else:
-            labels = sorted(set(index.lookup_tag(pnode.name, via)))
-        if pnode.idx == 0 and pattern.root_axis == CHILD:
-            labels = [lb for lb in labels if lb.depth == 1]
-        cands.append(labels)
-    return cands
-
-
-def eval_distributed(
-    pattern: TreePattern,
-    via: PeerId,
-    index: IndexService,
-    cache: QueryCache | None = None,
-) -> list[Binding]:
-    """Index-backed holistic join; equals eval_naive over the full corpus."""
-    if pattern.all_wildcard:
-        raise UnsupportedWildcardRoot(
-            "pattern has no named node to seed an index lookup"
-        )
-    fingerprint = canonical(pattern)
-    if cache is not None:
-        hit = cache.lookup(fingerprint, index.epoch)
-        if hit is not None:
-            return hit
-    cands = fetch_candidates(pattern, via, index)
-    bindings = holistic_join(pattern, cands)
-    bindings = sort_bindings(pattern, bindings)
-    if cache is not None:
-        cache.store(fingerprint, index.epoch, bindings)
-    return bindings
+# -- structural join -------------------------------------------------------
 
 
 def holistic_join(
     pattern: TreePattern, cands: list[list[StructuralId]]
 ) -> list[Binding]:
-    """Join candidate lists over the pattern's edges (unsorted bindings).
+    """Join candidate lists over the pattern's edges (unsorted bindings);
+    ``eval_local`` calls it once per document.
 
     ``stack_join`` is folded over the edges in BFS order, so each edge's
     parent column is already bound when the edge is joined.

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 
+from twigstore import planner
 from twigstore.document import Document, parse_document
 from twigstore.indexing import IndexService
 from twigstore.netsim import Network
 from twigstore.overlay import DhtService
 from twigstore.pattern import TreePattern, parse_pattern
+from twigstore.store import Store
+from twigstore.twigjoin import Binding
 
 TAGS = ["a", "b", "c", "d", "e", "f"]
 WORDS = ["xml", "dht", "web", "data", "peer", "query"]
@@ -103,7 +106,6 @@ def random_pattern(
 def make_cluster(
     peer_count: int = 4,
     hash_mode: str = "fnv",
-    shortcut: bool = False,
     with_range: bool = True,
 ) -> tuple[Network, DhtService, IndexService]:
     net = Network()
@@ -111,7 +113,7 @@ def make_cluster(
     peers = list(range(1, peer_count + 1))
     for peer in peers:
         dht.add_peer(peer)
-    dht.create_hash_overlay(0, mode=hash_mode, shortcut=shortcut)
+    dht.create_hash_overlay(0, mode=hash_mode)
     if with_range:
         dht.create_range_overlay(1)
     for peer in peers:
@@ -134,6 +136,13 @@ def index_corpus(
     return homes
 
 
+def planner_bindings(store: Store, pattern: TreePattern) -> list[Binding]:
+    """The bindings a p2p ``Store.query`` recomposes: its plan, executed."""
+    plan = store.build_plan(pattern, with_recompose=False)
+    result, _ = planner.execute(plan, store.exec_ctx)
+    return planner.dataset_to_bindings(pattern, result)
+
+
 def skew_cluster(big: int, small: int):
     """Corpus with ``big`` postings of one tag and ``small`` of another, on
     two distinct peers, neither of them the query peer (peer 1).
@@ -141,9 +150,6 @@ def skew_cluster(big: int, small: int):
     Every small element sits under its own big element, so the child-axis
     join yields exactly ``small`` rows.
     """
-    from twigstore import planner
-    from twigstore.pattern import parse_pattern
-
     net, dht, index = make_cluster(6)
     ov = dht.overlays[0]
     query_peer = 1

@@ -28,11 +28,12 @@ from twigstore.rdfstore import (
     parse_query_text,
 )
 from twigstore.store import Store, StoreConfig, snapshot
-from twigstore.twigjoin import eval_distributed, eval_local, eval_naive
+from twigstore.twigjoin import eval_local, eval_naive
 
 from helpers import (
     index_corpus,
     make_cluster,
+    planner_bindings,
     random_corpus,
     random_pattern,
     random_pattern_text,
@@ -72,14 +73,16 @@ def test_criterion_1_tree_pattern_oracle_equivalence():
         while trials < 500:
             max_docs = 50 if trials % 100 == 0 else rng.randint(2, 12)
             max_nodes = 60 if trials % 20 == 0 else rng.randint(5, 40)
-            docs = random_corpus(rng, max_docs=max_docs, max_nodes=max_nodes)
-            net, dht, index = make_cluster(4)
-            index_corpus(index, docs, [1, 2, 3, 4])
+            store = Store(StoreConfig(backend="p2p", peer_count=4))
+            for doc in random_corpus(rng, max_docs=max_docs, max_nodes=max_nodes):
+                store.store_resource(serialize_document(doc))
+            docs = list(store.documents.values())
             for _ in range(5):
                 pattern = random_pattern(rng, max_nodes=5)
                 naive = eval_naive(pattern, docs)
-                dist = eval_distributed(pattern, 1, index)
-                assert dist == naive, f"divergence on {pattern}"
+                assert planner_bindings(store, pattern) == naive, (
+                    f"divergence on {pattern}"
+                )
                 assert eval_local(pattern, docs) == naive, (
                     f"local divergence on {pattern}"
                 )

@@ -93,6 +93,17 @@ def test_user_errors_exit_1(workdir, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("backend", ["centralized", "p2p"])
+def test_rdf_query_without_constant_exit_1(workdir, capsys, backend):
+    cfg = workdir / "store.cfg"
+    cfg.write_text(cfg.read_text().replace("backend=p2p", f"backend={backend}"))
+    assert main(["init"]) == 0
+    assert main(["rdf-load", "triples.tsv"]) == 0
+    (workdir / "open.rq").write_text("SELECT ?s\n?s ?p ?o\n", encoding="utf-8")
+    assert main(["rdf-query", "open.rq"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bad_config_exit_1(workdir, capsys):
     (workdir / "store.cfg").write_text("backend=weird\n", encoding="utf-8")
     assert main(["stats"]) == 1

@@ -171,12 +171,3 @@ def test_report_format():
     net.send(1, 2, b"12345")
     net.run_until_quiescent(5)
     assert net.stats.report() == "1 2 1 5\ntotal 1 5\n"
-
-
-def test_header_overhead_configurable():
-    net = Network(header_overhead=8)
-    net.spawn_peer(1, collect([]))
-    net.spawn_peer(2, collect([]))
-    net.send(1, 2, b"xx")
-    net.run_until_quiescent(5)
-    assert net.stats.bytes_sent == 10

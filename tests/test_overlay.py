@@ -23,12 +23,12 @@ from twigstore.overlay import (
 )
 
 
-def make_service(peer_ids, hash_mode="decimal", shortcut=False, range_domain=None):
+def make_service(peer_ids, hash_mode="decimal", range_domain=None):
     net = Network()
     dht = DhtService(net)
     for p in peer_ids:
         dht.add_peer(p)
-    dht.create_hash_overlay(0, mode=hash_mode, shortcut=shortcut)
+    dht.create_hash_overlay(0, mode=hash_mode)
     dht.create_range_overlay(
         1,
         mode="decimal" if range_domain else "bytes",
@@ -124,15 +124,6 @@ def test_remote_put_routes_by_successor_hops():
     before = net.stats.messages_sent
     dht.put(0, 90, [("42", b"v")])  # 90 -> 10 -> 50
     assert net.stats.messages_sent - before == 2
-
-
-def test_shortcut_routes_direct():
-    net, dht = make_service([10, 50, 90], shortcut=True)
-    for p in (10, 50, 90):
-        dht.join(0, p)
-    before = net.stats.messages_sent
-    dht.put(0, 90, [("42", b"v")])
-    assert net.stats.messages_sent - before == 1
 
 
 def test_key_transferred_on_owner_leave():
@@ -294,7 +285,8 @@ def test_churn_against_shadow_map(seed):
 
 
 def test_successor_routing_hop_bound():
-    # without shortcuts, a request makes at most one hop per member
+    # every hop moves strictly clockwise toward the owner, so a request
+    # makes at most one hop per member
     positions = [5, 17, 33, 49, 62, 78, 85, 99]
     net, dht = make_service(positions)
     for p in positions:
@@ -304,18 +296,6 @@ def test_successor_routing_hop_bound():
             before = net.stats.messages_sent
             dht.put(0, via, [(key, b"v")])
             assert net.stats.messages_sent - before <= len(positions)
-
-
-def test_dump_format():
-    net, dht = make_service([10, 50], range_domain=(Fraction(0), Fraction(100)))
-    dht.join(0, 10)
-    dht.join(0, 50)
-    dht.put(0, 10, [("42", b"v")])
-    dht.join(1, 10)
-    dht.put(1, 10, [("7", b"w")])
-    lines = dht.dump().splitlines()
-    assert "0 50 50 1" in lines
-    assert "1 10 [0,100) 1" in lines
 
 
 def test_value_count_widens_only_from_0xffff():

@@ -284,21 +284,6 @@ def test_unreachable_site():
         execute(plan, ctx)
 
 
-def test_at_pins_location():
-    net, dht, index = make_cluster()
-    index.index_document(parse_document(D1, 1), 1)
-    ctx = ExecutionContext(index, {})
-    owner = dht.overlays[0].owner_of("t:sec")
-    leaf = Plan("IndexLookup", owner, dht=0, key="t:sec", var=0, cols=(0,))
-    good = Plan("At", owner, kids=[leaf], cols=(0,))
-    ds, _ = execute(good, ctx)
-    assert len(ds.rows) == 1 and ds.site == owner
-    other = next(p for p in net.peers if p != owner)
-    bad = Plan("At", other, kids=[leaf.clone()], cols=(0,))
-    with pytest.raises(PlanSiteUnreachable):
-        execute(bad, ctx)
-
-
 def test_dataset_wire_round_trip():
     from twigstore.document import StructuralId
     from twigstore.planner import Dataset, decode_dataset, encode_dataset

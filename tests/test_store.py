@@ -3,10 +3,21 @@ import struct
 
 import pytest
 
-from twigstore.errors import CorruptSnapshot, MalformedInput, MalformedXml, NotFound
+from twigstore.errors import (
+    CorruptSnapshot,
+    MalformedInput,
+    MalformedXml,
+    NotFound,
+    UnseedablePattern,
+)
 from twigstore.netsim import Network
 from twigstore.overlay import fnv1a64
-from twigstore.rdfstore import Triple, parse_query_text
+from twigstore.rdfstore import (
+    ConjunctiveQuery,
+    Triple,
+    TriplePattern,
+    parse_query_text,
+)
 from twigstore.store import P2P, Store, StoreConfig, restore, snapshot
 
 from helpers import random_document_text, random_pattern_text
@@ -126,6 +137,28 @@ def test_rdf_both_backends(tmp_path):
                         Triple("b", "type", "Page")])
         results.append(store.rdf_query(query))
     assert results[0] == results[1] == [("a", "b")]
+
+
+@pytest.mark.parametrize(
+    "patterns, projection",
+    [
+        ([("?s", "?p", "?o")], ["?s"]),
+        ([("?s", "knows", "b"), ("?x", "?p", "?o")], ["?s", "?x"]),
+    ],
+)
+def test_rdf_pattern_without_constant_refused_by_both_backends(
+    any_store, patterns, projection
+):
+    any_store.rdf_load([Triple("a", "knows", "b"), Triple("b", "knows", "c")])
+    before = any_store.stats_report()
+    query = ConjunctiveQuery([TriplePattern(*p) for p in patterns], projection)
+    with pytest.raises(UnseedablePattern):
+        any_store.rdf_query(query)
+    text = "SELECT " + " ".join(projection) + "\n"
+    text += "".join(" ".join(p) + "\n" for p in patterns)
+    with pytest.raises(UnseedablePattern):
+        parse_query_text(text)
+    assert any_store.stats_report() == before  # refused before any get
 
 
 @pytest.mark.parametrize(

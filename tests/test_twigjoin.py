@@ -4,21 +4,15 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from twigstore.document import StructuralId, parse_document
+from twigstore.document import StructuralId, parse_document, serialize_document
 from twigstore.errors import UnsupportedWildcardRoot
-from twigstore.pattern import CHILD, DESCENDANT, parse_pattern
-from twigstore.twigjoin import (
-    QueryCache,
-    axis_holds,
-    eval_distributed,
-    eval_local,
-    eval_naive,
-    stack_join,
-)
+from twigstore.pattern import CHILD, DESCENDANT, canonical, parse_pattern
+from twigstore.store import Store, StoreConfig
+from twigstore.twigjoin import QueryCache, axis_holds, eval_local, eval_naive, stack_join
 
 from helpers import (
-    index_corpus,
     make_cluster,
+    planner_bindings,
     random_corpus,
     random_document_text,
     random_pattern,
@@ -76,90 +70,66 @@ def test_stack_join_matches_nested_loop(seed, axis, data):
     assert Counter(got) == Counter(want)
 
 
-def cluster_with(docs, peer_count=4, shortcut=False):
-    net, dht, index = make_cluster(peer_count, shortcut=shortcut)
-    peers = list(range(1, peer_count + 1))
-    index_corpus(index, docs, peers)
-    return net, dht, index
+def store_with(docs, peer_count=4):
+    store = Store(StoreConfig(backend="p2p", peer_count=peer_count))
+    for doc in docs:
+        store.store_resource(serialize_document(doc))
+    return store
 
 
 def test_distributed_matches_naive_on_example():
-    docs = [parse_document(D1, 1)]
-    net, dht, index = cluster_with(docs)
+    store = store_with([parse_document(D1, 1)])
     pattern = parse_pattern("//sec!")
-    assert eval_distributed(pattern, 1, index) == eval_naive(pattern, docs)
-
-
-def test_cache_hit_issues_no_traffic():
-    docs = [parse_document(D1, 1)]
-    net, dht, index = cluster_with(docs)
-    cache = QueryCache()
-    pattern = parse_pattern('//sec[/title="dht"]!')
-    first = eval_distributed(pattern, 2, index, cache)
-    before = net.stats.messages_sent
-    second = eval_distributed(pattern, 2, index, cache)
-    assert net.stats.messages_sent == before
-    assert second == first
-    assert cache.hits == 1
+    want = eval_naive(pattern, list(store.documents.values()))
+    assert planner_bindings(store, pattern) == want
 
 
 def test_index_write_invalidates_cache():
-    docs = [parse_document(D1, 1)]
-    net, dht, index = cluster_with(docs)
+    net, dht, index = make_cluster()
+    index.index_document(parse_document(D1, 1), 1)
     cache = QueryCache()
-    pattern = parse_pattern("//par!")
-    assert len(eval_distributed(pattern, 1, index, cache)) == 1
+    fingerprint = canonical(parse_pattern("//par!"))
+    bindings = [(StructuralId(1, 6, 8, 3),)]
+    cache.store(fingerprint, index.epoch, bindings)
+    assert cache.lookup(fingerprint, index.epoch) == bindings
     index.index_document(parse_document(D1, 2), 2)
-    before = net.stats.messages_sent
-    out = eval_distributed(pattern, 1, index, cache)
-    assert len(out) == 2
-    assert net.stats.messages_sent > before  # re-executed, not served from cache
-
-
-def test_cache_hit_equals_fresh_evaluation():
-    rng = random.Random(3)
-    docs = random_corpus(rng, max_docs=5, max_nodes=20)
-    net, dht, index = cluster_with(docs)
-    cache = QueryCache()
-    for _ in range(30):
-        pattern = random_pattern(rng)
-        cached = eval_distributed(pattern, 1, index, cache)
-        fresh = eval_distributed(pattern, 2, index)  # no cache
-        assert cached == fresh
+    assert cache.lookup(fingerprint, index.epoch) is None
+    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_word_predicate_matches_whole_words_in_any_case():
     # "xmldata" contains "xml" but not as a word
-    docs = [parse_document("<r><t>Big XML</t><t>xml-data</t><t>xmldata</t></r>", 1)]
+    store = store_with(
+        [parse_document("<r><t>Big XML</t><t>xml-data</t><t>xmldata</t></r>", 1)]
+    )
+    docs = list(store.documents.values())
     pattern = parse_pattern('//t="xml"!')
-    net, dht, index = cluster_with(docs)
-    want = eval_distributed(pattern, 1, index)
+    want = planner_bindings(store, pattern)
     assert [b[0].start for b in want] == [2, 5]
     assert eval_local(pattern, docs) == eval_naive(pattern, docs) == want
 
 
 def test_all_wildcard_raises():
-    docs = [parse_document(D1, 1)]
-    net, dht, index = cluster_with(docs)
+    store = store_with([parse_document(D1, 1)])
     with pytest.raises(UnsupportedWildcardRoot):
-        eval_distributed(parse_pattern("//*//*!"), 1, index)
+        planner_bindings(store, parse_pattern("//*//*!"))
 
 
 def test_wildcard_interior_node():
-    docs = [parse_document(D1, 1)]
-    net, dht, index = cluster_with(docs)
+    store = store_with([parse_document(D1, 1)])
     pattern = parse_pattern("//doc//*[/title]!")
-    assert eval_distributed(pattern, 1, index) == eval_naive(pattern, docs)
+    want = eval_naive(pattern, list(store.documents.values()))
+    assert planner_bindings(store, pattern) == want
 
 
 @pytest.mark.parametrize("trial_seed", range(8))
 def test_oracle_equivalence_randomized(trial_seed):
     rng = random.Random(1000 + trial_seed)
-    docs = random_corpus(rng, max_docs=6, max_nodes=30)
-    net, dht, index = cluster_with(docs)
+    store = store_with(random_corpus(rng, max_docs=6, max_nodes=30))
+    docs = list(store.documents.values())
     for _ in range(25):
         pattern = random_pattern(rng)
-        assert eval_distributed(pattern, 1, index) == eval_naive(pattern, docs), (
+        assert planner_bindings(store, pattern) == eval_naive(pattern, docs), (
             f"pattern {pattern} diverged"
         )
 
@@ -170,8 +140,8 @@ def test_results_independent_of_peer_count():
     patterns = [random_pattern(rng) for _ in range(12)]
     outputs = []
     for peer_count in (1, 4, 16):
-        net, dht, index = cluster_with(docs, peer_count=peer_count)
-        outputs.append([eval_distributed(p, 1, index) for p in patterns])
+        store = store_with(docs, peer_count=peer_count)
+        outputs.append([planner_bindings(store, p) for p in patterns])
     assert outputs[0] == outputs[1] == outputs[2]
 
 
