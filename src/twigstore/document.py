@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import EmptyInput, MalformedXml, UnknownNode
 
@@ -229,7 +230,22 @@ def serialize_subtree(doc: Document, root_label: StructuralId) -> str:
     return "".join(out)
 
 
-def _write(doc: Document, node: Node, out: list[str]) -> None:
+def _write(
+    doc: Document,
+    node: Node,
+    out: list[str],
+    cut: set[str] | frozenset[str] = frozenset(),
+    marks: list[list] | None = None,
+) -> None:
+    """Append ``node``'s text to ``out`` in parts.
+
+    Each element named in ``cut`` appends ``[node, first part, end part]``
+    to ``marks`` in document order, so its text is ``out[first:end]``.
+    """
+    mark = None
+    if node.name in cut:
+        mark = [node, len(out), 0]
+        marks.append(mark)  # type: ignore[union-attr]
     attrs = []
     content = []
     for child in doc.children(node):
@@ -240,16 +256,18 @@ def _write(doc: Document, node: Node, out: list[str]) -> None:
     out.append("<" + node.name)
     for a in attrs:
         out.append(f' {a.name[1:]}="{_escape(a.attr_value, _ATTR_ESCAPES)}"')
-    if not content:
+    if content:
+        out.append(">")
+        for child in content:
+            if child.kind == TEXT:
+                out.append(_escape(child.name_or_value, _TEXT_ESCAPES))
+            else:
+                _write(doc, child, out, cut, marks)
+        out.append("</" + node.name + ">")
+    else:
         out.append("/>")
-        return
-    out.append(">")
-    for child in content:
-        if child.kind == TEXT:
-            out.append(_escape(child.name_or_value, _TEXT_ESCAPES))
-        else:
-            _write(doc, child, out)
-    out.append("</" + node.name + ">")
+    if mark is not None:
+        mark[2] = len(out)
 
 
 def serialize_document(doc: Document) -> str:
@@ -273,20 +291,29 @@ def extract_resources(doc: Document, granularity: set[str]) -> list[Resource]:
     """One resource for the root plus one per element named in ``granularity``.
 
     Resource ids are ``"<doc_id>#<start>"``; attribute and text nodes are
-    never resources.
+    never resources.  The document is serialized once: each payload is the
+    slice of the root's text between the parts its element started and
+    ended at, equal to ``serialize_subtree`` of that element.
     """
-    resources = [_make_resource(doc, doc.root)]
-    for node in doc.nodes:
-        if node.kind == ELEMENT and node is not doc.root and node.name in granularity:
-            resources.append(_make_resource(doc, node))
+    out: list[str] = []
+    marks: list[list] = []
+    _write(doc, doc.root, out, granularity, marks)
+    text = "".join(out)
+    resources = [_make_resource(doc, doc.root, text)]
+    if marks:
+        offsets = [0, *accumulate(map(len, out))]
+        for node, first, end in marks:
+            if node is not doc.root:
+                payload = text[offsets[first] : offsets[end]]
+                resources.append(_make_resource(doc, node, payload))
     return resources
 
 
-def _make_resource(doc: Document, node: Node) -> Resource:
+def _make_resource(doc: Document, node: Node, payload: str) -> Resource:
     label = node.label
     return Resource(
         resource_id=f"{doc.doc_id}#{label.start}",
         doc_id=doc.doc_id,
         root_label=label,
-        payload=serialize_subtree(doc, label),
+        payload=payload,
     )

@@ -8,8 +8,10 @@ get):
   follows Chord (Stoica et al., SIGCOMM 2001): a peer that does not own a
   key hands it to its successor when the successor owns it, else to its
   closest finger before the key, where the fingers of the peer at ``p``
-  are the owners of ``p + 2**i`` for i in 0..63.  Each hop is one
-  simulated message, O(log peers) of them per key.
+  are the owners of ``p + 2**i`` for i in 0..63.  One bisect of the
+  peer's finger distances decides both whether it owns the key and, if
+  not, the next hop.  Each hop is one simulated message, O(log peers) of
+  them per key.
 * ``RangeOverlay`` — an order-preserving partition of the key domain into
   half-open intervals, one per peer, split at the midpoint on join.  It
   additionally supports ``get_range``, contacting exactly the peers whose
@@ -25,7 +27,10 @@ owns and sends the rest on as one envelope per next hop, so a batch splits
 along the routing tree; a range overlay's publisher sends one envelope per
 owner.  All items one peer owns take the same path, so each key keeps its
 value order.  A put envelope is the wire tag, the overlay id, an item count
-and the items, each a key (``pack_str``) and a value (``pack_bytes``).
+and the items, each a key (``pack_str``) and a value (``pack_bytes``).  A
+forwarding peer decodes only the keys: it sends each item on as the byte
+span it arrived in, and a batch that goes on whole to one hop as the
+received payload itself.
 ``DhtService.put_direct`` is the one control-plane data operation: it
 stores the items on their owners without sending a message, which is how
 snapshot restore rebuilds the overlays.  Item and response value counts
@@ -156,14 +161,21 @@ class RangeState:
     store: dict[str, list[bytes]] = field(default_factory=dict)
 
 
+# a peer's position, its predecessor's clockwise distance, and its fingers'
+# clockwise distances and ids, nearest first, self excluded
+_FingerTable = tuple[int, int, list[int], list[PeerId]]
+
+
 class HashOverlay:
     """Ring overlay with exact-key put/get and multi-value semantics.
 
     The ring is kept as ``(position, peer)`` pairs sorted by position, plus
     the bare positions for ``bisect``; both are rebuilt only when the
-    membership changes.  Each peer's finger table is built from the sorted
-    ring on the first hop it routes and dropped with the ring.  Key
-    positions are memoized, so routing a key hop by hop hashes it once.
+    membership changes.  Each peer's finger table, with its predecessor's
+    clockwise distance, is built from the sorted ring on the first hop it
+    routes and dropped with the ring, so ``route`` answers ownership and
+    next hop from one cached table.  Key positions are memoized, so
+    routing a key hop by hop hashes it once.
     """
 
     kind = "hash"
@@ -176,8 +188,7 @@ class HashOverlay:
         self.members: dict[PeerId, RingState] = {}
         self._ring: list[tuple[int, PeerId]] = []
         self._positions: list[int] = []
-        # peer -> (clockwise distances, fingers), nearest first, self excluded
-        self._fingers: dict[PeerId, tuple[list[int], list[PeerId]]] = {}
+        self._fingers: dict[PeerId, _FingerTable] = {}
         self._key_positions: dict[str, int] = {}
 
     def key_position(self, key: str) -> int:
@@ -206,7 +217,7 @@ class HashOverlay:
     def owner_of(self, key: str) -> PeerId:
         return self.owner_of_position(self.key_position(key))
 
-    def _finger_table(self, peer: PeerId) -> tuple[list[int], list[PeerId]]:
+    def _finger_table(self, peer: PeerId) -> _FingerTable:
         pos = self.members[peer].position
         dist: dict[PeerId, int] = {}
         for i in range(64):
@@ -214,30 +225,33 @@ class HashOverlay:
             if finger != peer and finger not in dist:
                 dist[finger] = (self.members[finger].position - pos) & _MASK64
         table = sorted((d, finger) for finger, d in dist.items())
-        return [d for d, _ in table], [finger for _, finger in table]
+        pred_dist = (self.members[self.members[peer].predecessor].position - pos) & _MASK64
+        return pos, pred_dist, [d for d, _ in table], [finger for _, finger in table]
 
-    def next_hop(self, peer: PeerId, key_pos: int) -> PeerId:
-        """Where ``peer`` sends a key it does not own: its successor when the
-        successor owns the key, else its closest finger before the key."""
+    def route(self, peer: PeerId, key_pos: int) -> PeerId | None:
+        """``None`` when ``peer`` owns the key, else where it sends the key:
+        its successor when the successor owns the key, else its closest
+        finger before the key.
+
+        ``peer`` owns the keys at clockwise distance 0 or beyond its
+        predecessor's; a lone member's predecessor is itself, at distance
+        0, so it owns every key.
+        """
         table = self._fingers.get(peer)
         if table is None:
             table = self._fingers[peer] = self._finger_table(peer)
-        dists, fingers = table
-        i = bisect_left(dists, (key_pos - self.members[peer].position) & _MASK64)
-        return fingers[max(i - 1, 0)]
+        pos, pred_dist, dists, fingers = table
+        d = (key_pos - pos) & _MASK64
+        if d == 0 or d > pred_dist:
+            return None
+        i = bisect_left(dists, d)
+        return fingers[i - 1 if i else 0]
 
     @staticmethod
     def _in_arc(pos: int, lo_excl: int, hi_incl: int) -> bool:
-        if lo_excl == hi_incl:  # single member owns the whole ring
-            return True
         if lo_excl < hi_incl:
             return lo_excl < pos <= hi_incl
         return pos > lo_excl or pos <= hi_incl
-
-    def owns(self, peer: PeerId, key_pos: int) -> bool:
-        st = self.members[peer]
-        pred_pos = self.members[st.predecessor].position
-        return self._in_arc(key_pos, pred_pos, st.position)
 
     def join(self, peer: PeerId) -> None:
         if peer in self.members:
@@ -490,20 +504,20 @@ class DhtService:
         """Publish ``items`` from ``via``, then drain the simulator once."""
         ov = self._overlay(dht_id)
         self._check_member(ov, via)
-        if isinstance(ov, HashOverlay):
-            sent = self._route_hash_items(ov, via, items)
-        else:
-            groups: dict[PeerId, Items] = {}
-            for key, value in items:
-                owner = ov.owner_of(key)
-                if owner == via:
-                    ov.store_value(via, key, value)
-                else:
-                    groups.setdefault(owner, []).append((key, value))
-            for owner, group in groups.items():
-                self.net.send(via, owner, bytes([_RANGE_PUT, ov.dht_id]) + pack_items(group))
-            sent = bool(groups)
-        if sent:
+        hashed = isinstance(ov, HashOverlay)
+        groups: dict[PeerId, list[bytes]] = {}
+        for key, value in items:
+            if hashed:
+                hop = ov.route(via, ov.key_position(key))
+            else:
+                hop = ov.owner_of(key)
+            if hop is None or hop == via:
+                ov.store_value(via, key, value)
+            else:
+                groups.setdefault(hop, []).append(pack_str(key) + pack_bytes(value))
+        if groups:
+            tag = _HASH_PUT if hashed else _RANGE_PUT
+            self._send_put_groups(via, bytes([tag, dht_id]), groups)
             self.net.run_until_quiescent(self.tick_budget)
 
     def put_direct(self, dht_id: int, via: PeerId, items: Items) -> None:
@@ -521,16 +535,13 @@ class DhtService:
     def get(self, dht_id: int, via: PeerId, key: str) -> list[bytes]:
         ov = self._overlay(dht_id)
         self._check_member(ov, via)
-        owner = ov.owner_of(key)
-        if owner == via:
+        if isinstance(ov, HashOverlay):
+            tag, first_hop = _HASH_GET, ov.route(via, ov.key_position(key))
+        else:
+            tag, first_hop = _RANGE_GET, ov.owner_of(key)
+        if first_hop is None or first_hop == via:
             return ov.local_values(via, key)
         req = self._new_request()
-        if isinstance(ov, HashOverlay):
-            tag = _HASH_GET
-            first_hop = ov.next_hop(via, ov.key_position(key))
-        else:
-            tag = _RANGE_GET
-            first_hop = owner
         payload = (
             bytes([tag, ov.dht_id])
             + struct.pack(">IQ", req, via)
@@ -586,19 +597,13 @@ class DhtService:
         self._next_req += 1
         return self._next_req
 
-    def _route_hash_items(self, ov: HashOverlay, me: PeerId, items: Items) -> bool:
-        """Store the items ``me`` owns and send the rest on, one envelope per
-        next hop; returns whether anything was sent."""
-        groups: dict[PeerId, Items] = {}
-        for key, value in items:
-            kpos = ov.key_position(key)
-            if ov.owns(me, kpos):
-                ov.store_value(me, key, value)
-            else:
-                groups.setdefault(ov.next_hop(me, kpos), []).append((key, value))
-        for hop, group in groups.items():
-            self.net.send(me, hop, bytes([_HASH_PUT, ov.dht_id]) + pack_items(group))
-        return bool(groups)
+    def _send_put_groups(
+        self, me: PeerId, head: bytes, groups: dict[PeerId, list[bytes]]
+    ) -> None:
+        """One put envelope per next hop: ``head`` (wire tag and overlay id),
+        the item count, then the hop's encoded items."""
+        for hop, spans in groups.items():
+            self.net.send(me, hop, head + pack_count(len(spans)) + b"".join(spans))
 
     def _take_response(self, req: int) -> list:
         if req not in self._responses:
@@ -627,9 +632,34 @@ class DhtService:
             raise ValueError(f"unknown wire tag {tag:#x}")
 
     def _on_hash_put(self, net: Network, env: Envelope) -> None:
-        ov = self._overlay(env.payload[1])
+        """Store the items of a put envelope that this peer owns and send
+        the rest on, one envelope per next hop.
+
+        Only keys are decoded: a forwarded item is its byte span in the
+        payload, and a batch that goes on whole to one hop is sent as the
+        payload itself.
+        """
+        payload, me = env.payload, env.to_peer
+        ov = self._overlay(payload[1])
         assert isinstance(ov, HashOverlay)
-        self._route_hash_items(ov, env.to_peer, unpack_items(env.payload, 2))
+        count, off = unpack_count(payload, 2)
+        groups: dict[PeerId, list[bytes]] = {}
+        owned = False
+        for _ in range(count):
+            start = off
+            key, off = unpack_str(payload, off)
+            (size,) = struct.unpack_from(">I", payload, off)
+            off += 4 + size
+            hop = ov.route(me, ov.key_position(key))
+            if hop is None:
+                ov.store_value(me, key, payload[off - size : off])
+                owned = True
+            else:
+                groups.setdefault(hop, []).append(payload[start:off])
+        if len(groups) == 1 and not owned:
+            net.send(me, next(iter(groups)), payload)
+        else:
+            self._send_put_groups(me, payload[:2], groups)
 
     def _on_hash_get(self, net: Network, env: Envelope) -> None:
         ov = self._overlay(env.payload[1])
@@ -637,11 +667,11 @@ class DhtService:
         me = env.to_peer
         req, origin = struct.unpack_from(">IQ", env.payload, 2)
         key, _ = unpack_str(env.payload, 14)
-        kpos = ov.key_position(key)
-        if ov.owns(me, kpos):
+        hop = ov.route(me, ov.key_position(key))
+        if hop is None:
             net.send(me, origin, _values_response(req, ov.local_values(me, key)))
         else:
-            net.send(me, ov.next_hop(me, kpos), env.payload)
+            net.send(me, hop, env.payload)
 
     def _on_get_resp(self, env: Envelope) -> None:
         (req,) = struct.unpack_from(">I", env.payload, 1)

@@ -1,7 +1,8 @@
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twigstore.document import (
     ATTRIBUTE,
@@ -140,6 +141,65 @@ def test_extract_resources_root_named_in_granularity():
     doc = parse_document("<par><par/></par>", 1)
     # the root is listed once even when its name is in the set
     assert [r.resource_id for r in extract_resources(doc, {"par"})] == ["1#1", "1#2"]
+
+
+_GRAIN_NAMES = ("sec", "par", "doc")
+_RAW_TEXT = st.text(alphabet='ab &<>"', max_size=4)
+_ELEMENT_TREES = st.recursive(
+    st.tuples(
+        st.sampled_from(_GRAIN_NAMES),
+        st.dictionaries(st.sampled_from(("id", "k")), _RAW_TEXT, max_size=2),
+        _RAW_TEXT,
+        st.just([]),
+    ),
+    lambda kids: st.tuples(
+        st.sampled_from(_GRAIN_NAMES),
+        st.dictionaries(st.sampled_from(("id", "k")), _RAW_TEXT, max_size=2),
+        _RAW_TEXT,
+        st.lists(st.tuples(kids, _RAW_TEXT), max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _xml_text(tree) -> str:
+    """XML text of ``(name, attrs, text, [(child, tail)])``, escaped by
+    ElementTree, so the package's own writer is not its oracle."""
+
+    def build(node):
+        name, attrs, text, kids = node
+        elem = ET.Element(name, attrs)
+        elem.text = text
+        for kid, tail in kids:
+            child = build(kid)
+            child.tail = tail
+            elem.append(child)
+        return elem
+
+    return ET.tostring(build(tree), encoding="unicode")
+
+
+@given(tree=_ELEMENT_TREES, granularity=st.sets(st.sampled_from(_GRAIN_NAMES)))
+@example(
+    tree=("sec", {"k": '"&<>'}, "a<b", [
+        (("sec", {}, "", [(("sec", {"id": "x"}, "", []), "&")]), ">"),
+        (("par", {}, "", []), ""),
+    ]),
+    granularity={"sec", "par"},
+)
+def test_one_pass_extraction_equals_per_resource_serialization(tree, granularity):
+    # covers attributes, escaped text and values, self-closed elements, a
+    # granularity name nested in itself and a root named in the granularity
+    doc = parse_document(_xml_text(tree), 3)
+    resources = extract_resources(doc, granularity)
+    wanted = [doc.root] + [
+        n for n in doc.nodes
+        if n.kind == ELEMENT and n is not doc.root and n.name in granularity
+    ]
+    assert [r.root_label for r in resources] == [n.label for n in wanted]
+    for res in resources:
+        assert res.resource_id == f"3#{res.root_label.start}"
+        assert res.payload == serialize_subtree(doc, res.root_label)
 
 
 def _naive_spans(xml_text):

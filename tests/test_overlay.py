@@ -1,8 +1,10 @@
 import random
+from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twigstore.errors import (
     AlreadyMember,
@@ -10,11 +12,12 @@ from twigstore.errors import (
     NotMember,
     NotRangeCapable,
 )
-from twigstore.netsim import Network
+from twigstore.netsim import Network, NetworkStats
 from twigstore.overlay import (
     DhtService,
     fnv1a64,
     pack_count,
+    pack_items,
     pack_str,
     ring_hash,
     unpack_count,
@@ -360,6 +363,14 @@ def test_cached_ring_matches_brute_force_owner(churn, keys):
         assert value in dht.get(0, members[-1 - i % len(members)], key)
 
 
+# keys of 64 KiB and more cost milliseconds to hash in pure Python
+_key_hash = lru_cache(maxsize=None)(ring_hash)
+
+
+def _brute_owner(ring, kpos):
+    return next((pid for pos, pid in ring if pos >= kpos), ring[0][1])
+
+
 def _chord_hop(ov, peer, key):
     """Chord's next hop from ``peer`` toward ``key``, by brute force: the
     successor if it owns the key, else the farthest finger before the key,
@@ -370,10 +381,10 @@ def _chord_hop(ov, peer, key):
     fingers = set()
     for i in range(64):
         target = (pos + (1 << i)) % span
-        fingers.add(next((pid for p, pid in ring if p >= target), ring[0][1]))
+        fingers.add(_brute_owner(ring, target))
     fingers.discard(peer)
     dist = {f: (ov.members[f].position - pos) % span for f in fingers}
-    kpos = int(key) if ov.mode == "decimal" else ring_hash(key)
+    kpos = int(key) if ov.mode == "decimal" else _key_hash(key)
     d = (kpos - pos) % span
     successor = min(fingers, key=dist.get)
     if d <= dist[successor]:
@@ -382,10 +393,13 @@ def _chord_hop(ov, peer, key):
 
 
 def _check_hops(ov, sent):
-    """Every put and get request went to Chord's next hop for its keys."""
+    """Every put and get request went to Chord's next hop for its keys, and
+    every put envelope is exactly the encoding of the items it carries."""
     for frm, to, payload in sent:
         if payload[0] == 0x01:
-            keys = [key for key, _ in unpack_items(payload, 2)]
+            items = unpack_items(payload, 2)
+            assert payload == bytes([0x01, ov.dht_id]) + pack_items(items)
+            keys = [key for key, _ in items]
         elif payload[0] == 0x02:
             keys = [unpack_str(payload, 14)[0]]
         else:  # the owner's answer goes straight back to the requester
@@ -470,3 +484,82 @@ def test_batch_shares_envelopes_along_the_route():
     assert dht.get_range(1, 50, "0", "100") == [
         ("5", b"z"), ("30", b"x"), ("31", b"w"), ("70", b"y")
     ]
+
+
+def _decoding_router(ov, via, items):
+    """The envelopes ``(from, to, payload)`` of one hash put, in delivery
+    order, routed the plain way outside the service: each peer decodes the
+    envelope it receives, keeps the items it owns and encodes each next
+    hop's items afresh, hops chosen by ``_chord_hop``."""
+    ring = sorted((state.position, pid) for pid, state in ov.members.items())
+    sent = []
+    queue = deque([(via, items)])
+    while queue:  # first in, first out is the simulator's delivery order
+        me, batch = queue.popleft()
+        groups = {}
+        for key, value in batch:
+            if _brute_owner(ring, _key_hash(key)) != me:
+                groups.setdefault(_chord_hop(ov, me, key), []).append((key, value))
+        for hop, group in groups.items():
+            payload = bytes([0x01, ov.dht_id]) + pack_items(group)
+            sent.append((me, hop, payload))
+            queue.append((hop, unpack_items(payload, 2)))
+    return sent
+
+
+# two keys long enough that their length takes pack_count's 6-byte form
+_LONG_KEYS = ["x" * 0xFFFF, "y" * 0x10003]
+_MIXED_BATCH = [(_LONG_KEYS[0], b"")] + [
+    (str(i % 29), bytes([i])) for i in range(64)
+] + [(_LONG_KEYS[1], b"long"), (_LONG_KEYS[0], b"again"), ("7", b"")]
+
+
+@settings(max_examples=100, deadline=None)
+@example(peer_count=64, puts=[(9, _MIXED_BATCH), (40, _MIXED_BATCH[::-1])])
+@example(peer_count=1, puts=[(0, _MIXED_BATCH)])
+@given(
+    peer_count=st.integers(1, 64),
+    puts=st.lists(
+        st.tuples(
+            st.integers(0, 63),
+            st.lists(  # keys repeat, and values may be empty
+                st.tuples(
+                    st.sampled_from(_LONG_KEYS + [str(i) for i in range(40)]),
+                    st.binary(max_size=6),
+                ),
+                max_size=32,
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_forwarded_put_envelopes_match_a_decoding_router(peer_count, puts):
+    members = list(range(1, peer_count + 1))
+    net, dht = make_service(members, hash_mode="fnv")
+    ov = dht.overlays[0]
+    for p in members:
+        dht.join(0, p)
+    ring = sorted((state.position, pid) for pid, state in ov.members.items())
+    sent = []
+    real_send = net.send
+    net.send = lambda frm, to, payload: sent.append((frm, to, payload)) or real_send(
+        frm, to, payload
+    )
+    reference = NetworkStats()
+    shadow: dict[str, list[bytes]] = {}
+    for pick, items in puts:
+        via = members[pick % len(members)]
+        want_sent = _decoding_router(ov, via, items)
+        sent.clear()
+        dht.put(0, via, items)
+        assert sent == want_sent
+        for frm, to, payload in want_sent:
+            reference.record(frm, to, len(payload))
+        for key, value in items:
+            shadow.setdefault(key, []).append(value)
+        for key in {key for key, _ in items}:
+            owner = _brute_owner(ring, _key_hash(key))
+            assert ov.members[owner].store[key] == shadow[key]
+    assert net.stats.per_edge == reference.per_edge
+    assert net.stats.report() == reference.report()
