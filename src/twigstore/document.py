@@ -18,6 +18,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Callable, Iterable
 
 from .errors import EmptyInput, MalformedXml, UnknownNode
 
@@ -117,6 +118,22 @@ class Resource:
     doc_id: int
     root_label: StructuralId
     payload: str
+
+
+def _resource(label: StructuralId, payload: str) -> Resource:
+    return Resource(f"{label.doc_id}#{label.start}", label.doc_id, label, payload)
+
+
+def recompose(
+    labels: Iterable[StructuralId], payload: Callable[[StructuralId], str]
+) -> list[Resource]:
+    """One resource per distinct label, in label order.
+
+    ``payload`` is called once per distinct label, in that order: the
+    centralized backend serializes the node, the p2p executor fetches it
+    from the document's home peer.
+    """
+    return [_resource(label, payload(label)) for label in sorted(set(labels))]
 
 
 def is_ancestor(a: StructuralId, d: StructuralId) -> bool:
@@ -299,21 +316,11 @@ def extract_resources(doc: Document, granularity: set[str]) -> list[Resource]:
     marks: list[list] = []
     _write(doc, doc.root, out, granularity, marks)
     text = "".join(out)
-    resources = [_make_resource(doc, doc.root, text)]
+    resources = [_resource(doc.root.label, text)]
     if marks:
         offsets = [0, *accumulate(map(len, out))]
         for node, first, end in marks:
             if node is not doc.root:
                 payload = text[offsets[first] : offsets[end]]
-                resources.append(_make_resource(doc, node, payload))
+                resources.append(_resource(node.label, payload))
     return resources
-
-
-def _make_resource(doc: Document, node: Node, payload: str) -> Resource:
-    label = node.label
-    return Resource(
-        resource_id=f"{doc.doc_id}#{label.start}",
-        doc_id=doc.doc_id,
-        root_label=label,
-        payload=payload,
-    )

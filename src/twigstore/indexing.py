@@ -58,18 +58,16 @@ def value_key(tag: str, value: int) -> str:
 
 
 class IndexService:
-    """Stateless facade over the overlays, plus the index-version epoch.
+    """Facade over the overlays for posting publication and lookups.
 
-    ``epoch`` increments on every index write; the query cache uses it for
-    whole-index invalidation.  ``stats`` shadows the number of postings
-    published per key, feeding the planner's cost estimates.
+    ``stats`` shadows the number of postings published per key, feeding
+    the planner's cost estimates.
     """
 
     def __init__(self, dht: DhtService, hash_dht: int, range_dht: int | None = None):
         self.dht = dht
         self.hash_dht = hash_dht
         self.range_dht = range_dht
-        self.epoch = 0
         self.stats: dict[str, int] = {}
 
     # -- publication -----------------------------------------------------
@@ -85,7 +83,6 @@ class IndexService:
         the routed ``DhtService.put``; snapshot restore passes
         ``DhtService.put_direct``.
         """
-        self.epoch += 1
         hashed: Items = list(lead)
         ranged: Items = []
         catalog: dict[str, None] = {}

@@ -1,4 +1,4 @@
-"""Query decomposition, plan rewriting, operator placement, execution.
+"""Query decomposition, operator placement, execution.
 
 A parsed pattern is decomposed by overlay capability: every integer-range
 predicate node becomes a range-overlay subquery (that overlay is the only
@@ -9,10 +9,11 @@ outputs over the pattern edges that were cut.
 Plans are operator trees; leaves are index lookups pinned at the peers
 owning their keys, and every other operator carries the site where its
 output materializes.  Cost is bytes shipped: each posting is 32 bytes and
-a shipped binding row costs 32 bytes per column.  The rewrite engine
-applies, per pass, the rule application that lowers estimated cost most
-(ties: rule order, then leftmost match); zero-cost rewrites apply only
-when they strictly shrink the plan, which bounds the fixpoint loop.
+a shipped binding row costs 32 bytes per column.  A query is planned as
+``decompose`` -> ``PlanBuilder.build`` (the naive placement) -> ``place``
+(each join at its largest input's site, when that estimates cheaper).
+The rule-based ``rewrite`` engine is off that path: ``place`` re-derives
+every Ship edge and non-leaf site, so it would discard what rewriting did.
 
 Execution interprets the plan over the simulation: Ship edges and
 recomposition fetches travel as real messages, so measured stats can be
@@ -25,7 +26,14 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .document import INT_WINDOW, Document, Resource, StructuralId, serialize_node
+from .document import (
+    INT_WINDOW,
+    Document,
+    Resource,
+    StructuralId,
+    recompose,
+    serialize_node,
+)
 from .errors import NotRangeCapable, PlanSiteUnreachable, UnsupportedWildcardRoot
 from .indexing import (
     POSTING_SIZE,
@@ -129,6 +137,7 @@ class Decomposition:
     hash_fragments: list[list[int]]
     range_nodes: list[int]
     joins: list[tuple[int, int, str]]  # cut edges (parent, child, axis), in order
+    unit_of: dict[int, int]  # pattern node -> its unit: fragments, then range nodes
 
     @property
     def subqueries(self) -> list[tuple[str, list[int]]]:
@@ -198,14 +207,15 @@ def decompose(pattern: TreePattern) -> Decomposition:
                 break
         else:  # disconnected pattern cannot happen: patterns are trees
             raise AssertionError("cut edges do not connect the decomposition")
-    return Decomposition(pattern, fragments, range_nodes, joins)
+    return Decomposition(pattern, fragments, range_nodes, joins, unit_of)
 
 
 # -- plan construction --------------------------------------------------------
 
 
 class PlanBuilder:
-    """Builds the naive placement: leaves at key owners, the rest at the query peer."""
+    """Builds the naive placement: leaves at key owners, the rest at the query
+    peer, with Ship edges inserted by the same rule ``place`` uses."""
 
     def __init__(
         self,
@@ -260,15 +270,8 @@ class PlanBuilder:
             "IndexLookup", self.locator(self.hash_dht, wkey),
             dht=self.hash_dht, key=wkey, var=idx, cols=(idx,),
         )
-        node = Plan("Intersect", self.query_peer, var=idx, cols=(idx,))
-        node.kids = [self._to_site(lookup, self.query_peer),
-                     self._to_site(word_lookup, self.query_peer)]
-        return node
-
-    def _to_site(self, plan: Plan, site: PeerId) -> Plan:
-        if plan.site == site:
-            return plan
-        return Plan("Ship", site, kids=[plan], cols=plan.cols)
+        return Plan("Intersect", self.query_peer, var=idx, cols=(idx,),
+                    kids=[lookup, word_lookup])
 
     def fragment_plan(self, pattern: TreePattern, fragment: list[int]) -> Plan:
         frag_set = set(fragment)
@@ -277,61 +280,46 @@ class PlanBuilder:
             if (pattern.parent_edge(idx) is None
                 or pattern.parent_edge(idx)[0] not in frag_set)
         )
-        acc = self._to_site(self.leaf_for(pattern, root_idx), self.query_peer)
+        acc = self.leaf_for(pattern, root_idx)
         queue = [root_idx]
         while queue:
             cur = queue.pop(0)
             for child, axis in pattern.children(cur):
                 if child not in frag_set:
                     continue
-                right = self._to_site(self.leaf_for(pattern, child), self.query_peer)
-                join = Plan(
+                right = self.leaf_for(pattern, child)
+                acc = Plan(
                     "StructJoin", self.query_peer, axis=axis,
                     parent_var=cur, child_var=child,
-                    cols=acc.cols + right.cols,
+                    cols=acc.cols + right.cols, kids=[acc, right],
                 )
-                join.kids = [acc, right]
-                acc = join
                 queue.append(child)
         return acc
 
     def build(self, dec: Decomposition, with_recompose: bool) -> Plan:
+        """The logical plan with the placer's naive sites and Ship edges."""
         pattern = dec.pattern
-        unit_plans: dict[int, Plan] = {}
-        unit_of: dict[int, int] = {}
-        for i, frag in enumerate(dec.hash_fragments):
-            unit_plans[i] = self.fragment_plan(pattern, frag)
-            for idx in frag:
-                unit_of[idx] = i
-        for j, idx in enumerate(dec.range_nodes):
-            unit = len(dec.hash_fragments) + j
-            unit_plans[unit] = self._to_site(
-                self.leaf_for(pattern, idx), self.query_peer
-            )
-            unit_of[idx] = unit
+        unit_plans = [self.fragment_plan(pattern, frag) for frag in dec.hash_fragments]
+        unit_plans += [self.leaf_for(pattern, idx) for idx in dec.range_nodes]
 
-        acc_unit = unit_of[0]
-        acc = unit_plans[acc_unit]
-        merged = {acc_unit}
+        unit_of = dec.unit_of
+        acc = unit_plans[unit_of[0]]
+        merged = {unit_of[0]}
         for p, c, axis in dec.joins:
             other = unit_of[c] if unit_of[p] in merged else unit_of[p]
-            join = Plan(
+            acc = Plan(
                 "StructJoin", self.query_peer, axis=axis,
                 parent_var=p, child_var=c,
-                cols=acc.cols + unit_plans[other].cols,
+                cols=acc.cols + unit_plans[other].cols, kids=[acc, unit_plans[other]],
             )
-            join.kids = [acc, unit_plans[other]]
-            acc = join
             merged.add(other)
 
         if with_recompose:
-            rec = Plan(
+            acc = Plan(
                 "Recompose", self.query_peer,
-                ret_vars=tuple(pattern.return_nodes), cols=acc.cols,
+                ret_vars=tuple(pattern.return_nodes), cols=acc.cols, kids=[acc],
             )
-            rec.kids = [acc]
-            return rec
-        return acc
+        return _pin_root(_reship(acc), self.query_peer)
 
 
 # -- cost estimation -----------------------------------------------------------
@@ -528,8 +516,15 @@ def rewrite(
 ) -> Plan:
     """Greedy best-first rule application to fixpoint (or ``max_passes``).
 
-    Each pass applies the single rewrite that lowers estimated cost most;
-    zero-delta rewrites apply only if they strictly shrink the plan.
+    Each pass applies the single rewrite that lowers estimated cost most
+    (ties: rule order, then leftmost match); zero-delta rewrites apply only
+    if they strictly shrink the plan, which bounds the loop.
+
+    No backend calls it: ``place`` returns the same plan for a rewritten
+    input as for the original.  It stays, with ``Rule``, the four rules,
+    ``plan_size`` and ``Plan.clone``, only for its unit tests and because
+    the benchmark traces ``planner.rewrite``; all of it goes when that
+    trace target is retired.
     """
     stats = stats or {}
     current = plan.clone()
@@ -826,22 +821,11 @@ def _run_join(plan: Plan, ctx: ExecutionContext) -> Dataset:
 def _run_recompose(
     plan: Plan, ds: Dataset, ctx: ExecutionContext
 ) -> list[Resource]:
-    targets: list[StructuralId] = []
-    seen: set[StructuralId] = set()
-    for row in ds.rows:
-        for var in plan.ret_vars:
-            sid = row[ds.cols.index(var)]
-            if sid not in seen:
-                seen.add(sid)
-                targets.append(sid)
-    targets.sort()
-    resources = []
-    for sid in targets:
-        payload = ctx.fetch_subtree(plan.site, sid)
-        resources.append(
-            Resource(f"{sid.doc_id}#{sid.start}", sid.doc_id, sid, payload)
-        )
-    return resources
+    slots = [ds.cols.index(var) for var in plan.ret_vars]
+    return recompose(
+        (row[i] for row in ds.rows for i in slots),
+        lambda sid: ctx.fetch_subtree(plan.site, sid),
+    )
 
 
 def dataset_to_bindings(pattern: TreePattern, ds: Dataset) -> list[Binding]:

@@ -4,8 +4,8 @@ The centralized backend keeps documents in one process and answers
 pattern queries with ``eval_local``, the stack-based structural join over
 candidates drawn from the documents' name postings.  The p2p backend hosts a
 simulated peer network with the configured overlays, indexes every
-ingested document, and answers queries through the decompose -> rewrite ->
-place -> execute pipeline.  Both backends return identical resource lists
+ingested document, and answers queries through the decompose -> place ->
+execute pipeline.  Both backends return identical resource lists
 for the same corpus; the p2p result additionally carries the network
 stats delta its evaluation produced.
 
@@ -17,15 +17,15 @@ the overlay, then probes that peer's index once).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import planner
 from .document import (
     Document,
     Resource,
-    StructuralId,
     extract_resources,
     parse_document,
+    recompose,
     serialize_document,
     serialize_node,
 )
@@ -47,7 +47,7 @@ from .rdfstore import (
     eval_nested_loop,
     index_triples,
 )
-from .twigjoin import Binding, eval_local
+from .twigjoin import eval_local
 
 CENTRALIZED = "centralized"
 P2P = "p2p"
@@ -238,13 +238,13 @@ class Store:
             )
         if self.config.backend == CENTRALIZED:
             bindings = eval_local(pattern, list(self.documents.values()))
-            return QueryResult(self._bindings_to_resources(pattern, bindings),
-                               NetworkStats())
-        before = self.net.stats.copy()
+            labels = (b[i] for b in bindings for i in pattern.return_nodes)
+            resources = recompose(
+                labels, lambda sid: serialize_node(self.documents[sid.doc_id], sid)
+            )
+            return QueryResult(resources, NetworkStats())
         plan = self.build_plan(pattern, with_recompose=True)
-        result, _ = planner.execute(plan, self.exec_ctx)
-        delta = self.net.stats.delta_since(before)
-        return QueryResult(result, delta)
+        return QueryResult(*planner.execute(plan, self.exec_ctx))
 
     def build_plan(self, pattern: TreePattern, with_recompose: bool) -> planner.Plan:
         dec = planner.decompose(pattern)
@@ -255,26 +255,7 @@ class Store:
             self.query_peer,
         )
         plan = builder.build(dec, with_recompose=with_recompose)
-        plan = planner.rewrite(plan, planner.default_rules(), 16, self.index.stats)
         return planner.place(plan, self.index.stats, self.query_peer)
-
-    def _bindings_to_resources(
-        self, pattern: TreePattern, bindings: list[Binding]
-    ) -> list[Resource]:
-        targets: list[StructuralId] = []
-        seen: set[StructuralId] = set()
-        for binding in bindings:
-            for idx in pattern.return_nodes:
-                sid = binding[idx]
-                if sid not in seen:
-                    seen.add(sid)
-                    targets.append(sid)
-        targets.sort()
-        out = []
-        for sid in targets:
-            payload = serialize_node(self.documents[sid.doc_id], sid)
-            out.append(Resource(f"{sid.doc_id}#{sid.start}", sid.doc_id, sid, payload))
-        return out
 
     # -- rdf ------------------------------------------------------------------
 
@@ -323,10 +304,12 @@ def snapshot(store: Store, path: str) -> None:
     refuses a triple whose text could not be read back.
 
     Resources are not written: ``restore`` derives them again from each
-    document and the config's ``resource_granularity``.
+    document and the config's ``resource_granularity``.  Nor is the
+    config's ``snapshot_path``: a file does not record where it lives.
     """
     blob = bytearray(_MAGIC)
-    blob += _record(b"CONF", store.config.to_text().encode("utf-8"))
+    conf = replace(store.config, snapshot_path="").to_text()
+    blob += _record(b"CONF", conf.encode("utf-8"))
     for doc_id in sorted(store.documents):
         text = serialize_document(store.documents[doc_id])
         blob += _record(b"DOC\x00", struct.pack(">Q", doc_id) + text.encode("utf-8"))
@@ -347,7 +330,9 @@ def restore(path: str) -> Store:
 
     A p2p store's postings go straight to their owners through
     ``DhtService.put_direct``: no message is simulated, and the stats are
-    the ones the ``NSTA`` record saved.
+    the ones the ``NSTA`` record saved.  The store's ``snapshot_path`` is
+    ``path``, whatever path an older file recorded.  Doc ids must be
+    positive and rising, as ``snapshot`` writes them.
     """
     try:
         with open(path, "rb") as fh:
@@ -380,6 +365,7 @@ def restore(path: str) -> Store:
     if not records or records[0][0] != b"CONF":
         raise CorruptSnapshot("missing CONFIG record")
     config = StoreConfig.from_text(_utf8(*records[0]))
+    config.snapshot_path = path
     store = Store(config)
     put = store.dht.put_direct if config.backend == P2P else None
 
@@ -389,9 +375,11 @@ def restore(path: str) -> Store:
             if len(payload) < 8:
                 raise CorruptSnapshot("DOC record too short for its doc id")
             (doc_id,) = struct.unpack_from(">Q", payload, 0)
+            if doc_id < store._next_doc_id:
+                raise CorruptSnapshot(f"doc id {doc_id} does not rise")
             doc = parse_document(_utf8(tag, payload[8:]), doc_id)
             store._register(doc, put)
-            store._next_doc_id = max(store._next_doc_id, doc_id + 1)
+            store._next_doc_id = doc_id + 1
         elif tag == b"TRPL":
             # one triple per line; older files hold one triple per record
             lines = _utf8(tag, payload).split("\n")

@@ -170,11 +170,10 @@ def _bfs_order(pattern: TreePattern) -> list[int]:
 
 
 class QueryCache:
-    """Cache keyed by canonical pattern text, epoch-invalidated.
+    """Cache keyed by canonical pattern text, invalidated by an epoch number.
 
-    No evaluator consults it.  It stays, with ``IndexService.epoch``, only
-    because the benchmark traces ``QueryCache.lookup``; both go when that
-    trace target is retired.
+    No evaluator consults it.  It stays only because the benchmark traces
+    ``QueryCache.lookup``; it goes when that trace target is retired.
     """
 
     def __init__(self):

@@ -11,14 +11,7 @@ from twigstore import planner
 from twigstore.document import serialize_document
 from twigstore.netsim import Network
 from twigstore.overlay import DhtService
-from twigstore.planner import (
-    PlanBuilder,
-    decompose,
-    default_rules,
-    execute,
-    place,
-    rewrite,
-)
+from twigstore.planner import PlanBuilder, decompose, execute, place
 from twigstore.rdfstore import (
     ConjunctiveQuery,
     Triple,
@@ -101,9 +94,7 @@ def _pipeline_trial(rng, collect_bytes=None):
     pattern = random_pattern(rng, max_nodes=5)
     want = eval_naive(pattern, docs)
     naive_plan = builder.build(decompose(pattern), False)
-    placed_plan = place(
-        rewrite(naive_plan, default_rules(), 16, index.stats), index.stats, 1
-    )
+    placed_plan = place(naive_plan, index.stats, 1)
     placed_result, placed_delta = execute(placed_plan, ctx)
     assert planner.dataset_to_bindings(pattern, placed_result) == want, (
         f"pipeline divergence on {pattern}"
@@ -126,9 +117,7 @@ def test_criterion_3_transfer_reduction():
         net, index, ctx, builder, pattern, _, doc = skew_cluster(1000, 10)
         dec = decompose(pattern)
         naive_plan = builder.build(dec, False)
-        placed_plan = place(
-            rewrite(naive_plan, default_rules(), 16, index.stats), index.stats, 1
-        )
+        placed_plan = place(naive_plan, index.stats, 1)
         want = eval_naive(pattern, [doc])
         naive_result, naive_delta = execute(naive_plan, ctx)
         placed_result, placed_delta = execute(placed_plan, ctx)

@@ -77,6 +77,23 @@ def test_snapshot_restore_cycle(workdir, capsys):
     assert capsys.readouterr().out.strip() == "<par>xml</par>"
 
 
+def test_moved_snapshot_saves_where_the_config_points(workdir, capsys):
+    # a copied snapshot still names the original file inside; the config
+    # that points at the copy decides where the store is saved
+    main(["ingest", "d1.xml"])
+    moved = workdir / "moved.snap"
+    moved.write_bytes((workdir / "demo.snap").read_bytes())
+    (workdir / "moved.cfg").write_text(CONFIG.format(snap=moved), encoding="utf-8")
+    original = (workdir / "demo.snap").read_bytes()
+    capsys.readouterr()
+    assert main(["ingest", "d1.xml", "--config", "moved.cfg"]) == 0
+    assert "2#1 2#6" in capsys.readouterr().out
+    assert (workdir / "demo.snap").read_bytes() == original
+    assert main(["get", "2#1", "--config", "moved.cfg"]) == 0
+    assert capsys.readouterr().out.strip() == D1
+    assert main(["get", "2#1"]) == 1
+
+
 def test_user_errors_exit_1(workdir, capsys):
     assert main(["get", "nope"]) == 1
     assert main(["query", "//sec[!"]) == 1
@@ -136,6 +153,7 @@ def test_corrupt_snapshot_exit_1(workdir, capsys):
     bad_records = [
         [(b"CONF", conf), (b"DOC\x00", b"\x00\x01")],
         [(b"CONF", conf), (b"DOC\x00", doc_id + b"<a>caf\xe9</a>")],
+        [(b"CONF", conf), (b"DOC\x00", doc_id + b"<a/>"), (b"DOC\x00", doc_id + b"<z/>")],
         [(b"CONF", conf), (b"TRPL", b"a\tb\t\xff")],
         [(b"CONF", conf), (b"NSTA", b"total 0 \xff")],
         [(b"CONF", conf + b"\xff")],

@@ -13,6 +13,7 @@ from twigstore.document import (
     is_ancestor,
     is_parent,
     parse_document,
+    recompose,
     serialize_document,
     serialize_subtree,
 )
@@ -200,6 +201,24 @@ def test_one_pass_extraction_equals_per_resource_serialization(tree, granularity
     for res in resources:
         assert res.resource_id == f"3#{res.root_label.start}"
         assert res.payload == serialize_subtree(doc, res.root_label)
+
+
+def test_recompose_one_resource_per_distinct_label_in_label_order():
+    # both backends build their answers here, so the transparency tests
+    # cannot see a fault in it
+    a, b, c = StructuralId(2, 1, 4, 1), StructuralId(1, 5, 5, 2), StructuralId(1, 2, 9, 1)
+    fetched = []
+
+    def payload(label):
+        fetched.append(label)
+        return f"<p{label.start}/>"
+
+    got = recompose([a, b, a, c, b], payload)
+    assert fetched == [c, b, a]
+    assert [(r.resource_id, r.doc_id, r.root_label, r.payload) for r in got] == [
+        ("1#2", 1, c, "<p2/>"), ("1#5", 1, b, "<p5/>"), ("2#1", 2, a, "<p1/>"),
+    ]
+    assert recompose(iter([]), payload) == []
 
 
 def _naive_spans(xml_text):

@@ -107,12 +107,3 @@ def test_value_round_trip_exact_bounds():
     assert [p.start for p in in_range] == [5]
     assert index.lookup_value_range("n", 1999, 1999, 1) == [StructuralId(1, 2, 4, 2)]
     assert index.lookup_value_range("n", 2010, 2020, 1) == []
-
-
-def test_epoch_bumps_on_writes():
-    net, dht, index = make_cluster()
-    assert index.epoch == 0
-    index.index_document(parse_document("<a/>", 1), 1)
-    assert index.epoch == 1
-    index.index_document(parse_document("<a/>", 2), 1)
-    assert index.epoch == 2

@@ -224,6 +224,67 @@ def test_rewrite_nonterminating_rule_cut_by_max_passes():
     assert plan_size(out) >= 1  # terminated despite the pathological rule
 
 
+def test_build_golden_word_range_and_recompose():
+    # leaves sit at their key owners (t:paper and t:title on peer 4, w:dht
+    # on peer 1, the year range on peer 3); every other operator sits at
+    # the query peer, with a Ship wherever an input lives elsewhere
+    net, dht, index = make_cluster()
+    builder = PlanBuilder(
+        0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1
+    )
+    pattern = parse_pattern('//paper[/year in 2000..2005][/title="dht"]!')
+    plan = builder.build(decompose(pattern), with_recompose=True)
+    assert plan_to_xml(plan) == (
+        '<Recompose site="1" ret="0">'
+        '<StructJoin site="1" axis="child" parent="0" child="1">'
+        '<StructJoin site="1" axis="child" parent="0" child="2">'
+        '<Ship site="1"><IndexLookup site="4" dht="0" key="t:paper" var="0"/></Ship>'
+        '<Intersect site="1" var="2">'
+        '<Ship site="1"><IndexLookup site="4" dht="0" key="t:title" var="2"/></Ship>'
+        '<IndexLookup site="1" dht="0" key="w:dht" var="2"/>'
+        "</Intersect>"
+        "</StructJoin>"
+        '<Ship site="1">'
+        '<RangeLookup site="3" dht="1" tag="year" lo="2000" hi="2005" var="1"/>'
+        "</Ship>"
+        "</StructJoin>"
+        "</Recompose>"
+    )
+    # without Recompose a root that sits elsewhere ships to the query peer
+    plan = builder.build(decompose(parse_pattern("//paper!")), with_recompose=False)
+    assert plan_to_xml(plan) == (
+        '<Ship site="1"><IndexLookup site="4" dht="0" key="t:paper" var="0"/></Ship>'
+    )
+
+
+def test_place_discards_what_rewrite_changes_randomized():
+    # Store.build_plan places the built plan without rewriting it first,
+    # because placement gives the same plan either way
+    rng = random.Random(0x9E)
+    compared = 0
+    for trial in range(80):
+        peers = (1, 3, 4, 8)[trial % 4]
+        net, dht, index = make_cluster(peers)
+        index_corpus(index, random_corpus(rng, max_docs=6, max_nodes=30),
+                     list(range(1, peers + 1)))
+        query_peer = rng.randint(1, peers)
+        builder = PlanBuilder(
+            0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
+        )
+        for _ in range(3):
+            pattern = random_pattern(rng)
+            if pattern.all_wildcard:
+                continue
+            for with_recompose in (False, True):
+                plan = builder.build(decompose(pattern), with_recompose)
+                rewritten = rewrite(plan, default_rules(), 16, index.stats)
+                assert plan_to_xml(place(rewritten, index.stats, query_peer)) == (
+                    plan_to_xml(place(plan, index.stats, query_peer))
+                ), pattern
+                compared += 1
+    assert compared >= 400
+
+
 # -- execution ------------------------------------------------------------------------
 
 
@@ -237,7 +298,6 @@ def pipeline(store_docs, pattern_text, query_peer=1, with_recompose=False):
         0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
     )
     plan = builder.build(decompose(pattern), with_recompose=with_recompose)
-    plan = rewrite(plan, default_rules(), 16, index.stats)
     plan = place(plan, index.stats, query_peer)
     result, delta = execute(plan, ctx)
     return pattern, docs, result, delta, net
@@ -318,9 +378,7 @@ def test_skew_workload_placed_beats_naive():
     net, index, ctx, builder, pattern, _, doc = skew_cluster(200, 8)
     dec = decompose(pattern)
     naive_plan = builder.build(dec, False)
-    placed_plan = place(
-        rewrite(naive_plan, default_rules(), 16, index.stats), index.stats, 1
-    )
+    placed_plan = place(naive_plan, index.stats, 1)
     naive_result, naive_delta = execute(naive_plan, ctx)
     placed_result, placed_delta = execute(placed_plan, ctx)
     want = eval_naive(pattern, [doc])
