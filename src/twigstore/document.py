@@ -46,7 +46,6 @@ class StructuralId:
 
 @dataclass(frozen=True, slots=True)
 class Node:
-    node_id: int
     kind: str
     name_or_value: str
     label: StructuralId
@@ -68,7 +67,7 @@ class Document:
     doc_id: int
     root: Node = field(init=False)
     nodes: list[Node] = field(default_factory=list)
-    _children: dict[int, list[Node]] = field(default_factory=dict)
+    _children: dict[int, list[Node]] = field(default_factory=dict)  # by start
     _by_start: dict[int, Node] = field(default_factory=dict)
     _by_name: dict[str, list[Node]] | None = None
 
@@ -104,7 +103,7 @@ class Document:
         return self._by_name.get(name, [])
 
     def children(self, node: Node) -> list[Node]:
-        return self._children.get(node.node_id, [])
+        return self._children.get(node.label.start, [])
 
     def text_children(self, node: Node) -> list[str]:
         return [c.name_or_value for c in self.children(node) if c.kind == TEXT]
@@ -180,25 +179,19 @@ def parse_document(xml_text: str, doc_id: int) -> Document:
 
     doc = Document(doc_id=doc_id)
     counter = [0]
-    ids = [0]
 
     def next_pos() -> int:
         counter[0] += 1
         return counter[0]
 
-    def next_id() -> int:
-        ids[0] += 1
-        return ids[0]
-
     def leaf(kind: str, text: str, depth: int, value: str = "") -> Node:
         pos = next_pos()
-        node = Node(next_id(), kind, text, StructuralId(doc_id, pos, pos, depth), value)
+        node = Node(kind, text, StructuralId(doc_id, pos, pos, depth), value)
         doc.nodes.append(node)
         return node
 
     def walk(elem: ET.Element, depth: int) -> Node:
         start = next_pos()
-        node_id = next_id()
         slot = len(doc.nodes)
         doc.nodes.append(None)  # type: ignore[arg-type]  # filled once end is known
         kids: list[Node] = []
@@ -211,10 +204,10 @@ def parse_document(xml_text: str, doc_id: int) -> Document:
             if child.tail and child.tail.strip():
                 kids.append(leaf(TEXT, child.tail, depth + 1))
         end = next_pos()
-        node = Node(node_id, ELEMENT, elem.tag, StructuralId(doc_id, start, end, depth))
+        node = Node(ELEMENT, elem.tag, StructuralId(doc_id, start, end, depth))
         doc.nodes[slot] = node
         if kids:
-            doc._children[node_id] = kids
+            doc._children[start] = kids
         return node
 
     walk(root_elem, 1)

@@ -1,15 +1,18 @@
 """Deterministic discrete-event message-passing harness.
 
 Logical time advances in ticks; an envelope sent at tick t is delivered at
-t + 1, and envelopes sharing a tick are delivered in enqueue order.  The
-cost unit is bytes: stats are charged at delivery, and self-addressed
+t + 1.  The queue is first in, first out: every send stamps ``tick + 1``
+and ``tick`` only moves forward, to the stamp of the envelope delivered,
+so stamps never decrease in send order and delivering in send order is
+delivering in stamp order, envelopes sharing a tick in enqueue order.
+The cost unit is bytes: stats are charged at delivery, and self-addressed
 envelopes are counted as messages but cost zero network bytes, because the
 placement optimizer's objective only cares about remote transfers.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,8 +82,7 @@ class Network:
         self.peers: dict[PeerId, Behavior] = {}
         self.stats = NetworkStats()
         self.tick = 0
-        self._seq = 0
-        self._queue: list[tuple[int, int, Envelope]] = []
+        self._queue: deque[Envelope] = deque()
 
     def spawn_peer(self, peer_id: PeerId, behavior: Behavior) -> None:
         if peer_id in self.peers:
@@ -97,9 +99,7 @@ class Network:
             raise UnknownPeer(f"sender {from_peer} does not exist")
         if to_peer not in self.peers:
             raise UnknownPeer(f"recipient {to_peer} does not exist")
-        env = Envelope(from_peer, to_peer, payload, self.tick + 1)
-        self._seq += 1
-        heapq.heappush(self._queue, (env.deliver_at, self._seq, env))
+        self._queue.append(Envelope(from_peer, to_peer, payload, self.tick + 1))
 
     @property
     def pending_count(self) -> int:
@@ -112,17 +112,17 @@ class Network:
         more than ``max_ticks`` ticks would be needed.
         """
         start = self.tick
-        while self._queue:
-            next_tick = self._queue[0][0]
-            if next_tick - start > max_ticks:
+        queue = self._queue
+        while queue:
+            env = queue[0]
+            if env.deliver_at - start > max_ticks:
                 raise TickBudgetExceeded(
-                    f"{len(self._queue)} envelopes still queued after {max_ticks} ticks"
+                    f"{len(queue)} envelopes still queued after {max_ticks} ticks"
                 )
-            self.tick = next_tick
-            while self._queue and self._queue[0][0] == self.tick:
-                _, _, env = heapq.heappop(self._queue)
-                self.stats.record(env.from_peer, env.to_peer, len(env.payload))
-                handler = self.peers.get(env.to_peer)
-                if handler is None:
-                    raise UnknownPeer(f"peer {env.to_peer} vanished before delivery")
-                handler(self, env)
+            queue.popleft()
+            self.tick = env.deliver_at
+            self.stats.record(env.from_peer, env.to_peer, len(env.payload))
+            handler = self.peers.get(env.to_peer)
+            if handler is None:
+                raise UnknownPeer(f"peer {env.to_peer} vanished before delivery")
+            handler(self, env)

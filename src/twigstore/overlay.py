@@ -1,7 +1,8 @@
 """Coexisting key/value overlays over simulated peers.
 
 Two overlay kinds share the per-peer endpoint surface (join, leave, put,
-get):
+get) and one routing question, ``route(peer, key)``: ``None`` when
+``peer`` owns the key, else the peer it sends the key to.
 
 * ``HashOverlay`` — a ring of peers ordered by a 64-bit position; a key
   lives on the first peer at or clockwise after its position.  Routing
@@ -13,7 +14,8 @@ get):
   not, the next hop.  Each hop is one simulated message, O(log peers) of
   them per key.
 * ``RangeOverlay`` — an order-preserving partition of the key domain into
-  half-open intervals, one per peer, split at the midpoint on join.  It
+  half-open intervals, one per peer, split at the midpoint on join.  Every
+  peer knows the partition, so the next hop is the owner itself.  It
   additionally supports ``get_range``, contacting exactly the peers whose
   intervals intersect the queried interval.
 
@@ -21,20 +23,27 @@ Values under one key form a multiset; duplicates are preserved, in the
 order they were put.  Keys are handed over synchronously on join/leave
 (control plane); only data operations generate accounted traffic.
 
-``DhtService.put`` publishes a batch of ``(key, value)`` items.  On a hash
-overlay each peer on the way, the publisher included, stores the items it
-owns and sends the rest on as one envelope per next hop, so a batch splits
-along the routing tree; a range overlay's publisher sends one envelope per
-owner.  All items one peer owns take the same path, so each key keeps its
-value order.  A put envelope is the wire tag, the overlay id, an item count
-and the items, each a key (``pack_str``) and a value (``pack_bytes``).  A
-forwarding peer decodes only the keys: it sends each item on as the byte
-span it arrived in, and a batch that goes on whole to one hop as the
-received payload itself.
+``DhtService.put`` publishes a batch of ``(key, value)`` items.  Each peer
+on the way, the publisher included, stores the items it owns and sends the
+rest on as one envelope per next hop, so on a hash overlay a batch splits
+along the routing tree and on a range overlay the publisher sends one
+envelope per owner.  All items one peer owns take the same path, so each
+key keeps its value order.  A put envelope is the wire tag, the overlay
+id, an item count and the items, each a key (``pack_str``) and a value
+(``pack_bytes``).  A forwarding peer decodes only the keys: it sends each
+item on as the byte span it arrived in, and a batch that goes on whole to
+one hop as the received payload itself.  One put and one get handler
+serve both overlay kinds; the kind only picks the wire tag.
 ``DhtService.put_direct`` is the one control-plane data operation: it
 stores the items on their owners without sending a message, which is how
 snapshot restore rebuilds the overlays.  Item and response value counts
 and key lengths take 2 bytes, or 6 from 0xFFFF up.
+
+Wire tags: 0x01/0x04 put and 0x02/0x05 get on a hash/range overlay, 0x06
+range scan, 0x03/0x07 their responses.  Every request that expects an
+answer (get, scan, the plan executor's subtree fetch) takes its id from
+``DhtService.new_request``, and every response tag maps to ``on_response``,
+which files the payload for ``take_response``.
 """
 
 from __future__ import annotations
@@ -82,11 +91,11 @@ def ring_hash(text: str) -> int:
 # wire tags
 _HASH_PUT = 0x01
 _HASH_GET = 0x02
-_HASH_GET_RESP = 0x03
+_GET_RESP = 0x03
 _RANGE_PUT = 0x04
 _RANGE_GET = 0x05
 _RANGE_SCAN = 0x06
-_RANGE_RESP = 0x07
+_SCAN_RESP = 0x07
 
 
 def pack_str(text: str) -> bytes:
@@ -179,6 +188,7 @@ class HashOverlay:
     """
 
     kind = "hash"
+    put_tag, get_tag = _HASH_PUT, _HASH_GET
 
     def __init__(self, dht_id: int, mode: str = "fnv"):
         if mode not in ("fnv", "decimal"):
@@ -228,8 +238,8 @@ class HashOverlay:
         pred_dist = (self.members[self.members[peer].predecessor].position - pos) & _MASK64
         return pos, pred_dist, [d for d, _ in table], [finger for _, finger in table]
 
-    def route(self, peer: PeerId, key_pos: int) -> PeerId | None:
-        """``None`` when ``peer`` owns the key, else where it sends the key:
+    def route(self, peer: PeerId, key: str) -> PeerId | None:
+        """``None`` when ``peer`` owns ``key``, else where it sends the key:
         its successor when the successor owns the key, else its closest
         finger before the key.
 
@@ -241,7 +251,7 @@ class HashOverlay:
         if table is None:
             table = self._fingers[peer] = self._finger_table(peer)
         pos, pred_dist, dists, fingers = table
-        d = (key_pos - pos) & _MASK64
+        d = (self.key_position(key) - pos) & _MASK64
         if d == 0 or d > pred_dist:
             return None
         i = bisect_left(dists, d)
@@ -315,6 +325,7 @@ class RangeOverlay:
     """
 
     kind = "range"
+    put_tag, get_tag = _RANGE_PUT, _RANGE_GET
 
     def __init__(
         self,
@@ -357,6 +368,12 @@ class RangeOverlay:
 
     def owner_of(self, key: str) -> PeerId:
         return self.owner_of_point(self.point(key))
+
+    def route(self, peer: PeerId, key: str) -> PeerId | None:
+        """``None`` when ``peer`` owns ``key``, else the owner: every peer
+        knows the whole partition, so a request takes one hop."""
+        owner = self.owner_of(key)
+        return None if owner == peer else owner
 
     def join(self, peer: PeerId) -> None:
         if peer in self.members:
@@ -432,10 +449,14 @@ class RangeOverlay:
 Overlay = HashOverlay | RangeOverlay
 # ``DhtService.put`` or ``DhtService.put_direct``: (dht_id, via, items)
 PutFn = Callable[[int, PeerId, Items], None]
+Handler = Callable[[Network, Envelope], None]
+
+# a response is its wire tag, the request id, then the answer
+RESPONSE_BODY = 5
 
 
 def _values_response(req: int, values: list[bytes]) -> bytes:
-    head = bytes([_HASH_GET_RESP]) + struct.pack(">I", req) + pack_count(len(values))
+    head = bytes([_GET_RESP]) + struct.pack(">I", req) + pack_count(len(values))
     return head + b"".join(map(pack_bytes, values))
 
 
@@ -444,17 +465,24 @@ class DhtService:
 
     All overlay logic runs inside the network's event loop; each public
     operation injects the initial request and drains the loop, so calls
-    never overlap a simulation step.  External subsystems (the plan
-    executor) can register additional wire-tag handlers on the same peer
-    dispatchers.
+    never overlap a simulation step.  Every peer dispatches by wire tag
+    through one table, to which the plan executor adds its own tags.
     """
 
     def __init__(self, net: Network, tick_budget: int = DEFAULT_TICK_BUDGET):
         self.net = net
         self.tick_budget = tick_budget
         self.overlays: dict[int, Overlay] = {}
-        self._extra_handlers: dict[int, Callable[[Network, Envelope], None]] = {}
-        self._responses: dict[int, object] = {}
+        self._handlers: dict[int, Handler] = {
+            _HASH_PUT: self._on_put,
+            _RANGE_PUT: self._on_put,
+            _HASH_GET: self._on_get,
+            _RANGE_GET: self._on_get,
+            _RANGE_SCAN: self._on_scan,
+            _GET_RESP: self.on_response,
+            _SCAN_RESP: self.on_response,
+        }
+        self._responses: dict[int, bytes] = {}
         self._next_req = 0
 
     # -- peer and overlay lifecycle -------------------------------------
@@ -462,8 +490,10 @@ class DhtService:
     def add_peer(self, peer: PeerId) -> None:
         self.net.spawn_peer(peer, self._dispatch)
 
-    def register_handler(self, tag: int, fn: Callable[[Network, Envelope], None]) -> None:
-        self._extra_handlers[tag] = fn
+    def register_handler(self, tag: int, fn: Handler) -> None:
+        if tag in self._handlers:
+            raise ValueError(f"wire tag {tag:#x} already has a handler")
+        self._handlers[tag] = fn
 
     def create_hash_overlay(self, dht_id: int, mode: str = "fnv") -> HashOverlay:
         if dht_id in self.overlays:
@@ -504,20 +534,15 @@ class DhtService:
         """Publish ``items`` from ``via``, then drain the simulator once."""
         ov = self._overlay(dht_id)
         self._check_member(ov, via)
-        hashed = isinstance(ov, HashOverlay)
         groups: dict[PeerId, list[bytes]] = {}
         for key, value in items:
-            if hashed:
-                hop = ov.route(via, ov.key_position(key))
-            else:
-                hop = ov.owner_of(key)
-            if hop is None or hop == via:
+            hop = ov.route(via, key)
+            if hop is None:
                 ov.store_value(via, key, value)
             else:
                 groups.setdefault(hop, []).append(pack_str(key) + pack_bytes(value))
         if groups:
-            tag = _HASH_PUT if hashed else _RANGE_PUT
-            self._send_put_groups(via, bytes([tag, dht_id]), groups)
+            self._send_put_groups(via, bytes([ov.put_tag, dht_id]), groups)
             self.net.run_until_quiescent(self.tick_budget)
 
     def put_direct(self, dht_id: int, via: PeerId, items: Items) -> None:
@@ -535,21 +560,24 @@ class DhtService:
     def get(self, dht_id: int, via: PeerId, key: str) -> list[bytes]:
         ov = self._overlay(dht_id)
         self._check_member(ov, via)
-        if isinstance(ov, HashOverlay):
-            tag, first_hop = _HASH_GET, ov.route(via, ov.key_position(key))
-        else:
-            tag, first_hop = _RANGE_GET, ov.owner_of(key)
-        if first_hop is None or first_hop == via:
+        hop = ov.route(via, key)
+        if hop is None:
             return ov.local_values(via, key)
-        req = self._new_request()
+        req = self.new_request()
         payload = (
-            bytes([tag, ov.dht_id])
+            bytes([ov.get_tag, ov.dht_id])
             + struct.pack(">IQ", req, via)
             + pack_str(key)
         )
-        self.net.send(via, first_hop, payload)
+        self.net.send(via, hop, payload)
         self.net.run_until_quiescent(self.tick_budget)
-        return self._take_response(req)
+        response = self.take_response(req)
+        count, off = unpack_count(response, RESPONSE_BODY)
+        values = []
+        for _ in range(count):
+            value, off = unpack_bytes(response, off)
+            values.append(value)
+        return values
 
     def get_range(
         self, dht_id: int, via: PeerId, lo: str, hi: str
@@ -569,7 +597,7 @@ class DhtService:
             if pid == via:
                 items.extend(ov.local_scan(via, lo, hi))
                 continue
-            req = self._new_request()
+            req = self.new_request()
             pending.append(req)
             payload = (
                 bytes([_RANGE_SCAN, ov.dht_id])
@@ -581,9 +609,27 @@ class DhtService:
         if pending:
             self.net.run_until_quiescent(self.tick_budget)
             for req in pending:
-                items.extend(self._take_response(req))
+                items.extend(unpack_items(self.take_response(req), RESPONSE_BODY))
         items.sort(key=lambda kv: ov._sort_key(kv[0]))
         return items
+
+    # -- requests and responses ------------------------------------------
+
+    def new_request(self) -> int:
+        """A fresh request id; its response carries it back."""
+        self._next_req += 1
+        return self._next_req
+
+    def take_response(self, req: int) -> bytes:
+        """The payload that answered ``req``; its body starts at
+        ``RESPONSE_BODY``."""
+        if req not in self._responses:
+            raise RuntimeError(f"request {req} produced no response")
+        return self._responses.pop(req)
+
+    def on_response(self, net: Network, env: Envelope) -> None:
+        (req,) = struct.unpack_from(">I", env.payload, 1)
+        self._responses[req] = env.payload
 
     # -- plumbing ----------------------------------------------------------
 
@@ -593,10 +639,6 @@ class DhtService:
         if via not in ov.members:
             raise NotMember(f"peer {via} is not a member of overlay {ov.dht_id}")
 
-    def _new_request(self) -> int:
-        self._next_req += 1
-        return self._next_req
-
     def _send_put_groups(
         self, me: PeerId, head: bytes, groups: dict[PeerId, list[bytes]]
     ) -> None:
@@ -605,43 +647,23 @@ class DhtService:
         for hop, spans in groups.items():
             self.net.send(me, hop, head + pack_count(len(spans)) + b"".join(spans))
 
-    def _take_response(self, req: int) -> list:
-        if req not in self._responses:
-            raise RuntimeError(f"request {req} produced no response")
-        return self._responses.pop(req)  # type: ignore[return-value]
-
     def _dispatch(self, net: Network, env: Envelope) -> None:
-        tag = env.payload[0]
-        if tag == _HASH_PUT:
-            self._on_hash_put(net, env)
-        elif tag == _HASH_GET:
-            self._on_hash_get(net, env)
-        elif tag == _HASH_GET_RESP:
-            self._on_get_resp(env)
-        elif tag == _RANGE_PUT:
-            self._on_range_put(env)
-        elif tag == _RANGE_GET:
-            self._on_range_get(net, env)
-        elif tag == _RANGE_SCAN:
-            self._on_range_scan(net, env)
-        elif tag == _RANGE_RESP:
-            self._on_range_resp(env)
-        elif tag in self._extra_handlers:
-            self._extra_handlers[tag](net, env)
-        else:
-            raise ValueError(f"unknown wire tag {tag:#x}")
+        handler = self._handlers.get(env.payload[0])
+        if handler is None:
+            raise ValueError(f"unknown wire tag {env.payload[0]:#x}")
+        handler(net, env)
 
-    def _on_hash_put(self, net: Network, env: Envelope) -> None:
+    def _on_put(self, net: Network, env: Envelope) -> None:
         """Store the items of a put envelope that this peer owns and send
         the rest on, one envelope per next hop.
 
         Only keys are decoded: a forwarded item is its byte span in the
         payload, and a batch that goes on whole to one hop is sent as the
-        payload itself.
+        payload itself.  A range put reaches the owner of all its items,
+        so nothing goes on.
         """
         payload, me = env.payload, env.to_peer
         ov = self._overlay(payload[1])
-        assert isinstance(ov, HashOverlay)
         count, off = unpack_count(payload, 2)
         groups: dict[PeerId, list[bytes]] = {}
         owned = False
@@ -650,7 +672,7 @@ class DhtService:
             key, off = unpack_str(payload, off)
             (size,) = struct.unpack_from(">I", payload, off)
             off += 4 + size
-            hop = ov.route(me, ov.key_position(key))
+            hop = ov.route(me, key)
             if hop is None:
                 ov.store_value(me, key, payload[off - size : off])
                 owned = True
@@ -661,51 +683,24 @@ class DhtService:
         else:
             self._send_put_groups(me, payload[:2], groups)
 
-    def _on_hash_get(self, net: Network, env: Envelope) -> None:
+    def _on_get(self, net: Network, env: Envelope) -> None:
+        """Answer a get this peer owns the key of, else send it on."""
         ov = self._overlay(env.payload[1])
-        assert isinstance(ov, HashOverlay)
         me = env.to_peer
         req, origin = struct.unpack_from(">IQ", env.payload, 2)
         key, _ = unpack_str(env.payload, 14)
-        hop = ov.route(me, ov.key_position(key))
+        hop = ov.route(me, key)
         if hop is None:
             net.send(me, origin, _values_response(req, ov.local_values(me, key)))
         else:
             net.send(me, hop, env.payload)
 
-    def _on_get_resp(self, env: Envelope) -> None:
-        (req,) = struct.unpack_from(">I", env.payload, 1)
-        count, off = unpack_count(env.payload, 5)
-        values = []
-        for _ in range(count):
-            v, off = unpack_bytes(env.payload, off)
-            values.append(v)
-        self._responses[req] = values
-
-    def _on_range_put(self, env: Envelope) -> None:
-        ov = self._overlay(env.payload[1])
-        assert isinstance(ov, RangeOverlay)
-        for key, value in unpack_items(env.payload, 2):
-            ov.store_value(env.to_peer, key, value)
-
-    def _on_range_get(self, net: Network, env: Envelope) -> None:
-        ov = self._overlay(env.payload[1])
-        assert isinstance(ov, RangeOverlay)
-        req, origin = struct.unpack_from(">IQ", env.payload, 2)
-        key, _ = unpack_str(env.payload, 14)
-        values = ov.local_values(env.to_peer, key)
-        net.send(env.to_peer, origin, _values_response(req, values))
-
-    def _on_range_scan(self, net: Network, env: Envelope) -> None:
+    def _on_scan(self, net: Network, env: Envelope) -> None:
         ov = self._overlay(env.payload[1])
         assert isinstance(ov, RangeOverlay)
         req, origin = struct.unpack_from(">IQ", env.payload, 2)
         lo, off = unpack_str(env.payload, 14)
         hi, _ = unpack_str(env.payload, off)
         items = ov.local_scan(env.to_peer, lo, hi)
-        head = bytes([_RANGE_RESP]) + struct.pack(">I", req)
+        head = bytes([_SCAN_RESP]) + struct.pack(">I", req)
         net.send(env.to_peer, origin, head + pack_items(items))
-
-    def _on_range_resp(self, env: Envelope) -> None:
-        (req,) = struct.unpack_from(">I", env.payload, 1)
-        self._responses[req] = unpack_items(env.payload, 5)

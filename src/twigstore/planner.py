@@ -45,7 +45,7 @@ from .indexing import (
     word_key,
 )
 from .netsim import Envelope, Network, NetworkStats, PeerId
-from .overlay import pack_bytes, unpack_bytes
+from .overlay import RESPONSE_BODY, pack_bytes, unpack_bytes
 from .pattern import CHILD, TreePattern
 from .twigjoin import Binding, sort_bindings, stack_join
 
@@ -572,13 +572,20 @@ def _strip_transport(plan: Plan) -> Plan:
     return node
 
 
+def _ship(plan: Plan, site: PeerId) -> Plan:
+    """Ship ``plan``'s output to ``site``, with the estimates ``annotate``
+    gives it: a Ship carries its input's columns, and never a Recompose."""
+    return Plan("Ship", site, kids=[plan], cols=plan.cols,
+                est_rows=plan.est_rows, est_bytes=plan.est_bytes)
+
+
 def _reship(plan: Plan) -> Plan:
     """Insert Ship edges so every operator's inputs sit at its site."""
     kids = []
     for kid in plan.kids:
         kid = _reship(kid)
         if kid.site != plan.site:
-            kid = Plan("Ship", plan.site, kids=[kid], cols=kid.cols)
+            kid = _ship(kid, plan.site)
         kids.append(kid)
     return replace(plan, kids=kids)
 
@@ -610,7 +617,7 @@ def _place_naive(plan: Plan, query_peer: PeerId) -> Plan:
 def _pin_root(plan: Plan, query_peer: PeerId) -> Plan:
     if plan.site == query_peer:
         return plan
-    return Plan("Ship", query_peer, kids=[plan], cols=plan.cols)
+    return _ship(plan, query_peer)
 
 
 def place(
@@ -622,14 +629,14 @@ def place(
     are pinned at the query peer.  The greedy placement's estimate is
     compared against the naive all-to-query-peer placement and the cheaper
     plan wins, so the result's estimated cost is <= the naive plan's.
+
+    Only the logical tree is annotated: an estimate does not depend on the
+    site, placing copies it, and each Ship takes its input's.
     """
     logical = _strip_transport(plan)
     annotate(logical, posting_stats)
-
     greedy = _pin_root(_reship(_place_greedy(logical, query_peer)), query_peer)
-    annotate(greedy, posting_stats)
     naive = _pin_root(_reship(_place_naive(logical, query_peer)), query_peer)
-    annotate(naive, posting_stats)
     return greedy if plan_cost(greedy) <= plan_cost(naive) else naive
 
 
@@ -677,7 +684,10 @@ def decode_dataset(payload: bytes, site: PeerId) -> Dataset:
 
 
 class ExecutionContext:
-    """Runtime the executor needs: overlays, index, and document homes."""
+    """Runtime the executor needs: overlays, index, and document homes.
+
+    A subtree fetch uses the overlay service's request ids and responses.
+    """
 
     def __init__(
         self,
@@ -689,11 +699,9 @@ class ExecutionContext:
         self.net = index.dht.net
         self.documents = documents
         self._inbox: list[bytes] = []
-        self._fetches: dict[int, str] = {}
-        self._next_req = 0
         self.dht.register_handler(TAG_DATASET, self._on_dataset)
         self.dht.register_handler(TAG_FETCH, self._on_fetch)
-        self.dht.register_handler(TAG_FETCH_RESP, self._on_fetch_resp)
+        self.dht.register_handler(TAG_FETCH_RESP, self.dht.on_response)
 
     def _on_dataset(self, net: Network, env: Envelope) -> None:
         self._inbox.append(env.payload[1:])
@@ -706,24 +714,19 @@ class ExecutionContext:
         net.send(env.to_peer, origin, bytes([TAG_FETCH_RESP])
                  + struct.pack(">I", req) + pack_bytes(payload))
 
-    def _on_fetch_resp(self, net: Network, env: Envelope) -> None:
-        (req,) = struct.unpack_from(">I", env.payload, 1)
-        raw, _ = unpack_bytes(env.payload, 5)
-        self._fetches[req] = raw.decode("utf-8")
-
     def fetch_subtree(self, via: PeerId, sid: StructuralId) -> str:
         doc, home = self.documents[sid.doc_id]
         if home == via:
             return serialize_node(doc, sid)
-        self._next_req += 1
-        req = self._next_req
+        req = self.dht.new_request()
         self.net.send(
             via, home,
             bytes([TAG_FETCH])
             + struct.pack(">IQQQ", req, via, sid.doc_id, sid.start),
         )
         self.net.run_until_quiescent(self.dht.tick_budget)
-        return self._fetches.pop(req)
+        raw, _ = unpack_bytes(self.dht.take_response(req), RESPONSE_BODY)
+        return raw.decode("utf-8")
 
     def ship(self, ds: Dataset, to: PeerId) -> Dataset:
         if ds.site == to:

@@ -62,7 +62,6 @@ class StoreConfig:
     )
     resource_granularity: set[str] = field(default_factory=set)
     snapshot_path: str = "store.snap"
-    seed: int = 0
 
     def validate(self) -> None:
         if self.backend not in (CENTRALIZED, P2P):
@@ -88,7 +87,6 @@ class StoreConfig:
             f"overlays={overlays}\n"
             f"resource_granularity={granularity}\n"
             f"snapshot_path={self.snapshot_path}\n"
-            f"seed={self.seed}\n"
         )
 
     @classmethod
@@ -115,7 +113,7 @@ class StoreConfig:
             elif key == "snapshot_path":
                 config.snapshot_path = value
             elif key == "seed":
-                config.seed = _parse_int(lineno, value)
+                pass  # a retired field that older configs and snapshots hold
             else:
                 raise MalformedInput(f"line {lineno}: unknown key {key!r}")
         config.validate()

@@ -262,7 +262,6 @@ def test_criterion_6_o1_resource_access(tmp_path):
                     overlays=[(0, "hash"), (1, "range")],
                     resource_granularity={"p"},
                     snapshot_path=str(tmp_path / "a.snap"),
-                    seed=1,
                 )
                 store = Store(config)
                 ids = []
@@ -287,13 +286,13 @@ def test_criterion_7_backend_transparency(tmp_path):
         while trials < 200:
             central = Store(StoreConfig(
                 backend="centralized", snapshot_path=str(tmp_path / "c.snap"),
-                resource_granularity=set(), seed=2,
+                resource_granularity=set(),
             ))
             p2p = Store(StoreConfig(
                 backend="p2p", peer_count=4,
                 overlays=[(0, "hash"), (1, "range")],
                 snapshot_path=str(tmp_path / "p.snap"),
-                resource_granularity=set(), seed=2,
+                resource_granularity=set(),
             ))
             docs = random_corpus(rng, max_docs=5, max_nodes=25)
             for doc in docs:
@@ -345,7 +344,6 @@ def _determinism_scenario(tmp_path, run_no: int) -> str:
         overlays=[(0, "hash"), (1, "range")],
         resource_granularity={"b"},
         snapshot_path=str(tmp_path / f"det{run_no}.snap"),
-        seed=0xD,
     )
     store = Store(config)
     rng = random.Random(0xD0)

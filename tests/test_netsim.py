@@ -1,4 +1,7 @@
+import heapq
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twigstore.errors import DuplicatePeer, TickBudgetExceeded, UnknownPeer
 from twigstore.netsim import Network
@@ -171,3 +174,81 @@ def test_report_format():
     net.send(1, 2, b"12345")
     net.run_until_quiescent(5)
     assert net.stats.report() == "1 2 1 5\ntotal 1 5\n"
+
+
+def _follow_ups(me, payload):
+    """The envelopes a peer sends on receiving ``payload``: each is shorter,
+    so every chain ends."""
+    if len(payload) > 1:
+        yield payload[0] % 4 + 1, payload[1:]
+    if payload[0] % 3 == 0 and len(payload) > 2:
+        yield me, payload[2:]
+
+
+class _HeapModel:
+    """Delivery by a heap ordered on (deliver tick, send sequence)."""
+
+    def __init__(self):
+        self.tick = 0
+        self.seq = 0
+        self.queue = []
+        self.log = []
+
+    def send(self, frm, to, payload):
+        self.seq += 1
+        heapq.heappush(self.queue, (self.tick + 1, self.seq, frm, to, payload))
+
+    def run_until_quiescent(self, max_ticks):
+        start = self.tick
+        while self.queue:
+            if self.queue[0][0] - start > max_ticks:
+                raise TickBudgetExceeded("budget")
+            self.tick = self.queue[0][0]
+            while self.queue and self.queue[0][0] == self.tick:
+                _, _, frm, to, payload = heapq.heappop(self.queue)
+                self.log.append((self.tick, frm, to, payload))
+                for nxt, body in _follow_ups(to, payload):
+                    self.send(to, nxt, body)
+
+
+_PEER = st.integers(1, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("send"), _PEER, _PEER, st.binary(min_size=1, max_size=10)),
+            st.tuples(st.just("drain"), st.integers(0, 12)),
+        ),
+        max_size=24,
+    )
+)
+def test_delivery_follows_send_order_like_a_heap(ops):
+    net, model, log = Network(), _HeapModel(), []
+
+    def handler(net_, env):
+        assert env.deliver_at == net_.tick
+        log.append((net_.tick, env.from_peer, env.to_peer, env.payload))
+        for nxt, body in _follow_ups(env.to_peer, env.payload):
+            net_.send(env.to_peer, nxt, body)
+
+    for p in (1, 2, 3, 4):
+        net.spawn_peer(p, handler)
+    for op in ops + [("drain", 100)]:
+        if op[0] == "send":
+            net.send(*op[1:])
+            model.send(*op[1:])
+            continue
+        outcomes = []
+        for sim in (net, model):
+            try:
+                sim.run_until_quiescent(op[1])
+                outcomes.append(None)
+            except TickBudgetExceeded:
+                outcomes.append("exceeded")
+        assert outcomes[0] == outcomes[1]
+        assert log == model.log
+        assert (net.tick, net.pending_count) == (model.tick, len(model.queue))
+    assert net.pending_count == 0
+    assert net.stats.messages_sent == len(log)

@@ -563,3 +563,75 @@ def test_forwarded_put_envelopes_match_a_decoding_router(peer_count, puts):
             assert ov.members[owner].store[key] == shadow[key]
     assert net.stats.per_edge == reference.per_edge
     assert net.stats.report() == reference.report()
+
+
+def _recording(net):
+    sent = []
+    real_send = net.send
+    net.send = lambda frm, to, payload: sent.append((frm, to, payload)) or real_send(
+        frm, to, payload
+    )
+    return sent
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    peer_count=st.integers(1, 8),
+    pick=st.integers(0, 7),
+    items=st.lists(
+        st.tuples(st.integers(0, 99).map(str), st.binary(max_size=4)), max_size=24
+    ),
+)
+def test_range_put_sends_one_envelope_per_remote_owner(peer_count, pick, items):
+    members = list(range(1, peer_count + 1))
+    net, dht = make_service(members, range_domain=(Fraction(0), Fraction(100)))
+    for p in members:
+        dht.join(1, p)
+    ov = dht.overlays[1]
+    via = members[pick % peer_count]
+    groups: dict[int, list] = {}
+    for key, value in items:
+        groups.setdefault(ov.owner_of(key), []).append((key, value))
+    sent = _recording(net)
+    dht.put(1, via, items)
+    assert sent == [
+        (via, owner, bytes([0x04, 1]) + pack_items(group))
+        for owner, group in groups.items()
+        if owner != via
+    ]
+    for owner, group in groups.items():
+        for key in {key for key, _ in group}:
+            assert ov.members[owner].store[key] == [v for k, v in group if k == key]
+
+
+def test_range_get_asks_the_owner_once():
+    members = [1, 2, 3, 4]
+    net, dht = make_service(members, range_domain=(Fraction(0), Fraction(100)))
+    for p in members:
+        dht.join(1, p)
+    ov = dht.overlays[1]
+    for key in ("5", "30", "55", "80"):
+        dht.put(1, ov.owner_of(key), [(key, key.encode())])
+    sent = _recording(net)
+    for key in ("5", "30", "55", "80", "99"):
+        owner = ov.owner_of(key)
+        want = [key.encode()] if key != "99" else []
+        for via in members:
+            sent.clear()
+            assert dht.get(1, via, key) == want
+            if via == owner:
+                assert sent == []
+            else:
+                assert [(frm, to, payload[0]) for frm, to, payload in sent] == [
+                    (via, owner, 0x05), (owner, via, 0x03)
+                ]
+
+
+def test_register_handler_refuses_a_tag_in_use():
+    net, dht = make_service([1])
+    for tag in range(0x01, 0x08):
+        with pytest.raises(ValueError, match="already has a handler"):
+            dht.register_handler(tag, lambda net_, env: None)
+    dht.register_handler(0x10, lambda net_, env: None)
+    with pytest.raises(ValueError, match="already has a handler"):
+        dht.register_handler(0x10, lambda net_, env: None)

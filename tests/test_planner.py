@@ -285,6 +285,58 @@ def test_place_discards_what_rewrite_changes_randomized():
     assert compared >= 400
 
 
+def _place_annotating_each_candidate(plan, stats, query_peer):
+    """The placement with both candidates annotated from scratch."""
+    logical = planner._strip_transport(plan)
+    planner.annotate(logical, stats)
+    candidates = []
+    for placer in (planner._place_greedy, planner._place_naive):
+        candidate = planner._pin_root(
+            planner._reship(placer(logical, query_peer)), query_peer
+        )
+        planner.annotate(candidate, stats)
+        candidates.append(candidate)
+    greedy, naive = candidates
+    return greedy if plan_cost(greedy) <= plan_cost(naive) else naive
+
+
+def _estimates(plan):
+    return [(node.op, node.est_rows, node.est_bytes)
+            for node, _, _ in planner._positions(plan)]
+
+
+def test_place_output_carries_fresh_estimates_randomized():
+    # place annotates only the logical tree; each Ship it adds takes its
+    # input's estimates, which must be what annotate would give it
+    rng = random.Random(0xA7)
+    compared = 0
+    for trial in range(80):
+        peers = (1, 3, 4, 8)[trial % 4]
+        net, dht, index = make_cluster(peers)
+        index_corpus(index, random_corpus(rng, max_docs=6, max_nodes=30),
+                     list(range(1, peers + 1)))
+        query_peer = rng.randint(1, peers)
+        builder = PlanBuilder(
+            0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
+        )
+        for _ in range(3):
+            pattern = random_pattern(rng)
+            if pattern.all_wildcard:
+                continue
+            for with_recompose in (False, True):
+                plan = builder.build(decompose(pattern), with_recompose)
+                placed = place(plan, index.stats, query_peer)
+                fresh = placed.clone()
+                planner.annotate(fresh, index.stats)
+                assert _estimates(placed) == _estimates(fresh), pattern
+                reference = _place_annotating_each_candidate(
+                    plan, index.stats, query_peer
+                )
+                assert plan_to_xml(placed) == plan_to_xml(reference), pattern
+                compared += 1
+    assert compared >= 400
+
+
 # -- execution ------------------------------------------------------------------------
 
 

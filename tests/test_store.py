@@ -33,7 +33,6 @@ def config(backend="p2p", tmp_path=None, granularity=("par",), peers=4):
         overlays=[(0, "hash"), (1, "range")],
         resource_granularity=set(granularity),
         snapshot_path=str(tmp_path / "s.snap") if tmp_path else "s.snap",
-        seed=7,
     )
 
 
@@ -310,6 +309,23 @@ def test_restore_adopts_its_file_over_a_recorded_path(tmp_path, any_store):
     assert again.get_resource("1#6").payload == "<par>xml</par>"
 
 
+def test_restore_ignores_a_recorded_seed(tmp_path, any_store):
+    # files written while the config had a seed field hold a seed= line
+    any_store.store_resource(D1)
+    conf = any_store.config.to_text() + "seed=7\n"
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", conf.encode()),
+                           (b"DOC\x00", struct.pack(">Q", 1) + D1.encode())])
+    again = restore(str(path))
+    assert again.get_resource("1#6").payload == "<par>xml</par>"
+    fresh = tmp_path / "y.snap"
+    snapshot(again, str(fresh))
+    blob = fresh.read_bytes()
+    (length,) = struct.unpack_from(">Q", blob, 14)
+    assert blob[10:14] == b"CONF"
+    assert "seed=" not in blob[22 : 22 + length].decode()
+
+
 @pytest.mark.parametrize("doc_ids", [(1, 1), (2, 1), (0,), (1, 3, 3)])
 def test_restore_refuses_doc_ids_that_do_not_rise(tmp_path, any_store, doc_ids):
     # snapshot writes doc ids from 1 up in rising order; a repeated id would
@@ -431,7 +447,7 @@ def test_p2p_without_range_overlay(tmp_path):
 
     cfg = StoreConfig(
         backend="p2p", peer_count=3, overlays=[(0, "hash")],
-        resource_granularity=set(), snapshot_path=str(tmp_path / "h.snap"), seed=1,
+        resource_granularity=set(), snapshot_path=str(tmp_path / "h.snap"),
     )
     store = Store(cfg)
     store.store_resource("<lib><paper><year>2003</year></paper></lib>")
