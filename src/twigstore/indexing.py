@@ -7,12 +7,19 @@ Index keys are prefix-disjoint by construction:
 * ``v:<tag>=<enc>`` — postings of elements named ``tag`` whose full text
   content is the decimal integer encoded by ``enc`` (range overlay)
 * ``c:tags``    — tag-name catalog, one value per distinct name per document
+* ``r:<resource id>`` — the store's resource index: the peer holding it
 
 A posting is one structural id, serialized fixed-width (4 x 64-bit,
 big-endian) so list sizes are predictable for the planner's cost model.
 Integer values are encoded as offset 20-digit decimals, which preserves
 order under byte-wise comparison; ``parse_int_content`` already refuses
-text outside the +-10^18 window this encoding covers.
+text outside the +-10^18 window this encoding covers, and ``value_bounds``
+clips a query range to it.
+
+This module turns a plan leaf into index work: its key (``tag_key``,
+``word_key``, ``value_bounds``), its estimated posting count from the
+published counts (``key_count``, ``range_count``), and its lookup, which
+returns distinct postings in label order.
 """
 
 from __future__ import annotations
@@ -57,6 +64,44 @@ def value_key(tag: str, value: int) -> str:
     return f"v:{tag}={encode_int(value)}"
 
 
+def resource_key(resource_id: str) -> str:
+    return "r:" + resource_id
+
+
+def value_bounds(tag: str, lo: int, hi: int) -> tuple[str, str] | None:
+    """The half-open key interval of ``tag`` values in [lo, hi], clipped to
+    the window; None when no integer in the window lies in [lo, hi]."""
+    lo, hi = max(lo, -INT_WINDOW), min(hi, INT_WINDOW)
+    if lo > hi:
+        return None
+    return value_key(tag, lo), value_key(tag, hi + 1)
+
+
+# -- estimates: counts over the published-postings dict ``IndexService.stats``
+
+
+def key_count(stats: dict[str, int], key: str) -> int:
+    """Postings published under ``key``; ``"*"`` counts every tag's."""
+    if key == "*":
+        return sum(c for k, c in stats.items() if k.startswith("t:"))
+    return stats.get(key, 0)
+
+
+def range_count(stats: dict[str, int], tag: str, lo: int, hi: int) -> int:
+    """Value postings of ``tag`` (``"*"``: any tag) with content in [lo, hi]."""
+    if tag == "*":
+        tags = {k[2 : k.index("=")] for k in stats if k.startswith("v:")}
+    else:
+        tags = {tag}
+    total = 0
+    for t in tags:
+        bounds = value_bounds(t, lo, hi)
+        if bounds is not None:
+            lo_key, hi_key = bounds
+            total += sum(c for k, c in stats.items() if lo_key <= k < hi_key)
+    return total
+
+
 class IndexService:
     """Facade over the overlays for posting publication and lookups.
 
@@ -78,7 +123,7 @@ class IndexService:
         """Publish all postings for ``doc``; returns the count published.
 
         The hash overlay gets one batch: the ``lead`` items (the store's
-        ``r:``/``d:`` keys), the postings, then the catalog values.  The
+        ``r:`` keys), the postings, then the catalog values.  The
         range overlay gets one batch of value postings.  ``put`` defaults to
         the routed ``DhtService.put``; snapshot restore passes
         ``DhtService.put_direct``.
@@ -117,30 +162,35 @@ class IndexService:
             put(self.range_dht, via, ranged)
         return published
 
-    # -- lookups -----------------------------------------------------------
+    # -- lookups: distinct postings in label order ----------------------
+
+    def lookup(self, key: str, via: PeerId) -> list[StructuralId]:
+        """Postings under a hash-overlay key; ``"*"`` means ``lookup_all``."""
+        if key == "*":
+            return self.lookup_all(via)
+        values = self.dht.get(self.hash_dht, via, key)
+        return sorted(set(map(decode_posting, values)))
 
     def lookup_tag(self, tag: str, via: PeerId) -> list[StructuralId]:
-        values = self.dht.get(self.hash_dht, via, tag_key(tag))
-        return sorted(decode_posting(v) for v in values)
+        return self.lookup(tag_key(tag), via)
 
     def lookup_word(self, word: str, via: PeerId) -> list[StructuralId]:
-        values = self.dht.get(self.hash_dht, via, word_key(word))
-        return sorted(decode_posting(v) for v in values)
+        return self.lookup(word_key(word), via)
 
     def lookup_value_range(
         self, tag: str, lo: int, hi: int, via: PeerId
     ) -> list[StructuralId]:
-        """Postings of ``tag`` elements with integer content in [lo, hi]."""
-        if self.range_dht is None:
+        """Postings of ``tag`` elements (``"*"``: of every known tag) with
+        integer content in [lo, hi]; a range outside the window fetches
+        nothing."""
+        if self.range_dht is None or value_bounds(tag, lo, hi) is None:
             return []
-        lo = max(lo, -INT_WINDOW)
-        hi = min(hi, INT_WINDOW)
-        if lo > hi:
-            return []
-        lo_key = value_key(tag, lo)
-        hi_key = value_key(tag, hi + 1)
-        items = self.dht.get_range(self.range_dht, via, lo_key, hi_key)
-        return sorted(decode_posting(v) for _, v in items)
+        tags = self.known_tags(via) if tag == "*" else [tag]
+        found: set[StructuralId] = set()
+        for t in tags:
+            items = self.dht.get_range(self.range_dht, via, *value_bounds(t, lo, hi))
+            found.update(decode_posting(v) for _, v in items)
+        return sorted(found)
 
     def known_tags(self, via: PeerId) -> list[str]:
         values = self.dht.get(self.hash_dht, via, CATALOG_KEY)

@@ -105,6 +105,10 @@ class Network:
     def pending_count(self) -> int:
         return len(self._queue)
 
+    def drop_pending(self) -> None:
+        """Forget every queued envelope undelivered and uncharged."""
+        self._queue.clear()
+
     def run_until_quiescent(self, max_ticks: int) -> None:
         """Drain the queue tick by tick; ``stats`` accumulates deliveries.
 

@@ -59,6 +59,7 @@ from .errors import (
     NoMembers,
     NotMember,
     NotRangeCapable,
+    TickBudgetExceeded,
     UnknownPeer,
 )
 from .netsim import Envelope, Network, PeerId
@@ -464,9 +465,10 @@ class DhtService:
     """Per-peer endpoint surface for any number of coexisting overlays.
 
     All overlay logic runs inside the network's event loop; each public
-    operation injects the initial request and drains the loop, so calls
-    never overlap a simulation step.  Every peer dispatches by wire tag
-    through one table, to which the plan executor adds its own tags.
+    operation injects the initial request and drains the loop (``drain``),
+    so calls never overlap a simulation step.  Every peer dispatches by
+    wire tag through one table, to which the plan executor adds its own
+    tags.
     """
 
     def __init__(self, net: Network, tick_budget: int = DEFAULT_TICK_BUDGET):
@@ -543,7 +545,7 @@ class DhtService:
                 groups.setdefault(hop, []).append(pack_str(key) + pack_bytes(value))
         if groups:
             self._send_put_groups(via, bytes([ov.put_tag, dht_id]), groups)
-            self.net.run_until_quiescent(self.tick_budget)
+            self.drain()
 
     def put_direct(self, dht_id: int, via: PeerId, items: Items) -> None:
         """Control-plane put: store each item on its key's owner at once.
@@ -570,7 +572,7 @@ class DhtService:
             + pack_str(key)
         )
         self.net.send(via, hop, payload)
-        self.net.run_until_quiescent(self.tick_budget)
+        self.drain()
         response = self.take_response(req)
         count, off = unpack_count(response, RESPONSE_BODY)
         values = []
@@ -607,13 +609,28 @@ class DhtService:
             )
             self.net.send(via, pid, payload)
         if pending:
-            self.net.run_until_quiescent(self.tick_budget)
+            self.drain()
             for req in pending:
                 items.extend(unpack_items(self.take_response(req), RESPONSE_BODY))
         items.sort(key=lambda kv: ov._sort_key(kv[0]))
         return items
 
     # -- requests and responses ------------------------------------------
+
+    def drain(self) -> None:
+        """Deliver every queued envelope within ``tick_budget`` ticks.
+
+        When the budget runs out, the operation that sent them is abandoned:
+        its envelopes still queued and the responses already filed are
+        dropped, so the next operation neither delivers them nor pays for
+        them, and the ``TickBudgetExceeded`` propagates.
+        """
+        try:
+            self.net.run_until_quiescent(self.tick_budget)
+        except TickBudgetExceeded:
+            self.net.drop_pending()
+            self._responses.clear()
+            raise
 
     def new_request(self) -> int:
         """A fresh request id; its response carries it back."""

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .document import (
-    INT_WINDOW,
     Document,
     Resource,
     StructuralId,
@@ -40,8 +39,10 @@ from .indexing import (
     IndexService,
     decode_posting,
     encode_posting,
+    key_count,
+    range_count,
     tag_key,
-    value_key,
+    value_bounds,
     word_key,
 )
 from .netsim import Envelope, Network, NetworkStats, PeerId
@@ -51,7 +52,6 @@ from .twigjoin import Binding, sort_bindings, stack_join
 
 DESC_FANOUT = 4  # ancestor multiplicity assumed for descendant-axis joins
 PAYLOAD_ESTIMATE = 256  # assumed serialized bytes per recomposed resource
-_WIRE_HEADER = 6  # tag byte + column count + row count of a shipped dataset
 
 TAG_DATASET = 0x10
 TAG_FETCH = 0x11
@@ -237,11 +237,11 @@ class PlanBuilder:
             tag = pnode.name
             if dht is None:
                 raise NotRangeCapable("no range overlay configured")
-            lo_clamped = min(max(pnode.lo, -INT_WINDOW), INT_WINDOW)
+            bounds = value_bounds(tag, pnode.lo, pnode.hi)
             site = (
                 self.query_peer
-                if pnode.is_wildcard
-                else self.locator(dht, value_key(tag, lo_clamped))
+                if pnode.is_wildcard or bounds is None
+                else self.locator(dht, bounds[0])
             )
             return Plan(
                 "RangeLookup", site, dht=dht, tag=tag, lo=pnode.lo, hi=pnode.hi,
@@ -325,22 +325,6 @@ class PlanBuilder:
 # -- cost estimation -----------------------------------------------------------
 
 
-def range_stat(stats: dict[str, int], tag: str, lo: int, hi: int) -> int:
-    total = 0
-    if tag == "*":
-        prefixes = [k.split("=", 1)[0] + "=" for k in stats if k.startswith("v:")]
-        tags = sorted({p[2:-1] for p in prefixes})
-    else:
-        tags = [tag]
-    for t in tags:
-        lo_key = value_key(t, max(lo, -INT_WINDOW))
-        hi_key = value_key(t, min(hi, INT_WINDOW))
-        for key, count in stats.items():
-            if key.startswith(f"v:{t}=") and lo_key <= key <= hi_key:
-                total += count
-    return total
-
-
 def annotate(plan: Plan, stats: dict[str, int]) -> None:
     """Fill est_rows/est_bytes bottom-up from posting statistics.
 
@@ -352,13 +336,9 @@ def annotate(plan: Plan, stats: dict[str, int]) -> None:
     for kid in plan.kids:
         annotate(kid, stats)
     if plan.op == "IndexLookup":
-        if plan.key == "*":
-            rows = sum(c for k, c in stats.items() if k.startswith("t:"))
-        else:
-            rows = stats.get(plan.key, 0)
-        plan.est_rows = rows
+        plan.est_rows = key_count(stats, plan.key)
     elif plan.op == "RangeLookup":
-        plan.est_rows = range_stat(stats, plan.tag, plan.lo, plan.hi)
+        plan.est_rows = range_count(stats, plan.tag, plan.lo, plan.hi)
     elif plan.op == "Intersect":
         plan.est_rows = min(k.est_rows for k in plan.kids)
     elif plan.op == "StructJoin":
@@ -375,10 +355,7 @@ def annotate(plan: Plan, stats: dict[str, int]) -> None:
     if plan.op == "Recompose":
         plan.est_bytes = plan.est_rows * PAYLOAD_ESTIMATE
     else:
-        ncols = max(1, len(plan.cols))
-        plan.est_bytes = (
-            _WIRE_HEADER + 2 * ncols + plan.est_rows * POSTING_SIZE * ncols
-        )
+        plan.est_bytes = _shipped_size(max(1, len(plan.cols)), plan.est_rows)
 
 
 def plan_cost(plan: Plan) -> int:
@@ -650,12 +627,23 @@ class Dataset:
     site: PeerId
 
 
+def _column_count(ncols: int) -> bytes:
+    """A dataset's column count: 1 byte below 0xFF, else 0xFF and 4 more."""
+    if ncols < 0xFF:
+        return struct.pack(">B", ncols)
+    return struct.pack(">BI", 0xFF, ncols)
+
+
+def _shipped_size(ncols: int, nrows: int) -> int:
+    """Bytes of a shipped dataset: its wire tag, the ``encode_dataset``
+    column and row counts, the column ids and the postings."""
+    return 1 + len(_column_count(ncols)) + 4 + ncols * (2 + nrows * POSTING_SIZE)
+
+
 def encode_dataset(ds: Dataset) -> bytes:
-    """Column count (1 byte below 0xFF, else 0xFF and 4 more bytes), row
-    count, column ids, then each row's postings."""
-    ncols = len(ds.cols)
-    head = struct.pack(">B", ncols) if ncols < 0xFF else struct.pack(">BI", 0xFF, ncols)
-    head += struct.pack(">I", len(ds.rows))
+    """Column count (``_column_count``), row count, column ids, then each
+    row's postings."""
+    head = _column_count(len(ds.cols)) + struct.pack(">I", len(ds.rows))
     head += b"".join(struct.pack(">H", c) for c in ds.cols)
     body = b"".join(
         encode_posting(sid) for row in ds.rows for sid in row
@@ -724,7 +712,7 @@ class ExecutionContext:
             bytes([TAG_FETCH])
             + struct.pack(">IQQQ", req, via, sid.doc_id, sid.start),
         )
-        self.net.run_until_quiescent(self.dht.tick_budget)
+        self.dht.drain()
         raw, _ = unpack_bytes(self.dht.take_response(req), RESPONSE_BODY)
         return raw.decode("utf-8")
 
@@ -733,7 +721,7 @@ class ExecutionContext:
             return ds
         payload = bytes([TAG_DATASET]) + encode_dataset(ds)
         self.net.send(ds.site, to, payload)
-        self.net.run_until_quiescent(self.dht.tick_budget)
+        self.dht.drain()
         return decode_dataset(self._inbox.pop(), to)
 
 
@@ -752,9 +740,10 @@ def execute(
 
 def _run(plan: Plan, ctx: ExecutionContext):
     if plan.op == "IndexLookup":
-        return _run_index_lookup(plan, ctx)
+        return _leaf_dataset(plan, ctx.index.lookup(plan.key, plan.site))
     if plan.op == "RangeLookup":
-        return _run_range_lookup(plan, ctx)
+        return _leaf_dataset(plan, ctx.index.lookup_value_range(
+            plan.tag, plan.lo, plan.hi, plan.site))
     if plan.op == "Ship":
         ds = _run(plan.kids[0], ctx)
         return ctx.ship(ds, plan.site)
@@ -762,7 +751,7 @@ def _run(plan: Plan, ctx: ExecutionContext):
         left = _run(plan.kids[0], ctx)
         right = _run(plan.kids[1], ctx)
         shared = set(r[0] for r in right.rows)
-        rows = sorted(set(r for r in left.rows if r[0] in shared))
+        rows = [r for r in left.rows if r[0] in shared]
         return Dataset(left.cols, rows, plan.site)
     if plan.op == "StructJoin":
         return _run_join(plan, ctx)
@@ -772,34 +761,12 @@ def _run(plan: Plan, ctx: ExecutionContext):
     raise ValueError(f"unknown operator {plan.op}")
 
 
-def _leaf_filter(plan: Plan, sids: list[StructuralId]) -> list[StructuralId]:
+def _leaf_dataset(plan: Plan, sids: list[StructuralId]) -> Dataset:
+    """A leaf's rows: the index's distinct, sorted postings, kept to the
+    document roots for a root-anchored pattern node."""
     if plan.root_only:
         sids = [s for s in sids if s.depth == 1]
-    return sorted(set(sids))
-
-
-def _run_index_lookup(plan: Plan, ctx: ExecutionContext) -> Dataset:
-    if plan.key == "*":
-        sids = ctx.index.lookup_all(plan.site)
-    else:
-        values = ctx.dht.get(plan.dht, plan.site, plan.key)
-        sids = [decode_posting(v) for v in values]
-    rows = [(sid,) for sid in _leaf_filter(plan, sids)]
-    return Dataset((plan.var,), rows, plan.site)
-
-
-def _run_range_lookup(plan: Plan, ctx: ExecutionContext) -> Dataset:
-    if plan.tag == "*":
-        pool: set[StructuralId] = set()
-        for tag in ctx.index.known_tags(plan.site):
-            pool.update(
-                ctx.index.lookup_value_range(tag, plan.lo, plan.hi, plan.site)
-            )
-        sids = sorted(pool)
-    else:
-        sids = ctx.index.lookup_value_range(plan.tag, plan.lo, plan.hi, plan.site)
-    rows = [(sid,) for sid in _leaf_filter(plan, sids)]
-    return Dataset((plan.var,), rows, plan.site)
+    return Dataset((plan.var,), [(sid,) for sid in sids], plan.site)
 
 
 def _run_join(plan: Plan, ctx: ExecutionContext) -> Dataset:

@@ -36,7 +36,7 @@ from .errors import (
     NotFound,
     UnsupportedWildcardRoot,
 )
-from .indexing import IndexService
+from .indexing import IndexService, resource_key
 from .netsim import Network, NetworkStats, PeerId
 from .overlay import DhtService, PutFn, fnv1a64
 from .pattern import TreePattern, parse_pattern
@@ -184,8 +184,8 @@ class Store:
         return self._register(doc)
 
     def _register(self, doc: Document, put: PutFn | None = None) -> list[str]:
-        """Record ``doc`` and publish its ``r:``/``d:`` keys and postings,
-        one batch per overlay.
+        """Record ``doc`` and publish its resource keys and postings, one
+        batch per overlay.
 
         ``put`` defaults to the routed ``DhtService.put``; snapshot restore
         passes ``DhtService.put_direct``.
@@ -204,8 +204,7 @@ class Store:
         home_keys = []
         for res in resources:
             self.peer_resources[home][res.resource_id] = res
-            home_keys.append(("r:" + res.resource_id, where))
-        home_keys.append((f"d:{doc_id}", where))
+            home_keys.append((resource_key(res.resource_id), where))
         self.index.index_document(doc, home, put, home_keys)
         return [res.resource_id for res in resources]
 
@@ -218,7 +217,7 @@ class Store:
             if resource is None:
                 raise NotFound(f"no resource {resource_id!r}")
             return resource
-        values = self.dht.get(self.hash_dht, self.query_peer, "r:" + resource_id)
+        values = self.dht.get(self.hash_dht, self.query_peer, resource_key(resource_id))
         if not values:
             raise NotFound(f"no resource {resource_id!r}")
         (home,) = struct.unpack(">Q", values[0])

@@ -61,6 +61,16 @@ def test_query_persists_stats(workdir, capsys):
     assert total and int(total[0].split()[2]) > 0
 
 
+def test_query_beyond_the_integer_window_prints_nothing(workdir, capsys):
+    (workdir / "c.xml").write_text("<r><c>5</c></r>", encoding="utf-8")
+    assert main(["ingest", "d1.xml", "c.xml"]) == 0
+    capsys.readouterr()
+    assert main(["query", "//c in 10000000000000000000..10000000000000000005!"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" not in captured.err
+
+
 def test_rdf_cycle(workdir, capsys):
     assert main(["rdf-load", "triples.tsv"]) == 0
     capsys.readouterr()

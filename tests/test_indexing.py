@@ -1,14 +1,20 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from twigstore.document import ELEMENT, ATTRIBUTE, StructuralId, parse_document
 from twigstore.indexing import (
     POSTING_SIZE,
     decode_posting,
     encode_int,
     encode_posting,
+    key_count,
+    range_count,
+    value_bounds,
+    value_key,
 )
 
-from helpers import index_corpus, make_cluster, random_corpus
+from helpers import INT_HI, INT_LO, TAGS, index_corpus, make_cluster, random_corpus
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
@@ -107,3 +113,73 @@ def test_value_round_trip_exact_bounds():
     assert [p.start for p in in_range] == [5]
     assert index.lookup_value_range("n", 1999, 1999, 1) == [StructuralId(1, 2, 4, 2)]
     assert index.lookup_value_range("n", 2010, 2020, 1) == []
+
+
+_BOUNDS = st.one_of(
+    st.integers(INT_LO - 3, INT_HI + 3),
+    st.sampled_from([-(10**19), -(10**18) - 1, -(10**18), 0,
+                     10**18, 10**18 + 1, 10**19]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    peers=st.sampled_from([1, 3, 4, 8]),
+    ranges=st.lists(
+        st.tuples(st.sampled_from(TAGS + ["*"]), _BOUNDS, _BOUNDS), max_size=6
+    ),
+)
+def test_estimates_count_and_lookups_return_the_published_postings(seed, peers, ranges):
+    net, dht, index = make_cluster(peers)
+    members = list(range(1, peers + 1))
+    index_corpus(index, random_corpus(random.Random(seed)), members)
+    # what the overlays hold, read straight from every peer's store
+    stored: dict[str, list[StructuralId]] = {}
+    for dht_id in (0, 1):
+        for state in dht.overlays[dht_id].members.values():
+            for key, values in state.store.items():
+                if key[:2] in ("t:", "w:", "v:"):
+                    stored.setdefault(key, []).extend(map(decode_posting, values))
+    stats = index.stats
+    via = members[seed % peers]
+
+    def check(got, want):
+        assert got == sorted(set(got))
+        assert set(got) == set(want)
+
+    for key in stored:
+        if not key.startswith("v:"):
+            assert key_count(stats, key) == len(stored[key]), key
+            check(index.lookup(key, via), stored[key])
+    tag_postings = [sid for key, sids in stored.items() if key.startswith("t:")
+                    for sid in sids]
+    assert key_count(stats, "*") == len(tag_postings)
+    check(index.lookup("*", via), tag_postings)
+    assert index.lookup("t:nosuch", via) == []
+
+    for tag, lo, hi in ranges:
+        lo, hi = min(lo, hi), max(lo, hi)
+        want = [
+            sid
+            for key, sids in stored.items()
+            if key.startswith("v:")
+            and tag in ("*", key[2 : key.index("=")])
+            and lo <= int(key[key.index("=") + 1 :]) - 10**19 <= hi
+            for sid in sids
+        ]
+        assert range_count(stats, tag, lo, hi) == len(want), (tag, lo, hi)
+        check(index.lookup_value_range(tag, lo, hi, via), want)
+
+
+def test_value_bounds_clip_to_the_window():
+    edge = 10**18
+    assert value_bounds("n", 1999, 2003) == (value_key("n", 1999), value_key("n", 2004))
+    assert value_bounds("n", -(10**19), 10**19) == (
+        value_key("n", -edge), value_key("n", edge + 1)
+    )
+    assert value_bounds("n", edge, edge + 7) == (
+        value_key("n", edge), value_key("n", edge + 1)
+    )
+    for lo, hi in ((edge + 1, edge + 5), (10**19, 10**19 + 5), (-(10**19), -edge - 1)):
+        assert value_bounds("n", lo, hi) is None

@@ -11,9 +11,11 @@ from twigstore.errors import (
     NoMembers,
     NotMember,
     NotRangeCapable,
+    TickBudgetExceeded,
 )
 from twigstore.netsim import Network, NetworkStats
 from twigstore.overlay import (
+    DEFAULT_TICK_BUDGET,
     DhtService,
     fnv1a64,
     pack_count,
@@ -635,3 +637,25 @@ def test_register_handler_refuses_a_tag_in_use():
     dht.register_handler(0x10, lambda net_, env: None)
     with pytest.raises(ValueError, match="already has a handler"):
         dht.register_handler(0x10, lambda net_, env: None)
+
+
+def test_tick_budget_failure_leaves_nothing_for_the_next_operation():
+    # 90 -> 10 -> 50 -> 90 takes three ticks, so a budget of one abandons
+    # the get with its forwarded request still queued
+    net, dht = make_service([10, 50, 90])
+    for p in (10, 50, 90):
+        dht.join(0, p)
+    dht.put(0, 50, [("42", b"v")])
+    dht.tick_budget = 1
+    with pytest.raises(TickBudgetExceeded):
+        dht.get(0, 90, "42")
+    assert net.pending_count == 0
+    assert dht._responses == {}
+    dht.tick_budget = DEFAULT_TICK_BUDGET
+    before = net.stats.copy()
+    assert dht.get(0, 90, "42") == [b"v"]
+    delta = net.stats.delta_since(before)
+    assert {edge: msgs for edge, (msgs, _) in delta.per_edge.items()} == {
+        (90, 10): 1, (10, 50): 1, (50, 90): 1,
+    }
+    assert dht._responses == {}

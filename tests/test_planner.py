@@ -426,6 +426,24 @@ def test_dataset_column_count_widens_only_from_0xff():
     assert encode_dataset(Dataset((7,), [], site=1))[:5] == b"\x01\x00\x00\x00\x00"
 
 
+def test_estimated_bytes_match_the_shipped_dataset():
+    # annotate prices a dataset as the wire carries it: the Ship's tag byte,
+    # the column count (one byte below 0xFF, else five), the row count, the
+    # column ids and the postings
+    from twigstore.document import StructuralId
+    from twigstore.planner import TAG_DATASET, Dataset, annotate, encode_dataset
+
+    sid = StructuralId(1, 2, 3, 1)
+    for ncols in (1, 2, 254, 255, 256, 300):
+        for nrows in (0, 1, 3):
+            leaf = Plan("IndexLookup", 2, dht=0, key="t:a", var=0,
+                        cols=tuple(range(ncols)))
+            annotate(leaf, {"t:a": nrows})
+            ds = Dataset(leaf.cols, [(sid,) * ncols] * nrows, site=2)
+            wire = bytes([TAG_DATASET]) + encode_dataset(ds)
+            assert leaf.est_bytes == len(wire), (ncols, nrows)
+
+
 def test_skew_workload_placed_beats_naive():
     net, index, ctx, builder, pattern, _, doc = skew_cluster(200, 8)
     dec = decompose(pattern)

@@ -195,6 +195,30 @@ def test_backends_agree_beyond_the_integer_window(tmp_path):
         assert answers[0] == answers[1], (text[:40], pattern)
     assert answers[0] == ["1#2"]  # leading zeros do not count as digits
 
+    # query bounds beyond the window match nothing, on both backends; the
+    # in-window values give every range estimate value keys to count
+    big, edge = 10**19, 10**18
+    text = f"<r><c>{edge}</c><c>{-edge}</c><c>7</c><c>{big}</c></r>"
+    cases = [
+        (f"//c in {big}..{big + 5}!", []),
+        (f"//c in {-(big + 5)}..{-big}!", []),
+        (f"//* in {big}..{big + 5}!", []),
+        (f"//r[/c in {big}..{big + 5}]!", []),
+        (f"//c in {edge}..{edge}!", ["1#2"]),
+        (f"//c in {-edge}..{-edge}!", ["1#5"]),
+        (f"//c in {edge + 1}..{edge + 5}!", []),
+        (f"//c in {-(edge + 5)}..{-(edge + 1)}!", []),
+        (f"//c in {-(edge + 1)}..{edge + 1}!", ["1#2", "1#5", "1#8"]),
+        (f"//* in {edge}..{big}!", ["1#2"]),
+    ]
+    stores = [Store(config(backend, tmp_path)) for backend in ("centralized", "p2p")]
+    for store in stores:
+        assert store.store_resource(text) == ["1#1"]
+    for pattern, want in cases:
+        for store in stores:
+            got = [r.resource_id for r in store.query(pattern).resources]
+            assert got == want, (store.config.backend, pattern)
+
 
 def test_index_keys_longer_than_64_kib(tmp_path):
     # the word posting key "w:" + 70,000 letters exceeds a 16-bit length
