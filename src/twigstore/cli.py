@@ -18,7 +18,6 @@ from .errors import (
     MalformedInput,
     MalformedXml,
     NotFound,
-    NotRangeCapable,
     PatternSyntaxError,
     UnseedablePattern,
     UnsupportedWildcardRoot,
@@ -33,11 +32,9 @@ _USER_ERRORS = (
     EmptyInput,
     UnsupportedWildcardRoot,
     UnseedablePattern,
-    NotRangeCapable,
     IoFailure,
     CorruptSnapshot,
     MalformedInput,
-    FileNotFoundError,
 )
 
 
@@ -53,6 +50,8 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise IoFailure(str(exc)) from None
 
 
 def _load_config(path: str) -> StoreConfig:

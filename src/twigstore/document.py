@@ -168,7 +168,9 @@ def parse_document(xml_text: str, doc_id: int) -> Document:
 
     Whitespace-only text nodes are dropped so payloads stay canonical.
     Raises EmptyInput for blank input and MalformedXml for anything the
-    XML tokenizer rejects (including trailing content after the root).
+    XML tokenizer rejects (including trailing content after the root) and
+    for namespaced names, which ElementTree reports as ``{uri}local``: no
+    serialization could write them back as well-formed XML.
     """
     if not xml_text.strip():
         raise EmptyInput("no XML content")
@@ -196,7 +198,7 @@ def parse_document(xml_text: str, doc_id: int) -> Document:
         doc.nodes.append(None)  # type: ignore[arg-type]  # filled once end is known
         kids: list[Node] = []
         for name, value in elem.attrib.items():
-            kids.append(leaf(ATTRIBUTE, "@" + name, depth + 1, value))
+            kids.append(leaf(ATTRIBUTE, "@" + _plain(name), depth + 1, value))
         if elem.text and elem.text.strip():
             kids.append(leaf(TEXT, elem.text, depth + 1))
         for child in elem:
@@ -204,7 +206,7 @@ def parse_document(xml_text: str, doc_id: int) -> Document:
             if child.tail and child.tail.strip():
                 kids.append(leaf(TEXT, child.tail, depth + 1))
         end = next_pos()
-        node = Node(ELEMENT, elem.tag, StructuralId(doc_id, start, end, depth))
+        node = Node(ELEMENT, _plain(elem.tag), StructuralId(doc_id, start, end, depth))
         doc.nodes[slot] = node
         if kids:
             doc._children[start] = kids
@@ -215,8 +217,16 @@ def parse_document(xml_text: str, doc_id: int) -> Document:
     return doc
 
 
-_TEXT_ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;")]
-_ATTR_ESCAPES = _TEXT_ESCAPES + [('"', "&quot;")]
+def _plain(name: str) -> str:
+    if name[0] == "{":
+        raise MalformedXml(f"namespaced name {name!r} is not supported")
+    return name
+
+
+# parsing turns a literal CR in text, and a literal tab, LF or CR in an
+# attribute value, into other whitespace, so those go out as references
+_TEXT_ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;")]
+_ATTR_ESCAPES = _TEXT_ESCAPES + [('"', "&quot;"), ("\t", "&#9;"), ("\n", "&#10;")]
 
 
 def _escape(value: str, table) -> str:

@@ -74,7 +74,7 @@ class NotFound(TwigstoreError):
 
 
 class IoFailure(TwigstoreError):
-    """Snapshot file could not be read or written."""
+    """A file could not be read or written."""
 
 
 class CorruptSnapshot(TwigstoreError):

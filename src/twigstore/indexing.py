@@ -5,9 +5,14 @@ Index keys are prefix-disjoint by construction:
 * ``t:<name>``  — one posting per element/attribute node with that name
 * ``w:<word>``  — postings of elements whose immediate text contains the word
 * ``v:<tag>=<enc>`` — postings of elements named ``tag`` whose full text
-  content is the decimal integer encoded by ``enc`` (range overlay)
+  content is the decimal integer encoded by ``enc``
 * ``c:tags``    — tag-name catalog, one value per distinct name per document
 * ``r:<resource id>`` — the store's resource index: the peer holding it
+
+Every p2p store runs two overlays: value keys live on the order-preserving
+range overlay ``RANGE_OVERLAY``, which alone answers interval lookups, and
+every other key (the RDF store's triple keys too) on the hash overlay
+``HASH_OVERLAY``.
 
 A posting is one structural id, serialized fixed-width (4 x 64-bit,
 big-endian) so list sizes are predictable for the planner's cost model.
@@ -33,6 +38,8 @@ from .netsim import PeerId
 
 POSTING_SIZE = 32
 CATALOG_KEY = "c:tags"
+HASH_OVERLAY = 0
+RANGE_OVERLAY = 1
 
 _INT_OFFSET = 10**19
 
@@ -109,10 +116,8 @@ class IndexService:
     the planner's cost estimates.
     """
 
-    def __init__(self, dht: DhtService, hash_dht: int, range_dht: int | None = None):
+    def __init__(self, dht: DhtService):
         self.dht = dht
-        self.hash_dht = hash_dht
-        self.range_dht = range_dht
         self.stats: dict[str, int] = {}
 
     # -- publication -----------------------------------------------------
@@ -146,7 +151,7 @@ class IndexService:
                 for word in dict.fromkeys(split_words(node.name_or_value)):
                     publish(hashed, word_key(word), parent.label)
                 value = parse_int_content(node.name_or_value)
-                if value is not None and self.range_dht is not None:
+                if value is not None:
                     publish(ranged, value_key(parent.name, value), parent.label)
                 continue
             catalog.setdefault(node.name, None)
@@ -157,9 +162,9 @@ class IndexService:
         published = len(hashed) - len(lead) + len(ranged)
         hashed += ((CATALOG_KEY, name.encode("utf-8")) for name in catalog)
         put = put or self.dht.put
-        put(self.hash_dht, via, hashed)
+        put(HASH_OVERLAY, via, hashed)
         if ranged:
-            put(self.range_dht, via, ranged)
+            put(RANGE_OVERLAY, via, ranged)
         return published
 
     # -- lookups: distinct postings in label order ----------------------
@@ -168,7 +173,7 @@ class IndexService:
         """Postings under a hash-overlay key; ``"*"`` means ``lookup_all``."""
         if key == "*":
             return self.lookup_all(via)
-        values = self.dht.get(self.hash_dht, via, key)
+        values = self.dht.get(HASH_OVERLAY, via, key)
         return sorted(set(map(decode_posting, values)))
 
     def lookup_tag(self, tag: str, via: PeerId) -> list[StructuralId]:
@@ -183,17 +188,17 @@ class IndexService:
         """Postings of ``tag`` elements (``"*"``: of every known tag) with
         integer content in [lo, hi]; a range outside the window fetches
         nothing."""
-        if self.range_dht is None or value_bounds(tag, lo, hi) is None:
+        if value_bounds(tag, lo, hi) is None:
             return []
         tags = self.known_tags(via) if tag == "*" else [tag]
         found: set[StructuralId] = set()
         for t in tags:
-            items = self.dht.get_range(self.range_dht, via, *value_bounds(t, lo, hi))
+            items = self.dht.get_range(RANGE_OVERLAY, via, *value_bounds(t, lo, hi))
             found.update(decode_posting(v) for _, v in items)
         return sorted(found)
 
     def known_tags(self, via: PeerId) -> list[str]:
-        values = self.dht.get(self.hash_dht, via, CATALOG_KEY)
+        values = self.dht.get(HASH_OVERLAY, via, CATALOG_KEY)
         return sorted({v.decode("utf-8") for v in values})
 
     def lookup_all(self, via: PeerId) -> list[StructuralId]:

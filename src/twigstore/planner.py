@@ -33,9 +33,11 @@ from .document import (
     recompose,
     serialize_node,
 )
-from .errors import NotRangeCapable, PlanSiteUnreachable, UnsupportedWildcardRoot
+from .errors import PlanSiteUnreachable, UnsupportedWildcardRoot
 from .indexing import (
+    HASH_OVERLAY,
     POSTING_SIZE,
+    RANGE_OVERLAY,
     IndexService,
     decode_posting,
     encode_posting,
@@ -217,15 +219,7 @@ class PlanBuilder:
     """Builds the naive placement: leaves at key owners, the rest at the query
     peer, with Ship edges inserted by the same rule ``place`` uses."""
 
-    def __init__(
-        self,
-        hash_dht: int,
-        range_dht: int | None,
-        locator: Callable[[int, str], PeerId],
-        query_peer: PeerId,
-    ):
-        self.hash_dht = hash_dht
-        self.range_dht = range_dht
+    def __init__(self, locator: Callable[[int, str], PeerId], query_peer: PeerId):
         self.locator = locator
         self.query_peer = query_peer
 
@@ -233,42 +227,39 @@ class PlanBuilder:
         pnode = pattern.nodes[idx]
         root_only = idx == 0 and pattern.root_axis == CHILD
         if pnode.has_range:
-            dht = self.range_dht
             tag = pnode.name
-            if dht is None:
-                raise NotRangeCapable("no range overlay configured")
             bounds = value_bounds(tag, pnode.lo, pnode.hi)
             site = (
                 self.query_peer
                 if pnode.is_wildcard or bounds is None
-                else self.locator(dht, bounds[0])
+                else self.locator(RANGE_OVERLAY, bounds[0])
             )
             return Plan(
-                "RangeLookup", site, dht=dht, tag=tag, lo=pnode.lo, hi=pnode.hi,
-                var=idx, root_only=root_only, cols=(idx,),
+                "RangeLookup", site, dht=RANGE_OVERLAY, tag=tag, lo=pnode.lo,
+                hi=pnode.hi, var=idx, root_only=root_only, cols=(idx,),
             )
         if pnode.word is not None and pnode.is_wildcard:
             key = word_key(pnode.word)
             return Plan(
-                "IndexLookup", self.locator(self.hash_dht, key),
-                dht=self.hash_dht, key=key, var=idx, root_only=root_only, cols=(idx,),
+                "IndexLookup", self.locator(HASH_OVERLAY, key),
+                dht=HASH_OVERLAY, key=key, var=idx, root_only=root_only, cols=(idx,),
             )
         if pnode.is_wildcard:
             return Plan(
-                "IndexLookup", self.query_peer, dht=self.hash_dht, key="*",
+                "IndexLookup", self.query_peer, dht=HASH_OVERLAY, key="*",
                 var=idx, root_only=root_only, cols=(idx,),
             )
         key = tag_key(pnode.name)
         lookup = Plan(
-            "IndexLookup", self.locator(self.hash_dht, key),
-            dht=self.hash_dht, key=key, var=idx, root_only=root_only, cols=(idx,),
+            "IndexLookup", self.locator(HASH_OVERLAY, key),
+            dht=HASH_OVERLAY, key=key, var=idx, root_only=root_only, cols=(idx,),
         )
         if pnode.word is None:
             return lookup
         wkey = word_key(pnode.word)
         word_lookup = Plan(
-            "IndexLookup", self.locator(self.hash_dht, wkey),
-            dht=self.hash_dht, key=wkey, var=idx, cols=(idx,),
+            "IndexLookup", self.locator(HASH_OVERLAY, wkey),
+            dht=HASH_OVERLAY, key=wkey, var=idx, cols=(idx,),
         )
         return Plan("Intersect", self.query_peer, var=idx, cols=(idx,),
                     kids=[lookup, word_lookup])

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedInput, UnseedablePattern
+from .indexing import HASH_OVERLAY
 from .netsim import PeerId
 from .overlay import DhtService, PutFn
 
@@ -94,7 +95,6 @@ def index_triples(
     triples: list[Triple],
     via: PeerId,
     dht: DhtService,
-    dht_id: int,
     put: PutFn | None = None,
 ) -> int:
     """Store each triple under its three position keys, all in one batch;
@@ -107,7 +107,7 @@ def index_triples(
     for triple in triples:
         raw = triple.text().encode("utf-8")
         items += ((_KEY_PREFIX[i] + triple.position(i), raw) for i in (S, P, O))
-    (put or dht.put)(dht_id, via, items)
+    (put or dht.put)(HASH_OVERLAY, via, items)
     return len(triples)
 
 
@@ -126,14 +126,14 @@ def _pattern_match(pattern: TriplePattern, triple: Triple) -> dict[str, str] | N
 
 
 def eval_conjunctive(
-    query: ConjunctiveQuery, via: PeerId, dht: DhtService, dht_id: int
+    query: ConjunctiveQuery, via: PeerId, dht: DhtService
 ) -> list[tuple[str, ...]]:
     """Projected variable bindings, sorted; equals the nested-loop oracle."""
     query.validate()
     per_pattern: list[list[dict[str, str]]] = []
     for pattern in query.patterns:
         fetched = [
-            (i, dht.get(dht_id, via, _KEY_PREFIX[i] + text))
+            (i, dht.get(HASH_OVERLAY, via, _KEY_PREFIX[i] + text))
             for i, text in pattern.constants()
         ]
         # most selective constant seeds; ties already favor s, then p, then o

@@ -3,7 +3,7 @@
 The centralized backend keeps documents in one process and answers
 pattern queries with ``eval_local``, the stack-based structural join over
 candidates drawn from the documents' name postings.  The p2p backend hosts a
-simulated peer network with the configured overlays, indexes every
+simulated peer network with one hash and one range overlay, indexes every
 ingested document, and answers queries through the decompose -> place ->
 execute pipeline.  Both backends return identical resource lists
 for the same corpus; the p2p result additionally carries the network
@@ -36,7 +36,7 @@ from .errors import (
     NotFound,
     UnsupportedWildcardRoot,
 )
-from .indexing import IndexService, resource_key
+from .indexing import HASH_OVERLAY, RANGE_OVERLAY, IndexService, resource_key
 from .netsim import Network, NetworkStats, PeerId
 from .overlay import DhtService, PutFn, fnv1a64
 from .pattern import TreePattern, parse_pattern
@@ -57,34 +57,20 @@ P2P = "p2p"
 class StoreConfig:
     backend: str = CENTRALIZED
     peer_count: int = 4
-    overlays: list[tuple[int, str]] = field(
-        default_factory=lambda: [(0, "hash"), (1, "range")]
-    )
     resource_granularity: set[str] = field(default_factory=set)
     snapshot_path: str = "store.snap"
 
     def validate(self) -> None:
         if self.backend not in (CENTRALIZED, P2P):
             raise MalformedInput(f"unknown backend {self.backend!r}")
-        if self.backend == P2P:
-            if self.peer_count < 1:
-                raise MalformedInput("p2p backend needs peer_count >= 1")
-            if not any(kind == "hash" for _, kind in self.overlays):
-                raise MalformedInput("p2p backend needs at least one hash overlay")
-        ids = [dht_id for dht_id, _ in self.overlays]
-        if len(ids) != len(set(ids)):
-            raise MalformedInput("overlay ids must be unique")
-        for _, kind in self.overlays:
-            if kind not in ("hash", "range"):
-                raise MalformedInput(f"unknown overlay kind {kind!r}")
+        if self.backend == P2P and self.peer_count < 1:
+            raise MalformedInput("p2p backend needs peer_count >= 1")
 
     def to_text(self) -> str:
-        overlays = ",".join(f"{i}:{kind}" for i, kind in self.overlays)
         granularity = ",".join(sorted(self.resource_granularity))
         return (
             f"backend={self.backend}\n"
             f"peer_count={self.peer_count}\n"
-            f"overlays={overlays}\n"
             f"resource_granularity={granularity}\n"
             f"snapshot_path={self.snapshot_path}\n"
         )
@@ -103,17 +89,12 @@ class StoreConfig:
                 config.backend = value
             elif key == "peer_count":
                 config.peer_count = _parse_int(lineno, value)
-            elif key == "overlays":
-                config.overlays = []
-                for item in filter(None, value.split(",")):
-                    dht_id, _, kind = item.partition(":")
-                    config.overlays.append((_parse_int(lineno, dht_id), kind))
             elif key == "resource_granularity":
                 config.resource_granularity = set(filter(None, value.split(",")))
             elif key == "snapshot_path":
                 config.snapshot_path = value
-            elif key == "seed":
-                pass  # a retired field that older configs and snapshots hold
+            elif key in ("overlays", "seed"):
+                pass  # retired fields that older configs and snapshots hold
             else:
                 raise MalformedInput(f"line {lineno}: unknown key {key!r}")
         config.validate()
@@ -154,20 +135,13 @@ class Store:
         self.members: list[PeerId] = list(range(1, config.peer_count + 1))
         for peer in self.members:
             self.dht.add_peer(peer)
-        self.hash_dht: int | None = None
-        self.range_dht: int | None = None
-        for dht_id, kind in config.overlays:
-            if kind == "hash":
-                self.dht.create_hash_overlay(dht_id)
-                if self.hash_dht is None:
-                    self.hash_dht = dht_id
-            else:
-                self.dht.create_range_overlay(dht_id)
-                if self.range_dht is None:
-                    self.range_dht = dht_id
-            for peer in self.members:
-                self.dht.join(dht_id, peer)
-        self.index = IndexService(self.dht, self.hash_dht, self.range_dht)
+        self.dht.create_hash_overlay(HASH_OVERLAY)
+        for peer in self.members:
+            self.dht.join(HASH_OVERLAY, peer)
+        self.dht.create_range_overlay(RANGE_OVERLAY)
+        for peer in self.members:
+            self.dht.join(RANGE_OVERLAY, peer)
+        self.index = IndexService(self.dht)
         self.doc_homes: dict[int, tuple[Document, PeerId]] = {}
         self.exec_ctx = planner.ExecutionContext(self.index, self.doc_homes)
         self.peer_resources: dict[PeerId, dict[str, Resource]] = {
@@ -217,7 +191,7 @@ class Store:
             if resource is None:
                 raise NotFound(f"no resource {resource_id!r}")
             return resource
-        values = self.dht.get(self.hash_dht, self.query_peer, resource_key(resource_id))
+        values = self.dht.get(HASH_OVERLAY, self.query_peer, resource_key(resource_id))
         if not values:
             raise NotFound(f"no resource {resource_id!r}")
         (home,) = struct.unpack(">Q", values[0])
@@ -246,10 +220,7 @@ class Store:
     def build_plan(self, pattern: TreePattern, with_recompose: bool) -> planner.Plan:
         dec = planner.decompose(pattern)
         builder = planner.PlanBuilder(
-            self.hash_dht,
-            self.range_dht,
-            lambda dht_id, key: self.dht.overlays[dht_id].owner_of(key),
-            self.query_peer,
+            lambda dht_id, key: self.dht.overlays[dht_id].owner_of(key), self.query_peer
         )
         plan = builder.build(dec, with_recompose=with_recompose)
         return planner.place(plan, self.index.stats, self.query_peer)
@@ -263,13 +234,13 @@ class Store:
             triple.check()
         self.triples.extend(triples)
         if self.config.backend == P2P:
-            index_triples(triples, self.query_peer, self.dht, self.hash_dht)
+            index_triples(triples, self.query_peer, self.dht)
         return len(triples)
 
     def rdf_query(self, query: ConjunctiveQuery) -> list[tuple[str, ...]]:
         if self.config.backend == CENTRALIZED:
             return eval_nested_loop(query, self.triples)
-        return eval_conjunctive(query, self.query_peer, self.dht, self.hash_dht)
+        return eval_conjunctive(query, self.query_peer, self.dht)
 
     # -- stats -------------------------------------------------------------------
 
@@ -387,7 +358,7 @@ def restore(path: str) -> Store:
             raise CorruptSnapshot(f"unknown record tag {tag!r}")
 
     if config.backend == P2P:
-        index_triples(store.triples, store.query_peer, store.dht, store.hash_dht, put)
+        index_triples(store.triples, store.query_peer, store.dht, put)
         _restore_stats(store.net.stats, saved_report)
     return store
 

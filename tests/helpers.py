@@ -19,15 +19,30 @@ ATTRS = ["id", "lang"]
 INT_LO, INT_HI = 1990, 2010
 
 
-def random_document_text(rng: random.Random, max_nodes: int = 60) -> str:
-    """Random XML text: nested elements with words, integers, attributes."""
+# how a value is written so that it parses back as itself, in text and in
+# double-quoted attributes alike
+_XML_REFS = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+             "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+
+
+def xml_escape(value: str) -> str:
+    return "".join(_XML_REFS.get(ch, ch) for ch in value)
+
+
+def random_document_text(
+    rng: random.Random, max_nodes: int = 60, words: list[str] = WORDS
+) -> str:
+    """Random XML text: nested elements with words, integers, attributes.
+
+    Text and attribute values are drawn from ``words``, escaped.
+    """
     budget = [rng.randint(1, max(1, max_nodes - 1))]
 
     def element(depth: int) -> str:
         tag = rng.choice(TAGS)
         attrs = ""
         if rng.random() < 0.15:
-            attrs = f' {rng.choice(ATTRS)}="{rng.choice(WORDS)}"'
+            attrs = f' {rng.choice(ATTRS)}="{xml_escape(rng.choice(words))}"'
         children: list[str] = []
         while budget[0] > 0 and rng.random() < (0.65 if depth < 6 else 0.1):
             budget[0] -= 1
@@ -36,7 +51,8 @@ def random_document_text(rng: random.Random, max_nodes: int = 60) -> str:
                 children.append(element(depth + 1))
             elif roll < 0.75:
                 count = rng.randint(1, 3)
-                children.append(" ".join(rng.choice(WORDS) for _ in range(count)))
+                text = " ".join(rng.choice(words) for _ in range(count))
+                children.append(xml_escape(text))
             else:
                 children.append(str(rng.randint(INT_LO, INT_HI)))
         if not children:
@@ -120,7 +136,7 @@ def make_cluster(
         dht.join(0, peer)
         if with_range:
             dht.join(1, peer)
-    index = IndexService(dht, 0, 1 if with_range else None)
+    index = IndexService(dht)
     return net, dht, index
 
 
@@ -172,7 +188,7 @@ def skew_cluster(big: int, small: int):
     homes = index_corpus(index, [doc], [2, 3, 4, 5, 6])
     ctx = planner.ExecutionContext(index, homes)
     builder = planner.PlanBuilder(
-        0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
+        lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
     )
     pattern = parse_pattern(f"//{big_tag}[/{small_tag}]!")
     return net, index, ctx, builder, pattern, (big_tag, small_tag), doc

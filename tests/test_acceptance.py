@@ -88,9 +88,7 @@ def _pipeline_trial(rng, collect_bytes=None):
     net, dht, index = make_cluster(4)
     homes = index_corpus(index, docs, [1, 2, 3, 4])
     ctx = planner.ExecutionContext(index, homes)
-    builder = PlanBuilder(
-        0, 1, lambda d, k: dht.overlays[d].owner_of(k), 1
-    )
+    builder = PlanBuilder(lambda d, k: dht.overlays[d].owner_of(k), 1)
     pattern = random_pattern(rng, max_nodes=5)
     want = eval_naive(pattern, docs)
     naive_plan = builder.build(decompose(pattern), False)
@@ -259,7 +257,6 @@ def test_criterion_6_o1_resource_access(tmp_path):
                 config = StoreConfig(
                     backend=backend,
                     peer_count=4,
-                    overlays=[(0, "hash"), (1, "range")],
                     resource_granularity={"p"},
                     snapshot_path=str(tmp_path / "a.snap"),
                 )
@@ -290,7 +287,6 @@ def test_criterion_7_backend_transparency(tmp_path):
             ))
             p2p = Store(StoreConfig(
                 backend="p2p", peer_count=4,
-                overlays=[(0, "hash"), (1, "range")],
                 snapshot_path=str(tmp_path / "p.snap"),
                 resource_granularity=set(),
             ))
@@ -322,17 +318,17 @@ def test_criterion_8_rdf_conjunctive_queries():
                 }
             )
             net, dht, index = make_cluster(4, with_range=False)
-            index_triples(triples, 1, dht, 0)
+            index_triples(triples, 1, dht)
             for _ in range(20):
                 query = random_query(rng, triples)
                 if query is None:
                     continue
-                got = eval_conjunctive(query, 1, dht, 0)
+                got = eval_conjunctive(query, 1, dht)
                 assert got == eval_nested_loop(query, triples)
                 shuffled = list(query.patterns)
                 rng.shuffle(shuffled)
                 assert eval_conjunctive(
-                    ConjunctiveQuery(shuffled, query.projection), 1, dht, 0
+                    ConjunctiveQuery(shuffled, query.projection), 1, dht
                 ) == got
                 trials += 1
 
@@ -341,7 +337,6 @@ def _determinism_scenario(tmp_path, run_no: int) -> str:
     """Every traffic source once: ingest, twig queries, ranges, rdf, fetches."""
     config = StoreConfig(
         backend="p2p", peer_count=5,
-        overlays=[(0, "hash"), (1, "range")],
         resource_granularity={"b"},
         snapshot_path=str(tmp_path / f"det{run_no}.snap"),
     )

@@ -120,6 +120,45 @@ def test_user_errors_exit_1(workdir, capsys):
     assert "error:" in err
 
 
+def test_namespaced_ingest_exit_1_and_store_still_loads(workdir, capsys):
+    (workdir / "ns.xml").write_text(
+        '<x:a xmlns:x="urn:u"><x:b>t</x:b></x:a>', encoding="utf-8"
+    )
+    assert main(["ingest", "ns.xml"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["stats"]) == 0
+    assert main(["ingest", "d1.xml"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "."],
+    ["rdf-load", "."],
+    ["stats", "--config", "."],
+])
+def test_directory_path_exit_1(workdir, capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("overlays", ["0:hash", "300:hash", "-1:hash,1:range"])
+def test_legacy_overlays_config_answers_range_queries(workdir, capsys, overlays):
+    (workdir / "c.xml").write_text(
+        "<r><c>2003</c><c>1999</c></r>", encoding="utf-8"
+    )
+    for cfg, line in (("plain.cfg", ""), ("legacy.cfg", f"overlays={overlays}\n")):
+        text = CONFIG.format(snap=workdir / f"{cfg}.snap")
+        text = text.replace("overlays=0:hash,1:range\n", line)
+        (workdir / cfg).write_text(text, encoding="utf-8")
+    answers = []
+    for cfg in ("plain.cfg", "legacy.cfg"):
+        assert main(["init", "--config", cfg]) == 0
+        assert main(["ingest", "c.xml", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["query", "//c in 2000..2005!", "--config", cfg]) == 0
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1] == "1#2\t<c>2003</c>\n"
+
+
 @pytest.mark.parametrize("backend", ["centralized", "p2p"])
 def test_rdf_query_without_constant_exit_1(workdir, capsys, backend):
     cfg = workdir / "store.cfg"

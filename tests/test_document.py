@@ -131,6 +131,28 @@ def test_escaping_round_trip():
     assert again.nodes[2].name_or_value == "1 < 2 & 3"
 
 
+@pytest.mark.parametrize("text", [
+    '<x:a xmlns:x="urn:u"><x:b>t</x:b></x:a>',
+    '<a xmlns="urn:u"><b/></a>',
+    '<a xml:lang="en">t</a>',
+    '<a><b x:y="1" xmlns:x="urn:v"/></a>',
+])
+def test_namespaced_names_refused(text):
+    # ElementTree reports them as {uri}local, which no serialization can
+    # write back as well-formed XML
+    with pytest.raises(MalformedXml):
+        parse_document(text, 1)
+
+
+def test_character_references_round_trip():
+    doc = parse_document("<a><b>x&#13;y</b><c a='p&#13;q&#9;r&#10;s'/></a>", 1)
+    out = serialize_document(doc)
+    assert out == '<a><b>x&#13;y</b><c a="p&#13;q&#9;r&#10;s"/></a>'
+    again = parse_document(out, 1)
+    assert again.nodes[2].name_or_value == "x\ry"
+    assert again.nodes[4].attr_value == "p\rq\tr\ns"
+
+
 def test_extract_resources():
     doc = parse_document(D1, 1)
     assert [r.resource_id for r in extract_resources(doc, {"par"})] == ["1#1", "1#6"]

@@ -229,9 +229,7 @@ def test_build_golden_word_range_and_recompose():
     # on peer 1, the year range on peer 3); every other operator sits at
     # the query peer, with a Ship wherever an input lives elsewhere
     net, dht, index = make_cluster()
-    builder = PlanBuilder(
-        0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1
-    )
+    builder = PlanBuilder(lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1)
     pattern = parse_pattern('//paper[/year in 2000..2005][/title="dht"]!')
     plan = builder.build(decompose(pattern), with_recompose=True)
     assert plan_to_xml(plan) == (
@@ -269,7 +267,7 @@ def test_place_discards_what_rewrite_changes_randomized():
                      list(range(1, peers + 1)))
         query_peer = rng.randint(1, peers)
         builder = PlanBuilder(
-            0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
+            lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
         )
         for _ in range(3):
             pattern = random_pattern(rng)
@@ -317,7 +315,7 @@ def test_place_output_carries_fresh_estimates_randomized():
                      list(range(1, peers + 1)))
         query_peer = rng.randint(1, peers)
         builder = PlanBuilder(
-            0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
+            lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
         )
         for _ in range(3):
             pattern = random_pattern(rng)
@@ -347,7 +345,7 @@ def pipeline(store_docs, pattern_text, query_peer=1, with_recompose=False):
     ctx = ExecutionContext(index, homes)
     pattern = parse_pattern(pattern_text)
     builder = PlanBuilder(
-        0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
+        lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
     )
     plan = builder.build(decompose(pattern), with_recompose=with_recompose)
     plan = place(plan, index.stats, query_peer)
@@ -379,9 +377,7 @@ def test_execute_twice_same_results():
     homes = index_corpus(index, docs, [1, 2, 3, 4])
     ctx = ExecutionContext(index, homes)
     pattern = parse_pattern("//sec!")
-    builder = PlanBuilder(
-        0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1
-    )
+    builder = PlanBuilder(lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1)
     plan = place(builder.build(decompose(pattern), False), index.stats, 1)
     first, _ = execute(plan, ctx)
     second, _ = execute(plan, ctx)
@@ -469,7 +465,7 @@ def test_semantics_preserved_through_pipeline_randomized():
         homes = index_corpus(index, docs, [1, 2, 3, 4])
         ctx = ExecutionContext(index, homes)
         builder = PlanBuilder(
-            0, 1, lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1
+            lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1
         )
         pattern = random_pattern(rng)
         naive_bindings = eval_naive(pattern, docs)

@@ -30,7 +30,7 @@ def test_three_puts_per_triple():
     net, dht = cluster()
     before = count_stored(dht)
     n = index_triples([Triple("a", "type", "Doc"), Triple("a", "author", "b")],
-                      1, dht, 0)
+                      1, dht)
     assert n == 2
     assert count_stored(dht) - before == 6
 
@@ -46,7 +46,7 @@ def count_stored(dht):
 def test_duplicate_triple_kept_twice():
     net, dht = cluster()
     t = Triple("a", "type", "Doc")
-    index_triples([t, t], 1, dht, 0)
+    index_triples([t, t], 1, dht)
     assert dht.get(0, 1, "p:type") == [t.text().encode()] * 2
 
 
@@ -57,7 +57,7 @@ def test_predicate_key_returns_matching_triples():
         Triple("c", "author", "d"),
         Triple("a", "type", "Doc"),
     ]
-    index_triples(triples, 2, dht, 0)
+    index_triples(triples, 2, dht)
     got = sorted(dht.get(0, 3, "p:author"))
     assert got == sorted(t.text().encode() for t in triples[:2])
 
@@ -65,44 +65,44 @@ def test_predicate_key_returns_matching_triples():
 def test_conjunctive_example():
     net, dht = cluster()
     triples = [Triple("a", "type", "Doc"), Triple("a", "author", "b")]
-    index_triples(triples, 1, dht, 0)
+    index_triples(triples, 1, dht)
     q = ConjunctiveQuery(
         [TriplePattern("?x", "type", "Doc"), TriplePattern("?x", "author", "?y")],
         ["?x", "?y"],
     )
-    assert eval_conjunctive(q, 1, dht, 0) == [("a", "b")]
+    assert eval_conjunctive(q, 1, dht) == [("a", "b")]
 
 
 def test_unsatisfiable_constant():
     net, dht = cluster()
-    index_triples([Triple("a", "type", "Doc")], 1, dht, 0)
+    index_triples([Triple("a", "type", "Doc")], 1, dht)
     q = ConjunctiveQuery([TriplePattern("?x", "type", "Nope")], ["?x"])
-    assert eval_conjunctive(q, 1, dht, 0) == []
+    assert eval_conjunctive(q, 1, dht) == []
 
 
 def test_single_pattern_projection():
     net, dht = cluster()
     triples = [Triple("a", "type", "Doc"), Triple("b", "type", "Doc"),
                Triple("c", "type", "Page")]
-    index_triples(triples, 1, dht, 0)
+    index_triples(triples, 1, dht)
     q = ConjunctiveQuery([TriplePattern("?x", "type", "Doc")], ["?x"])
-    assert eval_conjunctive(q, 1, dht, 0) == [("a",), ("b",)]
+    assert eval_conjunctive(q, 1, dht) == [("a",), ("b",)]
 
 
 def test_all_variable_pattern_raises():
     net, dht = cluster()
-    index_triples([Triple("a", "type", "Doc")], 1, dht, 0)
+    index_triples([Triple("a", "type", "Doc")], 1, dht)
     q = ConjunctiveQuery([TriplePattern("?x", "?p", "?y")], ["?x"])
     with pytest.raises(UnseedablePattern):
-        eval_conjunctive(q, 1, dht, 0)
+        eval_conjunctive(q, 1, dht)
 
 
 def test_repeated_variable_within_pattern():
     net, dht = cluster()
     triples = [Triple("a", "cites", "a"), Triple("a", "cites", "b")]
-    index_triples(triples, 1, dht, 0)
+    index_triples(triples, 1, dht)
     q = ConjunctiveQuery([TriplePattern("?x", "cites", "?x")], ["?x"])
-    assert eval_conjunctive(q, 1, dht, 0) == [("a",)]
+    assert eval_conjunctive(q, 1, dht) == [("a",)]
 
 
 def random_query(rng, triples):
@@ -140,12 +140,12 @@ def test_oracle_equivalence_randomized(seed):
         }
     )
     net, dht = cluster()
-    index_triples(triples, 1, dht, 0)
+    index_triples(triples, 1, dht)
     for _ in range(30):
         q = random_query(rng, triples)
         if q is None:
             continue
-        assert eval_conjunctive(q, 1, dht, 0) == eval_nested_loop(q, triples)
+        assert eval_conjunctive(q, 1, dht) == eval_nested_loop(q, triples)
 
 
 def test_pattern_order_permutation_invariance():
@@ -155,7 +155,7 @@ def test_pattern_order_permutation_invariance():
         for _ in range(40)
     ]
     net, dht = cluster()
-    index_triples(triples, 1, dht, 0)
+    index_triples(triples, 1, dht)
     q = ConjunctiveQuery(
         [
             TriplePattern("?x", "type", "Doc"),
@@ -164,12 +164,12 @@ def test_pattern_order_permutation_invariance():
         ],
         ["?x", "?z"],
     )
-    baseline = eval_conjunctive(q, 1, dht, 0)
+    baseline = eval_conjunctive(q, 1, dht)
     for _ in range(5):
         shuffled = list(q.patterns)
         rng.shuffle(shuffled)
         assert eval_conjunctive(
-            ConjunctiveQuery(shuffled, q.projection), 1, dht, 0
+            ConjunctiveQuery(shuffled, q.projection), 1, dht
         ) == baseline
 
 

@@ -3,6 +3,7 @@ import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from twigstore.errors import (
     CorruptSnapshot,
@@ -21,7 +22,7 @@ from twigstore.rdfstore import (
 )
 from twigstore.store import P2P, Store, StoreConfig, restore, snapshot
 
-from helpers import random_document_text, random_pattern_text
+from helpers import TAGS, WORDS, random_document_text, random_pattern_text
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
@@ -30,7 +31,6 @@ def config(backend="p2p", tmp_path=None, granularity=("par",), peers=4):
     return StoreConfig(
         backend=backend,
         peer_count=peers,
-        overlays=[(0, "hash"), (1, "range")],
         resource_granularity=set(granularity),
         snapshot_path=str(tmp_path / "s.snap") if tmp_path else "s.snap",
     )
@@ -89,6 +89,35 @@ def test_query_returns_resources(any_store):
         assert result.stats.bytes_sent > 0
     else:
         assert result.stats.bytes_sent == 0
+
+
+@pytest.mark.parametrize("text", [
+    '<x:a xmlns:x="urn:u"><x:b>t</x:b></x:a>',
+    '<a xmlns="urn:u"><b>t</b></a>',
+    '<a xml:lang="en"><b>t</b></a>',
+])
+def test_namespaced_document_refused(tmp_path, any_store, text):
+    with pytest.raises(MalformedXml):
+        any_store.store_resource(text)
+    assert any_store.store_resource(D1) == ["1#1", "1#6"]
+    path = str(tmp_path / "x.snap")
+    snapshot(any_store, path)
+    assert restore(path).get_resource("1#6").payload == "<par>xml</par>"
+
+
+def test_character_references_survive_snapshot(tmp_path, any_store):
+    (rid,) = any_store.store_resource(
+        "<a><b>x&#13;y</b><c a='p&#13;q&#9;r'/></a>"
+    )
+    payload = '<a><b>x&#13;y</b><c a="p&#13;q&#9;r"/></a>'
+    assert any_store.get_resource(rid).payload == payload
+    path = str(tmp_path / "x.snap")
+    snapshot(any_store, path)
+    again = restore(path)
+    assert again.get_resource(rid).payload == payload
+    assert [r.payload for r in again.query("//b!").resources] == [
+        r.payload for r in any_store.query("//b!").resources
+    ] == ["<b>x&#13;y</b>"]
 
 
 def test_backend_transparency_randomized(tmp_path):
@@ -466,18 +495,62 @@ def test_single_peer_p2p_store(tmp_path):
     assert result.stats.bytes_sent == 0  # one peer: everything is local
 
 
-def test_p2p_without_range_overlay(tmp_path):
-    from twigstore.errors import NotRangeCapable
+@pytest.mark.parametrize("overlays", ["0:hash", "300:hash", "-1:hash,1:range"])
+def test_legacy_overlays_line_is_ignored(tmp_path, overlays):
+    # configs and snapshots written while the overlay layout was a config
+    # field hold an overlays= line; every p2p store runs both overlays now
+    doc = "<lib><paper><year>2003</year></paper><paper><year>1999</year></paper></lib>"
+    query = "//paper[/year in 2000..2005]!"
+    central = Store(config("centralized", tmp_path))
+    central.store_resource(doc)
+    expected = [(r.resource_id, r.payload) for r in central.query(query).resources]
+    assert expected == [("1#2", "<paper><year>2003</year></paper>")]
 
-    cfg = StoreConfig(
-        backend="p2p", peer_count=3, overlays=[(0, "hash")],
-        resource_granularity=set(), snapshot_path=str(tmp_path / "h.snap"),
-    )
-    store = Store(cfg)
-    store.store_resource("<lib><paper><year>2003</year></paper></lib>")
-    assert [r.resource_id for r in store.query("//paper!").resources] == ["1#2"]
-    with pytest.raises(NotRangeCapable):
-        store.query("//paper[/year in 2000..2005]!")
+    text = f"backend=p2p\npeer_count=3\noverlays={overlays}\n"
+    store = Store(StoreConfig.from_text(text))
+    store.store_resource(doc)
+    assert [(r.resource_id, r.payload) for r in store.query(query).resources] == expected
+    assert "overlays" not in store.config.to_text()
+
+    path = tmp_path / "legacy.snap"
+    _write_snapshot(path, [(b"CONF", text.encode()),
+                           (b"DOC\x00", struct.pack(">Q", 1) + doc.encode())])
+    again = restore(str(path))
+    assert [(r.resource_id, r.payload) for r in again.query(query).resources] == expected
+
+
+# values that escaping has to carry through snapshot -> restore unchanged
+_ROUND_TRIP_WORDS = WORDS + [
+    "a & b", "x < y", "p > q", 'say "hi"', "it's", "tab\there", "two\nlines",
+    "cr\rhere", "\r", "café", "naïve Ωmega", "日本語", "1995",
+]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    layout=st.sampled_from([("centralized", 1), ("p2p", 1), ("p2p", 3), ("p2p", 8)]),
+)
+def test_snapshot_round_trip_property(tmp_path_factory, seed, layout):
+    rng = random.Random(seed)
+    backend, peers = layout
+    granularity = rng.sample(TAGS, rng.randint(0, 2))
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    store = Store(config(backend, tmp, granularity=granularity, peers=peers))
+    ids = []
+    for _ in range(rng.randint(1, 4)):
+        ids += store.store_resource(random_document_text(rng, 20, _ROUND_TRIP_WORDS))
+    path = str(tmp / "x.snap")
+    snapshot(store, path)
+    again = restore(path)
+    assert again.stats_report() == store.stats_report()
+    for rid in ids:
+        assert again.get_resource(rid).payload == store.get_resource(rid).payload
+    for _ in range(4):
+        pattern = random_pattern_text(rng)
+        assert [(r.resource_id, r.payload) for r in again.query(pattern).resources] == [
+            (r.resource_id, r.payload) for r in store.query(pattern).resources
+        ], pattern
+    assert again.stats_report() == store.stats_report()
 
 
 def test_config_round_trip_and_validation():
@@ -489,8 +562,6 @@ def test_config_round_trip_and_validation():
     assert StoreConfig.from_text(cfg.to_text()).to_text() == cfg.to_text()
     with pytest.raises(ValueError):
         StoreConfig.from_text("backend=weird\n")
-    with pytest.raises(ValueError):
-        StoreConfig.from_text("backend=p2p\noverlays=0:range\n")
     with pytest.raises(ValueError):
         StoreConfig.from_text("nonsense\n")
     with pytest.raises(ValueError):
