@@ -124,15 +124,21 @@ def _resource(label: StructuralId, payload: str) -> Resource:
 
 
 def recompose(
-    labels: Iterable[StructuralId], payload: Callable[[StructuralId], str]
+    labels: Iterable[StructuralId],
+    payloads: Callable[[list[StructuralId]], list[str]],
 ) -> list[Resource]:
     """One resource per distinct label, in label order.
 
-    ``payload`` is called once per distinct label, in that order: the
-    centralized backend serializes the node, the p2p executor fetches it
-    from the document's home peer.
+    ``payloads`` is called once, with the distinct labels in that order,
+    and returns their payloads in the same order: the centralized backend
+    serializes each node, the p2p executor fetches them from the
+    documents' home peers, one request per home.
     """
-    return [_resource(label, payload(label)) for label in sorted(set(labels))]
+    distinct = sorted(set(labels))
+    return [
+        _resource(label, payload)
+        for label, payload in zip(distinct, payloads(distinct), strict=True)
+    ]
 
 
 def is_ancestor(a: StructuralId, d: StructuralId) -> bool:

@@ -21,6 +21,11 @@ order under byte-wise comparison; ``parse_int_content`` already refuses
 text outside the +-10^18 window this encoding covers, and ``value_bounds``
 clips a query range to it.
 
+The four fields are fixed-width unsigned big-endian integers in label
+field order, so byte order on encoded postings is ``StructuralId`` order:
+a lookup dedupes and sorts the raw 32-byte records, then decodes the whole
+list in one pass (``decode_postings``), never comparing labels in Python.
+
 This module turns a plan leaf into index work: its key (``tag_key``,
 ``word_key``, ``value_bounds``), its estimated posting count from the
 published counts (``key_count``, ``range_count``), and its lookup, which
@@ -30,6 +35,8 @@ returns distinct postings in label order.
 from __future__ import annotations
 
 import struct
+from itertools import starmap
+from typing import Iterable
 
 from .document import ATTRIBUTE, INT_WINDOW, TEXT, Document, Node, \
     StructuralId, parse_int_content, split_words
@@ -42,15 +49,32 @@ HASH_OVERLAY = 0
 RANGE_OVERLAY = 1
 
 _INT_OFFSET = 10**19
+_POSTING = struct.Struct(">QQQQ")
 
 
 def encode_posting(sid: StructuralId) -> bytes:
-    return struct.pack(">QQQQ", sid.doc_id, sid.start, sid.end, sid.depth)
+    return _POSTING.pack(sid.doc_id, sid.start, sid.end, sid.depth)
 
 
 def decode_posting(raw: bytes) -> StructuralId:
-    doc_id, start, end, depth = struct.unpack(">QQQQ", raw)
-    return StructuralId(doc_id, start, end, depth)
+    return StructuralId(*_POSTING.unpack(raw))
+
+
+def encode_postings(sids: Iterable[StructuralId]) -> bytes:
+    """The encodings of ``sids``, concatenated."""
+    pack = _POSTING.pack
+    return b"".join([pack(s.doc_id, s.start, s.end, s.depth) for s in sids])
+
+
+def decode_postings(raw: bytes) -> list[StructuralId]:
+    """Every posting of a concatenation of encoded postings, in order."""
+    return list(starmap(StructuralId, _POSTING.iter_unpack(raw)))
+
+
+def _sorted_postings(records: Iterable[bytes]) -> list[StructuralId]:
+    """Distinct postings of encoded ``records``, in label order: sorting
+    the bytes sorts the labels."""
+    return decode_postings(b"".join(sorted(set(records))))
 
 
 def tag_key(name: str) -> str:
@@ -94,14 +118,16 @@ def key_count(stats: dict[str, int], key: str) -> int:
     return stats.get(key, 0)
 
 
+def value_tags(stats: dict[str, int]) -> list[str]:
+    """The tags with value postings, sorted: the only tags ``"*"`` expands
+    to in a range."""
+    return sorted({k[2 : k.index("=")] for k in stats if k.startswith("v:")})
+
+
 def range_count(stats: dict[str, int], tag: str, lo: int, hi: int) -> int:
     """Value postings of ``tag`` (``"*"``: any tag) with content in [lo, hi]."""
-    if tag == "*":
-        tags = {k[2 : k.index("=")] for k in stats if k.startswith("v:")}
-    else:
-        tags = {tag}
     total = 0
-    for t in tags:
+    for t in value_tags(stats) if tag == "*" else [tag]:
         bounds = value_bounds(t, lo, hi)
         if bounds is not None:
             lo_key, hi_key = bounds
@@ -113,7 +139,7 @@ class IndexService:
     """Facade over the overlays for posting publication and lookups.
 
     ``stats`` shadows the number of postings published per key, feeding
-    the planner's cost estimates.
+    the planner's cost estimates and the tags a wildcard range scans.
     """
 
     def __init__(self, dht: DhtService):
@@ -137,27 +163,31 @@ class IndexService:
         ranged: Items = []
         catalog: dict[str, None] = {}
 
-        def publish(batch: Items, key: str, sid: StructuralId) -> None:
-            batch.append((key, encode_posting(sid)))
+        def publish(batch: Items, key: str, posting: bytes) -> None:
+            batch.append((key, posting))
             self.stats[key] = self.stats.get(key, 0) + 1
 
-        # (node, its parent element) in document order, with an explicit
-        # stack: a recursive closure would be a reference cycle keeping both
-        # batches alive until the next full garbage collection
-        stack: list[tuple[Node, Node]] = [(doc.root, doc.root)]
+        # (node, its parent element and that element's encoded posting) in
+        # document order, with an explicit stack: a recursive closure would
+        # be a reference cycle keeping both batches alive until the next
+        # full garbage collection.  Each element is encoded once, and its
+        # tag, word and value items share that one bytes object.
+        stack: list[tuple[Node, Node, bytes]] = [(doc.root, doc.root, b"")]
         while stack:
-            node, parent = stack.pop()
+            node, parent, parent_posting = stack.pop()
             if node.kind == TEXT:
                 for word in dict.fromkeys(split_words(node.name_or_value)):
-                    publish(hashed, word_key(word), parent.label)
+                    publish(hashed, word_key(word), parent_posting)
                 value = parse_int_content(node.name_or_value)
                 if value is not None:
-                    publish(ranged, value_key(parent.name, value), parent.label)
+                    publish(ranged, value_key(parent.name, value), parent_posting)
                 continue
             catalog.setdefault(node.name, None)
-            publish(hashed, tag_key(node.name), node.label)
+            posting = encode_posting(node.label)
+            publish(hashed, tag_key(node.name), posting)
             if node.kind != ATTRIBUTE:
-                stack += ((child, node) for child in reversed(doc.children(node)))
+                stack += ((child, node, posting)
+                          for child in reversed(doc.children(node)))
 
         published = len(hashed) - len(lead) + len(ranged)
         hashed += ((CATALOG_KEY, name.encode("utf-8")) for name in catalog)
@@ -173,8 +203,7 @@ class IndexService:
         """Postings under a hash-overlay key; ``"*"`` means ``lookup_all``."""
         if key == "*":
             return self.lookup_all(via)
-        values = self.dht.get(HASH_OVERLAY, via, key)
-        return sorted(set(map(decode_posting, values)))
+        return _sorted_postings(self.dht.get(HASH_OVERLAY, via, key))
 
     def lookup_tag(self, tag: str, via: PeerId) -> list[StructuralId]:
         return self.lookup(tag_key(tag), via)
@@ -185,17 +214,17 @@ class IndexService:
     def lookup_value_range(
         self, tag: str, lo: int, hi: int, via: PeerId
     ) -> list[StructuralId]:
-        """Postings of ``tag`` elements (``"*"``: of every known tag) with
-        integer content in [lo, hi]; a range outside the window fetches
-        nothing."""
+        """Postings of ``tag`` elements (``"*"``: of every tag with value
+        postings, ``value_tags``) with integer content in [lo, hi]; a range
+        outside the window fetches nothing."""
         if value_bounds(tag, lo, hi) is None:
             return []
-        tags = self.known_tags(via) if tag == "*" else [tag]
-        found: set[StructuralId] = set()
+        tags = value_tags(self.stats) if tag == "*" else [tag]
+        records: list[bytes] = []
         for t in tags:
             items = self.dht.get_range(RANGE_OVERLAY, via, *value_bounds(t, lo, hi))
-            found.update(decode_posting(v) for _, v in items)
-        return sorted(found)
+            records += (v for _, v in items)
+        return _sorted_postings(records)
 
     def known_tags(self, via: PeerId) -> list[str]:
         values = self.dht.get(HASH_OVERLAY, via, CATALOG_KEY)
@@ -203,7 +232,7 @@ class IndexService:
 
     def lookup_all(self, via: PeerId) -> list[StructuralId]:
         """Union of all tag posting lists (wildcard candidate source)."""
-        seen: set[StructuralId] = set()
+        records: list[bytes] = []
         for tag in self.known_tags(via):
-            seen.update(self.lookup_tag(tag, via))
-        return sorted(seen)
+            records += self.dht.get(HASH_OVERLAY, via, tag_key(tag))
+        return _sorted_postings(records)

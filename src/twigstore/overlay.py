@@ -41,9 +41,9 @@ and key lengths take 2 bytes, or 6 from 0xFFFF up.
 
 Wire tags: 0x01/0x04 put and 0x02/0x05 get on a hash/range overlay, 0x06
 range scan, 0x03/0x07 their responses.  Every request that expects an
-answer (get, scan, the plan executor's subtree fetch) takes its id from
-``DhtService.new_request``, and every response tag maps to ``on_response``,
-which files the payload for ``take_response``.
+answer (get, scan, the plan executor's batched subtree fetch) takes its
+id from ``DhtService.new_request``, and every response tag maps to
+``on_response``, which files the payload for ``take_response``.
 """
 
 from __future__ import annotations

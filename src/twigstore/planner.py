@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable
 
 from .document import (
@@ -39,8 +40,8 @@ from .indexing import (
     POSTING_SIZE,
     RANGE_OVERLAY,
     IndexService,
-    decode_posting,
-    encode_posting,
+    decode_postings,
+    encode_postings,
     key_count,
     range_count,
     tag_key,
@@ -633,13 +634,10 @@ def _shipped_size(ncols: int, nrows: int) -> int:
 
 def encode_dataset(ds: Dataset) -> bytes:
     """Column count (``_column_count``), row count, column ids, then each
-    row's postings."""
-    head = _column_count(len(ds.cols)) + struct.pack(">I", len(ds.rows))
-    head += b"".join(struct.pack(">H", c) for c in ds.cols)
-    body = b"".join(
-        encode_posting(sid) for row in ds.rows for sid in row
-    )
-    return head + body
+    row's postings, encoded in one pass."""
+    head = struct.pack(f">I{len(ds.cols)}H", len(ds.rows), *ds.cols)
+    body = encode_postings(chain.from_iterable(ds.rows))
+    return _column_count(len(ds.cols)) + head + body
 
 
 def decode_dataset(payload: bytes, site: PeerId) -> Dataset:
@@ -649,23 +647,21 @@ def decode_dataset(payload: bytes, site: PeerId) -> Dataset:
         off += 4
     (nrows,) = struct.unpack_from(">I", payload, off)
     off += 4
-    cols = struct.unpack_from(f">{ncols}H", payload, off) if ncols else ()
+    cols = struct.unpack_from(f">{ncols}H", payload, off)
     off += 2 * ncols
-    rows = []
-    for _ in range(nrows):
-        row = tuple(
-            decode_posting(payload[off + i * 32 : off + (i + 1) * 32])
-            for i in range(ncols)
-        )
-        off += 32 * ncols
-        rows.append(row)
-    return Dataset(tuple(cols), rows, site)
+    if ncols:
+        sids = iter(decode_postings(memoryview(payload)[off:]))
+        rows = list(zip(*[sids] * ncols))
+    else:
+        rows = [()] * nrows
+    return Dataset(cols, rows, site)
 
 
 class ExecutionContext:
     """Runtime the executor needs: overlays, index, and document homes.
 
-    A subtree fetch uses the overlay service's request ids and responses.
+    A batched subtree fetch uses the overlay service's request ids and
+    responses.
     """
 
     def __init__(
@@ -686,26 +682,54 @@ class ExecutionContext:
         self._inbox.append(env.payload[1:])
 
     def _on_fetch(self, net: Network, env: Envelope) -> None:
-        req, origin, doc_id, start = struct.unpack_from(">IQQQ", env.payload, 1)
-        doc, _home = self.documents[doc_id]
-        label = doc.node_by_start(start).label  # the request carries the start only
-        payload = serialize_node(doc, label).encode("utf-8")
-        net.send(env.to_peer, origin, bytes([TAG_FETCH_RESP])
-                 + struct.pack(">I", req) + pack_bytes(payload))
+        """Answer a batched fetch: the payloads of the requested nodes,
+        each length-prefixed, in request order."""
+        req, origin = struct.unpack_from(">IQ", env.payload, 1)
+        parts = [bytes([TAG_FETCH_RESP]), struct.pack(">I", req)]
+        for doc_id, start in struct.iter_unpack(">QQ", env.payload[13:]):
+            doc, _home = self.documents[doc_id]
+            label = doc.node_by_start(start).label  # the request carries the start only
+            parts.append(pack_bytes(serialize_node(doc, label).encode("utf-8")))
+        net.send(env.to_peer, origin, b"".join(parts))
 
-    def fetch_subtree(self, via: PeerId, sid: StructuralId) -> str:
-        doc, home = self.documents[sid.doc_id]
-        if home == via:
-            return serialize_node(doc, sid)
-        req = self.dht.new_request()
-        self.net.send(
-            via, home,
-            bytes([TAG_FETCH])
-            + struct.pack(">IQQQ", req, via, sid.doc_id, sid.start),
-        )
+    def fetch_subtree(self, via: PeerId, sids: list[StructuralId]) -> list[str]:
+        """The serialized subtrees of ``sids``, in order.
+
+        Nodes whose document lives at ``via`` are serialized there; every
+        other home peer gets one request for all of its nodes, and one
+        drain delivers them all.  A request is the wire tag, the request id
+        and the origin, then one ``(doc_id, start)`` pair per node up to the
+        end of the envelope (no count is sent: the length gives it); the
+        response is the payloads, length-prefixed, in request order.
+        """
+        out: list[str] = [""] * len(sids)
+        remote: dict[PeerId, list[int]] = {}
+        for i, sid in enumerate(sids):
+            doc, home = self.documents[sid.doc_id]
+            if home == via:
+                out[i] = serialize_node(doc, sid)
+            else:
+                remote.setdefault(home, []).append(i)
+        if not remote:
+            return out
+        pending = []
+        for home, slots in remote.items():
+            req = self.dht.new_request()
+            pairs = b"".join(
+                struct.pack(">QQ", sids[i].doc_id, sids[i].start) for i in slots
+            )
+            self.net.send(
+                via, home,
+                bytes([TAG_FETCH]) + struct.pack(">IQ", req, via) + pairs,
+            )
+            pending.append((req, slots))
         self.dht.drain()
-        raw, _ = unpack_bytes(self.dht.take_response(req), RESPONSE_BODY)
-        return raw.decode("utf-8")
+        for req, slots in pending:
+            response, off = self.dht.take_response(req), RESPONSE_BODY
+            for i in slots:
+                raw, off = unpack_bytes(response, off)
+                out[i] = raw.decode("utf-8")
+        return out
 
     def ship(self, ds: Dataset, to: PeerId) -> Dataset:
         if ds.site == to:
@@ -785,7 +809,7 @@ def _run_recompose(
     slots = [ds.cols.index(var) for var in plan.ret_vars]
     return recompose(
         (row[i] for row in ds.rows for i in slots),
-        lambda sid: ctx.fetch_subtree(plan.site, sid),
+        lambda sids: ctx.fetch_subtree(plan.site, sids),
     )
 
 

@@ -210,9 +210,9 @@ class Store:
         if self.config.backend == CENTRALIZED:
             bindings = eval_local(pattern, list(self.documents.values()))
             labels = (b[i] for b in bindings for i in pattern.return_nodes)
-            resources = recompose(
-                labels, lambda sid: serialize_node(self.documents[sid.doc_id], sid)
-            )
+            resources = recompose(labels, lambda sids: [
+                serialize_node(self.documents[sid.doc_id], sid) for sid in sids
+            ])
             return QueryResult(resources, NetworkStats())
         plan = self.build_plan(pattern, with_recompose=True)
         return QueryResult(*planner.execute(plan, self.exec_ctx))

@@ -229,18 +229,18 @@ def test_recompose_one_resource_per_distinct_label_in_label_order():
     # both backends build their answers here, so the transparency tests
     # cannot see a fault in it
     a, b, c = StructuralId(2, 1, 4, 1), StructuralId(1, 5, 5, 2), StructuralId(1, 2, 9, 1)
-    fetched = []
+    calls = []
 
-    def payload(label):
-        fetched.append(label)
-        return f"<p{label.start}/>"
+    def payloads(labels):
+        calls.append(list(labels))
+        return [f"<p{label.start}/>" for label in labels]
 
-    got = recompose([a, b, a, c, b], payload)
-    assert fetched == [c, b, a]
+    got = recompose([a, b, a, c, b], payloads)
+    assert calls == [[c, b, a]]
     assert [(r.resource_id, r.doc_id, r.root_label, r.payload) for r in got] == [
         ("1#2", 1, c, "<p2/>"), ("1#5", 1, b, "<p5/>"), ("2#1", 2, a, "<p1/>"),
     ]
-    assert recompose(iter([]), payload) == []
+    assert recompose(iter([]), payloads) == []
 
 
 def _naive_spans(xml_text):

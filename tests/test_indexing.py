@@ -4,14 +4,21 @@ from hypothesis import given, settings, strategies as st
 
 from twigstore.document import ELEMENT, ATTRIBUTE, StructuralId, parse_document
 from twigstore.indexing import (
+    HASH_OVERLAY,
     POSTING_SIZE,
+    RANGE_OVERLAY,
     decode_posting,
+    decode_postings,
     encode_int,
     encode_posting,
+    encode_postings,
     key_count,
     range_count,
+    tag_key,
     value_bounds,
     value_key,
+    value_tags,
+    word_key,
 )
 
 from helpers import INT_HI, INT_LO, TAGS, index_corpus, make_cluster, random_corpus
@@ -27,6 +34,14 @@ def test_posting_wire_format():
         "0000000000000003000000000000000e000000000000000f0000000000000009"
     )
     assert decode_posting(raw) == sid
+
+
+def test_posting_lists_encode_and_decode_in_one_call():
+    sids = [StructuralId(2**64 - 1, 2**32, 2**33, 7), StructuralId(1, 2, 3, 1)]
+    raw = encode_postings(iter(sids))
+    assert raw == b"".join(map(encode_posting, sids))
+    assert decode_postings(raw) == sids
+    assert encode_postings([]) == b"" and decode_postings(b"") == []
 
 
 def test_int_encoding_preserves_order():
@@ -183,3 +198,87 @@ def test_value_bounds_clip_to_the_window():
     )
     for lo, hi in ((edge + 1, edge + 5), (10**19, 10**19 + 5), (-(10**19), -edge - 1)):
         assert value_bounds("n", lo, hi) is None
+
+
+# -- lookups return postings in label order -----------------------------------
+
+# labels whose order differs from the order of their low 32 bits
+_WIDE = [
+    StructuralId(2**32 + 1, 2**33, 2**33 + 9, 2),
+    StructuralId(1, 2**32 + 7, 2**32 + 8, 3),
+    StructuralId(2**32, 5, 6, 1),
+    StructuralId(255, 2**40, 2**40, 4),
+    StructuralId(2**64 - 1, 1, 2, 1),
+    StructuralId(1, 2**32 + 7, 2**32 + 8, 2),
+]
+
+
+def _stored(dht, dht_id, key):
+    """Every encoded posting the overlay holds under ``key``, on any peer."""
+    return [v for state in dht.overlays[dht_id].members.values()
+            for v in state.store.get(key, [])]
+
+
+def _label_order(records):
+    return sorted(set(map(decode_posting, records)))
+
+
+def _owner_and_other(dht, dht_id, key):
+    owner = dht.overlays[dht_id].owner_of(key)
+    return owner, next(p for p in dht.overlays[dht_id].members if p != owner)
+
+
+def test_lookups_return_distinct_postings_in_label_order():
+    net, dht, index = make_cluster(4)
+    # mixed content publishes the word "xml" twice for the same <p>
+    doc = parse_document("<r><p>xml <b/> xml</p><n>7</n></r>", 2**32 + 3)
+    index.index_document(doc, 1)
+    wkey, vkey = word_key("xml"), value_key("n", 7)
+    assert len(_stored(dht, HASH_OVERLAY, wkey)) == 2
+    for key in (tag_key("p"), wkey):
+        dht.put(HASH_OVERLAY, 2, [(key, encode_posting(sid)) for sid in _WIDE * 2])
+    dht.put(RANGE_OVERLAY, 3, [(vkey, encode_posting(sid)) for sid in _WIDE[::-1]])
+
+    def read(dht_id, key, lookup):
+        owner, other = _owner_and_other(dht, dht_id, key)
+        want = _label_order(_stored(dht, dht_id, key))
+        before = net.stats.messages_sent
+        assert lookup(owner) == want  # read locally
+        assert net.stats.messages_sent == before
+        assert lookup(other) == want  # read through a remote request
+        assert net.stats.messages_sent > before
+        return want
+
+    for key in (tag_key("p"), wkey):
+        got = read(HASH_OVERLAY, key, lambda via: index.lookup(key, via))
+        assert len(got) == len(_WIDE) + 1
+    want = read(RANGE_OVERLAY, vkey,
+                lambda via: index.lookup_value_range("n", 0, 10, via))
+    for via in (1, 2, 3, 4):
+        assert index.lookup_value_range("*", 0, 10, via) == want
+    everything = [v for t in ("b", "n", "p", "r")
+                  for v in _stored(dht, HASH_OVERLAY, tag_key(t))]
+    for via in (1, 2, 3, 4):
+        assert index.lookup_all(via) == _label_order(everything)
+
+
+_FIELD = st.one_of(st.integers(0, 3), st.integers(2**32 - 2, 2**32 + 2),
+                   st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sids=st.lists(st.builds(StructuralId, _FIELD, _FIELD, _FIELD, _FIELD),
+                     max_size=40),
+       peers=st.sampled_from([1, 3]))
+def test_byte_order_is_label_order(sids, peers):
+    net, dht, index = make_cluster(peers)
+    key = tag_key("x")
+    dht.put(HASH_OVERLAY, 1, [(key, encode_posting(sid)) for sid in sids + sids[:3]])
+    for via in range(1, peers + 1):
+        assert index.lookup(key, via) == sorted(set(sids))
+
+
+def test_value_tags_lists_the_tags_with_value_postings():
+    stats = {"t:a": 3, "v:year=1": 2, "v:year=2": 1, "v:n=3": 1, "w:x": 1}
+    assert value_tags(stats) == ["n", "year"]
+    assert value_tags({"t:a": 1}) == []

@@ -422,6 +422,29 @@ def test_dataset_column_count_widens_only_from_0xff():
     assert encode_dataset(Dataset((7,), [], site=1))[:5] == b"\x01\x00\x00\x00\x00"
 
 
+@pytest.mark.parametrize("ncols", [0, 1, 3, 300])
+@pytest.mark.parametrize("nrows", [0, 1, 4])
+def test_dataset_round_trip_keeps_the_wire_bytes(ncols, nrows):
+    # 300 columns take the widened column count; the reference encoder packs
+    # the header field by field and each posting on its own
+    from twigstore.document import StructuralId
+    from twigstore.indexing import encode_posting
+    from twigstore.planner import Dataset, decode_dataset, encode_dataset
+
+    rng = random.Random(ncols * 10 + nrows)
+    field = lambda: rng.choice([rng.randrange(4), rng.randrange(2**64)])
+    cols = tuple(rng.randrange(2**16) for _ in range(ncols))
+    rows = [tuple(StructuralId(field(), field(), field(), field())
+                  for _ in range(ncols)) for _ in range(nrows)]
+    count = bytes([ncols]) if ncols < 0xFF else b"\xff" + ncols.to_bytes(4, "big")
+    want = (count + nrows.to_bytes(4, "big")
+            + b"".join(c.to_bytes(2, "big") for c in cols)
+            + b"".join(encode_posting(sid) for row in rows for sid in row))
+    raw = encode_dataset(Dataset(cols, rows, site=3))
+    assert raw == want
+    assert decode_dataset(raw, site=7) == Dataset(cols, rows, site=7)
+
+
 def test_estimated_bytes_match_the_shipped_dataset():
     # annotate prices a dataset as the wire carries it: the Ship's tag byte,
     # the column count (one byte below 0xFF, else five), the row count, the

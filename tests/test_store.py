@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from twigstore import planner
 from twigstore.errors import (
     CorruptSnapshot,
     MalformedInput,
@@ -247,6 +248,67 @@ def test_backends_agree_beyond_the_integer_window(tmp_path):
         for store in stores:
             got = [r.resource_id for r in store.query(pattern).resources]
             assert got == want, (store.config.backend, pattern)
+
+
+_ARTICLES = [
+    '<dblp><article key="a{0}"><title>xml {0}</title><author>ann</author>'
+    '<year>{1}</year><venue>vldb</venue><sec><par>peer data</par></sec>'
+    '</article></dblp>'.format(i, year)
+    for i, year in ((1, 1994), (2, 1997), (3, 1999), (4, 2003))
+]
+
+
+def test_wildcard_range_scans_only_tags_with_value_postings(tmp_path):
+    # nine catalog tags (dblp, article, @key, title, author, year, venue,
+    # sec, par); only year holds integer content, so "*" scans one tag
+    stores = [Store(config(backend, tmp_path, granularity=("article",)))
+              for backend in ("centralized", "p2p")]
+    for store in stores:
+        for text in _ARTICLES:
+            store.store_resource(text)
+    p2p = stores[1]
+    scans = []
+    get_range = p2p.dht.get_range
+    p2p.dht.get_range = lambda *args: scans.append(args[2]) or get_range(*args)
+    for pattern, want in (
+        ("//* in 1995..1999!", ["2#10", "3#10"]),
+        ("//article[/* in 1990..1998]/title!", ["1#4", "2#4"]),
+        ("//* in 2010..2020!", []),
+    ):
+        scans.clear()
+        answers = [[(r.resource_id, r.payload) for r in store.query(pattern).resources]
+                   for store in stores]
+        assert answers[0] == answers[1], pattern
+        assert [rid for rid, _ in answers[1]] == want, pattern
+        assert len(scans) == 1 and scans[0].startswith("v:year="), (pattern, scans)
+
+
+@pytest.mark.parametrize("remote_homes", [0, 1, 2, 3])
+def test_recomposition_fetches_once_per_remote_home(tmp_path, remote_homes):
+    # homes go round robin from peer 1, the query peer: document i lives on
+    # peer i; the hits sit in document 1 and in ``remote_homes`` others,
+    # three per document
+    texts = [
+        "<d><hit>a</hit><hit>b<hit>c</hit></hit></d>"
+        if i <= 1 + remote_homes else "<d><miss/></d>"
+        for i in range(1, 5)
+    ]
+    stores = [Store(config(backend, tmp_path, granularity=(), peers=4))
+              for backend in ("centralized", "p2p")]
+    for store in stores:
+        for text in texts:
+            store.store_resource(text)
+    p2p = stores[1]
+    assert p2p.query_peer == 1
+    tags = []
+    send = p2p.net.send
+    p2p.net.send = lambda a, b, payload: tags.append(payload[0]) or send(a, b, payload)
+    answers = [[(r.resource_id, r.payload) for r in store.query("//hit!").resources]
+               for store in stores]
+    assert answers[0] == answers[1]
+    assert len(answers[1]) == 3 * (1 + remote_homes)
+    fetches = [t for t in tags if t in (planner.TAG_FETCH, planner.TAG_FETCH_RESP)]
+    assert len(fetches) == 2 * remote_homes
 
 
 def test_index_keys_longer_than_64_kib(tmp_path):
