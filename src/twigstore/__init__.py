@@ -1,4 +1,4 @@
-"""XML resource store over coexisting simulated DHT overlays.
+"""XML resource store over a simulated hash overlay and range overlay.
 
 Public surface: document parsing and interval labels, the deterministic
 network harness, hash/range overlays, the posting index, tree patterns

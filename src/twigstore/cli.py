@@ -1,14 +1,15 @@
 """Command line interface.
 
 State persists between invocations through the snapshot file named by the
-config (``snapshot_path``); every mutating command rewrites it.  Exit
-codes: 0 success, 1 user error (syntax, not found, bad input), 2 internal
-error.
+config (``snapshot_path``); every mutating command rewrites it, before it
+prints.  Exit codes: 0 success, 1 user error (syntax, not found, bad
+input) or a stdout reader that went away, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import (
@@ -102,7 +103,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; the state is already saved.  Python's
+        # documented recipe: send what is still buffered to devnull, exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -130,16 +138,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     store = _load_store(args.config)
 
+    # commands that change the store save it before they print, so a
+    # reader that stops reading loses no state
     if args.command == "ingest":
-        for path in args.files:
-            ids = store.store_resource(_read(path))
-            print(f"{path}: {' '.join(ids)}")
+        lines = [f"{path}: {' '.join(store.store_resource(_read(path)))}"
+                 for path in args.files]
         _save(store)
+        print("\n".join(lines))
     elif args.command == "get":
         resource = store.get_resource(args.resource_id)
         print(resource.payload)
     elif args.command == "query":
         result = store.query(args.pattern)
+        _save(store)
         for resource in result.resources:
             print(f"{resource.resource_id}\t{_escape_payload(resource.payload)}")
         print(
@@ -147,16 +158,15 @@ def _dispatch(args: argparse.Namespace) -> int:
             f"in {result.stats.messages_sent} messages",
             file=sys.stderr,
         )
-        _save(store)
     elif args.command == "rdf-load":
         count = store.rdf_load(parse_triples_text(_read(args.file)))
-        print(f"loaded {count} triples")
         _save(store)
+        print(f"loaded {count} triples")
     elif args.command == "rdf-query":
         rows = store.rdf_query(parse_query_text(_read(args.file)))
+        _save(store)
         for row in rows:
             print("\t".join(row))
-        _save(store)
     elif args.command == "stats":
         sys.stdout.write(store.stats_report())
     elif args.command == "snapshot":

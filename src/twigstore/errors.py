@@ -45,10 +45,6 @@ class NoMembers(TwigstoreError):
     """The overlay has no members to serve the request."""
 
 
-class NotRangeCapable(TwigstoreError):
-    """Interval lookup attempted on an overlay without ordered partitioning."""
-
-
 class PatternSyntaxError(TwigstoreError):
     """Tree-pattern text failed to parse; carries the offending position."""
 

@@ -10,9 +10,9 @@ Index keys are prefix-disjoint by construction:
 * ``r:<resource id>`` — the store's resource index: the peer holding it
 
 Every p2p store runs two overlays: value keys live on the order-preserving
-range overlay ``RANGE_OVERLAY``, which alone answers interval lookups, and
+range overlay ``dht.range``, which alone answers interval lookups, and
 every other key (the RDF store's triple keys too) on the hash overlay
-``HASH_OVERLAY``.
+``dht.hash``.
 
 A posting is one structural id, serialized fixed-width (4 x 64-bit,
 big-endian) so list sizes are predictable for the planner's cost model.
@@ -45,8 +45,6 @@ from .netsim import PeerId
 
 POSTING_SIZE = 32
 CATALOG_KEY = "c:tags"
-HASH_OVERLAY = 0
-RANGE_OVERLAY = 1
 
 _INT_OFFSET = 10**19
 _POSTING = struct.Struct(">QQQQ")
@@ -192,9 +190,9 @@ class IndexService:
         published = len(hashed) - len(lead) + len(ranged)
         hashed += ((CATALOG_KEY, name.encode("utf-8")) for name in catalog)
         put = put or self.dht.put
-        put(HASH_OVERLAY, via, hashed)
+        put(self.dht.hash, via, hashed)
         if ranged:
-            put(RANGE_OVERLAY, via, ranged)
+            put(self.dht.range, via, ranged)
         return published
 
     # -- lookups: distinct postings in label order ----------------------
@@ -203,7 +201,7 @@ class IndexService:
         """Postings under a hash-overlay key; ``"*"`` means ``lookup_all``."""
         if key == "*":
             return self.lookup_all(via)
-        return _sorted_postings(self.dht.get(HASH_OVERLAY, via, key))
+        return _sorted_postings(self.dht.get(self.dht.hash, via, key))
 
     def lookup_tag(self, tag: str, via: PeerId) -> list[StructuralId]:
         return self.lookup(tag_key(tag), via)
@@ -222,17 +220,17 @@ class IndexService:
         tags = value_tags(self.stats) if tag == "*" else [tag]
         records: list[bytes] = []
         for t in tags:
-            items = self.dht.get_range(RANGE_OVERLAY, via, *value_bounds(t, lo, hi))
+            items = self.dht.get_range(via, *value_bounds(t, lo, hi))
             records += (v for _, v in items)
         return _sorted_postings(records)
 
     def known_tags(self, via: PeerId) -> list[str]:
-        values = self.dht.get(HASH_OVERLAY, via, CATALOG_KEY)
+        values = self.dht.get(self.dht.hash, via, CATALOG_KEY)
         return sorted({v.decode("utf-8") for v in values})
 
     def lookup_all(self, via: PeerId) -> list[StructuralId]:
         """Union of all tag posting lists (wildcard candidate source)."""
         records: list[bytes] = []
         for tag in self.known_tags(via):
-            records += self.dht.get(HASH_OVERLAY, via, tag_key(tag))
+            records += self.dht.get(self.dht.hash, via, tag_key(tag))
         return _sorted_postings(records)

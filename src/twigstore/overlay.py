@@ -1,4 +1,4 @@
-"""Coexisting key/value overlays over simulated peers.
+"""The store's two key/value overlays over simulated peers.
 
 Two overlay kinds share the per-peer endpoint surface (join, leave, put,
 get) and one routing question, ``route(peer, key)``: ``None`` when
@@ -16,8 +16,11 @@ get) and one routing question, ``route(peer, key)``: ``None`` when
 * ``RangeOverlay`` — an order-preserving partition of the key domain into
   half-open intervals, one per peer, split at the midpoint on join.  Every
   peer knows the partition, so the next hop is the owner itself.  It
-  additionally supports ``get_range``, contacting exactly the peers whose
+  alone answers ``get_range``, contacting exactly the peers whose
   intervals intersect the queried interval.
+
+``DhtService`` owns one of each, ``dht.hash`` and ``dht.range``; a data
+operation names the overlay object it works on.
 
 Values under one key form a multiset; duplicates are preserved, in the
 order they were put.  Keys are handed over synchronously on join/leave
@@ -25,24 +28,27 @@ order they were put.  Keys are handed over synchronously on join/leave
 
 ``DhtService.put`` publishes a batch of ``(key, value)`` items.  Each peer
 on the way, the publisher included, stores the items it owns and sends the
-rest on as one envelope per next hop, so on a hash overlay a batch splits
-along the routing tree and on a range overlay the publisher sends one
-envelope per owner.  All items one peer owns take the same path, so each
-key keeps its value order.  A put envelope is the wire tag, the overlay
-id, an item count and the items, each a key (``pack_str``) and a value
+rest on as one envelope per next hop, so on the hash overlay a batch
+splits along the routing tree and on the range overlay the publisher sends
+one envelope per owner.  All items one peer owns take the same path, so
+each key keeps its value order.  A put envelope is the wire tag, an item
+count and the items, each a key (``pack_str``) and a value
 (``pack_bytes``).  A forwarding peer decodes only the keys: it sends each
 item on as the byte span it arrived in, and a batch that goes on whole to
 one hop as the received payload itself.  One put and one get handler
-serve both overlay kinds; the kind only picks the wire tag.
-``DhtService.put_direct`` is the one control-plane data operation: it
-stores the items on their owners without sending a message, which is how
-snapshot restore rebuilds the overlays.  Item and response value counts
-and key lengths take 2 bytes, or 6 from 0xFFFF up.
+serve both overlays; the wire tag names the overlay, so no envelope
+carries an overlay id.  ``DhtService.put_direct`` is the one
+control-plane data operation: it stores the items on their owners without
+sending a message, which is how snapshot restore rebuilds the overlays.
+Item and response value counts and key lengths take 2 bytes, or 6 from
+0xFFFF up.
 
-Wire tags: 0x01/0x04 put and 0x02/0x05 get on a hash/range overlay, 0x06
-range scan, 0x03/0x07 their responses.  Every request that expects an
-answer (get, scan, the plan executor's batched subtree fetch) takes its
-id from ``DhtService.new_request``, and every response tag maps to
+Wire tags: 0x01/0x04 put and 0x02/0x05 get on the hash/range overlay, 0x06
+range scan, 0x03/0x07 their responses.  A get is the tag, the request id,
+the origin peer and the key; a scan is the tag, the request id, the
+origin peer and the two bounds.  Every request that expects an answer
+(get, scan, the plan executor's batched subtree fetch) takes its id from
+``DhtService.new_request``, and every response tag maps to
 ``on_response``, which files the payload for ``take_response``.
 """
 
@@ -52,13 +58,13 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .errors import (
     AlreadyMember,
     NoMembers,
     NotMember,
-    NotRangeCapable,
     TickBudgetExceeded,
     UnknownPeer,
 )
@@ -191,10 +197,9 @@ class HashOverlay:
     kind = "hash"
     put_tag, get_tag = _HASH_PUT, _HASH_GET
 
-    def __init__(self, dht_id: int, mode: str = "fnv"):
+    def __init__(self, mode: str = "fnv"):
         if mode not in ("fnv", "decimal"):
             raise ValueError(f"unknown hash mode {mode!r}")
-        self.dht_id = dht_id
         self.mode = mode
         self.members: dict[PeerId, RingState] = {}
         self._ring: list[tuple[int, PeerId]] = []
@@ -221,7 +226,7 @@ class HashOverlay:
 
     def owner_of_position(self, pos: int) -> PeerId:
         if not self.members:
-            raise NoMembers(f"overlay {self.dht_id} has no members")
+            raise NoMembers(f"the {self.kind} overlay has no members")
         i = bisect_left(self._positions, pos)
         return self._ring[i if i < len(self._ring) else 0][1]
 
@@ -266,7 +271,7 @@ class HashOverlay:
 
     def join(self, peer: PeerId) -> None:
         if peer in self.members:
-            raise AlreadyMember(f"peer {peer} already in overlay {self.dht_id}")
+            raise AlreadyMember(f"peer {peer} already in the {self.kind} overlay")
         pos = self.peer_position(peer)
         i = bisect_left(self._positions, pos)
         if i < len(self._positions) and self._positions[i] == pos:
@@ -294,7 +299,7 @@ class HashOverlay:
     def leave(self, peer: PeerId) -> None:
         st = self.members.get(peer)
         if st is None:
-            raise NotMember(f"peer {peer} not in overlay {self.dht_id}")
+            raise NotMember(f"peer {peer} not in the {self.kind} overlay")
         if st.successor == peer:  # last member
             del self.members[peer]
             self._rebuild_ring()
@@ -329,14 +334,10 @@ class RangeOverlay:
     put_tag, get_tag = _RANGE_PUT, _RANGE_GET
 
     def __init__(
-        self,
-        dht_id: int,
-        mode: str = "bytes",
-        domain: tuple[Fraction, Fraction] | None = None,
+        self, mode: str = "bytes", domain: tuple[Fraction, Fraction] | None = None
     ):
         if mode not in ("bytes", "decimal"):
             raise ValueError(f"unknown range mode {mode!r}")
-        self.dht_id = dht_id
         self.mode = mode
         if domain is None:
             domain = (Fraction(0), Fraction(1))
@@ -361,7 +362,7 @@ class RangeOverlay:
 
     def owner_of_point(self, p: Fraction) -> PeerId:
         if not self.members:
-            raise NoMembers(f"overlay {self.dht_id} has no members")
+            raise NoMembers(f"the {self.kind} overlay has no members")
         for pid, st in self.members.items():
             if st.lo <= p < st.hi:
                 return pid
@@ -378,7 +379,7 @@ class RangeOverlay:
 
     def join(self, peer: PeerId) -> None:
         if peer in self.members:
-            raise AlreadyMember(f"peer {peer} already in overlay {self.dht_id}")
+            raise AlreadyMember(f"peer {peer} already in the {self.kind} overlay")
         if not self.members:
             self.members[peer] = RangeState(self.domain[0], self.domain[1])
             return
@@ -403,7 +404,7 @@ class RangeOverlay:
     def leave(self, peer: PeerId) -> None:
         st = self.members.get(peer)
         if st is None:
-            raise NotMember(f"peer {peer} not in overlay {self.dht_id}")
+            raise NotMember(f"peer {peer} not in the {self.kind} overlay")
         if len(self.members) == 1:
             del self.members[peer]
             return
@@ -448,12 +449,15 @@ class RangeOverlay:
 
 
 Overlay = HashOverlay | RangeOverlay
-# ``DhtService.put`` or ``DhtService.put_direct``: (dht_id, via, items)
-PutFn = Callable[[int, PeerId, Items], None]
+# ``DhtService.put`` or ``DhtService.put_direct``: (overlay, via, items)
+PutFn = Callable[[Overlay, PeerId, Items], None]
 Handler = Callable[[Network, Envelope], None]
 
 # a response is its wire tag, the request id, then the answer
 RESPONSE_BODY = 5
+# a get or scan request is its wire tag, the request id, the origin peer,
+# then the key or the two bounds
+_REQUEST_BODY = 13
 
 
 def _values_response(req: int, values: list[bytes]) -> bytes:
@@ -462,24 +466,33 @@ def _values_response(req: int, values: list[bytes]) -> bytes:
 
 
 class DhtService:
-    """Per-peer endpoint surface for any number of coexisting overlays.
+    """Per-peer endpoint surface for the store's hash overlay ``hash`` and
+    range overlay ``range``.
 
     All overlay logic runs inside the network's event loop; each public
     operation injects the initial request and drains the loop (``drain``),
     so calls never overlap a simulation step.  Every peer dispatches by
-    wire tag through one table, to which the plan executor adds its own
-    tags.
+    wire tag through one table, which binds each overlay tag to its
+    overlay and to which the plan executor adds its own tags.  Tests pass
+    their own overlays to place peers by hand (``decimal`` modes).
     """
 
-    def __init__(self, net: Network, tick_budget: int = DEFAULT_TICK_BUDGET):
+    def __init__(
+        self,
+        net: Network,
+        hash: HashOverlay | None = None,
+        range: RangeOverlay | None = None,
+        tick_budget: int = DEFAULT_TICK_BUDGET,
+    ):
         self.net = net
         self.tick_budget = tick_budget
-        self.overlays: dict[int, Overlay] = {}
+        self.hash = hash or HashOverlay()
+        self.range = range or RangeOverlay()
         self._handlers: dict[int, Handler] = {
-            _HASH_PUT: self._on_put,
-            _RANGE_PUT: self._on_put,
-            _HASH_GET: self._on_get,
-            _RANGE_GET: self._on_get,
+            _HASH_PUT: partial(self._on_put, self.hash),
+            _RANGE_PUT: partial(self._on_put, self.range),
+            _HASH_GET: partial(self._on_get, self.hash),
+            _RANGE_GET: partial(self._on_get, self.range),
             _RANGE_SCAN: self._on_scan,
             _GET_RESP: self.on_response,
             _SCAN_RESP: self.on_response,
@@ -497,44 +510,18 @@ class DhtService:
             raise ValueError(f"wire tag {tag:#x} already has a handler")
         self._handlers[tag] = fn
 
-    def create_hash_overlay(self, dht_id: int, mode: str = "fnv") -> HashOverlay:
-        if dht_id in self.overlays:
-            raise ValueError(f"overlay id {dht_id} already in use")
-        ov = HashOverlay(dht_id, mode)
-        self.overlays[dht_id] = ov
-        return ov
-
-    def create_range_overlay(
-        self,
-        dht_id: int,
-        mode: str = "bytes",
-        domain: tuple[Fraction, Fraction] | None = None,
-    ) -> RangeOverlay:
-        if dht_id in self.overlays:
-            raise ValueError(f"overlay id {dht_id} already in use")
-        ov = RangeOverlay(dht_id, mode, domain)
-        self.overlays[dht_id] = ov
-        return ov
-
-    def _overlay(self, dht_id: int) -> Overlay:
-        ov = self.overlays.get(dht_id)
-        if ov is None:
-            raise ValueError(f"no overlay with id {dht_id}")
-        return ov
-
-    def join(self, dht_id: int, peer: PeerId) -> None:
+    def join(self, ov: Overlay, peer: PeerId) -> None:
         if peer not in self.net.peers:
             raise UnknownPeer(f"peer {peer} does not exist")
-        self._overlay(dht_id).join(peer)
+        ov.join(peer)
 
-    def leave(self, dht_id: int, peer: PeerId) -> None:
-        self._overlay(dht_id).leave(peer)
+    def leave(self, ov: Overlay, peer: PeerId) -> None:
+        ov.leave(peer)
 
     # -- data operations -------------------------------------------------
 
-    def put(self, dht_id: int, via: PeerId, items: Items) -> None:
+    def put(self, ov: Overlay, via: PeerId, items: Items) -> None:
         """Publish ``items`` from ``via``, then drain the simulator once."""
-        ov = self._overlay(dht_id)
         self._check_member(ov, via)
         groups: dict[PeerId, list[bytes]] = {}
         for key, value in items:
@@ -544,33 +531,27 @@ class DhtService:
             else:
                 groups.setdefault(hop, []).append(pack_str(key) + pack_bytes(value))
         if groups:
-            self._send_put_groups(via, bytes([ov.put_tag, dht_id]), groups)
+            self._send_put_groups(via, bytes([ov.put_tag]), groups)
             self.drain()
 
-    def put_direct(self, dht_id: int, via: PeerId, items: Items) -> None:
+    def put_direct(self, ov: Overlay, via: PeerId, items: Items) -> None:
         """Control-plane put: store each item on its key's owner at once.
 
         The outcome equals ``put``'s (same owners, same value order), but no
         envelope is sent and the stats do not move.  Snapshot restore uses
         it to rebuild the overlays without replaying their traffic.
         """
-        ov = self._overlay(dht_id)
         self._check_member(ov, via)
         for key, value in items:
             ov.store_value(ov.owner_of(key), key, value)
 
-    def get(self, dht_id: int, via: PeerId, key: str) -> list[bytes]:
-        ov = self._overlay(dht_id)
+    def get(self, ov: Overlay, via: PeerId, key: str) -> list[bytes]:
         self._check_member(ov, via)
         hop = ov.route(via, key)
         if hop is None:
             return ov.local_values(via, key)
         req = self.new_request()
-        payload = (
-            bytes([ov.get_tag, ov.dht_id])
-            + struct.pack(">IQ", req, via)
-            + pack_str(key)
-        )
+        payload = bytes([ov.get_tag]) + struct.pack(">IQ", req, via) + pack_str(key)
         self.net.send(via, hop, payload)
         self.drain()
         response = self.take_response(req)
@@ -581,12 +562,9 @@ class DhtService:
             values.append(value)
         return values
 
-    def get_range(
-        self, dht_id: int, via: PeerId, lo: str, hi: str
-    ) -> list[tuple[str, bytes]]:
-        ov = self._overlay(dht_id)
-        if not isinstance(ov, RangeOverlay):
-            raise NotRangeCapable(f"overlay {dht_id} does not support interval search")
+    def get_range(self, via: PeerId, lo: str, hi: str) -> list[tuple[str, bytes]]:
+        """The items of the range overlay with ``lo <= key < hi``, in key order."""
+        ov = self.range
         self._check_member(ov, via)
         if not ov.key_lt(lo, hi):
             ov.last_contacted = ()
@@ -602,7 +580,7 @@ class DhtService:
             req = self.new_request()
             pending.append(req)
             payload = (
-                bytes([_RANGE_SCAN, ov.dht_id])
+                bytes([_RANGE_SCAN])
                 + struct.pack(">IQ", req, via)
                 + pack_str(lo)
                 + pack_str(hi)
@@ -652,17 +630,17 @@ class DhtService:
 
     def _check_member(self, ov: Overlay, via: PeerId) -> None:
         if not ov.members:
-            raise NoMembers(f"overlay {ov.dht_id} has no members")
+            raise NoMembers(f"the {ov.kind} overlay has no members")
         if via not in ov.members:
-            raise NotMember(f"peer {via} is not a member of overlay {ov.dht_id}")
+            raise NotMember(f"peer {via} is not a member of the {ov.kind} overlay")
 
     def _send_put_groups(
-        self, me: PeerId, head: bytes, groups: dict[PeerId, list[bytes]]
+        self, me: PeerId, tag: bytes, groups: dict[PeerId, list[bytes]]
     ) -> None:
-        """One put envelope per next hop: ``head`` (wire tag and overlay id),
-        the item count, then the hop's encoded items."""
+        """One put envelope per next hop: the wire ``tag``, the item count,
+        then the hop's encoded items."""
         for hop, spans in groups.items():
-            self.net.send(me, hop, head + pack_count(len(spans)) + b"".join(spans))
+            self.net.send(me, hop, tag + pack_count(len(spans)) + b"".join(spans))
 
     def _dispatch(self, net: Network, env: Envelope) -> None:
         handler = self._handlers.get(env.payload[0])
@@ -670,7 +648,7 @@ class DhtService:
             raise ValueError(f"unknown wire tag {env.payload[0]:#x}")
         handler(net, env)
 
-    def _on_put(self, net: Network, env: Envelope) -> None:
+    def _on_put(self, ov: Overlay, net: Network, env: Envelope) -> None:
         """Store the items of a put envelope that this peer owns and send
         the rest on, one envelope per next hop.
 
@@ -680,8 +658,7 @@ class DhtService:
         so nothing goes on.
         """
         payload, me = env.payload, env.to_peer
-        ov = self._overlay(payload[1])
-        count, off = unpack_count(payload, 2)
+        count, off = unpack_count(payload, 1)
         groups: dict[PeerId, list[bytes]] = {}
         owned = False
         for _ in range(count):
@@ -698,14 +675,13 @@ class DhtService:
         if len(groups) == 1 and not owned:
             net.send(me, next(iter(groups)), payload)
         else:
-            self._send_put_groups(me, payload[:2], groups)
+            self._send_put_groups(me, payload[:1], groups)
 
-    def _on_get(self, net: Network, env: Envelope) -> None:
+    def _on_get(self, ov: Overlay, net: Network, env: Envelope) -> None:
         """Answer a get this peer owns the key of, else send it on."""
-        ov = self._overlay(env.payload[1])
         me = env.to_peer
-        req, origin = struct.unpack_from(">IQ", env.payload, 2)
-        key, _ = unpack_str(env.payload, 14)
+        req, origin = struct.unpack_from(">IQ", env.payload, 1)
+        key, _ = unpack_str(env.payload, _REQUEST_BODY)
         hop = ov.route(me, key)
         if hop is None:
             net.send(me, origin, _values_response(req, ov.local_values(me, key)))
@@ -713,11 +689,9 @@ class DhtService:
             net.send(me, hop, env.payload)
 
     def _on_scan(self, net: Network, env: Envelope) -> None:
-        ov = self._overlay(env.payload[1])
-        assert isinstance(ov, RangeOverlay)
-        req, origin = struct.unpack_from(">IQ", env.payload, 2)
-        lo, off = unpack_str(env.payload, 14)
+        req, origin = struct.unpack_from(">IQ", env.payload, 1)
+        lo, off = unpack_str(env.payload, _REQUEST_BODY)
         hi, _ = unpack_str(env.payload, off)
-        items = ov.local_scan(env.to_peer, lo, hi)
+        items = self.range.local_scan(env.to_peer, lo, hi)
         head = bytes([_SCAN_RESP]) + struct.pack(">I", req)
         net.send(env.to_peer, origin, head + pack_items(items))

@@ -36,9 +36,7 @@ from .document import (
 )
 from .errors import PlanSiteUnreachable, UnsupportedWildcardRoot
 from .indexing import (
-    HASH_OVERLAY,
     POSTING_SIZE,
-    RANGE_OVERLAY,
     IndexService,
     decode_postings,
     encode_postings,
@@ -49,7 +47,7 @@ from .indexing import (
     word_key,
 )
 from .netsim import Envelope, Network, NetworkStats, PeerId
-from .overlay import RESPONSE_BODY, pack_bytes, unpack_bytes
+from .overlay import RESPONSE_BODY, DhtService, pack_bytes, unpack_bytes
 from .pattern import CHILD, TreePattern
 from .twigjoin import Binding, sort_bindings, stack_join
 
@@ -69,7 +67,6 @@ class Plan:
     op: str
     site: PeerId
     kids: list["Plan"] = field(default_factory=list)
-    dht: int | None = None
     key: str | None = None
     tag: str | None = None
     lo: int | None = None
@@ -93,7 +90,6 @@ class Plan:
 
 _ATTR_ORDER = (
     ("site", lambda p: p.site),
-    ("dht", lambda p: p.dht),
     ("key", lambda p: p.key),
     ("tag", lambda p: p.tag),
     ("lo", lambda p: p.lo),
@@ -220,8 +216,8 @@ class PlanBuilder:
     """Builds the naive placement: leaves at key owners, the rest at the query
     peer, with Ship edges inserted by the same rule ``place`` uses."""
 
-    def __init__(self, locator: Callable[[int, str], PeerId], query_peer: PeerId):
-        self.locator = locator
+    def __init__(self, dht: DhtService, query_peer: PeerId):
+        self.dht = dht
         self.query_peer = query_peer
 
     def leaf_for(self, pattern: TreePattern, idx: int) -> Plan:
@@ -233,34 +229,34 @@ class PlanBuilder:
             site = (
                 self.query_peer
                 if pnode.is_wildcard or bounds is None
-                else self.locator(RANGE_OVERLAY, bounds[0])
+                else self.dht.range.owner_of(bounds[0])
             )
             return Plan(
-                "RangeLookup", site, dht=RANGE_OVERLAY, tag=tag, lo=pnode.lo,
+                "RangeLookup", site, tag=tag, lo=pnode.lo,
                 hi=pnode.hi, var=idx, root_only=root_only, cols=(idx,),
             )
         if pnode.word is not None and pnode.is_wildcard:
             key = word_key(pnode.word)
             return Plan(
-                "IndexLookup", self.locator(HASH_OVERLAY, key),
-                dht=HASH_OVERLAY, key=key, var=idx, root_only=root_only, cols=(idx,),
+                "IndexLookup", self.dht.hash.owner_of(key),
+                key=key, var=idx, root_only=root_only, cols=(idx,),
             )
         if pnode.is_wildcard:
             return Plan(
-                "IndexLookup", self.query_peer, dht=HASH_OVERLAY, key="*",
+                "IndexLookup", self.query_peer, key="*",
                 var=idx, root_only=root_only, cols=(idx,),
             )
         key = tag_key(pnode.name)
         lookup = Plan(
-            "IndexLookup", self.locator(HASH_OVERLAY, key),
-            dht=HASH_OVERLAY, key=key, var=idx, root_only=root_only, cols=(idx,),
+            "IndexLookup", self.dht.hash.owner_of(key),
+            key=key, var=idx, root_only=root_only, cols=(idx,),
         )
         if pnode.word is None:
             return lookup
         wkey = word_key(pnode.word)
         word_lookup = Plan(
-            "IndexLookup", self.locator(HASH_OVERLAY, wkey),
-            dht=HASH_OVERLAY, key=wkey, var=idx, cols=(idx,),
+            "IndexLookup", self.dht.hash.owner_of(wkey),
+            key=wkey, var=idx, cols=(idx,),
         )
         return Plan("Intersect", self.query_peer, var=idx, cols=(idx,),
                     kids=[lookup, word_lookup])
@@ -414,7 +410,7 @@ def _transform_ship_chain(plan: Plan) -> Plan:
 def _lookup_signature(plan: Plan):
     if plan.op not in ("IndexLookup", "RangeLookup"):
         return None
-    return (plan.op, plan.dht, plan.key, plan.tag, plan.lo, plan.hi,
+    return (plan.op, plan.key, plan.tag, plan.lo, plan.hi,
             plan.var, plan.root_only)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedInput, UnseedablePattern
-from .indexing import HASH_OVERLAY
 from .netsim import PeerId
 from .overlay import DhtService, PutFn
 
@@ -107,7 +106,7 @@ def index_triples(
     for triple in triples:
         raw = triple.text().encode("utf-8")
         items += ((_KEY_PREFIX[i] + triple.position(i), raw) for i in (S, P, O))
-    (put or dht.put)(HASH_OVERLAY, via, items)
+    (put or dht.put)(dht.hash, via, items)
     return len(triples)
 
 
@@ -133,7 +132,7 @@ def eval_conjunctive(
     per_pattern: list[list[dict[str, str]]] = []
     for pattern in query.patterns:
         fetched = [
-            (i, dht.get(HASH_OVERLAY, via, _KEY_PREFIX[i] + text))
+            (i, dht.get(dht.hash, via, _KEY_PREFIX[i] + text))
             for i, text in pattern.constants()
         ]
         # most selective constant seeds; ties already favor s, then p, then o

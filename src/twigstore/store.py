@@ -36,7 +36,7 @@ from .errors import (
     NotFound,
     UnsupportedWildcardRoot,
 )
-from .indexing import HASH_OVERLAY, RANGE_OVERLAY, IndexService, resource_key
+from .indexing import IndexService, resource_key
 from .netsim import Network, NetworkStats, PeerId
 from .overlay import DhtService, PutFn, fnv1a64
 from .pattern import TreePattern, parse_pattern
@@ -135,12 +135,9 @@ class Store:
         self.members: list[PeerId] = list(range(1, config.peer_count + 1))
         for peer in self.members:
             self.dht.add_peer(peer)
-        self.dht.create_hash_overlay(HASH_OVERLAY)
-        for peer in self.members:
-            self.dht.join(HASH_OVERLAY, peer)
-        self.dht.create_range_overlay(RANGE_OVERLAY)
-        for peer in self.members:
-            self.dht.join(RANGE_OVERLAY, peer)
+        for ov in (self.dht.hash, self.dht.range):
+            for peer in self.members:
+                self.dht.join(ov, peer)
         self.index = IndexService(self.dht)
         self.doc_homes: dict[int, tuple[Document, PeerId]] = {}
         self.exec_ctx = planner.ExecutionContext(self.index, self.doc_homes)
@@ -191,7 +188,7 @@ class Store:
             if resource is None:
                 raise NotFound(f"no resource {resource_id!r}")
             return resource
-        values = self.dht.get(HASH_OVERLAY, self.query_peer, resource_key(resource_id))
+        values = self.dht.get(self.dht.hash, self.query_peer, resource_key(resource_id))
         if not values:
             raise NotFound(f"no resource {resource_id!r}")
         (home,) = struct.unpack(">Q", values[0])
@@ -219,9 +216,7 @@ class Store:
 
     def build_plan(self, pattern: TreePattern, with_recompose: bool) -> planner.Plan:
         dec = planner.decompose(pattern)
-        builder = planner.PlanBuilder(
-            lambda dht_id, key: self.dht.overlays[dht_id].owner_of(key), self.query_peer
-        )
+        builder = planner.PlanBuilder(self.dht, self.query_peer)
         plan = builder.build(dec, with_recompose=with_recompose)
         return planner.place(plan, self.index.stats, self.query_peer)
 
@@ -359,7 +354,9 @@ def restore(path: str) -> Store:
 
     if config.backend == P2P:
         index_triples(store.triples, store.query_peer, store.dht, put)
-        _restore_stats(store.net.stats, saved_report)
+    # a centralized store has no network, but its record is checked alike
+    _restore_stats(store.net.stats if config.backend == P2P else NetworkStats(),
+                   saved_report)
     return store
 
 
@@ -371,12 +368,17 @@ def _utf8(tag: bytes, payload: bytes) -> str:
 
 
 def _restore_stats(stats: NetworkStats, report: str) -> None:
-    """Load a fresh store's stats from a saved ``report()`` text."""
+    """Load a fresh store's stats from a saved ``report()`` text: one
+    "from to messages bytes" line per edge, then the totals line, which the
+    edges sum to."""
     for line in report.splitlines():
         parts = line.split()
-        if len(parts) != 4:  # skips the 3-token totals line
+        if parts[:1] == ["total"]:
             continue
-        frm, to, msgs, byts = (int(p) for p in parts)
+        try:
+            frm, to, msgs, byts = (int(p) for p in parts)
+        except ValueError:
+            raise CorruptSnapshot(f"NSTA line {line!r} is not four integers") from None
         stats.per_edge[(frm, to)] = [msgs, byts]
         stats.messages_sent += msgs
         stats.bytes_sent += byts

@@ -8,7 +8,7 @@ from twigstore import planner
 from twigstore.document import Document, parse_document
 from twigstore.indexing import IndexService
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService
+from twigstore.overlay import DhtService, HashOverlay
 from twigstore.pattern import TreePattern, parse_pattern
 from twigstore.store import Store
 from twigstore.twigjoin import Binding
@@ -125,17 +125,14 @@ def make_cluster(
     with_range: bool = True,
 ) -> tuple[Network, DhtService, IndexService]:
     net = Network()
-    dht = DhtService(net)
+    dht = DhtService(net, hash=HashOverlay(hash_mode))
     peers = list(range(1, peer_count + 1))
     for peer in peers:
         dht.add_peer(peer)
-    dht.create_hash_overlay(0, mode=hash_mode)
-    if with_range:
-        dht.create_range_overlay(1)
     for peer in peers:
-        dht.join(0, peer)
+        dht.join(dht.hash, peer)
         if with_range:
-            dht.join(1, peer)
+            dht.join(dht.range, peer)
     index = IndexService(dht)
     return net, dht, index
 
@@ -167,7 +164,7 @@ def skew_cluster(big: int, small: int):
     join yields exactly ``small`` rows.
     """
     net, dht, index = make_cluster(6)
-    ov = dht.overlays[0]
+    ov = dht.hash
     query_peer = 1
     tags: dict[str, int] = {}
     for i in range(400):
@@ -187,8 +184,6 @@ def skew_cluster(big: int, small: int):
     doc = parse_document("<r>" + "".join(parts) + "</r>", 1)
     homes = index_corpus(index, [doc], [2, 3, 4, 5, 6])
     ctx = planner.ExecutionContext(index, homes)
-    builder = planner.PlanBuilder(
-        lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
-    )
+    builder = planner.PlanBuilder(dht, query_peer)
     pattern = parse_pattern(f"//{big_tag}[/{small_tag}]!")
     return net, index, ctx, builder, pattern, (big_tag, small_tag), doc

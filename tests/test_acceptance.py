@@ -10,7 +10,7 @@ import time
 from twigstore import planner
 from twigstore.document import serialize_document
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService
+from twigstore.overlay import DhtService, Overlay
 from twigstore.planner import PlanBuilder, decompose, execute, place
 from twigstore.rdfstore import (
     ConjunctiveQuery,
@@ -88,7 +88,7 @@ def _pipeline_trial(rng, collect_bytes=None):
     net, dht, index = make_cluster(4)
     homes = index_corpus(index, docs, [1, 2, 3, 4])
     ctx = planner.ExecutionContext(index, homes)
-    builder = PlanBuilder(lambda d, k: dht.overlays[d].owner_of(k), 1)
+    builder = PlanBuilder(dht, 1)
     pattern = random_pattern(rng, max_nodes=5)
     want = eval_naive(pattern, docs)
     naive_plan = builder.build(decompose(pattern), False)
@@ -141,17 +141,16 @@ def test_criterion_4_dht_consistency_under_churn():
         dht = DhtService(net)
         for p in pool:
             dht.add_peer(p)
-        dht.create_hash_overlay(0)
-        dht.create_range_overlay(1)
-        members: dict[int, list[int]] = {0: [], 1: []}
+        overlays = (dht.hash, dht.range)
+        members: dict[Overlay, list[int]] = {ov: [] for ov in overlays}
         for p in pool[:3]:
-            for ov in (0, 1):
+            for ov in overlays:
                 dht.join(ov, p)
                 members[ov].append(p)
-        shadow: dict[int, dict[str, list[bytes]]] = {0: {}, 1: {}}
+        shadow: dict[Overlay, dict[str, list[bytes]]] = {ov: {} for ov in overlays}
 
         def check_invariants():
-            ring = dht.overlays[0]
+            ring = dht.hash
             if ring.members:
                 start = next(iter(ring.members))
                 walk, cur = [], start
@@ -162,7 +161,7 @@ def test_criterion_4_dht_consistency_under_churn():
                         break
                     assert len(walk) <= len(ring.members), "successor cycle broke"
                 assert sorted(walk) == sorted(ring.members)
-            part = dht.overlays[1]
+            part = dht.range
             if part.members:
                 spans = sorted((st.lo, st.hi) for st in part.members.values())
                 assert spans[0][0] == part.domain[0]
@@ -171,7 +170,7 @@ def test_criterion_4_dht_consistency_under_churn():
                     assert ahi == blo
 
         for step in range(1000):
-            ov = rng.choice((0, 1))
+            ov = rng.choice(overlays)
             roll = rng.random()
             if roll < 0.10 and len(members[ov]) < 16:
                 p = rng.choice([q for q in pool if q not in members[ov]])
@@ -203,32 +202,31 @@ def test_criterion_5_interval_search():
         dht = DhtService(net)
         for p in pool:
             dht.add_peer(p)
-        dht.create_range_overlay(0)
+        ov = dht.range
         members = []
         for p in pool[:4]:
-            dht.join(0, p)
+            dht.join(ov, p)
             members.append(p)
         shadow: dict[str, list[bytes]] = {}
-        ov = dht.overlays[0]
         for step in range(1000):
             roll = rng.random()
             if roll < 0.06 and len(members) < 12:
                 p = rng.choice([q for q in pool if q not in members])
-                dht.join(0, p)
+                dht.join(ov, p)
                 members.append(p)
             elif roll < 0.10 and len(members) > 2:
                 p = rng.choice(members)
-                dht.leave(0, p)
+                dht.leave(ov, p)
                 members.remove(p)
             elif roll < 0.55:
                 key = f"key{rng.randint(0, 80):03d}"
                 value = f"v{step}".encode()
-                dht.put(0, rng.choice(members), [(key, value)])
+                dht.put(ov, rng.choice(members), [(key, value)])
                 shadow.setdefault(key, []).append(value)
             else:
                 lo = f"key{rng.randint(0, 80):03d}"
                 hi = f"key{rng.randint(0, 80):03d}"
-                got = dht.get_range(0, rng.choice(members), lo, hi)
+                got = dht.get_range(rng.choice(members), lo, hi)
                 want = sorted(
                     (k, v)
                     for k, values in shadow.items()

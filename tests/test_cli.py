@@ -1,7 +1,13 @@
+import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twigstore
 from twigstore.cli import main
 from twigstore.overlay import fnv1a64
 from twigstore.store import Store
@@ -10,10 +16,8 @@ D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
 CONFIG = """backend=p2p
 peer_count=4
-overlays=0:hash,1:range
 resource_granularity=par
 snapshot_path={snap}
-seed=3
 """
 
 
@@ -69,6 +73,43 @@ def test_query_beyond_the_integer_window_prints_nothing(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" not in captured.err
+
+
+def _run_with_closed_stdout(workdir, *argv):
+    """Run the CLI as a child process whose stdout is a pipe that nobody
+    reads any more: the read end is closed before the child starts."""
+    src = str(Path(twigstore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "twigstore.cli", *argv], cwd=workdir, env=env,
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [
+    ["get", "1#6"], ["query", "//par!"], ["rdf-query", "q.rq"],
+    ["ingest", "d1.xml"], ["rdf-load", "triples.tsv"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_is_no_internal_error(workdir, capsys, argv):
+    assert main(["ingest", "d1.xml"]) == 0
+    assert main(["rdf-load", "triples.tsv"]) == 0
+    shutil.copy(workdir / "demo.snap", workdir / "before.snap")
+    done = _run_with_closed_stdout(workdir, *argv)
+    assert b"internal error" not in done.stderr
+    assert done.returncode == 1
+    saved = (workdir / "demo.snap").read_bytes()
+    # the child saved what the same command saves when its output is read
+    assert main(["restore", "before.snap"]) == 0
+    assert main(argv) == 0
+    assert saved == (workdir / "demo.snap").read_bytes()
+    if argv[0] != "get":
+        assert saved != (workdir / "before.snap").read_bytes()
 
 
 def test_rdf_cycle(workdir, capsys):
@@ -146,8 +187,7 @@ def test_legacy_overlays_config_answers_range_queries(workdir, capsys, overlays)
         "<r><c>2003</c><c>1999</c></r>", encoding="utf-8"
     )
     for cfg, line in (("plain.cfg", ""), ("legacy.cfg", f"overlays={overlays}\n")):
-        text = CONFIG.format(snap=workdir / f"{cfg}.snap")
-        text = text.replace("overlays=0:hash,1:range\n", line)
+        text = CONFIG.format(snap=workdir / f"{cfg}.snap") + line
         (workdir / cfg).write_text(text, encoding="utf-8")
     answers = []
     for cfg in ("plain.cfg", "legacy.cfg"):
@@ -205,6 +245,7 @@ def test_corrupt_snapshot_exit_1(workdir, capsys):
         [(b"CONF", conf), (b"DOC\x00", doc_id + b"<a/>"), (b"DOC\x00", doc_id + b"<z/>")],
         [(b"CONF", conf), (b"TRPL", b"a\tb\t\xff")],
         [(b"CONF", conf), (b"NSTA", b"total 0 \xff")],
+        [(b"CONF", conf), (b"NSTA", b"1 x 3 4\ntotal 3 4\n")],
         [(b"CONF", conf + b"\xff")],
     ]
     for records in bad_records:

@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from twigstore.document import ELEMENT, ATTRIBUTE, StructuralId, parse_document
 from twigstore.indexing import (
-    HASH_OVERLAY,
     POSTING_SIZE,
-    RANGE_OVERLAY,
     decode_posting,
     decode_postings,
     encode_int,
@@ -151,8 +149,8 @@ def test_estimates_count_and_lookups_return_the_published_postings(seed, peers, 
     index_corpus(index, random_corpus(random.Random(seed)), members)
     # what the overlays hold, read straight from every peer's store
     stored: dict[str, list[StructuralId]] = {}
-    for dht_id in (0, 1):
-        for state in dht.overlays[dht_id].members.values():
+    for ov in (dht.hash, dht.range):
+        for state in ov.members.values():
             for key, values in state.store.items():
                 if key[:2] in ("t:", "w:", "v:"):
                     stored.setdefault(key, []).extend(map(decode_posting, values))
@@ -213,9 +211,9 @@ _WIDE = [
 ]
 
 
-def _stored(dht, dht_id, key):
+def _stored(ov, key):
     """Every encoded posting the overlay holds under ``key``, on any peer."""
-    return [v for state in dht.overlays[dht_id].members.values()
+    return [v for state in ov.members.values()
             for v in state.store.get(key, [])]
 
 
@@ -223,9 +221,9 @@ def _label_order(records):
     return sorted(set(map(decode_posting, records)))
 
 
-def _owner_and_other(dht, dht_id, key):
-    owner = dht.overlays[dht_id].owner_of(key)
-    return owner, next(p for p in dht.overlays[dht_id].members if p != owner)
+def _owner_and_other(ov, key):
+    owner = ov.owner_of(key)
+    return owner, next(p for p in ov.members if p != owner)
 
 
 def test_lookups_return_distinct_postings_in_label_order():
@@ -234,14 +232,14 @@ def test_lookups_return_distinct_postings_in_label_order():
     doc = parse_document("<r><p>xml <b/> xml</p><n>7</n></r>", 2**32 + 3)
     index.index_document(doc, 1)
     wkey, vkey = word_key("xml"), value_key("n", 7)
-    assert len(_stored(dht, HASH_OVERLAY, wkey)) == 2
+    assert len(_stored(dht.hash, wkey)) == 2
     for key in (tag_key("p"), wkey):
-        dht.put(HASH_OVERLAY, 2, [(key, encode_posting(sid)) for sid in _WIDE * 2])
-    dht.put(RANGE_OVERLAY, 3, [(vkey, encode_posting(sid)) for sid in _WIDE[::-1]])
+        dht.put(dht.hash, 2, [(key, encode_posting(sid)) for sid in _WIDE * 2])
+    dht.put(dht.range, 3, [(vkey, encode_posting(sid)) for sid in _WIDE[::-1]])
 
-    def read(dht_id, key, lookup):
-        owner, other = _owner_and_other(dht, dht_id, key)
-        want = _label_order(_stored(dht, dht_id, key))
+    def read(ov, key, lookup):
+        owner, other = _owner_and_other(ov, key)
+        want = _label_order(_stored(ov, key))
         before = net.stats.messages_sent
         assert lookup(owner) == want  # read locally
         assert net.stats.messages_sent == before
@@ -250,14 +248,14 @@ def test_lookups_return_distinct_postings_in_label_order():
         return want
 
     for key in (tag_key("p"), wkey):
-        got = read(HASH_OVERLAY, key, lambda via: index.lookup(key, via))
+        got = read(dht.hash, key, lambda via: index.lookup(key, via))
         assert len(got) == len(_WIDE) + 1
-    want = read(RANGE_OVERLAY, vkey,
+    want = read(dht.range, vkey,
                 lambda via: index.lookup_value_range("n", 0, 10, via))
     for via in (1, 2, 3, 4):
         assert index.lookup_value_range("*", 0, 10, via) == want
     everything = [v for t in ("b", "n", "p", "r")
-                  for v in _stored(dht, HASH_OVERLAY, tag_key(t))]
+                  for v in _stored(dht.hash, tag_key(t))]
     for via in (1, 2, 3, 4):
         assert index.lookup_all(via) == _label_order(everything)
 
@@ -273,7 +271,7 @@ _FIELD = st.one_of(st.integers(0, 3), st.integers(2**32 - 2, 2**32 + 2),
 def test_byte_order_is_label_order(sids, peers):
     net, dht, index = make_cluster(peers)
     key = tag_key("x")
-    dht.put(HASH_OVERLAY, 1, [(key, encode_posting(sid)) for sid in sids + sids[:3]])
+    dht.put(dht.hash, 1, [(key, encode_posting(sid)) for sid in sids + sids[:3]])
     for via in range(1, peers + 1):
         assert index.lookup(key, via) == sorted(set(sids))
 

@@ -10,13 +10,14 @@ from twigstore.errors import (
     AlreadyMember,
     NoMembers,
     NotMember,
-    NotRangeCapable,
     TickBudgetExceeded,
 )
 from twigstore.netsim import Network, NetworkStats
 from twigstore.overlay import (
     DEFAULT_TICK_BUDGET,
     DhtService,
+    HashOverlay,
+    RangeOverlay,
     fnv1a64,
     pack_count,
     pack_items,
@@ -30,15 +31,13 @@ from twigstore.overlay import (
 
 def make_service(peer_ids, hash_mode="decimal", range_domain=None):
     net = Network()
-    dht = DhtService(net)
+    dht = DhtService(
+        net,
+        hash=HashOverlay(hash_mode),
+        range=RangeOverlay("decimal" if range_domain else "bytes", range_domain),
+    )
     for p in peer_ids:
         dht.add_peer(p)
-    dht.create_hash_overlay(0, mode=hash_mode)
-    dht.create_range_overlay(
-        1,
-        mode="decimal" if range_domain else "bytes",
-        domain=range_domain,
-    )
     return net, dht
 
 
@@ -51,10 +50,10 @@ def test_fnv1a64_known_vector():
 def test_ring_ownership_after_join():
     net, dht = make_service([10, 50, 90])
     for p in (10, 50, 90):
-        dht.join(0, p)
-    ov = dht.overlays[0]
+        dht.join(dht.hash, p)
+    ov = dht.hash
     dht.add_peer(30)
-    dht.join(0, 30)
+    dht.join(dht.hash, 30)
     st = ov.members[30]
     assert (ov.members[st.predecessor].position, st.position) == (10, 30)
     assert ov.owner_of("25") == 30
@@ -64,10 +63,10 @@ def test_ring_ownership_after_join():
 
 def test_first_and_second_range_joiner():
     net, dht = make_service([1, 2], range_domain=(Fraction(0), Fraction(100)))
-    dht.join(1, 1)
-    ov = dht.overlays[1]
+    dht.join(dht.range, 1)
+    ov = dht.range
     assert (ov.members[1].lo, ov.members[1].hi) == (0, 100)
-    dht.join(1, 2)
+    dht.join(dht.range, 2)
     ranges = sorted((st.lo, st.hi) for st in ov.members.values())
     assert ranges == [(0, 50), (50, 100)]
 
@@ -75,116 +74,153 @@ def test_first_and_second_range_joiner():
 def test_hash_leave_absorbs_arc():
     net, dht = make_service([10, 30, 50, 90])
     for p in (10, 30, 50, 90):
-        dht.join(0, p)
-    dht.put(0, 10, [("25", b"v")])
-    dht.leave(0, 30)
-    ov = dht.overlays[0]
+        dht.join(dht.hash, p)
+    dht.put(dht.hash, 10, [("25", b"v")])
+    dht.leave(dht.hash, 30)
+    ov = dht.hash
     assert ov.owner_of("25") == 50
-    assert dht.get(0, 10, "25") == [b"v"]
+    assert dht.get(dht.hash, 10, "25") == [b"v"]
 
 
 def test_leave_last_member_then_no_members():
     net, dht = make_service([10])
-    dht.join(0, 10)
-    dht.leave(0, 10)
+    dht.join(dht.hash, 10)
+    dht.leave(dht.hash, 10)
     with pytest.raises(NoMembers):
-        dht.get(0, 10, "5")
+        dht.get(dht.hash, 10, "5")
     with pytest.raises(NotMember):
-        dht.leave(0, 10)
+        dht.leave(dht.hash, 10)
 
 
 def test_join_twice_raises():
     net, dht = make_service([10])
-    dht.join(0, 10)
+    dht.join(dht.hash, 10)
     with pytest.raises(AlreadyMember):
-        dht.join(0, 10)
+        dht.join(dht.hash, 10)
 
 
 def test_put_get_multiset():
     net, dht = make_service([10, 50, 90])
     for p in (10, 50, 90):
-        dht.join(0, p)
-    dht.put(0, 10, [("42", b"v1")])
-    dht.put(0, 90, [("42", b"v2")])
-    assert sorted(dht.get(0, 50, "42")) == [b"v1", b"v2"]
-    assert dht.get(0, 10, "77") == []
+        dht.join(dht.hash, p)
+    dht.put(dht.hash, 10, [("42", b"v1")])
+    dht.put(dht.hash, 90, [("42", b"v2")])
+    assert sorted(dht.get(dht.hash, 50, "42")) == [b"v1", b"v2"]
+    assert dht.get(dht.hash, 10, "77") == []
     # key 42 is owned by peer 50
-    assert dht.overlays[0].owner_of("42") == 50
-    assert dht.overlays[0].members[50].store["42"] == [b"v1", b"v2"]
+    assert dht.hash.owner_of("42") == 50
+    assert dht.hash.members[50].store["42"] == [b"v1", b"v2"]
 
 
 def test_local_put_costs_zero_bytes():
     net, dht = make_service([10, 50, 90])
     for p in (10, 50, 90):
-        dht.join(0, p)
+        dht.join(dht.hash, p)
     before = net.stats.bytes_sent
-    dht.put(0, 50, [("42", b"value")])  # 50 owns 42
+    dht.put(dht.hash, 50, [("42", b"value")])  # 50 owns 42
     assert net.stats.bytes_sent == before
 
 
 def test_remote_put_routes_by_successor_hops():
     net, dht = make_service([10, 50, 90])
     for p in (10, 50, 90):
-        dht.join(0, p)
+        dht.join(dht.hash, p)
     before = net.stats.messages_sent
-    dht.put(0, 90, [("42", b"v")])  # 90 -> 10 -> 50
+    dht.put(dht.hash, 90, [("42", b"v")])  # 90 -> 10 -> 50
     assert net.stats.messages_sent - before == 2
 
 
 def test_key_transferred_on_owner_leave():
     net, dht = make_service([10, 30, 50])
     for p in (10, 30, 50):
-        dht.join(0, p)
-    dht.put(0, 10, [("27", b"kept")])
-    assert dht.overlays[0].owner_of("27") == 30
-    dht.leave(0, 30)
-    assert dht.get(0, 50, "27") == [b"kept"]
+        dht.join(dht.hash, p)
+    dht.put(dht.hash, 10, [("27", b"kept")])
+    assert dht.hash.owner_of("27") == 30
+    dht.leave(dht.hash, 30)
+    assert dht.get(dht.hash, 50, "27") == [b"kept"]
 
 
 def test_get_range_basics():
     net, dht = make_service([1, 2], range_domain=(Fraction(0), Fraction(100)))
-    dht.join(1, 1)
-    dht.join(1, 2)
+    dht.join(dht.range, 1)
+    dht.join(dht.range, 2)
     for key in ("5", "12", "17", "30"):
-        dht.put(1, 1, [(key, key.encode())])
-    assert dht.get_range(1, 1, "10", "20") == [("12", b"12"), ("17", b"17")]
-    assert dht.get_range(1, 1, "15", "15") == []
-    assert dht.get_range(1, 2, "40", "60") == []
-    assert dht.overlays[1].last_contacted == (1, 2)
+        dht.put(dht.range, 1, [(key, key.encode())])
+    assert dht.get_range(1, "10", "20") == [("12", b"12"), ("17", b"17")]
+    assert dht.get_range(1, "15", "15") == []
+    assert dht.get_range(2, "40", "60") == []
+    assert dht.range.last_contacted == (1, 2)
 
 
 def test_get_range_contacts_only_intersecting_peers():
     net, dht = make_service([1, 2], range_domain=(Fraction(0), Fraction(100)))
-    dht.join(1, 1)
-    dht.join(1, 2)
-    dht.get_range(1, 1, "40", "60")
-    assert dht.overlays[1].last_contacted == (1, 2)
-    dht.get_range(1, 1, "10", "20")
-    assert dht.overlays[1].last_contacted == (1,)
-    dht.get_range(1, 1, "60", "80")
-    assert dht.overlays[1].last_contacted == (2,)
+    dht.join(dht.range, 1)
+    dht.join(dht.range, 2)
+    dht.get_range(1, "40", "60")
+    assert dht.range.last_contacted == (1, 2)
+    dht.get_range(1, "10", "20")
+    assert dht.range.last_contacted == (1,)
+    dht.get_range(1, "60", "80")
+    assert dht.range.last_contacted == (2,)
 
 
-def test_get_range_on_hash_overlay_raises():
-    net, dht = make_service([1])
-    dht.join(0, 1)
-    with pytest.raises(NotRangeCapable):
-        dht.get_range(0, 1, "a", "b")
+def test_envelopes_name_their_overlay_by_wire_tag_alone():
+    # ranges: 10 -> [0, 25), 90 -> [25, 50), 50 -> [50, 100); key 7 is
+    # peer 10's on both overlays, so an envelope handled by the wrong
+    # overlay would land in the wrong store
+    net, dht = make_service([10, 50, 90], range_domain=(Fraction(0), Fraction(100)))
+    for p in (10, 50, 90):
+        dht.join(dht.hash, p)
+        dht.join(dht.range, p)
+    assert dht.hash.owner_of("7") == dht.range.owner_of("7") == 10
+    sent = _recording(net)
+    dht.put(dht.hash, 50, [("7", b"h")])
+    dht.put(dht.range, 50, [("7", b"r")])
+    assert dht.hash.members[10].store == {"7": [b"h"]}
+    assert dht.range.members[10].store == {"7": [b"r"]}
+    assert dht.get(dht.hash, 50, "7") == [b"h"]  # request 1
+    assert dht.get(dht.range, 50, "7") == [b"r"]  # request 2
+    assert dht.get_range(50, "0", "30") == [("7", b"r")]  # requests 3 and 4
+    assert dht.range.last_contacted == (10, 90)
+
+    def u16(n):
+        return n.to_bytes(2, "big")
+
+    def request(tag, req):  # wire tag, request id, origin peer
+        return bytes([tag]) + req.to_bytes(4, "big") + (50).to_bytes(8, "big")
+
+    def one_item_put(tag, value):  # wire tag, item count, key, value
+        return bytes([tag]) + u16(1) + u16(1) + b"7" + (1).to_bytes(4, "big") + value
+
+    requests = {
+        0x01: {one_item_put(0x01, b"h")},
+        0x04: {one_item_put(0x04, b"r")},
+        0x02: {request(0x02, 1) + u16(1) + b"7"},
+        0x05: {request(0x05, 2) + u16(1) + b"7"},
+        0x06: {request(0x06, req) + u16(1) + b"0" + u16(2) + b"30" for req in (3, 4)},
+    }
+    for tag, payloads in requests.items():
+        assert {payload for _, _, payload in sent if payload[0] == tag} == payloads
+    # the range overlay's owner is every range request's one hop
+    assert [(frm, to) for frm, to, payload in sent if payload[0] in (0x04, 0x05)] == [
+        (50, 10), (50, 10)
+    ]
+    assert [to for _, to, payload in sent if payload[0] == 0x06] == [10, 90]
 
 
 def test_range_leave_smaller_neighbor_absorbs():
     net, dht = make_service([1, 2, 3], range_domain=(Fraction(0), Fraction(100)))
     for p in (1, 2, 3):
-        dht.join(1, p)
-    ov = dht.overlays[1]
+        dht.join(dht.range, p)
+    ov = dht.range
     # ranges now: 1 -> [0,25), 3 -> [25,50), 2 -> [50,100)
     assert (ov.members[1].lo, ov.members[1].hi) == (0, 25)
     assert (ov.members[3].lo, ov.members[3].hi) == (25, 50)
-    dht.put(1, 1, [("30", b"x")])
-    dht.leave(1, 3)
+    dht.put(dht.range, 1, [("30", b"x")])
+    dht.leave(dht.range, 3)
     # left neighbor [0,25) is smaller than right neighbor [50,100)
     assert (ov.members[1].lo, ov.members[1].hi) == (0, 50)
-    assert dht.get(1, 2, "30") == [b"x"]
+    assert dht.get(dht.range, 2, "30") == [b"x"]
 
 
 def _ring_integrity(ov):
@@ -230,8 +266,8 @@ def test_churn_against_shadow_map(seed):
     hash_members: list[int] = []
     range_members: list[int] = []
     for p in peer_pool[:3]:
-        dht.join(0, p)
-        dht.join(1, p)
+        dht.join(dht.hash, p)
+        dht.join(dht.range, p)
         hash_members.append(p)
         range_members.append(p)
 
@@ -240,39 +276,39 @@ def test_churn_against_shadow_map(seed):
         if op < 0.12 and len(hash_members) < 16:
             candidates = [p for p in peer_pool if p not in hash_members]
             p = rng.choice(candidates)
-            dht.join(0, p)
+            dht.join(dht.hash, p)
             hash_members.append(p)
         elif op < 0.2 and len(hash_members) > 3:
             p = rng.choice(hash_members)
-            dht.leave(0, p)
+            dht.leave(dht.hash, p)
             hash_members.remove(p)
         elif op < 0.28 and len(range_members) < 16:
             candidates = [p for p in peer_pool if p not in range_members]
             p = rng.choice(candidates)
-            dht.join(1, p)
+            dht.join(dht.range, p)
             range_members.append(p)
         elif op < 0.34 and len(range_members) > 3:
             p = rng.choice(range_members)
-            dht.leave(1, p)
+            dht.leave(dht.range, p)
             range_members.remove(p)
         elif op < 0.6:
             key = str(rng.randint(0, 40))
             value = f"v{step}".encode()
-            dht.put(0, rng.choice(hash_members), [(key, value)])
+            dht.put(dht.hash, rng.choice(hash_members), [(key, value)])
             shadow_hash.setdefault(key, []).append(value)
         elif op < 0.75:
             key = f"k{rng.randint(0, 40):03d}"
             value = f"r{step}".encode()
-            dht.put(1, rng.choice(range_members), [(key, value)])
+            dht.put(dht.range, rng.choice(range_members), [(key, value)])
             shadow_range.setdefault(key, []).append(value)
         elif op < 0.9:
             key = str(rng.randint(0, 40))
-            got = dht.get(0, rng.choice(hash_members), key)
+            got = dht.get(dht.hash, rng.choice(hash_members), key)
             assert sorted(got) == sorted(shadow_hash.get(key, []))
         else:
             lo = f"k{rng.randint(0, 40):03d}"
             hi = f"k{rng.randint(0, 40):03d}"
-            got = dht.get_range(1, rng.choice(range_members), lo, hi)
+            got = dht.get_range(rng.choice(range_members), lo, hi)
             want = sorted(
                 (k, v)
                 for k, values in shadow_range.items()
@@ -280,12 +316,12 @@ def test_churn_against_shadow_map(seed):
                 for v in values
             )
             assert sorted(got) == want
-        _ring_integrity(dht.overlays[0])
-        _partition_integrity(dht.overlays[1], dht.overlays[1].domain)
+        _ring_integrity(dht.hash)
+        _partition_integrity(dht.range, dht.range.domain)
 
     # final sweep: every key readable from every member
     for key, values in shadow_hash.items():
-        got = dht.get(0, rng.choice(hash_members), key)
+        got = dht.get(dht.hash, rng.choice(hash_members), key)
         assert sorted(got) == sorted(values)
 
 
@@ -295,11 +331,11 @@ def test_successor_routing_hop_bound():
     positions = [5, 17, 33, 49, 62, 78, 85, 99]
     net, dht = make_service(positions)
     for p in positions:
-        dht.join(0, p)
+        dht.join(dht.hash, p)
     for via in positions:
         for key in ("3", "40", "70", "99"):
             before = net.stats.messages_sent
-            dht.put(0, via, [(key, b"v")])
+            dht.put(dht.hash, via, [(key, b"v")])
             assert net.stats.messages_sent - before <= len(positions)
 
 
@@ -325,16 +361,16 @@ def test_remote_reads_of_65536_values():
     values = [i.to_bytes(3, "big") for i in range(65_536)]
     net, dht = make_service([10, 50], range_domain=(Fraction(0), Fraction(100)))
     for p in (10, 50):
-        dht.join(0, p)
-        dht.join(1, p)
-    hash_ov, range_ov = dht.overlays[0], dht.overlays[1]
+        dht.join(dht.hash, p)
+        dht.join(dht.range, p)
+    hash_ov, range_ov = dht.hash, dht.range
     assert hash_ov.owner_of("42") == 50 and range_ov.owner_of("70") == 50
     for v in values:
         hash_ov.store_value(50, "42", v)
         range_ov.store_value(50, "70", v)
-    assert dht.get(0, 10, "42") == values
-    assert dht.get(1, 10, "70") == values
-    assert dht.get_range(1, 10, "60", "80") == [("70", v) for v in values]
+    assert dht.get(dht.hash, 10, "42") == values
+    assert dht.get(dht.range, 10, "70") == values
+    assert dht.get_range(10, "60", "80") == [("70", v) for v in values]
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,13 +381,13 @@ def test_remote_reads_of_65536_values():
 def test_cached_ring_matches_brute_force_owner(churn, keys):
     pool = range(1, 41)
     net, dht = make_service(pool, hash_mode="fnv")
-    ov = dht.overlays[0]
-    dht.join(0, 1)
+    ov = dht.hash
+    dht.join(dht.hash, 1)
     for joining, peer in churn:
         if joining and peer not in ov.members:
-            dht.join(0, peer)
+            dht.join(dht.hash, peer)
         elif not joining and peer in ov.members and len(ov.members) > 1:
-            dht.leave(0, peer)
+            dht.leave(dht.hash, peer)
     ring = sorted((state.position, pid) for pid, state in ov.members.items())
     members = [pid for _, pid in ring]
     for i, key in enumerate(keys):
@@ -360,9 +396,9 @@ def test_cached_ring_matches_brute_force_owner(churn, keys):
         owner = next((pid for pos, pid in ring if pos >= kpos), ring[0][1])
         assert ov.owner_of(key) == owner
         value = f"v{i}".encode()
-        dht.put(0, members[i % len(members)], [(key, value)])
+        dht.put(dht.hash, members[i % len(members)], [(key, value)])
         assert value in ov.members[owner].store[key]
-        assert value in dht.get(0, members[-1 - i % len(members)], key)
+        assert value in dht.get(dht.hash, members[-1 - i % len(members)], key)
 
 
 # keys of 64 KiB and more cost milliseconds to hash in pure Python
@@ -399,11 +435,11 @@ def _check_hops(ov, sent):
     every put envelope is exactly the encoding of the items it carries."""
     for frm, to, payload in sent:
         if payload[0] == 0x01:
-            items = unpack_items(payload, 2)
-            assert payload == bytes([0x01, ov.dht_id]) + pack_items(items)
+            items = unpack_items(payload, 1)
+            assert payload == bytes([0x01]) + pack_items(items)
             keys = [key for key, _ in items]
         elif payload[0] == 0x02:
-            keys = [unpack_str(payload, 14)[0]]
+            keys = [unpack_str(payload, 13)[0]]
         else:  # the owner's answer goes straight back to the requester
             continue
         for key in keys:
@@ -424,66 +460,66 @@ def _check_hops(ov, sent):
 def test_finger_routed_batches_reach_the_owner_in_order(mode, pool, steps):
     keys = [str(k) for k in pool]
     net, dht = make_service(range(1, 41), hash_mode=mode)
-    ov = dht.overlays[0]
+    ov = dht.hash
     sent = []
     real_send = net.send
     net.send = lambda frm, to, payload: sent.append((frm, to, payload)) or real_send(
         frm, to, payload
     )
-    dht.join(0, 1)
+    dht.join(dht.hash, 1)
     shadow: dict[str, list[bytes]] = {}
     for n, (joining, peer, picks) in enumerate(steps):
         if joining and peer not in ov.members:
-            dht.join(0, peer)
+            dht.join(dht.hash, peer)
         elif not joining and peer in ov.members and len(ov.members) > 1:
-            dht.leave(0, peer)
+            dht.leave(dht.hash, peer)
         members = sorted(ov.members)
         items = [(keys[i % len(keys)], f"{n}.{j}".encode()) for j, i in enumerate(picks)]
         sent.clear()
-        dht.put(0, members[peer % len(members)], items)
+        dht.put(dht.hash, members[peer % len(members)], items)
         _check_hops(ov, sent)
         for key, value in items:
             shadow.setdefault(key, []).append(value)
         for key in {key for key, _ in items}:
             assert ov.members[ov.owner_of(key)].store[key] == shadow[key]
             sent.clear()
-            assert dht.get(0, members[(peer + len(key)) % len(members)], key) == shadow[key]
+            assert dht.get(dht.hash, members[(peer + len(key)) % len(members)], key) == shadow[key]
             _check_hops(ov, sent)
 
 
 def test_finger_routing_hop_bound_at_64_peers():
     net, dht = make_service(range(1, 65), hash_mode="fnv")
     for p in range(1, 65):
-        dht.join(0, p)
+        dht.join(dht.hash, p)
     keys = [f"t:name{i}" for i in range(512)]
     # a successor walk would average about 32 hops here
     before = net.stats.messages_sent
     for i, key in enumerate(keys):
-        dht.put(0, 1 + i % 64, [(key, b"v")])
+        dht.put(dht.hash, 1 + i % 64, [(key, b"v")])
     assert 1 <= (net.stats.messages_sent - before) / len(keys) <= 6
     # a get adds the owner's one-message answer to the route
     before = net.stats.messages_sent
     for i, key in enumerate(keys):
-        assert dht.get(0, 64 - i % 64, key) == [b"v"]
+        assert dht.get(dht.hash, 64 - i % 64, key) == [b"v"]
     assert 2 <= (net.stats.messages_sent - before) / len(keys) <= 7
 
 
 def test_batch_shares_envelopes_along_the_route():
     net, dht = make_service([10, 50, 90], range_domain=(Fraction(0), Fraction(100)))
     for p in (10, 50, 90):
-        dht.join(0, p)
-        dht.join(1, p)
+        dht.join(dht.hash, p)
+        dht.join(dht.range, p)
     before = net.stats.messages_sent
     # 50 owns (10, 50] and 90 owns (50, 90]; 90 routes through 10
-    dht.put(0, 90, [("42", b"a"), ("60", b"own"), ("20", b"b"), ("42", b"c")])
+    dht.put(dht.hash, 90, [("42", b"a"), ("60", b"own"), ("20", b"b"), ("42", b"c")])
     assert net.stats.messages_sent - before == 2  # 90 -> 10 -> 50, one envelope each
-    assert dht.overlays[0].members[50].store == {"42": [b"a", b"c"], "20": [b"b"]}
-    assert dht.overlays[0].members[90].store == {"60": [b"own"]}
+    assert dht.hash.members[50].store == {"42": [b"a", b"c"], "20": [b"b"]}
+    assert dht.hash.members[90].store == {"60": [b"own"]}
     # the range overlay splits [0, 100) into [0, 25), [25, 50), [50, 100)
     before = net.stats.messages_sent
-    dht.put(1, 10, [("30", b"x"), ("70", b"y"), ("5", b"z"), ("31", b"w")])
+    dht.put(dht.range, 10, [("30", b"x"), ("70", b"y"), ("5", b"z"), ("31", b"w")])
     assert net.stats.messages_sent - before == 2  # one envelope per remote owner
-    assert dht.get_range(1, 50, "0", "100") == [
+    assert dht.get_range(50, "0", "100") == [
         ("5", b"z"), ("30", b"x"), ("31", b"w"), ("70", b"y")
     ]
 
@@ -503,9 +539,9 @@ def _decoding_router(ov, via, items):
             if _brute_owner(ring, _key_hash(key)) != me:
                 groups.setdefault(_chord_hop(ov, me, key), []).append((key, value))
         for hop, group in groups.items():
-            payload = bytes([0x01, ov.dht_id]) + pack_items(group)
+            payload = bytes([0x01]) + pack_items(group)
             sent.append((me, hop, payload))
-            queue.append((hop, unpack_items(payload, 2)))
+            queue.append((hop, unpack_items(payload, 1)))
     return sent
 
 
@@ -539,9 +575,9 @@ _MIXED_BATCH = [(_LONG_KEYS[0], b"")] + [
 def test_forwarded_put_envelopes_match_a_decoding_router(peer_count, puts):
     members = list(range(1, peer_count + 1))
     net, dht = make_service(members, hash_mode="fnv")
-    ov = dht.overlays[0]
+    ov = dht.hash
     for p in members:
-        dht.join(0, p)
+        dht.join(dht.hash, p)
     ring = sorted((state.position, pid) for pid, state in ov.members.items())
     sent = []
     real_send = net.send
@@ -554,7 +590,7 @@ def test_forwarded_put_envelopes_match_a_decoding_router(peer_count, puts):
         via = members[pick % len(members)]
         want_sent = _decoding_router(ov, via, items)
         sent.clear()
-        dht.put(0, via, items)
+        dht.put(dht.hash, via, items)
         assert sent == want_sent
         for frm, to, payload in want_sent:
             reference.record(frm, to, len(payload))
@@ -588,16 +624,16 @@ def test_range_put_sends_one_envelope_per_remote_owner(peer_count, pick, items):
     members = list(range(1, peer_count + 1))
     net, dht = make_service(members, range_domain=(Fraction(0), Fraction(100)))
     for p in members:
-        dht.join(1, p)
-    ov = dht.overlays[1]
+        dht.join(dht.range, p)
+    ov = dht.range
     via = members[pick % peer_count]
     groups: dict[int, list] = {}
     for key, value in items:
         groups.setdefault(ov.owner_of(key), []).append((key, value))
     sent = _recording(net)
-    dht.put(1, via, items)
+    dht.put(dht.range, via, items)
     assert sent == [
-        (via, owner, bytes([0x04, 1]) + pack_items(group))
+        (via, owner, bytes([0x04]) + pack_items(group))
         for owner, group in groups.items()
         if owner != via
     ]
@@ -610,17 +646,17 @@ def test_range_get_asks_the_owner_once():
     members = [1, 2, 3, 4]
     net, dht = make_service(members, range_domain=(Fraction(0), Fraction(100)))
     for p in members:
-        dht.join(1, p)
-    ov = dht.overlays[1]
+        dht.join(dht.range, p)
+    ov = dht.range
     for key in ("5", "30", "55", "80"):
-        dht.put(1, ov.owner_of(key), [(key, key.encode())])
+        dht.put(dht.range, ov.owner_of(key), [(key, key.encode())])
     sent = _recording(net)
     for key in ("5", "30", "55", "80", "99"):
         owner = ov.owner_of(key)
         want = [key.encode()] if key != "99" else []
         for via in members:
             sent.clear()
-            assert dht.get(1, via, key) == want
+            assert dht.get(dht.range, via, key) == want
             if via == owner:
                 assert sent == []
             else:
@@ -644,16 +680,16 @@ def test_tick_budget_failure_leaves_nothing_for_the_next_operation():
     # the get with its forwarded request still queued
     net, dht = make_service([10, 50, 90])
     for p in (10, 50, 90):
-        dht.join(0, p)
-    dht.put(0, 50, [("42", b"v")])
+        dht.join(dht.hash, p)
+    dht.put(dht.hash, 50, [("42", b"v")])
     dht.tick_budget = 1
     with pytest.raises(TickBudgetExceeded):
-        dht.get(0, 90, "42")
+        dht.get(dht.hash, 90, "42")
     assert net.pending_count == 0
     assert dht._responses == {}
     dht.tick_budget = DEFAULT_TICK_BUDGET
     before = net.stats.copy()
-    assert dht.get(0, 90, "42") == [b"v"]
+    assert dht.get(dht.hash, 90, "42") == [b"v"]
     delta = net.stats.delta_since(before)
     assert {edge: msgs for edge, (msgs, _) in delta.per_edge.items()} == {
         (90, 10): 1, (10, 50): 1, (50, 90): 1,

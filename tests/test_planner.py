@@ -68,8 +68,8 @@ def test_decompose_all_wildcard_propagates():
 
 def two_leaf_join(stats, site_a=2, site_b=3, join_site=3):
     """StructJoin at ``join_site`` over leaves pinned at peers a and b."""
-    big = Plan("IndexLookup", site_a, dht=0, key="t:big", var=0, cols=(0,))
-    small = Plan("IndexLookup", site_b, dht=0, key="t:small", var=1, cols=(1,))
+    big = Plan("IndexLookup", site_a, key="t:big", var=0, cols=(0,))
+    small = Plan("IndexLookup", site_b, key="t:small", var=1, cols=(1,))
 
     def locate(leaf):
         if leaf.site == join_site:
@@ -112,28 +112,28 @@ def test_rewrite_reaches_fixpoint():
 
 
 def test_collapse_ship_chain():
-    leaf = Plan("IndexLookup", 2, dht=0, key="t:a", var=0, cols=(0,))
+    leaf = Plan("IndexLookup", 2, key="t:a", var=0, cols=(0,))
     inner = Plan("Ship", 3, kids=[leaf], cols=(0,))
     outer = Plan("Ship", 4, kids=[inner], cols=(0,))
     out = rewrite(outer, default_rules(), 4, {"t:a": 5})
     assert plan_to_xml(out) == (
-        '<Ship site="4"><IndexLookup site="2" dht="0" key="t:a" var="0"/></Ship>'
+        '<Ship site="4"><IndexLookup site="2" key="t:a" var="0"/></Ship>'
     )
 
 
 def test_fuse_duplicate_lookups():
-    a = Plan("IndexLookup", 2, dht=0, key="t:a", var=0, cols=(0,))
-    b = Plan("IndexLookup", 2, dht=0, key="t:a", var=0, cols=(0,))
+    a = Plan("IndexLookup", 2, key="t:a", var=0, cols=(0,))
+    b = Plan("IndexLookup", 2, key="t:a", var=0, cols=(0,))
     node = Plan("Intersect", 2, var=0, cols=(0,), kids=[a, b])
     out = rewrite(node, default_rules(), 4, {"t:a": 5})
-    assert plan_to_xml(out) == '<IndexLookup site="2" dht="0" key="t:a" var="0"/>'
+    assert plan_to_xml(out) == '<IndexLookup site="2" key="t:a" var="0"/>'
 
 
 def test_drop_self_ship():
-    leaf = Plan("IndexLookup", 2, dht=0, key="t:a", var=0, cols=(0,))
+    leaf = Plan("IndexLookup", 2, key="t:a", var=0, cols=(0,))
     ship = Plan("Ship", 2, kids=[leaf], cols=(0,))
     out = rewrite(ship, default_rules(), 4, {"t:a": 5})
-    assert plan_to_xml(out) == '<IndexLookup site="2" dht="0" key="t:a" var="0"/>'
+    assert plan_to_xml(out) == '<IndexLookup site="2" key="t:a" var="0"/>'
 
 
 # -- placement -----------------------------------------------------------------------
@@ -177,15 +177,15 @@ def test_plan_xml_golden():
     plan = two_leaf_join(STATS)
     assert plan_to_xml(plan) == (
         '<StructJoin site="3" axis="child" parent="0" child="1">'
-        '<Ship site="3"><IndexLookup site="2" dht="0" key="t:big" var="0"/></Ship>'
-        '<IndexLookup site="3" dht="0" key="t:small" var="1"/>'
+        '<Ship site="3"><IndexLookup site="2" key="t:big" var="0"/></Ship>'
+        '<IndexLookup site="3" key="t:small" var="1"/>'
         "</StructJoin>"
     )
 
 
 def test_plan_xml_golden_recompose_and_range():
     leaf = Plan(
-        "RangeLookup", 2, dht=1, tag="year", lo=2000, hi=2005, var=1,
+        "RangeLookup", 2, tag="year", lo=2000, hi=2005, var=1,
         root_only=True, cols=(1,),
     )
     rec = Plan("Recompose", 1, ret_vars=(0, 1), cols=(1,),
@@ -193,7 +193,7 @@ def test_plan_xml_golden_recompose_and_range():
     assert plan_to_xml(rec) == (
         '<Recompose site="1" ret="0,1">'
         '<Ship site="1">'
-        '<RangeLookup site="2" dht="1" tag="year" lo="2000" hi="2005"'
+        '<RangeLookup site="2" tag="year" lo="2000" hi="2005"'
         ' var="1" rootonly="1"/>'
         "</Ship>"
         "</Recompose>"
@@ -208,7 +208,7 @@ def test_rewrite_nonterminating_rule_cut_by_max_passes():
         lambda node, parent: True,
         lambda node: Plan("At", node.site, kids=[node.clone()], cols=node.cols),
     )
-    leaf = Plan("IndexLookup", 2, dht=0, key="t:a", var=0, cols=(0,))
+    leaf = Plan("IndexLookup", 2, key="t:a", var=0, cols=(0,))
     out = rewrite(leaf, [grow], 3, {"t:a": 5})
     # the rule never lowers cost and never shrinks the plan, so it is
     # refused outright; a cost-lowering-but-endless rule is bounded instead
@@ -229,21 +229,21 @@ def test_build_golden_word_range_and_recompose():
     # on peer 1, the year range on peer 3); every other operator sits at
     # the query peer, with a Ship wherever an input lives elsewhere
     net, dht, index = make_cluster()
-    builder = PlanBuilder(lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1)
+    builder = PlanBuilder(dht, 1)
     pattern = parse_pattern('//paper[/year in 2000..2005][/title="dht"]!')
     plan = builder.build(decompose(pattern), with_recompose=True)
     assert plan_to_xml(plan) == (
         '<Recompose site="1" ret="0">'
         '<StructJoin site="1" axis="child" parent="0" child="1">'
         '<StructJoin site="1" axis="child" parent="0" child="2">'
-        '<Ship site="1"><IndexLookup site="4" dht="0" key="t:paper" var="0"/></Ship>'
+        '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
         '<Intersect site="1" var="2">'
-        '<Ship site="1"><IndexLookup site="4" dht="0" key="t:title" var="2"/></Ship>'
-        '<IndexLookup site="1" dht="0" key="w:dht" var="2"/>'
+        '<Ship site="1"><IndexLookup site="4" key="t:title" var="2"/></Ship>'
+        '<IndexLookup site="1" key="w:dht" var="2"/>'
         "</Intersect>"
         "</StructJoin>"
         '<Ship site="1">'
-        '<RangeLookup site="3" dht="1" tag="year" lo="2000" hi="2005" var="1"/>'
+        '<RangeLookup site="3" tag="year" lo="2000" hi="2005" var="1"/>'
         "</Ship>"
         "</StructJoin>"
         "</Recompose>"
@@ -251,7 +251,7 @@ def test_build_golden_word_range_and_recompose():
     # without Recompose a root that sits elsewhere ships to the query peer
     plan = builder.build(decompose(parse_pattern("//paper!")), with_recompose=False)
     assert plan_to_xml(plan) == (
-        '<Ship site="1"><IndexLookup site="4" dht="0" key="t:paper" var="0"/></Ship>'
+        '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
     )
 
 
@@ -266,9 +266,7 @@ def test_place_discards_what_rewrite_changes_randomized():
         index_corpus(index, random_corpus(rng, max_docs=6, max_nodes=30),
                      list(range(1, peers + 1)))
         query_peer = rng.randint(1, peers)
-        builder = PlanBuilder(
-            lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
-        )
+        builder = PlanBuilder(dht, query_peer)
         for _ in range(3):
             pattern = random_pattern(rng)
             if pattern.all_wildcard:
@@ -314,9 +312,7 @@ def test_place_output_carries_fresh_estimates_randomized():
         index_corpus(index, random_corpus(rng, max_docs=6, max_nodes=30),
                      list(range(1, peers + 1)))
         query_peer = rng.randint(1, peers)
-        builder = PlanBuilder(
-            lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
-        )
+        builder = PlanBuilder(dht, query_peer)
         for _ in range(3):
             pattern = random_pattern(rng)
             if pattern.all_wildcard:
@@ -344,9 +340,7 @@ def pipeline(store_docs, pattern_text, query_peer=1, with_recompose=False):
     homes = index_corpus(index, docs, [1, 2, 3, 4])
     ctx = ExecutionContext(index, homes)
     pattern = parse_pattern(pattern_text)
-    builder = PlanBuilder(
-        lambda dht_id, key: dht.overlays[dht_id].owner_of(key), query_peer
-    )
+    builder = PlanBuilder(dht, query_peer)
     plan = builder.build(decompose(pattern), with_recompose=with_recompose)
     plan = place(plan, index.stats, query_peer)
     result, delta = execute(plan, ctx)
@@ -377,7 +371,7 @@ def test_execute_twice_same_results():
     homes = index_corpus(index, docs, [1, 2, 3, 4])
     ctx = ExecutionContext(index, homes)
     pattern = parse_pattern("//sec!")
-    builder = PlanBuilder(lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1)
+    builder = PlanBuilder(dht, 1)
     plan = place(builder.build(decompose(pattern), False), index.stats, 1)
     first, _ = execute(plan, ctx)
     second, _ = execute(plan, ctx)
@@ -387,7 +381,7 @@ def test_execute_twice_same_results():
 def test_unreachable_site():
     net, dht, index = make_cluster()
     ctx = ExecutionContext(index, {})
-    plan = Plan("IndexLookup", 99, dht=0, key="t:x", var=0, cols=(0,))
+    plan = Plan("IndexLookup", 99, key="t:x", var=0, cols=(0,))
     with pytest.raises(PlanSiteUnreachable):
         execute(plan, ctx)
 
@@ -455,7 +449,7 @@ def test_estimated_bytes_match_the_shipped_dataset():
     sid = StructuralId(1, 2, 3, 1)
     for ncols in (1, 2, 254, 255, 256, 300):
         for nrows in (0, 1, 3):
-            leaf = Plan("IndexLookup", 2, dht=0, key="t:a", var=0,
+            leaf = Plan("IndexLookup", 2, key="t:a", var=0,
                         cols=tuple(range(ncols)))
             annotate(leaf, {"t:a": nrows})
             ds = Dataset(leaf.cols, [(sid,) * ncols] * nrows, site=2)
@@ -487,9 +481,7 @@ def test_semantics_preserved_through_pipeline_randomized():
         net, dht, index = make_cluster()
         homes = index_corpus(index, docs, [1, 2, 3, 4])
         ctx = ExecutionContext(index, homes)
-        builder = PlanBuilder(
-            lambda dht_id, key: dht.overlays[dht_id].owner_of(key), 1
-        )
+        builder = PlanBuilder(dht, 1)
         pattern = random_pattern(rng)
         naive_bindings = eval_naive(pattern, docs)
         plan = builder.build(decompose(pattern), False)

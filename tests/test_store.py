@@ -269,7 +269,7 @@ def test_wildcard_range_scans_only_tags_with_value_postings(tmp_path):
     p2p = stores[1]
     scans = []
     get_range = p2p.dht.get_range
-    p2p.dht.get_range = lambda *args: scans.append(args[2]) or get_range(*args)
+    p2p.dht.get_range = lambda *args: scans.append(args[1]) or get_range(*args)
     for pattern, want in (
         ("//* in 1995..1999!", ["2#10", "3#10"]),
         ("//article[/* in 1990..1998]/title!", ["1#4", "2#4"]),
@@ -454,6 +454,16 @@ def test_restore_refuses_doc_ids_that_do_not_rise(tmp_path, any_store, doc_ids):
         restore(str(path))
 
 
+@pytest.mark.parametrize("report", [b"1 x 3 4\ntotal 3 4\n", b"1 2 3\ntotal 3 4\n"])
+def test_restore_refuses_stats_lines_that_are_not_edges(tmp_path, any_store, report):
+    # an edge line of the NSTA record is four integers: from, to, messages, bytes
+    conf = any_store.config.to_text().encode()
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", conf), (b"NSTA", report)])
+    with pytest.raises(CorruptSnapshot, match="NSTA"):
+        restore(str(path))
+
+
 def test_restore_refuses_version_1(tmp_path, any_store):
     any_store.store_resource(D1)
     path = tmp_path / "x.snap"
@@ -501,8 +511,8 @@ def test_restored_p2p_store_reproduces_stats(tmp_path):
 def _overlay_stores(store):
     """Every per-peer store, with key order and value order."""
     return {
-        (dht_id, peer): [(key, list(values)) for key, values in state.store.items()]
-        for dht_id, overlay in store.dht.overlays.items()
+        (overlay.kind, peer): [(key, list(values)) for key, values in state.store.items()]
+        for overlay in (store.dht.hash, store.dht.range)
         for peer, state in overlay.members.items()
     }
 
