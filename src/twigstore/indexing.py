@@ -201,7 +201,7 @@ class IndexService:
         """Postings under a hash-overlay key; ``"*"`` means ``lookup_all``."""
         if key == "*":
             return self.lookup_all(via)
-        return _sorted_postings(self.dht.get(self.dht.hash, via, key))
+        return _sorted_postings(self.dht.get(via, key))
 
     def lookup_tag(self, tag: str, via: PeerId) -> list[StructuralId]:
         return self.lookup(tag_key(tag), via)
@@ -220,17 +220,16 @@ class IndexService:
         tags = value_tags(self.stats) if tag == "*" else [tag]
         records: list[bytes] = []
         for t in tags:
-            items = self.dht.get_range(via, *value_bounds(t, lo, hi))
-            records += (v for _, v in items)
+            records += self.dht.get_range(via, *value_bounds(t, lo, hi))
         return _sorted_postings(records)
 
     def known_tags(self, via: PeerId) -> list[str]:
-        values = self.dht.get(self.dht.hash, via, CATALOG_KEY)
+        values = self.dht.get(via, CATALOG_KEY)
         return sorted({v.decode("utf-8") for v in values})
 
     def lookup_all(self, via: PeerId) -> list[StructuralId]:
         """Union of all tag posting lists (wildcard candidate source)."""
         records: list[bytes] = []
         for tag in self.known_tags(via):
-            records += self.dht.get(self.dht.hash, via, tag_key(tag))
+            records += self.dht.get(via, tag_key(tag))
         return _sorted_postings(records)

@@ -1,8 +1,8 @@
 """The store's two key/value overlays over simulated peers.
 
-Two overlay kinds share the per-peer endpoint surface (join, leave, put,
-get) and one routing question, ``route(peer, key)``: ``None`` when
-``peer`` owns the key, else the peer it sends the key to.
+Two overlay kinds share the per-peer surface (join, leave, store_value)
+and one routing question, ``route(peer, key)``: ``None`` when ``peer``
+owns the key, else the peer it sends the key to.
 
 * ``HashOverlay`` — a ring of peers ordered by a 64-bit position; a key
   lives on the first peer at or clockwise after its position.  Routing
@@ -35,21 +35,25 @@ each key keeps its value order.  A put envelope is the wire tag, an item
 count and the items, each a key (``pack_str``) and a value
 (``pack_bytes``).  A forwarding peer decodes only the keys: it sends each
 item on as the byte span it arrived in, and a batch that goes on whole to
-one hop as the received payload itself.  One put and one get handler
-serve both overlays; the wire tag names the overlay, so no envelope
-carries an overlay id.  ``DhtService.put_direct`` is the one
-control-plane data operation: it stores the items on their owners without
-sending a message, which is how snapshot restore rebuilds the overlays.
-Item and response value counts and key lengths take 2 bytes, or 6 from
-0xFFFF up.
+one hop as the received payload itself.  One put handler serves both
+overlays; the wire tag names the overlay, so no envelope carries an
+overlay id.  ``DhtService.put_direct`` is the one control-plane data
+operation: it stores the items on their owners without sending a message,
+which is how snapshot restore rebuilds the overlays.  Item counts and key
+lengths take 2 bytes, or 6 from 0xFFFF up.
 
-Wire tags: 0x01/0x04 put and 0x02/0x05 get on the hash/range overlay, 0x06
-range scan, 0x03/0x07 their responses.  A get is the tag, the request id,
-the origin peer and the key; a scan is the tag, the request id, the
-origin peer and the two bounds.  Every request that expects an answer
-(get, scan, the plan executor's batched subtree fetch) takes its id from
-``DhtService.new_request``, and every response tag maps to
-``on_response``, which files the payload for ``take_response``.
+Each overlay serves the read its role needs: ``get`` reads one key from
+the hash overlay, ``get_range`` one interval from the range overlay.
+
+Wire tags: 0x01/0x04 put on the hash/range overlay, 0x02 get, 0x06 range
+scan, 0x03 values.  A get is the tag, the request id, the origin peer and
+the key; a scan is the tag, the request id, the origin peer and the two
+bounds.  Every request that expects an answer (get, scan, the plan
+executor's batched subtree fetch) takes its id from
+``DhtService.new_request`` and is answered by one values envelope
+(``values_response``): 0x03, the request id, then each value after its
+4-byte length, up to the end of the envelope.  ``DhtService.take_values``
+decodes it.
 """
 
 from __future__ import annotations
@@ -98,11 +102,9 @@ def ring_hash(text: str) -> int:
 # wire tags
 _HASH_PUT = 0x01
 _HASH_GET = 0x02
-_GET_RESP = 0x03
+_VALUES = 0x03
 _RANGE_PUT = 0x04
-_RANGE_GET = 0x05
 _RANGE_SCAN = 0x06
-_SCAN_RESP = 0x07
 
 
 def pack_str(text: str) -> bytes:
@@ -144,24 +146,6 @@ def unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
 Items = list[tuple[str, bytes]]
 
 
-def pack_items(items: Items) -> bytes:
-    """An item count (``pack_count``), then each key and value."""
-    parts = [pack_count(len(items))]
-    for key, value in items:
-        parts += (pack_str(key), pack_bytes(value))
-    return b"".join(parts)
-
-
-def unpack_items(buf: bytes, off: int) -> Items:
-    count, off = unpack_count(buf, off)
-    items = []
-    for _ in range(count):
-        key, off = unpack_str(buf, off)
-        value, off = unpack_bytes(buf, off)
-        items.append((key, value))
-    return items
-
-
 @dataclass
 class RingState:
     position: int
@@ -195,7 +179,7 @@ class HashOverlay:
     """
 
     kind = "hash"
-    put_tag, get_tag = _HASH_PUT, _HASH_GET
+    put_tag = _HASH_PUT
 
     def __init__(self, mode: str = "fnv"):
         if mode not in ("fnv", "decimal"):
@@ -331,7 +315,7 @@ class RangeOverlay:
     """
 
     kind = "range"
-    put_tag, get_tag = _RANGE_PUT, _RANGE_GET
+    put_tag = _RANGE_PUT
 
     def __init__(
         self, mode: str = "bytes", domain: tuple[Fraction, Fraction] | None = None
@@ -430,19 +414,15 @@ class RangeOverlay:
         ]
         return [pid for _, pid in sorted(hits)]
 
-    def local_values(self, peer: PeerId, key: str) -> list[bytes]:
-        return list(self.members[peer].store.get(key, []))
-
     def store_value(self, peer: PeerId, key: str, value: bytes) -> None:
         self.members[peer].store.setdefault(key, []).append(value)
 
-    def local_scan(self, peer: PeerId, lo: str, hi: str) -> list[tuple[str, bytes]]:
-        items = []
-        for k, values in self.members[peer].store.items():
-            if self.key_le(lo, k) and self.key_lt(k, hi):
-                items.extend((k, v) for v in values)
-        items.sort(key=lambda kv: (self._sort_key(kv[0])))
-        return items
+    def local_scan(self, peer: PeerId, lo: str, hi: str) -> list[bytes]:
+        """The values ``peer`` holds under keys in [lo, hi), in key order,
+        each key's values in put order."""
+        store = self.members[peer].store
+        keys = [k for k in store if self.key_le(lo, k) and self.key_lt(k, hi)]
+        return [v for k in sorted(keys, key=self._sort_key) for v in store[k]]
 
     def _sort_key(self, key: str):
         return int(key) if self.mode == "decimal" else key.encode("utf-8")
@@ -453,15 +433,15 @@ Overlay = HashOverlay | RangeOverlay
 PutFn = Callable[[Overlay, PeerId, Items], None]
 Handler = Callable[[Network, Envelope], None]
 
-# a response is its wire tag, the request id, then the answer
-RESPONSE_BODY = 5
 # a get or scan request is its wire tag, the request id, the origin peer,
 # then the key or the two bounds
 _REQUEST_BODY = 13
 
 
-def _values_response(req: int, values: list[bytes]) -> bytes:
-    head = bytes([_GET_RESP]) + struct.pack(">I", req) + pack_count(len(values))
+def values_response(req: int, values: list[bytes]) -> bytes:
+    """The answer to request ``req``: 0x03, the request id, then each value
+    after its 4-byte length; the envelope's end ends the values."""
+    head = bytes([_VALUES]) + struct.pack(">I", req)
     return head + b"".join(map(pack_bytes, values))
 
 
@@ -472,9 +452,11 @@ class DhtService:
     All overlay logic runs inside the network's event loop; each public
     operation injects the initial request and drains the loop (``drain``),
     so calls never overlap a simulation step.  Every peer dispatches by
-    wire tag through one table, which binds each overlay tag to its
-    overlay and to which the plan executor adds its own tags.  Tests pass
-    their own overlays to place peers by hand (``decimal`` modes).
+    wire tag through one table, which binds each put tag to its overlay
+    and to which the plan executor adds its own tags; every answer, the
+    executor's included, arrives as a values envelope.  Tests pass their
+    own overlays to place peers by hand (``decimal`` modes) and set
+    ``tick_budget`` to cut a drain short.
     """
 
     def __init__(
@@ -482,20 +464,17 @@ class DhtService:
         net: Network,
         hash: HashOverlay | None = None,
         range: RangeOverlay | None = None,
-        tick_budget: int = DEFAULT_TICK_BUDGET,
     ):
         self.net = net
-        self.tick_budget = tick_budget
+        self.tick_budget = DEFAULT_TICK_BUDGET
         self.hash = hash or HashOverlay()
         self.range = range or RangeOverlay()
         self._handlers: dict[int, Handler] = {
             _HASH_PUT: partial(self._on_put, self.hash),
             _RANGE_PUT: partial(self._on_put, self.range),
-            _HASH_GET: partial(self._on_get, self.hash),
-            _RANGE_GET: partial(self._on_get, self.range),
+            _HASH_GET: self._on_get,
             _RANGE_SCAN: self._on_scan,
-            _GET_RESP: self.on_response,
-            _SCAN_RESP: self.on_response,
+            _VALUES: self._on_values,
         }
         self._responses: dict[int, bytes] = {}
         self._next_req = 0
@@ -545,25 +524,26 @@ class DhtService:
         for key, value in items:
             ov.store_value(ov.owner_of(key), key, value)
 
-    def get(self, ov: Overlay, via: PeerId, key: str) -> list[bytes]:
+    def get(self, via: PeerId, key: str) -> list[bytes]:
+        """The values of the hash overlay under ``key``, in put order."""
+        ov = self.hash
         self._check_member(ov, via)
         hop = ov.route(via, key)
         if hop is None:
             return ov.local_values(via, key)
         req = self.new_request()
-        payload = bytes([ov.get_tag]) + struct.pack(">IQ", req, via) + pack_str(key)
+        payload = bytes([_HASH_GET]) + struct.pack(">IQ", req, via) + pack_str(key)
         self.net.send(via, hop, payload)
         self.drain()
-        response = self.take_response(req)
-        count, off = unpack_count(response, RESPONSE_BODY)
-        values = []
-        for _ in range(count):
-            value, off = unpack_bytes(response, off)
-            values.append(value)
-        return values
+        return self.take_values(req)
 
-    def get_range(self, via: PeerId, lo: str, hi: str) -> list[tuple[str, bytes]]:
-        """The items of the range overlay with ``lo <= key < hi``, in key order."""
+    def get_range(self, via: PeerId, lo: str, hi: str) -> list[bytes]:
+        """The values of the range overlay with ``lo <= key < hi``, in key
+        order, each key's values in put order.
+
+        The intersecting peers' intervals are disjoint and taken in domain
+        order, so their scans, each in key order, are concatenated as is.
+        """
         ov = self.range
         self._check_member(ov, via)
         if not ov.key_lt(lo, hi):
@@ -571,14 +551,11 @@ class DhtService:
             return []
         peers = ov.intersecting(ov.point(lo), ov.point(hi))
         ov.last_contacted = tuple(peers)
-        items: list[tuple[str, bytes]] = []
-        pending: list[int] = []
+        reqs: dict[PeerId, int] = {}
         for pid in peers:
             if pid == via:
-                items.extend(ov.local_scan(via, lo, hi))
                 continue
-            req = self.new_request()
-            pending.append(req)
+            reqs[pid] = req = self.new_request()
             payload = (
                 bytes([_RANGE_SCAN])
                 + struct.pack(">IQ", req, via)
@@ -586,12 +563,15 @@ class DhtService:
                 + pack_str(hi)
             )
             self.net.send(via, pid, payload)
-        if pending:
+        if reqs:
             self.drain()
-            for req in pending:
-                items.extend(unpack_items(self.take_response(req), RESPONSE_BODY))
-        items.sort(key=lambda kv: ov._sort_key(kv[0]))
-        return items
+        values: list[bytes] = []
+        for pid in peers:
+            if pid == via:
+                values += ov.local_scan(via, lo, hi)
+            else:
+                values += self.take_values(reqs[pid])
+        return values
 
     # -- requests and responses ------------------------------------------
 
@@ -615,16 +595,16 @@ class DhtService:
         self._next_req += 1
         return self._next_req
 
-    def take_response(self, req: int) -> bytes:
-        """The payload that answered ``req``; its body starts at
-        ``RESPONSE_BODY``."""
-        if req not in self._responses:
+    def take_values(self, req: int) -> list[bytes]:
+        """The values of the envelope that answered ``req``, in order."""
+        payload = self._responses.pop(req, None)
+        if payload is None:
             raise RuntimeError(f"request {req} produced no response")
-        return self._responses.pop(req)
-
-    def on_response(self, net: Network, env: Envelope) -> None:
-        (req,) = struct.unpack_from(">I", env.payload, 1)
-        self._responses[req] = env.payload
+        values, off = [], 5  # past the tag and the request id
+        while off < len(payload):
+            value, off = unpack_bytes(payload, off)
+            values.append(value)
+        return values
 
     # -- plumbing ----------------------------------------------------------
 
@@ -677,14 +657,14 @@ class DhtService:
         else:
             self._send_put_groups(me, payload[:1], groups)
 
-    def _on_get(self, ov: Overlay, net: Network, env: Envelope) -> None:
+    def _on_get(self, net: Network, env: Envelope) -> None:
         """Answer a get this peer owns the key of, else send it on."""
         me = env.to_peer
         req, origin = struct.unpack_from(">IQ", env.payload, 1)
         key, _ = unpack_str(env.payload, _REQUEST_BODY)
-        hop = ov.route(me, key)
+        hop = self.hash.route(me, key)
         if hop is None:
-            net.send(me, origin, _values_response(req, ov.local_values(me, key)))
+            net.send(me, origin, values_response(req, self.hash.local_values(me, key)))
         else:
             net.send(me, hop, env.payload)
 
@@ -692,6 +672,9 @@ class DhtService:
         req, origin = struct.unpack_from(">IQ", env.payload, 1)
         lo, off = unpack_str(env.payload, _REQUEST_BODY)
         hi, _ = unpack_str(env.payload, off)
-        items = self.range.local_scan(env.to_peer, lo, hi)
-        head = bytes([_SCAN_RESP]) + struct.pack(">I", req)
-        net.send(env.to_peer, origin, head + pack_items(items))
+        values = self.range.local_scan(env.to_peer, lo, hi)
+        net.send(env.to_peer, origin, values_response(req, values))
+
+    def _on_values(self, net: Network, env: Envelope) -> None:
+        (req,) = struct.unpack_from(">I", env.payload, 1)
+        self._responses[req] = env.payload

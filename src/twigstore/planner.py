@@ -47,7 +47,7 @@ from .indexing import (
     word_key,
 )
 from .netsim import Envelope, Network, NetworkStats, PeerId
-from .overlay import RESPONSE_BODY, DhtService, pack_bytes, unpack_bytes
+from .overlay import DhtService, values_response
 from .pattern import CHILD, TreePattern
 from .twigjoin import Binding, sort_bindings, stack_join
 
@@ -56,7 +56,6 @@ PAYLOAD_ESTIMATE = 256  # assumed serialized bytes per recomposed resource
 
 TAG_DATASET = 0x10
 TAG_FETCH = 0x11
-TAG_FETCH_RESP = 0x12
 
 
 # -- plan model --------------------------------------------------------------
@@ -656,8 +655,8 @@ def decode_dataset(payload: bytes, site: PeerId) -> Dataset:
 class ExecutionContext:
     """Runtime the executor needs: overlays, index, and document homes.
 
-    A batched subtree fetch uses the overlay service's request ids and
-    responses.
+    A batched subtree fetch uses the overlay service's request ids and is
+    answered by its values envelope.
     """
 
     def __init__(
@@ -672,21 +671,20 @@ class ExecutionContext:
         self._inbox: list[bytes] = []
         self.dht.register_handler(TAG_DATASET, self._on_dataset)
         self.dht.register_handler(TAG_FETCH, self._on_fetch)
-        self.dht.register_handler(TAG_FETCH_RESP, self.dht.on_response)
 
     def _on_dataset(self, net: Network, env: Envelope) -> None:
         self._inbox.append(env.payload[1:])
 
     def _on_fetch(self, net: Network, env: Envelope) -> None:
-        """Answer a batched fetch: the payloads of the requested nodes,
-        each length-prefixed, in request order."""
+        """Answer a batched fetch with the payloads of the requested nodes,
+        in request order."""
         req, origin = struct.unpack_from(">IQ", env.payload, 1)
-        parts = [bytes([TAG_FETCH_RESP]), struct.pack(">I", req)]
+        payloads = []
         for doc_id, start in struct.iter_unpack(">QQ", env.payload[13:]):
             doc, _home = self.documents[doc_id]
             label = doc.node_by_start(start).label  # the request carries the start only
-            parts.append(pack_bytes(serialize_node(doc, label).encode("utf-8")))
-        net.send(env.to_peer, origin, b"".join(parts))
+            payloads.append(serialize_node(doc, label).encode("utf-8"))
+        net.send(env.to_peer, origin, values_response(req, payloads))
 
     def fetch_subtree(self, via: PeerId, sids: list[StructuralId]) -> list[str]:
         """The serialized subtrees of ``sids``, in order.
@@ -696,7 +694,8 @@ class ExecutionContext:
         drain delivers them all.  A request is the wire tag, the request id
         and the origin, then one ``(doc_id, start)`` pair per node up to the
         end of the envelope (no count is sent: the length gives it); the
-        response is the payloads, length-prefixed, in request order.
+        answer is one values envelope (``values_response``) holding the
+        payloads in request order.
         """
         out: list[str] = [""] * len(sids)
         remote: dict[PeerId, list[int]] = {}
@@ -721,9 +720,7 @@ class ExecutionContext:
             pending.append((req, slots))
         self.dht.drain()
         for req, slots in pending:
-            response, off = self.dht.take_response(req), RESPONSE_BODY
-            for i in slots:
-                raw, off = unpack_bytes(response, off)
+            for i, raw in zip(slots, self.dht.take_values(req)):
                 out[i] = raw.decode("utf-8")
         return out
 

@@ -132,7 +132,7 @@ def eval_conjunctive(
     per_pattern: list[list[dict[str, str]]] = []
     for pattern in query.patterns:
         fetched = [
-            (i, dht.get(dht.hash, via, _KEY_PREFIX[i] + text))
+            (i, dht.get(via, _KEY_PREFIX[i] + text))
             for i, text in pattern.constants()
         ]
         # most selective constant seeds; ties already favor s, then p, then o

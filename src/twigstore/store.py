@@ -188,7 +188,7 @@ class Store:
             if resource is None:
                 raise NotFound(f"no resource {resource_id!r}")
             return resource
-        values = self.dht.get(self.dht.hash, self.query_peer, resource_key(resource_id))
+        values = self.dht.get(self.query_peer, resource_key(resource_id))
         if not values:
             raise NotFound(f"no resource {resource_id!r}")
         (home,) = struct.unpack(">Q", values[0])

@@ -12,6 +12,7 @@ from twigstore.errors import (
     NotMember,
     TickBudgetExceeded,
 )
+from twigstore import planner
 from twigstore.netsim import Network, NetworkStats
 from twigstore.overlay import (
     DEFAULT_TICK_BUDGET,
@@ -19,14 +20,34 @@ from twigstore.overlay import (
     HashOverlay,
     RangeOverlay,
     fnv1a64,
+    pack_bytes,
     pack_count,
-    pack_items,
     pack_str,
     ring_hash,
+    unpack_bytes,
     unpack_count,
-    unpack_items,
     unpack_str,
 )
+from twigstore.store import P2P, Store, StoreConfig
+
+
+def pack_items(items):
+    """Reference encoding of a put envelope's body: the item count, then
+    each key and value."""
+    parts = [pack_count(len(items))]
+    for key, value in items:
+        parts += (pack_str(key), pack_bytes(value))
+    return b"".join(parts)
+
+
+def unpack_items(buf, off):
+    count, off = unpack_count(buf, off)
+    items = []
+    for _ in range(count):
+        key, off = unpack_str(buf, off)
+        value, off = unpack_bytes(buf, off)
+        items.append((key, value))
+    return items
 
 
 def make_service(peer_ids, hash_mode="decimal", range_domain=None):
@@ -79,7 +100,7 @@ def test_hash_leave_absorbs_arc():
     dht.leave(dht.hash, 30)
     ov = dht.hash
     assert ov.owner_of("25") == 50
-    assert dht.get(dht.hash, 10, "25") == [b"v"]
+    assert dht.get(10, "25") == [b"v"]
 
 
 def test_leave_last_member_then_no_members():
@@ -87,7 +108,7 @@ def test_leave_last_member_then_no_members():
     dht.join(dht.hash, 10)
     dht.leave(dht.hash, 10)
     with pytest.raises(NoMembers):
-        dht.get(dht.hash, 10, "5")
+        dht.get(10, "5")
     with pytest.raises(NotMember):
         dht.leave(dht.hash, 10)
 
@@ -105,8 +126,8 @@ def test_put_get_multiset():
         dht.join(dht.hash, p)
     dht.put(dht.hash, 10, [("42", b"v1")])
     dht.put(dht.hash, 90, [("42", b"v2")])
-    assert sorted(dht.get(dht.hash, 50, "42")) == [b"v1", b"v2"]
-    assert dht.get(dht.hash, 10, "77") == []
+    assert sorted(dht.get(50, "42")) == [b"v1", b"v2"]
+    assert dht.get(10, "77") == []
     # key 42 is owned by peer 50
     assert dht.hash.owner_of("42") == 50
     assert dht.hash.members[50].store["42"] == [b"v1", b"v2"]
@@ -137,7 +158,7 @@ def test_key_transferred_on_owner_leave():
     dht.put(dht.hash, 10, [("27", b"kept")])
     assert dht.hash.owner_of("27") == 30
     dht.leave(dht.hash, 30)
-    assert dht.get(dht.hash, 50, "27") == [b"kept"]
+    assert dht.get(50, "27") == [b"kept"]
 
 
 def test_get_range_basics():
@@ -146,7 +167,7 @@ def test_get_range_basics():
     dht.join(dht.range, 2)
     for key in ("5", "12", "17", "30"):
         dht.put(dht.range, 1, [(key, key.encode())])
-    assert dht.get_range(1, "10", "20") == [("12", b"12"), ("17", b"17")]
+    assert dht.get_range(1, "10", "20") == [b"12", b"17"]
     assert dht.get_range(1, "15", "15") == []
     assert dht.get_range(2, "40", "60") == []
     assert dht.range.last_contacted == (1, 2)
@@ -178,9 +199,11 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
     dht.put(dht.range, 50, [("7", b"r")])
     assert dht.hash.members[10].store == {"7": [b"h"]}
     assert dht.range.members[10].store == {"7": [b"r"]}
-    assert dht.get(dht.hash, 50, "7") == [b"h"]  # request 1
-    assert dht.get(dht.range, 50, "7") == [b"r"]  # request 2
-    assert dht.get_range(50, "0", "30") == [("7", b"r")]  # requests 3 and 4
+    assert dht.get(50, "7") == [b"h"]  # request 1
+    assert dht.get_range(50, "7", "8") == [b"r"]  # request 2
+    # peer 10 stores keys 7, 12, 5 in that order, peer 90 key 27
+    dht.put(dht.range, 50, [("12", b"q"), ("27", b"s"), ("5", b"p")])
+    assert dht.get_range(50, "0", "30") == [b"p", b"r", b"q", b"s"]  # requests 3 and 4
     assert dht.range.last_contacted == (10, 90)
 
     def u16(n):
@@ -194,18 +217,52 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
 
     requests = {
         0x01: {one_item_put(0x01, b"h")},
-        0x04: {one_item_put(0x04, b"r")},
+        0x04: {
+            one_item_put(0x04, b"r"),
+            bytes([0x04]) + pack_items([("12", b"q"), ("5", b"p")]),
+            bytes([0x04]) + pack_items([("27", b"s")]),
+        },
         0x02: {request(0x02, 1) + u16(1) + b"7"},
-        0x05: {request(0x05, 2) + u16(1) + b"7"},
-        0x06: {request(0x06, req) + u16(1) + b"0" + u16(2) + b"30" for req in (3, 4)},
+        0x06: {request(0x06, 2) + u16(1) + b"7" + u16(1) + b"8"}
+        | {request(0x06, req) + u16(1) + b"0" + u16(2) + b"30" for req in (3, 4)},
     }
     for tag, payloads in requests.items():
         assert {payload for _, _, payload in sent if payload[0] == tag} == payloads
     # the range overlay's owner is every range request's one hop
-    assert [(frm, to) for frm, to, payload in sent if payload[0] in (0x04, 0x05)] == [
-        (50, 10), (50, 10)
+    assert [(frm, to) for frm, to, payload in sent if payload[0] == 0x04] == [
+        (50, 10), (50, 10), (50, 90)
     ]
-    assert [to for _, to, payload in sent if payload[0] == 0x06] == [10, 90]
+    assert [to for _, to, payload in sent if payload[0] == 0x06] == [10, 10, 90]
+    # every answer is 0x03, the request id, then each value after its
+    # 4-byte length, in key order: no count and no keys
+    assert [(frm, to, payload) for frm, to, payload in sent if payload[0] == 0x03] == [
+        (10, 50, _answer(1, b"h")),
+        (10, 50, _answer(2, b"r")),
+        (10, 50, _answer(3, b"p", b"r", b"q")),
+        (90, 50, _answer(4, b"s")),
+    ]
+    # the plan executor's subtree fetch is answered the same way: on a
+    # two-peer store, query peer 1 fetches the hit in document 2 from its
+    # home, peer 2
+    store = Store(StoreConfig(backend=P2P, peer_count=2))
+    store.store_resource("<d><t>a</t></d>")
+    store.store_resource("<d><t>b</t></d>")
+    sent = _recording(store.net)
+    result = store.query("//t!")
+    assert [r.payload for r in result.resources] == ["<t>a</t>", "<t>b</t>"]
+    fetches = [payload for _, _, payload in sent if payload[0] == planner.TAG_FETCH]
+    assert len(fetches) == 1
+    req = int.from_bytes(fetches[0][1:5], "big")
+    assert [(frm, to, payload) for frm, to, payload in sent
+            if payload[:5] == b"\x03" + req.to_bytes(4, "big")] == [
+        (2, 1, _answer(req, b"<t>b</t>"))
+    ]
+
+
+def _answer(req, *values):
+    return b"\x03" + req.to_bytes(4, "big") + b"".join(
+        len(v).to_bytes(4, "big") + v for v in values
+    )
 
 
 def test_range_leave_smaller_neighbor_absorbs():
@@ -220,7 +277,7 @@ def test_range_leave_smaller_neighbor_absorbs():
     dht.leave(dht.range, 3)
     # left neighbor [0,25) is smaller than right neighbor [50,100)
     assert (ov.members[1].lo, ov.members[1].hi) == (0, 50)
-    assert dht.get(dht.range, 2, "30") == [b"x"]
+    assert dht.get_range(2, "30", "31") == [b"x"]
 
 
 def _ring_integrity(ov):
@@ -303,25 +360,22 @@ def test_churn_against_shadow_map(seed):
             shadow_range.setdefault(key, []).append(value)
         elif op < 0.9:
             key = str(rng.randint(0, 40))
-            got = dht.get(dht.hash, rng.choice(hash_members), key)
+            got = dht.get(rng.choice(hash_members), key)
             assert sorted(got) == sorted(shadow_hash.get(key, []))
         else:
             lo = f"k{rng.randint(0, 40):03d}"
             hi = f"k{rng.randint(0, 40):03d}"
             got = dht.get_range(rng.choice(range_members), lo, hi)
-            want = sorted(
-                (k, v)
-                for k, values in shadow_range.items()
-                if lo <= k < hi
-                for v in values
-            )
-            assert sorted(got) == want
+            want = [
+                v for k in sorted(shadow_range) if lo <= k < hi for v in shadow_range[k]
+            ]
+            assert got == want
         _ring_integrity(dht.hash)
         _partition_integrity(dht.range, dht.range.domain)
 
     # final sweep: every key readable from every member
     for key, values in shadow_hash.items():
-        got = dht.get(dht.hash, rng.choice(hash_members), key)
+        got = dht.get(rng.choice(hash_members), key)
         assert sorted(got) == sorted(values)
 
 
@@ -368,9 +422,9 @@ def test_remote_reads_of_65536_values():
     for v in values:
         hash_ov.store_value(50, "42", v)
         range_ov.store_value(50, "70", v)
-    assert dht.get(dht.hash, 10, "42") == values
-    assert dht.get(dht.range, 10, "70") == values
-    assert dht.get_range(10, "60", "80") == [("70", v) for v in values]
+    assert dht.get(10, "42") == values
+    assert dht.get_range(10, "70", "71") == values
+    assert dht.get_range(10, "60", "80") == values
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,7 +452,7 @@ def test_cached_ring_matches_brute_force_owner(churn, keys):
         value = f"v{i}".encode()
         dht.put(dht.hash, members[i % len(members)], [(key, value)])
         assert value in ov.members[owner].store[key]
-        assert value in dht.get(dht.hash, members[-1 - i % len(members)], key)
+        assert value in dht.get(members[-1 - i % len(members)], key)
 
 
 # keys of 64 KiB and more cost milliseconds to hash in pure Python
@@ -483,7 +537,7 @@ def test_finger_routed_batches_reach_the_owner_in_order(mode, pool, steps):
         for key in {key for key, _ in items}:
             assert ov.members[ov.owner_of(key)].store[key] == shadow[key]
             sent.clear()
-            assert dht.get(dht.hash, members[(peer + len(key)) % len(members)], key) == shadow[key]
+            assert dht.get(members[(peer + len(key)) % len(members)], key) == shadow[key]
             _check_hops(ov, sent)
 
 
@@ -500,7 +554,7 @@ def test_finger_routing_hop_bound_at_64_peers():
     # a get adds the owner's one-message answer to the route
     before = net.stats.messages_sent
     for i, key in enumerate(keys):
-        assert dht.get(dht.hash, 64 - i % 64, key) == [b"v"]
+        assert dht.get(64 - i % 64, key) == [b"v"]
     assert 2 <= (net.stats.messages_sent - before) / len(keys) <= 7
 
 
@@ -519,9 +573,7 @@ def test_batch_shares_envelopes_along_the_route():
     before = net.stats.messages_sent
     dht.put(dht.range, 10, [("30", b"x"), ("70", b"y"), ("5", b"z"), ("31", b"w")])
     assert net.stats.messages_sent - before == 2  # one envelope per remote owner
-    assert dht.get_range(50, "0", "100") == [
-        ("5", b"z"), ("30", b"x"), ("31", b"w"), ("70", b"y")
-    ]
+    assert dht.get_range(50, "0", "100") == [b"z", b"x", b"w", b"y"]
 
 
 def _decoding_router(ov, via, items):
@@ -643,6 +695,7 @@ def test_range_put_sends_one_envelope_per_remote_owner(peer_count, pick, items):
 
 
 def test_range_get_asks_the_owner_once():
+    # a one-key interval is the range overlay's exact-key read
     members = [1, 2, 3, 4]
     net, dht = make_service(members, range_domain=(Fraction(0), Fraction(100)))
     for p in members:
@@ -656,18 +709,18 @@ def test_range_get_asks_the_owner_once():
         want = [key.encode()] if key != "99" else []
         for via in members:
             sent.clear()
-            assert dht.get(dht.range, via, key) == want
+            assert dht.get_range(via, key, str(int(key) + 1)) == want
             if via == owner:
                 assert sent == []
             else:
                 assert [(frm, to, payload[0]) for frm, to, payload in sent] == [
-                    (via, owner, 0x05), (owner, via, 0x03)
+                    (via, owner, 0x06), (owner, via, 0x03)
                 ]
 
 
 def test_register_handler_refuses_a_tag_in_use():
     net, dht = make_service([1])
-    for tag in range(0x01, 0x08):
+    for tag in (0x01, 0x02, 0x03, 0x04, 0x06):
         with pytest.raises(ValueError, match="already has a handler"):
             dht.register_handler(tag, lambda net_, env: None)
     dht.register_handler(0x10, lambda net_, env: None)
@@ -684,12 +737,12 @@ def test_tick_budget_failure_leaves_nothing_for_the_next_operation():
     dht.put(dht.hash, 50, [("42", b"v")])
     dht.tick_budget = 1
     with pytest.raises(TickBudgetExceeded):
-        dht.get(dht.hash, 90, "42")
+        dht.get(90, "42")
     assert net.pending_count == 0
     assert dht._responses == {}
     dht.tick_budget = DEFAULT_TICK_BUDGET
     before = net.stats.copy()
-    assert dht.get(dht.hash, 90, "42") == [b"v"]
+    assert dht.get(90, "42") == [b"v"]
     delta = net.stats.delta_since(before)
     assert {edge: msgs for edge, (msgs, _) in delta.per_edge.items()} == {
         (90, 10): 1, (10, 50): 1, (50, 90): 1,

@@ -47,7 +47,7 @@ def test_duplicate_triple_kept_twice():
     net, dht = cluster()
     t = Triple("a", "type", "Doc")
     index_triples([t, t], 1, dht)
-    assert dht.get(dht.hash, 1, "p:type") == [t.text().encode()] * 2
+    assert dht.get(1, "p:type") == [t.text().encode()] * 2
 
 
 def test_predicate_key_returns_matching_triples():
@@ -58,7 +58,7 @@ def test_predicate_key_returns_matching_triples():
         Triple("a", "type", "Doc"),
     ]
     index_triples(triples, 2, dht)
-    got = sorted(dht.get(dht.hash, 3, "p:author"))
+    got = sorted(dht.get(3, "p:author"))
     assert got == sorted(t.text().encode() for t in triples[:2])
 
 

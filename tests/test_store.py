@@ -1,6 +1,7 @@
 import random
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -300,15 +301,37 @@ def test_recomposition_fetches_once_per_remote_home(tmp_path, remote_homes):
             store.store_resource(text)
     p2p = stores[1]
     assert p2p.query_peer == 1
-    tags = []
+    sent = []
     send = p2p.net.send
-    p2p.net.send = lambda a, b, payload: tags.append(payload[0]) or send(a, b, payload)
+    p2p.net.send = lambda a, b, payload: sent.append((b, payload)) or send(a, b, payload)
     answers = [[(r.resource_id, r.payload) for r in store.query("//hit!").resources]
                for store in stores]
     assert answers[0] == answers[1]
     assert len(answers[1]) == 3 * (1 + remote_homes)
-    fetches = [t for t in tags if t in (planner.TAG_FETCH, planner.TAG_FETCH_RESP)]
-    assert len(fetches) == 2 * remote_homes
+    # one fetch request per remote home, each answered by one values
+    # envelope (0x03) carrying its request id back to the query peer
+    fetch_ids = [payload[1:5] for _, payload in sent if payload[0] == planner.TAG_FETCH]
+    answers_back = [
+        payload for to, payload in sent
+        if to == p2p.query_peer and payload[0] == 0x03 and payload[1:5] in fetch_ids
+    ]
+    assert len(fetch_ids) == len(answers_back) == remote_homes
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: every value key starts with 'v:', so the range "
+    "overlay's midpoint splits of [0, 1) leave all value postings on one peer",
+)
+def test_value_postings_spread_over_range_peers(tmp_path):
+    store = Store(config("p2p", tmp_path, granularity=(), peers=8))
+    for year in range(1900, 2030, 3):
+        store.store_resource(f"<paper><year>{year}</year></paper>")
+    holders = [
+        pid for pid, state in store.dht.range.members.items()
+        if any(key.startswith("v:") for key in state.store)
+    ]
+    assert len(holders) >= 2, holders
 
 
 def test_index_keys_longer_than_64_kib(tmp_path):
@@ -478,8 +501,8 @@ def test_restore_truncated_file(tmp_path, any_store):
     any_store.store_resource(D1)
     path = str(tmp_path / "x.snap")
     snapshot(any_store, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptSnapshot):
         restore(path)
 
@@ -488,9 +511,9 @@ def test_restore_bitflip(tmp_path, any_store):
     any_store.store_resource(D1)
     path = str(tmp_path / "x.snap")
     snapshot(any_store, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(blob) // 2] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CorruptSnapshot):
         restore(path)
 
