@@ -13,11 +13,13 @@ owns the key, else the peer it sends the key to.
   peer's finger distances decides both whether it owns the key and, if
   not, the next hop.  Each hop is one simulated message, O(log peers) of
   them per key.
-* ``RangeOverlay`` — an order-preserving partition of the key domain into
-  half-open intervals, one per peer, split at the midpoint on join.  Every
-  peer knows the partition, so the next hop is the owner itself.  It
-  alone answers ``get_range``, contacting exactly the peers whose
-  intervals intersect the queried interval.
+* ``RangeOverlay`` — an order-preserving partition of the keys into
+  half-open intervals, one per peer, kept as one sorted list of boundary
+  keys; a joining peer splits the widest interval at its midpoint.  Every
+  peer knows the partition, so the next hop is the owner itself, which one
+  bisect of the boundaries finds.  It alone answers ``get_range``,
+  contacting exactly the peers whose intervals intersect the queried
+  interval.
 
 ``DhtService`` owns one of each, ``dht.hash`` and ``dht.range``; a data
 operation names the overlay object it works on.
@@ -59,9 +61,8 @@ decodes it.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -75,6 +76,7 @@ from .errors import (
 from .netsim import Envelope, Network, PeerId
 
 DEFAULT_TICK_BUDGET = 1_000_000
+_DECIMAL_TOP = 100  # a decimal-mode range overlay holds the keys 0..99
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -156,8 +158,6 @@ class RingState:
 
 @dataclass
 class RangeState:
-    lo: Fraction
-    hi: Fraction
     store: dict[str, list[bytes]] = field(default_factory=dict)
 
 
@@ -306,54 +306,43 @@ class HashOverlay:
 class RangeOverlay:
     """Order-preserving partition with interval search support.
 
-    Keys are mapped to points on an ordered domain: ``decimal`` mode reads
-    the key text as an integer (readable tests); ``bytes`` mode maps UTF-8
-    key bytes to a base-256 fraction in [0, 1), which preserves
-    lexicographic order for NUL-free keys.  Each member owns one half-open
-    interval of the domain; the widest interval is split at its midpoint
-    when a peer joins.
+    Keys compare by ``sort_key``: their UTF-8 bytes in ``bytes`` mode, or
+    the key text as an integer in ``decimal`` mode (readable tests), whose
+    keys are 0..99.  ``bounds`` lists the boundary sort keys in ascending
+    order and ``owners`` their members: ``owners[i]`` owns the keys from
+    ``bounds[i]`` up to the next boundary, the last one every key above.
+    A joiner takes the upper half of the widest interval, the lowest on
+    ties; a leaver's interval goes to its narrower list neighbour, the
+    lower on ties.  ``bytes`` mode reads a boundary as the base-256
+    fraction in [0, 1) its bytes spell and writes a midpoint in the fewest
+    bytes, so no boundary ends in a NUL and byte order agrees with that
+    fraction order on every key.
     """
 
     kind = "range"
     put_tag = _RANGE_PUT
 
-    def __init__(
-        self, mode: str = "bytes", domain: tuple[Fraction, Fraction] | None = None
-    ):
+    def __init__(self, mode: str = "bytes"):
         if mode not in ("bytes", "decimal"):
             raise ValueError(f"unknown range mode {mode!r}")
         self.mode = mode
-        if domain is None:
-            domain = (Fraction(0), Fraction(1))
-        self.domain = domain
         self.members: dict[PeerId, RangeState] = {}
+        self.bounds: list[bytes] | list[int] = []
+        self.owners: list[PeerId] = []
         self.last_contacted: tuple[PeerId, ...] = ()
 
-    def point(self, key: str) -> Fraction:
+    def sort_key(self, key: str) -> bytes | int:
         if self.mode == "decimal":
-            return Fraction(int(key))
-        raw = key.encode("utf-8")
-        num = int.from_bytes(raw, "big") if raw else 0
-        return Fraction(num, 256 ** len(raw)) if raw else Fraction(0)
-
-    def key_lt(self, a: str, b: str) -> bool:
-        if self.mode == "decimal":
-            return int(a) < int(b)
-        return a.encode("utf-8") < b.encode("utf-8")
-
-    def key_le(self, a: str, b: str) -> bool:
-        return not self.key_lt(b, a)
-
-    def owner_of_point(self, p: Fraction) -> PeerId:
-        if not self.members:
-            raise NoMembers(f"the {self.kind} overlay has no members")
-        for pid, st in self.members.items():
-            if st.lo <= p < st.hi:
-                return pid
-        raise ValueError(f"point {p} outside domain {self.domain}")
+            return int(key)
+        return key.encode("utf-8")
 
     def owner_of(self, key: str) -> PeerId:
-        return self.owner_of_point(self.point(key))
+        if not self.owners:
+            raise NoMembers(f"the {self.kind} overlay has no members")
+        k = self.sort_key(key)
+        if self.mode == "decimal" and not 0 <= k < _DECIMAL_TOP:
+            raise ValueError(f"key {key} outside the domain [0, {_DECIMAL_TOP})")
+        return self.owners[bisect_right(self.bounds, k) - 1]
 
     def route(self, peer: PeerId, key: str) -> PeerId | None:
         """``None`` when ``peer`` owns ``key``, else the owner: every peer
@@ -361,58 +350,69 @@ class RangeOverlay:
         owner = self.owner_of(key)
         return None if owner == peer else owner
 
+    def intersecting(self, lo: str, hi: str) -> list[PeerId]:
+        """The members whose intervals meet the keys in [lo, hi), in key
+        order; none when ``hi`` is not above ``lo``."""
+        klo, khi = self.sort_key(lo), self.sort_key(hi)
+        if self.mode == "decimal":
+            klo, khi = max(klo, 0), min(khi, _DECIMAL_TOP)
+        if klo >= khi:
+            return []
+        first = bisect_right(self.bounds, klo) - 1
+        return self.owners[first : bisect_left(self.bounds, khi)]
+
+    def _ends(self) -> tuple[list[int], int]:
+        """Every boundary, then the top, as integers on one scale, and the
+        byte length of that scale: decimal mode's integers, else the
+        boundaries' bytes padded with NULs to the longest."""
+        if self.mode == "decimal":
+            return [*self.bounds, _DECIMAL_TOP], 0
+        size = max(map(len, self.bounds))
+        ends = [int.from_bytes(b.ljust(size, b"\0"), "big") for b in self.bounds]
+        return [*ends, 256**size], size
+
     def join(self, peer: PeerId) -> None:
         if peer in self.members:
             raise AlreadyMember(f"peer {peer} already in the {self.kind} overlay")
         if not self.members:
-            self.members[peer] = RangeState(self.domain[0], self.domain[1])
+            self.members[peer] = RangeState()
+            self.bounds, self.owners = [0 if self.mode == "decimal" else b""], [peer]
             return
-        widest = min(
-            self.members.items(), key=lambda kv: (-(kv[1].hi - kv[1].lo), kv[1].lo)
-        )[1]
-        mid = (widest.lo + widest.hi) / 2
-        new_state = RangeState(mid, widest.hi)
-        widest.hi = mid
-        moved = [k for k in widest.store if self.point(k) >= mid]
-        for k in moved:
-            new_state.store[k] = widest.store.pop(k)
+        ends, size = self._ends()
+        i = max(range(len(self.owners)), key=lambda j: ends[j + 1] - ends[j])
+        if self.mode == "decimal":
+            mid = (ends[i] + ends[i + 1]) // 2
+        else:  # half the sum at ``size`` bytes is 128 times it at one more
+            twice = ends[i] + ends[i + 1]
+            mid = (twice * 128).to_bytes(size + 1, "big").rstrip(b"\0")
+        old = self.members[self.owners[i]].store
+        new_state = RangeState()
+        for k in [k for k in old if self.sort_key(k) >= mid]:
+            new_state.store[k] = old.pop(k)
         self.members[peer] = new_state
-
-    def _neighbors(self, st: RangeState) -> list[tuple[PeerId, RangeState]]:
-        out = []
-        for pid, other in self.members.items():
-            if other.hi == st.lo or other.lo == st.hi:
-                out.append((pid, other))
-        return out
+        self.bounds.insert(i + 1, mid)
+        self.owners.insert(i + 1, peer)
 
     def leave(self, peer: PeerId) -> None:
-        st = self.members.get(peer)
+        st = self.members.pop(peer, None)
         if st is None:
             raise NotMember(f"peer {peer} not in the {self.kind} overlay")
-        if len(self.members) == 1:
-            del self.members[peer]
+        i = self.owners.index(peer)
+        if not self.members:
+            self.bounds, self.owners = [], []
             return
-        neighbors = [
-            (other.hi - other.lo, other.lo, pid, other)
-            for pid, other in self._neighbors(st)
-        ]
-        neighbors.sort(key=lambda t: (t[0], t[1]))
-        _, _, _, absorber = neighbors[0]
-        if absorber.hi == st.lo:
-            absorber.hi = st.hi
-        else:
-            absorber.lo = st.lo
+        ends, _ = self._ends()
+        last = len(self.owners) - 1
+        if i > 0 and (i == last or ends[i] - ends[i - 1] <= ends[i + 2] - ends[i + 1]):
+            absorber = self.owners[i - 1]
+            del self.bounds[i]
+        else:  # the upper neighbour takes this boundary
+            absorber = self.owners[i + 1]
+            del self.bounds[i + 1]
+        del self.owners[i]
+        store = self.members[absorber].store
         for k, values in st.store.items():
-            absorber.store.setdefault(k, []).extend(values)
-        del self.members[peer]
-
-    def intersecting(self, plo: Fraction, phi: Fraction) -> list[PeerId]:
-        hits = [
-            (st.lo, pid)
-            for pid, st in self.members.items()
-            if st.hi > plo and st.lo < phi
-        ]
-        return [pid for _, pid in sorted(hits)]
+            store.setdefault(k, []).extend(values)
 
     def store_value(self, peer: PeerId, key: str, value: bytes) -> None:
         self.members[peer].store.setdefault(key, []).append(value)
@@ -421,11 +421,9 @@ class RangeOverlay:
         """The values ``peer`` holds under keys in [lo, hi), in key order,
         each key's values in put order."""
         store = self.members[peer].store
-        keys = [k for k in store if self.key_le(lo, k) and self.key_lt(k, hi)]
-        return [v for k in sorted(keys, key=self._sort_key) for v in store[k]]
-
-    def _sort_key(self, key: str):
-        return int(key) if self.mode == "decimal" else key.encode("utf-8")
+        klo, khi = self.sort_key(lo), self.sort_key(hi)
+        keys = [k for k in store if klo <= self.sort_key(k) < khi]
+        return [v for k in sorted(keys, key=self.sort_key) for v in store[k]]
 
 
 Overlay = HashOverlay | RangeOverlay
@@ -541,15 +539,12 @@ class DhtService:
         """The values of the range overlay with ``lo <= key < hi``, in key
         order, each key's values in put order.
 
-        The intersecting peers' intervals are disjoint and taken in domain
+        The intersecting peers' intervals are disjoint and taken in key
         order, so their scans, each in key order, are concatenated as is.
         """
         ov = self.range
         self._check_member(ov, via)
-        if not ov.key_lt(lo, hi):
-            ov.last_contacted = ()
-            return []
-        peers = ov.intersecting(ov.point(lo), ov.point(hi))
+        peers = ov.intersecting(lo, hi)
         ov.last_contacted = tuple(peers)
         reqs: dict[PeerId, int] = {}
         for pid in peers:

@@ -163,11 +163,12 @@ def test_criterion_4_dht_consistency_under_churn():
                 assert sorted(walk) == sorted(ring.members)
             part = dht.range
             if part.members:
-                spans = sorted((st.lo, st.hi) for st in part.members.values())
-                assert spans[0][0] == part.domain[0]
-                assert spans[-1][1] == part.domain[1]
-                for (_, ahi), (blo, _) in zip(spans, spans[1:]):
-                    assert ahi == blo
+                # the boundaries run up from the bottom key, one per member
+                assert part.bounds[0] == b""
+                assert all(a < b for a, b in zip(part.bounds, part.bounds[1:]))
+                assert sorted(part.owners) == sorted(part.members)
+                for pid, st in part.members.items():
+                    assert all(part.owner_of(key) == pid for key in st.store)
 
         for step in range(1000):
             ov = rng.choice(overlays)
@@ -235,14 +236,17 @@ def test_criterion_5_interval_search():
                 want = [v for k in sorted(shadow) if lo <= k < hi for v in shadow[k]]
                 assert got == want, f"step {step}: range scan diverged"
                 if lo < hi:
-                    plo, phi = ov.point(lo), ov.point(hi)
-                    expected_contacts = sum(
-                        1 for st in ov.members.values()
-                        if st.hi > plo and st.lo < phi
+                    # member i owns [bounds[i], bounds[i + 1]), the last one
+                    # every key from its boundary up
+                    blo, bhi = lo.encode(), hi.encode()
+                    tops = ov.bounds[1:] + [None]
+                    expected_contacts = tuple(
+                        owner for owner, start, top in zip(ov.owners, ov.bounds, tops)
+                        if (top is None or top > blo) and start < bhi
                     )
                 else:
-                    expected_contacts = 0
-                assert len(ov.last_contacted) == expected_contacts
+                    expected_contacts = ()
+                assert ov.last_contacted == expected_contacts
 
 
 def test_criterion_6_o1_resource_access(tmp_path):

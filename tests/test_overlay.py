@@ -50,13 +50,9 @@ def unpack_items(buf, off):
     return items
 
 
-def make_service(peer_ids, hash_mode="decimal", range_domain=None):
+def make_service(peer_ids, hash_mode="decimal", range_mode="bytes"):
     net = Network()
-    dht = DhtService(
-        net,
-        hash=HashOverlay(hash_mode),
-        range=RangeOverlay("decimal" if range_domain else "bytes", range_domain),
-    )
+    dht = DhtService(net, hash=HashOverlay(hash_mode), range=RangeOverlay(range_mode))
     for p in peer_ids:
         dht.add_peer(p)
     return net, dht
@@ -83,13 +79,18 @@ def test_ring_ownership_after_join():
 
 
 def test_first_and_second_range_joiner():
-    net, dht = make_service([1, 2], range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service([1, 2], range_mode="decimal")
     dht.join(dht.range, 1)
     ov = dht.range
-    assert (ov.members[1].lo, ov.members[1].hi) == (0, 100)
+    assert (ov.bounds, ov.owners) == ([0], [1])
+    # the first member owns the whole decimal domain, keys 0..99
+    assert ov.owner_of("0") == ov.owner_of("99") == 1
+    for outside in ("-1", "100"):
+        with pytest.raises(ValueError, match="outside the domain"):
+            ov.owner_of(outside)
     dht.join(dht.range, 2)
-    ranges = sorted((st.lo, st.hi) for st in ov.members.values())
-    assert ranges == [(0, 50), (50, 100)]
+    assert (ov.bounds, ov.owners) == ([0, 50], [1, 2])
+    assert (ov.owner_of("49"), ov.owner_of("50"), ov.owner_of("99")) == (1, 2, 2)
 
 
 def test_hash_leave_absorbs_arc():
@@ -162,7 +163,7 @@ def test_key_transferred_on_owner_leave():
 
 
 def test_get_range_basics():
-    net, dht = make_service([1, 2], range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service([1, 2], range_mode="decimal")
     dht.join(dht.range, 1)
     dht.join(dht.range, 2)
     for key in ("5", "12", "17", "30"):
@@ -174,7 +175,7 @@ def test_get_range_basics():
 
 
 def test_get_range_contacts_only_intersecting_peers():
-    net, dht = make_service([1, 2], range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service([1, 2], range_mode="decimal")
     dht.join(dht.range, 1)
     dht.join(dht.range, 2)
     dht.get_range(1, "40", "60")
@@ -189,7 +190,7 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
     # ranges: 10 -> [0, 25), 90 -> [25, 50), 50 -> [50, 100); key 7 is
     # peer 10's on both overlays, so an envelope handled by the wrong
     # overlay would land in the wrong store
-    net, dht = make_service([10, 50, 90], range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service([10, 50, 90], range_mode="decimal")
     for p in (10, 50, 90):
         dht.join(dht.hash, p)
         dht.join(dht.range, p)
@@ -266,18 +267,134 @@ def _answer(req, *values):
 
 
 def test_range_leave_smaller_neighbor_absorbs():
-    net, dht = make_service([1, 2, 3], range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service([1, 2, 3], range_mode="decimal")
     for p in (1, 2, 3):
         dht.join(dht.range, p)
     ov = dht.range
     # ranges now: 1 -> [0,25), 3 -> [25,50), 2 -> [50,100)
-    assert (ov.members[1].lo, ov.members[1].hi) == (0, 25)
-    assert (ov.members[3].lo, ov.members[3].hi) == (25, 50)
+    assert (ov.bounds, ov.owners) == ([0, 25, 50], [1, 3, 2])
     dht.put(dht.range, 1, [("30", b"x")])
     dht.leave(dht.range, 3)
     # left neighbor [0,25) is smaller than right neighbor [50,100)
-    assert (ov.members[1].lo, ov.members[1].hi) == (0, 50)
+    assert (ov.bounds, ov.owners) == ([0, 50], [1, 2])
+    assert ov.members[1].store == {"30": [b"x"]}
     assert dht.get_range(2, "30", "31") == [b"x"]
+
+
+def test_range_scan_from_a_boundary_key_asks_its_owner():
+    # three bytes-mode peers: 1 -> [b"", b"@"), 3 -> [b"@", b"\x80"),
+    # 2 -> [b"\x80", top); "@\x00" is the first key after "@"
+    net, dht = make_service([1, 2, 3])
+    for p in (1, 2, 3):
+        dht.join(dht.range, p)
+    dht.put(dht.range, 1, [("@", b"x")])
+    assert dht.get_range(1, "@", "@\x00") == [b"x"]
+    assert dht.range.last_contacted == (3,)
+
+
+def test_range_boundaries_are_the_dyadic_midpoints():
+    ov = RangeOverlay()
+    for p in range(1, 9):
+        ov.join(p)
+    assert ov.bounds == [b"", b" ", b"@", b"`", b"\x80", b"\xa0", b"\xc0", b"\xe0"]
+    assert ov.owners == [1, 5, 3, 6, 2, 7, 4, 8]
+    for p in range(9, 33):
+        ov.join(p)
+    assert ov.bounds[:9] == [
+        b"", b"\x08", b"\x10", b"\x18", b" ", b"(", b"0", b"8", b"@"
+    ]
+
+
+def _fraction(raw: bytes) -> Fraction:
+    return Fraction(int.from_bytes(raw, "big"), 256 ** len(raw))
+
+
+class FractionPartition:
+    """Reference model of the bytes-mode range partition as fractions.
+
+    A key is the base-256 fraction in [0, 1) its UTF-8 bytes spell, and
+    each member owns a half-open interval ``[lo, hi)`` of [0, 1).  A joiner
+    takes the upper half of the widest interval, the lowest on ties; a
+    leaver's interval goes to the narrower of the members adjacent to it,
+    the lower on ties.  Every lookup scans all the members.
+    """
+
+    def __init__(self):
+        self.spans: dict[int, list[Fraction]] = {}
+
+    @staticmethod
+    def point(key: str) -> Fraction:
+        return _fraction(key.encode("utf-8"))
+
+    def join(self, peer):
+        if not self.spans:
+            self.spans[peer] = [Fraction(0), Fraction(1)]
+            return
+        widest = min(self.spans.values(), key=lambda s: (s[0] - s[1], s[0]))
+        mid = (widest[0] + widest[1]) / 2
+        self.spans[peer] = [mid, widest[1]]
+        widest[1] = mid
+
+    def leave(self, peer):
+        lo, hi = self.spans.pop(peer)
+        adjacent = [s for s in self.spans.values() if s[1] == lo or s[0] == hi]
+        if adjacent:
+            absorber = min(adjacent, key=lambda s: (s[1] - s[0], s[0]))
+            if absorber[1] == lo:
+                absorber[1] = hi
+            else:
+                absorber[0] = lo
+
+    def owner_of(self, key):
+        p = self.point(key)
+        return next(pid for pid, (lo, hi) in self.spans.items() if lo <= p < hi)
+
+    def intersecting(self, lo, hi):
+        plo, phi = self.point(lo), self.point(hi)
+        if plo >= phi:  # an empty interval, which no scan asked for
+            return []
+        return [pid for _, pid in sorted(
+            (s[0], pid) for pid, s in self.spans.items() if s[1] > plo and s[0] < phi
+        )]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    churn=st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=80),
+    keys=st.lists(
+        st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=8),
+        min_size=1, max_size=12,
+    ),
+)
+def test_range_partition_matches_the_fraction_model(churn, keys):
+    ov, model = RangeOverlay(), FractionPartition()
+    ov.join(1)
+    model.join(1)
+    for joining, peer in churn:
+        if joining and peer not in ov.members:
+            ov.join(peer)
+            model.join(peer)
+        elif not joining and peer in ov.members and len(ov.members) > 1:
+            ov.leave(peer)
+            model.leave(peer)
+    _partition_integrity(ov)
+    # the model's intervals tile [0, 1), and each boundary is the low end
+    # of the model's interval for the same member
+    spans = sorted((lo, hi, pid) for pid, (lo, hi) in model.spans.items())
+    assert spans[0][0] == 0 and spans[-1][1] == 1
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert [(_fraction(b), pid) for b, pid in zip(ov.bounds, ov.owners)] == [
+        (lo, pid) for lo, _, pid in spans
+    ]
+    # the top interval is open: it holds the highest keys
+    assert ov.owner_of("\U0010ffff" * 9) == ov.owners[-1]
+    # the boundaries themselves, where they are text, probe the edges
+    probes = keys + [b.decode() for b in ov.bounds if b.isascii() and b"\0" not in b]
+    for key in probes:
+        assert ov.owner_of(key) == model.owner_of(key)
+    for lo in probes:
+        for hi in probes:
+            assert ov.intersecting(lo, hi) == model.intersecting(lo, hi)
 
 
 def _ring_integrity(ov):
@@ -299,14 +416,17 @@ def _ring_integrity(ov):
             assert ov.owner_of(key) == pid
 
 
-def _partition_integrity(ov, domain):
+def _partition_integrity(ov):
+    """The intervals cover every key, from the bottom of the key order up,
+    with one nonempty interval per member, and every store holds only the
+    keys its member owns."""
     if not ov.members:
+        assert ov.bounds == ov.owners == []
         return
-    intervals = sorted((st.lo, st.hi) for st in ov.members.values())
-    assert intervals[0][0] == domain[0]
-    assert intervals[-1][1] == domain[1]
-    for (alo, ahi), (blo, bhi) in zip(intervals, intervals[1:]):
-        assert ahi == blo
+    assert ov.bounds[0] == (0 if ov.mode == "decimal" else b"")
+    assert all(lo < hi for lo, hi in zip(ov.bounds, ov.bounds[1:]))
+    assert len(ov.owners) == len(ov.members) and set(ov.owners) == set(ov.members)
+    assert ov.mode == "decimal" or not any(b.endswith(b"\0") for b in ov.bounds)
     for pid, st in ov.members.items():
         for key in st.store:
             assert ov.owner_of(key) == pid
@@ -316,8 +436,7 @@ def _partition_integrity(ov, domain):
 def test_churn_against_shadow_map(seed):
     rng = random.Random(seed)
     peer_pool = list(range(1, 25))
-    net, dht = make_service(peer_pool, hash_mode="fnv",
-                            range_domain=None)
+    net, dht = make_service(peer_pool, hash_mode="fnv")
     shadow_hash: dict[str, list[bytes]] = {}
     shadow_range: dict[str, list[bytes]] = {}
     hash_members: list[int] = []
@@ -371,7 +490,7 @@ def test_churn_against_shadow_map(seed):
             ]
             assert got == want
         _ring_integrity(dht.hash)
-        _partition_integrity(dht.range, dht.range.domain)
+        _partition_integrity(dht.range)
 
     # final sweep: every key readable from every member
     for key, values in shadow_hash.items():
@@ -413,7 +532,7 @@ def test_key_length_widens_only_from_0xffff():
 def test_remote_reads_of_65536_values():
     # one key holding more values than a 16-bit count can say
     values = [i.to_bytes(3, "big") for i in range(65_536)]
-    net, dht = make_service([10, 50], range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service([10, 50], range_mode="decimal")
     for p in (10, 50):
         dht.join(dht.hash, p)
         dht.join(dht.range, p)
@@ -559,7 +678,7 @@ def test_finger_routing_hop_bound_at_64_peers():
 
 
 def test_batch_shares_envelopes_along_the_route():
-    net, dht = make_service([10, 50, 90], range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service([10, 50, 90], range_mode="decimal")
     for p in (10, 50, 90):
         dht.join(dht.hash, p)
         dht.join(dht.range, p)
@@ -674,7 +793,7 @@ def _recording(net):
 )
 def test_range_put_sends_one_envelope_per_remote_owner(peer_count, pick, items):
     members = list(range(1, peer_count + 1))
-    net, dht = make_service(members, range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service(members, range_mode="decimal")
     for p in members:
         dht.join(dht.range, p)
     ov = dht.range
@@ -697,7 +816,7 @@ def test_range_put_sends_one_envelope_per_remote_owner(peer_count, pick, items):
 def test_range_get_asks_the_owner_once():
     # a one-key interval is the range overlay's exact-key read
     members = [1, 2, 3, 4]
-    net, dht = make_service(members, range_domain=(Fraction(0), Fraction(100)))
+    net, dht = make_service(members, range_mode="decimal")
     for p in members:
         dht.join(dht.range, p)
     ov = dht.range
