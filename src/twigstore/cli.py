@@ -2,8 +2,9 @@
 
 State persists between invocations through the snapshot file named by the
 config (``snapshot_path``); every mutating command rewrites it, before it
-prints.  Exit codes: 0 success, 1 user error (syntax, not found, bad
-input) or a stdout reader that went away, 2 internal error.
+prints.  Exit codes: 0 success (``--help`` too), 1 user error (command
+usage, syntax, not found, bad input) or a stdout reader that went away,
+2 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     PatternSyntaxError,
     UnseedablePattern,
     UnsupportedWildcardRoot,
+    UsageError,
 )
 from .rdfstore import parse_query_text, parse_triples_text
 from .store import Store, StoreConfig, restore, snapshot
@@ -36,7 +38,17 @@ _USER_ERRORS = (
     IoFailure,
     CorruptSnapshot,
     MalformedInput,
+    UsageError,
 )
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are user errors: it prints the
+    usage and raises UsageError, where argparse would exit with status 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
 def _escape_payload(payload: str) -> str:
@@ -69,7 +81,7 @@ def _save(store: Store) -> None:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="store", description="XML resource store with tree-pattern queries"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,9 +113,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
-        code = _dispatch(args)
+        code = _dispatch(build_arg_parser().parse_args(argv))
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -18,7 +18,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import EmptyInput, MalformedXml, UnknownNode
 
@@ -34,9 +34,12 @@ INT_WINDOW = 10**18
 _WINDOW_DIGITS = len(str(INT_WINDOW))
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class StructuralId:
-    """Interval label of one node; orders by (doc_id, start)."""
+class StructuralId(NamedTuple):
+    """Interval label of one node.
+
+    A plain tuple, so labels compare, sort and hash in C.  No two nodes of
+    a parsed document share a start, so its labels sort by (doc_id, start).
+    """
 
     doc_id: int
     start: int
@@ -105,8 +108,10 @@ class Document:
     def children(self, node: Node) -> list[Node]:
         return self._children.get(node.label.start, [])
 
-    def text_children(self, node: Node) -> list[str]:
-        return [c.name_or_value for c in self.children(node) if c.kind == TEXT]
+    def text_children(self, node: Node) -> Iterator[str]:
+        """The text of ``node``'s text children, in document order."""
+        kids = self._children.get(node.label.start, ())
+        return (c.name_or_value for c in kids if c.kind == TEXT)
 
 
 @dataclass(frozen=True, slots=True)

@@ -73,5 +73,9 @@ class IoFailure(TwigstoreError):
     """A file could not be read or written."""
 
 
+class UsageError(TwigstoreError):
+    """Command-line arguments do not fit the ``store`` command syntax."""
+
+
 class CorruptSnapshot(TwigstoreError):
     """Snapshot file failed structural validation or checksum."""

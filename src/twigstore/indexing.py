@@ -24,7 +24,8 @@ clips a query range to it.
 The four fields are fixed-width unsigned big-endian integers in label
 field order, so byte order on encoded postings is ``StructuralId`` order:
 a lookup dedupes and sorts the raw 32-byte records, then decodes the whole
-list in one pass (``decode_postings``), never comparing labels in Python.
+list in one pass (``decode_postings``).  A label is a tuple of its four
+fields, so it packs as it is.
 
 This module turns a plan leaf into index work: its key (``tag_key``,
 ``word_key``, ``value_bounds``), its estimated posting count from the
@@ -51,7 +52,7 @@ _POSTING = struct.Struct(">QQQQ")
 
 
 def encode_posting(sid: StructuralId) -> bytes:
-    return _POSTING.pack(sid.doc_id, sid.start, sid.end, sid.depth)
+    return _POSTING.pack(*sid)
 
 
 def decode_posting(raw: bytes) -> StructuralId:
@@ -60,8 +61,7 @@ def decode_posting(raw: bytes) -> StructuralId:
 
 def encode_postings(sids: Iterable[StructuralId]) -> bytes:
     """The encodings of ``sids``, concatenated."""
-    pack = _POSTING.pack
-    return b"".join([pack(s.doc_id, s.start, s.end, s.depth) for s in sids])
+    return b"".join(starmap(_POSTING.pack, sids))
 
 
 def decode_postings(raw: bytes) -> list[StructuralId]:

@@ -23,7 +23,7 @@ compared against the estimates.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable
 
@@ -84,7 +84,18 @@ class Plan:
         return self.op in ("IndexLookup", "RangeLookup")
 
     def clone(self) -> "Plan":
-        return replace(self, kids=[k.clone() for k in self.kids])
+        return self.copy([k.clone() for k in self.kids])
+
+    def copy(self, kids: list["Plan"], site: PeerId | None = None) -> "Plan":
+        """This operator over ``kids``, at ``site`` if given: one constructor
+        call, where ``dataclasses.replace`` would run its field loop in
+        Python on each of the ~50 copies ``place`` makes per query."""
+        return Plan(
+            self.op, self.site if site is None else site, kids, self.key,
+            self.tag, self.lo, self.hi, self.var, self.axis, self.parent_var,
+            self.child_var, self.ret_vars, self.root_only, self.cols,
+            self.est_rows, self.est_bytes,
+        )
 
 
 _ATTR_ORDER = (
@@ -385,8 +396,7 @@ def _match_push_join(plan: Plan, parent: Plan | None) -> bool:
 
 def _transform_push_join(plan: Plan) -> Plan:
     a, b = (_origin(k).clone() for k in plan.kids)
-    new = replace(plan, kids=[])
-    new.site = (a if a.est_bytes > b.est_bytes else b).site
+    new = plan.copy([], (a if a.est_bytes > b.est_bytes else b).site)
 
     def locate(kid: Plan) -> Plan:
         if kid.site != new.site:
@@ -532,8 +542,7 @@ def rewrite(
 def _strip_transport(plan: Plan) -> Plan:
     if plan.op == "Ship":
         return _strip_transport(plan.kids[0])
-    node = replace(plan, kids=[_strip_transport(k) for k in plan.kids])
-    return node
+    return plan.copy([_strip_transport(k) for k in plan.kids])
 
 
 def _ship(plan: Plan, site: PeerId) -> Plan:
@@ -551,31 +560,28 @@ def _reship(plan: Plan) -> Plan:
         if kid.site != plan.site:
             kid = _ship(kid, plan.site)
         kids.append(kid)
-    return replace(plan, kids=kids)
+    return plan.copy(kids)
 
 
 def _place_greedy(plan: Plan, query_peer: PeerId) -> Plan:
     kids = [_place_greedy(k, query_peer) for k in plan.kids]
-    node = replace(plan, kids=kids)
-    if node.op in ("StructJoin", "Intersect"):
+    site = plan.site
+    if plan.op in ("StructJoin", "Intersect"):
         a, b = kids
         if a.est_bytes == b.est_bytes:
-            node.site = query_peer
+            site = query_peer
         else:
-            node.site = a.site if a.est_bytes > b.est_bytes else b.site
-    elif node.op == "Recompose":
-        node.site = query_peer
-    elif not node.is_leaf():
-        node.site = kids[0].site if kids else query_peer
-    return node
+            site = a.site if a.est_bytes > b.est_bytes else b.site
+    elif plan.op == "Recompose":
+        site = query_peer
+    elif not plan.is_leaf():
+        site = kids[0].site if kids else query_peer
+    return plan.copy(kids, site)
 
 
 def _place_naive(plan: Plan, query_peer: PeerId) -> Plan:
     kids = [_place_naive(k, query_peer) for k in plan.kids]
-    node = replace(plan, kids=kids)
-    if not node.is_leaf():
-        node.site = query_peer
-    return node
+    return plan.copy(kids, None if plan.is_leaf() else query_peer)
 
 
 def _pin_root(plan: Plan, query_peer: PeerId) -> Plan:

@@ -20,6 +20,7 @@ All evaluators sort results by return-node ids, then by the full tuple.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable
 
 from .document import (
@@ -57,6 +58,12 @@ def _node_matches(doc: Document, node: Node, pnode: PNode) -> bool:
         return False
     if not pnode.is_wildcard and node.name != pnode.name:
         return False
+    return _predicates_hold(doc, node, pnode)
+
+
+def _predicates_hold(doc: Document, node: Node, pnode: PNode) -> bool:
+    """Whether ``node``'s text children satisfy ``pnode``'s word and range
+    predicates."""
     if pnode.word is not None:
         # every word of split_words(text) is a substring of text.lower()
         if not any(
@@ -77,27 +84,31 @@ def _node_matches(doc: Document, node: Node, pnode: PNode) -> bool:
 
 
 def _all_nodes(doc: Document, pnode: PNode) -> list[Node]:
-    return doc.nodes
+    """The nodes of ``doc`` that match ``pnode``, each checked in full."""
+    return [node for node in doc.nodes if _node_matches(doc, node, pnode)]
 
 
 def _named_nodes(doc: Document, pnode: PNode) -> list[Node]:
-    return doc.nodes if pnode.is_wildcard else doc.named(pnode.name)
+    """The nodes of ``doc`` that match ``pnode``: a named node's come from
+    the name postings, so only its word and range predicates are run."""
+    if pnode.is_wildcard:
+        return _all_nodes(doc, pnode)
+    nodes = doc.named(pnode.name)
+    if pnode.word is None and not pnode.has_range:
+        return nodes
+    return [node for node in nodes if _predicates_hold(doc, node, pnode)]
 
 
 def _doc_candidates(
     pattern: TreePattern,
     doc: Document,
-    pool: Callable[[Document, PNode], list[Node]],
+    matches: Callable[[Document, PNode], list[Node]],
 ) -> list[list[StructuralId]]:
-    """One candidate list per pattern node: the nodes of ``pool(doc, pnode)``
-    that match it, in document order."""
+    """One candidate list per pattern node: the labels of ``matches(doc,
+    pnode)``, in document order."""
     cands: list[list[StructuralId]] = []
     for pnode in pattern.nodes:
-        labels = [
-            node.label
-            for node in pool(doc, pnode)
-            if _node_matches(doc, node, pnode)
-        ]
+        labels = [node.label for node in matches(doc, pnode)]
         if pnode.idx == 0 and pattern.root_axis == CHILD:
             labels = [lb for lb in labels if lb.depth == 1]
         cands.append(labels)
@@ -142,9 +153,9 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
 def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     """The centralized backend's evaluator; equals eval_naive.
 
-    A named pattern node draws its candidates from the document's postings
-    for that name (``Document.named``), a wildcard from all of its nodes;
-    ``_node_matches`` then decides every candidate.
+    A named pattern node takes its candidates from the document's postings
+    for that name (``Document.named``) and checks only its word and range
+    predicates; a wildcard checks every node with ``_node_matches``.
     """
     bindings: list[Binding] = []
     for doc in docs:
@@ -229,14 +240,17 @@ def stack_join(
 ) -> list[tuple[tuple[StructuralId, ...], tuple[StructuralId, ...]]]:
     """Every (parent row, child row) whose labels satisfy ``axis``.
 
-    Stack-Tree-Desc: both lists are merged in (doc, start) order while a
-    stack holds the open parent labels, outermost first, each with its
-    rows (duplicate labels share one entry).  A child is joined before
-    any parent at its own start is pushed: a node is not its own ancestor.
-    Labels must come from parsed documents, whose intervals nest.
+    Stack-Tree-Desc: both lists are merged in label order while a stack
+    holds the open parent labels, outermost first, each with its rows
+    (duplicate labels share one entry).  A child is joined before any
+    parent at its own start is pushed: a node is not its own ancestor.
+    Labels must come from parsed documents, whose intervals nest and whose
+    label order is (doc, start) order; the sorts are stable, so rows with
+    one label keep their input order.  Labels are read by position
+    (doc, start, end, depth), which is faster than by field name.
     """
-    parents = sorted(parents, key=lambda r: (r[p_col].doc_id, r[p_col].start))
-    children = sorted(children, key=lambda r: (r[c_col].doc_id, r[c_col].start))
+    parents = sorted(parents, key=itemgetter(p_col))
+    children = sorted(children, key=itemgetter(c_col))
     stack: list[tuple[StructuralId, list[tuple[StructuralId, ...]]]] = []
     out = []
     i = 0
@@ -245,18 +259,18 @@ def stack_join(
         while i < len(parents):
             prow = parents[i]
             p = prow[p_col]
-            if (p.doc_id, p.start) >= (c.doc_id, c.start):
+            if p >= c:
                 break
             i += 1
             _close(stack, p)
-            if stack and stack[-1][0].start == p.start:
+            if stack and stack[-1][0] == p:
                 stack[-1][1].append(prow)
             else:
                 stack.append((p, [prow]))
         _close(stack, c)
         if axis == CHILD:
             # the parent is the deepest open ancestor, if it is a candidate
-            if stack and stack[-1][0].depth == c.depth - 1:
+            if stack and stack[-1][0][3] == c[3] - 1:
                 out.extend((prow, crow) for prow in stack[-1][1])
         else:
             for _, prows in stack:
@@ -266,7 +280,9 @@ def stack_join(
 
 def _close(stack: list, label: StructuralId) -> None:
     """Pop the open labels that do not contain ``label``."""
-    while stack and (
-        stack[-1][0].doc_id != label.doc_id or stack[-1][0].end < label.start
-    ):
+    doc_id, start = label[0], label[1]
+    while stack:
+        top = stack[-1][0]
+        if top[0] == doc_id and top[2] >= start:
+            return
         stack.pop()

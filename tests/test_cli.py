@@ -255,3 +255,19 @@ def test_corrupt_snapshot_exit_1(workdir, capsys):
         (workdir / "demo.snap").write_bytes(body + struct.pack(">Q", fnv1a64(body)))
         assert main(["stats"]) == 1, records[-1]
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["get"], ["query", "//a!", "extra"]])
+def test_usage_error_returns_1_with_usage_and_error_line(workdir, capsys, argv):
+    # exit 2 is for internal faults, and main returns rather than exiting
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: store")
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+def test_help_exits_0(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: store")

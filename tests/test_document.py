@@ -106,6 +106,38 @@ def test_is_parent():
     assert is_parent(doc, sec)
 
 
+def test_label_is_its_field_tuple():
+    sid = StructuralId(1, 2, 9, 2)
+    assert sid == (1, 2, 9, 2) and hash(sid) == hash((1, 2, 9, 2))
+    assert (sid.doc_id, sid.start, sid.end, sid.depth) == tuple(sid)
+    assert {sid: "x"}[(1, 2, 9, 2)] == "x"
+    assert repr(sid) == "StructuralId(doc_id=1, start=2, end=9, depth=2)"
+
+
+def test_labels_of_parsed_documents_sort_by_doc_then_start():
+    rng = random.Random(7)
+    docs = [parse_document(random_document_text(rng, 30), d) for d in (3, 1, 2)]
+    labels = [n.label for doc in docs for n in doc.nodes]
+    rng.shuffle(labels)
+    by_start = sorted(labels, key=lambda lb: (lb.doc_id, lb.start))
+    assert sorted(labels) == by_start
+
+
+def test_unknown_node_messages_show_the_label_fields():
+    doc = parse_document(D1, 1)
+    with pytest.raises(UnknownNode) as exc:
+        serialize_subtree(doc, StructuralId(1, 99, 100, 2))
+    assert str(exc.value) == (
+        "no node labeled StructuralId(doc_id=1, start=99, end=100, depth=2)"
+        " in document 1"
+    )
+    with pytest.raises(UnknownNode) as exc:
+        serialize_subtree(doc, StructuralId(1, 4, 4, 4))  # the text "dht"
+    assert str(exc.value) == (
+        "label StructuralId(doc_id=1, start=4, end=4, depth=4) is not an element node"
+    )
+
+
 def test_serialize_subtree():
     doc = parse_document(D1, 1)
     sec = doc.nodes[1].label

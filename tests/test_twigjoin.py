@@ -1,14 +1,30 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twigstore.document import StructuralId, parse_document, serialize_document
 from twigstore.errors import UnsupportedWildcardRoot
-from twigstore.pattern import CHILD, DESCENDANT, canonical, parse_pattern
+from twigstore.indexing import decode_postings, encode_postings
+from twigstore.pattern import (
+    CHILD,
+    DESCENDANT,
+    PNode,
+    TreePattern,
+    canonical,
+    parse_pattern,
+)
 from twigstore.store import Store, StoreConfig
-from twigstore.twigjoin import QueryCache, axis_holds, eval_local, eval_naive, stack_join
+from twigstore.twigjoin import (
+    QueryCache,
+    axis_holds,
+    eval_local,
+    eval_naive,
+    holistic_join,
+    stack_join,
+)
 
 from helpers import (
     planner_bindings,
@@ -67,6 +83,48 @@ def test_stack_join_matches_nested_loop(seed, axis, data):
         if axis_holds(axis, prow[1], crow[0])
     ]
     assert Counter(got) == Counter(want)
+
+
+# pattern shapes for holistic_join, as edge lists (parent, child)
+_SHAPES = [[(0, 1)], [(0, 1), (1, 2)], [(0, 1), (0, 2)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    axes=st.lists(st.sampled_from([CHILD, DESCENDANT]), min_size=2, max_size=2),
+    shape=st.sampled_from(_SHAPES),
+    wire=st.booleans(),
+    data=st.data(),
+)
+def test_joins_match_nested_loop_on_multi_document_labels(
+    seed, axes, shape, wire, data
+):
+    rng = random.Random(seed)
+    docs = [parse_document(random_document_text(rng, 20), d) for d in (2, 1, 3)]
+    pool = [node.label for doc in docs for node in doc.nodes]
+    if wire:  # labels as a lookup or a shipped dataset delivers them
+        decoded = decode_postings(encode_postings(pool))
+        assert decoded == pool and all(type(lb) is StructuralId for lb in decoded)
+        pool = decoded
+    labels = st.sampled_from(pool)
+    # duplicate labels give duplicate parent rows, which must all be kept;
+    # the decoded copies are equal labels but not the same objects
+    cands = [data.draw(st.lists(labels, max_size=12)) for _ in range(len(shape) + 1)]
+    cands[0] += decode_postings(encode_postings(cands[0][::2]))
+    edges = [(p, c, axis) for (p, c), axis in zip(shape, axes)]
+    pattern = TreePattern(nodes=[PNode(i, "*") for i in range(len(cands))],
+                          edges=edges)
+
+    got = stack_join(axes[0], [(lb,) for lb in cands[0]], 0,
+                     [(lb,) for lb in cands[1]], 0)
+    want = [((p,), (c,)) for p in cands[0] for c in cands[1]
+            if axis_holds(axes[0], p, c)]
+    assert Counter(got) == Counter(want)
+
+    want = [b for b in product(*cands)
+            if all(axis_holds(axis, b[p], b[c]) for p, c, axis in edges)]
+    assert Counter(holistic_join(pattern, cands)) == Counter(want)
 
 
 def store_with(docs, peer_count=4):
