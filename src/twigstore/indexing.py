@@ -6,7 +6,6 @@ Index keys are prefix-disjoint by construction:
 * ``w:<word>``  — postings of elements whose immediate text contains the word
 * ``v:<tag>=<enc>`` — postings of elements named ``tag`` whose full text
   content is the decimal integer encoded by ``enc``
-* ``c:tags``    — tag-name catalog, one value per distinct name per document
 * ``r:<resource id>`` — the store's resource index: the peer holding it
 
 Every p2p store runs two overlays: value keys live on the order-preserving
@@ -45,7 +44,6 @@ from .overlay import DhtService, Items, PutFn
 from .netsim import PeerId
 
 POSTING_SIZE = 32
-CATALOG_KEY = "c:tags"
 
 _INT_OFFSET = 10**19
 _POSTING = struct.Struct(">QQQQ")
@@ -137,7 +135,7 @@ class IndexService:
     """Facade over the overlays for posting publication and lookups.
 
     ``stats`` shadows the number of postings published per key, feeding
-    the planner's cost estimates and the tags a wildcard range scans.
+    the planner's cost estimates and the tags a wildcard scans.
     """
 
     def __init__(self, dht: DhtService):
@@ -152,14 +150,12 @@ class IndexService:
         """Publish all postings for ``doc``; returns the count published.
 
         The hash overlay gets one batch: the ``lead`` items (the store's
-        ``r:`` keys), the postings, then the catalog values.  The
-        range overlay gets one batch of value postings.  ``put`` defaults to
-        the routed ``DhtService.put``; snapshot restore passes
-        ``DhtService.put_direct``.
+        ``r:`` keys), then the postings.  The range overlay gets one batch
+        of value postings.  ``put`` defaults to the routed
+        ``DhtService.put``; snapshot restore passes ``DhtService.put_direct``.
         """
         hashed: Items = list(lead)
         ranged: Items = []
-        catalog: dict[str, None] = {}
 
         def publish(batch: Items, key: str, posting: bytes) -> None:
             batch.append((key, posting))
@@ -180,20 +176,17 @@ class IndexService:
                 if value is not None:
                     publish(ranged, value_key(parent.name, value), parent_posting)
                 continue
-            catalog.setdefault(node.name, None)
             posting = encode_posting(node.label)
             publish(hashed, tag_key(node.name), posting)
             if node.kind != ATTRIBUTE:
                 stack += ((child, node, posting)
                           for child in reversed(doc.children(node)))
 
-        published = len(hashed) - len(lead) + len(ranged)
-        hashed += ((CATALOG_KEY, name.encode("utf-8")) for name in catalog)
         put = put or self.dht.put
         put(self.dht.hash, via, hashed)
         if ranged:
             put(self.dht.range, via, ranged)
-        return published
+        return len(hashed) - len(lead) + len(ranged)
 
     # -- lookups: distinct postings in label order ----------------------
 
@@ -223,13 +216,14 @@ class IndexService:
             records += self.dht.get_range(via, *value_bounds(t, lo, hi))
         return _sorted_postings(records)
 
-    def known_tags(self, via: PeerId) -> list[str]:
-        values = self.dht.get(via, CATALOG_KEY)
-        return sorted({v.decode("utf-8") for v in values})
+    def known_tags(self) -> list[str]:
+        """The element and attribute names with postings, sorted: the tags
+        ``"*"`` expands to."""
+        return sorted(k[2:] for k in self.stats if k.startswith("t:"))
 
     def lookup_all(self, via: PeerId) -> list[StructuralId]:
         """Union of all tag posting lists (wildcard candidate source)."""
         records: list[bytes] = []
-        for tag in self.known_tags(via):
+        for tag in self.known_tags():
             records += self.dht.get(via, tag_key(tag))
         return _sorted_postings(records)

@@ -4,15 +4,19 @@ Grammar (EBNF)::
 
     pattern := step+
     step    := ("/" | "//") name pred* ret?
-    name    := tag | "*"
+    name    := "@"? name-char+ | "*"
     pred    := "[" pattern "]" | "=" quoted-word | "in" int ".." int
     ret     := "!"
 
 ``/`` is the child axis, ``//`` the descendant axis.  The first step's
 axis relates the pattern root to the document: ``/`` pins it to the
 document root element, ``//`` matches it anywhere.  ``!`` marks return
-nodes; if none is marked the pattern root is returned.  A node carries at
-most one value predicate (word equality or integer range).
+nodes; if none is marked the pattern root is returned.  ``@`` names an
+attribute.  A name-char is any character but a space and ``/[]=!"@*``,
+so a pattern can name every element and attribute a document can carry.
+A node carries at most one value predicate (word equality or integer
+range); the quoted word must be one word as the index splits text
+(``split_words``), in any case.
 
 Canonical serialization reproduces the parse with minimal whitespace and
 is used as the query-cache fingerprint.
@@ -23,12 +27,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .document import split_words
 from .errors import PatternSyntaxError
 
 CHILD = "child"
 DESCENDANT = "descendant"
 
-_NAME_RE = re.compile(r"@?[^\W\d_][\w.-]*|\*", re.UNICODE)
+# a name runs to the next space or syntax character, as no XML name holds
+# one; a name no document holds matches nothing
+_NAME_RE = re.compile(r'@?[^\s/\[\]=!"@*]+|\*')
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _WORD_RE = re.compile(r'"([^"]*)"')
 
@@ -56,6 +63,7 @@ class PNode:
 @dataclass
 class TreePattern:
     nodes: list[PNode] = field(default_factory=list)
+    # (parent, child, axis); a node's edge comes before its children's
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     root_axis: str = DESCENDANT
 
@@ -65,12 +73,6 @@ class TreePattern:
 
     def children(self, idx: int) -> list[tuple[int, str]]:
         return [(c, axis) for p, c, axis in self.edges if p == idx]
-
-    def parent_edge(self, idx: int) -> tuple[int, str] | None:
-        for p, c, axis in self.edges:
-            if c == idx:
-                return p, axis
-        return None
 
     @property
     def return_nodes(self) -> list[int]:
@@ -82,6 +84,16 @@ class TreePattern:
         return all(
             n.is_wildcard and n.word is None and not n.has_range for n in self.nodes
         )
+
+
+def bfs_edges(pattern: TreePattern) -> list[tuple[int, int, str]]:
+    """The pattern's edges in breadth-first order: by their child's depth,
+    in pattern order within one depth.  As in ``edges``, a node's edge
+    comes before its children's."""
+    depth = {0: 0}
+    for p, c, _ in pattern.edges:
+        depth[c] = depth[p] + 1
+    return sorted(pattern.edges, key=lambda edge: depth[edge[1]])
 
 
 class _Parser:
@@ -176,7 +188,7 @@ class _Parser:
         if not m:
             raise self.fail('expected a quoted word')
         word = m.group(1).lower()
-        if len(word.split()) != 1 or not word:
+        if split_words(m.group(1)) != [word]:  # only such words are indexed
             raise self.fail("predicate word must be a single word")
         node.word = word
         self.pos = m.end()

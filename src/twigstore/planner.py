@@ -1,10 +1,11 @@
 """Query decomposition, operator placement, execution.
 
-A parsed pattern is decomposed by overlay capability: every integer-range
-predicate node becomes a range-overlay subquery (that overlay is the only
-one answering interval lookups), and the maximal connected remainders
-become hash-overlay subqueries.  The recomposition script joins subquery
-outputs over the pattern edges that were cut.
+A parsed pattern is decomposed by overlay capability in one pass over its
+edges: every integer-range predicate node is a unit of its own, answered
+by the range overlay (the only one answering interval lookups), and each
+maximal connected run of the other nodes is a unit the hash overlay
+answers.  The plan joins each unit's leaves in breadth-first order, then
+joins the units together over the cut edges, in pattern order.
 
 Plans are operator trees; leaves are index lookups pinned at the peers
 owning their keys, and every other operator carries the site where its
@@ -48,7 +49,7 @@ from .indexing import (
 )
 from .netsim import Envelope, Network, NetworkStats, PeerId
 from .overlay import DhtService, values_response
-from .pattern import CHILD, TreePattern
+from .pattern import CHILD, TreePattern, bfs_edges
 from .twigjoin import Binding, sort_bindings, stack_join
 
 DESC_FANOUT = 4  # ancestor multiplicity assumed for descendant-axis joins
@@ -140,83 +141,35 @@ def plan_to_xml(plan: Plan) -> str:
 
 @dataclass
 class Decomposition:
-    """Per-overlay subqueries plus the join script that reassembles them."""
+    """The pattern's units and the join script that reassembles them.
+
+    A unit is one range-predicated node, which the range overlay answers,
+    or a maximal connected run of the other nodes, which the hash overlay
+    answers; it is named by its top node.  ``joins`` are the edges between
+    units, in pattern order: each one's parent lies in the root's unit or
+    in a unit an earlier join attached.
+    """
 
     pattern: TreePattern
-    hash_fragments: list[list[int]]
-    range_nodes: list[int]
-    joins: list[tuple[int, int, str]]  # cut edges (parent, child, axis), in order
-    unit_of: dict[int, int]  # pattern node -> its unit: fragments, then range nodes
-
-    @property
-    def subqueries(self) -> list[tuple[str, list[int]]]:
-        subs: list[tuple[str, list[int]]] = [
-            ("hash", frag) for frag in self.hash_fragments
-        ]
-        subs.extend(("range", [idx]) for idx in self.range_nodes)
-        return subs
+    unit_of: dict[int, int]  # pattern node -> the top node of its unit
+    joins: list[tuple[int, int, str]]  # cut edges (parent, child, axis)
 
 
 def decompose(pattern: TreePattern) -> Decomposition:
-    """Split by overlay capability; range nodes cannot join a hash subquery."""
+    """Split by overlay capability; range nodes cannot join a hash unit."""
     if pattern.all_wildcard:
         raise UnsupportedWildcardRoot(
             "pattern has no named node to seed an index lookup"
         )
-    range_nodes = [n.idx for n in pattern.nodes if n.has_range]
-    range_set = set(range_nodes)
-    hash_nodes = [n.idx for n in pattern.nodes if n.idx not in range_set]
-
-    adjacency: dict[int, list[int]] = {idx: [] for idx in hash_nodes}
-    for p, c, _ in pattern.edges:
-        if p not in range_set and c not in range_set:
-            adjacency[p].append(c)
-            adjacency[c].append(p)
-    fragments: list[list[int]] = []
-    seen: set[int] = set()
-    for idx in hash_nodes:
-        if idx in seen:
-            continue
-        component = []
-        queue = [idx]
-        seen.add(idx)
-        while queue:
-            cur = queue.pop(0)
-            component.append(cur)
-            for other in adjacency[cur]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        fragments.append(sorted(component))
-
-    unit_of: dict[int, int] = {}
-    for i, frag in enumerate(fragments):
-        for idx in frag:
-            unit_of[idx] = i
-    for j, idx in enumerate(range_nodes):
-        unit_of[idx] = len(fragments) + j
-
-    cut = [
-        (p, c, axis)
-        for p, c, axis in pattern.edges
-        if unit_of[p] != unit_of[c]
-    ]
-    # assemble starting from the unit holding the pattern root, attaching one
-    # connected unit per cut edge
-    assembled = {unit_of[0]}
+    unit_of = {0: 0}
     joins: list[tuple[int, int, str]] = []
-    remaining = list(cut)
-    while remaining:
-        for i, (p, c, axis) in enumerate(remaining):
-            if unit_of[p] in assembled or unit_of[c] in assembled:
-                joins.append((p, c, axis))
-                assembled.add(unit_of[p])
-                assembled.add(unit_of[c])
-                del remaining[i]
-                break
-        else:  # disconnected pattern cannot happen: patterns are trees
-            raise AssertionError("cut edges do not connect the decomposition")
-    return Decomposition(pattern, fragments, range_nodes, joins, unit_of)
+    for p, c, axis in pattern.edges:  # a parent's unit is known first
+        if pattern.nodes[p].has_range or pattern.nodes[c].has_range:
+            unit_of[c] = c
+            joins.append((p, c, axis))
+        else:
+            unit_of[c] = unit_of[p]
+    return Decomposition(pattern, unit_of, joins)
 
 
 # -- plan construction --------------------------------------------------------
@@ -271,46 +224,31 @@ class PlanBuilder:
         return Plan("Intersect", self.query_peer, var=idx, cols=(idx,),
                     kids=[lookup, word_lookup])
 
-    def fragment_plan(self, pattern: TreePattern, fragment: list[int]) -> Plan:
-        frag_set = set(fragment)
-        root_idx = next(
-            idx for idx in fragment
-            if (pattern.parent_edge(idx) is None
-                or pattern.parent_edge(idx)[0] not in frag_set)
+    def _join(self, left: Plan, right: Plan, edge: tuple[int, int, str]) -> Plan:
+        parent, child, axis = edge
+        return Plan(
+            "StructJoin", self.query_peer, axis=axis, parent_var=parent,
+            child_var=child, cols=left.cols + right.cols, kids=[left, right],
         )
-        acc = self.leaf_for(pattern, root_idx)
-        queue = [root_idx]
-        while queue:
-            cur = queue.pop(0)
-            for child, axis in pattern.children(cur):
-                if child not in frag_set:
-                    continue
-                right = self.leaf_for(pattern, child)
-                acc = Plan(
-                    "StructJoin", self.query_peer, axis=axis,
-                    parent_var=cur, child_var=child,
-                    cols=acc.cols + right.cols, kids=[acc, right],
-                )
-                queue.append(child)
-        return acc
 
     def build(self, dec: Decomposition, with_recompose: bool) -> Plan:
-        """The logical plan with the placer's naive sites and Ship edges."""
-        pattern = dec.pattern
-        unit_plans = [self.fragment_plan(pattern, frag) for frag in dec.hash_fragments]
-        unit_plans += [self.leaf_for(pattern, idx) for idx in dec.range_nodes]
+        """The logical plan with the placer's naive sites and Ship edges.
 
-        unit_of = dec.unit_of
-        acc = unit_plans[unit_of[0]]
-        merged = {unit_of[0]}
-        for p, c, axis in dec.joins:
-            other = unit_of[c] if unit_of[p] in merged else unit_of[p]
-            acc = Plan(
-                "StructJoin", self.query_peer, axis=axis,
-                parent_var=p, child_var=c,
-                cols=acc.cols + unit_plans[other].cols, kids=[acc, unit_plans[other]],
-            )
-            merged.add(other)
+        Each unit's leaves are joined in breadth-first order from its top
+        node; the units are then joined onto the root's, one per cut edge.
+        """
+        pattern, unit_of = dec.pattern, dec.unit_of
+        units = {0: self.leaf_for(pattern, 0)}  # unit -> its plan so far
+        for edge in bfs_edges(pattern):
+            child = edge[1]
+            unit = unit_of[child]
+            plan = self.leaf_for(pattern, child)
+            if unit != child:  # the child extends its parent's unit
+                plan = self._join(units[unit], plan, edge)
+            units[unit] = plan
+        acc = units[0]
+        for edge in dec.joins:
+            acc = self._join(acc, units[edge[1]], edge)
 
         if with_recompose:
             acc = Plan(

@@ -34,7 +34,7 @@ from .document import (
     parse_int_content,
     split_words,
 )
-from .pattern import CHILD, PNode, TreePattern
+from .pattern import CHILD, PNode, TreePattern, bfs_edges
 
 Binding = tuple[StructuralId, ...]
 
@@ -117,35 +117,28 @@ def _doc_candidates(
 
 def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     """Exhaustive enumeration oracle; sorted canonically."""
-    n = len(pattern.nodes)
-    order = _bfs_order(pattern)
-    parent_of = {c: (p, axis) for p, c, axis in pattern.edges}
+    edges = bfs_edges(pattern)
     results: list[Binding] = []
 
     for doc in docs:
         cands = _doc_candidates(pattern, doc, _all_nodes)
         if any(not c for c in cands):
             continue
-        bound: list[StructuralId | None] = [None] * n
+        bound: list[StructuralId | None] = [None] * len(pattern.nodes)
 
         def assign(k: int) -> None:
-            if k == len(order):
+            if k == len(edges):
                 results.append(tuple(bound))  # type: ignore[arg-type]
                 return
-            idx = order[k]
-            if idx == 0:
-                for label in cands[0]:
-                    bound[0] = label
+            p, c, axis = edges[k]
+            for label in cands[c]:
+                if axis_holds(axis, bound[p], label):
+                    bound[c] = label
                     assign(k + 1)
-            else:
-                p, axis = parent_of[idx]
-                plabel = bound[p]
-                for label in cands[idx]:
-                    if axis_holds(axis, plabel, label):
-                        bound[idx] = label
-                        assign(k + 1)
 
-        assign(0)
+        for label in cands[0]:
+            bound[0] = label
+            assign(0)
 
     return sort_bindings(pattern, results)
 
@@ -162,19 +155,6 @@ def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
         cands = _doc_candidates(pattern, doc, _named_nodes)
         bindings.extend(holistic_join(pattern, cands))
     return sort_bindings(pattern, bindings)
-
-
-def _bfs_order(pattern: TreePattern) -> list[int]:
-    order = [0]
-    seen = {0}
-    i = 0
-    while i < len(order):
-        for child, _ in pattern.children(order[i]):
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-        i += 1
-    return order
 
 
 # -- query cache ------------------------------------------------------------
@@ -218,17 +198,15 @@ def holistic_join(
     """
     if any(not c for c in cands):
         return []
-    order = _bfs_order(pattern)
-    slot = {idx: col for col, idx in enumerate(order)}
-    parent_of = {c: (p, axis) for p, c, axis in pattern.edges}
+    slot = {0: 0}  # pattern node -> its column in ``rows``
     rows: list[tuple[StructuralId, ...]] = [(lb,) for lb in cands[0]]
-    for idx in order[1:]:
-        p, axis = parent_of[idx]
-        pairs = stack_join(axis, rows, slot[p], [(lb,) for lb in cands[idx]], 0)
+    for p, c, axis in bfs_edges(pattern):
+        pairs = stack_join(axis, rows, slot[p], [(lb,) for lb in cands[c]], 0)
         rows = [prow + crow for prow, crow in pairs]
         if not rows:
             return []
-    return [tuple(row[slot[i]] for i in range(len(order))) for row in rows]
+        slot[c] = len(slot)
+    return [tuple(row[slot[i]] for i in range(len(slot))) for row in rows]
 
 
 def stack_join(

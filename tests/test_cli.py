@@ -155,6 +155,7 @@ def test_user_errors_exit_1(workdir, capsys):
     (workdir / "bad.rq").write_text("SELECT ?q\n?x type Doc\n", encoding="utf-8")
     assert main(["rdf-query", "bad.rq"]) == 1
     assert main(["query", "//c in 0.." + "9" * 5000 + "!"]) == 1
+    assert main(["query", '//par="x-y"!']) == 1
     (workdir / "bad.tsv").write_text("a\t\tb\n", encoding="utf-8")
     assert main(["rdf-load", "bad.tsv"]) == 1
     err = capsys.readouterr().err

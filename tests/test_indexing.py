@@ -75,7 +75,7 @@ def test_empty_elements_publish_no_words():
     net, dht, index = make_cluster()
     doc = parse_document("<a><b/><c/></a>", 1)
     assert index.index_document(doc, 1) == 3
-    assert index.known_tags(1) == ["a", "b", "c"]
+    assert index.known_tags() == ["a", "b", "c"]
 
 
 def test_same_doc_indexed_under_two_ids():
@@ -115,7 +115,7 @@ def test_index_completeness_against_traversal():
         got = index.lookup_tag(tag, 2)
         assert set(got) == expected[tag]
         assert got == sorted(got)
-    assert sorted(tags) == index.known_tags(3)
+    assert sorted(tags) == index.known_tags()
 
 
 def test_value_round_trip_exact_bounds():

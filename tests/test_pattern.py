@@ -52,6 +52,15 @@ def test_wildcard_and_attribute_names():
     assert not parse_pattern('//*="xml"').all_wildcard
 
 
+def test_a_name_runs_to_the_next_space_or_syntax_character():
+    for name in ["_x", "x\u00b7y", "cafe\u0301", "\u0915\u093f", "a.b-c", "x1"]:
+        p = parse_pattern(f"//{name}[/@{name}] !")
+        assert [n.name for n in p.nodes] == [name, "@" + name]
+    for text in ["//a*", "//@", "//@@a", '//a"b"']:
+        with pytest.raises(PatternSyntaxError):
+            parse_pattern(text)
+
+
 def test_syntax_errors_carry_position():
     for text, pos in [("", 0), ("sec", 0), ("//a[", 4), ("//a[/b", 6),
                       ("//a in 9..2", 11), ('//a="', 4), ("//a//", 5)]:
@@ -77,6 +86,17 @@ def test_one_value_predicate_per_node():
 def test_word_is_lowercased():
     p = parse_pattern('//a="XML"')
     assert p.nodes[0].word == "xml"
+
+
+def test_predicate_word_is_one_indexed_word():
+    # the word must be what split_words makes of it: anything else has no
+    # postings, so it would match nothing on either backend
+    for word in ["x y", "x-y", "a_b", "xml.", "\u0130stanbul", "", " xml"]:
+        with pytest.raises(PatternSyntaxError) as err:
+            parse_pattern(f'//a="{word}"')
+        assert err.value.pos == 4, word
+    for word in ["xml", "XML", "2003", "caf\u00e9", "\u65e5\u672c"]:
+        assert parse_pattern(f'//a="{word}"').nodes[0].word == word.lower()
 
 
 def test_canonical_minimal_whitespace():

@@ -36,31 +36,176 @@ from helpers import (
 def test_decompose_capability_split():
     pattern = parse_pattern('//paper[/year in 2000..2005][/title="xml"]!')
     dec = decompose(pattern)
-    assert dec.hash_fragments == [[0, 2]]  # paper and title stay together
-    assert dec.range_nodes == [1]
+    assert dec.unit_of == {0: 0, 1: 1, 2: 0}  # paper and title stay together
     assert dec.joins == [(0, 1, "child")]
-    kinds = [kind for kind, _ in dec.subqueries]
-    assert kinds == ["hash", "range"]
 
 
 def test_decompose_no_range_single_fragment():
     dec = decompose(parse_pattern("//sec[/title]!"))
-    assert dec.hash_fragments == [[0, 1]]
-    assert dec.range_nodes == []
+    assert dec.unit_of == {0: 0, 1: 0}
     assert dec.joins == []
 
 
 def test_decompose_range_node_splits_fragments():
-    # b sits below the range node, so it forms its own hash fragment
+    # b sits below the range node, so it forms its own hash unit
     dec = decompose(parse_pattern("//a[/y in 1..5[/b]]!"))
-    assert dec.hash_fragments == [[0], [2]]
-    assert dec.range_nodes == [1]
+    assert dec.unit_of == {0: 0, 1: 1, 2: 2}
     assert dec.joins == [(0, 1, "child"), (1, 2, "child")]
 
 
 def test_decompose_all_wildcard_propagates():
     with pytest.raises(UnsupportedWildcardRoot):
         decompose(parse_pattern("//*//*!"))
+
+
+def test_decompose_units_randomized():
+    rng = random.Random(0xD5)
+    multi = 0
+    for _ in range(1000):
+        pattern = random_pattern(rng, max_nodes=7)
+        if pattern.all_wildcard:
+            continue
+        dec = decompose(pattern)
+        nodes, unit_of = pattern.nodes, dec.unit_of
+        parent = {c: p for p, c, _ in pattern.edges}
+        assert sorted(unit_of) == [n.idx for n in nodes]
+        for idx, unit in unit_of.items():
+            # a unit's top node is its own unit and its parent lies outside;
+            # every other member's parent is in the unit, so it is connected
+            if idx == unit:
+                assert idx == 0 or unit_of[parent[idx]] != unit, pattern
+            else:
+                assert unit_of[parent[idx]] == unit, pattern
+        for node in nodes:
+            members = [idx for idx, unit in unit_of.items()
+                       if unit == unit_of[node.idx]]
+            if node.has_range:
+                assert members == [node.idx], pattern
+        for p, c, _ in pattern.edges:  # hash units are maximal
+            if not (nodes[p].has_range or nodes[c].has_range):
+                assert unit_of[p] == unit_of[c], pattern
+        assert dec.joins == [
+            edge for edge in pattern.edges if unit_of[edge[0]] != unit_of[edge[1]]
+        ]
+        attached = {unit_of[0]}
+        for p, c, _ in dec.joins:
+            assert unit_of[p] in attached, pattern
+            attached.add(unit_of[c])
+        assert attached == set(unit_of.values())
+        multi += len(dec.joins) >= 2
+    assert multi >= 20
+
+
+# plan_to_xml of PlanBuilder.build on make_cluster()'s four peers, query
+# peer 1, with Recompose
+BUILD_GOLDENS = {
+    # two cut edges: two range children under one hash unit
+    "//paper[/year in 2000..2005][/month in 1..12]/title!": (
+        '<Recompose site="1" ret="3">'
+        '<StructJoin site="1" axis="child" parent="0" child="2">'
+        '<StructJoin site="1" axis="child" parent="0" child="1">'
+        '<StructJoin site="1" axis="child" parent="0" child="3">'
+        '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
+        '<Ship site="1"><IndexLookup site="4" key="t:title" var="3"/></Ship>'
+        "</StructJoin>"
+        '<Ship site="1">'
+        '<RangeLookup site="3" tag="year" lo="2000" hi="2005" var="1"/>'
+        "</Ship>"
+        "</StructJoin>"
+        '<Ship site="1">'
+        '<RangeLookup site="3" tag="month" lo="1" hi="12" var="2"/>'
+        "</Ship>"
+        "</StructJoin>"
+        "</Recompose>"
+    ),
+    # three cut edges; note hangs below the year range node
+    '//lib[/paper[/year in 2000..2005[/note]]/title="dht"]//page in 1..50!': (
+        '<Recompose site="1" ret="5">'
+        '<StructJoin site="1" axis="descendant" parent="0" child="5">'
+        '<StructJoin site="1" axis="child" parent="2" child="3">'
+        '<StructJoin site="1" axis="child" parent="1" child="2">'
+        '<StructJoin site="1" axis="child" parent="1" child="4">'
+        '<StructJoin site="1" axis="child" parent="0" child="1">'
+        '<Ship site="1"><IndexLookup site="4" key="t:lib" var="0"/></Ship>'
+        '<Ship site="1"><IndexLookup site="4" key="t:paper" var="1"/></Ship>'
+        "</StructJoin>"
+        '<Intersect site="1" var="4">'
+        '<Ship site="1"><IndexLookup site="4" key="t:title" var="4"/></Ship>'
+        '<IndexLookup site="1" key="w:dht" var="4"/>'
+        "</Intersect>"
+        "</StructJoin>"
+        '<Ship site="1">'
+        '<RangeLookup site="3" tag="year" lo="2000" hi="2005" var="2"/>'
+        "</Ship>"
+        "</StructJoin>"
+        '<Ship site="1"><IndexLookup site="2" key="t:note" var="3"/></Ship>'
+        "</StructJoin>"
+        '<Ship site="1">'
+        '<RangeLookup site="3" tag="page" lo="1" hi="50" var="5"/>'
+        "</Ship>"
+        "</StructJoin>"
+        "</Recompose>"
+    ),
+    # a range-predicated root
+    "//year in 2000..2005[/note]!": (
+        '<Recompose site="1" ret="0">'
+        '<StructJoin site="1" axis="child" parent="0" child="1">'
+        '<Ship site="1">'
+        '<RangeLookup site="3" tag="year" lo="2000" hi="2005" var="0"/>'
+        "</Ship>"
+        '<Ship site="1"><IndexLookup site="2" key="t:note" var="1"/></Ship>'
+        "</StructJoin>"
+        "</Recompose>"
+    ),
+    # a range node with a hash child
+    "//paper[/year in 2000..2005[/@src]]/title!": (
+        '<Recompose site="1" ret="3">'
+        '<StructJoin site="1" axis="child" parent="1" child="2">'
+        '<StructJoin site="1" axis="child" parent="0" child="1">'
+        '<StructJoin site="1" axis="child" parent="0" child="3">'
+        '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
+        '<Ship site="1"><IndexLookup site="4" key="t:title" var="3"/></Ship>'
+        "</StructJoin>"
+        '<Ship site="1">'
+        '<RangeLookup site="3" tag="year" lo="2000" hi="2005" var="1"/>'
+        "</Ship>"
+        "</StructJoin>"
+        '<Ship site="1"><IndexLookup site="4" key="t:@src" var="2"/></Ship>'
+        "</StructJoin>"
+        "</Recompose>"
+    ),
+    # one hash unit, joined breadth-first: title before ref's child note
+    "//paper[/ref/note][/title]!": (
+        '<Recompose site="1" ret="0">'
+        '<StructJoin site="1" axis="child" parent="1" child="2">'
+        '<StructJoin site="1" axis="child" parent="0" child="3">'
+        '<StructJoin site="1" axis="child" parent="0" child="1">'
+        '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
+        '<Ship site="1"><IndexLookup site="4" key="t:ref" var="1"/></Ship>'
+        "</StructJoin>"
+        '<Ship site="1"><IndexLookup site="4" key="t:title" var="3"/></Ship>'
+        "</StructJoin>"
+        '<Ship site="1"><IndexLookup site="2" key="t:note" var="2"/></Ship>'
+        "</StructJoin>"
+        "</Recompose>"
+    ),
+    # a wildcard with a word looks up the word alone
+    '//paper[/*="dht"]!': (
+        '<Recompose site="1" ret="0">'
+        '<StructJoin site="1" axis="child" parent="0" child="1">'
+        '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
+        '<IndexLookup site="1" key="w:dht" var="1"/>'
+        "</StructJoin>"
+        "</Recompose>"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(BUILD_GOLDENS))
+def test_build_golden_patterns(text):
+    net, dht, index = make_cluster()
+    plan = PlanBuilder(dht, 1).build(decompose(parse_pattern(text)), True)
+    assert plan_to_xml(plan) == BUILD_GOLDENS[text]
 
 
 # -- plan fixtures ----------------------------------------------------------------

@@ -12,8 +12,10 @@ from twigstore.errors import (
     MalformedInput,
     MalformedXml,
     NotFound,
+    PatternSyntaxError,
     UnseedablePattern,
 )
+from twigstore.document import split_words
 from twigstore.netsim import Network
 from twigstore.overlay import fnv1a64
 from twigstore.rdfstore import (
@@ -105,6 +107,32 @@ def test_namespaced_document_refused(tmp_path, any_store, text):
     path = str(tmp_path / "x.snap")
     snapshot(any_store, path)
     assert restore(path).get_resource("1#6").payload == "<par>xml</par>"
+
+
+# names the XML parser accepts: a leading "_", a middle dot, a decomposed
+# accent (a combining mark), a spacing vowel sign, ideographs
+QUERYABLE_NAMES = ["_x", "x\u00b7y", "cafe\u0301", "\u0915\u093f", "a.b-c",
+                   "\u65e5\u672c", "_"]
+
+
+@pytest.mark.parametrize("name", QUERYABLE_NAMES)
+def test_every_ingested_name_can_be_queried(any_store, name):
+    any_store.store_resource(f'<r {name}="v"><{name}>t</{name}></r>')
+    got = any_store.query(f"//{name}!").resources
+    assert [r.payload for r in got] == [f"<{name}>t</{name}>"]
+    got = any_store.query(f"//r[/@{name}]!").resources
+    assert [r.payload for r in got] == [f'<r {name}="v"><{name}>t</{name}></r>']
+
+
+@pytest.mark.parametrize("word", ["x-y", "a_b", "xml.", "\u0130stanbul"])
+def test_word_predicate_that_is_no_indexed_word_refused(any_store, word):
+    any_store.store_resource(f"<r><t>{word}</t></r>")
+    with pytest.raises(PatternSyntaxError):
+        any_store.query(f'//t="{word}"!')
+    # each word the text splits into finds it
+    for part in split_words(word):
+        got = any_store.query(f'//t="{part}"!').resources
+        assert [r.payload for r in got] == [f"<t>{word}</t>"]
 
 
 def test_character_references_survive_snapshot(tmp_path, any_store):
