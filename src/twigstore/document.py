@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
+from sys import intern
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyInput, MalformedXml, UnknownNode
 
@@ -62,9 +65,12 @@ class Node:
 @dataclass(slots=True)
 class Document:
     """Parsed XML document; immutable after construction, apart from the
-    name postings ``named`` builds on first use.
+    name, word and value postings that ``named``, ``with_word`` and
+    ``in_range`` build on first use.
 
-    ``nodes`` is in document (start) order, with the root first.
+    ``nodes`` is in document (start) order, with the root first.  Each
+    postings structure is built in one pass over ``nodes`` and never
+    persisted, so parsing (every ingest and restore) pays for none of them.
     """
 
     doc_id: int
@@ -73,6 +79,10 @@ class Document:
     _children: dict[int, list[Node]] = field(default_factory=dict)  # by start
     _by_start: dict[int, Node] = field(default_factory=dict)
     _by_name: dict[str, list[Node]] | None = None
+    # name -> word -> the nodes whose text children hold the word
+    _by_word: dict[str, dict[str, tuple[Node, ...]]] | None = None
+    # name -> (integer texts in ascending order, the node holding each)
+    _by_value: dict[str, tuple[list[int], list[Node]]] | None = None
 
     def finish(self) -> None:
         self.root = self.nodes[0]
@@ -92,11 +102,7 @@ class Document:
         return node
 
     def named(self, name: str) -> list[Node]:
-        """The element and attribute nodes called ``name``, in document order.
-
-        The postings of every name are built in one pass on the first call,
-        so parsing (every p2p ingest and restore) never pays for them.
-        """
+        """The element and attribute nodes called ``name``, in document order."""
         if self._by_name is None:
             by_name: dict[str, list[Node]] = {}
             for node in self.nodes:
@@ -104,6 +110,58 @@ class Document:
                     by_name.setdefault(node.name, []).append(node)
             self._by_name = by_name
         return self._by_name.get(name, [])
+
+    def with_word(self, name: str | None, word: str) -> Sequence[Node]:
+        """The nodes called ``name`` (any name for None) whose text children
+        hold ``word`` as ``split_words`` makes words, each once, in document
+        order."""
+        if self._by_word is None:
+            self._by_word = self._word_postings()
+        if name is not None:
+            return self._by_word.get(name, {}).get(word, ())
+        runs = (by_word.get(word, ()) for by_word in self._by_word.values())
+        return sorted(chain.from_iterable(runs), key=attrgetter("label"))
+
+    def in_range(self, name: str | None, lo: int, hi: int) -> list[Node]:
+        """The nodes called ``name`` (any name for None) with a text child
+        whose ``parse_int_content`` lies in ``[lo, hi]``, each once, in
+        document order."""
+        if self._by_value is None:
+            self._by_value = self._value_postings()
+        names = self._by_value if name is None else [name]
+        hits: dict[StructuralId, Node] = {}
+        for each in names:
+            values, nodes = self._by_value.get(each, ((), ()))
+            for node in nodes[bisect_left(values, lo) : bisect_right(values, hi)]:
+                hits[node.label] = node
+        return [hits[label] for label in sorted(hits)]
+
+    def _word_postings(self) -> dict[str, dict[str, tuple[Node, ...]]]:
+        by_word: dict[str, dict[str, list[Node]]] = {}
+        for node in self.nodes:
+            words = {w for text in self.text_children(node) for w in split_words(text)}
+            if words:
+                postings = by_word.setdefault(node.name, {})
+                for word in words:
+                    # one string per distinct word, whichever names hold it
+                    postings.setdefault(intern(word), []).append(node)
+        return {
+            name: {word: tuple(nodes) for word, nodes in postings.items()}
+            for name, postings in by_word.items()
+        }
+
+    def _value_postings(self) -> dict[str, tuple[list[int], list[Node]]]:
+        pairs: dict[str, list[tuple[int, Node]]] = {}
+        for node in self.nodes:
+            for text in self.text_children(node):
+                value = parse_int_content(text)
+                if value is not None:
+                    pairs.setdefault(node.name, []).append((value, node))
+        by_value = {}
+        for name, entries in pairs.items():
+            entries.sort(key=itemgetter(0))  # stable: ties stay in document order
+            by_value[name] = ([v for v, _ in entries], [n for _, n in entries])
+        return by_value
 
     def children(self, node: Node) -> list[Node]:
         return self._children.get(node.label.start, [])

@@ -18,8 +18,8 @@ A node carries at most one value predicate (word equality or integer
 range); the quoted word must be one word as the index splits text
 (``split_words``), in any case.
 
-Canonical serialization reproduces the parse with minimal whitespace and
-is used as the query-cache fingerprint.
+Canonical serialization reproduces the parse with minimal whitespace: its
+text parses back to the same pattern.
 """
 
 from __future__ import annotations
@@ -228,7 +228,8 @@ def parse_pattern(text: str) -> TreePattern:
 
 
 def canonical(pattern: TreePattern) -> str:
-    """Deterministic minimal-whitespace rendering; the cache fingerprint."""
+    """Deterministic minimal-whitespace rendering that parses back to
+    ``pattern``."""
     out: list[str] = []
 
     def axis_text(axis: str) -> str:

@@ -2,12 +2,12 @@
 
 The centralized backend keeps documents in one process and answers
 pattern queries with ``eval_local``, the stack-based structural join over
-candidates drawn from the documents' name postings.  The p2p backend hosts a
-simulated peer network with one hash and one range overlay, indexes every
-ingested document, and answers queries through the decompose -> place ->
-execute pipeline.  Both backends return identical resource lists
-for the same corpus; the p2p result additionally carries the network
-stats delta its evaluation produced.
+candidates looked up in the documents' name, word and value postings.  The
+p2p backend hosts a simulated peer network with one hash and one range
+overlay, indexes every ingested document, and answers queries through the
+decompose -> place -> execute pipeline.  Both backends return identical
+resource lists for the same corpus; the p2p result additionally carries
+the network stats delta its evaluation produced.
 
 Resource access is O(1): looking up a resource id costs exactly one
 resource-index probe (the p2p backend first resolves the owning peer via

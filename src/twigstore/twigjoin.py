@@ -5,14 +5,16 @@ et al., ICDE 2002) over two row lists sorted by their join column's
 (doc, start), with a stack of open ancestors.  The planner's StructJoin
 operator calls it directly; that is the p2p backend's only tree-pattern
 path.  ``holistic_join`` folds it over a pattern's edges for
-``eval_local`` (the centralized backend), which feeds it candidates drawn
-from each in-memory document's name postings, the per-tag element streams
-the stack joins assume.  Results are bindings; no payloads move until
-recomposition.
+``eval_local`` (the centralized backend), which feeds it candidates
+looked up in each in-memory document's name, word and value postings, the
+per-tag element streams the stack joins assume (Zhang et al., SIGMOD
+2001, feed inverted word lists to the join the same way).  Results are
+bindings; no payloads move until recomposition.
 
-``eval_naive`` scans every node of every document for every pattern node
-and exhaustively enumerates node assignments; it is the test oracle only
-and no backend calls it.
+``eval_naive`` scans every node of every document for every pattern node,
+checks its name and predicates against the text (``_node_matches``), and
+exhaustively enumerates node assignments; it is the test oracle only and
+no backend calls it.
 
 A ``Binding`` is a tuple of structural ids aligned with ``pattern.nodes``.
 All evaluators sort results by return-node ids, then by the full tuple.
@@ -21,11 +23,12 @@ All evaluators sort results by return-node ids, then by the full tuple.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .document import (
     ATTRIBUTE,
     ELEMENT,
+    TEXT,
     Document,
     Node,
     StructuralId,
@@ -84,25 +87,30 @@ def _predicates_hold(doc: Document, node: Node, pnode: PNode) -> bool:
 
 
 def _all_nodes(doc: Document, pnode: PNode) -> list[Node]:
-    """The nodes of ``doc`` that match ``pnode``, each checked in full."""
+    """The nodes of ``doc`` that match ``pnode``, each checked in full
+    against its text; only the ``eval_naive`` oracle runs these checks."""
     return [node for node in doc.nodes if _node_matches(doc, node, pnode)]
 
 
-def _named_nodes(doc: Document, pnode: PNode) -> list[Node]:
-    """The nodes of ``doc`` that match ``pnode``: a named node's come from
-    the name postings, so only its word and range predicates are run."""
-    if pnode.is_wildcard:
-        return _all_nodes(doc, pnode)
-    nodes = doc.named(pnode.name)
-    if pnode.word is None and not pnode.has_range:
-        return nodes
-    return [node for node in nodes if _predicates_hold(doc, node, pnode)]
+def _named_nodes(doc: Document, pnode: PNode) -> Sequence[Node]:
+    """The nodes of ``doc`` that match ``pnode``, in document order, read
+    from the document's word, value or name postings without checking any
+    text.  A wildcard takes every name's; a pattern node carries at most
+    one value predicate, so one postings list answers it."""
+    name = None if pnode.is_wildcard else pnode.name
+    if pnode.word is not None:
+        return doc.with_word(name, pnode.word)
+    if pnode.has_range:
+        return doc.in_range(name, pnode.lo, pnode.hi)
+    if name is None:
+        return [node for node in doc.nodes if node.kind != TEXT]
+    return doc.named(name)
 
 
 def _doc_candidates(
     pattern: TreePattern,
     doc: Document,
-    matches: Callable[[Document, PNode], list[Node]],
+    matches: Callable[[Document, PNode], Sequence[Node]],
 ) -> list[list[StructuralId]]:
     """One candidate list per pattern node: the labels of ``matches(doc,
     pnode)``, in document order."""
@@ -146,9 +154,11 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
 def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     """The centralized backend's evaluator; equals eval_naive.
 
-    A named pattern node takes its candidates from the document's postings
-    for that name (``Document.named``) and checks only its word and range
-    predicates; a wildcard checks every node with ``_node_matches``.
+    Each pattern node's candidates are looked up in the document's
+    postings: a word-predicated node's in ``Document.with_word``, a
+    range-predicated node's in ``Document.in_range`` and any other node's
+    in ``Document.named``; a wildcard merges every name's.  No text is
+    split or parsed at query time once a document's postings are built.
     """
     bindings: list[Binding] = []
     for doc in docs:

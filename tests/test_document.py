@@ -75,6 +75,32 @@ def test_name_postings_hold_elements_and_attributes_only():
     assert doc.named("c") == []
 
 
+def test_word_and_value_postings_read_text_children_only():
+    doc = parse_document(
+        '<a><b>Xml xml</b><b id="7">7<c>XML 8</c>0012</b>Straße<a>ﬁle-xml</a>xml</a>', 1
+    )
+    # parsing builds neither postings structure
+    assert doc._by_word is None and doc._by_value is None
+
+    def starts(nodes):
+        return [n.label.start for n in nodes]
+
+    # each node once, in document order, words folded as split_words folds them
+    assert starts(doc.with_word("a", "xml")) == [1, 14]
+    assert starts(doc.with_word("b", "xml")) == [2]
+    assert starts(doc.with_word(None, "xml")) == [1, 2, 8, 14]
+    assert starts(doc.with_word("a", "straße")) == [1]
+    assert starts(doc.with_word("a", "ﬁle")) == [14]
+    assert starts(doc.with_word("c", "8")) == [8]
+    assert doc.with_word("@id", "7") == doc.with_word("b", "b") == ()
+    assert doc._by_value is None  # a word lookup builds the word postings only
+    # "7" and "0012" both lie in 7..12, yet their element comes once
+    assert starts(doc.in_range("b", 7, 12)) == [5]
+    assert starts(doc.in_range(None, -5, 12)) == [5]
+    assert doc.in_range("b", 8, 11) == doc.in_range("@id", 0, 10) == []
+    assert doc.in_range("c", 8, 8) == []  # "XML 8" is no integer
+
+
 def test_whitespace_only_text_dropped():
     doc = parse_document("<a>\n  <b/>\n</a>", 1)
     assert [n.kind for n in doc.nodes] == [ELEMENT, ELEMENT]

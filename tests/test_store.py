@@ -1,5 +1,6 @@
 import random
 import struct
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from twigstore.errors import (
     PatternSyntaxError,
     UnseedablePattern,
 )
-from twigstore.document import split_words
+from twigstore.document import Document, split_words
 from twigstore.netsim import Network
 from twigstore.overlay import fnv1a64
 from twigstore.rdfstore import (
@@ -395,6 +396,43 @@ def test_snapshot_round_trip(tmp_path, any_store):
         assert restored.payload == original.payload
         assert restored.root_label == original.root_label
     assert again.rdf_query(parse_query_text("SELECT ?x\n?x type Doc\n")) == [("a",)]
+
+
+def test_word_and_value_postings_are_built_on_first_use(tmp_path, monkeypatch):
+    builds = Counter()
+    for kind in ("_word_postings", "_value_postings"):
+        def counted(doc, real=getattr(Document, kind), kind=kind):
+            builds[kind] += 1
+            return real(doc)
+        monkeypatch.setattr(Document, kind, counted)
+    p2p = Store(config("p2p", tmp_path))
+    central = Store(config("centralized", tmp_path))
+    for store in (p2p, central):
+        store.store_resource(D1)
+        store.store_resource("<lib><par>two xml</par><par>3</par></lib>")
+    p2p.query('//par="xml"!')
+    p2p.query("//par in 1..5!")
+    path = str(tmp_path / "x.snap")
+    snapshot(central, path)
+    again = restore(path)
+    # ingest on either backend, p2p queries and a restore build none
+    assert not builds
+    docs = list(again.documents.values())
+
+    def built():
+        return [(d._by_word is not None, d._by_value is not None) for d in docs]
+
+    assert built() == [(False, False)] * 2
+    again.query('//sec[/title="dht"]/par!')
+    assert builds == {"_word_postings": 2}
+    assert built() == [(True, False)] * 2
+    words = [d._by_word for d in docs]
+    assert len(again.query('//par="two"!').resources) == 1
+    assert builds == {"_word_postings": 2}  # another word reuses them
+    assert all(d._by_word is w for d, w in zip(docs, words))
+    again.query("//par in 1..5!")
+    assert builds == {"_word_postings": 2, "_value_postings": 2}
+    assert built() == [(True, True)] * 2
 
 
 def _record_tags(blob: bytes) -> list[bytes]:

@@ -3,7 +3,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twigstore.document import StructuralId, parse_document, serialize_document
 from twigstore.errors import UnsupportedWildcardRoot
@@ -202,8 +202,13 @@ def test_results_independent_of_peer_count():
 # tag names double as text, attribute values and predicate words, so a
 # text node or an attribute value can look like a name or a word
 LOCAL_TAGS = ["a", "b", "c"]
-LOCAL_WORDS = ["a", "b", "xml", "dht"]
-LOCAL_TEXTS = ["a", "b", "xml", "XML dht", "b-a", "7", " 1999 ", "-3", "0012"]
+LOCAL_WORDS = ["a", "b", "xml", "dht", "straße", "ﬁle"]
+# the last three fold case or hold non-ASCII letters: the word postings
+# must make the same words as the oracle's per-text split
+LOCAL_TEXTS = [
+    "a", "b", "xml", "XML dht", "b-a", "7", " 1999 ", "-3", "0012",
+    "Straße", "ﬁle", "Xml XML",
+]
 
 
 @st.composite
@@ -244,6 +249,14 @@ def local_pattern(draw, depth=1):
 @given(
     texts=st.lists(local_element(), min_size=1, max_size=3),
     patterns=st.lists(local_pattern(), min_size=1, max_size=4),
+)
+# two integer text children in one range (own text plus a tail), and a
+# word held by two text children, must each bind their element once
+@example(
+    texts=[("<a>7<b>Xml XML</b>0012<c>8</c>Xml XML<b>ﬁle</b>xml<c>Straße</c></a>",
+            "7")],
+    patterns=["//a in 0..12!", "//* in 7..12!", "//a[/b in 0..12]!",
+              '//a="xml"!', '//*="xml"', '//a[/*="ﬁle"]!', '//*="straße"!'],
 )
 def test_local_candidates_from_postings_match_naive(texts, patterns):
     docs = [parse_document(t, i) for i, (t, _) in enumerate(texts, start=1)]
