@@ -78,7 +78,7 @@ class Document:
     nodes: list[Node] = field(default_factory=list)
     _children: dict[int, list[Node]] = field(default_factory=dict)  # by start
     _by_start: dict[int, Node] = field(default_factory=dict)
-    _by_name: dict[str, list[Node]] | None = None
+    _by_name: dict[str | None, list[Node]] | None = None  # None: every name
     # name -> word -> the nodes whose text children hold the word
     _by_word: dict[str, dict[str, tuple[Node, ...]]] | None = None
     # name -> (integer texts in ascending order, the node holding each)
@@ -101,14 +101,17 @@ class Document:
             raise UnknownNode(f"no node at start {start} in document {self.doc_id}")
         return node
 
-    def named(self, name: str) -> list[Node]:
-        """The element and attribute nodes called ``name``, in document order."""
+    def named(self, name: str | None) -> list[Node]:
+        """The element and attribute nodes called ``name`` (any name for
+        None), in document order."""
         if self._by_name is None:
-            by_name: dict[str, list[Node]] = {}
+            by_name: dict[str | None, list[Node]] = {}
             for node in self.nodes:
                 if node.kind != TEXT:
                     by_name.setdefault(node.name, []).append(node)
             self._by_name = by_name
+        if name is None and None not in self._by_name:
+            self._by_name[None] = [node for node in self.nodes if node.kind != TEXT]
         return self._by_name.get(name, [])
 
     def with_word(self, name: str | None, word: str) -> Sequence[Node]:

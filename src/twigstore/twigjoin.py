@@ -2,14 +2,16 @@
 
 ``stack_join`` is the only structural join: Stack-Tree-Desc (Al-Khalifa
 et al., ICDE 2002) over two row lists sorted by their join column's
-(doc, start), with a stack of open ancestors.  The planner's StructJoin
-operator calls it directly; that is the p2p backend's only tree-pattern
-path.  ``holistic_join`` folds it over a pattern's edges for
-``eval_local`` (the centralized backend), which feeds it candidates
-looked up in each in-memory document's name, word and value postings, the
-per-tag element streams the stack joins assume (Zhang et al., SIGMOD
-2001, feed inverted word lists to the join the same way).  Results are
-bindings; no payloads move until recomposition.
+(doc, start), with a stack of open ancestors, made output-sensitive by
+bisecting past the rows that cannot join whenever the stack is empty
+(Chien et al., VLDB 2002).  The planner's StructJoin operator calls it
+directly; that is the p2p backend's only tree-pattern path.
+``holistic_join`` folds it over a pattern's edges for ``eval_local`` (the
+centralized backend), starting from the most selective candidate list,
+which ``eval_local`` looks up in each in-memory document's name, word and
+value postings, the per-tag element streams the stack joins assume (Zhang
+et al., SIGMOD 2001, feed inverted word lists to the join the same way).
+Results are bindings; no payloads move until recomposition.
 
 ``eval_naive`` scans every node of every document for every pattern node,
 checks its name and predicates against the text (``_node_matches``), and
@@ -22,13 +24,14 @@ All evaluators sort results by return-node ids, then by the full tuple.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .document import (
     ATTRIBUTE,
     ELEMENT,
-    TEXT,
     Document,
     Node,
     StructuralId,
@@ -102,8 +105,6 @@ def _named_nodes(doc: Document, pnode: PNode) -> Sequence[Node]:
         return doc.with_word(name, pnode.word)
     if pnode.has_range:
         return doc.in_range(name, pnode.lo, pnode.hi)
-    if name is None:
-        return [node for node in doc.nodes if node.kind != TEXT]
     return doc.named(name)
 
 
@@ -203,19 +204,37 @@ def holistic_join(
     """Join candidate lists over the pattern's edges (unsorted bindings);
     ``eval_local`` calls it once per document.
 
-    ``stack_join`` is folded over the edges in BFS order, so each edge's
-    parent column is already bound when the edge is joined.
+    The fold starts at the pattern node with the fewest candidates, then
+    joins, one ``stack_join`` at a time, the edge out of the bound nodes
+    whose unbound end has the fewest candidates (ties in pattern order),
+    so the most selective lists bound the rows every later join steps
+    through (join order by selectivity: Wu, Patel, Jagadish, ICDE 2003).
+    The bound rows are the parent side of an edge to a child and the child
+    side of an edge to a parent.  Duplicate candidate rows all survive.
     """
     if any(not c for c in cands):
         return []
-    slot = {0: 0}  # pattern node -> its column in ``rows``
-    rows: list[tuple[StructuralId, ...]] = [(lb,) for lb in cands[0]]
-    for p, c, axis in bfs_edges(pattern):
-        pairs = stack_join(axis, rows, slot[p], [(lb,) for lb in cands[c]], 0)
-        rows = [prow + crow for prow, crow in pairs]
+    first = min(range(len(cands)), key=lambda k: len(cands[k]))
+    slot = {first: 0}  # pattern node -> its column in ``rows``
+    rows: list[tuple[StructuralId, ...]] = [(lb,) for lb in cands[first]]
+    edges = list(pattern.edges)
+    while edges:
+        edge = min(
+            (e for e in edges if (e[0] in slot) != (e[1] in slot)),
+            key=lambda e: len(cands[e[1] if e[0] in slot else e[0]]),
+        )
+        edges.remove(edge)
+        p, c, axis = edge
+        if p in slot:
+            pairs = stack_join(axis, rows, slot[p], [(lb,) for lb in cands[c]], 0)
+            rows = [prow + crow for prow, crow in pairs]
+            slot[c] = len(slot)
+        else:
+            pairs = stack_join(axis, [(lb,) for lb in cands[p]], 0, rows, slot[c])
+            rows = [crow + prow for prow, crow in pairs]
+            slot[p] = len(slot)
         if not rows:
             return []
-        slot[c] = len(slot)
     return [tuple(row[slot[i]] for i in range(len(slot))) for row in rows]
 
 
@@ -229,48 +248,72 @@ def stack_join(
     """Every (parent row, child row) whose labels satisfy ``axis``.
 
     Stack-Tree-Desc: both lists are merged in label order while a stack
-    holds the open parent labels, outermost first, each with its rows
-    (duplicate labels share one entry).  A child is joined before any
-    parent at its own start is pushed: a node is not its own ancestor.
-    Labels must come from parsed documents, whose intervals nest and whose
-    label order is (doc, start) order; the sorts are stable, so rows with
-    one label keep their input order.  Labels are read by position
-    (doc, start, end, depth), which is faster than by field name.
+    holds the open parent labels, the parents that contain the current
+    child, outermost first, each with its rows (duplicate labels share one
+    entry).  A child is joined before any parent at its own start is
+    pushed: a node is not its own ancestor.  Labels must come from parsed
+    documents, whose intervals nest and whose label order is (doc, start)
+    order; the sorts are stable, so rows with one label keep their input
+    order.  Labels are read by position (doc, start, end, depth), which is
+    faster than by field name.
+
+    The merge is output-sensitive (Chien et al., VLDB 2002): whenever no
+    parent is open, it bisects past the children that start before the
+    next parent, or past the parents that end before the child starts.
+    The second bisect reads a prefix maximum of the parents' (doc, end),
+    built on the first such skip, so an outer parent (``sec`` around
+    ``sec``) is found even when a parent nested in it ends earlier.
     """
-    parents = sorted(parents, key=itemgetter(p_col))
-    children = sorted(children, key=itemgetter(c_col))
+    by_p, by_c = itemgetter(p_col), itemgetter(c_col)
+    parents = sorted(parents, key=by_p)
+    children = sorted(children, key=by_c)
+    n_p, n_c = len(parents), len(children)
+    reach: list[tuple[int, int]] | None = None
     stack: list[tuple[StructuralId, list[tuple[StructuralId, ...]]]] = []
     out = []
-    i = 0
-    for crow in children:
+    i = j = 0
+    while j < n_c:
+        crow = children[j]
         c = crow[c_col]
-        while i < len(parents):
+        doc, start = c[0], c[1]
+        while stack:  # pop the open labels that do not contain c
+            top = stack[-1][0]
+            if top[0] == doc and top[2] >= start:
+                break
+            stack.pop()
+        if not stack:
+            if i == n_p:
+                break
+            p = parents[i][p_col]
+            if c < p:
+                j = bisect_left(children, p, j + 1, key=by_c)
+                continue
+            if p[0] != doc or p[2] < start:
+                if reach is None:
+                    reach = list(map(itemgetter(0, 2), map(by_p, parents)))
+                    if reach != sorted(reach):  # a name nested in itself
+                        reach = list(accumulate(reach, max))
+                i = bisect_left(reach, (doc, start), i + 1)
+        while i < n_p:
             prow = parents[i]
             p = prow[p_col]
             if p >= c:
                 break
             i += 1
-            _close(stack, p)
-            if stack and stack[-1][0] == p:
-                stack[-1][1].append(prow)
-            else:
-                stack.append((p, [prow]))
-        _close(stack, c)
+            # open only the ancestors of c: every open label contains c,
+            # so it also contains p, and a parent ending before c joins
+            # neither c nor any later child
+            if p[0] == doc and p[2] >= start:
+                if stack and stack[-1][0] == p:
+                    stack[-1][1].append(prow)
+                else:
+                    stack.append((p, [prow]))
         if axis == CHILD:
             # the parent is the deepest open ancestor, if it is a candidate
             if stack and stack[-1][0][3] == c[3] - 1:
-                out.extend((prow, crow) for prow in stack[-1][1])
+                out.extend([(prow, crow) for prow in stack[-1][1]])
         else:
             for _, prows in stack:
-                out.extend((prow, crow) for prow in prows)
+                out.extend([(prow, crow) for prow in prows])
+        j += 1
     return out
-
-
-def _close(stack: list, label: StructuralId) -> None:
-    """Pop the open labels that do not contain ``label``."""
-    doc_id, start = label[0], label[1]
-    while stack:
-        top = stack[-1][0]
-        if top[0] == doc_id and top[2] >= start:
-            return
-        stack.pop()

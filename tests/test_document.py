@@ -73,6 +73,10 @@ def test_name_postings_hold_elements_and_attributes_only():
     assert [n.label.start for n in doc.named("b")] == [3]
     assert [(n.kind, n.attr_value) for n in doc.named("@id")] == [(ATTRIBUTE, "b")]
     assert doc.named("c") == []
+    # a wildcard's postings: every element and attribute, built once
+    every = doc.named(None)
+    assert every == [n for n in doc.nodes if n.kind != TEXT]
+    assert doc.named(None) is every
 
 
 def test_word_and_value_postings_read_text_children_only():

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from twigstore import twigjoin
 from twigstore.document import StructuralId, parse_document, serialize_document
 from twigstore.errors import UnsupportedWildcardRoot
 from twigstore.indexing import decode_postings, encode_postings
@@ -85,14 +86,106 @@ def test_stack_join_matches_nested_loop(seed, axis, data):
     assert Counter(got) == Counter(want)
 
 
-# pattern shapes for holistic_join, as edge lists (parent, child)
-_SHAPES = [[(0, 1)], [(0, 1), (1, 2)], [(0, 1), (0, 2)]]
+# one to three rows on one side against up to 60 on the other, as picks
+# into the label pools, so that the kernel skips over long stretches
+_FEW = st.lists(st.integers(0, 999), min_size=1, max_size=3)
+_MANY = st.lists(st.integers(0, 999), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(
+        st.integers(0, 10**6).map(lambda s: random_document_text(random.Random(s), 40)),
+        min_size=1, max_size=3,
+    ),
+    axis=st.sampled_from([CHILD, DESCENDANT]),
+    # a tag name takes its nodes, which nest in themselves; None takes all
+    names=st.tuples(*[st.sampled_from([None, "a", "b"])] * 2),
+    picks=st.one_of(st.tuples(_FEW, _MANY), st.tuples(_MANY, _FEW)),
+)
+@example(
+    # the first sec and the inner sec end before the second par starts;
+    # the outer sec, between them in label order, still contains it
+    texts=["<doc><sec/><sec><sec><par/></sec><par/></sec></doc>"],
+    axis=DESCENDANT, names=("sec", "par"), picks=([0, 1, 2], [1]),
+)
+@example(
+    # the deepest open sec of the first par is its grandparent
+    texts=["<doc><sec><x><par/></x></sec><sec><par/></sec></doc>"],
+    axis=CHILD, names=("sec", "par"), picks=([0, 1], [0, 1]),
+)
+@example(
+    # the first a ends before the b of document 1 starts, and so does the
+    # a of document 2 by position, which must not be skipped with it
+    texts=["<r><a/><x/><x/><x/><b/></r>", "<r><a><b/></a></r>"],
+    axis=DESCENDANT, names=("a", "b"), picks=([0, 1], [0, 1]),
+)
+def test_stack_join_skips_match_nested_loop(texts, axis, names, picks):
+    docs = [parse_document(text, d) for d, text in enumerate(texts, start=1)]
+
+    def pool(name):
+        return [n.label for doc in docs
+                for n in (doc.nodes if name is None else doc.named(name))]
+
+    p_pool, c_pool = pool(names[0]), pool(names[1])
+    p_labels = [p_pool[k % len(p_pool)] for k in picks[0]] if p_pool else []
+    c_labels = [c_pool[k % len(c_pool)] for k in picks[1]] if c_pool else []
+    parents = [(i % 2, lb) for i, lb in enumerate(p_labels)]
+    children = [(lb, i % 2) for i, lb in enumerate(c_labels)]
+    got = stack_join(axis, parents, 1, children, 0)
+    want = [
+        (prow, crow)
+        for prow in parents
+        for crow in children
+        if axis_holds(axis, prow[1], crow[0])
+    ]
+    assert Counter(got) == Counter(want)
+
+
+def test_deep_path_joins_return_no_more_rows_than_the_answer_needs(monkeypatch):
+    # 40 articles of 3 secs of 2 pars, in two documents; every 7th par
+    # holds the word, so most article-sec pairs lead to no answer
+    pars = iter(f"<par>{'w' if k % 7 == 0 else 'v'} x</par>" for k in range(240))
+    articles = [
+        "<article><title>t</title>"
+        + "".join("<sec>" + next(pars) + next(pars) + "</sec>" for _ in range(3))
+        + "</article>"
+        for _ in range(40)
+    ]
+    docs = [
+        parse_document("<dblp>" + "".join(articles[i : i + 20]) + "</dblp>", d)
+        for d, i in ((1, 0), (2, 20))
+    ]
+    returned = []
+
+    def counted(*args):
+        pairs = stack_join(*args)
+        returned.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(twigjoin, "stack_join", counted)
+    pattern = parse_pattern('//article/sec/par="w"!')
+    bindings = eval_local(pattern, docs)
+    assert len(bindings) == 35
+    assert sum(returned) <= len(pattern.edges) * len(bindings)
+
+
+# pattern shapes for holistic_join, as edge lists (parent, child); over the
+# 4-node path and the node whose child has two children, the fold can start
+# at the root, an interior node or a leaf
+_SHAPES = [
+    [(0, 1)],
+    [(0, 1), (1, 2)],
+    [(0, 1), (0, 2)],
+    [(0, 1), (1, 2), (2, 3)],
+    [(0, 1), (1, 2), (1, 3)],
+]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    axes=st.lists(st.sampled_from([CHILD, DESCENDANT]), min_size=2, max_size=2),
+    axes=st.lists(st.sampled_from([CHILD, DESCENDANT]), min_size=3, max_size=3),
     shape=st.sampled_from(_SHAPES),
     wire=st.booleans(),
     data=st.data(),
