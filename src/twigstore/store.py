@@ -16,7 +16,10 @@ the overlay, then probes that peer's index once).
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+import zlib
 from dataclasses import dataclass, field, replace
 
 from . import planner
@@ -251,7 +254,8 @@ class Store:
 
 # -- snapshot format -------------------------------------------------------------
 
-_MAGIC = b"TWIGSNAP2\n"
+_MAGIC = b"TWIGSNAP3\n"  # crc32 trailer
+_V2_MAGIC = b"TWIGSNAP2\n"  # FNV-1a 64 trailer, still read
 _RETIRED_MAGIC = b"TWIGSNAP1\n"
 
 
@@ -269,6 +273,11 @@ def snapshot(store: Store, path: str) -> None:
     Resources are not written: ``restore`` derives them again from each
     document and the config's ``resource_granularity``.  Nor is the
     config's ``snapshot_path``: a file does not record where it lives.
+
+    The file ends with the CRC-32 (``zlib.crc32``) of everything before
+    it, zero-extended to 8 big-endian bytes.  It is written to
+    ``path + ".tmp"`` and then moved onto ``path``, so a write that fails
+    part way leaves the last snapshot whole and no temporary file behind.
     """
     blob = bytearray(_MAGIC)
     conf = replace(store.config, snapshot_path="").to_text()
@@ -280,11 +289,15 @@ def snapshot(store: Store, path: str) -> None:
         text = "\n".join(triple.text() for triple in store.triples)
         blob += _record(b"TRPL", text.encode("utf-8"))
     blob += _record(b"NSTA", store.stats.report().encode("utf-8"))
-    blob += struct.pack(">Q", fnv1a64(bytes(blob)))
+    blob += struct.pack(">Q", zlib.crc32(blob))
+    tmp = path + ".tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(blob)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise IoFailure(str(exc)) from None
 
 
@@ -296,6 +309,10 @@ def restore(path: str) -> Store:
     the ones the ``NSTA`` record saved.  The store's ``snapshot_path`` is
     ``path``, whatever path an older file recorded.  Doc ids must be
     positive and rising, as ``snapshot`` writes them.
+
+    The file's magic picks its checksum: ``zlib.crc32`` for
+    ``TWIGSNAP3``, FNV-1a 64 for ``TWIGSNAP2`` files, which older versions
+    wrote.  ``TWIGSNAP1`` files are refused.
     """
     try:
         with open(path, "rb") as fh:
@@ -306,10 +323,12 @@ def restore(path: str) -> Store:
         raise CorruptSnapshot(
             "TWIGSNAP1 snapshots are no longer read; re-ingest the documents"
         )
-    if len(blob) < len(_MAGIC) + 8 or not blob.startswith(_MAGIC):
+    magic = blob[: len(_MAGIC)]
+    if len(blob) < len(_MAGIC) + 8 or magic not in (_MAGIC, _V2_MAGIC):
         raise CorruptSnapshot("bad magic or truncated file")
     body, checksum = blob[:-8], struct.unpack(">Q", blob[-8:])[0]
-    if fnv1a64(body) != checksum:
+    check = zlib.crc32 if magic == _MAGIC else fnv1a64
+    if check(body) != checksum:
         raise CorruptSnapshot("checksum mismatch")
 
     records: list[tuple[bytes, bytes]] = []

@@ -1,0 +1,196 @@
+"""Exact simulated costs per query form on a fixed DBLP-shaped corpus.
+
+Every figure here is a count the simulator makes, so it repeats exactly on
+any machine and interpreter.  A change that moves traffic edits these
+values to their new exact figures in the same diff; a change that claims
+to move none leaves them alone.
+
+Per query the pins are messages and bytes, messages and bytes per wire tag
+(the first payload byte, counted by wrapping ``Network.send`` and charged
+as ``NetworkStats.record`` charges them: a message a peer sends itself
+costs no bytes), and the sha256 of the answers and of the placed plan XML.
+Ingest is pinned as messages and bytes per document.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections import defaultdict
+
+import pytest
+
+from twigstore.netsim import Network
+from twigstore.pattern import parse_pattern
+from twigstore.planner import plan_to_xml
+from twigstore.rdfstore import Triple, parse_query_text
+from twigstore.store import Store, StoreConfig
+
+VENUES = ("vldb", "sigmod", "icde", "edbt")
+SURNAMES = ("smith", "chen", "garcia", "kumar", "ito")
+WORDS = ("xml", "peer", "twig", "join", "index", "query", "store", "dht")
+ARTICLES, PER_DOC, PEERS = 24, 6, 8
+
+
+def _words(seed: int, count: int) -> str:
+    return " ".join(WORDS[(seed * 7 + j * 3) % len(WORDS)] for j in range(count))
+
+
+def _article(i: int) -> str:
+    secs = "".join(
+        f"<sec><title>{_words(i + s, 2)}</title><par>{_words(i * 3 + s, 5)}</par></sec>"
+        for s in range(1 + i % 2)
+    )
+    return (
+        f'<article key="k{i}"><title>{_words(i, 3 + i % 3)}</title>'
+        f"<author>ann {SURNAMES[i % len(SURNAMES)]}</author>"
+        f"<year>{1995 + i * 3 % 11}</year><venue>{VENUES[i % len(VENUES)]}</venue>"
+        f"{secs}</article>"
+    )
+
+
+DOCS = [
+    "<dblp>" + "".join(_article(i) for i in range(first, first + PER_DOC)) + "</dblp>"
+    for first in range(0, ARTICLES, PER_DOC)
+]
+TRIPLES = [
+    t
+    for i in range(ARTICLES)
+    for t in (
+        Triple(f"k{i}", "venue", VENUES[i % len(VENUES)]),
+        Triple(f"k{i}", "cites", f"k{i * 5 % ARTICLES}"),
+    )
+]
+
+QUERIES = {
+    "range": "//article[/year in 1998..2001]/title!",
+    "word": '//article[/title="twig"]/year!',
+    "branch": '//article[/author="chen"][/year in 1995..2002]/title!',
+    "deep": '//article/sec/par="dht"!',
+    "root": '/dblp/article[/venue="icde"]/title!',
+    "wildcard": '//article[/*="sigmod"]/title!',
+}
+RDF_QUERY = "SELECT ?a ?v\n?a cites k5\n?a venue ?v\n"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def observed() -> dict[str, dict]:
+    """Ingest the corpus into an 8-peer store, then run every query once;
+    per step, its cost, its traffic per wire tag and what it returned."""
+    per_tag: dict[int, list[int]] = defaultdict(lambda: [0, 0])
+    real_send = Network.send
+
+    def send(net, frm, to, payload):
+        entry = per_tag[payload[0]]
+        entry[0] += 1
+        entry[1] += 0 if frm == to else len(payload)
+        real_send(net, frm, to, payload)
+
+    store = Store(StoreConfig(backend="p2p", peer_count=PEERS,
+                              resource_granularity={"article"}))
+
+    def measure(step) -> dict:
+        per_tag.clear()
+        before = store.stats.copy()
+        result = step()
+        d = store.stats.delta_since(before)
+        tags = {tag: tuple(v) for tag, v in sorted(per_tag.items())}
+        return {"cost": (d.messages_sent, d.bytes_sent), "tags": tags, "result": result}
+
+    out = {}
+    Network.send = send
+    try:
+        for n, text in enumerate(DOCS, 1):
+            out[f"doc{n}"] = measure(lambda: len(store.store_resource(text)))
+        out["rdf_load"] = measure(lambda: store.rdf_load(TRIPLES))
+        for form, text in QUERIES.items():
+            plan = store.build_plan(parse_pattern(text), with_recompose=True)
+            step = measure(lambda: store.query(text).resources)
+            answers = "\n".join(f"{r.resource_id}\t{r.payload}" for r in step["result"])
+            step["result"] = (len(step["result"]), _sha256(answers))
+            step["plan"] = _sha256(plan_to_xml(plan))
+            out[form] = step
+        step = measure(lambda: store.rdf_query(parse_query_text(RDF_QUERY)))
+        rows = step["result"]
+        step["result"] = (len(rows), _sha256("\n".join("\t".join(r) for r in rows)))
+        out["rdf"] = step
+    finally:
+        Network.send = real_send
+    return out
+
+
+# wire tags: 0x01 hash put, 0x02 hash get, 0x03 values (every read's
+# answer), 0x04 range put, 0x10 dataset ship, 0x11 subtree fetch
+INGEST = {
+    "doc1": {"cost": (12, 16723), "result": 7, "tags": {0x01: (11, 16330), 0x04: (1, 393)}},
+    "doc2": {"cost": (11, 15677), "result": 7, "tags": {0x01: (10, 15284), 0x04: (1, 393)}},
+    "doc3": {"cost": (12, 19724), "result": 7, "tags": {0x01: (11, 19331), 0x04: (1, 393)}},
+    "doc4": {"cost": (11, 12844), "result": 7, "tags": {0x01: (10, 12451), 0x04: (1, 393)}},
+    "rdf_load": {"cost": (11, 7106), "result": 48, "tags": {0x01: (11, 7106)}},
+}
+
+# result: (answer count, sha256 of "id<TAB>payload" lines in answer order)
+QUERY_COSTS = {
+    "range": {
+        "cost": (9, 2329),
+        "tags": {0x03: (3, 246), 0x10: (3, 1948), 0x11: (3, 135)},
+        "result": (9, "0c42a7e71ed7f474c091954b476d18c3d383adc0a51a2d71ee6683c418d5456d"),
+        "plan": "37b54b255f012bbbd113b462f480222786659ca069f0904d9301ca5eb623e914",
+    },
+    "word": {
+        "cost": (9, 3103),
+        "tags": {0x03: (3, 204), 0x10: (3, 2716), 0x11: (3, 183)},
+        "result": (12, "c77b80b3895c173694e5d87a5bddd5ff7c0a58ca837631cb9142332c105bbf3f"),
+        "plan": "a4b942d96b8b31c5a645f34fc39990ef34d5bd6c5e9380af926e15a8ed6ab92f",
+    },
+    "branch": {
+        "cost": (8, 3655),
+        "tags": {0x03: (2, 125), 0x10: (4, 3456), 0x11: (2, 74)},
+        "result": (4, "51eb98e2170609bb8ee14b7de853d1ca33a12ee1c7064f4db0fc5eec88d7fe73"),
+        "plan": "7bbc29eac77ad93c8732c5c2a4099c6aede7a4fe407d4eb553621171a15a83a8",
+    },
+    "deep": {
+        "cost": (8, 3262),
+        "tags": {0x03: (3, 647), 0x10: (2, 2320), 0x11: (3, 295)},
+        "result": (21, "cab55155f19877eaea9a583ae6a6f3bced740c35e781aa668bcf598b3071c5f0"),
+        "plan": "ee5fe6bc2e10aed711aef962b6935a9c40e9ac660ab331354831767b92d32649",
+    },
+    "root": {
+        "cost": (10, 3363),
+        "tags": {0x03: (3, 204), 0x10: (4, 3040), 0x11: (3, 119)},
+        "result": (6, "008008eb644d4495dd275f8dcd655e697f322b61ab1f2471bd50e668bff2a8da"),
+        "plan": "bf6b1243a049cc2496ac3d0a6a97dcc266d58159a8aee65fdb2a4da70f6d6648",
+    },
+    "wildcard": {
+        "cost": (8, 2395),
+        "tags": {0x03: (3, 164), 0x10: (2, 2128), 0x11: (3, 103)},
+        "result": (6, "f82eb9921b8a00a35cf97af79b9770084dc16746520dc0cf010595c897a2546a"),
+        "plan": "16edb6b18ee48dcddb454a5fb135cc01a6d7edfe74e5055d8bf794e91abb9b24",
+    },
+    "rdf": {
+        "cost": (9, 978),
+        "tags": {0x02: (6, 126), 0x03: (3, 852)},
+        "result": (1, "425df16dec9baf93ff9c5367a93c269670f84d494017cb821ea1e858627bdf5b"),
+    },
+}
+
+
+@pytest.mark.parametrize("step", sorted(INGEST))
+def test_ingest_cost_per_document(observed, step):
+    assert observed[step] == INGEST[step]
+
+
+@pytest.mark.parametrize("form", list(QUERY_COSTS))
+def test_query_cost_per_form(observed, form):
+    assert observed[form] == QUERY_COSTS[form]
+
+
+def test_traffic_per_tag_adds_up_to_the_stats(observed):
+    # every envelope sent in a step is delivered and charged within it
+    for name, step in observed.items():
+        msgs = sum(m for m, _ in step["tags"].values())
+        byts = sum(b for _, b in step["tags"].values())
+        assert (msgs, byts) == step["cost"], name

@@ -1,3 +1,4 @@
+import errno
 import random
 import struct
 from collections import Counter
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twigstore import planner
+from twigstore import store as store_module
 from twigstore.errors import (
     CorruptSnapshot,
+    IoFailure,
     MalformedInput,
     MalformedXml,
     NotFound,
@@ -452,14 +455,15 @@ def test_snapshot_records_in_order(tmp_path, any_store):
     path = tmp_path / "x.snap"
     snapshot(any_store, str(path))
     blob = path.read_bytes()
-    assert blob.startswith(b"TWIGSNAP2\n")
+    assert blob.startswith(b"TWIGSNAP3\n")
     # all triples share one TRPL record, one per line
     assert _record_tags(blob) == [b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"NSTA"]
     assert b"a\ttype\tDoc\na\tauthor\tb" in blob
 
 
 def test_restore_reads_one_triple_per_record(tmp_path, any_store):
-    # files written before all triples shared one TRPL record
+    # files written before all triples shared one TRPL record, which were
+    # TWIGSNAP2 files with an FNV-1a 64 trailer
     triples = [Triple("a", "type", "Doc"), Triple("a", "author", "b")]
     any_store.store_resource(D1)
     any_store.rdf_load(triples)
@@ -472,7 +476,7 @@ def test_restore_reads_one_triple_per_record(tmp_path, any_store):
         b"TRPL" + struct.pack(">Q", len(raw)) + raw
         for raw in (t.text().encode("utf-8") for t in triples)
     )
-    body = blob[:at] + split + blob[at + 12 + length : -8]
+    body = b"TWIGSNAP2\n" + blob[10:at] + split + blob[at + 12 + length : -8]
     path.write_bytes(body + struct.pack(">Q", fnv1a64(body)))
     again = restore(str(path))
     assert again.triples == triples
@@ -564,6 +568,54 @@ def test_restore_refuses_version_1(tmp_path, any_store):
         restore(str(path))
 
 
+def _as_version_2(blob: bytes) -> bytes:
+    """``blob`` as older versions wrote it: TWIGSNAP2 with an FNV-1a 64
+    trailer."""
+    body = b"TWIGSNAP2\n" + blob[10:-8]
+    return body + struct.pack(">Q", fnv1a64(body))
+
+
+def test_restore_reads_version_2(tmp_path, any_store):
+    any_store.store_resource(D1)
+    any_store.store_resource("<lib><paper><year>2003</year><par>dht</par></paper></lib>")
+    any_store.rdf_load([Triple("a", "type", "Doc")])
+    any_store.query('//par="dht"!')
+    path = tmp_path / "x.snap"
+    snapshot(any_store, str(path))
+    blob = path.read_bytes()
+    old = tmp_path / "old.snap"
+    old.write_bytes(_as_version_2(blob))
+    again, fresh = restore(str(old)), restore(str(path))
+    for store in (again, fresh):
+        assert {i: d.nodes for i, d in store.documents.items()} == {
+            i: d.nodes for i, d in any_store.documents.items()
+        }
+        assert store.triples == any_store.triples
+        assert store.stats_report() == any_store.stats_report()
+    if any_store.config.backend == P2P:
+        assert _overlay_stores(again) == _overlay_stores(fresh) == _overlay_stores(any_store)
+    # the next snapshot of a version-2 file is the current version
+    snapshot(again, str(old))
+    assert old.read_bytes() == blob
+    for q in ('//par="dht"!', "//paper[/year in 2000..2005]!"):
+        assert [(r.resource_id, r.payload) for r in again.query(q).resources] == [
+            (r.resource_id, r.payload) for r in any_store.query(q).resources
+        ]
+
+
+def test_restore_refuses_a_trailer_of_the_other_version(tmp_path, any_store):
+    any_store.store_resource(D1)
+    path = tmp_path / "x.snap"
+    snapshot(any_store, str(path))
+    blob = path.read_bytes()
+    v2 = _as_version_2(blob)
+    # each magic with the other version's checksum of the same body
+    for magic, trailer in ((b"TWIGSNAP3\n", v2[-8:]), (b"TWIGSNAP2\n", blob[-8:])):
+        path.write_bytes(magic + blob[10:-8] + trailer)
+        with pytest.raises(CorruptSnapshot, match="checksum mismatch"):
+            restore(str(path))
+
+
 def test_restore_truncated_file(tmp_path, any_store):
     any_store.store_resource(D1)
     path = str(tmp_path / "x.snap")
@@ -578,11 +630,61 @@ def test_restore_bitflip(tmp_path, any_store):
     any_store.store_resource(D1)
     path = str(tmp_path / "x.snap")
     snapshot(any_store, path)
-    blob = bytearray(Path(path).read_bytes())
+    good = Path(path).read_bytes()
+    blob = bytearray(good)
     blob[len(blob) // 2] ^= 0xFF
     Path(path).write_bytes(bytes(blob))
     with pytest.raises(CorruptSnapshot):
         restore(path)
+    # CRC-32 catches every single-bit error: flip bit i % 8 of byte i, for
+    # every byte of the file, trailer and magic included
+    for i in range(len(good)):
+        blob = bytearray(good)
+        blob[i] ^= 1 << (i % 8)
+        Path(path).write_bytes(bytes(blob))
+        with pytest.raises(CorruptSnapshot):
+            restore(path)
+
+
+def test_failed_snapshot_write_keeps_the_last_good_file(tmp_path, any_store, monkeypatch):
+    # a write that fails part way, as on a full disk, must leave the last
+    # snapshot whole: the CLI keeps all of its state there
+    any_store.store_resource(D1)
+    path = tmp_path / "snaps" / "x.snap"
+    path.parent.mkdir()
+    snapshot(any_store, str(path))
+    good = path.read_bytes()
+    any_store.store_resource("<doc><par>late</par></doc>")
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = open
+
+    def open_full_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(store_module, "open", open_full_disk, raising=False)
+    with pytest.raises(IoFailure, match="No space"):
+        snapshot(any_store, str(path))
+    monkeypatch.undo()
+    assert [p.name for p in path.parent.iterdir()] == ["x.snap"]
+    assert path.read_bytes() == good
+    again = restore(str(path))
+    assert sorted(again.documents) == [1]
+    assert again.get_resource("1#6").payload == "<par>xml</par>"
 
 
 def test_restored_p2p_store_reproduces_stats(tmp_path):
