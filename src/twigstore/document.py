@@ -62,15 +62,34 @@ class Node:
         return self.name_or_value
 
 
+class Rows(list):
+    """One-label rows ``(label,)`` in label order: a name's nodes as the
+    structural-join kernel reads them.
+
+    ``reach`` is the kernel's skip index over these rows, None until
+    ``twigjoin.stack_join`` first skips parents in them; it is kept here,
+    with the rows it indexes, so a document's cached rows build it once.
+    """
+
+    __slots__ = ("reach",)
+
+    def __init__(self, rows: Iterable[tuple[StructuralId]]):
+        super().__init__(rows)
+        self.reach: list[tuple[int, int]] | None = None
+
+
 @dataclass(slots=True)
 class Document:
-    """Parsed XML document; immutable after construction, apart from the
-    name, word and value postings that ``named``, ``with_word`` and
-    ``in_range`` build on first use.
+    """Parsed XML document; immutable after construction, apart from what
+    its query methods build on first use: the name, word and value postings
+    of ``named``, ``with_word`` and ``in_range``, the one-label join rows of
+    ``rows``, one ``Rows`` per name, and each such list's skip index, which
+    the join kernel builds on its first skip over it.
 
     ``nodes`` is in document (start) order, with the root first.  Each
-    postings structure is built in one pass over ``nodes`` and never
-    persisted, so parsing (every ingest and restore) pays for none of them.
+    postings structure is built in one pass over ``nodes``, each name's
+    rows in one pass over its postings, and none of them is persisted, so
+    parsing (every ingest and restore) pays for none of them.
     """
 
     doc_id: int
@@ -83,6 +102,7 @@ class Document:
     _by_word: dict[str, dict[str, tuple[Node, ...]]] | None = None
     # name -> (integer texts in ascending order, the node holding each)
     _by_value: dict[str, tuple[list[int], list[Node]]] | None = None
+    _rows: dict[str | None, Rows] = field(default_factory=dict)  # None: every name
 
     def finish(self) -> None:
         self.root = self.nodes[0]
@@ -113,6 +133,14 @@ class Document:
         if name is None and None not in self._by_name:
             self._by_name[None] = [node for node in self.nodes if node.kind != TEXT]
         return self._by_name.get(name, [])
+
+    def rows(self, name: str | None) -> Rows:
+        """``named(name)`` as the join kernel's one-label rows, in label
+        order; built on the first call for ``name`` and kept."""
+        rows = self._rows.get(name)
+        if rows is None:
+            rows = self._rows[name] = Rows((node.label,) for node in self.named(name))
+        return rows
 
     def with_word(self, name: str | None, word: str) -> Sequence[Node]:
         """The nodes called ``name`` (any name for None) whose text children

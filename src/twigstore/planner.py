@@ -50,7 +50,7 @@ from .indexing import (
 from .netsim import Envelope, Network, NetworkStats, PeerId
 from .overlay import DhtService, values_response
 from .pattern import CHILD, TreePattern, bfs_edges
-from .twigjoin import Binding, sort_bindings, stack_join
+from .twigjoin import Binding, in_join_order, sort_bindings, stack_join
 
 DESC_FANOUT = 4  # ancestor multiplicity assumed for descendant-axis joins
 PAYLOAD_ESTIMATE = 256  # assumed serialized bytes per recomposed resource
@@ -553,6 +553,10 @@ def place(
 
 @dataclass
 class Dataset:
+    """Rows of labels, one column per pattern node in ``cols``, held at
+    ``site``.  Every operator emits its rows in ascending order, so a
+    dataset is in its first column's label order."""
+
     cols: tuple[int, ...]
     rows: list[tuple[StructuralId, ...]]
     site: PeerId
@@ -728,9 +732,11 @@ def _run_join(plan: Plan, ctx: ExecutionContext) -> Dataset:
         p_ds, c_ds = left, right
     else:
         p_ds, c_ds = right, left
+    p_col = p_ds.cols.index(plan.parent_var)
+    c_col = c_ds.cols.index(plan.child_var)
     pairs = stack_join(
-        plan.axis, p_ds.rows, p_ds.cols.index(plan.parent_var),
-        c_ds.rows, c_ds.cols.index(plan.child_var),
+        plan.axis, in_join_order(p_ds.rows, p_col), p_col,
+        in_join_order(c_ds.rows, c_col), c_col,
     )
     if p_ds is left:
         out_rows = [prow + crow for prow, crow in pairs]

@@ -1,17 +1,23 @@
 """Tree-pattern evaluation over one stack-based structural-join kernel.
 
 ``stack_join`` is the only structural join: Stack-Tree-Desc (Al-Khalifa
-et al., ICDE 2002) over two row lists sorted by their join column's
-(doc, start), with a stack of open ancestors, made output-sensitive by
-bisecting past the rows that cannot join whenever the stack is empty
-(Chien et al., VLDB 2002).  The planner's StructJoin operator calls it
+et al., ICDE 2002) over two row lists already in their join column's
+(doc, start) order, with a stack of open ancestors, made output-sensitive
+by bisecting past the rows that cannot join whenever the stack is empty
+(Chien et al., VLDB 2002).  It sorts nothing: its callers sort an input
+only through ``in_join_order``, and only when it is in another column's
+order.  The planner's StructJoin operator calls it
 directly; that is the p2p backend's only tree-pattern path.
+
 ``holistic_join`` folds it over a pattern's edges for ``eval_local`` (the
-centralized backend), starting from the most selective candidate list,
-which ``eval_local`` looks up in each in-memory document's name, word and
-value postings, the per-tag element streams the stack joins assume (Zhang
-et al., SIGMOD 2001, feed inverted word lists to the join the same way).
-Results are bindings; no payloads move until recomposition.
+centralized backend), starting at the edge whose join can emit the fewest
+rows.  Its inputs are per-document one-label rows: a predicate-free node's
+are the document's own ``Rows``, built once per name and kept with their
+skip index; a predicated node's come from the document's word and value
+postings, the per-tag element streams the stack joins assume (Zhang et
+al., SIGMOD 2001, feed inverted word lists to the join the same way).  So
+a query pays for what it joins, not for copying or sorting candidate
+lists.  Results are bindings; no payloads move until recomposition.
 
 ``eval_naive`` scans every node of every document for every pattern node,
 checks its name and predicates against the text (``_node_matches``), and
@@ -34,6 +40,7 @@ from .document import (
     ELEMENT,
     Document,
     Node,
+    Rows,
     StructuralId,
     is_ancestor,
     is_parent,
@@ -43,6 +50,7 @@ from .document import (
 from .pattern import CHILD, PNode, TreePattern, bfs_edges
 
 Binding = tuple[StructuralId, ...]
+Row = tuple[StructuralId, ...]
 
 
 def axis_holds(axis: str, parent: StructuralId, child: StructuralId) -> bool:
@@ -95,33 +103,25 @@ def _all_nodes(doc: Document, pnode: PNode) -> list[Node]:
     return [node for node in doc.nodes if _node_matches(doc, node, pnode)]
 
 
-def _named_nodes(doc: Document, pnode: PNode) -> Sequence[Node]:
-    """The nodes of ``doc`` that match ``pnode``, in document order, read
-    from the document's word, value or name postings without checking any
-    text.  A wildcard takes every name's; a pattern node carries at most
-    one value predicate, so one postings list answers it."""
+def _candidate_rows(doc: Document, pnode: PNode, root_only: bool) -> Sequence[Row]:
+    """The one-label rows of the nodes of ``doc`` that match ``pnode``, in
+    label order, read from the document's postings without checking any
+    text.  A predicate-free node's are the document's cached ``rows``; a
+    word- or range-predicated node's are made from the nodes its word or
+    value postings hold.  A wildcard takes every name's; a pattern node
+    carries at most one value predicate, so one postings list answers it.
+    ``root_only`` keeps the document root, the one node at depth 1 and the
+    first in label order."""
     name = None if pnode.is_wildcard else pnode.name
     if pnode.word is not None:
-        return doc.with_word(name, pnode.word)
-    if pnode.has_range:
-        return doc.in_range(name, pnode.lo, pnode.hi)
-    return doc.named(name)
-
-
-def _doc_candidates(
-    pattern: TreePattern,
-    doc: Document,
-    matches: Callable[[Document, PNode], Sequence[Node]],
-) -> list[list[StructuralId]]:
-    """One candidate list per pattern node: the labels of ``matches(doc,
-    pnode)``, in document order."""
-    cands: list[list[StructuralId]] = []
-    for pnode in pattern.nodes:
-        labels = [node.label for node in matches(doc, pnode)]
-        if pnode.idx == 0 and pattern.root_axis == CHILD:
-            labels = [lb for lb in labels if lb.depth == 1]
-        cands.append(labels)
-    return cands
+        rows = [(node.label,) for node in doc.with_word(name, pnode.word)]
+    elif pnode.has_range:
+        rows = [(node.label,) for node in doc.in_range(name, pnode.lo, pnode.hi)]
+    else:
+        rows = doc.rows(name)
+    if root_only:
+        return rows[:1] if rows and rows[0][0].depth == 1 else []
+    return rows
 
 
 def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
@@ -130,7 +130,10 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     results: list[Binding] = []
 
     for doc in docs:
-        cands = _doc_candidates(pattern, doc, _all_nodes)
+        cands = [[node.label for node in _all_nodes(doc, pnode)]
+                 for pnode in pattern.nodes]
+        if pattern.root_axis == CHILD:
+            cands[0] = [lb for lb in cands[0] if lb.depth == 1]
         if any(not c for c in cands):
             continue
         bound: list[StructuralId | None] = [None] * len(pattern.nodes)
@@ -155,15 +158,18 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
 def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     """The centralized backend's evaluator; equals eval_naive.
 
-    Each pattern node's candidates are looked up in the document's
+    Each pattern node's candidate rows are looked up in the document's
     postings: a word-predicated node's in ``Document.with_word``, a
     range-predicated node's in ``Document.in_range`` and any other node's
-    in ``Document.named``; a wildcard merges every name's.  No text is
-    split or parsed at query time once a document's postings are built.
+    are the document's ``Document.rows``; a wildcard merges every name's.
+    No text is split or parsed, and no name's labels are copied, at query
+    time once a document's postings and rows are built.
     """
     bindings: list[Binding] = []
+    root_only = pattern.root_axis == CHILD
     for doc in docs:
-        cands = _doc_candidates(pattern, doc, _named_nodes)
+        cands = [_candidate_rows(doc, pnode, root_only and pnode.idx == 0)
+                 for pnode in pattern.nodes]
         bindings.extend(holistic_join(pattern, cands))
     return sort_bindings(pattern, bindings)
 
@@ -198,54 +204,106 @@ class QueryCache:
 # -- structural join -------------------------------------------------------
 
 
-def holistic_join(
-    pattern: TreePattern, cands: list[list[StructuralId]]
-) -> list[Binding]:
-    """Join candidate lists over the pattern's edges (unsorted bindings);
-    ``eval_local`` calls it once per document.
+def _edge_bound(cands: list[Sequence[Row]], edge: tuple[int, int, str]) -> int:
+    """The most rows an edge's join can emit over candidate lists that hold
+    each label once: one per child candidate on the child axis, whose
+    child has one parent, and one per candidate pair on the descendant
+    axis."""
+    p, c, axis = edge
+    if axis == CHILD:
+        return len(cands[c])
+    return len(cands[p]) * len(cands[c])
 
-    The fold starts at the pattern node with the fewest candidates, then
-    joins, one ``stack_join`` at a time, the edge out of the bound nodes
-    whose unbound end has the fewest candidates (ties in pattern order),
-    so the most selective lists bound the rows every later join steps
-    through (join order by selectivity: Wu, Patel, Jagadish, ICDE 2003).
-    The bound rows are the parent side of an edge to a child and the child
-    side of an edge to a parent.  Duplicate candidate rows all survive.
+
+def holistic_join(pattern: TreePattern, cands: list[Sequence[Row]]) -> list[Binding]:
+    """Join each pattern node's one-label candidate rows, each list in label
+    order, over the pattern's edges (unsorted bindings); ``eval_local``
+    calls it once per document.
+
+    The fold starts at the edge whose output bound (``_edge_bound``) is
+    smallest, so ``/dblp/article[/venue="w"]/title!`` first joins the few
+    ``venue``s to their ``article``s rather than every ``article`` to
+    ``dblp``.  It then joins, one ``stack_join`` at a time, the edge out of
+    the bound nodes whose unbound end has the fewest candidates (ties in
+    pattern order), so the most selective lists bound the rows every later
+    join steps through (join order by selectivity: Wu, Patel, Jagadish,
+    ICDE 2003).  The bound rows are the parent side of an edge to a child
+    and the child side of an edge to a parent.  The kernel emits them in
+    the child column's label order, so they are sorted again only when the
+    next join reads another column.  Duplicate candidate rows all survive.
     """
     if any(not c for c in cands):
         return []
-    first = min(range(len(cands)), key=lambda k: len(cands[k]))
-    slot = {first: 0}  # pattern node -> its column in ``rows``
-    rows: list[tuple[StructuralId, ...]] = [(lb,) for lb in cands[first]]
     edges = list(pattern.edges)
-    while edges:
+    if not edges:
+        return list(cands[0])
+    edge = min(edges, key=lambda e: _edge_bound(cands, e))
+    slot = {edge[0]: 0}  # pattern node -> its column in ``rows``
+    rows, order = cands[edge[0]], 0  # ``rows`` is in column ``order``'s label order
+    while True:
+        edges.remove(edge)
+        p, c, axis = edge
+        if p in slot:
+            col = slot[p]
+            pairs = stack_join(axis, in_join_order(rows, col, order), col, cands[c], 0)
+            rows = [prow + crow for prow, crow in pairs]
+            slot[c] = order = len(slot)
+        else:
+            col = slot[c]
+            pairs = stack_join(axis, cands[p], 0, in_join_order(rows, col, order), col)
+            rows = [crow + prow for prow, crow in pairs]
+            slot[p] = len(slot)
+            order = col
+        if not rows:
+            return []
+        if not edges:
+            break
         edge = min(
             (e for e in edges if (e[0] in slot) != (e[1] in slot)),
             key=lambda e: len(cands[e[1] if e[0] in slot else e[0]]),
         )
-        edges.remove(edge)
-        p, c, axis = edge
-        if p in slot:
-            pairs = stack_join(axis, rows, slot[p], [(lb,) for lb in cands[c]], 0)
-            rows = [prow + crow for prow, crow in pairs]
-            slot[c] = len(slot)
-        else:
-            pairs = stack_join(axis, [(lb,) for lb in cands[p]], 0, rows, slot[c])
-            rows = [crow + prow for prow, crow in pairs]
-            slot[p] = len(slot)
-        if not rows:
-            return []
-    return [tuple(row[slot[i]] for i in range(len(slot))) for row in rows]
+    return list(map(itemgetter(*[slot[i] for i in range(len(slot))]), rows))
+
+
+def in_join_order(rows: Sequence[Row], col: int, order: int = 0) -> Sequence[Row]:
+    """``rows``, which are in column ``order``'s label order, in column
+    ``col``'s: sorted (stably) only when the columns differ.  Callers of
+    ``stack_join`` sort an input only through this, so rows already in
+    join order are never sorted again."""
+    return rows if col == order else sorted(rows, key=itemgetter(col))
+
+
+def _skip_index(
+    rows: Sequence[Row], by_p: Callable[[Row], StructuralId]
+) -> list[tuple[int, int]]:
+    """The prefix maximum of the rows' (doc, end), which ``stack_join``
+    bisects to skip the parents that end before a child starts.  It is the
+    (doc, end) list as is when that is ascending; where a name nests in
+    itself (``sec`` in ``sec``) the running maximum keeps an outer parent
+    findable after a parent nested in it ends.  A ``Rows`` list keeps its
+    index, so a document's cached rows build it once."""
+    reach = getattr(rows, "reach", None)
+    if reach is None:
+        reach = list(map(itemgetter(0, 2), map(by_p, rows)))
+        if reach != sorted(reach):
+            reach = list(accumulate(reach, max))
+        if type(rows) is Rows:
+            rows.reach = reach
+    return reach
 
 
 def stack_join(
     axis: str,
-    parents: list[tuple[StructuralId, ...]],
+    parents: Sequence[Row],
     p_col: int,
-    children: list[tuple[StructuralId, ...]],
+    children: Sequence[Row],
     c_col: int,
-) -> list[tuple[tuple[StructuralId, ...], tuple[StructuralId, ...]]]:
+) -> list[tuple[Row, Row]]:
     """Every (parent row, child row) whose labels satisfy ``axis``.
+
+    Both lists must already be in their join column's label order (callers
+    sort through ``in_join_order``); the kernel sorts nothing.  The
+    pairs come out in the child column's label order.
 
     Stack-Tree-Desc: both lists are merged in label order while a stack
     holds the open parent labels, the parents that contain the current
@@ -253,23 +311,20 @@ def stack_join(
     entry).  A child is joined before any parent at its own start is
     pushed: a node is not its own ancestor.  Labels must come from parsed
     documents, whose intervals nest and whose label order is (doc, start)
-    order; the sorts are stable, so rows with one label keep their input
     order.  Labels are read by position (doc, start, end, depth), which is
     faster than by field name.
 
     The merge is output-sensitive (Chien et al., VLDB 2002): whenever no
     parent is open, it bisects past the children that start before the
     next parent, or past the parents that end before the child starts.
-    The second bisect reads a prefix maximum of the parents' (doc, end),
-    built on the first such skip, so an outer parent (``sec`` around
-    ``sec``) is found even when a parent nested in it ends earlier.
+    The second bisect reads the parents' ``_skip_index``, taken on the
+    first such skip, from the list itself when it is a document's cached
+    ``Rows``.
     """
     by_p, by_c = itemgetter(p_col), itemgetter(c_col)
-    parents = sorted(parents, key=by_p)
-    children = sorted(children, key=by_c)
     n_p, n_c = len(parents), len(children)
     reach: list[tuple[int, int]] | None = None
-    stack: list[tuple[StructuralId, list[tuple[StructuralId, ...]]]] = []
+    stack: list[tuple[StructuralId, list[Row]]] = []
     out = []
     i = j = 0
     while j < n_c:
@@ -290,9 +345,7 @@ def stack_join(
                 continue
             if p[0] != doc or p[2] < start:
                 if reach is None:
-                    reach = list(map(itemgetter(0, 2), map(by_p, parents)))
-                    if reach != sorted(reach):  # a name nested in itself
-                        reach = list(accumulate(reach, max))
+                    reach = _skip_index(parents, by_p)
                 i = bisect_left(reach, (doc, start), i + 1)
         while i < n_p:
             prow = parents[i]

@@ -18,6 +18,9 @@ from twigstore.document import (
     serialize_subtree,
 )
 from twigstore.errors import EmptyInput, MalformedXml, UnknownNode
+from twigstore.pattern import DESCENDANT
+from twigstore.store import Store, StoreConfig, restore, snapshot
+from twigstore.twigjoin import stack_join
 
 from helpers import random_document_text
 
@@ -63,10 +66,11 @@ def test_attributes_are_child_nodes():
     assert attr.label.start == attr.label.end
 
 
-def test_name_postings_hold_elements_and_attributes_only():
+def test_name_postings_hold_elements_and_attributes_only(tmp_path):
     # text "a" and the attribute value "b" look like names but are not
     doc = parse_document('<a id="b"><b>a</b>a<a/></a>', 1)
-    assert doc._by_name is None  # parsing never builds the postings
+    # parsing builds neither the postings nor the join rows
+    assert doc._by_name is None and doc._rows == {}
     assert [(n.kind, n.label.start) for n in doc.named("a")] == [
         (ELEMENT, 1), (ELEMENT, 7)
     ]
@@ -77,6 +81,26 @@ def test_name_postings_hold_elements_and_attributes_only():
     every = doc.named(None)
     assert every == [n for n in doc.nodes if n.kind != TEXT]
     assert doc.named(None) is every
+
+    # a name's join rows are its postings' labels, built once per name; a
+    # restored store's documents hold neither postings nor rows
+    central = Store(StoreConfig(resource_granularity={"a"}))
+    central.store_resource("<r><a/><a><b/></a></r>")
+    snapshot(central, str(tmp_path / "s.snap"))
+    (doc,) = restore(str(tmp_path / "s.snap")).documents.values()
+    assert doc._by_name is None and doc._rows == {}
+    rows = doc.rows("a")
+    assert rows == [(n.label,) for n in doc.named("a")] and len(rows) == 2
+    assert doc.rows("a") is rows and list(doc._rows) == ["a"]
+    # the skip index is built by the first join that skips a parent, the
+    # empty a that ends before the b starts, and kept with the rows
+    assert rows.reach is None
+    b_rows = doc.rows("b")
+    assert stack_join(DESCENDANT, rows, 0, b_rows, 0) == [(rows[1], b_rows[0])]
+    reach = rows.reach
+    assert reach == [(1, 3), (1, 7)]
+    stack_join(DESCENDANT, rows, 0, b_rows, 0)
+    assert rows.reach is reach and doc.rows("a") is rows
 
 
 def test_word_and_value_postings_read_text_children_only():

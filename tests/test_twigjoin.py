@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,9 +74,10 @@ def test_stack_join_matches_nested_loop(seed, axis, data):
     p_labels = data.draw(st.lists(labels, max_size=30))
     # children reuse parent labels, as in //*//a: a node is not its own ancestor
     c_labels = data.draw(st.lists(labels, max_size=30)) + p_labels[::2]
-    # the marker column repeats, so equal rows occur and must all be kept
-    parents = [(i % 2, lb) for i, lb in enumerate(p_labels)]
-    children = [(lb, i % 2) for i, lb in enumerate(c_labels)]
+    # the marker column repeats, so equal rows occur and must all be kept;
+    # the kernel takes each list in its join column's label order
+    parents = sorted([(i % 2, lb) for i, lb in enumerate(p_labels)], key=itemgetter(1))
+    children = sorted([(lb, i % 2) for i, lb in enumerate(c_labels)], key=itemgetter(0))
     got = stack_join(axis, parents, 1, children, 0)
     want = [
         (prow, crow)
@@ -130,8 +132,8 @@ def test_stack_join_skips_match_nested_loop(texts, axis, names, picks):
     p_pool, c_pool = pool(names[0]), pool(names[1])
     p_labels = [p_pool[k % len(p_pool)] for k in picks[0]] if p_pool else []
     c_labels = [c_pool[k % len(c_pool)] for k in picks[1]] if c_pool else []
-    parents = [(i % 2, lb) for i, lb in enumerate(p_labels)]
-    children = [(lb, i % 2) for i, lb in enumerate(c_labels)]
+    parents = sorted([(i % 2, lb) for i, lb in enumerate(p_labels)], key=itemgetter(1))
+    children = sorted([(lb, i % 2) for i, lb in enumerate(c_labels)], key=itemgetter(0))
     got = stack_join(axis, parents, 1, children, 0)
     want = [
         (prow, crow)
@@ -167,6 +169,32 @@ def test_deep_path_joins_return_no_more_rows_than_the_answer_needs(monkeypatch):
     pattern = parse_pattern('//article/sec/par="w"!')
     bindings = eval_local(pattern, docs)
     assert len(bindings) == 35
+    assert sum(returned) <= len(pattern.edges) * len(bindings)
+
+
+def test_root_anchored_joins_return_no_more_rows_than_the_answer_needs(monkeypatch):
+    # 40 articles in two documents; every 8th carries the venue, so most
+    # of the articles under dblp lead to no answer
+    articles = [
+        f"<article><title>t{k}</title><venue>{'v' if k % 8 else 'w'}</venue>"
+        "</article>"
+        for k in range(40)
+    ]
+    docs = [
+        parse_document("<dblp>" + "".join(articles[i : i + 20]) + "</dblp>", d)
+        for d, i in ((1, 0), (2, 20))
+    ]
+    returned = []
+
+    def counted(*args):
+        pairs = stack_join(*args)
+        returned.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(twigjoin, "stack_join", counted)
+    pattern = parse_pattern('/dblp/article[/venue="w"]/title!')
+    bindings = eval_local(pattern, docs)
+    assert len(bindings) == 5
     assert sum(returned) <= len(pattern.edges) * len(bindings)
 
 
@@ -209,15 +237,16 @@ def test_joins_match_nested_loop_on_multi_document_labels(
     pattern = TreePattern(nodes=[PNode(i, "*") for i in range(len(cands))],
                           edges=edges)
 
-    got = stack_join(axes[0], [(lb,) for lb in cands[0]], 0,
-                     [(lb,) for lb in cands[1]], 0)
+    # both joins take one-label rows in label order
+    rows = [[(lb,) for lb in sorted(c)] for c in cands]
+    got = stack_join(axes[0], rows[0], 0, rows[1], 0)
     want = [((p,), (c,)) for p in cands[0] for c in cands[1]
             if axis_holds(axes[0], p, c)]
     assert Counter(got) == Counter(want)
 
     want = [b for b in product(*cands)
             if all(axis_holds(axis, b[p], b[c]) for p, c, axis in edges)]
-    assert Counter(holistic_join(pattern, cands)) == Counter(want)
+    assert Counter(holistic_join(pattern, rows)) == Counter(want)
 
 
 def store_with(docs, peer_count=4):
@@ -232,6 +261,19 @@ def test_distributed_matches_naive_on_example():
     pattern = parse_pattern("//sec!")
     want = eval_naive(pattern, list(store.documents.values()))
     assert planner_bindings(store, pattern) == want
+
+
+def test_planner_join_sorts_rows_it_reads_on_a_later_column():
+    # the (a, b) rows are in a's order, so the b column reads b1, b2, b1
+    # (the inner a holds b1 too); joining c to b must sort them by b first
+    doc = parse_document("<r><a><a><b><c/></b></a><b><c/></b></a></r>", 1)
+    store = store_with([doc])
+    docs = list(store.documents.values())
+    for text in ("//a//b/c!", "//a[//b/c]!"):
+        pattern = parse_pattern(text)
+        want = eval_naive(pattern, docs)
+        assert len(want) == 3
+        assert planner_bindings(store, pattern) == want, text
 
 
 def test_index_write_invalidates_cache():
@@ -356,3 +398,54 @@ def test_local_candidates_from_postings_match_naive(texts, patterns):
     for text in patterns:
         pattern = parse_pattern(text)
         assert eval_local(pattern, docs) == eval_naive(pattern, docs), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(local_element(), min_size=1, max_size=3),
+    patterns=st.lists(local_pattern(), min_size=1, max_size=4),
+)
+# sec nests in sec: the cached skip index of the secs must keep the outer
+# sec findable after the inner one ends, cold and warm
+@example(
+    texts=[("<lib><sec><sec><par>x</par></sec><par>x</par><par>y</par></sec>"
+            "<sec><par>x</par></sec></lib>", "")],
+    patterns=['//sec//par="x"!', "//sec/par!", '/lib//sec[/par="y"]//par!', "//*/par!"],
+)
+# the join of the few pars leaves the bound rows in par order, so the
+# inner s comes before the outer one; the join to t reads the s column
+# from the parent side and must sort them first
+@example(
+    texts=[("<r><s><s><p>x</p><t/><t/></s><p>x</p><t/><t/></s></r>", "")],
+    patterns=['//s[/p="x"]/t!'],
+)
+# the same after a child-side join: joining g to s leaves the inner g
+# before the outer one, and the join to t reads the g column
+@example(
+    texts=[("<r><g><g><s><p>x</p></s><s/><t/><t/></g>"
+            "<s><p>x</p></s><s/><t/><t/></g></r>", "")],
+    patterns=['//g[/s/p="x"]/t!', '/r/g[/s/p="x"]/t!'],
+)
+# the join of the pars leaves the inner s, inside a g inside the outer s,
+# before the outer one; the join to g reads the s column from the child
+# side and must sort them first
+@example(
+    texts=[("<r><g><s><g><s><p>x</p></s></g><p>x</p></s><s/></g></r>", "")],
+    patterns=['//g/s/p="x"!'],
+)
+def test_warm_document_rows_answer_as_cold_ones(texts, patterns):
+    # one centralized store answers each pattern twice: the first time
+    # builds the rows and skip indexes its names need, the second reuses them
+    store = Store(StoreConfig(backend="centralized"))
+    for text, _ in texts:
+        store.store_resource(text)
+    docs = list(store.documents.values())
+    for text in patterns:
+        pattern = parse_pattern(text)
+        want = eval_naive(pattern, docs)
+        labels = sorted({b[i] for b in want for i in pattern.return_nodes})
+        for _ in range(2):
+            assert eval_local(pattern, docs) == want, text
+            if not pattern.all_wildcard:
+                got = store.query(text).resources
+                assert [r.root_label for r in got] == labels, text
