@@ -9,7 +9,8 @@ Per query the pins are messages and bytes, messages and bytes per wire tag
 (the first payload byte, counted by wrapping ``Network.send`` and charged
 as ``NetworkStats.record`` charges them: a message a peer sends itself
 costs no bytes), and the sha256 of the answers and of the placed plan XML.
-Ingest is pinned as messages and bytes per document.
+Ingest is pinned as messages and bytes per document, and each backend's
+snapshot of the whole corpus by the sha256 of its bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from twigstore.netsim import Network
 from twigstore.pattern import parse_pattern
 from twigstore.planner import plan_to_xml
 from twigstore.rdfstore import Triple, parse_query_text
-from twigstore.store import Store, StoreConfig
+from twigstore.store import Store, StoreConfig, restore, snapshot
 
 VENUES = ("vldb", "sigmod", "icde", "edbt")
 SURNAMES = ("smith", "chen", "garcia", "kumar", "ito")
@@ -194,3 +195,29 @@ def test_traffic_per_tag_adds_up_to_the_stats(observed):
         msgs = sum(m for m, _ in step["tags"].values())
         byts = sum(b for _, b in step["tags"].values())
         assert (msgs, byts) == step["cost"], name
+
+
+# sha256 of each backend's snapshot after the corpus, the triples and one
+# run of every query form; the p2p file holds that traffic in its stats
+SNAPSHOT_SHA256 = {
+    "centralized": "0c9fed8d38391266d57be18ba0e994d5cd1980e1933385b85053dfeecbe74a9a",
+    "p2p": "2b954c004a68eae5f9699cea00a75812bdcc116b6343aa633239e5645af84c3b",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(SNAPSHOT_SHA256))
+def test_snapshot_bytes(tmp_path, backend):
+    store = Store(StoreConfig(backend=backend, peer_count=PEERS,
+                              resource_granularity={"article"}))
+    for text in DOCS:
+        store.store_resource(text)
+    store.rdf_load(TRIPLES)
+    for text in QUERIES.values():
+        store.query(text)
+    path = tmp_path / "store.snap"
+    snapshot(store, str(path))
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == SNAPSHOT_SHA256[backend]
+    # a restored store writes the same bytes again
+    snapshot(restore(str(path)), str(path))
+    assert path.read_bytes() == blob
