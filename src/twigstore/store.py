@@ -93,7 +93,8 @@ class StoreConfig:
             elif key == "peer_count":
                 config.peer_count = _parse_int(lineno, value)
             elif key == "resource_granularity":
-                config.resource_granularity = set(filter(None, value.split(",")))
+                names = (name.strip() for name in value.split(","))
+                config.resource_granularity = set(filter(None, names))
             elif key == "snapshot_path":
                 config.snapshot_path = value
             elif key in ("overlays", "seed"):

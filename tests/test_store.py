@@ -830,3 +830,13 @@ def test_config_round_trip_and_validation():
         StoreConfig.from_text("nonsense\n")
     with pytest.raises(ValueError):
         StoreConfig.from_text("backend=p2p\npeer_count=0\n")
+
+
+@pytest.mark.parametrize("line", ["article, sec", " article ,sec ", "article,,sec,"])
+def test_config_granularity_names_are_stripped(line):
+    # a space after the comma once made the name " sec", which no element has
+    cfg = StoreConfig.from_text(f"resource_granularity={line}\n")
+    assert cfg.resource_granularity == {"article", "sec"}
+    store = Store(cfg)
+    ids = store.store_resource("<article><sec><par>x</par></sec><sec/></article>")
+    assert ids == ["1#1", "1#2", "1#7"]
