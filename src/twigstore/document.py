@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from sys import intern
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -84,7 +85,10 @@ class Document:
     its query methods build on first use: the name, word and value postings
     of ``named``, ``with_word`` and ``in_range``, the one-label join rows of
     ``rows``, one ``Rows`` per name, and each such list's skip index, which
-    the join kernel builds on its first skip over it.
+    the join kernel builds on its first skip over it.  Serialization keeps
+    the canonical ``text`` and its offset table ``spans``, one ``array`` of
+    character offsets by label position (see ``_kept``), which resource
+    extraction builds at ingest and restore.
 
     ``nodes`` is in document (start) order, with the root first.  Each
     postings structure is built in one pass over ``nodes``, each name's
@@ -103,6 +107,8 @@ class Document:
     # name -> (integer texts in ascending order, the node holding each)
     _by_value: dict[str, tuple[list[int], list[Node]]] | None = None
     _rows: dict[str | None, Rows] = field(default_factory=dict)  # None: every name
+    text: str | None = None
+    spans: array | None = None
 
     def finish(self) -> None:
         self.root = self.nodes[0]
@@ -340,66 +346,76 @@ def serialize_subtree(doc: Document, root_label: StructuralId) -> str:
 
     No XML declaration, attributes in document order, no added whitespace;
     childless elements serialize self-closed.  Only element nodes are
-    addressable.
+    addressable.  The text is a slice of the document's kept text.
     """
     node = doc.node_at(root_label)
     if node.kind != ELEMENT:
         raise UnknownNode(f"label {root_label} is not an element node")
-    out: list[str] = []
-    _write(doc, node, out)
-    return "".join(out)
+    text, spans = _kept(doc)
+    return text[spans[root_label.start - 1] : spans[root_label.end]]
 
 
-def _write(
-    doc: Document,
-    node: Node,
-    out: list[str],
-    cut: set[str] | frozenset[str] = frozenset(),
-    marks: list[list] | None = None,
-) -> None:
-    """Append ``node``'s text to ``out`` in parts.
+def _kept(doc: Document) -> tuple[str, array]:
+    """The document's canonical text and its offset table, built by one
+    ``_write`` of the root on first use and kept.
 
-    Each element named in ``cut`` appends ``[node, first part, end part]``
-    to ``marks`` in document order, so its text is ``out[first:end]``.
+    ``_write`` appends one part per label position, so ``spans[p]`` is the
+    text's length up to the end of position ``p``'s part, and an element
+    labeled ``(start, end)`` is ``text[spans[start - 1] : spans[end]]``.
     """
-    mark = None
-    if node.name in cut:
-        mark = [node, len(out), 0]
-        marks.append(mark)  # type: ignore[union-attr]
-    attrs = []
-    content = []
-    for child in doc.children(node):
-        if child.kind == ATTRIBUTE:
-            attrs.append(child)
+    if doc.text is None:
+        out: list[str] = []
+        _write(doc, doc.root, out)
+        doc.spans = array("q", accumulate(map(len, out), initial=0))
+        doc.text = "".join(out)
+    return doc.text, doc.spans  # type: ignore[return-value]
+
+
+def _write(doc: Document, node: Node, out: list[str]) -> None:
+    """Append ``node``'s canonical text to ``out``, one part per label
+    position in its interval: the start tag with its attributes at its
+    start, an empty part at each attribute, each text node's escaped text
+    at its own and the end tag at its end (empty when it self-closes).
+
+    A document's attribute nodes come before its other children.
+    """
+    kids = doc._children.get(node.label.start, ())
+    n = 0
+    tag = "<" + node.name_or_value
+    for kid in kids:
+        if kid.kind != ATTRIBUTE:
+            break
+        n += 1
+        tag += f' {kid.name_or_value[1:]}="{_escape(kid.attr_value, _ATTR_ESCAPES)}"'
+    if n == len(kids):
+        out.append(tag + "/>")
+        out += [""] * (n + 1)
+        return
+    out.append(tag + ">")
+    out += [""] * n
+    for kid in kids[n:]:
+        if kid.kind == TEXT:
+            out.append(_escape(kid.name_or_value, _TEXT_ESCAPES))
         else:
-            content.append(child)
-    out.append("<" + node.name)
-    for a in attrs:
-        out.append(f' {a.name[1:]}="{_escape(a.attr_value, _ATTR_ESCAPES)}"')
-    if content:
-        out.append(">")
-        for child in content:
-            if child.kind == TEXT:
-                out.append(_escape(child.name_or_value, _TEXT_ESCAPES))
-            else:
-                _write(doc, child, out, cut, marks)
-        out.append("</" + node.name + ">")
-    else:
-        out.append("/>")
-    if mark is not None:
-        mark[2] = len(out)
+            _write(doc, kid, out)
+    out.append("</" + node.name_or_value + ">")
 
 
 def serialize_document(doc: Document) -> str:
-    return serialize_subtree(doc, doc.root.label)
+    """The document's kept text: the root resource's payload itself."""
+    return _kept(doc)[0]
 
 
 def serialize_node(doc: Document, label: StructuralId) -> str:
     """Like serialize_subtree, but attribute nodes render as a small element.
 
     Query results may return attribute nodes; ``<name>value</name>`` keeps
-    their payloads well-formed XML.
+    their payloads well-formed XML.  Only attribute and text labels have
+    ``start == end``, so an element's label is looked up once, by
+    ``serialize_subtree``.
     """
+    if label.start != label.end:
+        return serialize_subtree(doc, label)
     node = doc.node_at(label)
     if node.kind == ATTRIBUTE:
         name = node.name[1:]
@@ -411,19 +427,16 @@ def extract_resources(doc: Document, granularity: set[str]) -> list[Resource]:
     """One resource for the root plus one per element named in ``granularity``.
 
     Resource ids are ``"<doc_id>#<start>"``; attribute and text nodes are
-    never resources.  The document is serialized once: each payload is the
-    slice of the root's text between the parts its element started and
-    ended at, equal to ``serialize_subtree`` of that element.
+    never resources.  The root's payload is the document's kept text, and
+    each other payload is a slice of it, equal to ``serialize_subtree`` of
+    that element.
     """
-    out: list[str] = []
-    marks: list[list] = []
-    _write(doc, doc.root, out, granularity, marks)
-    text = "".join(out)
+    text, spans = _kept(doc)
     resources = [_resource(doc.root.label, text)]
-    if marks:
-        offsets = [0, *accumulate(map(len, out))]
-        for node, first, end in marks:
-            if node is not doc.root:
-                payload = text[offsets[first] : offsets[end]]
-                resources.append(_resource(node.label, payload))
+    if granularity:
+        for node in islice(doc.nodes, 1, None):
+            if node.name_or_value in granularity and node.kind == ELEMENT:
+                label = node.label
+                payload = text[spans[label.start - 1] : spans[label.end]]
+                resources.append(_resource(label, payload))
     return resources

@@ -1,9 +1,9 @@
 """Storage/query service facade with interchangeable backends.
 
 The centralized backend keeps documents in one process and answers
-pattern queries with ``eval_local``, the stack-based structural join over
-candidates looked up in the documents' name, word and value postings.  The
-p2p backend hosts a simulated peer network with one hash and one range
+pattern queries with ``local_bindings``, the stack-based structural join
+over candidates looked up in the documents' name, word and value postings.
+The p2p backend hosts a simulated peer network with one hash and one range
 overlay, indexes every ingested document, and answers queries through the
 decompose -> place -> execute pipeline.  Both backends return identical
 resource lists for the same corpus; the p2p result additionally carries
@@ -50,7 +50,7 @@ from .rdfstore import (
     eval_nested_loop,
     index_triples,
 )
-from .twigjoin import eval_local
+from .twigjoin import local_bindings
 
 CENTRALIZED = "centralized"
 P2P = "p2p"
@@ -209,8 +209,10 @@ class Store:
                 "pattern has no named node to seed an index lookup"
             )
         if self.config.backend == CENTRALIZED:
-            bindings = eval_local(pattern, list(self.documents.values()))
-            labels = (b[i] for b in bindings for i in pattern.return_nodes)
+            # recompose sorts the distinct labels, so the bindings need not be
+            bindings = local_bindings(pattern, list(self.documents.values()))
+            rets = pattern.return_nodes
+            labels = (b[i] for b in bindings for i in rets)
             resources = recompose(labels, lambda sids: [
                 serialize_node(self.documents[sid.doc_id], sid) for sid in sids
             ])

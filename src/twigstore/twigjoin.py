@@ -9,12 +9,13 @@ only through ``in_join_order``, and only when it is in another column's
 order.  The planner's StructJoin operator calls it
 directly; that is the p2p backend's only tree-pattern path.
 
-``holistic_join`` folds it over a pattern's edges for ``eval_local`` (the
-centralized backend), starting at the edge whose join can emit the fewest
-rows.  Its inputs are per-document one-label rows: a predicate-free node's
-are the document's own ``Rows``, built once per name and kept with their
-skip index; a predicated node's come from the document's word and value
-postings, the per-tag element streams the stack joins assume (Zhang et
+``holistic_join`` folds it over a pattern's edges for ``local_bindings``
+(the centralized backend; ``eval_local`` sorts its bindings), starting at
+the edge whose join can emit the fewest rows.  Its inputs are
+per-document one-label rows: a predicate-free node's are the document's
+own ``Rows``, built once per name and kept with their skip index; a
+predicated node's come from the document's word and value postings, the
+per-tag element streams the stack joins assume (Zhang et
 al., SIGMOD 2001, feed inverted word lists to the join the same way).  So
 a query pays for what it joins, not for copying or sorting candidate
 lists.  Results are bindings; no payloads move until recomposition.
@@ -156,7 +157,12 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
 
 
 def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
-    """The centralized backend's evaluator; equals eval_naive.
+    """``local_bindings`` sorted canonically; equals eval_naive."""
+    return sort_bindings(pattern, local_bindings(pattern, docs))
+
+
+def local_bindings(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
+    """The centralized backend's evaluation: every binding, unsorted.
 
     Each pattern node's candidate rows are looked up in the document's
     postings: a word-predicated node's in ``Document.with_word``, a
@@ -171,7 +177,7 @@ def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
         cands = [_candidate_rows(doc, pnode, root_only and pnode.idx == 0)
                  for pnode in pattern.nodes]
         bindings.extend(holistic_join(pattern, cands))
-    return sort_bindings(pattern, bindings)
+    return bindings
 
 
 # -- query cache ------------------------------------------------------------
@@ -217,7 +223,7 @@ def _edge_bound(cands: list[Sequence[Row]], edge: tuple[int, int, str]) -> int:
 
 def holistic_join(pattern: TreePattern, cands: list[Sequence[Row]]) -> list[Binding]:
     """Join each pattern node's one-label candidate rows, each list in label
-    order, over the pattern's edges (unsorted bindings); ``eval_local``
+    order, over the pattern's edges (unsorted bindings); ``local_bindings``
     calls it once per document.
 
     The fold starts at the edge whose output bound (``_edge_bound``) is

@@ -1,5 +1,6 @@
 import random
 import xml.etree.ElementTree as ET
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,12 +10,14 @@ from twigstore.document import (
     ELEMENT,
     TEXT,
     StructuralId,
+    _write,
     extract_resources,
     is_ancestor,
     is_parent,
     parse_document,
     recompose,
     serialize_document,
+    serialize_node,
     serialize_subtree,
 )
 from twigstore.errors import EmptyInput, MalformedXml, UnknownNode
@@ -306,9 +309,66 @@ def test_one_pass_extraction_equals_per_resource_serialization(tree, granularity
         if n.kind == ELEMENT and n is not doc.root and n.name in granularity
     ]
     assert [r.root_label for r in resources] == [n.label for n in wanted]
-    for res in resources:
+    # the oracle is a fresh walk, which reads neither the kept text nor
+    # its offsets; it runs before anything else reads them
+    fresh = parse_document(_xml_text(tree), 3)
+    for res, node in zip(resources, wanted):
         assert res.resource_id == f"3#{res.root_label.start}"
-        assert res.payload == serialize_subtree(doc, res.root_label)
+        assert res.payload == _walk(fresh, fresh.node_at(node.label))
+
+
+def _walk(doc, node) -> str:
+    """``node``'s text from a fresh recursive ``_write``, which appends one
+    part per label position in its interval."""
+    out = []
+    _write(doc, node, out)
+    assert len(out) == node.label.end - node.label.start + 1
+    return "".join(out)
+
+
+def _assert_slices_match_walks(doc):
+    for node in doc.nodes:
+        if node.kind == ELEMENT:
+            want = _walk(doc, node)
+            assert serialize_subtree(doc, node.label) == want
+            assert serialize_node(doc, node.label) == want
+
+
+@given(tree=_ELEMENT_TREES)
+def test_slices_equal_a_fresh_walk_before_and_after_restore(tmp_path_factory, tree):
+    text = _xml_text(tree)
+    _assert_slices_match_walks(parse_document(text, 1))
+    store = Store(StoreConfig(resource_granularity=set(_GRAIN_NAMES)))
+    store.store_resource(text)
+    path = str(tmp_path_factory.mktemp("slices") / "s.snap")
+    snapshot(store, path)
+    (doc,) = restore(path).documents.values()
+    _assert_slices_match_walks(doc)
+
+
+@pytest.mark.parametrize("backend", ["centralized", "p2p"])
+def test_kept_text_is_one_copy_built_on_first_use(tmp_path, backend):
+    doc = parse_document(D1, 1)
+    # parsing builds neither the text nor its offsets
+    assert doc.text is None and doc.spans is None
+    sec = doc.nodes[1].label
+    assert serialize_subtree(doc, sec) == "<sec><title>dht</title><par>xml</par></sec>"
+    assert doc.text == D1
+    # one array of offsets, one per label position and one before them
+    assert type(doc.spans) is array and len(doc.spans) == doc.root.label.end + 1
+
+    store = Store(StoreConfig(backend=backend, resource_granularity={"par"}))
+    store.store_resource(D1)
+    kept = store.documents[1]
+    text = kept.text
+    assert store.get_resource("1#1").payload is text
+    assert extract_resources(kept, {"par"})[0].payload is text
+    assert serialize_document(kept) is text
+    assert store.get_resource("1#6").payload == "<par>xml</par>"
+    path = str(tmp_path / "s.snap")
+    snapshot(store, path)
+    again = restore(path)
+    assert again.get_resource("1#1").payload is again.documents[1].text == D1
 
 
 def test_recompose_one_resource_per_distinct_label_in_label_order():
