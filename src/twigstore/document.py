@@ -414,12 +414,11 @@ def serialize_node(doc: Document, label: StructuralId) -> str:
     ``start == end``, so an element's label is looked up once, by
     ``serialize_subtree``.
     """
-    if label.start != label.end:
-        return serialize_subtree(doc, label)
-    node = doc.node_at(label)
-    if node.kind == ATTRIBUTE:
-        name = node.name[1:]
-        return f"<{name}>{_escape(node.attr_value, _TEXT_ESCAPES)}</{name}>"
+    if label.start == label.end:
+        node = doc.node_at(label)
+        if node.kind == ATTRIBUTE:
+            name = node.name[1:]
+            return f"<{name}>{_escape(node.attr_value, _TEXT_ESCAPES)}</{name}>"
     return serialize_subtree(doc, label)
 
 
