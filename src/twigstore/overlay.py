@@ -76,7 +76,6 @@ from .errors import (
 from .netsim import Envelope, Network, PeerId
 
 DEFAULT_TICK_BUDGET = 1_000_000
-_DECIMAL_TOP = 100  # a decimal-mode range overlay holds the keys 0..99
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -181,10 +180,7 @@ class HashOverlay:
     kind = "hash"
     put_tag = _HASH_PUT
 
-    def __init__(self, mode: str = "fnv"):
-        if mode not in ("fnv", "decimal"):
-            raise ValueError(f"unknown hash mode {mode!r}")
-        self.mode = mode
+    def __init__(self):
         self.members: dict[PeerId, RingState] = {}
         self._ring: list[tuple[int, PeerId]] = []
         self._positions: list[int] = []
@@ -194,13 +190,10 @@ class HashOverlay:
     def key_position(self, key: str) -> int:
         pos = self._key_positions.get(key)
         if pos is None:
-            pos = int(key) if self.mode == "decimal" else ring_hash(key)
-            self._key_positions[key] = pos
+            pos = self._key_positions[key] = ring_hash(key)
         return pos
 
     def peer_position(self, peer: PeerId) -> int:
-        if self.mode == "decimal":
-            return peer
         return ring_hash(str(peer))
 
     def _rebuild_ring(self) -> None:
@@ -306,43 +299,34 @@ class HashOverlay:
 class RangeOverlay:
     """Order-preserving partition with interval search support.
 
-    Keys compare by ``sort_key``: their UTF-8 bytes in ``bytes`` mode, or
-    the key text as an integer in ``decimal`` mode (readable tests), whose
-    keys are 0..99.  ``bounds`` lists the boundary sort keys in ascending
-    order and ``owners`` their members: ``owners[i]`` owns the keys from
-    ``bounds[i]`` up to the next boundary, the last one every key above.
-    A joiner takes the upper half of the widest interval, the lowest on
-    ties; a leaver's interval goes to its narrower list neighbour, the
-    lower on ties.  ``bytes`` mode reads a boundary as the base-256
-    fraction in [0, 1) its bytes spell and writes a midpoint in the fewest
-    bytes, so no boundary ends in a NUL and byte order agrees with that
-    fraction order on every key.
+    Keys compare by ``sort_key``, their UTF-8 bytes.  ``bounds`` lists the
+    boundary sort keys in ascending order and ``owners`` their members:
+    ``owners[i]`` owns the keys from ``bounds[i]`` up to the next boundary,
+    the last one every key above.  A joiner takes the upper half of the
+    widest interval, the lowest on ties; a leaver's interval goes to its
+    narrower list neighbour, the lower on ties.  A boundary reads as the
+    base-256 fraction in [0, 1) its bytes spell, and a midpoint is written
+    in the fewest bytes, so no boundary ends in a NUL and byte order agrees
+    with that fraction order on every key.
     """
 
     kind = "range"
     put_tag = _RANGE_PUT
 
-    def __init__(self, mode: str = "bytes"):
-        if mode not in ("bytes", "decimal"):
-            raise ValueError(f"unknown range mode {mode!r}")
-        self.mode = mode
+    def __init__(self):
         self.members: dict[PeerId, RangeState] = {}
-        self.bounds: list[bytes] | list[int] = []
+        self.bounds: list[bytes] = []
         self.owners: list[PeerId] = []
         self.last_contacted: tuple[PeerId, ...] = ()
 
-    def sort_key(self, key: str) -> bytes | int:
-        if self.mode == "decimal":
-            return int(key)
+    @staticmethod
+    def sort_key(key: str) -> bytes:
         return key.encode("utf-8")
 
     def owner_of(self, key: str) -> PeerId:
         if not self.owners:
             raise NoMembers(f"the {self.kind} overlay has no members")
-        k = self.sort_key(key)
-        if self.mode == "decimal" and not 0 <= k < _DECIMAL_TOP:
-            raise ValueError(f"key {key} outside the domain [0, {_DECIMAL_TOP})")
-        return self.owners[bisect_right(self.bounds, k) - 1]
+        return self.owners[bisect_right(self.bounds, self.sort_key(key)) - 1]
 
     def route(self, peer: PeerId, key: str) -> PeerId | None:
         """``None`` when ``peer`` owns ``key``, else the owner: every peer
@@ -354,8 +338,6 @@ class RangeOverlay:
         """The members whose intervals meet the keys in [lo, hi), in key
         order; none when ``hi`` is not above ``lo``."""
         klo, khi = self.sort_key(lo), self.sort_key(hi)
-        if self.mode == "decimal":
-            klo, khi = max(klo, 0), min(khi, _DECIMAL_TOP)
         if klo >= khi:
             return []
         first = bisect_right(self.bounds, klo) - 1
@@ -363,10 +345,8 @@ class RangeOverlay:
 
     def _ends(self) -> tuple[list[int], int]:
         """Every boundary, then the top, as integers on one scale, and the
-        byte length of that scale: decimal mode's integers, else the
-        boundaries' bytes padded with NULs to the longest."""
-        if self.mode == "decimal":
-            return [*self.bounds, _DECIMAL_TOP], 0
+        byte length of that scale: the boundaries' bytes padded with NULs
+        to the longest."""
         size = max(map(len, self.bounds))
         ends = [int.from_bytes(b.ljust(size, b"\0"), "big") for b in self.bounds]
         return [*ends, 256**size], size
@@ -376,15 +356,13 @@ class RangeOverlay:
             raise AlreadyMember(f"peer {peer} already in the {self.kind} overlay")
         if not self.members:
             self.members[peer] = RangeState()
-            self.bounds, self.owners = [0 if self.mode == "decimal" else b""], [peer]
+            self.bounds, self.owners = [b""], [peer]
             return
         ends, size = self._ends()
         i = max(range(len(self.owners)), key=lambda j: ends[j + 1] - ends[j])
-        if self.mode == "decimal":
-            mid = (ends[i] + ends[i + 1]) // 2
-        else:  # half the sum at ``size`` bytes is 128 times it at one more
-            twice = ends[i] + ends[i + 1]
-            mid = (twice * 128).to_bytes(size + 1, "big").rstrip(b"\0")
+        twice = ends[i] + ends[i + 1]
+        # half the sum at ``size`` bytes is 128 times it at one more
+        mid = (twice * 128).to_bytes(size + 1, "big").rstrip(b"\0")
         old = self.members[self.owners[i]].store
         new_state = RangeState()
         for k in [k for k in old if self.sort_key(k) >= mid]:
@@ -452,21 +430,16 @@ class DhtService:
     so calls never overlap a simulation step.  Every peer dispatches by
     wire tag through one table, which binds each put tag to its overlay
     and to which the plan executor adds its own tags; every answer, the
-    executor's included, arrives as a values envelope.  Tests pass their
-    own overlays to place peers by hand (``decimal`` modes) and set
-    ``tick_budget`` to cut a drain short.
+    executor's included, arrives as a values envelope.  Tests pass a hash
+    overlay of their own to place peers by hand and set ``tick_budget`` to
+    cut a drain short.
     """
 
-    def __init__(
-        self,
-        net: Network,
-        hash: HashOverlay | None = None,
-        range: RangeOverlay | None = None,
-    ):
+    def __init__(self, net: Network, hash: HashOverlay | None = None):
         self.net = net
         self.tick_budget = DEFAULT_TICK_BUDGET
         self.hash = hash or HashOverlay()
-        self.range = range or RangeOverlay()
+        self.range = RangeOverlay()
         self._handlers: dict[int, Handler] = {
             _HASH_PUT: partial(self._on_put, self.hash),
             _RANGE_PUT: partial(self._on_put, self.range),

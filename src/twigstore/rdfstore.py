@@ -187,9 +187,10 @@ def eval_nested_loop(
 def parse_query_text(text: str) -> ConjunctiveQuery:
     """Query file format: a "SELECT ?x ?y" header, then one pattern per line."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].upper().startswith("SELECT"):
+    header = lines[0].split() if lines else []
+    if not header or header[0].upper() != "SELECT":
         raise MalformedInput("query must start with a SELECT header")
-    projection = lines[0].split()[1:]
+    projection = header[1:]
     if not projection or not all(v.startswith("?") for v in projection):
         raise MalformedInput("SELECT header must list ?variables")
     patterns = []

@@ -8,7 +8,7 @@ from twigstore import planner
 from twigstore.document import Document, parse_document
 from twigstore.indexing import IndexService
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService, HashOverlay
+from twigstore.overlay import DhtService
 from twigstore.pattern import TreePattern, parse_pattern
 from twigstore.store import Store
 from twigstore.twigjoin import Binding
@@ -121,11 +121,10 @@ def random_pattern(
 
 def make_cluster(
     peer_count: int = 4,
-    hash_mode: str = "fnv",
     with_range: bool = True,
 ) -> tuple[Network, DhtService, IndexService]:
     net = Network()
-    dht = DhtService(net, hash=HashOverlay(hash_mode))
+    dht = DhtService(net)
     peers = list(range(1, peer_count + 1))
     for peer in peers:
         dht.add_peer(peer)

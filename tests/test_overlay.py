@@ -50,9 +50,21 @@ def unpack_items(buf, off):
     return items
 
 
-def make_service(peer_ids, hash_mode="decimal", range_mode="bytes"):
+class ReadableRing(HashOverlay):
+    """A hash ring placed by hand: a peer sits at its id and a key at the
+    integer its text spells, so a test reads each key's owner off the
+    numbers."""
+
+    def peer_position(self, peer):
+        return peer
+
+    def key_position(self, key):
+        return int(key)
+
+
+def make_service(peer_ids, ring=ReadableRing):
     net = Network()
-    dht = DhtService(net, hash=HashOverlay(hash_mode), range=RangeOverlay(range_mode))
+    dht = DhtService(net, hash=ring())
     for p in peer_ids:
         dht.add_peer(p)
     return net, dht
@@ -79,18 +91,17 @@ def test_ring_ownership_after_join():
 
 
 def test_first_and_second_range_joiner():
-    net, dht = make_service([1, 2], range_mode="decimal")
+    net, dht = make_service([1, 2])
     dht.join(dht.range, 1)
     ov = dht.range
-    assert (ov.bounds, ov.owners) == ([0], [1])
-    # the first member owns the whole decimal domain, keys 0..99
-    assert ov.owner_of("0") == ov.owner_of("99") == 1
-    for outside in ("-1", "100"):
-        with pytest.raises(ValueError, match="outside the domain"):
-            ov.owner_of(outside)
+    assert (ov.bounds, ov.owners) == ([b""], [1])
+    # the first member owns every key, from the empty one up
+    assert ov.owner_of("") == ov.owner_of("\U0010ffff") == 1
     dht.join(dht.range, 2)
-    assert (ov.bounds, ov.owners) == ([0, 50], [1, 2])
-    assert (ov.owner_of("49"), ov.owner_of("50"), ov.owner_of("99")) == (1, 2, 2)
+    # the second takes the keys from byte 0x80 up: every non-ASCII first
+    # character
+    assert (ov.bounds, ov.owners) == ([b"", b"\x80"], [1, 2])
+    assert [ov.owner_of(k) for k in ("\x7f", "\x80", "\U0010ffff")] == [1, 2, 2]
 
 
 def test_hash_leave_absorbs_arc():
@@ -163,36 +174,39 @@ def test_key_transferred_on_owner_leave():
 
 
 def test_get_range_basics():
-    net, dht = make_service([1, 2], range_mode="decimal")
+    # ranges: 1 -> [b"", b"\x80"), 2 -> [b"\x80", top)
+    net, dht = make_service([1, 2])
     dht.join(dht.range, 1)
     dht.join(dht.range, 2)
     for key in ("5", "12", "17", "30"):
         dht.put(dht.range, 1, [(key, key.encode())])
     assert dht.get_range(1, "10", "20") == [b"12", b"17"]
     assert dht.get_range(1, "15", "15") == []
-    assert dht.get_range(2, "40", "60") == []
+    assert dht.get_range(2, "a", "é") == []
     assert dht.range.last_contacted == (1, 2)
 
 
 def test_get_range_contacts_only_intersecting_peers():
-    net, dht = make_service([1, 2], range_mode="decimal")
+    # ranges: 1 -> [b"", b"\x80"), 2 -> [b"\x80", top)
+    net, dht = make_service([1, 2])
     dht.join(dht.range, 1)
     dht.join(dht.range, 2)
-    dht.get_range(1, "40", "60")
+    dht.get_range(1, "a", "é")
     assert dht.range.last_contacted == (1, 2)
     dht.get_range(1, "10", "20")
     assert dht.range.last_contacted == (1,)
-    dht.get_range(1, "60", "80")
+    dht.get_range(1, "é", "ü")
     assert dht.range.last_contacted == (2,)
 
 
 def test_envelopes_name_their_overlay_by_wire_tag_alone():
-    # ranges: 10 -> [0, 25), 90 -> [25, 50), 50 -> [50, 100); key 7 is
-    # peer 10's on both overlays, so an envelope handled by the wrong
-    # overlay would land in the wrong store
-    net, dht = make_service([10, 50, 90], range_mode="decimal")
+    # ranges: 10 -> [b"", b"@"), 50 -> [b"@", b"\x80"), 90 -> [b"\x80",
+    # top); key 7 is peer 10's on both overlays, so an envelope handled by
+    # the wrong overlay would land in the wrong store
+    net, dht = make_service([10, 50, 90])
     for p in (10, 50, 90):
         dht.join(dht.hash, p)
+    for p in (10, 90, 50):
         dht.join(dht.range, p)
     assert dht.hash.owner_of("7") == dht.range.owner_of("7") == 10
     sent = _recording(net)
@@ -202,10 +216,11 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
     assert dht.range.members[10].store == {"7": [b"r"]}
     assert dht.get(50, "7") == [b"h"]  # request 1
     assert dht.get_range(50, "7", "8") == [b"r"]  # request 2
-    # peer 10 stores keys 7, 12, 5 in that order, peer 90 key 27
-    dht.put(dht.range, 50, [("12", b"q"), ("27", b"s"), ("5", b"p")])
-    assert dht.get_range(50, "0", "30") == [b"p", b"r", b"q", b"s"]  # requests 3 and 4
-    assert dht.range.last_contacted == (10, 90)
+    # peer 10 stores keys 7, 12, 5 in that order, peer 90 key é, whose
+    # UTF-8 is two bytes; in byte order 12 comes before 5 and 7
+    dht.put(dht.range, 50, [("12", b"q"), ("é", b"s"), ("5", b"p")])
+    assert dht.get_range(50, "0", "ü") == [b"q", b"p", b"r", b"s"]  # requests 3 and 4
+    assert dht.range.last_contacted == (10, 50, 90)
 
     def u16(n):
         return n.to_bytes(2, "big")
@@ -221,11 +236,13 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
         0x04: {
             one_item_put(0x04, b"r"),
             bytes([0x04]) + pack_items([("12", b"q"), ("5", b"p")]),
-            bytes([0x04]) + pack_items([("27", b"s")]),
+            # a key's length is its byte count: é is 2 bytes, 1 character
+            bytes([0x04]) + u16(1) + u16(2) + b"\xc3\xa9"
+            + (1).to_bytes(4, "big") + b"s",
         },
         0x02: {request(0x02, 1) + u16(1) + b"7"},
         0x06: {request(0x06, 2) + u16(1) + b"7" + u16(1) + b"8"}
-        | {request(0x06, req) + u16(1) + b"0" + u16(2) + b"30" for req in (3, 4)},
+        | {request(0x06, req) + u16(1) + b"0" + u16(2) + b"\xc3\xbc" for req in (3, 4)},
     }
     for tag, payloads in requests.items():
         assert {payload for _, _, payload in sent if payload[0] == tag} == payloads
@@ -239,7 +256,7 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
     assert [(frm, to, payload) for frm, to, payload in sent if payload[0] == 0x03] == [
         (10, 50, _answer(1, b"h")),
         (10, 50, _answer(2, b"r")),
-        (10, 50, _answer(3, b"p", b"r", b"q")),
+        (10, 50, _answer(3, b"q", b"p", b"r")),
         (90, 50, _answer(4, b"s")),
     ]
     # the plan executor's subtree fetch is answered the same way: on a
@@ -267,22 +284,22 @@ def _answer(req, *values):
 
 
 def test_range_leave_smaller_neighbor_absorbs():
-    net, dht = make_service([1, 2, 3], range_mode="decimal")
+    net, dht = make_service([1, 2, 3])
     for p in (1, 2, 3):
         dht.join(dht.range, p)
     ov = dht.range
-    # ranges now: 1 -> [0,25), 3 -> [25,50), 2 -> [50,100)
-    assert (ov.bounds, ov.owners) == ([0, 25, 50], [1, 3, 2])
-    dht.put(dht.range, 1, [("30", b"x")])
+    # ranges now: 1 -> [b"", b"@"), 3 -> [b"@", b"\x80"), 2 -> [b"\x80", top)
+    assert (ov.bounds, ov.owners) == ([b"", b"@", b"\x80"], [1, 3, 2])
+    dht.put(dht.range, 1, [("K", b"x")])
     dht.leave(dht.range, 3)
-    # left neighbor [0,25) is smaller than right neighbor [50,100)
-    assert (ov.bounds, ov.owners) == ([0, 50], [1, 2])
-    assert ov.members[1].store == {"30": [b"x"]}
-    assert dht.get_range(2, "30", "31") == [b"x"]
+    # the left neighbor's quarter is smaller than the right neighbor's half
+    assert (ov.bounds, ov.owners) == ([b"", b"\x80"], [1, 2])
+    assert ov.members[1].store == {"K": [b"x"]}
+    assert dht.get_range(2, "K", "L") == [b"x"]
 
 
 def test_range_scan_from_a_boundary_key_asks_its_owner():
-    # three bytes-mode peers: 1 -> [b"", b"@"), 3 -> [b"@", b"\x80"),
+    # three peers: 1 -> [b"", b"@"), 3 -> [b"@", b"\x80"),
     # 2 -> [b"\x80", top); "@\x00" is the first key after "@"
     net, dht = make_service([1, 2, 3])
     for p in (1, 2, 3):
@@ -310,7 +327,7 @@ def _fraction(raw: bytes) -> Fraction:
 
 
 class FractionPartition:
-    """Reference model of the bytes-mode range partition as fractions.
+    """Reference model of the range partition as fractions.
 
     A key is the base-256 fraction in [0, 1) its UTF-8 bytes spell, and
     each member owns a half-open interval ``[lo, hi)`` of [0, 1).  A joiner
@@ -423,10 +440,10 @@ def _partition_integrity(ov):
     if not ov.members:
         assert ov.bounds == ov.owners == []
         return
-    assert ov.bounds[0] == (0 if ov.mode == "decimal" else b"")
+    assert ov.bounds[0] == b""
     assert all(lo < hi for lo, hi in zip(ov.bounds, ov.bounds[1:]))
     assert len(ov.owners) == len(ov.members) and set(ov.owners) == set(ov.members)
-    assert ov.mode == "decimal" or not any(b.endswith(b"\0") for b in ov.bounds)
+    assert not any(b.endswith(b"\0") for b in ov.bounds)
     for pid, st in ov.members.items():
         for key in st.store:
             assert ov.owner_of(key) == pid
@@ -436,7 +453,7 @@ def _partition_integrity(ov):
 def test_churn_against_shadow_map(seed):
     rng = random.Random(seed)
     peer_pool = list(range(1, 25))
-    net, dht = make_service(peer_pool, hash_mode="fnv")
+    net, dht = make_service(peer_pool, ring=HashOverlay)
     shadow_hash: dict[str, list[bytes]] = {}
     shadow_range: dict[str, list[bytes]] = {}
     hash_members: list[int] = []
@@ -532,18 +549,18 @@ def test_key_length_widens_only_from_0xffff():
 def test_remote_reads_of_65536_values():
     # one key holding more values than a 16-bit count can say
     values = [i.to_bytes(3, "big") for i in range(65_536)]
-    net, dht = make_service([10, 50], range_mode="decimal")
+    net, dht = make_service([10, 50])
     for p in (10, 50):
         dht.join(dht.hash, p)
         dht.join(dht.range, p)
     hash_ov, range_ov = dht.hash, dht.range
-    assert hash_ov.owner_of("42") == 50 and range_ov.owner_of("70") == 50
+    assert hash_ov.owner_of("42") == 50 and range_ov.owner_of("é") == 50
     for v in values:
         hash_ov.store_value(50, "42", v)
-        range_ov.store_value(50, "70", v)
+        range_ov.store_value(50, "é", v)
     assert dht.get(10, "42") == values
-    assert dht.get_range(10, "70", "71") == values
-    assert dht.get_range(10, "60", "80") == values
+    assert dht.get_range(10, "é", "é\x00") == values
+    assert dht.get_range(10, "\x80", "\U0010ffff") == values
 
 
 @settings(max_examples=60, deadline=None)
@@ -553,7 +570,7 @@ def test_remote_reads_of_65536_values():
 )
 def test_cached_ring_matches_brute_force_owner(churn, keys):
     pool = range(1, 41)
-    net, dht = make_service(pool, hash_mode="fnv")
+    net, dht = make_service(pool, ring=HashOverlay)
     ov = dht.hash
     dht.join(dht.hash, 1)
     for joining, peer in churn:
@@ -595,8 +612,7 @@ def _chord_hop(ov, peer, key):
         fingers.add(_brute_owner(ring, target))
     fingers.discard(peer)
     dist = {f: (ov.members[f].position - pos) % span for f in fingers}
-    kpos = int(key) if ov.mode == "decimal" else _key_hash(key)
-    d = (kpos - pos) % span
+    d = (ov.key_position(key) - pos) % span
     successor = min(fingers, key=dist.get)
     if d <= dist[successor]:
         return successor
@@ -621,7 +637,7 @@ def _check_hops(ov, sent):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    mode=st.sampled_from(["fnv", "decimal"]),
+    ring=st.sampled_from([HashOverlay, ReadableRing]),
     pool=st.lists(
         st.integers(0, 60) | st.integers(0, 2**64 - 1), min_size=1, max_size=8, unique=True
     ),
@@ -630,9 +646,9 @@ def _check_hops(ov, sent):
         max_size=25,
     ),
 )
-def test_finger_routed_batches_reach_the_owner_in_order(mode, pool, steps):
+def test_finger_routed_batches_reach_the_owner_in_order(ring, pool, steps):
     keys = [str(k) for k in pool]
-    net, dht = make_service(range(1, 41), hash_mode=mode)
+    net, dht = make_service(range(1, 41), ring=ring)
     ov = dht.hash
     sent = []
     real_send = net.send
@@ -661,7 +677,7 @@ def test_finger_routed_batches_reach_the_owner_in_order(mode, pool, steps):
 
 
 def test_finger_routing_hop_bound_at_64_peers():
-    net, dht = make_service(range(1, 65), hash_mode="fnv")
+    net, dht = make_service(range(1, 65), ring=HashOverlay)
     for p in range(1, 65):
         dht.join(dht.hash, p)
     keys = [f"t:name{i}" for i in range(512)]
@@ -678,7 +694,7 @@ def test_finger_routing_hop_bound_at_64_peers():
 
 
 def test_batch_shares_envelopes_along_the_route():
-    net, dht = make_service([10, 50, 90], range_mode="decimal")
+    net, dht = make_service([10, 50, 90])
     for p in (10, 50, 90):
         dht.join(dht.hash, p)
         dht.join(dht.range, p)
@@ -688,11 +704,12 @@ def test_batch_shares_envelopes_along_the_route():
     assert net.stats.messages_sent - before == 2  # 90 -> 10 -> 50, one envelope each
     assert dht.hash.members[50].store == {"42": [b"a", b"c"], "20": [b"b"]}
     assert dht.hash.members[90].store == {"60": [b"own"]}
-    # the range overlay splits [0, 100) into [0, 25), [25, 50), [50, 100)
+    # the range overlay gives 10 the keys below b"@", 90 those from b"@"
+    # and 50 those from b"\x80"
     before = net.stats.messages_sent
-    dht.put(dht.range, 10, [("30", b"x"), ("70", b"y"), ("5", b"z"), ("31", b"w")])
+    dht.put(dht.range, 10, [("K", b"x"), ("é", b"y"), ("5", b"z"), ("L", b"w")])
     assert net.stats.messages_sent - before == 2  # one envelope per remote owner
-    assert dht.get_range(50, "0", "100") == [b"z", b"x", b"w", b"y"]
+    assert dht.get_range(50, "0", "ÿ") == [b"z", b"x", b"w", b"y"]
 
 
 def _decoding_router(ov, via, items):
@@ -745,7 +762,7 @@ _MIXED_BATCH = [(_LONG_KEYS[0], b"")] + [
 )
 def test_forwarded_put_envelopes_match_a_decoding_router(peer_count, puts):
     members = list(range(1, peer_count + 1))
-    net, dht = make_service(members, hash_mode="fnv")
+    net, dht = make_service(members, ring=HashOverlay)
     ov = dht.hash
     for p in members:
         dht.join(dht.hash, p)
@@ -784,16 +801,19 @@ def _recording(net):
 
 
 @settings(max_examples=100, deadline=None)
+# eight peers split the first byte into eighths; these keys reach five
+# owners, none of them the publisher, peer 2
+@example(peer_count=8, pick=1, items=[
+    ("é", b"a"), ("5", b""), ("K", b"b"), ("中", b"c"), ("é", b"d"), ("a", b"e"),
+])
 @given(
     peer_count=st.integers(1, 8),
     pick=st.integers(0, 7),
-    items=st.lists(
-        st.tuples(st.integers(0, 99).map(str), st.binary(max_size=4)), max_size=24
-    ),
+    items=st.lists(st.tuples(st.text(max_size=3), st.binary(max_size=4)), max_size=24),
 )
 def test_range_put_sends_one_envelope_per_remote_owner(peer_count, pick, items):
     members = list(range(1, peer_count + 1))
-    net, dht = make_service(members, range_mode="decimal")
+    net, dht = make_service(members)
     for p in members:
         dht.join(dht.range, p)
     ov = dht.range
@@ -814,21 +834,23 @@ def test_range_put_sends_one_envelope_per_remote_owner(peer_count, pick, items):
 
 
 def test_range_get_asks_the_owner_once():
-    # a one-key interval is the range overlay's exact-key read
+    # a one-key interval is the range overlay's exact-key read: key + "\0"
+    # is the next key after key in byte order; 5 is peer 1's, K and Z
+    # peer 3's, é and 中 peer 4's
     members = [1, 2, 3, 4]
-    net, dht = make_service(members, range_mode="decimal")
+    net, dht = make_service(members)
     for p in members:
         dht.join(dht.range, p)
     ov = dht.range
-    for key in ("5", "30", "55", "80"):
+    for key in ("5", "K", "é", "中"):
         dht.put(dht.range, ov.owner_of(key), [(key, key.encode())])
     sent = _recording(net)
-    for key in ("5", "30", "55", "80", "99"):
+    for key in ("5", "K", "é", "中", "Z"):
         owner = ov.owner_of(key)
-        want = [key.encode()] if key != "99" else []
+        want = [key.encode()] if key != "Z" else []
         for via in members:
             sent.clear()
-            assert dht.get_range(via, key, str(int(key) + 1)) == want
+            assert dht.get_range(via, key, key + "\0") == want
             if via == owner:
                 assert sent == []
             else:

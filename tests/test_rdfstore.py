@@ -184,3 +184,12 @@ def test_parse_triples_and_query_text():
         parse_query_text("SELECT ?x\n?x type\n")
     with pytest.raises(ValueError):
         parse_query_text("SELECT ?q\n?x type Doc\n")
+
+
+def test_query_header_is_the_select_keyword_itself():
+    # the keyword is the header's whole first token, in any case
+    for header in ("select ?x", "Select ?x", "SELECT  ?x"):
+        assert parse_query_text(header + "\n?x type Doc\n").projection == ["?x"]
+    for header in ("SELECTED ?x", "selectx ?x", "SELECT?x", "SELECT"):
+        with pytest.raises(ValueError):
+            parse_query_text(header + "\n?x type Doc\n")
