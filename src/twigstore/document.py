@@ -18,7 +18,6 @@ import re
 import xml.etree.ElementTree as ET
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from sys import intern
@@ -51,12 +50,25 @@ class StructuralId(NamedTuple):
     depth: int
 
 
-@dataclass(frozen=True, slots=True)
 class Node:
-    kind: str
-    name_or_value: str
-    label: StructuralId
-    attr_value: str = ""
+    """One element, attribute or text node; treated as immutable.  Nodes
+    are equal when their fields are, so two parses of one text are."""
+
+    __slots__ = ("kind", "name_or_value", "label", "attr_value")
+
+    def __init__(
+        self, kind: str, name_or_value: str, label: StructuralId, attr_value: str = ""
+    ):
+        self.kind = kind
+        self.name_or_value = name_or_value
+        self.label = label
+        self.attr_value = attr_value
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Node:
+            return NotImplemented
+        return (self.kind, self.name_or_value, self.label, self.attr_value) == (
+            other.kind, other.name_or_value, other.label, other.attr_value)
 
     @property
     def name(self) -> str:
@@ -79,7 +91,6 @@ class Rows(list):
         self.reach: list[tuple[int, int]] | None = None
 
 
-@dataclass(slots=True)
 class Document:
     """Parsed XML document; immutable after construction, apart from what
     its query methods build on first use: the name, word and value postings
@@ -96,19 +107,25 @@ class Document:
     parsing (every ingest and restore) pays for none of them.
     """
 
-    doc_id: int
-    root: Node = field(init=False)
-    nodes: list[Node] = field(default_factory=list)
-    _children: dict[int, list[Node]] = field(default_factory=dict)  # by start
-    _by_start: dict[int, Node] = field(default_factory=dict)
-    _by_name: dict[str | None, list[Node]] | None = None  # None: every name
-    # name -> word -> the nodes whose text children hold the word
-    _by_word: dict[str, dict[str, tuple[Node, ...]]] | None = None
-    # name -> (integer texts in ascending order, the node holding each)
-    _by_value: dict[str, tuple[list[int], list[Node]]] | None = None
-    _rows: dict[str | None, Rows] = field(default_factory=dict)  # None: every name
-    text: str | None = None
-    spans: array | None = None
+    __slots__ = (
+        "doc_id", "root", "nodes", "_children", "_by_start", "_by_name",
+        "_by_word", "_by_value", "_rows", "text", "spans",
+    )
+
+    def __init__(self, doc_id: int):
+        self.doc_id = doc_id
+        self.root: Node  # set by ``finish``
+        self.nodes: list[Node] = []
+        self._children: dict[int, list[Node]] = {}  # by start
+        self._by_start: dict[int, Node] = {}
+        self._by_name: dict[str | None, list[Node]] | None = None  # None: every name
+        # name -> word -> the nodes whose text children hold the word
+        self._by_word: dict[str, dict[str, tuple[Node, ...]]] | None = None
+        # name -> (integer texts in ascending order, the node holding each)
+        self._by_value: dict[str, tuple[list[int], list[Node]]] | None = None
+        self._rows: dict[str | None, Rows] = {}  # None: every name
+        self.text: str | None = None
+        self.spans: array | None = None
 
     def finish(self) -> None:
         self.root = self.nodes[0]
@@ -209,14 +226,19 @@ class Document:
         return (c.name_or_value for c in kids if c.kind == TEXT)
 
 
-@dataclass(frozen=True, slots=True)
 class Resource:
-    """A storable/returnable unit: a document or one of its subtrees."""
+    """A storable/returnable unit: a document or one of its subtrees;
+    treated as immutable."""
 
-    resource_id: str
-    doc_id: int
-    root_label: StructuralId
-    payload: str
+    __slots__ = ("resource_id", "doc_id", "root_label", "payload")
+
+    def __init__(
+        self, resource_id: str, doc_id: int, root_label: StructuralId, payload: str
+    ):
+        self.resource_id = resource_id
+        self.doc_id = doc_id
+        self.root_label = root_label
+        self.payload = payload
 
 
 def _resource(label: StructuralId, payload: str) -> Resource:
@@ -285,42 +307,56 @@ def parse_document(xml_text: str, doc_id: int) -> Document:
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from None
 
-    doc = Document(doc_id=doc_id)
-    counter = [0]
-
-    def next_pos() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    def leaf(kind: str, text: str, depth: int, value: str = "") -> Node:
-        pos = next_pos()
-        node = Node(kind, text, StructuralId(doc_id, pos, pos, depth), value)
-        doc.nodes.append(node)
-        return node
-
-    def walk(elem: ET.Element, depth: int) -> Node:
-        start = next_pos()
-        slot = len(doc.nodes)
-        doc.nodes.append(None)  # type: ignore[arg-type]  # filled once end is known
-        kids: list[Node] = []
-        for name, value in elem.attrib.items():
-            kids.append(leaf(ATTRIBUTE, "@" + _plain(name), depth + 1, value))
-        if elem.text and elem.text.strip():
-            kids.append(leaf(TEXT, elem.text, depth + 1))
-        for child in elem:
-            kids.append(walk(child, depth + 1))
-            if child.tail and child.tail.strip():
-                kids.append(leaf(TEXT, child.tail, depth + 1))
-        end = next_pos()
-        node = Node(ELEMENT, _plain(elem.tag), StructuralId(doc_id, start, end, depth))
-        doc.nodes[slot] = node
-        if kids:
-            doc._children[start] = kids
-        return node
-
-    walk(root_elem, 1)
+    doc = Document(doc_id)
+    _label(root_elem, doc_id, 1, 0, doc.nodes, doc._children)
     doc.finish()
     return doc
+
+
+def _label(
+    elem: ET.Element,
+    doc_id: int,
+    depth: int,
+    pos: int,
+    nodes: list[Node],
+    children: dict[int, list[Node]],
+) -> int:
+    """Label ``elem``'s subtree from position ``pos + 1`` on: append its
+    nodes to ``nodes`` in document order, record each element's children
+    in ``children`` by its start, and return the last position used."""
+    pos += 1
+    start = pos
+    slot = len(nodes)
+    nodes.append(None)  # type: ignore[arg-type]  # filled once end is known
+    kids: list[Node] = []
+    kid_depth = depth + 1
+    for name, value in elem.attrib.items():
+        pos += 1
+        node = Node(ATTRIBUTE, "@" + _plain(name),
+                    StructuralId(doc_id, pos, pos, kid_depth), value)
+        nodes.append(node)
+        kids.append(node)
+    text = elem.text
+    if text and text.strip():
+        pos += 1
+        node = Node(TEXT, text, StructuralId(doc_id, pos, pos, kid_depth))
+        nodes.append(node)
+        kids.append(node)
+    for child in elem:
+        kid_slot = len(nodes)
+        pos = _label(child, doc_id, kid_depth, pos, nodes, children)
+        kids.append(nodes[kid_slot])
+        text = child.tail
+        if text and text.strip():
+            pos += 1
+            node = Node(TEXT, text, StructuralId(doc_id, pos, pos, kid_depth))
+            nodes.append(node)
+            kids.append(node)
+    pos += 1
+    nodes[slot] = Node(ELEMENT, _plain(elem.tag), StructuralId(doc_id, start, pos, depth))
+    if kids:
+        children[start] = kids
+    return pos
 
 
 def _plain(name: str) -> str:

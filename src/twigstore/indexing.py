@@ -156,10 +156,7 @@ class IndexService:
         """
         hashed: Items = list(lead)
         ranged: Items = []
-
-        def publish(batch: Items, key: str, posting: bytes) -> None:
-            batch.append((key, posting))
-            self.stats[key] = self.stats.get(key, 0) + 1
+        stats = self.stats  # each key counted as its item is appended
 
         # (node, its parent element and that element's encoded posting) in
         # document order, with an explicit stack: a recursive closure would
@@ -171,13 +168,19 @@ class IndexService:
             node, parent, parent_posting = stack.pop()
             if node.kind == TEXT:
                 for word in dict.fromkeys(split_words(node.name_or_value)):
-                    publish(hashed, word_key(word), parent_posting)
+                    key = word_key(word)
+                    hashed.append((key, parent_posting))
+                    stats[key] = stats.get(key, 0) + 1
                 value = parse_int_content(node.name_or_value)
                 if value is not None:
-                    publish(ranged, value_key(parent.name, value), parent_posting)
+                    key = value_key(parent.name, value)
+                    ranged.append((key, parent_posting))
+                    stats[key] = stats.get(key, 0) + 1
                 continue
             posting = encode_posting(node.label)
-            publish(hashed, tag_key(node.name), posting)
+            key = tag_key(node.name)
+            hashed.append((key, posting))
+            stats[key] = stats.get(key, 0) + 1
             if node.kind != ATTRIBUTE:
                 stack += ((child, node, posting)
                           for child in reversed(doc.children(node)))

@@ -13,7 +13,6 @@ placement optimizer's objective only cares about remote transfers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DuplicatePeer, TickBudgetExceeded, UnknownPeer
@@ -22,21 +21,31 @@ PeerId = int
 Behavior = Callable[["Network", "Envelope"], None]
 
 
-@dataclass(frozen=True, slots=True)
 class Envelope:
-    from_peer: PeerId
-    to_peer: PeerId
-    payload: bytes
-    deliver_at: int
+    """One message in flight; treated as immutable."""
+
+    __slots__ = ("from_peer", "to_peer", "payload", "deliver_at")
+
+    def __init__(self, from_peer: PeerId, to_peer: PeerId, payload: bytes,
+                 deliver_at: int):
+        self.from_peer = from_peer
+        self.to_peer = to_peer
+        self.payload = payload
+        self.deliver_at = deliver_at
 
 
-@dataclass
 class NetworkStats:
     """Message/byte counters, total and per directed edge."""
 
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    per_edge: dict[tuple[PeerId, PeerId], list[int]] = field(default_factory=dict)
+    def __init__(
+        self,
+        messages_sent: int = 0,
+        bytes_sent: int = 0,
+        per_edge: dict[tuple[PeerId, PeerId], list[int]] | None = None,
+    ):
+        self.messages_sent = messages_sent
+        self.bytes_sent = bytes_sent
+        self.per_edge = {} if per_edge is None else per_edge
 
     def record(self, frm: PeerId, to: PeerId, size: int) -> None:
         charged = 0 if frm == to else size

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -147,17 +146,17 @@ def unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
 Items = list[tuple[str, bytes]]
 
 
-@dataclass
 class RingState:
-    position: int
-    successor: PeerId
-    predecessor: PeerId
-    store: dict[str, list[bytes]] = field(default_factory=dict)
+    def __init__(self, position: int, successor: PeerId, predecessor: PeerId):
+        self.position = position
+        self.successor = successor
+        self.predecessor = predecessor
+        self.store: dict[str, list[bytes]] = {}
 
 
-@dataclass
 class RangeState:
-    store: dict[str, list[bytes]] = field(default_factory=dict)
+    def __init__(self):
+        self.store: dict[str, list[bytes]] = {}
 
 
 # a peer's position, its predecessor's clockwise distance, and its fingers'
@@ -487,13 +486,18 @@ class DhtService:
     def put_direct(self, ov: Overlay, via: PeerId, items: Items) -> None:
         """Control-plane put: store each item on its key's owner at once.
 
-        The outcome equals ``put``'s (same owners, same value order), but no
-        envelope is sent and the stats do not move.  Snapshot restore uses
-        it to rebuild the overlays without replaying their traffic.
+        The outcome equals ``put``'s (same owners, same key and value
+        order), but no envelope is sent and the stats do not move.  Items
+        are grouped by key first, so each distinct key's owner is resolved
+        once.  Snapshot restore uses it to rebuild the overlays without
+        replaying their traffic.
         """
         self._check_member(ov, via)
+        by_key: dict[str, list[bytes]] = {}
         for key, value in items:
-            ov.store_value(ov.owner_of(key), key, value)
+            by_key.setdefault(key, []).append(value)
+        for key, values in by_key.items():
+            ov.members[ov.owner_of(key)].store.setdefault(key, []).extend(values)
 
     def get(self, via: PeerId, key: str) -> list[bytes]:
         """The values of the hash overlay under ``key``, in put order."""

@@ -25,7 +25,6 @@ text parses back to the same pattern.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .document import split_words
 from .errors import PatternSyntaxError
@@ -40,16 +39,16 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _WORD_RE = re.compile(r'"([^"]*)"')
 
 
-@dataclass
 class PNode:
     """One pattern node: a name test plus an optional value predicate."""
 
-    idx: int
-    name: str
-    word: str | None = None
-    lo: int | None = None
-    hi: int | None = None
-    ret: bool = False
+    def __init__(self, idx: int, name: str):
+        self.idx = idx
+        self.name = name
+        self.word: str | None = None
+        self.lo: int | None = None
+        self.hi: int | None = None
+        self.ret = False
 
     @property
     def has_range(self) -> bool:
@@ -60,12 +59,17 @@ class PNode:
         return self.name == "*"
 
 
-@dataclass
 class TreePattern:
-    nodes: list[PNode] = field(default_factory=list)
-    # (parent, child, axis); a node's edge comes before its children's
-    edges: list[tuple[int, int, str]] = field(default_factory=list)
-    root_axis: str = DESCENDANT
+    def __init__(
+        self,
+        nodes: list[PNode] | None = None,
+        edges: list[tuple[int, int, str]] | None = None,
+        root_axis: str = DESCENDANT,
+    ):
+        self.nodes = [] if nodes is None else nodes
+        # (parent, child, axis); a node's edge comes before its children's
+        self.edges = [] if edges is None else edges
+        self.root_axis = root_axis
 
     @property
     def root(self) -> PNode:

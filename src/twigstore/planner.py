@@ -24,7 +24,6 @@ compared against the estimates.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable
 
@@ -62,24 +61,52 @@ TAG_FETCH = 0x11
 # -- plan model --------------------------------------------------------------
 
 
-@dataclass
 class Plan:
-    op: str
-    site: PeerId
-    kids: list["Plan"] = field(default_factory=list)
-    key: str | None = None
-    tag: str | None = None
-    lo: int | None = None
-    hi: int | None = None
-    var: int | None = None
-    axis: str | None = None
-    parent_var: int | None = None
-    child_var: int | None = None
-    ret_vars: tuple[int, ...] = ()
-    root_only: bool = False
-    cols: tuple[int, ...] = ()
-    est_rows: int = 0
-    est_bytes: int = 0
+    """One operator: its name, the site its output materializes at, its
+    inputs, the fields its kind reads, and the estimates ``annotate``
+    fills in."""
+
+    __slots__ = (
+        "op", "site", "kids", "key", "tag", "lo", "hi", "var", "axis",
+        "parent_var", "child_var", "ret_vars", "root_only", "cols",
+        "est_rows", "est_bytes",
+    )
+
+    def __init__(
+        self,
+        op: str,
+        site: PeerId,
+        kids: list[Plan] | None = None,
+        key: str | None = None,
+        tag: str | None = None,
+        lo: int | None = None,
+        hi: int | None = None,
+        var: int | None = None,
+        axis: str | None = None,
+        parent_var: int | None = None,
+        child_var: int | None = None,
+        ret_vars: tuple[int, ...] = (),
+        root_only: bool = False,
+        cols: tuple[int, ...] = (),
+        est_rows: int = 0,
+        est_bytes: int = 0,
+    ):
+        self.op = op
+        self.site = site
+        self.kids = [] if kids is None else kids
+        self.key = key
+        self.tag = tag
+        self.lo = lo
+        self.hi = hi
+        self.var = var
+        self.axis = axis
+        self.parent_var = parent_var
+        self.child_var = child_var
+        self.ret_vars = ret_vars
+        self.root_only = root_only
+        self.cols = cols
+        self.est_rows = est_rows
+        self.est_bytes = est_bytes
 
     def is_leaf(self) -> bool:
         return self.op in ("IndexLookup", "RangeLookup")
@@ -88,9 +115,9 @@ class Plan:
         return self.copy([k.clone() for k in self.kids])
 
     def copy(self, kids: list["Plan"], site: PeerId | None = None) -> "Plan":
-        """This operator over ``kids``, at ``site`` if given: one constructor
-        call, where ``dataclasses.replace`` would run its field loop in
-        Python on each of the ~50 copies ``place`` makes per query."""
+        """This operator over ``kids``, at ``site`` if given: one
+        constructor call for each of the ~50 copies ``place`` makes per
+        query."""
         return Plan(
             self.op, self.site if site is None else site, kids, self.key,
             self.tag, self.lo, self.hi, self.var, self.axis, self.parent_var,
@@ -139,7 +166,6 @@ def plan_to_xml(plan: Plan) -> str:
 # -- decomposition -----------------------------------------------------------
 
 
-@dataclass
 class Decomposition:
     """The pattern's units and the join script that reassembles them.
 
@@ -150,9 +176,15 @@ class Decomposition:
     in a unit an earlier join attached.
     """
 
-    pattern: TreePattern
-    unit_of: dict[int, int]  # pattern node -> the top node of its unit
-    joins: list[tuple[int, int, str]]  # cut edges (parent, child, axis)
+    def __init__(
+        self,
+        pattern: TreePattern,
+        unit_of: dict[int, int],  # pattern node -> the top node of its unit
+        joins: list[tuple[int, int, str]],  # cut edges (parent, child, axis)
+    ):
+        self.pattern = pattern
+        self.unit_of = unit_of
+        self.joins = joins
 
 
 def decompose(pattern: TreePattern) -> Decomposition:
@@ -311,11 +343,16 @@ def plan_size(plan: Plan) -> int:
 # -- rewriting ------------------------------------------------------------------
 
 
-@dataclass
 class Rule:
-    name: str
-    match: Callable[[Plan, Plan | None], bool]
-    transform: Callable[[Plan], Plan]
+    def __init__(
+        self,
+        name: str,
+        match: Callable[[Plan, Plan | None], bool],
+        transform: Callable[[Plan], Plan],
+    ):
+        self.name = name
+        self.match = match
+        self.transform = transform
 
 
 def _origin(plan: Plan) -> Plan:
@@ -551,15 +588,22 @@ def place(
 # -- execution ---------------------------------------------------------------------
 
 
-@dataclass
 class Dataset:
     """Rows of labels, one column per pattern node in ``cols``, held at
     ``site``.  Every operator emits its rows in ascending order, so a
     dataset is in its first column's label order."""
 
-    cols: tuple[int, ...]
-    rows: list[tuple[StructuralId, ...]]
-    site: PeerId
+    def __init__(
+        self, cols: tuple[int, ...], rows: list[tuple[StructuralId, ...]], site: PeerId
+    ):
+        self.cols = cols
+        self.rows = rows
+        self.site = site
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Dataset:
+            return NotImplemented
+        return (self.cols, self.rows, self.site) == (other.cols, other.rows, other.site)
 
 
 def _column_count(ncols: int) -> bytes:

@@ -10,7 +10,7 @@ candidate sets on shared variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedInput, UnseedablePattern
 from .netsim import PeerId
@@ -20,8 +20,7 @@ S, P, O = 0, 1, 2
 _KEY_PREFIX = ("s:", "p:", "o:")
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     subject: str
     predicate: str
     object: str
@@ -46,11 +45,10 @@ class Triple:
         return triple
 
     def position(self, i: int) -> str:
-        return (self.subject, self.predicate, self.object)[i]
+        return self[i]
 
 
-@dataclass(frozen=True, slots=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
     """One conjunct; positions starting with '?' are variables."""
 
     subject: str
@@ -58,7 +56,7 @@ class TriplePattern:
     object: str
 
     def position(self, i: int) -> str:
-        return (self.subject, self.predicate, self.object)[i]
+        return self[i]
 
     def variables(self) -> list[str]:
         return [t for t in (self.subject, self.predicate, self.object)
@@ -72,10 +70,10 @@ class TriplePattern:
         ]
 
 
-@dataclass
 class ConjunctiveQuery:
-    patterns: list[TriplePattern]
-    projection: list[str]
+    def __init__(self, patterns: list[TriplePattern], projection: list[str]):
+        self.patterns = patterns
+        self.projection = projection
 
     def validate(self) -> None:
         """Refuse a projected variable no pattern binds, and a pattern with

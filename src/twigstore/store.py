@@ -20,7 +20,6 @@ import contextlib
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
 
 from . import planner
 from .document import (
@@ -34,8 +33,10 @@ from .document import (
 )
 from .errors import (
     CorruptSnapshot,
+    EmptyInput,
     IoFailure,
     MalformedInput,
+    MalformedXml,
     NotFound,
     UnsupportedWildcardRoot,
 )
@@ -56,12 +57,20 @@ CENTRALIZED = "centralized"
 P2P = "p2p"
 
 
-@dataclass
 class StoreConfig:
-    backend: str = CENTRALIZED
-    peer_count: int = 4
-    resource_granularity: set[str] = field(default_factory=set)
-    snapshot_path: str = "store.snap"
+    def __init__(
+        self,
+        backend: str = CENTRALIZED,
+        peer_count: int = 4,
+        resource_granularity: set[str] | None = None,
+        snapshot_path: str = "store.snap",
+    ):
+        self.backend = backend
+        self.peer_count = peer_count
+        self.resource_granularity = (
+            set() if resource_granularity is None else resource_granularity
+        )
+        self.snapshot_path = snapshot_path
 
     def validate(self) -> None:
         if self.backend not in (CENTRALIZED, P2P):
@@ -112,10 +121,10 @@ def _parse_int(lineno: int, text: str) -> int:
         raise MalformedInput(f"line {lineno}: {text!r} is not an integer") from None
 
 
-@dataclass
 class QueryResult:
-    resources: list[Resource]
-    stats: NetworkStats
+    def __init__(self, resources: list[Resource], stats: NetworkStats):
+        self.resources = resources
+        self.stats = stats
 
 
 class Store:
@@ -283,7 +292,9 @@ def snapshot(store: Store, path: str) -> None:
     part way leaves the last snapshot whole and no temporary file behind.
     """
     blob = bytearray(_MAGIC)
-    conf = replace(store.config, snapshot_path="").to_text()
+    config = store.config
+    conf = StoreConfig(config.backend, config.peer_count,
+                       config.resource_granularity, snapshot_path="").to_text()
     blob += _record(b"CONF", conf.encode("utf-8"))
     for doc_id in sorted(store.documents):
         text = serialize_document(store.documents[doc_id])
@@ -311,7 +322,10 @@ def restore(path: str) -> Store:
     ``DhtService.put_direct``: no message is simulated, and the stats are
     the ones the ``NSTA`` record saved.  The store's ``snapshot_path`` is
     ``path``, whatever path an older file recorded.  Doc ids must be
-    positive and rising, as ``snapshot`` writes them.
+    positive and rising, as ``snapshot`` writes them.  Content that passed
+    the checksum but does not read back (a bad config, document or triple
+    line, an ``NSTA`` total that is missing or not the sum of its edges)
+    raises CorruptSnapshot naming its record.
 
     The file's magic picks its checksum: ``zlib.crc32`` for
     ``TWIGSNAP3``, FNV-1a 64 for ``TWIGSNAP2`` files, which older versions
@@ -349,12 +363,15 @@ def restore(path: str) -> Store:
 
     if not records or records[0][0] != b"CONF":
         raise CorruptSnapshot("missing CONFIG record")
-    config = StoreConfig.from_text(_utf8(*records[0]))
+    try:
+        config = StoreConfig.from_text(_utf8(*records[0]))
+    except MalformedInput as exc:
+        raise CorruptSnapshot(f"CONF record: {exc}") from None
     config.snapshot_path = path
     store = Store(config)
     put = store.dht.put_direct if config.backend == P2P else None
 
-    saved_report = ""
+    saved_report = None
     for tag, payload in records[1:]:
         if tag == b"DOC\x00":
             if len(payload) < 8:
@@ -362,13 +379,18 @@ def restore(path: str) -> Store:
             (doc_id,) = struct.unpack_from(">Q", payload, 0)
             if doc_id < store._next_doc_id:
                 raise CorruptSnapshot(f"doc id {doc_id} does not rise")
-            doc = parse_document(_utf8(tag, payload[8:]), doc_id)
+            try:
+                doc = parse_document(_utf8(tag, payload[8:]), doc_id)
+            except (EmptyInput, MalformedXml) as exc:
+                raise CorruptSnapshot(f"DOC record of doc id {doc_id}: {exc}") from None
             store._register(doc, put)
             store._next_doc_id = doc_id + 1
         elif tag == b"TRPL":
             # one triple per line; older files hold one triple per record
-            lines = _utf8(tag, payload).split("\n")
-            store.triples.extend(Triple.from_text(line) for line in lines)
+            try:
+                store.triples += map(Triple.from_text, _utf8(tag, payload).split("\n"))
+            except MalformedInput as exc:
+                raise CorruptSnapshot(f"TRPL record: {exc}") from None
         elif tag == b"NSTA":
             saved_report = _utf8(tag, payload)
         else:
@@ -376,9 +398,10 @@ def restore(path: str) -> Store:
 
     if config.backend == P2P:
         index_triples(store.triples, store.query_peer, store.dht, put)
-    # a centralized store has no network, but its record is checked alike
-    _restore_stats(store.net.stats if config.backend == P2P else NetworkStats(),
-                   saved_report)
+    if saved_report is not None:
+        # a centralized store has no network, but its record is checked alike
+        _restore_stats(store.net.stats if config.backend == P2P else NetworkStats(),
+                       saved_report)
     return store
 
 
@@ -392,15 +415,20 @@ def _utf8(tag: bytes, payload: bytes) -> str:
 def _restore_stats(stats: NetworkStats, report: str) -> None:
     """Load a fresh store's stats from a saved ``report()`` text: one
     "from to messages bytes" line per edge, then the totals line, which the
-    edges sum to."""
-    for line in report.splitlines():
-        parts = line.split()
-        if parts[:1] == ["total"]:
-            continue
+    edges must sum to."""
+    *edges, total = report.splitlines() or [""]
+    if total.split()[:1] != ["total"]:
+        raise CorruptSnapshot("NSTA record does not end with its total line")
+    for line in edges:
         try:
-            frm, to, msgs, byts = (int(p) for p in parts)
+            frm, to, msgs, byts = (int(p) for p in line.split())
         except ValueError:
             raise CorruptSnapshot(f"NSTA line {line!r} is not four integers") from None
         stats.per_edge[(frm, to)] = [msgs, byts]
         stats.messages_sent += msgs
         stats.bytes_sent += byts
+    if total.split()[1:] != [str(stats.messages_sent), str(stats.bytes_sent)]:
+        raise CorruptSnapshot(
+            f"NSTA line {total!r} is not the sum of its edges: "
+            f"{stats.messages_sent} messages, {stats.bytes_sent} bytes"
+        )

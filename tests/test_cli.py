@@ -272,3 +272,20 @@ def test_help_exits_0(workdir, capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: store")
+
+
+def test_importing_the_cli_loads_every_module_and_no_dataclasses():
+    # the benchmark's tracer imports twigstore.cli, then patches the
+    # twigstore modules it finds loaded; the records are plain classes, so
+    # a cold start loads neither dataclasses nor the inspect module it needs
+    package = Path(twigstore.__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    code = "import sys, twigstore.cli; print(*sys.modules)"
+    loaded = set(subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout.split())
+    modules = {f"twigstore.{path.stem}" for path in package.glob("*.py")} - {
+        "twigstore.__init__"}
+    assert "twigstore.store" in modules and modules <= loaded
+    assert not {"dataclasses", "inspect"} & loaded

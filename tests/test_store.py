@@ -2,7 +2,6 @@ import errno
 import random
 import struct
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -509,7 +508,9 @@ def test_snapshot_bytes_do_not_depend_on_the_snapshot_path(tmp_path, any_store):
 def test_restore_adopts_its_file_over_a_recorded_path(tmp_path, any_store):
     # files written before the path was left out still name one in CONF
     any_store.store_resource(D1)
-    conf = replace(any_store.config, snapshot_path="elsewhere.snap").to_text()
+    config = any_store.config
+    conf = StoreConfig(config.backend, config.peer_count,
+                       config.resource_granularity, "elsewhere.snap").to_text()
     path = tmp_path / "x.snap"
     _write_snapshot(path, [(b"CONF", conf.encode()),
                            (b"DOC\x00", struct.pack(">Q", 1) + D1.encode())])
@@ -555,6 +556,41 @@ def test_restore_refuses_stats_lines_that_are_not_edges(tmp_path, any_store, rep
     path = tmp_path / "x.snap"
     _write_snapshot(path, [(b"CONF", conf), (b"NSTA", report)])
     with pytest.raises(CorruptSnapshot, match="NSTA"):
+        restore(str(path))
+
+
+@pytest.mark.parametrize("report", [
+    b"1 2 3 4\n",  # no total line
+    b"",
+    b"1 2 3 4\ntotal 3 5\n",  # a total the edges do not sum to
+    b"1 2 3 4\n2 1 1 1\ntotal 3 4\n",
+    b"total 0 0\n1 2 3 4\n",  # the total is not the last line
+])
+def test_restore_refuses_a_stats_total_that_is_missing_or_wrong(tmp_path, any_store, report):
+    # a restored store's report must be the one saved, total line included
+    conf = any_store.config.to_text().encode()
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", conf), (b"NSTA", report)])
+    with pytest.raises(CorruptSnapshot, match="NSTA"):
+        restore(str(path))
+
+
+@pytest.mark.parametrize("tag, payload", [
+    (b"CONF", b"backend=ring\n"),
+    (b"CONF", b"peer_count\n"),
+    (b"DOC\x00", struct.pack(">Q", 1) + b"<a><b></a>"),
+    (b"DOC\x00", struct.pack(">Q", 1) + b" \n"),
+    (b"DOC\x00", struct.pack(">Q", 1) + b'<x:a xmlns:x="urn:u"/>'),
+    (b"TRPL", b"a\tb\tc\na\tb\n"),
+], ids=["conf-backend", "conf-line", "doc-malformed", "doc-blank", "doc-namespaced",
+        "trpl-line"])
+def test_restore_refuses_bad_record_content_as_corrupt(tmp_path, any_store, tag, payload):
+    # the checksum holds, so the file is as it was written: an error must
+    # say that the snapshot is at fault, and name the record
+    conf = [] if tag == b"CONF" else [(b"CONF", any_store.config.to_text().encode())]
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [*conf, (tag, payload)])
+    with pytest.raises(CorruptSnapshot, match=tag.rstrip(b"\x00").decode() + " record"):
         restore(str(path))
 
 
