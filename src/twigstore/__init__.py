@@ -1,10 +1,12 @@
 """XML resource store over a simulated hash overlay and range overlay.
 
 Public surface: document parsing and interval labels, the deterministic
-network harness, hash/range overlays, the posting index, tree patterns
-with the naive evaluation oracle, the transfer-minimizing planner,
-conjunctive RDF queries, and the store facade with centralized and p2p
-backends.
+network harness, hash/range overlays, the posting index, tree patterns,
+the transfer-minimizing planner, conjunctive RDF queries, and the store
+facade with centralized and p2p backends.  The test oracle
+(``twigjoin.eval_naive``), ``twigjoin.QueryCache`` and the rule engine
+``planner.rewrite`` are no part of it: they stay in their modules only as
+benchmark trace targets and for the tests.
 """
 
 from .document import (
@@ -22,8 +24,7 @@ from .netsim import Network, NetworkStats
 from .overlay import DhtService, HashOverlay, RangeOverlay
 from .indexing import IndexService
 from .pattern import TreePattern, canonical, parse_pattern
-from .twigjoin import QueryCache, eval_naive
-from .planner import decompose, execute, place, plan_to_xml, rewrite
+from .planner import decompose, execute, place, plan_to_xml
 from .rdfstore import ConjunctiveQuery, Triple, eval_conjunctive, index_triples
 from .store import QueryResult, Store, StoreConfig, restore, snapshot
 
@@ -36,7 +37,6 @@ __all__ = [
     "Network",
     "NetworkStats",
     "Node",
-    "QueryCache",
     "QueryResult",
     "RangeOverlay",
     "Resource",
@@ -48,7 +48,6 @@ __all__ = [
     "canonical",
     "decompose",
     "eval_conjunctive",
-    "eval_naive",
     "execute",
     "extract_resources",
     "index_triples",
@@ -59,7 +58,6 @@ __all__ = [
     "place",
     "plan_to_xml",
     "restore",
-    "rewrite",
     "serialize_subtree",
     "snapshot",
 ]

@@ -53,10 +53,6 @@ def encode_posting(sid: StructuralId) -> bytes:
     return _POSTING.pack(*sid)
 
 
-def decode_posting(raw: bytes) -> StructuralId:
-    return StructuralId(*_POSTING.unpack(raw))
-
-
 def encode_postings(sids: Iterable[StructuralId]) -> bytes:
     """The encodings of ``sids``, concatenated."""
     return b"".join(starmap(_POSTING.pack, sids))

@@ -8,6 +8,8 @@ delivering in stamp order, envelopes sharing a tick in enqueue order.
 The cost unit is bytes: stats are charged at delivery, and self-addressed
 envelopes are counted as messages but cost zero network bytes, because the
 placement optimizer's objective only cares about remote transfers.
+Peers join and never leave: ``send`` refuses an unknown sender or
+recipient, so every queued envelope has a handler to deliver to.
 """
 
 from __future__ import annotations
@@ -98,11 +100,6 @@ class Network:
             raise DuplicatePeer(f"peer {peer_id} already exists")
         self.peers[peer_id] = behavior
 
-    def remove_peer(self, peer_id: PeerId) -> None:
-        if peer_id not in self.peers:
-            raise UnknownPeer(f"peer {peer_id} does not exist")
-        del self.peers[peer_id]
-
     def send(self, from_peer: PeerId, to_peer: PeerId, payload: bytes) -> None:
         if from_peer not in self.peers:
             raise UnknownPeer(f"sender {from_peer} does not exist")
@@ -135,7 +132,4 @@ class Network:
             queue.popleft()
             self.tick = env.deliver_at
             self.stats.record(env.from_peer, env.to_peer, len(env.payload))
-            handler = self.peers.get(env.to_peer)
-            if handler is None:
-                raise UnknownPeer(f"peer {env.to_peer} vanished before delivery")
-            handler(self, env)
+            self.peers[env.to_peer](self, env)

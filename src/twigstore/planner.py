@@ -12,9 +12,9 @@ owning their keys, and every other operator carries the site where its
 output materializes.  Cost is bytes shipped: each posting is 32 bytes and
 a shipped binding row costs 32 bytes per column.  A query is planned as
 ``decompose`` -> ``PlanBuilder.build`` (the naive placement) -> ``place``
-(each join at its largest input's site, when that estimates cheaper).
-The rule-based ``rewrite`` engine is off that path: ``place`` re-derives
-every Ship edge and non-leaf site, so it would discard what rewriting did.
+(each join at its largest input's site, when that estimates no dearer
+than the built plan).  ``place`` is the one placement optimizer; the
+``rewrite`` engine beside it defines no rule and runs on no query path.
 
 Execution interprets the plan over the simulation: Ship edges and
 recomposition fetches travel as real messages, so measured stats can be
@@ -49,7 +49,7 @@ from .indexing import (
 from .netsim import Envelope, Network, NetworkStats, PeerId
 from .overlay import DhtService, values_response
 from .pattern import CHILD, TreePattern, bfs_edges
-from .twigjoin import Binding, in_join_order, sort_bindings, stack_join
+from .twigjoin import in_join_order, stack_join
 
 DESC_FANOUT = 4  # ancestor multiplicity assumed for descendant-axis joins
 PAYLOAD_ESTIMATE = 256  # assumed serialized bytes per recomposed resource
@@ -355,85 +355,6 @@ class Rule:
         self.transform = transform
 
 
-def _origin(plan: Plan) -> Plan:
-    return plan.kids[0] if plan.op == "Ship" else plan
-
-
-def _match_push_join(plan: Plan, parent: Plan | None) -> bool:
-    if plan.op not in ("StructJoin", "Intersect") or len(plan.kids) != 2:
-        return False
-    a, b = (_origin(k) for k in plan.kids)
-    if a.est_bytes == b.est_bytes:
-        return False
-    larger = a if a.est_bytes > b.est_bytes else b
-    return larger.site != plan.site
-
-
-def _transform_push_join(plan: Plan) -> Plan:
-    a, b = (_origin(k).clone() for k in plan.kids)
-    new = plan.copy([], (a if a.est_bytes > b.est_bytes else b).site)
-
-    def locate(kid: Plan) -> Plan:
-        if kid.site != new.site:
-            return Plan("Ship", new.site, kids=[kid], cols=kid.cols)
-        return kid
-
-    new.kids = [locate(a), locate(b)]
-    return new
-
-
-def _match_ship_chain(plan: Plan, parent: Plan | None) -> bool:
-    return plan.op == "Ship" and plan.kids[0].op == "Ship"
-
-
-def _transform_ship_chain(plan: Plan) -> Plan:
-    inner = plan.kids[0]
-    return Plan("Ship", plan.site, kids=[inner.kids[0].clone()], cols=plan.cols)
-
-
-def _lookup_signature(plan: Plan):
-    if plan.op not in ("IndexLookup", "RangeLookup"):
-        return None
-    return (plan.op, plan.key, plan.tag, plan.lo, plan.hi,
-            plan.var, plan.root_only)
-
-
-def _match_fuse_lookups(plan: Plan, parent: Plan | None) -> bool:
-    if plan.op != "Intersect" or len(plan.kids) != 2:
-        return False
-    a, b = (_origin(k) for k in plan.kids)
-    sig_a, sig_b = _lookup_signature(a), _lookup_signature(b)
-    return sig_a is not None and sig_a == sig_b
-
-
-def _transform_fuse_lookups(plan: Plan) -> Plan:
-    kept = _origin(plan.kids[0]).clone()
-    if kept.site == plan.site:
-        return kept
-    return Plan("Ship", plan.site, kids=[kept], cols=kept.cols)
-
-
-def _match_dead_op(plan: Plan, parent: Plan | None) -> bool:
-    if plan.op == "Ship" and plan.kids[0].site == plan.site:
-        return True
-    if plan.op == "Intersect" and len(plan.kids) == 1:
-        return True
-    return False
-
-
-def _transform_dead_op(plan: Plan) -> Plan:
-    return plan.kids[0].clone()
-
-
-def default_rules() -> list[Rule]:
-    return [
-        Rule("push-join-to-larger-input", _match_push_join, _transform_push_join),
-        Rule("fuse-duplicate-lookups", _match_fuse_lookups, _transform_fuse_lookups),
-        Rule("collapse-ship-chain", _match_ship_chain, _transform_ship_chain),
-        Rule("drop-dead-operator", _match_dead_op, _transform_dead_op),
-    ]
-
-
 def _positions(plan: Plan) -> list[tuple[Plan, Plan | None, tuple[int, ...]]]:
     out: list[tuple[Plan, Plan | None, tuple[int, ...]]] = []
 
@@ -469,11 +390,10 @@ def rewrite(
     (ties: rule order, then leftmost match); zero-delta rewrites apply only
     if they strictly shrink the plan, which bounds the loop.
 
-    No backend calls it: ``place`` returns the same plan for a rewritten
-    input as for the original.  It stays, with ``Rule``, the four rules,
-    ``plan_size`` and ``Plan.clone``, only for its unit tests and because
-    the benchmark traces ``planner.rewrite``; all of it goes when that
-    trace target is retired.
+    No backend calls it and the program defines no rule: ``place`` is the
+    one placement optimizer.  The engine, with ``Rule``, ``_replace_at``,
+    ``plan_size`` and ``Plan.clone``, is kept only because the benchmark
+    traces ``planner.rewrite``; it goes when that trace target is retired.
     """
     stats = stats or {}
     current = plan.clone()
@@ -554,11 +474,6 @@ def _place_greedy(plan: Plan, query_peer: PeerId) -> Plan:
     return plan.copy(kids, site)
 
 
-def _place_naive(plan: Plan, query_peer: PeerId) -> Plan:
-    kids = [_place_naive(k, query_peer) for k in plan.kids]
-    return plan.copy(kids, None if plan.is_leaf() else query_peer)
-
-
 def _pin_root(plan: Plan, query_peer: PeerId) -> Plan:
     if plan.site == query_peer:
         return plan
@@ -568,21 +483,24 @@ def _pin_root(plan: Plan, query_peer: PeerId) -> Plan:
 def place(
     plan: Plan, posting_stats: dict[str, int], query_peer: PeerId
 ) -> Plan:
-    """Pin each join at its largest input's site; never worse than naive.
+    """Pin each join at its largest input's site; never worse than the input.
 
     Leaf sites (key owners) are preserved; Recompose and the final result
     are pinned at the query peer.  The greedy placement's estimate is
-    compared against the naive all-to-query-peer placement and the cheaper
-    plan wins, so the result's estimated cost is <= the naive plan's.
+    compared against ``plan``'s own, pinned at the query peer, and the
+    cheaper plan wins (greedy on a tie).  ``PlanBuilder.build`` gives the
+    naive placement, so the result's estimated cost is <= the naive plan's.
 
-    Only the logical tree is annotated: an estimate does not depend on the
-    site, placing copies it, and each Ship takes its input's.
+    ``plan`` is annotated in place.  An estimate does not depend on the
+    site, so the greedy placement copies the estimates of ``plan``'s
+    operators, and each Ship it adds takes its input's.
     """
-    logical = _strip_transport(plan)
-    annotate(logical, posting_stats)
-    greedy = _pin_root(_reship(_place_greedy(logical, query_peer)), query_peer)
-    naive = _pin_root(_reship(_place_naive(logical, query_peer)), query_peer)
-    return greedy if plan_cost(greedy) <= plan_cost(naive) else naive
+    annotate(plan, posting_stats)
+    pinned = _pin_root(plan, query_peer)
+    greedy = _pin_root(
+        _reship(_place_greedy(_strip_transport(plan), query_peer)), query_peer
+    )
+    return greedy if plan_cost(greedy) <= plan_cost(pinned) else pinned
 
 
 # -- execution ---------------------------------------------------------------------
@@ -798,10 +716,3 @@ def _run_recompose(
         (row[i] for row in ds.rows for i in slots),
         lambda sids: ctx.fetch_subtree(plan.site, sids),
     )
-
-
-def dataset_to_bindings(pattern: TreePattern, ds: Dataset) -> list[Binding]:
-    slot = {var: i for i, var in enumerate(ds.cols)}
-    n = len(pattern.nodes)
-    rows = [tuple(row[slot[i]] for i in range(n)) for row in ds.rows]
-    return sort_bindings(pattern, rows)

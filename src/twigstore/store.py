@@ -324,8 +324,9 @@ def restore(path: str) -> Store:
     ``path``, whatever path an older file recorded.  Doc ids must be
     positive and rising, as ``snapshot`` writes them.  Content that passed
     the checksum but does not read back (a bad config, document or triple
-    line, an ``NSTA`` total that is missing or not the sum of its edges)
-    raises CorruptSnapshot naming its record.
+    line, a second ``NSTA`` record, an edge line no run could record, or
+    an ``NSTA`` total that is missing or not the sum of its edges) raises
+    CorruptSnapshot naming its record.
 
     The file's magic picks its checksum: ``zlib.crc32`` for
     ``TWIGSNAP3``, FNV-1a 64 for ``TWIGSNAP2`` files, which older versions
@@ -392,6 +393,8 @@ def restore(path: str) -> Store:
             except MalformedInput as exc:
                 raise CorruptSnapshot(f"TRPL record: {exc}") from None
         elif tag == b"NSTA":
+            if saved_report is not None:
+                raise CorruptSnapshot("second NSTA record")
             saved_report = _utf8(tag, payload)
         else:
             raise CorruptSnapshot(f"unknown record tag {tag!r}")
@@ -399,9 +402,7 @@ def restore(path: str) -> Store:
     if config.backend == P2P:
         index_triples(store.triples, store.query_peer, store.dht, put)
     if saved_report is not None:
-        # a centralized store has no network, but its record is checked alike
-        _restore_stats(store.net.stats if config.backend == P2P else NetworkStats(),
-                       saved_report)
+        _restore_stats(store, saved_report)
     return store
 
 
@@ -412,10 +413,14 @@ def _utf8(tag: bytes, payload: bytes) -> str:
         raise CorruptSnapshot(f"{tag!r} record is not UTF-8 text") from None
 
 
-def _restore_stats(stats: NetworkStats, report: str) -> None:
+def _restore_stats(store: Store, report: str) -> None:
     """Load a fresh store's stats from a saved ``report()`` text: one
     "from to messages bytes" line per edge, then the totals line, which the
-    edges must sum to."""
+    edges must sum to.  As every run records them, edges join two of the
+    store's peers (a centralized store has none), appear once, count a
+    message at least and no negative bytes, and charge a self edge none."""
+    peers = store.config.peer_count if store.config.backend == P2P else 0
+    stats = store.net.stats if peers else NetworkStats()
     *edges, total = report.splitlines() or [""]
     if total.split()[:1] != ["total"]:
         raise CorruptSnapshot("NSTA record does not end with its total line")
@@ -424,6 +429,14 @@ def _restore_stats(stats: NetworkStats, report: str) -> None:
             frm, to, msgs, byts = (int(p) for p in line.split())
         except ValueError:
             raise CorruptSnapshot(f"NSTA line {line!r} is not four integers") from None
+        if not (1 <= frm <= peers and 1 <= to <= peers):
+            raise CorruptSnapshot(f"NSTA line {line!r} names a peer outside the store")
+        if msgs < 1 or byts < 0:
+            raise CorruptSnapshot(f"NSTA line {line!r} counts no message or negative bytes")
+        if frm == to and byts:
+            raise CorruptSnapshot(f"NSTA line {line!r} charges bytes to a self edge")
+        if (frm, to) in stats.per_edge:
+            raise CorruptSnapshot(f"NSTA line {line!r} repeats an earlier edge")
         stats.per_edge[(frm, to)] = [msgs, byts]
         stats.messages_sent += msgs
         stats.bytes_sent += byts

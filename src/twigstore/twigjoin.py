@@ -10,7 +10,7 @@ order.  The planner's StructJoin operator calls it
 directly; that is the p2p backend's only tree-pattern path.
 
 ``holistic_join`` folds it over a pattern's edges for ``local_bindings``
-(the centralized backend; ``eval_local`` sorts its bindings), starting at
+(the centralized backend, which leaves its bindings unsorted), starting at
 the edge whose join can emit the fewest rows.  Its inputs are
 per-document one-label rows: a predicate-free node's are the document's
 own ``Rows``, built once per name and kept with their skip index; a
@@ -154,11 +154,6 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
             assign(0)
 
     return sort_bindings(pattern, results)
-
-
-def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
-    """``local_bindings`` sorted canonically; equals eval_naive."""
-    return sort_bindings(pattern, local_bindings(pattern, docs))
 
 
 def local_bindings(pattern: TreePattern, docs: list[Document]) -> list[Binding]:

@@ -11,7 +11,7 @@ from twigstore.netsim import Network
 from twigstore.overlay import DhtService
 from twigstore.pattern import TreePattern, parse_pattern
 from twigstore.store import Store
-from twigstore.twigjoin import Binding
+from twigstore.twigjoin import Binding, local_bindings, sort_bindings
 
 TAGS = ["a", "b", "c", "d", "e", "f"]
 WORDS = ["xml", "dht", "web", "data", "peer", "query"]
@@ -152,7 +152,22 @@ def planner_bindings(store: Store, pattern: TreePattern) -> list[Binding]:
     """The bindings a p2p ``Store.query`` recomposes: its plan, executed."""
     plan = store.build_plan(pattern, with_recompose=False)
     result, _ = planner.execute(plan, store.exec_ctx)
-    return planner.dataset_to_bindings(pattern, result)
+    return dataset_to_bindings(pattern, result)
+
+
+def dataset_to_bindings(pattern: TreePattern, ds: planner.Dataset) -> list[Binding]:
+    """An executed plan's rows as bindings aligned with ``pattern.nodes``,
+    sorted as every evaluator sorts them."""
+    slot = {var: i for i, var in enumerate(ds.cols)}
+    n = len(pattern.nodes)
+    rows = [tuple(row[slot[i]] for i in range(n)) for row in ds.rows]
+    return sort_bindings(pattern, rows)
+
+
+def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
+    """The centralized backend's bindings, ``local_bindings``, sorted as
+    every evaluator sorts them; they equal ``eval_naive``'s."""
+    return sort_bindings(pattern, local_bindings(pattern, docs))
 
 
 def skew_cluster(big: int, small: int):

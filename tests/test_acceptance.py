@@ -21,9 +21,11 @@ from twigstore.rdfstore import (
     parse_query_text,
 )
 from twigstore.store import Store, StoreConfig, snapshot
-from twigstore.twigjoin import eval_local, eval_naive
+from twigstore.twigjoin import eval_naive
 
 from helpers import (
+    dataset_to_bindings,
+    eval_local,
     index_corpus,
     make_cluster,
     planner_bindings,
@@ -94,12 +96,12 @@ def _pipeline_trial(rng, collect_bytes=None):
     naive_plan = builder.build(decompose(pattern), False)
     placed_plan = place(naive_plan, index.stats, 1)
     placed_result, placed_delta = execute(placed_plan, ctx)
-    assert planner.dataset_to_bindings(pattern, placed_result) == want, (
+    assert dataset_to_bindings(pattern, placed_result) == want, (
         f"pipeline divergence on {pattern}"
     )
     if collect_bytes is not None:
         naive_result, naive_delta = execute(naive_plan, ctx)
-        assert planner.dataset_to_bindings(pattern, naive_result) == want
+        assert dataset_to_bindings(pattern, naive_result) == want
         collect_bytes.append((placed_delta.bytes_sent, naive_delta.bytes_sent))
 
 
@@ -119,8 +121,8 @@ def test_criterion_3_transfer_reduction():
         want = eval_naive(pattern, [doc])
         naive_result, naive_delta = execute(naive_plan, ctx)
         placed_result, placed_delta = execute(placed_plan, ctx)
-        assert planner.dataset_to_bindings(pattern, naive_result) == want
-        assert planner.dataset_to_bindings(pattern, placed_result) == want
+        assert dataset_to_bindings(pattern, naive_result) == want
+        assert dataset_to_bindings(pattern, placed_result) == want
         assert placed_delta.bytes_sent <= 0.2 * naive_delta.bytes_sent, (
             f"placed {placed_delta.bytes_sent} vs naive {naive_delta.bytes_sent}"
         )

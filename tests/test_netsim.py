@@ -23,15 +23,6 @@ def test_spawn_and_duplicate():
         net.spawn_peer(1, collect([]))
 
 
-def test_respawn_after_remove():
-    net = Network()
-    net.spawn_peer(1, collect([]))
-    net.remove_peer(1)
-    net.spawn_peer(1, collect([]))
-    with pytest.raises(UnknownPeer):
-        net.remove_peer(9)
-
-
 def test_send_requires_both_peers():
     net = Network()
     net.spawn_peer(1, collect([]))

@@ -575,6 +575,55 @@ def test_restore_refuses_a_stats_total_that_is_missing_or_wrong(tmp_path, any_st
         restore(str(path))
 
 
+@pytest.mark.parametrize("report, line", [
+    (b"1 2 3 4\n1 2 3 4\ntotal 6 8\n", "1 2 3 4"),  # an edge written twice
+    (b"1 2 -3 4\n2 1 4 4\ntotal 1 8\n", "1 2 -3 4"),  # a negative count
+    (b"1 2 3 -4\n2 1 4 8\ntotal 7 4\n", "1 2 3 -4"),
+    (b"1 2 0 0\n2 1 4 8\ntotal 4 8\n", "1 2 0 0"),  # an edge no message used
+    (b"2 2 3 4\ntotal 3 4\n", "2 2 3 4"),  # bytes on a self edge
+    (b"1 5 3 4\ntotal 3 4\n", "1 5 3 4"),  # peers outside 1..peer_count
+    (b"0 1 3 4\ntotal 3 4\n", "0 1 3 4"),
+], ids=["repeated", "negative-messages", "negative-bytes", "no-messages",
+        "self-edge-bytes", "peer-above", "peer-zero"])
+def test_restore_refuses_stats_edges_no_run_could_record(tmp_path, any_store, report, line):
+    # each total adds up, so only the edge line itself gives the fault away;
+    # the simulator records an edge once, on its first delivery, and charges
+    # a self edge 0 bytes
+    conf = any_store.config.to_text().encode()
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", conf), (b"NSTA", report)])
+    with pytest.raises(CorruptSnapshot, match=f"NSTA line '{line}'"):
+        restore(str(path))
+
+
+def test_restore_refuses_stats_edges_for_a_centralized_store(tmp_path):
+    # a centralized store has no peers, so no edge line can be its own
+    conf = config("centralized", tmp_path).to_text().encode()
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", conf), (b"NSTA", b"1 2 3 4\ntotal 3 4\n")])
+    with pytest.raises(CorruptSnapshot, match="NSTA line '1 2 3 4'"):
+        restore(str(path))
+
+
+def test_restore_keeps_a_self_edge_that_cost_no_bytes(tmp_path):
+    # a peer's sends to itself are counted as messages of 0 bytes
+    conf = config("p2p", tmp_path).to_text().encode()
+    report = "1 1 2 0\n1 4 3 4\ntotal 5 4\n"
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", conf), (b"NSTA", report.encode())])
+    assert restore(str(path)).stats_report() == report
+
+
+def test_restore_refuses_a_second_stats_record(tmp_path, any_store):
+    # snapshot writes one NSTA record; a second would silently replace it
+    conf = any_store.config.to_text().encode()
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", conf), (b"NSTA", b"total 0 0\n"),
+                           (b"NSTA", b"total 0 0\n")])
+    with pytest.raises(CorruptSnapshot, match="second NSTA record"):
+        restore(str(path))
+
+
 @pytest.mark.parametrize("tag, payload", [
     (b"CONF", b"backend=ring\n"),
     (b"CONF", b"peer_count\n"),

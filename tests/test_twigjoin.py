@@ -22,13 +22,13 @@ from twigstore.store import Store, StoreConfig
 from twigstore.twigjoin import (
     QueryCache,
     axis_holds,
-    eval_local,
     eval_naive,
     holistic_join,
     stack_join,
 )
 
 from helpers import (
+    eval_local,
     planner_bindings,
     random_corpus,
     random_document_text,
