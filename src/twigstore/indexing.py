@@ -3,7 +3,8 @@
 Index keys are prefix-disjoint by construction:
 
 * ``t:<name>``  — one posting per element/attribute node with that name
-* ``w:<word>``  — postings of elements whose immediate text contains the word
+* ``w:<word>``  — postings of elements whose immediate text contains the word,
+  one per element however many of its text children hold the word
 * ``v:<tag>=<enc>`` — postings of elements named ``tag`` whose full text
   content is the decimal integer encoded by ``enc``
 * ``r:<resource id>`` — the store's resource index: the peer holding it
@@ -154,16 +155,22 @@ class IndexService:
         ranged: Items = []
         stats = self.stats  # each key counted as its item is appended
 
-        # (node, its parent element and that element's encoded posting) in
-        # document order, with an explicit stack: a recursive closure would
-        # be a reference cycle keeping both batches alive until the next
-        # full garbage collection.  Each element is encoded once, and its
-        # tag, word and value items share that one bytes object.
-        stack: list[tuple[Node, Node, bytes]] = [(doc.root, doc.root, b"")]
+        # (node, its parent element, that element's encoded posting and
+        # the words already published for it) in document order, with an
+        # explicit stack: a recursive closure would be a reference cycle
+        # keeping both batches alive until the next full garbage
+        # collection.  Each element is encoded once, and its tag, word and
+        # value items share that one bytes object.
+        stack: list[tuple[Node, Node, bytes, set[str]]] = [
+            (doc.root, doc.root, b"", set())
+        ]
         while stack:
-            node, parent, parent_posting = stack.pop()
+            node, parent, parent_posting, parent_words = stack.pop()
             if node.kind == TEXT:
-                for word in dict.fromkeys(split_words(node.name_or_value)):
+                for word in split_words(node.name_or_value):
+                    if word in parent_words:
+                        continue
+                    parent_words.add(word)
                     key = word_key(word)
                     hashed.append((key, parent_posting))
                     stats[key] = stats.get(key, 0) + 1
@@ -178,7 +185,8 @@ class IndexService:
             hashed.append((key, posting))
             stats[key] = stats.get(key, 0) + 1
             if node.kind != ATTRIBUTE:
-                stack += ((child, node, posting)
+                words: set[str] = set()
+                stack += ((child, node, posting, words)
                           for child in reversed(doc.children(node)))
 
         put = put or self.dht.put

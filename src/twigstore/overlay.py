@@ -1,8 +1,8 @@
 """The store's two key/value overlays over simulated peers.
 
-Two overlay kinds share the per-peer surface (join, leave, store_value)
-and one routing question, ``route(peer, key)``: ``None`` when ``peer``
-owns the key, else the peer it sends the key to.
+Two overlay kinds share the per-peer surface (join, leave and one store
+per member) and one routing question, ``route(peer, key)``: ``None`` when
+``peer`` owns the key, else the peer it sends the key to.
 
 * ``HashOverlay`` — a ring of peers ordered by a 64-bit position; a key
   lives on the first peer at or clockwise after its position.  Routing
@@ -35,14 +35,15 @@ splits along the routing tree and on the range overlay the publisher sends
 one envelope per owner.  All items one peer owns take the same path, so
 each key keeps its value order.  A put envelope is the wire tag, an item
 count and the items, each a key (``pack_str``) and a value
-(``pack_bytes``).  A forwarding peer decodes only the keys: it sends each
-item on as the byte span it arrived in, and a batch that goes on whole to
-one hop as the received payload itself.  One put handler serves both
-overlays; the wire tag names the overlay, so no envelope carries an
-overlay id.  ``DhtService.put_direct`` is the one control-plane data
-operation: it stores the items on their owners without sending a message,
-which is how snapshot restore rebuilds the overlays.  Item counts and key
-lengths take 2 bytes, or 6 from 0xFFFF up.
+(``pack_bytes``).  Each peer decodes and routes each distinct key once per
+envelope, the publisher encodes each once per batch, and a forwarding peer
+decodes no value: it sends each item on as the byte span it arrived in,
+and a batch that goes on whole to one hop as the received payload itself.
+One put handler serves both overlays; the wire tag names the overlay, so
+no envelope carries an overlay id.  ``DhtService.put_direct`` is the one
+control-plane data operation: it stores the items on their owners without
+sending a message, which is how snapshot restore rebuilds the overlays.
+Item counts and key lengths take 2 bytes, or 6 from 0xFFFF up.
 
 Each overlay serves the read its role needs: ``get`` reads one key from
 the hash overlay, ``get_range`` one interval from the range overlay.
@@ -113,8 +114,12 @@ def pack_str(text: str) -> bytes:
     return pack_count(len(raw)) + raw
 
 
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+
+
 def pack_bytes(raw: bytes) -> bytes:
-    return struct.pack(">I", len(raw)) + raw
+    return _U32.pack(len(raw)) + raw
 
 
 def pack_count(n: int) -> bytes:
@@ -291,9 +296,6 @@ class HashOverlay:
     def local_values(self, peer: PeerId, key: str) -> list[bytes]:
         return list(self.members[peer].store.get(key, []))
 
-    def store_value(self, peer: PeerId, key: str, value: bytes) -> None:
-        self.members[peer].store.setdefault(key, []).append(value)
-
 
 class RangeOverlay:
     """Order-preserving partition with interval search support.
@@ -391,9 +393,6 @@ class RangeOverlay:
         for k, values in st.store.items():
             store.setdefault(k, []).extend(values)
 
-    def store_value(self, peer: PeerId, key: str, value: bytes) -> None:
-        self.members[peer].store.setdefault(key, []).append(value)
-
     def local_scan(self, peer: PeerId, lo: str, hi: str) -> list[bytes]:
         """The values ``peer`` holds under keys in [lo, hi), in key order,
         each key's values in put order."""
@@ -470,15 +469,26 @@ class DhtService:
     # -- data operations -------------------------------------------------
 
     def put(self, ov: Overlay, via: PeerId, items: Items) -> None:
-        """Publish ``items`` from ``via``, then drain the simulator once."""
+        """Publish ``items`` from ``via``, then drain the simulator once.
+
+        Each distinct key is routed, and encoded if it goes on, once.
+        """
         self._check_member(ov, via)
+        store, route = ov.members[via].store, ov.route
         groups: dict[PeerId, list[bytes]] = {}
+        # per distinct key: the list its values go to, and the key's
+        # encoding when that list holds a next hop's items, else None
+        dests: dict[str, tuple[list[bytes], bytes | None]] = {}
         for key, value in items:
-            hop = ov.route(via, key)
-            if hop is None:
-                ov.store_value(via, key, value)
-            else:
-                groups.setdefault(hop, []).append(pack_str(key) + pack_bytes(value))
+            dest = dests.get(key)
+            if dest is None:
+                hop = route(via, key)
+                if hop is None:
+                    dest = dests[key] = (store.setdefault(key, []), None)
+                else:
+                    dest = dests[key] = (groups.setdefault(hop, []), pack_str(key))
+            spans, packed = dest
+            spans.append(value if packed is None else packed + pack_bytes(value))
         if groups:
             self._send_put_groups(via, bytes([ov.put_tag]), groups)
             self.drain()
@@ -604,26 +614,44 @@ class DhtService:
         """Store the items of a put envelope that this peer owns and send
         the rest on, one envelope per next hop.
 
-        Only keys are decoded: a forwarded item is its byte span in the
-        payload, and a batch that goes on whole to one hop is sent as the
-        payload itself.  A range put reaches the owner of all its items,
-        so nothing goes on.
+        Each distinct key is decoded and routed once per envelope: items
+        are matched to their key's destination by the key's raw bytes.  No
+        value is decoded: a forwarded item is its byte span in the payload,
+        and a batch that goes on whole to one hop is sent as the payload
+        itself.  A range put reaches the owner of all its items, so nothing
+        goes on.
         """
         payload, me = env.payload, env.to_peer
+        store, route = ov.members[me].store, ov.route
         count, off = unpack_count(payload, 1)
         groups: dict[PeerId, list[bytes]] = {}
+        # per distinct raw key: whether this peer owns it, and the list its
+        # values (owned) or its items' spans (sent on) go to
+        dests: dict[bytes, tuple[bool, list[bytes]]] = {}
         owned = False
         for _ in range(count):
             start = off
-            key, off = unpack_str(payload, off)
-            (size,) = struct.unpack_from(">I", payload, off)
-            off += 4 + size
-            hop = ov.route(me, key)
-            if hop is None:
-                ov.store_value(me, key, payload[off - size : off])
-                owned = True
+            # the key's length, as ``unpack_count`` reads it
+            (n,) = _U16.unpack_from(payload, off)
+            if n < 0xFFFF:
+                off += 2
             else:
-                groups.setdefault(hop, []).append(payload[start:off])
+                (n,) = _U32.unpack_from(payload, off + 2)
+                off += 6
+            raw = payload[off : off + n]
+            (size,) = _U32.unpack_from(payload, off + n)
+            off += n + 4 + size
+            dest = dests.get(raw)
+            if dest is None:
+                key = raw.decode("utf-8")
+                hop = route(me, key)
+                if hop is None:
+                    owned = True
+                    dest = dests[raw] = (True, store.setdefault(key, []))
+                else:
+                    dest = dests[raw] = (False, groups.setdefault(hop, []))
+            mine, spans = dest
+            spans.append(payload[off - size : off] if mine else payload[start:off])
         if len(groups) == 1 and not owned:
             net.send(me, next(iter(groups)), payload)
         else:

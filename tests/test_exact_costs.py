@@ -9,13 +9,16 @@ Per query the pins are messages and bytes, messages and bytes per wire tag
 (the first payload byte, counted by wrapping ``Network.send`` and charged
 as ``NetworkStats.record`` charges them: a message a peer sends itself
 costs no bytes), and the sha256 of the answers and of the placed plan XML.
-Ingest is pinned as messages and bytes per document, and each backend's
-snapshot of the whole corpus by the sha256 of its bytes.
+Ingest is pinned as messages and bytes per document, and by the sha256 of
+its envelopes (``envelopes_sha256``), so reordering the items inside an
+envelope shows even where every count and answer stays.  Each backend's
+snapshot of the whole corpus is pinned by the sha256 of its bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import defaultdict
 
 import pytest
@@ -77,14 +80,27 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def envelopes_sha256(sent) -> str:
+    """sha256 over ``(from, to, payload)`` envelopes in send order, each
+    as the two peer ids and the payload length (8, 8 and 4 bytes,
+    big-endian), then the payload."""
+    digest = hashlib.sha256()
+    for frm, to, payload in sent:
+        digest.update(struct.pack(">QQI", frm, to, len(payload)) + payload)
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def observed() -> dict[str, dict]:
     """Ingest the corpus into an 8-peer store, then run every query once;
-    per step, its cost, its traffic per wire tag and what it returned."""
+    per step, its cost, its traffic per wire tag and what it returned, and
+    per ingest step the digest of its envelopes."""
     per_tag: dict[int, list[int]] = defaultdict(lambda: [0, 0])
+    sent: list[tuple[int, int, bytes]] = []
     real_send = Network.send
 
     def send(net, frm, to, payload):
+        sent.append((frm, to, payload))
         entry = per_tag[payload[0]]
         entry[0] += 1
         entry[1] += 0 if frm == to else len(payload)
@@ -95,6 +111,7 @@ def observed() -> dict[str, dict]:
 
     def measure(step) -> dict:
         per_tag.clear()
+        sent.clear()
         before = store.stats.copy()
         result = step()
         d = store.stats.delta_since(before)
@@ -106,7 +123,9 @@ def observed() -> dict[str, dict]:
     try:
         for n, text in enumerate(DOCS, 1):
             out[f"doc{n}"] = measure(lambda: len(store.store_resource(text)))
+            out[f"doc{n}"]["envelopes"] = envelopes_sha256(sent)
         out["rdf_load"] = measure(lambda: store.rdf_load(TRIPLES))
+        out["rdf_load"]["envelopes"] = envelopes_sha256(sent)
         for form, text in QUERIES.items():
             plan = store.build_plan(parse_pattern(text), with_recompose=True)
             step = measure(lambda: store.query(text).resources)
@@ -126,11 +145,26 @@ def observed() -> dict[str, dict]:
 # wire tags: 0x01 hash put, 0x02 hash get, 0x03 values (every read's
 # answer), 0x04 range put, 0x10 dataset ship, 0x11 subtree fetch
 INGEST = {
-    "doc1": {"cost": (12, 16723), "result": 7, "tags": {0x01: (11, 16330), 0x04: (1, 393)}},
-    "doc2": {"cost": (11, 15677), "result": 7, "tags": {0x01: (10, 15284), 0x04: (1, 393)}},
-    "doc3": {"cost": (12, 19724), "result": 7, "tags": {0x01: (11, 19331), 0x04: (1, 393)}},
-    "doc4": {"cost": (11, 12844), "result": 7, "tags": {0x01: (10, 12451), 0x04: (1, 393)}},
-    "rdf_load": {"cost": (11, 7106), "result": 48, "tags": {0x01: (11, 7106)}},
+    "doc1": {
+        "cost": (12, 16723), "result": 7, "tags": {0x01: (11, 16330), 0x04: (1, 393)},
+        "envelopes": "0f7c95ef7ad0f60bf062f531a56818da692ec28ba910d182a4ded1a176023365",
+    },
+    "doc2": {
+        "cost": (11, 15677), "result": 7, "tags": {0x01: (10, 15284), 0x04: (1, 393)},
+        "envelopes": "7936ec67fd287b6ef496cfaa109fb437d2519bfa12b9113c45bef79eeb213b21",
+    },
+    "doc3": {
+        "cost": (12, 19724), "result": 7, "tags": {0x01: (11, 19331), 0x04: (1, 393)},
+        "envelopes": "402874517223dd1f2de02984c4e107f9d6b85fc1cf48385a6b452305a3bafafd",
+    },
+    "doc4": {
+        "cost": (11, 12844), "result": 7, "tags": {0x01: (10, 12451), 0x04: (1, 393)},
+        "envelopes": "7da8142981d22dbfa7bca4a322a387fce1bb9a21e4d8ad8f507b71a1d710d844",
+    },
+    "rdf_load": {
+        "cost": (11, 7106), "result": 48, "tags": {0x01: (11, 7106)},
+        "envelopes": "95fc77746ed312d37a01f704bdad3fcabd14aef869c814c934f3052c84223437",
+    },
 }
 
 # result: (answer count, sha256 of "id<TAB>payload" lines in answer order)

@@ -85,6 +85,18 @@ def test_empty_elements_publish_no_words():
     assert index.known_tags() == ["a", "b", "c"]
 
 
+def test_a_word_in_two_text_children_is_published_once():
+    net, dht, index = make_cluster()
+    doc = parse_document("<lib><p>dht xml <b>bold</b> more dht</p></lib>", 1)
+    # lib, p and b tags; dht, xml and more under p; bold under b
+    assert index.index_document(doc, 1) == 7
+    p = StructuralId(1, 2, 8, 2)
+    stored = dht.hash.members[dht.hash.owner_of("w:dht")].store["w:dht"]
+    assert stored == [encode_posting(p)]
+    assert index.stats["w:dht"] == 1
+    assert [node.label for node in doc.with_word(None, "dht")] == [p]
+
+
 def test_same_doc_indexed_under_two_ids():
     net, dht, index = make_cluster()
     index.index_document(parse_document(D1, 1), 1)
@@ -235,11 +247,12 @@ def _owner_and_other(ov, key):
 
 def test_lookups_return_distinct_postings_in_label_order():
     net, dht, index = make_cluster(4)
-    # mixed content publishes the word "xml" twice for the same <p>
+    # two text children of <p> hold "xml", which is published once for it;
+    # the duplicates come from the puts below
     doc = parse_document("<r><p>xml <b/> xml</p><n>7</n></r>", 2**32 + 3)
     index.index_document(doc, 1)
     wkey, vkey = word_key("xml"), value_key("n", 7)
-    assert len(_stored(dht.hash, wkey)) == 2
+    assert len(_stored(dht.hash, wkey)) == 1
     for key in (tag_key("p"), wkey):
         dht.put(dht.hash, 2, [(key, encode_posting(sid)) for sid in _WIDE * 2])
     dht.put(dht.range, 3, [(vkey, encode_posting(sid)) for sid in _WIDE[::-1]])

@@ -555,9 +555,8 @@ def test_remote_reads_of_65536_values():
         dht.join(dht.range, p)
     hash_ov, range_ov = dht.hash, dht.range
     assert hash_ov.owner_of("42") == 50 and range_ov.owner_of("é") == 50
-    for v in values:
-        hash_ov.store_value(50, "42", v)
-        range_ov.store_value(50, "é", v)
+    hash_ov.members[50].store["42"] = list(values)
+    range_ov.members[50].store["é"] = list(values)
     assert dht.get(10, "42") == values
     assert dht.get_range(10, "é", "é\x00") == values
     assert dht.get_range(10, "\x80", "\U0010ffff") == values
@@ -710,6 +709,24 @@ def test_batch_shares_envelopes_along_the_route():
     dht.put(dht.range, 10, [("K", b"x"), ("é", b"y"), ("5", b"z"), ("L", b"w")])
     assert net.stats.messages_sent - before == 2  # one envelope per remote owner
     assert dht.get_range(50, "0", "ÿ") == [b"z", b"x", b"w", b"y"]
+
+
+def test_each_peer_routes_each_distinct_key_of_an_envelope_once():
+    net, dht = make_service([10, 50, 90])
+    ov = dht.hash
+    for p in (10, 50, 90):
+        dht.join(ov, p)
+    calls = []
+    real_route = ov.route
+    ov.route = lambda peer, key: calls.append((peer, key)) or real_route(peer, key)
+    dht.put(ov, 90, [("42", b"a"), ("60", b"own"), ("20", b"b"), ("42", b"c")])
+    # 90 publishes, 10 forwards and 50 owns what 10 sends it
+    assert calls == [
+        (90, "42"), (90, "60"), (90, "20"),
+        (10, "42"), (10, "20"),
+        (50, "42"), (50, "20"),
+    ]
+    assert ov.members[50].store == {"42": [b"a", b"c"], "20": [b"b"]}
 
 
 def _decoding_router(ov, via, items):
