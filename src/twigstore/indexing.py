@@ -5,8 +5,9 @@ Index keys are prefix-disjoint by construction:
 * ``t:<name>``  — one posting per element/attribute node with that name
 * ``w:<word>``  — postings of elements whose immediate text contains the word,
   one per element however many of its text children hold the word
-* ``v:<tag>=<enc>`` — postings of elements named ``tag`` whose full text
-  content is the decimal integer encoded by ``enc``
+* ``v:<tag>=<enc>`` — postings of elements named ``tag`` with a text child
+  that is the decimal integer encoded by ``enc``, one per element however
+  many of its text children hold that integer
 * ``r:<resource id>`` — the store's resource index: the peer holding it
 
 Every p2p store runs two overlays: value keys live on the order-preserving
@@ -156,37 +157,39 @@ class IndexService:
         stats = self.stats  # each key counted as its item is appended
 
         # (node, its parent element, that element's encoded posting and
-        # the words already published for it) in document order, with an
-        # explicit stack: a recursive closure would be a reference cycle
-        # keeping both batches alive until the next full garbage
-        # collection.  Each element is encoded once, and its tag, word and
-        # value items share that one bytes object.
+        # the word and value keys already published for it) in document
+        # order, with an explicit stack: a recursive closure would be a
+        # reference cycle keeping both batches alive until the next full
+        # garbage collection.  Each element is encoded once, and its tag,
+        # word and value items share that one bytes object.
         stack: list[tuple[Node, Node, bytes, set[str]]] = [
             (doc.root, doc.root, b"", set())
         ]
         while stack:
-            node, parent, parent_posting, parent_words = stack.pop()
+            node, parent, parent_posting, parent_keys = stack.pop()
             if node.kind == TEXT:
                 for word in split_words(node.name_or_value):
-                    if word in parent_words:
-                        continue
-                    parent_words.add(word)
                     key = word_key(word)
+                    if key in parent_keys:
+                        continue
+                    parent_keys.add(key)
                     hashed.append((key, parent_posting))
                     stats[key] = stats.get(key, 0) + 1
                 value = parse_int_content(node.name_or_value)
                 if value is not None:
                     key = value_key(parent.name, value)
-                    ranged.append((key, parent_posting))
-                    stats[key] = stats.get(key, 0) + 1
+                    if key not in parent_keys:
+                        parent_keys.add(key)
+                        ranged.append((key, parent_posting))
+                        stats[key] = stats.get(key, 0) + 1
                 continue
             posting = encode_posting(node.label)
             key = tag_key(node.name)
             hashed.append((key, posting))
             stats[key] = stats.get(key, 0) + 1
             if node.kind != ATTRIBUTE:
-                words: set[str] = set()
-                stack += ((child, node, posting, words)
+                keys: set[str] = set()
+                stack += ((child, node, posting, keys)
                           for child in reversed(doc.children(node)))
 
         put = put or self.dht.put

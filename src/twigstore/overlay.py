@@ -25,8 +25,9 @@ per member) and one routing question, ``route(peer, key)``: ``None`` when
 operation names the overlay object it works on.
 
 Values under one key form a multiset; duplicates are preserved, in the
-order they were put.  Keys are handed over synchronously on join/leave
-(control plane); only data operations generate accounted traffic.
+order they were put.  On join and leave both overlays hand keys over by
+one rule, ``_rehome``: a key ``owner_of`` no longer places at its holder
+moves to its owner (control plane); only data operations are accounted.
 
 ``DhtService.put`` publishes a batch of ``(key, value)`` items.  Each peer
 on the way, the publisher included, stores the items it owns and sends the
@@ -151,17 +152,8 @@ def unpack_bytes(buf: bytes, off: int) -> tuple[bytes, int]:
 Items = list[tuple[str, bytes]]
 
 
-class RingState:
-    def __init__(self, position: int, successor: PeerId, predecessor: PeerId):
-        self.position = position
-        self.successor = successor
-        self.predecessor = predecessor
-        self.store: dict[str, list[bytes]] = {}
-
-
-class RangeState:
-    def __init__(self):
-        self.store: dict[str, list[bytes]] = {}
+# one member's keys, each with its values in put order
+PeerStore = dict[str, list[bytes]]
 
 
 # a peer's position, its predecessor's clockwise distance, and its fingers'
@@ -172,20 +164,21 @@ _FingerTable = tuple[int, int, list[int], list[PeerId]]
 class HashOverlay:
     """Ring overlay with exact-key put/get and multi-value semantics.
 
-    The ring is kept as ``(position, peer)`` pairs sorted by position, plus
-    the bare positions for ``bisect``; both are rebuilt only when the
-    membership changes.  Each peer's finger table, with its predecessor's
-    clockwise distance, is built from the sorted ring on the first hop it
-    routes and dropped with the ring, so ``route`` answers ownership and
-    next hop from one cached table.  Key positions are memoized, so
-    routing a key hop by hop hashes it once.
+    ``members`` maps each member to its store.  The ring is kept as
+    ``(position, peer)`` pairs sorted by position, plus the bare positions
+    for ``bisect``; a join inserts its pair and a leave removes it, then
+    ``_rehome`` moves the keys.  Each peer's finger table, with its
+    predecessor's clockwise distance, is built from the ring on the first
+    hop it routes and dropped on a join or leave, so ``route`` answers
+    ownership and next hop from one cached table.  Key positions are
+    memoized, so a key is hashed once.
     """
 
     kind = "hash"
     put_tag = _HASH_PUT
 
     def __init__(self):
-        self.members: dict[PeerId, RingState] = {}
+        self.members: dict[PeerId, PeerStore] = {}
         self._ring: list[tuple[int, PeerId]] = []
         self._positions: list[int] = []
         self._fingers: dict[PeerId, _FingerTable] = {}
@@ -200,29 +193,28 @@ class HashOverlay:
     def peer_position(self, peer: PeerId) -> int:
         return ring_hash(str(peer))
 
-    def _rebuild_ring(self) -> None:
-        self._ring = sorted((st.position, pid) for pid, st in self.members.items())
-        self._positions = [pos for pos, _ in self._ring]
-        self._fingers.clear()
-
-    def owner_of_position(self, pos: int) -> PeerId:
-        if not self.members:
-            raise NoMembers(f"the {self.kind} overlay has no members")
+    def _owner_entry(self, pos: int) -> tuple[int, PeerId]:
         i = bisect_left(self._positions, pos)
-        return self._ring[i if i < len(self._ring) else 0][1]
+        return self._ring[i if i < len(self._ring) else 0]
 
     def owner_of(self, key: str) -> PeerId:
-        return self.owner_of_position(self.key_position(key))
+        if not self.members:
+            raise NoMembers(f"the {self.kind} overlay has no members")
+        return self._owner_entry(self.key_position(key))[1]
+
+    def _ring_index(self, peer: PeerId) -> int:
+        return next(i for i, (_, pid) in enumerate(self._ring) if pid == peer)
 
     def _finger_table(self, peer: PeerId) -> _FingerTable:
-        pos = self.members[peer].position
+        i = self._ring_index(peer)
+        pos = self._ring[i][0]
         dist: dict[PeerId, int] = {}
-        for i in range(64):
-            finger = self.owner_of_position((pos + (1 << i)) & _MASK64)
+        for j in range(64):
+            fpos, finger = self._owner_entry((pos + (1 << j)) & _MASK64)
             if finger != peer and finger not in dist:
-                dist[finger] = (self.members[finger].position - pos) & _MASK64
+                dist[finger] = (fpos - pos) & _MASK64
         table = sorted((d, finger) for finger, d in dist.items())
-        pred_dist = (self.members[self.members[peer].predecessor].position - pos) & _MASK64
+        pred_dist = (self._ring[i - 1][0] - pos) & _MASK64
         return pos, pred_dist, [d for d, _ in table], [finger for _, finger in table]
 
     def route(self, peer: PeerId, key: str) -> PeerId | None:
@@ -244,12 +236,6 @@ class HashOverlay:
         i = bisect_left(dists, d)
         return fingers[i - 1 if i else 0]
 
-    @staticmethod
-    def _in_arc(pos: int, lo_excl: int, hi_incl: int) -> bool:
-        if lo_excl < hi_incl:
-            return lo_excl < pos <= hi_incl
-        return pos > lo_excl or pos <= hi_incl
-
     def join(self, peer: PeerId) -> None:
         if peer in self.members:
             raise AlreadyMember(f"peer {peer} already in the {self.kind} overlay")
@@ -257,44 +243,25 @@ class HashOverlay:
         i = bisect_left(self._positions, pos)
         if i < len(self._positions) and self._positions[i] == pos:
             raise ValueError(f"ring position collision for peer {peer}")
-        if not self.members:
-            self.members[peer] = RingState(pos, peer, peer)
-            self._rebuild_ring()
-            return
-        succ = self.owner_of_position(pos)
-        succ_state = self.members[succ]
-        pred = succ_state.predecessor
-        self.members[peer] = RingState(pos, succ, pred)
-        self.members[pred].successor = peer
-        succ_state.predecessor = peer
-        self._rebuild_ring()
-        # hand over the arc (pred, pos] from the old owner
-        moved = [
-            k for k in succ_state.store
-            if self._in_arc(self.key_position(k), self.members[pred].position, pos)
-        ]
-        mine = self.members[peer].store
-        for k in moved:
-            mine[k] = succ_state.store.pop(k)
+        self.members[peer] = {}
+        self._ring.insert(i, (pos, peer))
+        self._positions.insert(i, pos)
+        self._fingers.clear()
+        succ = self._ring[(i + 1) % len(self._ring)][1]  # the old owner
+        _rehome(self, succ, self.members[succ])
 
     def leave(self, peer: PeerId) -> None:
-        st = self.members.get(peer)
-        if st is None:
+        store = self.members.pop(peer, None)
+        if store is None:
             raise NotMember(f"peer {peer} not in the {self.kind} overlay")
-        if st.successor == peer:  # last member
-            del self.members[peer]
-            self._rebuild_ring()
-            return
-        succ_state = self.members[st.successor]
-        for k, values in st.store.items():
-            succ_state.store.setdefault(k, []).extend(values)
-        self.members[st.predecessor].successor = st.successor
-        succ_state.predecessor = st.predecessor
-        del self.members[peer]
-        self._rebuild_ring()
+        i = self._ring_index(peer)
+        del self._ring[i], self._positions[i]
+        self._fingers.clear()
+        if self.members:
+            _rehome(self, peer, store)
 
     def local_values(self, peer: PeerId, key: str) -> list[bytes]:
-        return list(self.members[peer].store.get(key, []))
+        return list(self.members[peer].get(key, []))
 
 
 class RangeOverlay:
@@ -305,17 +272,18 @@ class RangeOverlay:
     ``owners[i]`` owns the keys from ``bounds[i]`` up to the next boundary,
     the last one every key above.  A joiner takes the upper half of the
     widest interval, the lowest on ties; a leaver's interval goes to its
-    narrower list neighbour, the lower on ties.  A boundary reads as the
-    base-256 fraction in [0, 1) its bytes spell, and a midpoint is written
-    in the fewest bytes, so no boundary ends in a NUL and byte order agrees
-    with that fraction order on every key.
+    narrower list neighbour, the lower on ties; either then ``_rehome``s
+    the keys.  A boundary reads as the base-256 fraction in [0, 1) its
+    bytes spell, and a midpoint is written in the fewest bytes, so no
+    boundary ends in a NUL and byte order agrees with that fraction order
+    on every key.  ``members`` maps each member to its store.
     """
 
     kind = "range"
     put_tag = _RANGE_PUT
 
     def __init__(self):
-        self.members: dict[PeerId, RangeState] = {}
+        self.members: dict[PeerId, PeerStore] = {}
         self.bounds: list[bytes] = []
         self.owners: list[PeerId] = []
         self.last_contacted: tuple[PeerId, ...] = ()
@@ -355,8 +323,8 @@ class RangeOverlay:
     def join(self, peer: PeerId) -> None:
         if peer in self.members:
             raise AlreadyMember(f"peer {peer} already in the {self.kind} overlay")
-        if not self.members:
-            self.members[peer] = RangeState()
+        self.members[peer] = {}
+        if len(self.members) == 1:
             self.bounds, self.owners = [b""], [peer]
             return
         ends, size = self._ends()
@@ -364,45 +332,47 @@ class RangeOverlay:
         twice = ends[i] + ends[i + 1]
         # half the sum at ``size`` bytes is 128 times it at one more
         mid = (twice * 128).to_bytes(size + 1, "big").rstrip(b"\0")
-        old = self.members[self.owners[i]].store
-        new_state = RangeState()
-        for k in [k for k in old if self.sort_key(k) >= mid]:
-            new_state.store[k] = old.pop(k)
-        self.members[peer] = new_state
         self.bounds.insert(i + 1, mid)
         self.owners.insert(i + 1, peer)
+        _rehome(self, self.owners[i], self.members[self.owners[i]])
 
     def leave(self, peer: PeerId) -> None:
-        st = self.members.pop(peer, None)
-        if st is None:
+        store = self.members.pop(peer, None)
+        if store is None:
             raise NotMember(f"peer {peer} not in the {self.kind} overlay")
         i = self.owners.index(peer)
-        if not self.members:
-            self.bounds, self.owners = [], []
-            return
         ends, _ = self._ends()
-        last = len(self.owners) - 1
-        if i > 0 and (i == last or ends[i] - ends[i - 1] <= ends[i + 2] - ends[i + 1]):
-            absorber = self.owners[i - 1]
-            del self.bounds[i]
-        else:  # the upper neighbour takes this boundary
-            absorber = self.owners[i + 1]
-            del self.bounds[i + 1]
-        del self.owners[i]
-        store = self.members[absorber].store
-        for k, values in st.store.items():
-            store.setdefault(k, []).extend(values)
+        # the narrower neighbour takes the interval, the lower on ties: the
+        # upper by moving down to the leaver's boundary, the lower by dropping it
+        upper = i < len(self.owners) - 1 and (
+            i == 0 or ends[i + 2] - ends[i + 1] < ends[i] - ends[i - 1]
+        )
+        del self.bounds[i + upper], self.owners[i]
+        if self.members:
+            _rehome(self, peer, store)
 
     def local_scan(self, peer: PeerId, lo: str, hi: str) -> list[bytes]:
         """The values ``peer`` holds under keys in [lo, hi), in key order,
         each key's values in put order."""
-        store = self.members[peer].store
+        store = self.members[peer]
         klo, khi = self.sort_key(lo), self.sort_key(hi)
         keys = [k for k in store if klo <= self.sort_key(k) < khi]
         return [v for k in sorted(keys, key=self.sort_key) for v in store[k]]
 
 
 Overlay = HashOverlay | RangeOverlay
+
+
+def _rehome(ov: Overlay, peer: PeerId, store: PeerStore) -> None:
+    """Move each key of ``store`` that ``ov.owner_of`` no longer places at
+    ``peer`` to its owner, its values in order: a join passes the old
+    owner's store, a leave the leaver's."""
+    for key in list(store):
+        owner = ov.owner_of(key)
+        if owner != peer:
+            ov.members[owner].setdefault(key, []).extend(store.pop(key))
+
+
 # ``DhtService.put`` or ``DhtService.put_direct``: (overlay, via, items)
 PutFn = Callable[[Overlay, PeerId, Items], None]
 Handler = Callable[[Network, Envelope], None]
@@ -474,7 +444,7 @@ class DhtService:
         Each distinct key is routed, and encoded if it goes on, once.
         """
         self._check_member(ov, via)
-        store, route = ov.members[via].store, ov.route
+        store, route = ov.members[via], ov.route
         groups: dict[PeerId, list[bytes]] = {}
         # per distinct key: the list its values go to, and the key's
         # encoding when that list holds a next hop's items, else None
@@ -507,7 +477,7 @@ class DhtService:
         for key, value in items:
             by_key.setdefault(key, []).append(value)
         for key, values in by_key.items():
-            ov.members[ov.owner_of(key)].store.setdefault(key, []).extend(values)
+            ov.members[ov.owner_of(key)].setdefault(key, []).extend(values)
 
     def get(self, via: PeerId, key: str) -> list[bytes]:
         """The values of the hash overlay under ``key``, in put order."""
@@ -622,7 +592,7 @@ class DhtService:
         goes on.
         """
         payload, me = env.payload, env.to_peer
-        store, route = ov.members[me].store, ov.route
+        store, route = ov.members[me], ov.route
         count, off = unpack_count(payload, 1)
         groups: dict[PeerId, list[bytes]] = {}
         # per distinct raw key: whether this peer owns it, and the list its

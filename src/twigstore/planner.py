@@ -263,11 +263,13 @@ class PlanBuilder:
             child_var=child, cols=left.cols + right.cols, kids=[left, right],
         )
 
-    def build(self, dec: Decomposition, with_recompose: bool) -> Plan:
+    def build(self, dec: Decomposition) -> Plan:
         """The logical plan with the placer's naive sites and Ship edges.
 
         Each unit's leaves are joined in breadth-first order from its top
-        node; the units are then joined onto the root's, one per cut edge.
+        node; the units are then joined onto the root's, one per cut edge,
+        under a Recompose at the query peer.  The Recompose's input,
+        ``kids[0]``, yields the bindings.
         """
         pattern, unit_of = dec.pattern, dec.unit_of
         units = {0: self.leaf_for(pattern, 0)}  # unit -> its plan so far
@@ -282,12 +284,11 @@ class PlanBuilder:
         for edge in dec.joins:
             acc = self._join(acc, units[edge[1]], edge)
 
-        if with_recompose:
-            acc = Plan(
-                "Recompose", self.query_peer,
-                ret_vars=tuple(pattern.return_nodes), cols=acc.cols, kids=[acc],
-            )
-        return _pin_root(_reship(acc), self.query_peer)
+        acc = Plan(
+            "Recompose", self.query_peer,
+            ret_vars=tuple(pattern.return_nodes), cols=acc.cols, kids=[acc],
+        )
+        return _reship(acc)
 
 
 # -- cost estimation -----------------------------------------------------------
@@ -517,11 +518,6 @@ class Dataset:
         self.cols = cols
         self.rows = rows
         self.site = site
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Dataset:
-            return NotImplemented
-        return (self.cols, self.rows, self.site) == (other.cols, other.rows, other.site)
 
 
 def _column_count(ncols: int) -> bytes:

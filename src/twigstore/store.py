@@ -226,13 +226,13 @@ class Store:
                 serialize_node(self.documents[sid.doc_id], sid) for sid in sids
             ])
             return QueryResult(resources, NetworkStats())
-        plan = self.build_plan(pattern, with_recompose=True)
+        plan = self.build_plan(pattern)
         return QueryResult(*planner.execute(plan, self.exec_ctx))
 
-    def build_plan(self, pattern: TreePattern, with_recompose: bool) -> planner.Plan:
+    def build_plan(self, pattern: TreePattern) -> planner.Plan:
         dec = planner.decompose(pattern)
         builder = planner.PlanBuilder(self.dht, self.query_peer)
-        plan = builder.build(dec, with_recompose=with_recompose)
+        plan = builder.build(dec)
         return planner.place(plan, self.index.stats, self.query_peer)
 
     # -- rdf ------------------------------------------------------------------

@@ -8,7 +8,7 @@ from twigstore import planner
 from twigstore.document import Document, parse_document
 from twigstore.indexing import IndexService
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService
+from twigstore.overlay import DhtService, HashOverlay, RangeOverlay
 from twigstore.pattern import TreePattern, parse_pattern
 from twigstore.store import Store
 from twigstore.twigjoin import Binding, local_bindings, sort_bindings
@@ -149,8 +149,9 @@ def index_corpus(
 
 
 def planner_bindings(store: Store, pattern: TreePattern) -> list[Binding]:
-    """The bindings a p2p ``Store.query`` recomposes: its plan, executed."""
-    plan = store.build_plan(pattern, with_recompose=False)
+    """The bindings a p2p ``Store.query`` recomposes: its plan's Recompose
+    input, executed."""
+    plan = store.build_plan(pattern).kids[0]
     result, _ = planner.execute(plan, store.exec_ctx)
     return dataset_to_bindings(pattern, result)
 
@@ -201,3 +202,31 @@ def skew_cluster(big: int, small: int):
     builder = planner.PlanBuilder(dht, query_peer)
     pattern = parse_pattern(f"//{big_tag}[/{small_tag}]!")
     return net, index, ctx, builder, pattern, (big_tag, small_tag), doc
+
+
+def check_ring(ov: HashOverlay) -> None:
+    """The ring lists every member once, at its own position, in strictly
+    increasing position order, and every store holds only the keys its
+    member owns."""
+    positions = [pos for pos, _ in ov._ring]
+    assert positions == ov._positions
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+    assert sorted(pid for _, pid in ov._ring) == sorted(ov.members)
+    assert all(ov.peer_position(pid) == pos for pos, pid in ov._ring)
+    for pid, store in ov.members.items():
+        assert all(ov.owner_of(key) == pid for key in store)
+
+
+def check_partition(ov: RangeOverlay) -> None:
+    """The intervals cover every key, from the bottom of the key order up,
+    with one nonempty interval per member, and every store holds only the
+    keys its member owns."""
+    if not ov.members:
+        assert ov.bounds == ov.owners == []
+        return
+    assert ov.bounds[0] == b""
+    assert all(lo < hi for lo, hi in zip(ov.bounds, ov.bounds[1:]))
+    assert len(ov.owners) == len(ov.members) and set(ov.owners) == set(ov.members)
+    assert not any(b.endswith(b"\0") for b in ov.bounds)
+    for pid, store in ov.members.items():
+        assert all(ov.owner_of(key) == pid for key in store)

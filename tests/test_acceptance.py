@@ -24,6 +24,8 @@ from twigstore.store import Store, StoreConfig, snapshot
 from twigstore.twigjoin import eval_naive
 
 from helpers import (
+    check_partition,
+    check_ring,
     dataset_to_bindings,
     eval_local,
     index_corpus,
@@ -93,7 +95,7 @@ def _pipeline_trial(rng, collect_bytes=None):
     builder = PlanBuilder(dht, 1)
     pattern = random_pattern(rng, max_nodes=5)
     want = eval_naive(pattern, docs)
-    naive_plan = builder.build(decompose(pattern), False)
+    naive_plan = builder.build(decompose(pattern)).kids[0]
     placed_plan = place(naive_plan, index.stats, 1)
     placed_result, placed_delta = execute(placed_plan, ctx)
     assert dataset_to_bindings(pattern, placed_result) == want, (
@@ -116,7 +118,7 @@ def test_criterion_3_transfer_reduction():
     with Criterion(3, "transfer reduction", 10):
         net, index, ctx, builder, pattern, _, doc = skew_cluster(1000, 10)
         dec = decompose(pattern)
-        naive_plan = builder.build(dec, False)
+        naive_plan = builder.build(dec).kids[0]
         placed_plan = place(naive_plan, index.stats, 1)
         want = eval_naive(pattern, [doc])
         naive_result, naive_delta = execute(naive_plan, ctx)
@@ -151,27 +153,6 @@ def test_criterion_4_dht_consistency_under_churn():
                 members[ov].append(p)
         shadow: dict[Overlay, dict[str, list[bytes]]] = {ov: {} for ov in overlays}
 
-        def check_invariants():
-            ring = dht.hash
-            if ring.members:
-                start = next(iter(ring.members))
-                walk, cur = [], start
-                while True:
-                    walk.append(cur)
-                    cur = ring.members[cur].successor
-                    if cur == start:
-                        break
-                    assert len(walk) <= len(ring.members), "successor cycle broke"
-                assert sorted(walk) == sorted(ring.members)
-            part = dht.range
-            if part.members:
-                # the boundaries run up from the bottom key, one per member
-                assert part.bounds[0] == b""
-                assert all(a < b for a, b in zip(part.bounds, part.bounds[1:]))
-                assert sorted(part.owners) == sorted(part.members)
-                for pid, st in part.members.items():
-                    assert all(part.owner_of(key) == pid for key in st.store)
-
         for step in range(1000):
             ov = rng.choice(overlays)
             roll = rng.random()
@@ -198,7 +179,8 @@ def test_criterion_4_dht_consistency_under_churn():
                 assert sorted(got) == sorted(shadow[ov].get(key, [])), (
                     f"step {step}: get({key}) diverged from shadow map"
                 )
-            check_invariants()
+            check_ring(dht.hash)
+            check_partition(dht.range)
 
 
 def test_criterion_5_interval_search():

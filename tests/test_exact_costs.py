@@ -127,7 +127,7 @@ def observed() -> dict[str, dict]:
         out["rdf_load"] = measure(lambda: store.rdf_load(TRIPLES))
         out["rdf_load"]["envelopes"] = envelopes_sha256(sent)
         for form, text in QUERIES.items():
-            plan = store.build_plan(parse_pattern(text), with_recompose=True)
+            plan = store.build_plan(parse_pattern(text))
             step = measure(lambda: store.query(text).resources)
             answers = "\n".join(f"{r.resource_id}\t{r.payload}" for r in step["result"])
             step["result"] = (len(step["result"]), _sha256(answers))

@@ -91,10 +91,22 @@ def test_a_word_in_two_text_children_is_published_once():
     # lib, p and b tags; dht, xml and more under p; bold under b
     assert index.index_document(doc, 1) == 7
     p = StructuralId(1, 2, 8, 2)
-    stored = dht.hash.members[dht.hash.owner_of("w:dht")].store["w:dht"]
+    stored = dht.hash.members[dht.hash.owner_of("w:dht")]["w:dht"]
     assert stored == [encode_posting(p)]
     assert index.stats["w:dht"] == 1
     assert [node.label for node in doc.with_word(None, "dht")] == [p]
+
+
+def test_an_integer_in_two_text_children_is_published_once():
+    net, dht, index = make_cluster(4)
+    doc = parse_document("<r><n>12<b/>12</n></r>", 1)
+    # r, n and b tags; the word 12 and the value 12 under n
+    assert index.index_document(doc, 1) == 5
+    n = StructuralId(1, 2, 7, 2)
+    key = value_key("n", 12)
+    assert dht.range.members[dht.range.owner_of(key)][key] == [encode_posting(n)]
+    assert index.stats[key] == 1
+    assert [node.label for node in doc.in_range("n", 0, 20)] == [n]
 
 
 def test_same_doc_indexed_under_two_ids():
@@ -169,8 +181,8 @@ def test_estimates_count_and_lookups_return_the_published_postings(seed, peers, 
     # what the overlays hold, read straight from every peer's store
     stored: dict[str, list[StructuralId]] = {}
     for ov in (dht.hash, dht.range):
-        for state in ov.members.values():
-            for key, values in state.store.items():
+        for peer_store in ov.members.values():
+            for key, values in peer_store.items():
                 if key[:2] in ("t:", "w:", "v:"):
                     stored.setdefault(key, []).extend(map(_unpack_posting, values))
     stats = index.stats
@@ -232,8 +244,8 @@ _WIDE = [
 
 def _stored(ov, key):
     """Every encoded posting the overlay holds under ``key``, on any peer."""
-    return [v for state in ov.members.values()
-            for v in state.store.get(key, [])]
+    return [v for peer_store in ov.members.values()
+            for v in peer_store.get(key, [])]
 
 
 def _label_order(records):

@@ -30,6 +30,8 @@ from twigstore.overlay import (
 )
 from twigstore.store import P2P, Store, StoreConfig
 
+from helpers import check_partition, check_ring
+
 
 def pack_items(items):
     """Reference encoding of a put envelope's body: the item count, then
@@ -83,8 +85,7 @@ def test_ring_ownership_after_join():
     ov = dht.hash
     dht.add_peer(30)
     dht.join(dht.hash, 30)
-    st = ov.members[30]
-    assert (ov.members[st.predecessor].position, st.position) == (10, 30)
+    assert ov._ring == [(10, 10), (30, 30), (50, 50), (90, 90)]
     assert ov.owner_of("25") == 30
     assert ov.owner_of("30") == 30
     assert ov.owner_of("31") == 50
@@ -142,7 +143,7 @@ def test_put_get_multiset():
     assert dht.get(10, "77") == []
     # key 42 is owned by peer 50
     assert dht.hash.owner_of("42") == 50
-    assert dht.hash.members[50].store["42"] == [b"v1", b"v2"]
+    assert dht.hash.members[50]["42"] == [b"v1", b"v2"]
 
 
 def test_local_put_costs_zero_bytes():
@@ -212,8 +213,8 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
     sent = _recording(net)
     dht.put(dht.hash, 50, [("7", b"h")])
     dht.put(dht.range, 50, [("7", b"r")])
-    assert dht.hash.members[10].store == {"7": [b"h"]}
-    assert dht.range.members[10].store == {"7": [b"r"]}
+    assert dht.hash.members[10] == {"7": [b"h"]}
+    assert dht.range.members[10] == {"7": [b"r"]}
     assert dht.get(50, "7") == [b"h"]  # request 1
     assert dht.get_range(50, "7", "8") == [b"r"]  # request 2
     # peer 10 stores keys 7, 12, 5 in that order, peer 90 key é, whose
@@ -294,7 +295,7 @@ def test_range_leave_smaller_neighbor_absorbs():
     dht.leave(dht.range, 3)
     # the left neighbor's quarter is smaller than the right neighbor's half
     assert (ov.bounds, ov.owners) == ([b"", b"\x80"], [1, 2])
-    assert ov.members[1].store == {"K": [b"x"]}
+    assert ov.members[1] == {"K": [b"x"]}
     assert dht.get_range(2, "K", "L") == [b"x"]
 
 
@@ -394,7 +395,7 @@ def test_range_partition_matches_the_fraction_model(churn, keys):
         elif not joining and peer in ov.members and len(ov.members) > 1:
             ov.leave(peer)
             model.leave(peer)
-    _partition_integrity(ov)
+    check_partition(ov)
     # the model's intervals tile [0, 1), and each boundary is the low end
     # of the model's interval for the same member
     spans = sorted((lo, hi, pid) for pid, (lo, hi) in model.spans.items())
@@ -412,41 +413,6 @@ def test_range_partition_matches_the_fraction_model(churn, keys):
     for lo in probes:
         for hi in probes:
             assert ov.intersecting(lo, hi) == model.intersecting(lo, hi)
-
-
-def _ring_integrity(ov):
-    if not ov.members:
-        return
-    start = next(iter(ov.members))
-    seen = []
-    cur = start
-    while True:
-        seen.append(cur)
-        cur = ov.members[cur].successor
-        if cur == start:
-            break
-        assert len(seen) <= len(ov.members)
-    assert sorted(seen) == sorted(ov.members)
-    # stores only hold owned keys
-    for pid, st in ov.members.items():
-        for key in st.store:
-            assert ov.owner_of(key) == pid
-
-
-def _partition_integrity(ov):
-    """The intervals cover every key, from the bottom of the key order up,
-    with one nonempty interval per member, and every store holds only the
-    keys its member owns."""
-    if not ov.members:
-        assert ov.bounds == ov.owners == []
-        return
-    assert ov.bounds[0] == b""
-    assert all(lo < hi for lo, hi in zip(ov.bounds, ov.bounds[1:]))
-    assert len(ov.owners) == len(ov.members) and set(ov.owners) == set(ov.members)
-    assert not any(b.endswith(b"\0") for b in ov.bounds)
-    for pid, st in ov.members.items():
-        for key in st.store:
-            assert ov.owner_of(key) == pid
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -506,8 +472,8 @@ def test_churn_against_shadow_map(seed):
                 v for k in sorted(shadow_range) if lo <= k < hi for v in shadow_range[k]
             ]
             assert got == want
-        _ring_integrity(dht.hash)
-        _partition_integrity(dht.range)
+        check_ring(dht.hash)
+        check_partition(dht.range)
 
     # final sweep: every key readable from every member
     for key, values in shadow_hash.items():
@@ -555,8 +521,8 @@ def test_remote_reads_of_65536_values():
         dht.join(dht.range, p)
     hash_ov, range_ov = dht.hash, dht.range
     assert hash_ov.owner_of("42") == 50 and range_ov.owner_of("é") == 50
-    hash_ov.members[50].store["42"] = list(values)
-    range_ov.members[50].store["é"] = list(values)
+    hash_ov.members[50]["42"] = list(values)
+    range_ov.members[50]["é"] = list(values)
     assert dht.get(10, "42") == values
     assert dht.get_range(10, "é", "é\x00") == values
     assert dht.get_range(10, "\x80", "\U0010ffff") == values
@@ -577,7 +543,8 @@ def test_cached_ring_matches_brute_force_owner(churn, keys):
             dht.join(dht.hash, peer)
         elif not joining and peer in ov.members and len(ov.members) > 1:
             dht.leave(dht.hash, peer)
-    ring = sorted((state.position, pid) for pid, state in ov.members.items())
+    check_ring(ov)
+    ring = sorted((ov.peer_position(pid), pid) for pid in ov.members)
     members = [pid for _, pid in ring]
     for i, key in enumerate(keys):
         assert ov.key_position(key) == ring_hash(key)
@@ -586,7 +553,7 @@ def test_cached_ring_matches_brute_force_owner(churn, keys):
         assert ov.owner_of(key) == owner
         value = f"v{i}".encode()
         dht.put(dht.hash, members[i % len(members)], [(key, value)])
-        assert value in ov.members[owner].store[key]
+        assert value in ov.members[owner][key]
         assert value in dht.get(members[-1 - i % len(members)], key)
 
 
@@ -603,14 +570,15 @@ def _chord_hop(ov, peer, key):
     successor if it owns the key, else the farthest finger before the key,
     the fingers being the owners of ``position + 2**i`` for i in 0..63."""
     span = 1 << 64
-    ring = sorted((state.position, pid) for pid, state in ov.members.items())
-    pos = ov.members[peer].position
+    ring = ov._ring
+    position = {pid: pos for pos, pid in ring}
+    pos = position[peer]
     fingers = set()
     for i in range(64):
         target = (pos + (1 << i)) % span
         fingers.add(_brute_owner(ring, target))
     fingers.discard(peer)
-    dist = {f: (ov.members[f].position - pos) % span for f in fingers}
+    dist = {f: (position[f] - pos) % span for f in fingers}
     d = (ov.key_position(key) - pos) % span
     successor = min(fingers, key=dist.get)
     if d <= dist[successor]:
@@ -669,7 +637,7 @@ def test_finger_routed_batches_reach_the_owner_in_order(ring, pool, steps):
         for key, value in items:
             shadow.setdefault(key, []).append(value)
         for key in {key for key, _ in items}:
-            assert ov.members[ov.owner_of(key)].store[key] == shadow[key]
+            assert ov.members[ov.owner_of(key)][key] == shadow[key]
             sent.clear()
             assert dht.get(members[(peer + len(key)) % len(members)], key) == shadow[key]
             _check_hops(ov, sent)
@@ -701,8 +669,8 @@ def test_batch_shares_envelopes_along_the_route():
     # 50 owns (10, 50] and 90 owns (50, 90]; 90 routes through 10
     dht.put(dht.hash, 90, [("42", b"a"), ("60", b"own"), ("20", b"b"), ("42", b"c")])
     assert net.stats.messages_sent - before == 2  # 90 -> 10 -> 50, one envelope each
-    assert dht.hash.members[50].store == {"42": [b"a", b"c"], "20": [b"b"]}
-    assert dht.hash.members[90].store == {"60": [b"own"]}
+    assert dht.hash.members[50] == {"42": [b"a", b"c"], "20": [b"b"]}
+    assert dht.hash.members[90] == {"60": [b"own"]}
     # the range overlay gives 10 the keys below b"@", 90 those from b"@"
     # and 50 those from b"\x80"
     before = net.stats.messages_sent
@@ -726,7 +694,7 @@ def test_each_peer_routes_each_distinct_key_of_an_envelope_once():
         (10, "42"), (10, "20"),
         (50, "42"), (50, "20"),
     ]
-    assert ov.members[50].store == {"42": [b"a", b"c"], "20": [b"b"]}
+    assert ov.members[50] == {"42": [b"a", b"c"], "20": [b"b"]}
 
 
 def _decoding_router(ov, via, items):
@@ -734,7 +702,7 @@ def _decoding_router(ov, via, items):
     order, routed the plain way outside the service: each peer decodes the
     envelope it receives, keeps the items it owns and encodes each next
     hop's items afresh, hops chosen by ``_chord_hop``."""
-    ring = sorted((state.position, pid) for pid, state in ov.members.items())
+    ring = ov._ring
     sent = []
     queue = deque([(via, items)])
     while queue:  # first in, first out is the simulator's delivery order
@@ -783,7 +751,7 @@ def test_forwarded_put_envelopes_match_a_decoding_router(peer_count, puts):
     ov = dht.hash
     for p in members:
         dht.join(dht.hash, p)
-    ring = sorted((state.position, pid) for pid, state in ov.members.items())
+    ring = ov._ring
     sent = []
     real_send = net.send
     net.send = lambda frm, to, payload: sent.append((frm, to, payload)) or real_send(
@@ -803,7 +771,7 @@ def test_forwarded_put_envelopes_match_a_decoding_router(peer_count, puts):
             shadow.setdefault(key, []).append(value)
         for key in {key for key, _ in items}:
             owner = _brute_owner(ring, _key_hash(key))
-            assert ov.members[owner].store[key] == shadow[key]
+            assert ov.members[owner][key] == shadow[key]
     assert net.stats.per_edge == reference.per_edge
     assert net.stats.report() == reference.report()
 
@@ -847,7 +815,7 @@ def test_range_put_sends_one_envelope_per_remote_owner(peer_count, pick, items):
     ]
     for owner, group in groups.items():
         for key in {key for key, _ in group}:
-            assert ov.members[owner].store[key] == [v for k, v in group if k == key]
+            assert ov.members[owner][key] == [v for k, v in group if k == key]
 
 
 def test_range_get_asks_the_owner_once():

@@ -205,7 +205,7 @@ BUILD_GOLDENS = {
 @pytest.mark.parametrize("text", list(BUILD_GOLDENS))
 def test_build_golden_patterns(text):
     net, dht, index = make_cluster()
-    plan = PlanBuilder(dht, 1).build(decompose(parse_pattern(text)), True)
+    plan = PlanBuilder(dht, 1).build(decompose(parse_pattern(text)))
     assert plan_to_xml(plan) == BUILD_GOLDENS[text]
 
 
@@ -353,7 +353,7 @@ def test_build_golden_word_range_and_recompose():
     net, dht, index = make_cluster()
     builder = PlanBuilder(dht, 1)
     pattern = parse_pattern('//paper[/year in 2000..2005][/title="dht"]!')
-    plan = builder.build(decompose(pattern), with_recompose=True)
+    plan = builder.build(decompose(pattern))
     assert plan_to_xml(plan) == (
         '<Recompose site="1" ret="0">'
         '<StructJoin site="1" axis="child" parent="0" child="1">'
@@ -370,8 +370,8 @@ def test_build_golden_word_range_and_recompose():
         "</StructJoin>"
         "</Recompose>"
     )
-    # without Recompose a root that sits elsewhere ships to the query peer
-    plan = builder.build(decompose(parse_pattern("//paper!")), with_recompose=False)
+    # a Recompose input that sits elsewhere ships to the query peer
+    plan = builder.build(decompose(parse_pattern("//paper!"))).kids[0]
     assert plan_to_xml(plan) == (
         '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
     )
@@ -413,8 +413,8 @@ def test_place_output_carries_fresh_estimates_randomized():
             pattern = random_pattern(rng)
             if pattern.all_wildcard:
                 continue
-            for with_recompose in (False, True):
-                plan = builder.build(decompose(pattern), with_recompose)
+            full = builder.build(decompose(pattern))
+            for plan in (full.kids[0], full):  # bindings, then resources
                 placed = place(plan, index.stats, query_peer)
                 fresh = placed.clone()
                 planner.annotate(fresh, index.stats)
@@ -474,8 +474,8 @@ def test_place_never_costs_more_than_a_scrambled_input_randomized():
             pattern = random_pattern(rng)
             if pattern.all_wildcard:
                 continue
-            for with_recompose in (False, True):
-                built = builder.build(decompose(pattern), with_recompose)
+            full = builder.build(decompose(pattern))
+            for built in (full.kids[0], full):  # bindings, then resources
                 scrambled = _scramble(built, rng, members, query_peer)
                 pinned = planner._pin_root(scrambled.clone(), query_peer)
                 planner.annotate(pinned, index.stats)
@@ -496,34 +496,36 @@ def test_place_never_costs_more_than_a_scrambled_input_randomized():
 # -- execution ------------------------------------------------------------------------
 
 
-def pipeline(store_docs, pattern_text, query_peer=1, with_recompose=False):
+def pipeline(store_docs, pattern_text, query_peer=1):
+    """The placed plan of ``pattern_text`` over ``store_docs``, with the
+    parsed pattern and documents and the context to execute it in."""
     net, dht, index = make_cluster()
     docs = [parse_document(text, i + 1) for i, text in enumerate(store_docs)]
     homes = index_corpus(index, docs, [1, 2, 3, 4])
     ctx = ExecutionContext(index, homes)
     pattern = parse_pattern(pattern_text)
     builder = PlanBuilder(dht, query_peer)
-    plan = builder.build(decompose(pattern), with_recompose=with_recompose)
-    plan = place(plan, index.stats, query_peer)
-    result, delta = execute(plan, ctx)
-    return pattern, docs, result, delta, net
+    plan = place(builder.build(decompose(pattern)), index.stats, query_peer)
+    return pattern, docs, plan, ctx
 
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
 
 def test_execute_returns_serialized_resource():
-    _, _, result, delta, _ = pipeline([D1], "//sec!", with_recompose=True)
+    _, _, plan, ctx = pipeline([D1], "//sec!")
+    result, _ = execute(plan, ctx)
     assert [(r.resource_id, r.payload) for r in result] == [
         ("1#2", "<sec><title>dht</title><par>xml</par></sec>")
     ]
 
 
 def test_execute_bindings_match_naive():
-    pattern, docs, result, _, _ = pipeline(
+    pattern, docs, plan, ctx = pipeline(
         [D1, "<lib><paper><year>2003</year></paper></lib>"],
         "//paper[/year in 2000..2005]!",
     )
+    result, _ = execute(plan.kids[0], ctx)
     assert dataset_to_bindings(pattern, result) == eval_naive(pattern, docs)
 
 
@@ -534,7 +536,7 @@ def test_execute_twice_same_results():
     ctx = ExecutionContext(index, homes)
     pattern = parse_pattern("//sec!")
     builder = PlanBuilder(dht, 1)
-    plan = place(builder.build(decompose(pattern), False), index.stats, 1)
+    plan = place(builder.build(decompose(pattern)).kids[0], index.stats, 1)
     first, _ = execute(plan, ctx)
     second, _ = execute(plan, ctx)
     assert first.rows == second.rows
@@ -616,7 +618,8 @@ def test_dataset_round_trip_keeps_the_wire_bytes(ncols, nrows):
             + b"".join(encode_posting(sid) for row in rows for sid in row))
     raw = encode_dataset(Dataset(cols, rows, site=3))
     assert raw == want
-    assert decode_dataset(raw, site=7) == Dataset(cols, rows, site=7)
+    back = decode_dataset(raw, site=7)
+    assert (back.cols, back.rows, back.site) == (cols, rows, 7)
 
 
 def test_estimated_bytes_match_the_shipped_dataset():
@@ -640,7 +643,7 @@ def test_estimated_bytes_match_the_shipped_dataset():
 def test_skew_workload_placed_beats_naive():
     net, index, ctx, builder, pattern, _, doc = skew_cluster(200, 8)
     dec = decompose(pattern)
-    naive_plan = builder.build(dec, False)
+    naive_plan = builder.build(dec).kids[0]
     placed_plan = place(naive_plan, index.stats, 1)
     naive_result, naive_delta = execute(naive_plan, ctx)
     placed_result, placed_delta = execute(placed_plan, ctx)
@@ -664,7 +667,7 @@ def test_semantics_preserved_through_pipeline_randomized():
         builder = PlanBuilder(dht, 1)
         pattern = random_pattern(rng)
         naive_bindings = eval_naive(pattern, docs)
-        plan = builder.build(decompose(pattern), False)
+        plan = builder.build(decompose(pattern)).kids[0]
         placed = place(plan, index.stats, 1)
         for candidate in (plan, placed):
             result, _ = execute(candidate, ctx)

@@ -38,8 +38,8 @@ def test_three_puts_per_triple():
 def count_stored(dht):
     return sum(
         len(values)
-        for st in dht.hash.members.values()
-        for values in st.store.values()
+        for peer_store in dht.hash.members.values()
+        for values in peer_store.values()
     )
 
 

@@ -360,8 +360,8 @@ def test_value_postings_spread_over_range_peers(tmp_path):
     for year in range(1900, 2030, 3):
         store.store_resource(f"<paper><year>{year}</year></paper>")
     holders = [
-        pid for pid, state in store.dht.range.members.items()
-        if any(key.startswith("v:") for key in state.store)
+        pid for pid, peer_store in store.dht.range.members.items()
+        if any(key.startswith("v:") for key in peer_store)
     ]
     assert len(holders) >= 2, holders
 
@@ -788,9 +788,9 @@ def test_restored_p2p_store_reproduces_stats(tmp_path):
 def _overlay_stores(store):
     """Every per-peer store, with key order and value order."""
     return {
-        (overlay.kind, peer): [(key, list(values)) for key, values in state.store.items()]
+        (overlay.kind, peer): [(key, list(values)) for key, values in peer_store.items()]
         for overlay in (store.dht.hash, store.dht.range)
-        for peer, state in overlay.members.items()
+        for peer, peer_store in overlay.members.items()
     }
 
 
