@@ -31,7 +31,9 @@ fields, so it packs as it is.
 This module turns a plan leaf into index work: its key (``tag_key``,
 ``word_key``, ``value_bounds``), its estimated posting count from the
 published counts (``key_count``, ``range_count``), and its lookup, which
-returns distinct postings in label order.
+returns distinct postings in label order.  A word-predicated node's
+Intersect reads its stored list with ``lookup_among``, which decodes only
+the postings the other list holds.
 """
 
 from __future__ import annotations
@@ -205,6 +207,20 @@ class IndexService:
         if key == "*":
             return self.lookup_all(via)
         return _sorted_postings(self.dht.get(via, key))
+
+    def lookup_among(
+        self, key: str, via: PeerId, sids: Iterable[StructuralId]
+    ) -> list[StructuralId]:
+        """The postings under hash-overlay ``key`` that are also in ``sids``,
+        distinct and in label order.
+
+        ``sids`` are encoded and intersected with the stored raw records in
+        C, and only the records kept are decoded: a word-predicated node
+        reads its long list this way, with the short one as ``sids``.
+        """
+        wanted = set(starmap(_POSTING.pack, sids))
+        kept = wanted.intersection(self.dht.get(via, key))
+        return decode_postings(b"".join(sorted(kept)))
 
     def lookup_tag(self, tag: str, via: PeerId) -> list[StructuralId]:
         return self.lookup(tag_key(tag), via)

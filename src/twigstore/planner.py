@@ -662,11 +662,7 @@ def _run(plan: Plan, ctx: ExecutionContext):
         ds = _run(plan.kids[0], ctx)
         return ctx.ship(ds, plan.site)
     if plan.op == "Intersect":
-        left = _run(plan.kids[0], ctx)
-        right = _run(plan.kids[1], ctx)
-        shared = set(r[0] for r in right.rows)
-        rows = [r for r in left.rows if r[0] in shared]
-        return Dataset(left.cols, rows, plan.site)
+        return _run_intersect(plan, ctx)
     if plan.op == "StructJoin":
         return _run_join(plan, ctx)
     if plan.op == "Recompose":
@@ -681,6 +677,31 @@ def _leaf_dataset(plan: Plan, sids: list[StructuralId]) -> Dataset:
     if plan.root_only:
         sids = [s for s in sids if s.depth == 1]
     return Dataset((plan.var,), [(sid,) for sid in sids], plan.site)
+
+
+def _run_intersect(plan: Plan, ctx: ExecutionContext) -> Dataset:
+    """The labels both inputs hold, in label order.
+
+    The placed plan puts a word-predicated node's Intersect at one list's
+    owner and ships the other list to it.  The local list is then read as
+    raw records, of which only those the shipped list holds are decoded
+    (``IndexService.lookup_among``); when both lists are local, the larger
+    estimate is read that way.  With no local list (the naive plan ships
+    both to the query peer), the first input is filtered by the second's
+    labels.
+    """
+    local = [k for k in plan.kids if k.op == "IndexLookup" and k.site == plan.site]
+    if local:
+        stored = max(local, key=lambda k: k.est_rows)
+        other = _run(plan.kids[1] if stored is plan.kids[0] else plan.kids[0], ctx)
+        sids = ctx.index.lookup_among(
+            stored.key, stored.site, (row[0] for row in other.rows))
+        return _leaf_dataset(stored, sids)
+    left = _run(plan.kids[0], ctx)
+    right = _run(plan.kids[1], ctx)
+    shared = set(r[0] for r in right.rows)
+    rows = [r for r in left.rows if r[0] in shared]
+    return Dataset(left.cols, rows, plan.site)
 
 
 def _run_join(plan: Plan, ctx: ExecutionContext) -> Dataset:
