@@ -10,7 +10,11 @@ joins the units together over the cut edges, in pattern order.
 Plans are operator trees; leaves are index lookups pinned at the peers
 owning their keys, and every other operator carries the site where its
 output materializes.  Cost is bytes shipped: each posting is 32 bytes and
-a shipped binding row costs 32 bytes per column.  A query is planned as
+a shipped binding row costs 32 bytes per column.  Row estimates come from
+the published posting counts alone: a leaf's is its key's count, and a
+child-axis join's is bounded by both sides, its child side's rows and its
+parent side's rows times the average fanout between the two nodes' names
+(``annotate``).  A query is planned as
 ``decompose`` -> ``PlanBuilder.build`` (the naive placement) -> ``place``
 (each join at its largest input's site, when that estimates no dearer
 than the built plan).  ``place`` is the one placement optimizer; the
@@ -298,27 +302,53 @@ def annotate(plan: Plan, stats: dict[str, int]) -> None:
     """Fill est_rows/est_bytes bottom-up from posting statistics.
 
     A child-axis join emits at most one row per child-side row (a node has
-    one parent), so that estimate is a sound bound; descendant joins get a
-    flat ancestor-multiplicity fudge.  est_bytes matches the shipped wire
+    one parent), a sound bound; it is estimated as the smaller of that and
+    the parent side's rows times the average fanout, the ceiling of
+    count(child name) / count(parent name) from the published ``t:``
+    counts.  The fanout term is an average, not a bound: parent-side rows
+    with more children than the average are underestimated.  A parent name
+    with no postings estimates 0.  Descendant joins get a flat
+    ancestor-multiplicity fudge.  est_bytes matches the shipped wire
     format exactly for exact row estimates.
     """
+    _annotate(plan, stats, {})
+
+
+def _name_count(leaf: Plan, stats: dict[str, int]) -> int:
+    """Postings published under the name of the pattern node ``leaf``
+    looks up: every tag's for a wildcard, a word-only one included."""
+    if leaf.op == "RangeLookup":
+        return key_count(stats, "*" if leaf.tag == "*" else tag_key(leaf.tag))
+    return key_count(stats, leaf.key if leaf.key.startswith("t:") else "*")
+
+
+def _annotate(plan: Plan, stats: dict[str, int], names: dict[int, int]) -> None:
+    """``annotate``, filling ``names`` (pattern node -> postings of its
+    name) from the leaves, so a join above them reads both its nodes'."""
     for kid in plan.kids:
-        annotate(kid, stats)
+        _annotate(kid, stats, names)
     if plan.op == "IndexLookup":
         plan.est_rows = key_count(stats, plan.key)
+        # an Intersect's tag leaf names its node; its word leaf does not
+        if plan.key.startswith("t:") or plan.var not in names:
+            names[plan.var] = _name_count(plan, stats)
     elif plan.op == "RangeLookup":
         plan.est_rows = range_count(stats, plan.tag, plan.lo, plan.hi)
+        names[plan.var] = _name_count(plan, stats)
     elif plan.op == "Intersect":
         plan.est_rows = min(k.est_rows for k in plan.kids)
     elif plan.op == "StructJoin":
-        child_side = next(
-            (k for k in plan.kids if plan.child_var in k.cols), plan.kids[0]
-        )
-        bound = min(k.est_rows for k in plan.kids)
+        child_side, parent_side = plan.kids
+        if plan.child_var not in child_side.cols:
+            child_side, parent_side = parent_side, child_side
         rows = child_side.est_rows
-        if plan.axis != CHILD:
+        if plan.axis == CHILD:
+            parents = names[plan.parent_var]
+            fanout = -(-names[plan.child_var] // parents) if parents else 0
+            rows = min(rows, parent_side.est_rows * fanout)
+        else:
             rows = int(rows * DESC_FANOUT) + 1
-        plan.est_rows = rows if bound else 0
+        plan.est_rows = rows if parent_side.est_rows and child_side.est_rows else 0
     else:  # Ship and Recompose pass rows through
         plan.est_rows = plan.kids[0].est_rows
     if plan.op == "Recompose":

@@ -182,10 +182,10 @@ QUERY_COSTS = {
         "plan": "a4b942d96b8b31c5a645f34fc39990ef34d5bd6c5e9380af926e15a8ed6ab92f",
     },
     "branch": {
-        "cost": (8, 3655),
-        "tags": {0x03: (2, 125), 0x10: (4, 3456), 0x11: (2, 74)},
+        "cost": (9, 1975),
+        "tags": {0x03: (2, 125), 0x10: (5, 1776), 0x11: (2, 74)},
         "result": (4, "51eb98e2170609bb8ee14b7de853d1ca33a12ee1c7064f4db0fc5eec88d7fe73"),
-        "plan": "7bbc29eac77ad93c8732c5c2a4099c6aede7a4fe407d4eb553621171a15a83a8",
+        "plan": "857adbf42feb65cfe06ed175a967d9c22f15dae702edf8fc29193ef6150ec200",
     },
     "deep": {
         "cost": (8, 3262),
@@ -235,7 +235,7 @@ def test_traffic_per_tag_adds_up_to_the_stats(observed):
 # run of every query form; the p2p file holds that traffic in its stats
 SNAPSHOT_SHA256 = {
     "centralized": "0c9fed8d38391266d57be18ba0e994d5cd1980e1933385b85053dfeecbe74a9a",
-    "p2p": "2b954c004a68eae5f9699cea00a75812bdcc116b6343aa633239e5645af84c3b",
+    "p2p": "8e20d8c6094ad111fae73ea5a4d54908faec38f8b85530e339eaf79d113cf9ac",
 }
 
 

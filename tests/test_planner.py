@@ -5,6 +5,7 @@ import pytest
 from twigstore import planner
 from twigstore.document import parse_document
 from twigstore.errors import PlanSiteUnreachable, UnsupportedWildcardRoot
+from twigstore.indexing import key_count
 from twigstore.pattern import parse_pattern
 from twigstore.planner import (
     ExecutionContext,
@@ -19,6 +20,7 @@ from twigstore.planner import (
     plan_to_xml,
     rewrite,
 )
+from twigstore.store import Store, StoreConfig
 from twigstore.twigjoin import eval_naive
 
 from helpers import (
@@ -295,6 +297,97 @@ def test_place_never_beats_naive_estimate():
     naive_cost = (100 + 99) * 32 + 2 * 8  # both lists shipped, framed
     assert plan_cost(placed) <= naive_cost
     assert '<StructJoin site="1"' in plan_to_xml(placed)
+
+
+# -- child-axis estimates ---------------------------------------------------------
+
+
+def _fanout_article(i: int) -> str:
+    """An article with one title; each of its two secs holds one more."""
+    secs = "".join(f"<sec><title>s{i} {s}</title><par>p</par></sec>" for s in range(2))
+    return (
+        f'<article key="k{i}"><title>t{i}</title>'
+        f'<author>{"ann" if i % 6 == 0 else "bob"}</author>'
+        f'<year>{1998 + i % 8}</year><venue>{"x" if i % 5 == 0 else "y"}</venue>'
+        f"{secs}</article>"
+    )
+
+
+FANOUT_DOCS = [
+    "<dblp>" + "".join(_fanout_article(i) for i in range(first, first + 6)) + "</dblp>"
+    for first in range(0, 24, 6)
+]
+ROOT_QUERY = '/dblp/article[/venue="x"]/title!'
+BRANCH_QUERY = '//article[/author="ann"][/year in 1998..2005]/title!'
+
+
+@pytest.fixture(scope="module")
+def fanout_stores():
+    """FANOUT_DOCS in an 8-peer p2p store and in a centralized one."""
+    stores = {}
+    for backend in ("p2p", "centralized"):
+        store = Store(StoreConfig(backend=backend, peer_count=8,
+                                  resource_granularity={"article"}))
+        for text in FANOUT_DOCS:
+            store.store_resource(text)
+        stores[backend] = store
+    return stores
+
+
+# (pattern, child node of the join checked, the name keys counted for its
+# parent and its child); a wildcard's name counts every tag's postings
+CHILD_JOINS = {
+    "root-anchored": (ROOT_QUERY, 3, "t:article", "t:title"),
+    "branch": (BRANCH_QUERY, 3, "t:article", "t:title"),
+    "wildcard-parent": ('/dblp/*[/venue="x"]/title!', 3, "*", "t:title"),
+    "wildcard-child": ('//article[/venue="x"]/*!', 2, "t:article", "*"),
+    "word-wildcard-child": ('//article[/*="x"]/title!', 1, "t:article", "*"),
+    "attribute-child": ("//article/@key!", 1, "t:article", "t:@key"),
+    "attribute-child-of-few": ('//article[/venue="x"]/@key!', 2, "t:article", "t:@key"),
+    "range-child": ('//article[/venue="x"]/year in 1998..2005!', 2, "t:article", "t:year"),
+    "parent-without-postings": ("//nosuch/title!", 1, "t:nosuch", "t:title"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHILD_JOINS))
+def test_child_join_estimate_is_bounded_by_its_parent_side(fanout_stores, case):
+    # the child side's rows, or the parent side's times the average fanout
+    # ceil(count(child name) / count(parent name)), whichever is smaller
+    text, child, parent_key, child_key = CHILD_JOINS[case]
+    store = fanout_stores["p2p"]
+    plan = store.build_plan(parse_pattern(text))
+    join = next(node for node, _, _ in planner._positions(plan)
+                if node.op == "StructJoin" and node.child_var == child)
+    parent_side, child_side = join.kids
+    if child in parent_side.cols:
+        parent_side, child_side = child_side, parent_side
+    parents = key_count(store.index.stats, parent_key)
+    children = key_count(store.index.stats, child_key)
+    fanout = -(-children // parents) if parents else 0
+    assert join.est_rows == min(child_side.est_rows, parent_side.est_rows * fanout)
+    if not parents:
+        assert join.est_rows == 0
+
+
+# bytes the placed plan ships on FANOUT_DOCS; shipping whole title lists to
+# the query peer, as the naive plan does, costs more
+PLACED_BYTES = {"root-anchored": (ROOT_QUERY, 1786), "branch": (BRANCH_QUERY, 2007)}
+
+
+@pytest.mark.parametrize("case", list(PLACED_BYTES))
+def test_bounded_estimates_ship_fewer_bytes(fanout_stores, case):
+    text, placed_bytes = PLACED_BYTES[case]
+    store = fanout_stores["p2p"]
+    naive = PlanBuilder(store.dht, store.query_peer).build(
+        decompose(parse_pattern(text)))
+    _, naive_stats = execute(naive, store.exec_ctx)
+    got = store.query(text)
+    assert got.stats.bytes_sent == placed_bytes < naive_stats.bytes_sent
+    want = fanout_stores["centralized"].query(text).resources
+    assert want
+    assert [(r.resource_id, r.payload) for r in got.resources] == [
+        (r.resource_id, r.payload) for r in want
+    ]
 
 
 def test_plan_xml_golden():
