@@ -23,10 +23,16 @@ text outside the +-10^18 window this encoding covers, and ``value_bounds``
 clips a query range to it.
 
 The four fields are fixed-width unsigned big-endian integers in label
-field order, so byte order on encoded postings is ``StructuralId`` order:
-a lookup dedupes and sorts the raw 32-byte records, then decodes the whole
-list in one pass (``decode_postings``).  A label is a tuple of its four
-fields, so it packs as it is.
+field order, so byte order on encoded postings is ``StructuralId`` order.
+A publication puts each posting key's postings of one document as one
+value, a run: the postings concatenated in label order, so sorted and
+distinct.  Documents are published and restored in doc-id order, and a
+key's values keep their put order, so a key's stored runs rise by doc id
+and joined are the whole list in label order, which a lookup decodes in
+one pass (``decode_postings``).  Any other list (several keys, or a
+document published twice) is split into 32-byte records, which are
+deduped and sorted in C.  A label is a tuple of its four fields, so it
+packs as it is.
 
 This module turns a plan leaf into index work: its key (``tag_key``,
 ``word_key``, ``value_bounds``), its estimated posting count from the
@@ -40,7 +46,8 @@ from __future__ import annotations
 
 import struct
 from itertools import starmap
-from typing import Iterable
+from operator import itemgetter, lt
+from typing import Iterable, Iterator
 
 from .document import ATTRIBUTE, INT_WINDOW, TEXT, Document, Node, \
     StructuralId, parse_int_content, split_words
@@ -51,6 +58,7 @@ POSTING_SIZE = 32
 
 _INT_OFFSET = 10**19
 _POSTING = struct.Struct(">QQQQ")
+_RECORD = struct.Struct(f"{POSTING_SIZE}s")
 
 
 def encode_posting(sid: StructuralId) -> bytes:
@@ -67,10 +75,32 @@ def decode_postings(raw: bytes) -> list[StructuralId]:
     return list(starmap(StructuralId, _POSTING.iter_unpack(raw)))
 
 
-def _sorted_postings(records: Iterable[bytes]) -> list[StructuralId]:
-    """Distinct postings of encoded ``records``, in label order: sorting
-    the bytes sorts the labels."""
-    return decode_postings(b"".join(sorted(set(records))))
+def _records(runs: list[bytes]) -> Iterator[bytes]:
+    """Every encoded posting of ``runs``, split in C."""
+    return map(itemgetter(0), _RECORD.iter_unpack(b"".join(runs)))
+
+
+def _sorted_postings(runs: list[bytes]) -> list[StructuralId]:
+    """Distinct postings of ``runs``, in label order.
+
+    Each run is sorted and distinct, so runs whose doc ids (their first 8
+    bytes) strictly rise are decoded as they are joined; otherwise their
+    records are deduped and sorted, and sorting the bytes sorts the labels.
+    """
+    docs = [run[:8] for run in runs]
+    if all(map(lt, docs, docs[1:])):
+        return decode_postings(b"".join(runs))
+    return decode_postings(b"".join(sorted(set(_records(runs)))))
+
+
+def _run_items(runs: dict[str, list[bytes]], stats: dict[str, int]) -> Items:
+    """One item per key: its postings, in label order, joined into a run;
+    ``stats`` counts the postings."""
+    items = []
+    for key, postings in runs.items():
+        stats[key] = stats.get(key, 0) + len(postings)
+        items.append((key, b"".join(postings)))
+    return items
 
 
 def tag_key(name: str) -> str:
@@ -149,61 +179,66 @@ class IndexService:
     ) -> int:
         """Publish all postings for ``doc``; returns the count published.
 
-        The hash overlay gets one batch: the ``lead`` items (the store's
-        ``r:`` keys), then the postings.  The range overlay gets one batch
-        of value postings.  ``put`` defaults to the routed
-        ``DhtService.put``; snapshot restore passes ``DhtService.put_direct``.
+        Each ``t:``, ``w:`` and ``v:`` key gets one item, the run of its
+        postings in ``doc``, grouped by key during the walk.  The walk
+        visits elements in label order and takes each element's words and
+        values from its text children before it descends, so a run is in
+        label order even where mixed content puts an element's text after
+        a child holding the same word (``<a><b>foo</b>foo</a>``).  The hash
+        overlay gets one batch: the ``lead`` items (the store's ``r:``
+        keys), then the runs.  The range overlay gets one batch of value
+        runs.  ``put`` defaults to the routed ``DhtService.put``; snapshot
+        restore passes ``DhtService.put_direct``.
         """
-        hashed: Items = list(lead)
-        ranged: Items = []
-        stats = self.stats  # each key counted as its item is appended
+        # per key, its postings in ``doc``
+        hashed: dict[str, list[bytes]] = {}
+        ranged: dict[str, list[bytes]] = {}
 
-        # (node, its parent element, that element's encoded posting and
-        # the word and value keys already published for it) in document
-        # order, with an explicit stack: a recursive closure would be a
-        # reference cycle keeping both batches alive until the next full
-        # garbage collection.  Each element is encoded once, and its tag,
-        # word and value items share that one bytes object.
-        stack: list[tuple[Node, Node, bytes, set[str]]] = [
-            (doc.root, doc.root, b"", set())
-        ]
+        # elements and attributes in document order, with an explicit
+        # stack: a recursive closure would be a reference cycle keeping both
+        # batches alive until the next full garbage collection.  Each is
+        # encoded once, and its tag, word and value postings share that
+        # one bytes object.
+        stack: list[Node] = [doc.root]
         while stack:
-            node, parent, parent_posting, parent_keys = stack.pop()
-            if node.kind == TEXT:
-                for word in split_words(node.name_or_value):
-                    key = word_key(word)
-                    if key in parent_keys:
-                        continue
-                    parent_keys.add(key)
-                    hashed.append((key, parent_posting))
-                    stats[key] = stats.get(key, 0) + 1
-                value = parse_int_content(node.name_or_value)
-                if value is not None:
-                    key = value_key(parent.name, value)
-                    if key not in parent_keys:
-                        parent_keys.add(key)
-                        ranged.append((key, parent_posting))
-                        stats[key] = stats.get(key, 0) + 1
-                continue
+            node = stack.pop()
             posting = encode_posting(node.label)
-            key = tag_key(node.name)
-            hashed.append((key, posting))
-            stats[key] = stats.get(key, 0) + 1
-            if node.kind != ATTRIBUTE:
-                keys: set[str] = set()
-                stack += ((child, node, posting, keys)
-                          for child in reversed(doc.children(node)))
+            hashed.setdefault(tag_key(node.name), []).append(posting)
+            if node.kind == ATTRIBUTE:
+                continue
+            keys: set[str] = set()  # its word and value keys so far
+            kids: list[Node] = []
+            for child in doc.children(node):
+                if child.kind != TEXT:
+                    kids.append(child)
+                    continue
+                for word in split_words(child.name_or_value):
+                    key = word_key(word)
+                    if key not in keys:
+                        keys.add(key)
+                        hashed.setdefault(key, []).append(posting)
+                value = parse_int_content(child.name_or_value)
+                if value is not None:
+                    key = value_key(node.name, value)
+                    if key not in keys:
+                        keys.add(key)
+                        ranged.setdefault(key, []).append(posting)
+            stack += reversed(kids)
 
+        published = sum(map(len, [*hashed.values(), *ranged.values()]))
         put = put or self.dht.put
-        put(self.dht.hash, via, hashed)
+        put(self.dht.hash, via, [*lead, *_run_items(hashed, self.stats)])
         if ranged:
-            put(self.dht.range, via, ranged)
-        return len(hashed) - len(lead) + len(ranged)
+            put(self.dht.range, via, _run_items(ranged, self.stats))
+        return published
 
     # -- lookups: distinct postings in label order ----------------------
 
     def lookup(self, key: str, via: PeerId) -> list[StructuralId]:
-        """Postings under a hash-overlay key; ``"*"`` means ``lookup_all``."""
+        """Postings under a hash-overlay key; ``"*"`` means ``lookup_all``.
+
+        A key's stored runs, one per document in doc-id order, are decoded
+        as they are joined (``_sorted_postings``)."""
         if key == "*":
             return self.lookup_all(via)
         return _sorted_postings(self.dht.get(via, key))
@@ -214,12 +249,13 @@ class IndexService:
         """The postings under hash-overlay ``key`` that are also in ``sids``,
         distinct and in label order.
 
-        ``sids`` are encoded and intersected with the stored raw records in
-        C, and only the records kept are decoded: a word-predicated node
-        reads its long list this way, with the short one as ``sids``.
+        ``sids`` are encoded and intersected in C with the raw records
+        split from the stored runs, and only the records kept are decoded:
+        a word-predicated node reads its long list this way, with the
+        short one as ``sids``.
         """
         wanted = set(starmap(_POSTING.pack, sids))
-        kept = wanted.intersection(self.dht.get(via, key))
+        kept = wanted.intersection(_records(self.dht.get(via, key)))
         return decode_postings(b"".join(sorted(kept)))
 
     def lookup_tag(self, tag: str, via: PeerId) -> list[StructuralId]:
@@ -237,10 +273,10 @@ class IndexService:
         if value_bounds(tag, lo, hi) is None:
             return []
         tags = value_tags(self.stats) if tag == "*" else [tag]
-        records: list[bytes] = []
+        runs: list[bytes] = []
         for t in tags:
-            records += self.dht.get_range(via, *value_bounds(t, lo, hi))
-        return _sorted_postings(records)
+            runs += self.dht.get_range(via, *value_bounds(t, lo, hi))
+        return _sorted_postings(runs)
 
     def known_tags(self) -> list[str]:
         """The element and attribute names with postings, sorted: the tags
@@ -249,7 +285,7 @@ class IndexService:
 
     def lookup_all(self, via: PeerId) -> list[StructuralId]:
         """Union of all tag posting lists (wildcard candidate source)."""
-        records: list[bytes] = []
+        runs: list[bytes] = []
         for tag in self.known_tags():
-            records += self.dht.get(via, tag_key(tag))
-        return _sorted_postings(records)
+            runs += self.dht.get(via, tag_key(tag))
+        return _sorted_postings(runs)

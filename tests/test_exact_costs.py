@@ -146,20 +146,20 @@ def observed() -> dict[str, dict]:
 # answer), 0x04 range put, 0x10 dataset ship, 0x11 subtree fetch
 INGEST = {
     "doc1": {
-        "cost": (12, 16723), "result": 7, "tags": {0x01: (11, 16330), 0x04: (1, 393)},
-        "envelopes": "0f7c95ef7ad0f60bf062f531a56818da692ec28ba910d182a4ded1a176023365",
+        "cost": (12, 13145), "result": 7, "tags": {0x01: (11, 12752), 0x04: (1, 393)},
+        "envelopes": "2cee9f569c3b20db958b6945de2d22345ac57921ce3d8a3cc2c632c9e9070382",
     },
     "doc2": {
-        "cost": (11, 15677), "result": 7, "tags": {0x01: (10, 15284), 0x04: (1, 393)},
-        "envelopes": "7936ec67fd287b6ef496cfaa109fb437d2519bfa12b9113c45bef79eeb213b21",
+        "cost": (11, 12232), "result": 7, "tags": {0x01: (10, 11839), 0x04: (1, 393)},
+        "envelopes": "ada9c30cb14336be0939c83fa021cece9ad613d24265fbf2541863326a9f355d",
     },
     "doc3": {
-        "cost": (12, 19724), "result": 7, "tags": {0x01: (11, 19331), 0x04: (1, 393)},
-        "envelopes": "402874517223dd1f2de02984c4e107f9d6b85fc1cf48385a6b452305a3bafafd",
+        "cost": (12, 15421), "result": 7, "tags": {0x01: (11, 15028), 0x04: (1, 393)},
+        "envelopes": "42916512bcd64090bdc45f7709911f9dc498411bca45feac507743efb16ad479",
     },
     "doc4": {
-        "cost": (11, 12844), "result": 7, "tags": {0x01: (10, 12451), 0x04: (1, 393)},
-        "envelopes": "7da8142981d22dbfa7bca4a322a387fce1bb9a21e4d8ad8f507b71a1d710d844",
+        "cost": (11, 10093), "result": 7, "tags": {0x01: (10, 9700), 0x04: (1, 393)},
+        "envelopes": "da2c3799845b57d2fb5239ca5cdd1deb53c81790d85ef9296f6e877e8f9f738c",
     },
     "rdf_load": {
         "cost": (11, 7106), "result": 48, "tags": {0x01: (11, 7106)},
@@ -235,7 +235,7 @@ def test_traffic_per_tag_adds_up_to_the_stats(observed):
 # run of every query form; the p2p file holds that traffic in its stats
 SNAPSHOT_SHA256 = {
     "centralized": "0c9fed8d38391266d57be18ba0e994d5cd1980e1933385b85053dfeecbe74a9a",
-    "p2p": "8e20d8c6094ad111fae73ea5a4d54908faec38f8b85530e339eaf79d113cf9ac",
+    "p2p": "2f6d466d5474ccb8ea177168ea4c54dc3450b3e5c69e97cce38520d6563bf58b",
 }
 
 

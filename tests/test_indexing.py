@@ -30,6 +30,13 @@ def _unpack_posting(raw):
     return StructuralId(*struct.unpack(">QQQQ", raw))
 
 
+def _split(values):
+    """Stored values split into their 32-byte records: a publication
+    stores each key's postings of one document as one value."""
+    return [value[i : i + POSTING_SIZE]
+            for value in values for i in range(0, len(value), POSTING_SIZE)]
+
+
 def test_posting_wire_format():
     sid = StructuralId(3, 14, 15, 9)
     raw = encode_posting(sid)
@@ -184,7 +191,8 @@ def test_estimates_count_and_lookups_return_the_published_postings(seed, peers, 
         for peer_store in ov.members.values():
             for key, values in peer_store.items():
                 if key[:2] in ("t:", "w:", "v:"):
-                    stored.setdefault(key, []).extend(map(_unpack_posting, values))
+                    stored.setdefault(key, []).extend(
+                        map(_unpack_posting, _split(values)))
     stats = index.stats
     via = members[seed % peers]
 
@@ -245,7 +253,7 @@ _WIDE = [
 def _stored(ov, key):
     """Every encoded posting the overlay holds under ``key``, on any peer."""
     return [v for peer_store in ov.members.values()
-            for v in peer_store.get(key, [])]
+            for v in _split(peer_store.get(key, []))]
 
 
 def _label_order(records):

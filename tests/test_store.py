@@ -190,6 +190,43 @@ def test_posting_count_matches_centralized_traversal(tmp_path):
     assert sum(store.index.stats.values()) == expected
 
 
+# mixed content: an element's text follows a child holding the same word
+# or integer, yet in label order the element's word and value postings
+# come before the child's
+MIXED_DOCS = (
+    "<r><a><b>foo</b>foo<c>7</c>7</a><a>x<b>foo 7</b>foo</a></r>",
+    "<r><b>foo</b><a>foo<b>foo</b></a></r>",
+)
+MIXED_QUERIES = ('//a="foo"!', '//*="foo"!', '//a[/b="foo"]!', "//* in 5..9!",
+                 '//r[//b="foo"]//a!')
+
+
+@pytest.mark.parametrize("peers", [1, 8])
+def test_mixed_content_postings_are_stored_as_sorted_runs(tmp_path, peers):
+    central = Store(config("centralized", tmp_path, granularity=()))
+    p2p = Store(config("p2p", tmp_path, granularity=(), peers=peers))
+    for text in MIXED_DOCS:
+        assert central.store_resource(text) == p2p.store_resource(text)
+    for q in MIXED_QUERIES:
+        want = [(r.resource_id, r.payload) for r in central.query(q).resources]
+        assert want, q
+        assert [(r.resource_id, r.payload) for r in p2p.query(q).resources] == want, q
+    # every posting key holds one run per document, its postings sorted
+    # and distinct, and the runs rise by doc id
+    for ov in (p2p.dht.hash, p2p.dht.range):
+        for peer_store in ov.members.values():
+            for key, runs in peer_store.items():
+                if key[:2] not in ("t:", "w:", "v:"):
+                    continue
+                docs = []
+                for run in runs:
+                    records = [run[i : i + 32] for i in range(0, len(run), 32)]
+                    assert records == sorted(set(records)), key
+                    assert len({r[:8] for r in records}) == 1, key
+                    docs.append(records[0][:8])
+                assert docs == sorted(set(docs)), key
+
+
 def test_rdf_both_backends(tmp_path):
     query = parse_query_text("SELECT ?x ?y\n?x type Doc\n?x author ?y\n")
     results = []
