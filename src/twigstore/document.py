@@ -101,10 +101,14 @@ class Document:
     character offsets by label position (see ``_kept``), which resource
     extraction builds at ingest and restore.
 
-    ``nodes`` is in document (start) order, with the root first.  Each
-    postings structure is built in one pass over ``nodes``, each name's
-    rows in one pass over its postings, and none of them is persisted, so
-    parsing (every ingest and restore) pays for none of them.
+    ``nodes`` is in document (start) order, with the root first.  What a
+    node is indexed under beyond its name, its words and integer values,
+    is decided in one place, ``terms``, which the p2p publication reads
+    too.  The name postings are built in one pass over ``nodes``, the word
+    and value postings together in another (``_postings``, on the first
+    word or range lookup), each name's rows in one pass over its postings,
+    and none of them is persisted, so parsing (every ingest and restore)
+    pays for none of them.
     """
 
     __slots__ = (
@@ -166,22 +170,20 @@ class Document:
         return rows
 
     def with_word(self, name: str | None, word: str) -> Sequence[Node]:
-        """The nodes called ``name`` (any name for None) whose text children
-        hold ``word`` as ``split_words`` makes words, each once, in document
-        order."""
+        """The nodes called ``name`` (any name for None) with ``word`` among
+        their ``terms``, in document order."""
         if self._by_word is None:
-            self._by_word = self._word_postings()
+            self._postings()
         if name is not None:
             return self._by_word.get(name, {}).get(word, ())
         runs = (by_word.get(word, ()) for by_word in self._by_word.values())
         return sorted(chain.from_iterable(runs), key=attrgetter("label"))
 
     def in_range(self, name: str | None, lo: int, hi: int) -> list[Node]:
-        """The nodes called ``name`` (any name for None) with a text child
-        whose ``parse_int_content`` lies in ``[lo, hi]``, each once, in
-        document order."""
+        """The nodes called ``name`` (any name for None) with a value in
+        ``[lo, hi]`` among their ``terms``, each once, in document order."""
         if self._by_value is None:
-            self._by_value = self._value_postings()
+            self._postings()
         names = self._by_value if name is None else [name]
         hits: dict[StructuralId, Node] = {}
         for each in names:
@@ -190,35 +192,47 @@ class Document:
                 hits[node.label] = node
         return [hits[label] for label in sorted(hits)]
 
-    def _word_postings(self) -> dict[str, dict[str, tuple[Node, ...]]]:
+    def _postings(self) -> None:
+        """Build the word and value postings together, in one pass over
+        ``nodes`` reading each node's ``terms``."""
         by_word: dict[str, dict[str, list[Node]]] = {}
+        pairs: dict[str, list[tuple[int, Node]]] = {}
         for node in self.nodes:
-            words = {w for text in self.text_children(node) for w in split_words(text)}
+            words, values = self.terms(node)
             if words:
                 postings = by_word.setdefault(node.name, {})
                 for word in words:
                     # one string per distinct word, whichever names hold it
                     postings.setdefault(intern(word), []).append(node)
-        return {
+            if values:
+                pairs.setdefault(node.name, []).extend((v, node) for v in values)
+        self._by_word = {
             name: {word: tuple(nodes) for word, nodes in postings.items()}
             for name, postings in by_word.items()
         }
-
-    def _value_postings(self) -> dict[str, tuple[list[int], list[Node]]]:
-        pairs: dict[str, list[tuple[int, Node]]] = {}
-        for node in self.nodes:
-            for text in self.text_children(node):
-                value = parse_int_content(text)
-                if value is not None:
-                    pairs.setdefault(node.name, []).append((value, node))
-        by_value = {}
+        self._by_value = {}
         for name, entries in pairs.items():
             entries.sort(key=itemgetter(0))  # stable: ties stay in document order
-            by_value[name] = ([v for v, _ in entries], [n for _, n in entries])
-        return by_value
+            self._by_value[name] = ([v for v, _ in entries], [n for _, n in entries])
 
-    def children(self, node: Node) -> list[Node]:
-        return self._children.get(node.label.start, [])
+    def terms(self, node: Node) -> tuple[Sequence[str], Sequence[int]]:
+        """What ``node`` is indexed under on both backends: the distinct
+        ``split_words`` words and ``parse_int_content`` integers of its text
+        children, each in first-occurrence order; ``((), ())`` for a node
+        with no text child, every attribute and text node among them."""
+        texts = [c.name_or_value for c in self._children.get(node.label.start, ())
+                 if c.kind == TEXT]
+        if not texts:
+            return (), ()
+        if len(texts) == 1:  # most elements: nothing to merge across texts
+            (text,) = texts
+            value = parse_int_content(text)
+            return (tuple(dict.fromkeys(split_words(text))),
+                    () if value is None else (value,))
+        words = dict.fromkeys(chain.from_iterable(map(split_words, texts)))
+        values = dict.fromkeys(
+            v for v in map(parse_int_content, texts) if v is not None)
+        return tuple(words), tuple(values)
 
     def text_children(self, node: Node) -> Iterator[str]:
         """The text of ``node``'s text children, in document order."""

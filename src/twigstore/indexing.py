@@ -3,12 +3,14 @@
 Index keys are prefix-disjoint by construction:
 
 * ``t:<name>``  — one posting per element/attribute node with that name
-* ``w:<word>``  — postings of elements whose immediate text contains the word,
-  one per element however many of its text children hold the word
-* ``v:<tag>=<enc>`` — postings of elements named ``tag`` with a text child
-  that is the decimal integer encoded by ``enc``, one per element however
-  many of its text children hold that integer
+* ``w:<word>``  — one posting per element with the word among its terms
+* ``v:<tag>=<enc>`` — one posting per element named ``tag`` with the
+  integer encoded by ``enc`` among its terms
 * ``r:<resource id>`` — the store's resource index: the peer holding it
+
+A node's terms are ``Document.terms``: the distinct words and integers of
+its text children, the one rule by which the centralized backend's word
+and value postings are built too.
 
 Every p2p store runs two overlays: value keys live on the order-preserving
 range overlay ``dht.range``, which alone answers interval lookups, and
@@ -18,8 +20,8 @@ every other key (the RDF store's triple keys too) on the hash overlay
 A posting is one structural id, serialized fixed-width (4 x 64-bit,
 big-endian) so list sizes are predictable for the planner's cost model.
 Integer values are encoded as offset 20-digit decimals, which preserves
-order under byte-wise comparison; ``parse_int_content`` already refuses
-text outside the +-10^18 window this encoding covers, and ``value_bounds``
+order under byte-wise comparison; ``Document.terms`` holds no integer
+outside the +-10^18 window this encoding covers, and ``value_bounds``
 clips a query range to it.
 
 The four fields are fixed-width unsigned big-endian integers in label
@@ -49,8 +51,7 @@ from itertools import starmap
 from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
-from .document import ATTRIBUTE, INT_WINDOW, TEXT, Document, Node, \
-    StructuralId, parse_int_content, split_words
+from .document import INT_WINDOW, TEXT, Document, StructuralId
 from .overlay import DhtService, Items, PutFn
 from .netsim import PeerId
 
@@ -180,50 +181,31 @@ class IndexService:
         """Publish all postings for ``doc``; returns the count published.
 
         Each ``t:``, ``w:`` and ``v:`` key gets one item, the run of its
-        postings in ``doc``, grouped by key during the walk.  The walk
-        visits elements in label order and takes each element's words and
-        values from its text children before it descends, so a run is in
-        label order even where mixed content puts an element's text after
-        a child holding the same word (``<a><b>foo</b>foo</a>``).  The hash
-        overlay gets one batch: the ``lead`` items (the store's ``r:``
-        keys), then the runs.  The range overlay gets one batch of value
-        runs.  ``put`` defaults to the routed ``DhtService.put``; snapshot
-        restore passes ``DhtService.put_direct``.
+        postings in ``doc``, grouped by key during one pass over
+        ``doc.nodes``.  Each element and attribute is published under its
+        ``t:`` key, then a ``w:`` key per word and a ``v:`` key per value
+        of ``doc.terms``, the rule the centralized backend reads too.
+        ``nodes`` is in label order, so every run is, mixed content
+        (``<a><b>foo</b>foo</a>``) included.  The hash overlay gets one
+        batch: the ``lead`` items (the store's ``r:`` keys), then the runs.
+        The range overlay gets one batch of value runs.  ``put`` defaults
+        to the routed ``DhtService.put``; snapshot restore passes
+        ``DhtService.put_direct``.
         """
         # per key, its postings in ``doc``
         hashed: dict[str, list[bytes]] = {}
         ranged: dict[str, list[bytes]] = {}
-
-        # elements and attributes in document order, with an explicit
-        # stack: a recursive closure would be a reference cycle keeping both
-        # batches alive until the next full garbage collection.  Each is
-        # encoded once, and its tag, word and value postings share that
-        # one bytes object.
-        stack: list[Node] = [doc.root]
-        while stack:
-            node = stack.pop()
+        for node in doc.nodes:
+            if node.kind == TEXT:
+                continue
+            # encoded once; its tag, word and value postings share the bytes
             posting = encode_posting(node.label)
             hashed.setdefault(tag_key(node.name), []).append(posting)
-            if node.kind == ATTRIBUTE:
-                continue
-            keys: set[str] = set()  # its word and value keys so far
-            kids: list[Node] = []
-            for child in doc.children(node):
-                if child.kind != TEXT:
-                    kids.append(child)
-                    continue
-                for word in split_words(child.name_or_value):
-                    key = word_key(word)
-                    if key not in keys:
-                        keys.add(key)
-                        hashed.setdefault(key, []).append(posting)
-                value = parse_int_content(child.name_or_value)
-                if value is not None:
-                    key = value_key(node.name, value)
-                    if key not in keys:
-                        keys.add(key)
-                        ranged.setdefault(key, []).append(posting)
-            stack += reversed(kids)
+            words, values = doc.terms(node)
+            for word in words:
+                hashed.setdefault(word_key(word), []).append(posting)
+            for value in values:
+                ranged.setdefault(value_key(node.name, value), []).append(posting)
 
         published = sum(map(len, [*hashed.values(), *ranged.values()]))
         put = put or self.dht.put

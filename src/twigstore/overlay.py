@@ -467,17 +467,14 @@ class DhtService:
         """Control-plane put: store each item on its key's owner at once.
 
         The outcome equals ``put``'s (same owners, same key and value
-        order), but no envelope is sent and the stats do not move.  Items
-        are grouped by key first, so each distinct key's owner is resolved
-        once.  Snapshot restore uses it to rebuild the overlays without
-        replaying their traffic.
+        order), but no envelope is sent and the stats do not move.
+        Snapshot restore uses it to rebuild the overlays without replaying
+        their traffic.
         """
         self._check_member(ov, via)
-        by_key: dict[str, list[bytes]] = {}
+        members, owner_of = ov.members, ov.owner_of
         for key, value in items:
-            by_key.setdefault(key, []).append(value)
-        for key, values in by_key.items():
-            ov.members[ov.owner_of(key)].setdefault(key, []).extend(values)
+            members[owner_of(key)].setdefault(key, []).append(value)
 
     def get(self, via: PeerId, key: str) -> list[bytes]:
         """The values of the hash overlay under ``key``, in put order."""

@@ -44,9 +44,6 @@ class Triple(NamedTuple):
         triple.check()
         return triple
 
-    def position(self, i: int) -> str:
-        return self[i]
-
 
 class TriplePattern(NamedTuple):
     """One conjunct; positions starting with '?' are variables."""
@@ -55,19 +52,12 @@ class TriplePattern(NamedTuple):
     predicate: str
     object: str
 
-    def position(self, i: int) -> str:
-        return self[i]
-
     def variables(self) -> list[str]:
         return [t for t in (self.subject, self.predicate, self.object)
                 if t.startswith("?")]
 
     def constants(self) -> list[tuple[int, str]]:
-        return [
-            (i, self.position(i))
-            for i in (S, P, O)
-            if not self.position(i).startswith("?")
-        ]
+        return [(i, self[i]) for i in (S, P, O) if not self[i].startswith("?")]
 
 
 class ConjunctiveQuery:
@@ -103,7 +93,7 @@ def index_triples(
     items = []
     for triple in triples:
         raw = triple.text().encode("utf-8")
-        items += ((_KEY_PREFIX[i] + triple.position(i), raw) for i in (S, P, O))
+        items += ((_KEY_PREFIX[i] + triple[i], raw) for i in (S, P, O))
     (put or dht.put)(dht.hash, via, items)
     return len(triples)
 
@@ -111,8 +101,8 @@ def index_triples(
 def _pattern_match(pattern: TriplePattern, triple: Triple) -> dict[str, str] | None:
     bound: dict[str, str] = {}
     for i in (S, P, O):
-        term = pattern.position(i)
-        value = triple.position(i)
+        term = pattern[i]
+        value = triple[i]
         if term.startswith("?"):
             if bound.get(term, value) != value:
                 return None

@@ -112,6 +112,10 @@ def test_word_and_value_postings_read_text_children_only():
     )
     # parsing builds neither postings structure
     assert doc._by_word is None and doc._by_value is None
+    # a node's terms: distinct words, then integers, of its text children
+    assert doc.terms(doc.node_by_start(5)) == (("7", "0012"), (7, 12))
+    assert doc.terms(doc.root) == (("straße", "xml"), ())
+    assert doc.terms(doc.node_by_start(6)) == doc.terms(doc.node_by_start(7)) == ((), ())
 
     def starts(nodes):
         return [n.label.start for n in nodes]
@@ -124,12 +128,15 @@ def test_word_and_value_postings_read_text_children_only():
     assert starts(doc.with_word("a", "ﬁle")) == [14]
     assert starts(doc.with_word("c", "8")) == [8]
     assert doc.with_word("@id", "7") == doc.with_word("b", "b") == ()
-    assert doc._by_value is None  # a word lookup builds the word postings only
+    # the first word lookup builds the value postings too, in the same pass
+    by_value = doc._by_value
+    assert by_value is not None
     # "7" and "0012" both lie in 7..12, yet their element comes once
     assert starts(doc.in_range("b", 7, 12)) == [5]
     assert starts(doc.in_range(None, -5, 12)) == [5]
     assert doc.in_range("b", 8, 11) == doc.in_range("@id", 0, 10) == []
     assert doc.in_range("c", 8, 8) == []  # "XML 8" is no integer
+    assert doc._by_value is by_value  # range lookups build nothing again
 
 
 def test_whitespace_only_text_dropped():

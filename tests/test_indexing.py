@@ -3,7 +3,7 @@ import struct
 
 from hypothesis import given, settings, strategies as st
 
-from twigstore.document import ELEMENT, ATTRIBUTE, StructuralId, parse_document
+from twigstore.document import ELEMENT, ATTRIBUTE, TEXT, StructuralId, parse_document
 from twigstore.indexing import (
     POSTING_SIZE,
     decode_postings,
@@ -18,8 +18,13 @@ from twigstore.indexing import (
     value_tags,
     word_key,
 )
+from twigstore.pattern import PNode
+from twigstore.twigjoin import _predicates_hold
 
-from helpers import INT_HI, INT_LO, TAGS, index_corpus, make_cluster, random_corpus
+from helpers import (
+    INT_HI, INT_LO, TAGS, WORDS, index_corpus, make_cluster, random_corpus,
+    random_document_text,
+)
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
@@ -154,6 +159,42 @@ def test_index_completeness_against_traversal():
         assert set(got) == expected[tag]
         assert got == sorted(got)
     assert sorted(tags) == index.known_tags()
+
+
+def test_both_backends_index_each_node_under_its_terms():
+    """A node's published keys are its tag key plus the keys of its
+    ``terms``, and the centralized word and range lookups find it exactly
+    where the oracle's full text check holds, on mixed-content documents."""
+    rng = random.Random(32)
+    net, dht, index = make_cluster(1)
+    for doc_id in range(1, 81):
+        doc = parse_document(random_document_text(rng), doc_id)
+        published: dict[StructuralId, list[str]] = {}
+
+        def put(ov, via, items):
+            for key, run in items:
+                for sid in decode_postings(run):
+                    published.setdefault(sid, []).append(key)
+
+        index.index_document(doc, 1, put)
+        for node in doc.nodes:
+            if node.kind == TEXT:
+                continue
+            words, values = doc.terms(node)
+            want = [tag_key(node.name), *map(word_key, words),
+                    *(value_key(node.name, v) for v in values)]
+            assert sorted(published.pop(node.label)) == sorted(want)
+            pnode = PNode(0, node.name)
+            for word in WORDS:
+                pnode.word = word
+                hit = node in doc.with_word(node.name, word)
+                assert hit == _predicates_hold(doc, node, pnode), (node.label, word)
+            pnode.word = None
+            for value in range(INT_LO, INT_HI + 1):
+                pnode.lo = pnode.hi = value
+                hit = node in doc.in_range(node.name, value, value)
+                assert hit == _predicates_hold(doc, node, pnode), (node.label, value)
+        assert not published  # no text node is published
 
 
 def test_value_round_trip_exact_bounds():

@@ -1,7 +1,6 @@
 import errno
 import random
 import struct
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -438,12 +437,13 @@ def test_snapshot_round_trip(tmp_path, any_store):
 
 
 def test_word_and_value_postings_are_built_on_first_use(tmp_path, monkeypatch):
-    builds = Counter()
-    for kind in ("_word_postings", "_value_postings"):
-        def counted(doc, real=getattr(Document, kind), kind=kind):
-            builds[kind] += 1
-            return real(doc)
-        monkeypatch.setattr(Document, kind, counted)
+    builds = []
+
+    def counted(doc, real=Document._postings):
+        builds.append(doc.doc_id)
+        real(doc)
+
+    monkeypatch.setattr(Document, "_postings", counted)
     p2p = Store(config("p2p", tmp_path))
     central = Store(config("centralized", tmp_path))
     for store in (p2p, central):
@@ -462,16 +462,21 @@ def test_word_and_value_postings_are_built_on_first_use(tmp_path, monkeypatch):
         return [(d._by_word is not None, d._by_value is not None) for d in docs]
 
     assert built() == [(False, False)] * 2
+    # the first word lookup builds both, once per document
     again.query('//sec[/title="dht"]/par!')
-    assert builds == {"_word_postings": 2}
-    assert built() == [(True, False)] * 2
-    words = [d._by_word for d in docs]
-    assert len(again.query('//par="two"!').resources) == 1
-    assert builds == {"_word_postings": 2}  # another word reuses them
-    assert all(d._by_word is w for d, w in zip(docs, words))
-    again.query("//par in 1..5!")
-    assert builds == {"_word_postings": 2, "_value_postings": 2}
+    assert sorted(builds) == [1, 2]
     assert built() == [(True, True)] * 2
+    kept = [(d._by_word, d._by_value) for d in docs]
+    assert len(again.query('//par="two"!').resources) == 1
+    assert len(again.query("//par in 1..5!").resources) == 1
+    # another word and a range lookup reuse them
+    assert sorted(builds) == [1, 2]
+    assert all(d._by_word is w and d._by_value is v for d, (w, v) in zip(docs, kept))
+    # and a range lookup first builds both as well
+    fresh = restore(path)
+    assert len(fresh.query("//par in 1..5!").resources) == 1
+    assert sorted(builds) == [1, 1, 2, 2]
+    assert all(d._by_word is not None for d in fresh.documents.values())
 
 
 def _record_tags(blob: bytes) -> list[bytes]:
