@@ -50,14 +50,15 @@ Each overlay serves the read its role needs: ``get`` reads one key from
 the hash overlay, ``get_range`` one interval from the range overlay.
 
 Wire tags: 0x01/0x04 put on the hash/range overlay, 0x02 get, 0x06 range
-scan, 0x03 values.  A get is the tag, the request id, the origin peer and
-the key; a scan is the tag, the request id, the origin peer and the two
-bounds.  Every request that expects an answer (get, scan, the plan
-executor's batched subtree fetch) takes its id from
-``DhtService.new_request`` and is answered by one values envelope
-(``values_response``): 0x03, the request id, then each value after its
-4-byte length, up to the end of the envelope.  ``DhtService.take_values``
-decodes it.
+scan, 0x03 values.  Every read is a request answered by one values
+envelope: a get, a scan and the plan executor's batched subtree fetch.  A
+request is its wire tag, a 4-byte request id and the 8-byte origin peer,
+then its body from ``REQUEST_BODY`` on: a get's key, a scan's two bounds.
+The answer is 0x03, the request id, then each value after its 4-byte
+length, up to the end of the envelope.  ``DhtService`` alone writes and
+reads these headers: ``request`` sends one request, ``gather`` sends one
+to each of several peers and collects their answers after one drain, and
+``reply`` answers a request with its values.
 """
 
 from __future__ import annotations
@@ -286,7 +287,6 @@ class RangeOverlay:
         self.members: dict[PeerId, PeerStore] = {}
         self.bounds: list[bytes] = []
         self.owners: list[PeerId] = []
-        self.last_contacted: tuple[PeerId, ...] = ()
 
     @staticmethod
     def sort_key(key: str) -> bytes:
@@ -377,16 +377,9 @@ def _rehome(ov: Overlay, peer: PeerId, store: PeerStore) -> None:
 PutFn = Callable[[Overlay, PeerId, Items], None]
 Handler = Callable[[Network, Envelope], None]
 
-# a get or scan request is its wire tag, the request id, the origin peer,
-# then the key or the two bounds
-_REQUEST_BODY = 13
-
-
-def values_response(req: int, values: list[bytes]) -> bytes:
-    """The answer to request ``req``: 0x03, the request id, then each value
-    after its 4-byte length; the envelope's end ends the values."""
-    head = bytes([_VALUES]) + struct.pack(">I", req)
-    return head + b"".join(map(pack_bytes, values))
+# a request's header after its wire tag: the request id and the origin peer
+_HEAD = struct.Struct(">IQ")
+REQUEST_BODY = 1 + _HEAD.size
 
 
 class DhtService:
@@ -397,8 +390,9 @@ class DhtService:
     operation injects the initial request and drains the loop (``drain``),
     so calls never overlap a simulation step.  Every peer dispatches by
     wire tag through one table, which binds each put tag to its overlay
-    and to which the plan executor adds its own tags; every answer, the
-    executor's included, arrives as a values envelope.  Tests pass a hash
+    and to which the plan executor adds its own tags.  Every read, the
+    executor's included, goes out through ``request`` or ``gather`` and is
+    answered through ``reply`` with a values envelope.  Tests pass a hash
     overlay of their own to place peers by hand and set ``tick_budget`` to
     cut a drain short.
     """
@@ -483,11 +477,9 @@ class DhtService:
         hop = ov.route(via, key)
         if hop is None:
             return ov.local_values(via, key)
-        req = self.new_request()
-        payload = bytes([_HASH_GET]) + struct.pack(">IQ", req, via) + pack_str(key)
-        self.net.send(via, hop, payload)
+        req = self.request(via, hop, _HASH_GET, pack_str(key))
         self.drain()
-        return self.take_values(req)
+        return self._take_values(req)
 
     def get_range(self, via: PeerId, lo: str, hi: str) -> list[bytes]:
         """The values of the range overlay with ``lo <= key < hi``, in key
@@ -499,27 +491,13 @@ class DhtService:
         ov = self.range
         self._check_member(ov, via)
         peers = ov.intersecting(lo, hi)
-        ov.last_contacted = tuple(peers)
-        reqs: dict[PeerId, int] = {}
-        for pid in peers:
-            if pid == via:
-                continue
-            reqs[pid] = req = self.new_request()
-            payload = (
-                bytes([_RANGE_SCAN])
-                + struct.pack(">IQ", req, via)
-                + pack_str(lo)
-                + pack_str(hi)
-            )
-            self.net.send(via, pid, payload)
-        if reqs:
-            self.drain()
+        bounds = pack_str(lo) + pack_str(hi)
+        answers = self.gather(
+            via, _RANGE_SCAN, {pid: bounds for pid in peers if pid != via}
+        )
         values: list[bytes] = []
         for pid in peers:
-            if pid == via:
-                values += ov.local_scan(via, lo, hi)
-            else:
-                values += self.take_values(reqs[pid])
+            values += ov.local_scan(via, lo, hi) if pid == via else answers[pid]
         return values
 
     # -- requests and responses ------------------------------------------
@@ -539,12 +517,33 @@ class DhtService:
             self._responses.clear()
             raise
 
-    def new_request(self) -> int:
-        """A fresh request id; its response carries it back."""
+    def request(self, via: PeerId, to: PeerId, tag: int, body: bytes) -> int:
+        """Send request ``tag`` with ``body`` from ``via`` to ``to`` and
+        return its fresh id, which the answer carries back."""
         self._next_req += 1
-        return self._next_req
+        req = self._next_req
+        self.net.send(via, to, bytes([tag]) + _HEAD.pack(req, via) + body)
+        return req
 
-    def take_values(self, req: int) -> list[bytes]:
+    def gather(
+        self, via: PeerId, tag: int, bodies: dict[PeerId, bytes]
+    ) -> dict[PeerId, list[bytes]]:
+        """Send request ``tag`` from ``via`` to each peer of ``bodies``, in
+        its order, with that peer's body, drain once, and return each
+        peer's answer."""
+        reqs = {to: self.request(via, to, tag, body) for to, body in bodies.items()}
+        if reqs:
+            self.drain()
+        return {to: self._take_values(req) for to, req in reqs.items()}
+
+    def reply(self, env: Envelope, values: list[bytes]) -> None:
+        """Answer the request ``env`` with ``values``: one values envelope
+        from its recipient to its origin."""
+        req, origin = _HEAD.unpack_from(env.payload, 1)
+        answer = bytes([_VALUES]) + _U32.pack(req) + b"".join(map(pack_bytes, values))
+        self.net.send(env.to_peer, origin, answer)
+
+    def _take_values(self, req: int) -> list[bytes]:
         """The values of the envelope that answered ``req``, in order."""
         payload = self._responses.pop(req, None)
         if payload is None:
@@ -627,21 +626,18 @@ class DhtService:
     def _on_get(self, net: Network, env: Envelope) -> None:
         """Answer a get this peer owns the key of, else send it on."""
         me = env.to_peer
-        req, origin = struct.unpack_from(">IQ", env.payload, 1)
-        key, _ = unpack_str(env.payload, _REQUEST_BODY)
+        key, _ = unpack_str(env.payload, REQUEST_BODY)
         hop = self.hash.route(me, key)
         if hop is None:
-            net.send(me, origin, values_response(req, self.hash.local_values(me, key)))
+            self.reply(env, self.hash.local_values(me, key))
         else:
             net.send(me, hop, env.payload)
 
     def _on_scan(self, net: Network, env: Envelope) -> None:
-        req, origin = struct.unpack_from(">IQ", env.payload, 1)
-        lo, off = unpack_str(env.payload, _REQUEST_BODY)
+        lo, off = unpack_str(env.payload, REQUEST_BODY)
         hi, _ = unpack_str(env.payload, off)
-        values = self.range.local_scan(env.to_peer, lo, hi)
-        net.send(env.to_peer, origin, values_response(req, values))
+        self.reply(env, self.range.local_scan(env.to_peer, lo, hi))
 
     def _on_values(self, net: Network, env: Envelope) -> None:
-        (req,) = struct.unpack_from(">I", env.payload, 1)
+        (req,) = _U32.unpack_from(env.payload, 1)
         self._responses[req] = env.payload

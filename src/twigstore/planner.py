@@ -51,7 +51,7 @@ from .indexing import (
     word_key,
 )
 from .netsim import Envelope, Network, NetworkStats, PeerId
-from .overlay import DhtService, values_response
+from .overlay import REQUEST_BODY, DhtService
 from .pattern import CHILD, TreePattern, bfs_edges
 from .twigjoin import in_join_order, stack_join
 
@@ -591,8 +591,8 @@ def decode_dataset(payload: bytes, site: PeerId) -> Dataset:
 class ExecutionContext:
     """Runtime the executor needs: overlays, index, and document homes.
 
-    A batched subtree fetch uses the overlay service's request ids and is
-    answered by its values envelope.
+    A batched subtree fetch is one of the overlay service's requests: sent
+    by ``DhtService.gather`` and answered by ``DhtService.reply``.
     """
 
     def __init__(
@@ -614,24 +614,22 @@ class ExecutionContext:
     def _on_fetch(self, net: Network, env: Envelope) -> None:
         """Answer a batched fetch with the payloads of the requested nodes,
         in request order."""
-        req, origin = struct.unpack_from(">IQ", env.payload, 1)
         payloads = []
-        for doc_id, start in struct.iter_unpack(">QQ", env.payload[13:]):
+        for doc_id, start in struct.iter_unpack(">QQ", env.payload[REQUEST_BODY:]):
             doc, _home = self.documents[doc_id]
             label = doc.node_by_start(start).label  # the request carries the start only
             payloads.append(serialize_node(doc, label).encode("utf-8"))
-        net.send(env.to_peer, origin, values_response(req, payloads))
+        self.dht.reply(env, payloads)
 
     def fetch_subtree(self, via: PeerId, sids: list[StructuralId]) -> list[str]:
         """The serialized subtrees of ``sids``, in order.
 
         Nodes whose document lives at ``via`` are serialized there; every
         other home peer gets one request for all of its nodes, and one
-        drain delivers them all.  A request is the wire tag, the request id
-        and the origin, then one ``(doc_id, start)`` pair per node up to the
-        end of the envelope (no count is sent: the length gives it); the
-        answer is one values envelope (``values_response``) holding the
-        payloads in request order.
+        ``gather`` sends them all and collects the answers.  A request's
+        body is one ``(doc_id, start)`` pair per node up to the end of the
+        envelope (no count is sent: the length gives it); its answer holds
+        the payloads in request order.
         """
         out: list[str] = [""] * len(sids)
         remote: dict[PeerId, list[int]] = {}
@@ -641,22 +639,14 @@ class ExecutionContext:
                 out[i] = serialize_node(doc, sid)
             else:
                 remote.setdefault(home, []).append(i)
-        if not remote:
-            return out
-        pending = []
-        for home, slots in remote.items():
-            req = self.dht.new_request()
-            pairs = b"".join(
+        bodies = {
+            home: b"".join(
                 struct.pack(">QQ", sids[i].doc_id, sids[i].start) for i in slots
             )
-            self.net.send(
-                via, home,
-                bytes([TAG_FETCH]) + struct.pack(">IQ", req, via) + pairs,
-            )
-            pending.append((req, slots))
-        self.dht.drain()
-        for req, slots in pending:
-            for i, raw in zip(slots, self.dht.take_values(req)):
+            for home, slots in remote.items()
+        }
+        for home, payloads in self.dht.gather(via, TAG_FETCH, bodies).items():
+            for i, raw in zip(remote[home], payloads):
                 out[i] = raw.decode("utf-8")
         return out
 

@@ -215,7 +215,10 @@ def test_criterion_5_interval_search():
             else:
                 lo = f"key{rng.randint(0, 80):03d}"
                 hi = f"key{rng.randint(0, 80):03d}"
-                got = dht.get_range(rng.choice(members), lo, hi)
+                via = rng.choice(members)
+                before = net.stats.copy()
+                got = dht.get_range(via, lo, hi)
+                delta = net.stats.delta_since(before)
                 # key order, then put order
                 want = [v for k in sorted(shadow) if lo <= k < hi for v in shadow[k]]
                 assert got == want, f"step {step}: range scan diverged"
@@ -230,7 +233,13 @@ def test_criterion_5_interval_search():
                     )
                 else:
                     expected_contacts = ()
-                assert ov.last_contacted == expected_contacts
+                assert tuple(ov.intersecting(lo, hi)) == expected_contacts
+                # via scans its own interval; each other intersecting peer
+                # gets one range scan and sends one answer, no one else a byte
+                others = [p for p in expected_contacts if p != via]
+                assert {edge: msgs for edge, (msgs, _) in delta.per_edge.items()} == {
+                    **{(via, p): 1 for p in others}, **{(p, via): 1 for p in others}
+                }
 
 
 def test_criterion_6_o1_resource_access(tmp_path):

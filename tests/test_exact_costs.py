@@ -9,9 +9,10 @@ Per query the pins are messages and bytes, messages and bytes per wire tag
 (the first payload byte, counted by wrapping ``Network.send`` and charged
 as ``NetworkStats.record`` charges them: a message a peer sends itself
 costs no bytes), and the sha256 of the answers and of the placed plan XML.
-Ingest is pinned as messages and bytes per document, and by the sha256 of
-its envelopes (``envelopes_sha256``), so reordering the items inside an
-envelope shows even where every count and answer stays.  Each backend's
+Ingest is pinned as messages and bytes per document, and every step, query
+or ingest, by the sha256 of its envelopes (``envelopes_sha256``), so
+reordering the items inside an envelope, or the requests of one read,
+shows even where every count and answer stays.  Each backend's
 snapshot of the whole corpus is pinned by the sha256 of its bytes.
 """
 
@@ -132,10 +133,12 @@ def observed() -> dict[str, dict]:
             answers = "\n".join(f"{r.resource_id}\t{r.payload}" for r in step["result"])
             step["result"] = (len(step["result"]), _sha256(answers))
             step["plan"] = _sha256(plan_to_xml(plan))
+            step["envelopes"] = envelopes_sha256(sent)
             out[form] = step
         step = measure(lambda: store.rdf_query(parse_query_text(RDF_QUERY)))
         rows = step["result"]
         step["result"] = (len(rows), _sha256("\n".join("\t".join(r) for r in rows)))
+        step["envelopes"] = envelopes_sha256(sent)
         out["rdf"] = step
     finally:
         Network.send = real_send
@@ -213,6 +216,21 @@ QUERY_COSTS = {
 }
 
 
+# sha256 of each query step's envelopes (``envelopes_sha256``), request ids
+# included: the order of the requests inside a multi-peer read (range scans,
+# subtree fetches, RDF gets) and the ids they carry show here even where
+# every count and answer stays
+QUERY_ENVELOPES = {
+    "range": "a3709dfe11cb3030a20cf582626620a98b5cf4b4bdd130f83f52a773a73205b5",
+    "word": "e4a05b354620c75b7dbc4c1d7fc198bae04e52104092141589d399eae87cdc25",
+    "branch": "8d6d10815b1d3166e1fac6ae052988a1aa5b691ddb5a34e45a80a9dc2af1b675",
+    "deep": "15d31e0b7b77d22eddfc560defb047b91dd11d3d2a63dca20de96c8a10e011c6",
+    "root": "4557f6c9a45d89f1a0f0eccff7b4b83a0126c60d3b0a937fa7e83e0302f4907c",
+    "wildcard": "b5d3af3e551a4df87dc48e8f7c62eae3861bef6b2777c95d577aee255383a4cb",
+    "rdf": "e8869d8fe32e0bc77db86e386d8a1d40d1d5095d497457437c818a26c6e60504",
+}
+
+
 @pytest.mark.parametrize("step", sorted(INGEST))
 def test_ingest_cost_per_document(observed, step):
     assert observed[step] == INGEST[step]
@@ -220,7 +238,7 @@ def test_ingest_cost_per_document(observed, step):
 
 @pytest.mark.parametrize("form", list(QUERY_COSTS))
 def test_query_cost_per_form(observed, form):
-    assert observed[form] == QUERY_COSTS[form]
+    assert observed[form] == {**QUERY_COSTS[form], "envelopes": QUERY_ENVELOPES[form]}
 
 
 def test_traffic_per_tag_adds_up_to_the_stats(observed):

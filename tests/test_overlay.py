@@ -183,8 +183,9 @@ def test_get_range_basics():
         dht.put(dht.range, 1, [(key, key.encode())])
     assert dht.get_range(1, "10", "20") == [b"12", b"17"]
     assert dht.get_range(1, "15", "15") == []
-    assert dht.get_range(2, "a", "é") == []
-    assert dht.range.last_contacted == (1, 2)
+    assert dht.range.intersecting("a", "é") == [1, 2]
+    # peer 2 scans its own interval and asks peer 1 for the other one
+    assert _range_read(net, dht, 2, "a", "é") == ([], [1])
 
 
 def test_get_range_contacts_only_intersecting_peers():
@@ -192,12 +193,22 @@ def test_get_range_contacts_only_intersecting_peers():
     net, dht = make_service([1, 2])
     dht.join(dht.range, 1)
     dht.join(dht.range, 2)
-    dht.get_range(1, "a", "é")
-    assert dht.range.last_contacted == (1, 2)
-    dht.get_range(1, "10", "20")
-    assert dht.range.last_contacted == (1,)
-    dht.get_range(1, "é", "ü")
-    assert dht.range.last_contacted == (2,)
+    for lo, hi, peers in (("a", "é", [1, 2]), ("10", "20", [1]), ("é", "ü", [2])):
+        assert dht.range.intersecting(lo, hi) == peers
+        assert _range_read(net, dht, 1, lo, hi) == ([], [p for p in peers if p != 1])
+
+
+def _range_read(net, dht, via, lo, hi):
+    """``dht.get_range(via, lo, hi)``'s values and the peers it sent a range
+    scan to, ascending, once the traffic is checked to be one scan to each
+    of them and one answer back."""
+    before = net.stats.copy()
+    values = dht.get_range(via, lo, hi)
+    delta = net.stats.delta_since(before)
+    edges = {edge: msgs for edge, (msgs, _) in delta.per_edge.items()}
+    asked = sorted(to for frm, to in edges if frm == via)
+    assert edges == {**{(via, p): 1 for p in asked}, **{(p, via): 1 for p in asked}}
+    return values, asked
 
 
 def test_envelopes_name_their_overlay_by_wire_tag_alone():
@@ -221,7 +232,7 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
     # UTF-8 is two bytes; in byte order 12 comes before 5 and 7
     dht.put(dht.range, 50, [("12", b"q"), ("é", b"s"), ("5", b"p")])
     assert dht.get_range(50, "0", "ü") == [b"q", b"p", b"r", b"s"]  # requests 3 and 4
-    assert dht.range.last_contacted == (10, 50, 90)
+    assert dht.range.intersecting("0", "ü") == [10, 50, 90]
 
     def u16(n):
         return n.to_bytes(2, "big")
@@ -251,6 +262,7 @@ def test_envelopes_name_their_overlay_by_wire_tag_alone():
     assert [(frm, to) for frm, to, payload in sent if payload[0] == 0x04] == [
         (50, 10), (50, 10), (50, 90)
     ]
+    # peer 50 scans its own interval: no scan goes to it
     assert [to for _, to, payload in sent if payload[0] == 0x06] == [10, 10, 90]
     # every answer is 0x03, the request id, then each value after its
     # 4-byte length, in key order: no count and no keys
@@ -306,8 +318,8 @@ def test_range_scan_from_a_boundary_key_asks_its_owner():
     for p in (1, 2, 3):
         dht.join(dht.range, p)
     dht.put(dht.range, 1, [("@", b"x")])
-    assert dht.get_range(1, "@", "@\x00") == [b"x"]
-    assert dht.range.last_contacted == (3,)
+    assert dht.range.intersecting("@", "@\x00") == [3]
+    assert _range_read(net, dht, 1, "@", "@\x00") == ([b"x"], [3])
 
 
 def test_range_boundaries_are_the_dyadic_midpoints():
@@ -874,3 +886,48 @@ def test_tick_budget_failure_leaves_nothing_for_the_next_operation():
         (90, 10): 1, (10, 50): 1, (50, 90): 1,
     }
     assert dht._responses == {}
+
+
+def _abandon_then_rerun(net, dht, read):
+    """Run ``read`` under a one-tick budget, which must abandon it with
+    nothing left queued or filed, then again under the default budget; the
+    second run's result and its messages per edge."""
+    dht.tick_budget = 1
+    with pytest.raises(TickBudgetExceeded):
+        read()
+    assert net.pending_count == 0
+    assert dht._responses == {}
+    dht.tick_budget = DEFAULT_TICK_BUDGET
+    before = net.stats.copy()
+    result = read()
+    delta = net.stats.delta_since(before)
+    assert dht._responses == {}
+    return result, {edge: msgs for edge, (msgs, _) in delta.per_edge.items()}
+
+
+def test_tick_budget_failure_abandons_every_request_of_a_multi_peer_read():
+    # each read sends one request to each of two remote peers in one drain;
+    # one tick delivers the requests, and their answers are abandoned
+    # ranges: 1 -> [b"", b"@"), 3 -> [b"@", b"\x80"), 2 -> [b"\x80", top)
+    net, dht = make_service([1, 2, 3])
+    for p in (1, 2, 3):
+        dht.join(dht.range, p)
+    dht.put(dht.range, 1, [("5", b"a"), ("A", b"b"), ("ä", b"c")])
+    assert dht.range.intersecting("0", "é") == [1, 3, 2]
+    assert _abandon_then_rerun(net, dht, lambda: dht.get_range(1, "0", "é")) == (
+        [b"a", b"b", b"c"], {(1, 3): 1, (1, 2): 1, (3, 1): 1, (2, 1): 1}
+    )
+    # a recomposition fetch from query peer 1 of the roots of documents 2
+    # and 3, whose homes are peers 2 and 3
+    store = Store(StoreConfig(backend=P2P, peer_count=3))
+    for word in ("a", "b", "c"):
+        store.store_resource(f"<d><t>{word}</t></d>")
+    sids = [store.documents[doc_id].root.label for doc_id in (3, 1, 2)]
+
+    def fetch():
+        return store.exec_ctx.fetch_subtree(store.query_peer, sids)
+
+    assert _abandon_then_rerun(store.net, store.dht, fetch) == (
+        ["<d><t>c</t></d>", "<d><t>a</t></d>", "<d><t>b</t></d>"],
+        {(1, 3): 1, (1, 2): 1, (3, 1): 1, (2, 1): 1},
+    )

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from twigstore import planner
+from twigstore import planner, twigjoin
 from twigstore import store as store_module
 from twigstore.errors import (
     CorruptSnapshot,
@@ -400,6 +400,32 @@ def test_value_postings_spread_over_range_peers(tmp_path):
         if any(key.startswith("v:") for key in peer_store)
     ]
     assert len(holders) >= 2, holders
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: both backends join every binding of sibling "
+    "predicates before projecting onto the return nodes, so k predicates "
+    "'[/b]' over three b children make 3 + 9 + ... + 3**k rows for one answer",
+)
+def test_sibling_predicates_do_not_multiply_join_rows(tmp_path, monkeypatch):
+    rows = {}
+    real_join = twigjoin.stack_join
+
+    def counting_join(*args):
+        pairs = real_join(*args)
+        rows[backend] += len(pairs)
+        return pairs
+
+    monkeypatch.setattr(twigjoin, "stack_join", counting_join)
+    monkeypatch.setattr(planner, "stack_join", counting_join)
+    for backend in ("centralized", "p2p"):
+        store = Store(config(backend, tmp_path, granularity=()))
+        store.store_resource("<a><b>x</b><b>x</b><b>x</b></a>")
+        rows[backend] = 0
+        assert len(store.query("//a" + "[/b]" * 8 + "!").resources) == 1
+    assert max(rows.values()) <= 100, rows
 
 
 def test_index_keys_longer_than_64_kib(tmp_path):
