@@ -9,8 +9,13 @@ joins the units together over the cut edges, in pattern order.
 
 Plans are operator trees; leaves are index lookups pinned at the peers
 owning their keys, and every other operator carries the site where its
-output materializes.  Cost is bytes shipped: each posting is 32 bytes and
-a shipped binding row costs 32 bytes per column.  Row estimates come from
+output materializes, and the columns (pattern nodes) of its rows.  An
+operator's columns, site and estimates live on the plan alone: the
+executor passes bare row lists, and a shipped dataset is its wire tag and
+its rows' postings, split into rows by the receiving Ship's columns.  Cost
+is bytes shipped: each posting is 32 bytes, so a shipped row costs 32
+bytes per column, and ``Plan.est_bytes`` is computed from the estimated
+rows and the columns by that rule.  Row estimates come from
 the published posting counts alone: a leaf's is its key's count, and a
 child-axis join's is bounded by both sides, its child side's rows and its
 parent side's rows times the average fanout between the two nodes' names
@@ -53,7 +58,7 @@ from .indexing import (
 from .netsim import Envelope, Network, NetworkStats, PeerId
 from .overlay import REQUEST_BODY, DhtService
 from .pattern import CHILD, TreePattern, bfs_edges
-from .twigjoin import in_join_order, stack_join
+from .twigjoin import Row, in_join_order, stack_join
 
 DESC_FANOUT = 4  # ancestor multiplicity assumed for descendant-axis joins
 PAYLOAD_ESTIMATE = 256  # assumed serialized bytes per recomposed resource
@@ -73,7 +78,7 @@ class Plan:
     __slots__ = (
         "op", "site", "kids", "key", "tag", "lo", "hi", "var", "axis",
         "parent_var", "child_var", "ret_vars", "root_only", "cols",
-        "est_rows", "est_bytes",
+        "est_rows",
     )
 
     def __init__(
@@ -93,7 +98,6 @@ class Plan:
         root_only: bool = False,
         cols: tuple[int, ...] = (),
         est_rows: int = 0,
-        est_bytes: int = 0,
     ):
         self.op = op
         self.site = site
@@ -110,7 +114,15 @@ class Plan:
         self.root_only = root_only
         self.cols = cols
         self.est_rows = est_rows
-        self.est_bytes = est_bytes
+
+    @property
+    def est_bytes(self) -> int:
+        """Estimated bytes of this operator's output, by the one wire rule:
+        a shipped dataset is its tag byte and one posting per column and
+        row; a Recompose's resources are ``PAYLOAD_ESTIMATE`` bytes each."""
+        if self.op == "Recompose":
+            return self.est_rows * PAYLOAD_ESTIMATE
+        return 1 + len(self.cols) * self.est_rows * POSTING_SIZE
 
     def is_leaf(self) -> bool:
         return self.op in ("IndexLookup", "RangeLookup")
@@ -126,7 +138,7 @@ class Plan:
             self.op, self.site if site is None else site, kids, self.key,
             self.tag, self.lo, self.hi, self.var, self.axis, self.parent_var,
             self.child_var, self.ret_vars, self.root_only, self.cols,
-            self.est_rows, self.est_bytes,
+            self.est_rows,
         )
 
 
@@ -299,7 +311,8 @@ class PlanBuilder:
 
 
 def annotate(plan: Plan, stats: dict[str, int]) -> None:
-    """Fill est_rows/est_bytes bottom-up from posting statistics.
+    """Fill est_rows bottom-up from posting statistics; ``est_bytes``
+    follows from it.
 
     A child-axis join emits at most one row per child-side row (a node has
     one parent), a sound bound; it is estimated as the smaller of that and
@@ -308,8 +321,8 @@ def annotate(plan: Plan, stats: dict[str, int]) -> None:
     counts.  The fanout term is an average, not a bound: parent-side rows
     with more children than the average are underestimated.  A parent name
     with no postings estimates 0.  Descendant joins get a flat
-    ancestor-multiplicity fudge.  est_bytes matches the shipped wire
-    format exactly for exact row estimates.
+    ancestor-multiplicity fudge.  ``Plan.est_bytes`` matches the shipped
+    wire format exactly for exact row estimates.
     """
     _annotate(plan, stats, {})
 
@@ -351,10 +364,6 @@ def _annotate(plan: Plan, stats: dict[str, int], names: dict[int, int]) -> None:
         plan.est_rows = rows if parent_side.est_rows and child_side.est_rows else 0
     else:  # Ship and Recompose pass rows through
         plan.est_rows = plan.kids[0].est_rows
-    if plan.op == "Recompose":
-        plan.est_bytes = plan.est_rows * PAYLOAD_ESTIMATE
-    else:
-        plan.est_bytes = _shipped_size(max(1, len(plan.cols)), plan.est_rows)
 
 
 def plan_cost(plan: Plan) -> int:
@@ -475,7 +484,7 @@ def _ship(plan: Plan, site: PeerId) -> Plan:
     """Ship ``plan``'s output to ``site``, with the estimates ``annotate``
     gives it: a Ship carries its input's columns, and never a Recompose."""
     return Plan("Ship", site, kids=[plan], cols=plan.cols,
-                est_rows=plan.est_rows, est_bytes=plan.est_bytes)
+                est_rows=plan.est_rows)
 
 
 def _reship(plan: Plan) -> Plan:
@@ -494,7 +503,9 @@ def _place_greedy(plan: Plan, query_peer: PeerId) -> Plan:
     site = plan.site
     if plan.op in ("StructJoin", "Intersect"):
         a, b = kids
-        if a.est_bytes == b.est_bytes:
+        if a.site == b.site:
+            site = a.site
+        elif a.est_bytes == b.est_bytes:
             site = query_peer
         else:
             site = a.site if a.est_bytes > b.est_bytes else b.site
@@ -516,8 +527,10 @@ def place(
 ) -> Plan:
     """Pin each join at its largest input's site; never worse than the input.
 
-    Leaf sites (key owners) are preserved; Recompose and the final result
-    are pinned at the query peer.  The greedy placement's estimate is
+    A join whose inputs share a site stays there; one whose inputs sit
+    apart and estimate the same bytes goes to the query peer.  Leaf sites
+    (key owners) are preserved; Recompose and the final result are pinned
+    at the query peer.  The greedy placement's estimate is
     compared against ``plan``'s own, pinned at the query peer, and the
     cheaper plan wins (greedy on a tie).  ``PlanBuilder.build`` gives the
     naive placement, so the result's estimated cost is <= the naive plan's.
@@ -537,55 +550,16 @@ def place(
 # -- execution ---------------------------------------------------------------------
 
 
-class Dataset:
-    """Rows of labels, one column per pattern node in ``cols``, held at
-    ``site``.  Every operator emits its rows in ascending order, so a
-    dataset is in its first column's label order."""
-
-    def __init__(
-        self, cols: tuple[int, ...], rows: list[tuple[StructuralId, ...]], site: PeerId
-    ):
-        self.cols = cols
-        self.rows = rows
-        self.site = site
+def encode_dataset(rows: list[Row]) -> bytes:
+    """Each row's postings, in one pass: no header, because the receiver
+    runs the same plan and knows the columns."""
+    return encode_postings(chain.from_iterable(rows))
 
 
-def _column_count(ncols: int) -> bytes:
-    """A dataset's column count: 1 byte below 0xFF, else 0xFF and 4 more."""
-    if ncols < 0xFF:
-        return struct.pack(">B", ncols)
-    return struct.pack(">BI", 0xFF, ncols)
-
-
-def _shipped_size(ncols: int, nrows: int) -> int:
-    """Bytes of a shipped dataset: its wire tag, the ``encode_dataset``
-    column and row counts, the column ids and the postings."""
-    return 1 + len(_column_count(ncols)) + 4 + ncols * (2 + nrows * POSTING_SIZE)
-
-
-def encode_dataset(ds: Dataset) -> bytes:
-    """Column count (``_column_count``), row count, column ids, then each
-    row's postings, encoded in one pass."""
-    head = struct.pack(f">I{len(ds.cols)}H", len(ds.rows), *ds.cols)
-    body = encode_postings(chain.from_iterable(ds.rows))
-    return _column_count(len(ds.cols)) + head + body
-
-
-def decode_dataset(payload: bytes, site: PeerId) -> Dataset:
-    ncols, off = payload[0], 1
-    if ncols == 0xFF:
-        (ncols,) = struct.unpack_from(">I", payload, off)
-        off += 4
-    (nrows,) = struct.unpack_from(">I", payload, off)
-    off += 4
-    cols = struct.unpack_from(f">{ncols}H", payload, off)
-    off += 2 * ncols
-    if ncols:
-        sids = iter(decode_postings(memoryview(payload)[off:]))
-        rows = list(zip(*[sids] * ncols))
-    else:
-        rows = [()] * nrows
-    return Dataset(cols, rows, site)
+def decode_dataset(payload: bytes, ncols: int) -> list[Row]:
+    """The rows of ``ncols`` postings each that ``encode_dataset`` wrote."""
+    sids = iter(decode_postings(payload))
+    return list(zip(*[sids] * ncols))
 
 
 class ExecutionContext:
@@ -650,19 +624,26 @@ class ExecutionContext:
                 out[i] = raw.decode("utf-8")
         return out
 
-    def ship(self, ds: Dataset, to: PeerId) -> Dataset:
-        if ds.site == to:
-            return ds
-        payload = bytes([TAG_DATASET]) + encode_dataset(ds)
-        self.net.send(ds.site, to, payload)
+    def ship(self, plan: Plan, rows: list[Row]) -> list[Row]:
+        """Send the rows of the Ship ``plan``'s input from that input's
+        site to ``plan.site``, as one envelope: ``TAG_DATASET``, then
+        ``encode_dataset``.  The receiver splits the postings into rows by
+        ``len(plan.cols)``."""
+        frm = plan.kids[0].site
+        if frm == plan.site:
+            return rows
+        self.net.send(frm, plan.site, bytes([TAG_DATASET]) + encode_dataset(rows))
         self.dht.drain()
-        return decode_dataset(self._inbox.pop(), to)
+        return decode_dataset(self._inbox.pop(), len(plan.cols))
 
 
 def execute(
     plan: Plan, ctx: ExecutionContext
-) -> tuple[Dataset | list[Resource], NetworkStats]:
-    """Interpret the plan over the simulation; returns (result, stats delta)."""
+) -> tuple[list[Row] | list[Resource], NetworkStats]:
+    """Interpret the plan over the simulation; returns (result, stats delta).
+
+    A Recompose root yields resources; any other root yields its rows, one
+    label per column of ``plan.cols``."""
     for node, _, _ in _positions(plan):
         if node.site not in ctx.net.peers:
             raise PlanSiteUnreachable(f"peer {node.site} is not alive")
@@ -673,33 +654,34 @@ def execute(
 
 
 def _run(plan: Plan, ctx: ExecutionContext):
+    """``plan``'s output at ``plan.site``.  An operator's rows hold one
+    label per column of ``plan.cols`` and rise in label order, so they are
+    in their first column's order; each input runs left before right."""
     if plan.op == "IndexLookup":
-        return _leaf_dataset(plan, ctx.index.lookup(plan.key, plan.site))
+        return _leaf_rows(plan, ctx.index.lookup(plan.key, plan.site))
     if plan.op == "RangeLookup":
-        return _leaf_dataset(plan, ctx.index.lookup_value_range(
+        return _leaf_rows(plan, ctx.index.lookup_value_range(
             plan.tag, plan.lo, plan.hi, plan.site))
     if plan.op == "Ship":
-        ds = _run(plan.kids[0], ctx)
-        return ctx.ship(ds, plan.site)
+        return ctx.ship(plan, _run(plan.kids[0], ctx))
     if plan.op == "Intersect":
         return _run_intersect(plan, ctx)
     if plan.op == "StructJoin":
         return _run_join(plan, ctx)
     if plan.op == "Recompose":
-        ds = _run(plan.kids[0], ctx)
-        return _run_recompose(plan, ds, ctx)
+        return _run_recompose(plan, _run(plan.kids[0], ctx), ctx)
     raise ValueError(f"unknown operator {plan.op}")
 
 
-def _leaf_dataset(plan: Plan, sids: list[StructuralId]) -> Dataset:
+def _leaf_rows(plan: Plan, sids: list[StructuralId]) -> list[Row]:
     """A leaf's rows: the index's distinct, sorted postings, kept to the
     document roots for a root-anchored pattern node."""
     if plan.root_only:
         sids = [s for s in sids if s.depth == 1]
-    return Dataset((plan.var,), [(sid,) for sid in sids], plan.site)
+    return [(sid,) for sid in sids]
 
 
-def _run_intersect(plan: Plan, ctx: ExecutionContext) -> Dataset:
+def _run_intersect(plan: Plan, ctx: ExecutionContext) -> list[Row]:
     """The labels both inputs hold, in label order.
 
     The placed plan puts a word-predicated node's Intersect at one list's
@@ -714,42 +696,39 @@ def _run_intersect(plan: Plan, ctx: ExecutionContext) -> Dataset:
     if local:
         stored = max(local, key=lambda k: k.est_rows)
         other = _run(plan.kids[1] if stored is plan.kids[0] else plan.kids[0], ctx)
-        sids = ctx.index.lookup_among(
-            stored.key, stored.site, (row[0] for row in other.rows))
-        return _leaf_dataset(stored, sids)
+        sids = ctx.index.lookup_among(stored.key, stored.site, (row[0] for row in other))
+        return _leaf_rows(stored, sids)
     left = _run(plan.kids[0], ctx)
     right = _run(plan.kids[1], ctx)
-    shared = set(r[0] for r in right.rows)
-    rows = [r for r in left.rows if r[0] in shared]
-    return Dataset(left.cols, rows, plan.site)
+    shared = set(r[0] for r in right)
+    return [r for r in left if r[0] in shared]
 
 
-def _run_join(plan: Plan, ctx: ExecutionContext) -> Dataset:
-    left = _run(plan.kids[0], ctx)
-    right = _run(plan.kids[1], ctx)
-    if plan.parent_var in left.cols:
-        p_ds, c_ds = left, right
-    else:
-        p_ds, c_ds = right, left
-    p_col = p_ds.cols.index(plan.parent_var)
-    c_col = c_ds.cols.index(plan.child_var)
+def _run_join(plan: Plan, ctx: ExecutionContext) -> list[Row]:
+    """Each parent-side row joined with each child-side row it holds by
+    ``plan.axis``, as left columns then right columns, sorted."""
+    sides = [(kid.cols, _run(kid, ctx)) for kid in plan.kids]  # left first
+    parent_left = plan.parent_var in sides[0][0]
+    (p_cols, p_rows), (c_cols, c_rows) = sides if parent_left else sides[::-1]
+    p_col = p_cols.index(plan.parent_var)
+    c_col = c_cols.index(plan.child_var)
     pairs = stack_join(
-        plan.axis, in_join_order(p_ds.rows, p_col), p_col,
-        in_join_order(c_ds.rows, c_col), c_col,
+        plan.axis, in_join_order(p_rows, p_col), p_col,
+        in_join_order(c_rows, c_col), c_col,
     )
-    if p_ds is left:
+    if parent_left:
         out_rows = [prow + crow for prow, crow in pairs]
     else:
         out_rows = [crow + prow for prow, crow in pairs]
     out_rows.sort()
-    return Dataset(left.cols + right.cols, out_rows, plan.site)
+    return out_rows
 
 
 def _run_recompose(
-    plan: Plan, ds: Dataset, ctx: ExecutionContext
+    plan: Plan, rows: list[Row], ctx: ExecutionContext
 ) -> list[Resource]:
-    slots = [ds.cols.index(var) for var in plan.ret_vars]
+    slots = [plan.kids[0].cols.index(var) for var in plan.ret_vars]
     return recompose(
-        (row[i] for row in ds.rows for i in slots),
+        (row[i] for row in rows for i in slots),
         lambda sids: ctx.fetch_subtree(plan.site, sids),
     )

@@ -11,7 +11,7 @@ from twigstore.netsim import Network
 from twigstore.overlay import DhtService, HashOverlay, RangeOverlay
 from twigstore.pattern import TreePattern, parse_pattern
 from twigstore.store import Store
-from twigstore.twigjoin import Binding, local_bindings, sort_bindings
+from twigstore.twigjoin import Binding, Row, local_bindings, sort_bindings
 
 TAGS = ["a", "b", "c", "d", "e", "f"]
 WORDS = ["xml", "dht", "web", "data", "peer", "query"]
@@ -153,16 +153,19 @@ def planner_bindings(store: Store, pattern: TreePattern) -> list[Binding]:
     input, executed."""
     plan = store.build_plan(pattern).kids[0]
     result, _ = planner.execute(plan, store.exec_ctx)
-    return dataset_to_bindings(pattern, result)
+    return dataset_to_bindings(pattern, plan, result)
 
 
-def dataset_to_bindings(pattern: TreePattern, ds: planner.Dataset) -> list[Binding]:
-    """An executed plan's rows as bindings aligned with ``pattern.nodes``,
-    sorted as every evaluator sorts them."""
-    slot = {var: i for i, var in enumerate(ds.cols)}
+def dataset_to_bindings(
+    pattern: TreePattern, plan: planner.Plan, rows: list[Row]
+) -> list[Binding]:
+    """The rows ``plan`` executed to as bindings aligned with
+    ``pattern.nodes``, sorted as every evaluator sorts them; the rows'
+    columns are the plan root's ``cols``."""
+    slot = {var: i for i, var in enumerate(plan.cols)}
     n = len(pattern.nodes)
-    rows = [tuple(row[slot[i]] for i in range(n)) for row in ds.rows]
-    return sort_bindings(pattern, rows)
+    bindings = [tuple(row[slot[i]] for i in range(n)) for row in rows]
+    return sort_bindings(pattern, bindings)
 
 
 def eval_local(pattern: TreePattern, docs: list[Document]) -> list[Binding]:

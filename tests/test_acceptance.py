@@ -98,12 +98,12 @@ def _pipeline_trial(rng, collect_bytes=None):
     naive_plan = builder.build(decompose(pattern)).kids[0]
     placed_plan = place(naive_plan, index.stats, 1)
     placed_result, placed_delta = execute(placed_plan, ctx)
-    assert dataset_to_bindings(pattern, placed_result) == want, (
+    assert dataset_to_bindings(pattern, placed_plan, placed_result) == want, (
         f"pipeline divergence on {pattern}"
     )
     if collect_bytes is not None:
         naive_result, naive_delta = execute(naive_plan, ctx)
-        assert dataset_to_bindings(pattern, naive_result) == want
+        assert dataset_to_bindings(pattern, naive_plan, naive_result) == want
         collect_bytes.append((placed_delta.bytes_sent, naive_delta.bytes_sent))
 
 
@@ -123,8 +123,8 @@ def test_criterion_3_transfer_reduction():
         want = eval_naive(pattern, [doc])
         naive_result, naive_delta = execute(naive_plan, ctx)
         placed_result, placed_delta = execute(placed_plan, ctx)
-        assert dataset_to_bindings(pattern, naive_result) == want
-        assert dataset_to_bindings(pattern, placed_result) == want
+        assert dataset_to_bindings(pattern, naive_plan, naive_result) == want
+        assert dataset_to_bindings(pattern, placed_plan, placed_result) == want
         assert placed_delta.bytes_sent <= 0.2 * naive_delta.bytes_sent, (
             f"placed {placed_delta.bytes_sent} vs naive {naive_delta.bytes_sent}"
         )

@@ -173,38 +173,38 @@ INGEST = {
 # result: (answer count, sha256 of "id<TAB>payload" lines in answer order)
 QUERY_COSTS = {
     "range": {
-        "cost": (9, 2329),
-        "tags": {0x03: (3, 246), 0x10: (3, 1948), 0x11: (3, 135)},
+        "cost": (9, 2304),
+        "tags": {0x03: (3, 246), 0x10: (3, 1923), 0x11: (3, 135)},
         "result": (9, "0c42a7e71ed7f474c091954b476d18c3d383adc0a51a2d71ee6683c418d5456d"),
         "plan": "37b54b255f012bbbd113b462f480222786659ca069f0904d9301ca5eb623e914",
     },
     "word": {
-        "cost": (9, 3103),
-        "tags": {0x03: (3, 204), 0x10: (3, 2716), 0x11: (3, 183)},
+        "cost": (9, 3078),
+        "tags": {0x03: (3, 204), 0x10: (3, 2691), 0x11: (3, 183)},
         "result": (12, "c77b80b3895c173694e5d87a5bddd5ff7c0a58ca837631cb9142332c105bbf3f"),
         "plan": "a4b942d96b8b31c5a645f34fc39990ef34d5bd6c5e9380af926e15a8ed6ab92f",
     },
     "branch": {
-        "cost": (9, 1975),
-        "tags": {0x03: (2, 125), 0x10: (5, 1776), 0x11: (2, 74)},
+        "cost": (9, 1932),
+        "tags": {0x03: (2, 125), 0x10: (5, 1733), 0x11: (2, 74)},
         "result": (4, "51eb98e2170609bb8ee14b7de853d1ca33a12ee1c7064f4db0fc5eec88d7fe73"),
         "plan": "857adbf42feb65cfe06ed175a967d9c22f15dae702edf8fc29193ef6150ec200",
     },
     "deep": {
-        "cost": (8, 3262),
-        "tags": {0x03: (3, 647), 0x10: (2, 2320), 0x11: (3, 295)},
+        "cost": (8, 3248),
+        "tags": {0x03: (3, 647), 0x10: (2, 2306), 0x11: (3, 295)},
         "result": (21, "cab55155f19877eaea9a583ae6a6f3bced740c35e781aa668bcf598b3071c5f0"),
         "plan": "ee5fe6bc2e10aed711aef962b6935a9c40e9ac660ab331354831767b92d32649",
     },
     "root": {
-        "cost": (10, 3363),
-        "tags": {0x03: (3, 204), 0x10: (4, 3040), 0x11: (3, 119)},
+        "cost": (10, 3335),
+        "tags": {0x03: (3, 204), 0x10: (4, 3012), 0x11: (3, 119)},
         "result": (6, "008008eb644d4495dd275f8dcd655e697f322b61ab1f2471bd50e668bff2a8da"),
         "plan": "bf6b1243a049cc2496ac3d0a6a97dcc266d58159a8aee65fdb2a4da70f6d6648",
     },
     "wildcard": {
-        "cost": (8, 2395),
-        "tags": {0x03: (3, 164), 0x10: (2, 2128), 0x11: (3, 103)},
+        "cost": (8, 2381),
+        "tags": {0x03: (3, 164), 0x10: (2, 2114), 0x11: (3, 103)},
         "result": (6, "f82eb9921b8a00a35cf97af79b9770084dc16746520dc0cf010595c897a2546a"),
         "plan": "16edb6b18ee48dcddb454a5fb135cc01a6d7edfe74e5055d8bf794e91abb9b24",
     },
@@ -221,12 +221,12 @@ QUERY_COSTS = {
 # subtree fetches, RDF gets) and the ids they carry show here even where
 # every count and answer stays
 QUERY_ENVELOPES = {
-    "range": "a3709dfe11cb3030a20cf582626620a98b5cf4b4bdd130f83f52a773a73205b5",
-    "word": "e4a05b354620c75b7dbc4c1d7fc198bae04e52104092141589d399eae87cdc25",
-    "branch": "8d6d10815b1d3166e1fac6ae052988a1aa5b691ddb5a34e45a80a9dc2af1b675",
-    "deep": "15d31e0b7b77d22eddfc560defb047b91dd11d3d2a63dca20de96c8a10e011c6",
-    "root": "4557f6c9a45d89f1a0f0eccff7b4b83a0126c60d3b0a937fa7e83e0302f4907c",
-    "wildcard": "b5d3af3e551a4df87dc48e8f7c62eae3861bef6b2777c95d577aee255383a4cb",
+    "range": "08354574d91bdcd413082e5f768797598f69e3cc89072e21c63f506b4a2505f9",
+    "word": "c53bbd4c42474714a60c505fdeb09c2e7dcce0f4570739cf83071d2f4885924f",
+    "branch": "072fb716c5614df1b93b7d9d6888739a3bdae311b1c6d05f63470b4e924f6348",
+    "deep": "94fc5260db84f242e84a077096fa97321e817101ae9af567f72c7b8be08a0718",
+    "root": "0bad0ebc4290d46159f31d8e0c00513be33a622fb24697e665afb9d02bb0a8e3",
+    "wildcard": "62c9b00902f3276c0465434f6fadbcee3f57f0303b6dde22444a6d0bc481d502",
     "rdf": "e8869d8fe32e0bc77db86e386d8a1d40d1d5095d497457437c818a26c6e60504",
 }
 
@@ -253,7 +253,7 @@ def test_traffic_per_tag_adds_up_to_the_stats(observed):
 # run of every query form; the p2p file holds that traffic in its stats
 SNAPSHOT_SHA256 = {
     "centralized": "0c9fed8d38391266d57be18ba0e994d5cd1980e1933385b85053dfeecbe74a9a",
-    "p2p": "2f6d466d5474ccb8ea177168ea4c54dc3450b3e5c69e97cce38520d6563bf58b",
+    "p2p": "f2c093dbf1124cf4d4011760d00607c460fc39c90ae0c02e6d9d61a20cc58a0f",
 }
 
 

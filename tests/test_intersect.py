@@ -2,8 +2,9 @@
 
 ``PlanBuilder.leaf_for`` answers a named node with a word predicate by an
 Intersect of the tag's and the word's posting lists.  ``place`` puts it at
-the larger list's owner, or at the query peer when the lists tie, so an
-input is local (an ``IndexLookup`` at the Intersect's site) or shipped.
+the larger list's owner, at the one owner of both lists, or at the query
+peer when lists on two peers tie, so an input is local (an
+``IndexLookup`` at the Intersect's site) or shipped.
 Each shape must answer as the centralized backend does; a local list is
 read as raw records, and only the postings it keeps are decoded.
 """
@@ -64,10 +65,14 @@ SHAPES = {
         lambda t, w: w not in (QUERY_PEER, t),
         lambda tag, word: _docs(tag, word, 2, 3, 30),
         '//{tag}="{word}"!', (False, True)),
-    "neither leaf local": (  # the lists tie, so both ship to the query peer
-        lambda t, w: QUERY_PEER not in (t, w),
+    "neither leaf local": (  # the lists tie apart, so both ship to the query peer
+        lambda t, w: QUERY_PEER not in (t, w) and t != w,
         lambda tag, word: _docs(tag, word, 3, 3, 3),
         '//{tag}="{word}"!', (False, False)),
+    "tied lists on one peer": (  # a tie on one peer stays there, shipping neither
+        lambda t, w: t == w != QUERY_PEER,
+        lambda tag, word: _docs(tag, word, 3, 3, 3),
+        '//{tag}="{word}"!', (True, True)),
     "one peer owns both keys": (
         lambda t, w: t == w != QUERY_PEER,
         lambda tag, word: _docs(tag, word, 30, 4, 3),

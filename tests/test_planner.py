@@ -371,7 +371,7 @@ def test_child_join_estimate_is_bounded_by_its_parent_side(fanout_stores, case):
 
 # bytes the placed plan ships on FANOUT_DOCS; shipping whole title lists to
 # the query peer, as the naive plan does, costs more
-PLACED_BYTES = {"root-anchored": (ROOT_QUERY, 1786), "branch": (BRANCH_QUERY, 2007)}
+PLACED_BYTES = {"root-anchored": (ROOT_QUERY, 1741), "branch": (BRANCH_QUERY, 1964)}
 
 
 @pytest.mark.parametrize("case", list(PLACED_BYTES))
@@ -542,10 +542,10 @@ def _scramble(plan, rng, peers, query_peer):
     return planner._reship(resite(planner._strip_transport(plan)))
 
 
-def _answer(result):
-    if isinstance(result, list):
+def _answer(plan, result):
+    if plan.op == "Recompose":
         return [(r.resource_id, r.payload) for r in result]
-    return sorted(result.rows)
+    return sorted(result)
 
 
 def test_place_never_costs_more_than_a_scrambled_input_randomized():
@@ -580,10 +580,38 @@ def test_place_never_costs_more_than_a_scrambled_input_randomized():
                         assert all(kid.site == node.site for kid in node.kids), pattern
                 want, _ = execute(built, ctx)
                 got, _ = execute(placed, ctx)
-                assert _answer(got) == _answer(want), pattern
+                assert _answer(placed, got) == _answer(built, want), pattern
                 same = plan_to_xml(placed) == plan_to_xml(pinned)
                 outcomes["input" if same else "greedy"] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def _tied_intersect(tag_site, word_site, query_peer=1):
+    """An Intersect of two lists of 5 postings each, owned by the given
+    peers, placed for ``query_peer``."""
+    tag = Plan("IndexLookup", tag_site, key="t:a", var=0, cols=(0,))
+    word = Plan("IndexLookup", word_site, key="w:x", var=0, cols=(0,))
+    built = planner._reship(
+        Plan("Intersect", query_peer, var=0, cols=(0,), kids=[tag, word]))
+    return place(built, {"t:a": 5, "w:x": 5}, query_peer)
+
+
+def test_a_join_whose_inputs_share_a_site_stays_there():
+    # the lists tie on bytes, but both sit at peer 2: the Intersect runs
+    # there and ships only its output, not both lists to the query peer
+    placed = _tied_intersect(2, 2)
+    assert placed.op == "Ship" and placed.site == 1
+    node = placed.kids[0]
+    assert node.op == "Intersect" and node.site == 2
+    assert [kid.site for kid in node.kids] == [2, 2]
+    assert plan_cost(placed) == node.est_bytes == 1 + 5 * 32
+
+
+def test_a_tie_between_two_sites_goes_to_the_query_peer():
+    placed = _tied_intersect(2, 3)
+    assert placed.op == "Intersect" and placed.site == 1
+    assert [(kid.op, kid.kids[0].site) for kid in placed.kids] == [
+        ("Ship", 2), ("Ship", 3)]
 
 
 # -- execution ------------------------------------------------------------------------
@@ -619,7 +647,7 @@ def test_execute_bindings_match_naive():
         "//paper[/year in 2000..2005]!",
     )
     result, _ = execute(plan.kids[0], ctx)
-    assert dataset_to_bindings(pattern, result) == eval_naive(pattern, docs)
+    assert dataset_to_bindings(pattern, plan.kids[0], result) == eval_naive(pattern, docs)
 
 
 def test_execute_twice_same_results():
@@ -632,7 +660,7 @@ def test_execute_twice_same_results():
     plan = place(builder.build(decompose(pattern)).kids[0], index.stats, 1)
     first, _ = execute(plan, ctx)
     second, _ = execute(plan, ctx)
-    assert first.rows == second.rows
+    assert first == second
 
 
 def test_unreachable_site():
@@ -648,7 +676,7 @@ def test_plan_copy_keeps_every_field():
     plan = Plan("StructJoin", 3, kids=[Plan("IndexLookup", 1)], key="t:a",
                 tag="a", lo=1, hi=2, var=4, axis="child", parent_var=5,
                 child_var=6, ret_vars=(7,), root_only=True, cols=(4, 8),
-                est_rows=9, est_bytes=10)
+                est_rows=9)
     defaults = Plan("X", 0)
     fields = [name for name in Plan.__slots__ if name != "kids"]
     for name in fields:
@@ -663,64 +691,43 @@ def test_plan_copy_keeps_every_field():
 
 def test_dataset_wire_round_trip():
     from twigstore.document import StructuralId
-    from twigstore.planner import Dataset, decode_dataset, encode_dataset
+    from twigstore.planner import decode_dataset, encode_dataset
 
     rows = [
         (StructuralId(1, 2, 9, 2), StructuralId(1, 3, 5, 3)),
         (StructuralId(4, 1, 8, 1), StructuralId(4, 2, 3, 2)),
     ]
-    ds = Dataset((0, 2), rows, site=3)
-    raw = encode_dataset(ds)
-    assert len(raw) == 5 + 2 * 2 + 2 * 2 * 32
-    back = decode_dataset(raw, site=7)
-    assert back.cols == (0, 2) and back.rows == rows and back.site == 7
+    raw = encode_dataset(rows)
+    assert len(raw) == 2 * 2 * 32
+    assert decode_dataset(raw, 2) == rows
 
 
-def test_dataset_column_count_widens_only_from_0xff():
-    from twigstore.document import StructuralId
-    from twigstore.planner import Dataset, decode_dataset, encode_dataset
-
-    sid = StructuralId(1, 2, 3, 1)
-    for ncols, head in ((254, 5), (255, 9), (256, 9), (300, 9)):
-        ds = Dataset(tuple(range(ncols)), [(sid,) * ncols] * 2, site=3)
-        raw = encode_dataset(ds)
-        assert len(raw) == head + 2 * ncols + 2 * ncols * 32
-        back = decode_dataset(raw, site=5)
-        assert back.cols == ds.cols and back.rows == ds.rows and back.site == 5
-    # below 0xFF the count keeps its one byte
-    assert encode_dataset(Dataset((7,), [], site=1))[:5] == b"\x01\x00\x00\x00\x00"
-
-
-@pytest.mark.parametrize("ncols", [0, 1, 3, 300])
-@pytest.mark.parametrize("nrows", [0, 1, 4])
+@pytest.mark.parametrize("ncols", [1, 3, 4, 300])
+@pytest.mark.parametrize("nrows", [0, 1, 3, 4, 300])
 def test_dataset_round_trip_keeps_the_wire_bytes(ncols, nrows):
-    # 300 columns take the widened column count; the reference encoder packs
-    # the header field by field and each posting on its own
+    # the wire carries the postings alone, row by row; the reference
+    # encoder packs each posting on its own, and the receiver's plan gives
+    # the width.  No operator has zero columns, and a payload's length
+    # could not count zero-width rows.
     from twigstore.document import StructuralId
     from twigstore.indexing import encode_posting
-    from twigstore.planner import Dataset, decode_dataset, encode_dataset
+    from twigstore.planner import decode_dataset, encode_dataset
 
-    rng = random.Random(ncols * 10 + nrows)
+    rng = random.Random(ncols * 1000 + nrows)
     field = lambda: rng.choice([rng.randrange(4), rng.randrange(2**64)])
-    cols = tuple(rng.randrange(2**16) for _ in range(ncols))
     rows = [tuple(StructuralId(field(), field(), field(), field())
                   for _ in range(ncols)) for _ in range(nrows)]
-    count = bytes([ncols]) if ncols < 0xFF else b"\xff" + ncols.to_bytes(4, "big")
-    want = (count + nrows.to_bytes(4, "big")
-            + b"".join(c.to_bytes(2, "big") for c in cols)
-            + b"".join(encode_posting(sid) for row in rows for sid in row))
-    raw = encode_dataset(Dataset(cols, rows, site=3))
+    want = b"".join(encode_posting(sid) for row in rows for sid in row)
+    raw = encode_dataset(rows)
     assert raw == want
-    back = decode_dataset(raw, site=7)
-    assert (back.cols, back.rows, back.site) == (cols, rows, 7)
+    assert decode_dataset(raw, ncols) == rows
 
 
 def test_estimated_bytes_match_the_shipped_dataset():
-    # annotate prices a dataset as the wire carries it: the Ship's tag byte,
-    # the column count (one byte below 0xFF, else five), the row count, the
-    # column ids and the postings
+    # annotate prices a dataset as the wire carries it: the Ship's tag byte
+    # and the postings
     from twigstore.document import StructuralId
-    from twigstore.planner import TAG_DATASET, Dataset, annotate, encode_dataset
+    from twigstore.planner import TAG_DATASET, annotate, encode_dataset
 
     sid = StructuralId(1, 2, 3, 1)
     for ncols in (1, 2, 254, 255, 256, 300):
@@ -728,8 +735,7 @@ def test_estimated_bytes_match_the_shipped_dataset():
             leaf = Plan("IndexLookup", 2, key="t:a", var=0,
                         cols=tuple(range(ncols)))
             annotate(leaf, {"t:a": nrows})
-            ds = Dataset(leaf.cols, [(sid,) * ncols] * nrows, site=2)
-            wire = bytes([TAG_DATASET]) + encode_dataset(ds)
+            wire = bytes([TAG_DATASET]) + encode_dataset([(sid,) * ncols] * nrows)
             assert leaf.est_bytes == len(wire), (ncols, nrows)
 
 
@@ -742,8 +748,8 @@ def test_skew_workload_placed_beats_naive():
     placed_result, placed_delta = execute(placed_plan, ctx)
     want = eval_naive(pattern, [doc])
     assert want
-    assert dataset_to_bindings(pattern, naive_result) == want
-    assert dataset_to_bindings(pattern, placed_result) == want
+    assert dataset_to_bindings(pattern, naive_plan, naive_result) == want
+    assert dataset_to_bindings(pattern, placed_plan, placed_result) == want
     assert placed_delta.bytes_sent < naive_delta.bytes_sent
     # estimates and measurements agree within a factor of two on posting plans
     est = plan_cost(placed_plan)
@@ -764,4 +770,44 @@ def test_semantics_preserved_through_pipeline_randomized():
         placed = place(plan, index.stats, 1)
         for candidate in (plan, placed):
             result, _ = execute(candidate, ctx)
-            assert dataset_to_bindings(pattern, result) == naive_bindings
+            assert dataset_to_bindings(pattern, candidate, result) == naive_bindings
+
+
+@pytest.mark.parametrize("peers", [1, 4, 8])
+def test_every_operator_emits_rows_as_wide_as_its_columns(monkeypatch, peers):
+    # a shipped dataset carries no width: the receiver splits its postings
+    # by the Ship's columns, so every operator's rows must hold one label
+    # per column of its plan node, in label order; criterion 2's corpora
+    # and patterns, placed for a random query peer
+    rng = random.Random(0x34 + peers)
+    real_run = planner._run
+    rows_seen: dict[str, int] = {}
+
+    def run(plan, ctx):
+        out = real_run(plan, ctx)
+        if plan.op != "Recompose":
+            assert all(len(row) == len(plan.cols) for row in out), plan_to_xml(plan)
+            assert out == sorted(out), plan_to_xml(plan)
+            rows_seen[plan.op] = rows_seen.get(plan.op, 0) + len(out)
+        return out
+
+    monkeypatch.setattr(planner, "_run", run)
+    members = list(range(1, peers + 1))
+    for _ in range(150):
+        docs = random_corpus(rng, max_docs=6, max_nodes=40)
+        net, dht, index = make_cluster(peers)
+        ctx = ExecutionContext(index, index_corpus(index, docs, members))
+        query_peer = rng.choice(members)
+        pattern = random_pattern(rng, max_nodes=5)
+        built = PlanBuilder(dht, query_peer).build(decompose(pattern))
+        for plan in (built.kids[0], built):  # bindings, then resources
+            placed = place(plan, index.stats, query_peer)
+            result, _ = execute(placed, ctx)
+            if plan is built.kids[0]:
+                assert dataset_to_bindings(pattern, placed, result) == eval_naive(
+                    pattern, docs)
+    kinds = {"IndexLookup", "RangeLookup", "Intersect", "StructJoin"}
+    if peers > 1:
+        kinds.add("Ship")
+    assert kinds <= rows_seen.keys(), rows_seen  # every kind ran
+    assert rows_seen["StructJoin"] and rows_seen.get("Ship", 1), rows_seen
