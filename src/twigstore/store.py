@@ -12,6 +12,12 @@ the network stats delta its evaluation produced.
 Resource access is O(1): looking up a resource id costs exactly one
 resource-index probe (the p2p backend first resolves the owning peer via
 the overlay, then probes that peer's index once).
+
+``snapshot`` writes a store to one file and ``restore`` reads it back:
+the config, each document's XML, the triples and the stats report, one
+record each, every record's content deflated (``TWIGSNAP4``).  Files of
+the older ``TWIGSNAP3`` and ``TWIGSNAP2`` layouts, whose contents are
+stored as they are, still restore.
 """
 
 from __future__ import annotations
@@ -266,14 +272,55 @@ class Store:
 
 # -- snapshot format -------------------------------------------------------------
 
-_MAGIC = b"TWIGSNAP3\n"  # crc32 trailer
-_V2_MAGIC = b"TWIGSNAP2\n"  # FNV-1a 64 trailer, still read
+_MAGIC = b"TWIGSNAP4\n"  # crc32 trailer, deflated payloads
+_V3_MAGIC = b"TWIGSNAP3\n"  # crc32 trailer, payloads as they are; still read
+_V2_MAGIC = b"TWIGSNAP2\n"  # FNV-1a 64 trailer, payloads as they are; still read
 _RETIRED_MAGIC = b"TWIGSNAP1\n"
+
+# zlib level 1: level 6 saves 5-6 more points of the file at 4-6 times the
+# compress time, and every mutating CLI command writes a snapshot
+_LEVEL = 1
+# deflate inflates at most 1032 bytes per stream byte; a longer recorded
+# length cannot be the stream's
+_MAX_RATIO = 1032
 
 
 def _record(tag: bytes, payload: bytes) -> bytes:
     assert len(tag) == 4
-    return tag + struct.pack(">Q", len(payload)) + payload
+    packed = struct.pack(">Q", len(payload)) + zlib.compress(payload, _LEVEL)
+    return tag + struct.pack(">Q", len(packed)) + packed
+
+
+def _inflate(tag: bytes, n: int, packed: bytes) -> bytes:
+    """The content of the ``n``-th record of a ``TWIGSNAP4`` file, whose
+    payload ``packed`` is the content's length, 8 bytes, then its zlib
+    stream; the stream is inflated at most one byte past that length."""
+    name = tag.rstrip(b"\x00").decode() + f" record {n}"
+    if len(packed) < 8:
+        raise CorruptSnapshot(f"{name}: payload too short for its length")
+    (length,) = struct.unpack_from(">Q", packed, 0)
+    stream = packed[8:]
+    if length > _MAX_RATIO * len(stream):
+        raise CorruptSnapshot(
+            f"{name}: recorded length {length} is more than "
+            f"{len(stream)} deflated bytes can hold"
+        )
+    inflater = zlib.decompressobj()
+    try:
+        payload = inflater.decompress(stream, length + 1)
+    except zlib.error as exc:
+        raise CorruptSnapshot(f"{name}: bad deflate stream ({exc})") from None
+    if len(payload) > length:
+        raise CorruptSnapshot(f"{name}: inflates to more than its recorded {length} bytes")
+    if not inflater.eof:
+        raise CorruptSnapshot(f"{name}: deflate stream ends early")
+    if len(payload) < length:
+        raise CorruptSnapshot(
+            f"{name}: inflates to {len(payload)} bytes, not its recorded {length}"
+        )
+    if inflater.unused_data:
+        raise CorruptSnapshot(f"{name}: bytes after the end of its deflate stream")
+    return payload
 
 
 def snapshot(store: Store, path: str) -> None:
@@ -286,8 +333,13 @@ def snapshot(store: Store, path: str) -> None:
     document and the config's ``resource_granularity``.  Nor is the
     config's ``snapshot_path``: a file does not record where it lives.
 
-    The file ends with the CRC-32 (``zlib.crc32``) of everything before
-    it, zero-extended to 8 big-endian bytes.  It is written to
+    The file starts with the magic ``TWIGSNAP4``.  Each record is a 4-byte
+    tag and the 8-byte length of its payload; the payload is the length
+    of the record's content, 8 bytes, then that content deflated by
+    ``zlib.compress`` at level 1.  The file ends with the CRC-32
+    (``zlib.crc32``) of everything before it, as written, zero-extended to
+    8 big-endian bytes, so a flipped bit fails the checksum before any
+    payload is inflated.  It is written to
     ``path + ".tmp"`` and then moved onto ``path``, so a write that fails
     part way leaves the last snapshot whole and no temporary file behind.
     """
@@ -328,9 +380,15 @@ def restore(path: str) -> Store:
     an ``NSTA`` total that is missing or not the sum of its edges) raises
     CorruptSnapshot naming its record.
 
-    The file's magic picks its checksum: ``zlib.crc32`` for
-    ``TWIGSNAP3``, FNV-1a 64 for ``TWIGSNAP2`` files, which older versions
-    wrote.  ``TWIGSNAP1`` files are refused.
+    The file's magic picks its layout.  ``TWIGSNAP4`` payloads are
+    deflated, and each is inflated when the loop over the records reaches
+    it, at most one byte past its recorded length: a payload that is no
+    deflate stream, or that inflates to another length or has bytes after
+    its stream, raises CorruptSnapshot naming the record.  ``TWIGSNAP3``
+    and ``TWIGSNAP2`` payloads, which older versions wrote, are read as
+    they are.  The magic also picks the checksum: ``zlib.crc32`` for
+    ``TWIGSNAP4`` and ``TWIGSNAP3``, FNV-1a 64 for ``TWIGSNAP2``.
+    ``TWIGSNAP1`` files are refused.
     """
     try:
         with open(path, "rb") as fh:
@@ -342,10 +400,10 @@ def restore(path: str) -> Store:
             "TWIGSNAP1 snapshots are no longer read; re-ingest the documents"
         )
     magic = blob[: len(_MAGIC)]
-    if len(blob) < len(_MAGIC) + 8 or magic not in (_MAGIC, _V2_MAGIC):
+    if len(blob) < len(_MAGIC) + 8 or magic not in (_MAGIC, _V3_MAGIC, _V2_MAGIC):
         raise CorruptSnapshot("bad magic or truncated file")
     body, checksum = blob[:-8], struct.unpack(">Q", blob[-8:])[0]
-    check = zlib.crc32 if magic == _MAGIC else fnv1a64
+    check = fnv1a64 if magic == _V2_MAGIC else zlib.crc32
     if check(body) != checksum:
         raise CorruptSnapshot("checksum mismatch")
 
@@ -364,8 +422,11 @@ def restore(path: str) -> Store:
 
     if not records or records[0][0] != b"CONF":
         raise CorruptSnapshot("missing CONFIG record")
+    tag, payload = records[0]
+    if magic == _MAGIC:
+        payload = _inflate(tag, 1, payload)
     try:
-        config = StoreConfig.from_text(_utf8(*records[0]))
+        config = StoreConfig.from_text(_utf8(tag, payload))
     except MalformedInput as exc:
         raise CorruptSnapshot(f"CONF record: {exc}") from None
     config.snapshot_path = path
@@ -373,7 +434,11 @@ def restore(path: str) -> Store:
     put = store.dht.put_direct if config.backend == P2P else None
 
     saved_report = None
-    for tag, payload in records[1:]:
+    for n, (tag, payload) in enumerate(records[1:], 2):
+        if tag not in (b"DOC\x00", b"TRPL", b"NSTA"):
+            raise CorruptSnapshot(f"unknown record tag {tag!r}")
+        if magic == _MAGIC:
+            payload = _inflate(tag, n, payload)
         if tag == b"DOC\x00":
             if len(payload) < 8:
                 raise CorruptSnapshot("DOC record too short for its doc id")
@@ -392,12 +457,10 @@ def restore(path: str) -> Store:
                 store.triples += map(Triple.from_text, _utf8(tag, payload).split("\n"))
             except MalformedInput as exc:
                 raise CorruptSnapshot(f"TRPL record: {exc}") from None
-        elif tag == b"NSTA":
+        else:
             if saved_report is not None:
                 raise CorruptSnapshot("second NSTA record")
             saved_report = _utf8(tag, payload)
-        else:
-            raise CorruptSnapshot(f"unknown record tag {tag!r}")
 
     if config.backend == P2P:
         index_triples(store.triples, store.query_peer, store.dht, put)

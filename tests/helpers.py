@@ -1,14 +1,17 @@
-"""Shared test plumbing: random corpora, random patterns, cluster setup."""
+"""Shared test plumbing: random corpora, random patterns, cluster setup,
+snapshot layouts."""
 
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 from twigstore import planner
 from twigstore.document import Document, parse_document
 from twigstore.indexing import IndexService
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService, HashOverlay, RangeOverlay
+from twigstore.overlay import DhtService, HashOverlay, RangeOverlay, fnv1a64
 from twigstore.pattern import TreePattern, parse_pattern
 from twigstore.store import Store
 from twigstore.twigjoin import Binding, Row, local_bindings, sort_bindings
@@ -205,6 +208,35 @@ def skew_cluster(big: int, small: int):
     builder = planner.PlanBuilder(dht, query_peer)
     pattern = parse_pattern(f"//{big_tag}[/{small_tag}]!")
     return net, index, ctx, builder, pattern, (big_tag, small_tag), doc
+
+
+def snapshot_in_layout(blob: bytes, layout: bytes) -> bytes:
+    """The records of the snapshot file ``blob``, whose layout is any of
+    ``TWIGSNAP2``, ``3`` and ``4``, written again in the layout whose magic
+    is ``layout``.
+
+    ``TWIGSNAP4`` holds each record's content as its length, 8 bytes, and
+    ``zlib.compress`` of it at level 1; ``TWIGSNAP3`` and ``TWIGSNAP2``
+    hold it as it is.  The trailer is a crc32, or an FNV-1a 64 for
+    ``TWIGSNAP2``.  ``blob``'s own trailer is dropped unchecked, so a test
+    may splice records into ``blob`` first.
+    """
+    deflated = blob.startswith(b"TWIGSNAP4\n")
+    off, end = blob.index(b"\n") + 1, len(blob) - 8
+    body = bytearray(layout)
+    while off < end:
+        tag = blob[off : off + 4]
+        (length,) = struct.unpack_from(">Q", blob, off + 4)
+        content = blob[off + 12 : off + 12 + length]
+        off += 12 + length
+        if deflated:
+            content = zlib.decompress(content[8:])
+        if layout == b"TWIGSNAP4\n":
+            content = struct.pack(">Q", len(content)) + zlib.compress(content, 1)
+        body += tag + struct.pack(">Q", len(content)) + content
+    assert off == end
+    check = fnv1a64 if layout == b"TWIGSNAP2\n" else zlib.crc32
+    return bytes(body + struct.pack(">Q", check(body)))
 
 
 def check_ring(ov: HashOverlay) -> None:

@@ -12,6 +12,8 @@ from twigstore.cli import main
 from twigstore.overlay import fnv1a64
 from twigstore.store import Store
 
+from helpers import snapshot_in_layout
+
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
 CONFIG = """backend=p2p
@@ -256,6 +258,33 @@ def test_corrupt_snapshot_exit_1(workdir, capsys):
         (workdir / "demo.snap").write_bytes(body + struct.pack(">Q", fnv1a64(body)))
         assert main(["stats"]) == 1, records[-1]
         assert "error:" in capsys.readouterr().err
+
+
+def test_query_rewrites_a_version_3_store_as_version_4(workdir, capsys):
+    main(["ingest", "d1.xml"])
+    main(["rdf-load", "triples.tsv"])
+    main(["query", "//par!"])
+    snap = workdir / "demo.snap"
+    current = snap.read_bytes()
+    assert current.startswith(b"TWIGSNAP4\n")
+    capsys.readouterr()
+
+    def run(*argv) -> str:
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    before = run("stats")
+    snap.write_bytes(snapshot_in_layout(current, b"TWIGSNAP3\n"))
+    assert run("stats") == before
+    answers = run("query", '//sec[/title="dht"]!')
+    rewritten = snap.read_bytes()
+    assert rewritten.startswith(b"TWIGSNAP4\n")
+    after = run("stats")
+    # the same query on the TWIGSNAP4 store answers, counts and saves alike
+    snap.write_bytes(current)
+    assert run("query", '//sec[/title="dht"]!') == answers
+    assert snap.read_bytes() == rewritten
+    assert run("stats") == after != before
 
 
 @pytest.mark.parametrize("argv", [["bogus"], ["get"], ["query", "//a!", "extra"]])

@@ -1,6 +1,8 @@
 import errno
 import random
 import struct
+import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from twigstore import planner, twigjoin
 from twigstore import store as store_module
+from twigstore.cli import main as cli_main
 from twigstore.errors import (
     CorruptSnapshot,
     IoFailure,
@@ -28,7 +31,13 @@ from twigstore.rdfstore import (
 )
 from twigstore.store import P2P, Store, StoreConfig, restore, snapshot
 
-from helpers import TAGS, WORDS, random_document_text, random_pattern_text
+from helpers import (
+    TAGS,
+    WORDS,
+    random_document_text,
+    random_pattern_text,
+    snapshot_in_layout,
+)
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
@@ -522,10 +531,12 @@ def test_snapshot_records_in_order(tmp_path, any_store):
     path = tmp_path / "x.snap"
     snapshot(any_store, str(path))
     blob = path.read_bytes()
-    assert blob.startswith(b"TWIGSNAP3\n")
+    assert blob.startswith(b"TWIGSNAP4\n")
     # all triples share one TRPL record, one per line
     assert _record_tags(blob) == [b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"NSTA"]
-    assert b"a\ttype\tDoc\na\tauthor\tb" in blob
+    plain = snapshot_in_layout(blob, b"TWIGSNAP3\n")
+    assert _record_tags(plain) == _record_tags(blob)
+    assert b"a\ttype\tDoc\na\tauthor\tb" in plain
 
 
 def test_restore_reads_one_triple_per_record(tmp_path, any_store):
@@ -536,26 +547,29 @@ def test_restore_reads_one_triple_per_record(tmp_path, any_store):
     any_store.rdf_load(triples)
     path = tmp_path / "x.snap"
     snapshot(any_store, str(path))
-    blob = path.read_bytes()
+    blob = snapshot_in_layout(path.read_bytes(), b"TWIGSNAP3\n")
     at = blob.index(b"TRPL")
     (length,) = struct.unpack_from(">Q", blob, at + 4)
     split = b"".join(
         b"TRPL" + struct.pack(">Q", len(raw)) + raw
         for raw in (t.text().encode("utf-8") for t in triples)
     )
-    body = b"TWIGSNAP2\n" + blob[10:at] + split + blob[at + 12 + length : -8]
-    path.write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+    spliced = blob[:at] + split + blob[at + 12 + length :]
+    path.write_bytes(snapshot_in_layout(spliced, b"TWIGSNAP2\n"))
     again = restore(str(path))
     assert again.triples == triples
     query = parse_query_text("SELECT ?x ?y\n?x author ?y\n")
     assert again.rdf_query(query) == any_store.rdf_query(query) == [("a", "b")]
 
 
-def _write_snapshot(path, records) -> None:
-    body = b"TWIGSNAP2\n" + b"".join(
+def _write_snapshot(path, records, magic=b"TWIGSNAP2\n") -> None:
+    """A file of ``records``, each a tag and its payload as it is to be
+    stored, under ``magic`` and its valid checksum."""
+    body = magic + b"".join(
         tag + struct.pack(">Q", len(payload)) + payload for tag, payload in records
     )
-    path.write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+    check = fnv1a64 if magic == b"TWIGSNAP2\n" else zlib.crc32
+    path.write_bytes(body + struct.pack(">Q", check(body)))
 
 
 def test_snapshot_bytes_do_not_depend_on_the_snapshot_path(tmp_path, any_store):
@@ -598,7 +612,7 @@ def test_restore_ignores_a_recorded_seed(tmp_path, any_store):
     assert again.get_resource("1#6").payload == "<par>xml</par>"
     fresh = tmp_path / "y.snap"
     snapshot(again, str(fresh))
-    blob = fresh.read_bytes()
+    blob = snapshot_in_layout(fresh.read_bytes(), b"TWIGSNAP3\n")
     (length,) = struct.unpack_from(">Q", blob, 14)
     assert blob[10:14] == b"CONF"
     assert "seed=" not in blob[22 : 22 + length].decode()
@@ -721,13 +735,6 @@ def test_restore_refuses_version_1(tmp_path, any_store):
         restore(str(path))
 
 
-def _as_version_2(blob: bytes) -> bytes:
-    """``blob`` as older versions wrote it: TWIGSNAP2 with an FNV-1a 64
-    trailer."""
-    body = b"TWIGSNAP2\n" + blob[10:-8]
-    return body + struct.pack(">Q", fnv1a64(body))
-
-
 def test_restore_reads_version_2(tmp_path, any_store):
     any_store.store_resource(D1)
     any_store.store_resource("<lib><paper><year>2003</year><par>dht</par></paper></lib>")
@@ -737,7 +744,7 @@ def test_restore_reads_version_2(tmp_path, any_store):
     snapshot(any_store, str(path))
     blob = path.read_bytes()
     old = tmp_path / "old.snap"
-    old.write_bytes(_as_version_2(blob))
+    old.write_bytes(snapshot_in_layout(blob, b"TWIGSNAP2\n"))
     again, fresh = restore(str(old)), restore(str(path))
     for store in (again, fresh):
         assert {i: d.nodes for i, d in store.documents.items()} == {
@@ -756,15 +763,121 @@ def test_restore_reads_version_2(tmp_path, any_store):
         ]
 
 
+@pytest.mark.parametrize("backend", ["centralized", "p2p"])
+def test_every_layout_restores_the_same_store(tmp_path, backend):
+    # the exact-costs corpus, triples and queries, saved as TWIGSNAP4 and
+    # rendered as TWIGSNAP3 (the layout whose sha256 test_exact_costs pins)
+    # and as TWIGSNAP2
+    from test_exact_costs import DOCS, PEERS, QUERIES, RDF_QUERY, TRIPLES
+
+    store = Store(StoreConfig(backend=backend, peer_count=PEERS,
+                              resource_granularity={"article"}))
+    for text in DOCS:
+        store.store_resource(text)
+    store.rdf_load(TRIPLES)
+    for text in QUERIES.values():
+        store.query(text)
+    path = tmp_path / "v4.snap"
+    snapshot(store, str(path))
+    blob = path.read_bytes()
+    rdf = parse_query_text(RDF_QUERY)
+    for layout in (b"TWIGSNAP4\n", b"TWIGSNAP3\n", b"TWIGSNAP2\n"):
+        old = tmp_path / "layout.snap"
+        old.write_bytes(snapshot_in_layout(blob, layout))
+        again, reference = restore(str(old)), restore(str(path))
+        assert again.stats_report() == reference.stats_report() == store.stats_report()
+        if backend == P2P:
+            assert _overlay_stores(again) == _overlay_stores(reference), layout
+        for text in QUERIES.values():
+            assert [(r.resource_id, r.payload) for r in again.query(text).resources] == [
+                (r.resource_id, r.payload) for r in reference.query(text).resources
+            ], (layout, text)
+        assert again.rdf_query(rdf) == reference.rdf_query(rdf), layout
+        # the same queries leave the same traffic, and the next save of
+        # either store is the same TWIGSNAP4 file
+        assert again.stats_report() == reference.stats_report(), layout
+        snapshot(again, str(old))
+        snapshot(reference, str(tmp_path / "reference.snap"))
+        assert old.read_bytes() == (tmp_path / "reference.snap").read_bytes(), layout
+
+
+def _deflated(content: bytes) -> bytes:
+    return struct.pack(">Q", len(content)) + zlib.compress(content, 1)
+
+
+_DOC_CONTENT = struct.pack(">Q", 1) + D1.encode()
+_DOC_STREAM = zlib.compress(_DOC_CONTENT, 1)
+
+
+@pytest.mark.parametrize("packed, fault", [
+    (b"\x00\x01", "payload too short for its length"),
+    (struct.pack(">Q", len(_DOC_CONTENT)) + _DOC_CONTENT, "bad deflate stream"),
+    (struct.pack(">Q", len(_DOC_CONTENT)) + _DOC_STREAM[:-6], "deflate stream ends early"),
+    (struct.pack(">Q", len(_DOC_CONTENT)) + _DOC_STREAM + b"\x00",
+     "bytes after the end of its deflate stream"),
+    (struct.pack(">Q", len(_DOC_CONTENT) - 1) + _DOC_STREAM,
+     f"inflates to more than its recorded {len(_DOC_CONTENT) - 1} bytes"),
+    (struct.pack(">Q", len(_DOC_CONTENT) + 1) + _DOC_STREAM,
+     f"inflates to {len(_DOC_CONTENT)} bytes, not its recorded {len(_DOC_CONTENT) + 1}"),
+    (struct.pack(">Q", sys.maxsize + 1) + _DOC_STREAM,
+     f"recorded length {sys.maxsize + 1} is more than"),
+], ids=["short", "not-deflate", "truncated", "trailing-bytes", "length-below",
+        "length-above", "length-beyond-maxsize"])
+def test_restore_and_stats_refuse_a_bad_deflated_record(tmp_path, capsys, packed, fault):
+    # the crc32 holds, so each file reaches the record loop; neither a
+    # zlib.error nor an OverflowError may get out, and the CLI's error
+    # names the record
+    cfg = config("p2p", tmp_path)
+    cfg.snapshot_path = str(tmp_path / "x.snap")
+    (tmp_path / "store.cfg").write_text(cfg.to_text(), encoding="utf-8")
+    _write_snapshot(tmp_path / "x.snap", [(b"CONF", _deflated(cfg.to_text().encode())),
+                                          (b"DOC\x00", packed)], b"TWIGSNAP4\n")
+    with pytest.raises(CorruptSnapshot) as exc:
+        restore(cfg.snapshot_path)
+    assert str(exc.value).startswith(f"DOC record 2: {fault}")
+    assert cli_main(["stats", "--config", str(tmp_path / "store.cfg")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: DOC record 2: {fault}")
+
+
+def test_restore_inflates_no_further_than_one_byte_past_the_recorded_length(
+        tmp_path, monkeypatch):
+    # 1 MiB of zeros deflates to about 1 KiB; a record that says 10 bytes
+    # is refused once an 11th byte comes out
+    inflated = []
+    real = zlib.decompressobj
+
+    class Counting:
+        def __init__(self):
+            self.inner = real()
+
+        def decompress(self, data, max_length=0):
+            out = self.inner.decompress(data, max_length)
+            inflated.append(len(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    monkeypatch.setattr(zlib, "decompressobj", Counting)
+    conf = config("p2p", tmp_path).to_text().encode()
+    stream = zlib.compress(struct.pack(">Q", 1) + bytes(1 << 20), 1)
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", _deflated(conf)),
+                           (b"DOC\x00", struct.pack(">Q", 10) + stream)], b"TWIGSNAP4\n")
+    with pytest.raises(CorruptSnapshot, match="DOC record 2: inflates to more than"):
+        restore(str(path))
+    assert inflated == [len(conf), 11]
+
+
 def test_restore_refuses_a_trailer_of_the_other_version(tmp_path, any_store):
     any_store.store_resource(D1)
     path = tmp_path / "x.snap"
     snapshot(any_store, str(path))
-    blob = path.read_bytes()
-    v2 = _as_version_2(blob)
+    v3 = snapshot_in_layout(path.read_bytes(), b"TWIGSNAP3\n")
+    v2 = snapshot_in_layout(v3, b"TWIGSNAP2\n")
     # each magic with the other version's checksum of the same body
-    for magic, trailer in ((b"TWIGSNAP3\n", v2[-8:]), (b"TWIGSNAP2\n", blob[-8:])):
-        path.write_bytes(magic + blob[10:-8] + trailer)
+    for magic, trailer in ((b"TWIGSNAP3\n", v2[-8:]), (b"TWIGSNAP2\n", v3[-8:])):
+        path.write_bytes(magic + v3[10:-8] + trailer)
         with pytest.raises(CorruptSnapshot, match="checksum mismatch"):
             restore(str(path))
 
