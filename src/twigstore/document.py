@@ -322,55 +322,67 @@ def parse_document(xml_text: str, doc_id: int) -> Document:
         raise MalformedXml(str(exc)) from None
 
     doc = Document(doc_id)
-    _label(root_elem, doc_id, 1, 0, doc.nodes, doc._children)
+    _label(root_elem, doc_id, doc.nodes, doc._children)
     doc.finish()
     return doc
 
 
 def _label(
-    elem: ET.Element,
-    doc_id: int,
-    depth: int,
-    pos: int,
-    nodes: list[Node],
-    children: dict[int, list[Node]],
-) -> int:
-    """Label ``elem``'s subtree from position ``pos + 1`` on: append its
-    nodes to ``nodes`` in document order, record each element's children
-    in ``children`` by its start, and return the last position used."""
-    pos += 1
-    start = pos
-    slot = len(nodes)
-    nodes.append(None)  # type: ignore[arg-type]  # filled once end is known
-    kids: list[Node] = []
-    kid_depth = depth + 1
-    for name, value in elem.attrib.items():
+    root: ET.Element, doc_id: int, nodes: list[Node], children: dict[int, list[Node]]
+) -> None:
+    """Label ``root``'s subtree from position 1 on: append its nodes to
+    ``nodes`` in document order and record each element's children in
+    ``children`` by its start.
+
+    The open ancestors of the element being labeled live on an explicit
+    stack, so any depth the parser accepts is labeled.
+    """
+    pos = 0
+    # per open ancestor, outermost first: the element, its start, its slot
+    # in nodes (filled once its end is known), its children so far and its
+    # child elements not yet labeled
+    stack: list[tuple[ET.Element, int, int, list[Node], Iterator[ET.Element]]] = []
+    elem = root
+    while True:
+        depth = len(stack) + 1
         pos += 1
-        node = Node(ATTRIBUTE, "@" + _plain(name),
-                    StructuralId(doc_id, pos, pos, kid_depth), value)
-        nodes.append(node)
-        kids.append(node)
-    text = elem.text
-    if text and text.strip():
-        pos += 1
-        node = Node(TEXT, text, StructuralId(doc_id, pos, pos, kid_depth))
-        nodes.append(node)
-        kids.append(node)
-    for child in elem:
-        kid_slot = len(nodes)
-        pos = _label(child, doc_id, kid_depth, pos, nodes, children)
-        kids.append(nodes[kid_slot])
-        text = child.tail
-        if text and text.strip():
+        start = pos
+        slot = len(nodes)
+        nodes.append(None)  # type: ignore[arg-type]
+        kids: list[Node] = []
+        for name, value in elem.attrib.items():
             pos += 1
-            node = Node(TEXT, text, StructuralId(doc_id, pos, pos, kid_depth))
+            node = Node(ATTRIBUTE, "@" + _plain(name),
+                        StructuralId(doc_id, pos, pos, depth + 1), value)
             nodes.append(node)
             kids.append(node)
-    pos += 1
-    nodes[slot] = Node(ELEMENT, _plain(elem.tag), StructuralId(doc_id, start, pos, depth))
-    if kids:
-        children[start] = kids
-    return pos
+        text = elem.text
+        if text and text.strip():
+            pos += 1
+            node = Node(TEXT, text, StructuralId(doc_id, pos, pos, depth + 1))
+            nodes.append(node)
+            kids.append(node)
+        rest = iter(elem)
+        # close each element with no child left, innermost first
+        while (child := next(rest, None)) is None:
+            pos += 1
+            node = nodes[slot] = Node(ELEMENT, _plain(elem.tag),
+                                      StructuralId(doc_id, start, pos, depth))
+            if kids:
+                children[start] = kids
+            if not stack:
+                return
+            text = elem.tail
+            elem, start, slot, kids, rest = stack.pop()
+            kids.append(node)
+            if text and text.strip():
+                pos += 1
+                node = Node(TEXT, text, StructuralId(doc_id, pos, pos, depth))
+                nodes.append(node)
+                kids.append(node)
+            depth -= 1
+        stack.append((elem, start, slot, kids, rest))
+        elem = child
 
 
 def _plain(name: str) -> str:
@@ -427,6 +439,34 @@ def _write(doc: Document, node: Node, out: list[str]) -> None:
     start, an empty part at each attribute, each text node's escaped text
     at its own and the end tag at its end (empty when it self-closes).
 
+    The open elements live on an explicit stack, so any depth is written.
+    """
+    inner = _open(doc, node, out)
+    stack = [] if inner is None else [(node, iter(inner))]
+    while stack:
+        elem, rest = stack[-1]
+        for kid in rest:
+            if kid.kind == TEXT:
+                out.append(_escape(kid.name_or_value, _TEXT_ESCAPES))
+            elif (inner := _open(doc, kid, out)) is None:
+                continue
+            elif len(inner) == 1 and inner[0].kind == TEXT:
+                # most elements hold one text child: no frame for them
+                out.append(_escape(inner[0].name_or_value, _TEXT_ESCAPES))
+                out.append("</" + kid.name_or_value + ">")
+            else:
+                stack.append((kid, iter(inner)))
+                break
+        else:
+            stack.pop()
+            out.append("</" + elem.name_or_value + ">")
+
+
+def _open(doc: Document, node: Node, out: list[str]) -> list[Node] | None:
+    """Append ``node``'s start tag and an empty part per attribute; return
+    its children after the attributes, or None when it self-closes (its
+    end part is then appended, empty).
+
     A document's attribute nodes come before its other children.
     """
     kids = doc._children.get(node.label.start, ())
@@ -440,15 +480,10 @@ def _write(doc: Document, node: Node, out: list[str]) -> None:
     if n == len(kids):
         out.append(tag + "/>")
         out += [""] * (n + 1)
-        return
+        return None
     out.append(tag + ">")
     out += [""] * n
-    for kid in kids[n:]:
-        if kid.kind == TEXT:
-            out.append(_escape(kid.name_or_value, _TEXT_ESCAPES))
-        else:
-            _write(doc, kid, out)
-    out.append("</" + node.name_or_value + ">")
+    return kids[n:]
 
 
 def serialize_document(doc: Document) -> str:

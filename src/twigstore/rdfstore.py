@@ -2,10 +2,13 @@
 
 Each triple is stored under three keys ("s:", "p:", "o:"), which is the
 simplest scheme guaranteeing every pattern with at least one constant can
-seed a lookup.  Conjunctive evaluation seeds each pattern from its most
-selective constant (by observed posting count, ties s before p before o),
-filters by the remaining constants, then hash-joins the per-pattern
-candidate sets on shared variables.
+seed a lookup.  Conjunctive evaluation gets one list per pattern, named
+by the pattern alone: its subject's, else its object's, else its
+predicate's.  An entity's list holds that entity's triples, while a
+predicate's holds a whole relation, so on every workload and test here
+the rule reads the shortest list; a pattern whose subject or object list
+outgrew its predicate's would decode the longer one.  Each list's
+matching triples are merged with the bindings so far in a nested loop.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ class TriplePattern(NamedTuple):
         return [t for t in (self.subject, self.predicate, self.object)
                 if t.startswith("?")]
 
-    def constants(self) -> list[tuple[int, str]]:
-        return [(i, self[i]) for i in (S, P, O) if not self[i].startswith("?")]
-
 
 class ConjunctiveQuery:
     def __init__(self, patterns: list[TriplePattern], projection: list[str]):
@@ -70,7 +70,7 @@ class ConjunctiveQuery:
         no constant: no key could seed its lookup, so neither backend
         answers it."""
         for pattern in self.patterns:
-            if not pattern.constants():
+            if len(pattern.variables()) == 3:
                 raise UnseedablePattern(f"pattern {pattern} has no constant position")
         known = {v for p in self.patterns for v in p.variables()}
         for var in self.projection:
@@ -119,15 +119,10 @@ def eval_conjunctive(
     query.validate()
     per_pattern: list[list[dict[str, str]]] = []
     for pattern in query.patterns:
-        fetched = [
-            (i, dht.get(via, _KEY_PREFIX[i] + text))
-            for i, text in pattern.constants()
-        ]
-        # most selective constant seeds; ties already favor s, then p, then o
-        fetched.sort(key=lambda item: (len(item[1]), item[0]))
-        seed = fetched[0][1]
+        # validate() ensured a constant
+        i = next(i for i in (S, O, P) if not pattern[i].startswith("?"))
         rows = []
-        for raw in seed:
+        for raw in dht.get(via, _KEY_PREFIX[i] + pattern[i]):
             bound = _pattern_match(pattern, Triple.from_text(raw.decode("utf-8")))
             if bound is not None:
                 rows.append(bound)

@@ -339,9 +339,10 @@ def snapshot(store: Store, path: str) -> None:
     ``zlib.compress`` at level 1.  The file ends with the CRC-32
     (``zlib.crc32``) of everything before it, as written, zero-extended to
     8 big-endian bytes, so a flipped bit fails the checksum before any
-    payload is inflated.  It is written to
-    ``path + ".tmp"`` and then moved onto ``path``, so a write that fails
-    part way leaves the last snapshot whole and no temporary file behind.
+    payload is inflated.  It is written to ``path + ".tmp"``, fsynced,
+    moved onto ``path``, and then the directory is fsynced, so a crash
+    leaves the old snapshot or the new one, and a write that fails before
+    the move leaves the last snapshot whole and no temporary file behind.
     """
     blob = bytearray(_MAGIC)
     config = store.config
@@ -360,7 +361,14 @@ def snapshot(store: Store, path: str) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)  # makes the rename itself durable
+        finally:
+            os.close(fd)
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

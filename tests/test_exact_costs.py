@@ -213,8 +213,8 @@ QUERY_COSTS = {
         "plan": "16edb6b18ee48dcddb454a5fb135cc01a6d7edfe74e5055d8bf794e91abb9b24",
     },
     "rdf": {
-        "cost": (9, 978),
-        "tags": {0x02: (6, 126), 0x03: (3, 852)},
+        "cost": (6, 541),
+        "tags": {0x02: (4, 82), 0x03: (2, 459)},
         "result": (1, "425df16dec9baf93ff9c5367a93c269670f84d494017cb821ea1e858627bdf5b"),
     },
 }
@@ -231,7 +231,7 @@ QUERY_ENVELOPES = {
     "deep": "94fc5260db84f242e84a077096fa97321e817101ae9af567f72c7b8be08a0718",
     "root": "0bad0ebc4290d46159f31d8e0c00513be33a622fb24697e665afb9d02bb0a8e3",
     "wildcard": "62c9b00902f3276c0465434f6fadbcee3f57f0303b6dde22444a6d0bc481d502",
-    "rdf": "e8869d8fe32e0bc77db86e386d8a1d40d1d5095d497457437c818a26c6e60504",
+    "rdf": "e206ae99410516f3f146accb9f1873ce6a8d02af634770b8293405d7cc856f34",
 }
 
 

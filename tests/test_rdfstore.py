@@ -3,6 +3,7 @@ import random
 import pytest
 
 from twigstore.errors import UnseedablePattern
+from twigstore.overlay import DhtService
 from twigstore.rdfstore import (
     ConjunctiveQuery,
     Triple,
@@ -103,6 +104,32 @@ def test_repeated_variable_within_pattern():
     index_triples(triples, 1, dht)
     q = ConjunctiveQuery([TriplePattern("?x", "cites", "?x")], ["?x"])
     assert eval_conjunctive(q, 1, dht) == [("a",)]
+
+
+@pytest.mark.parametrize("pattern, key", [
+    (TriplePattern("a", "author", "?y"), "s:a"),  # subject seeds
+    (TriplePattern("a", "?p", "b"), "s:a"),
+    (TriplePattern("?x", "cites", "b"), "o:b"),  # object seeds
+    (TriplePattern("?x", "?p", "Doc"), "o:Doc"),
+    (TriplePattern("?x", "type", "?y"), "p:type"),  # predicate only
+    (TriplePattern("a", "type", "Doc"), "s:a"),  # all constants
+])
+def test_each_pattern_gets_the_one_list_it_names(monkeypatch, pattern, key):
+    # s: when the subject is a constant, else o:, else p:, whatever the
+    # lists' lengths; no other list is read
+    net, dht = cluster()
+    index_triples([Triple("a", "type", "Doc"), Triple("a", "author", "b"),
+                   Triple("c", "cites", "b"), Triple("a", "cites", "b")], 1, dht)
+    real_get = DhtService.get
+    keys = []
+
+    def get(self, via, key):
+        keys.append(key)
+        return real_get(self, via, key)
+
+    monkeypatch.setattr(DhtService, "get", get)
+    assert eval_conjunctive(ConjunctiveQuery([pattern], pattern.variables()), 1, dht)
+    assert keys == [key]
 
 
 def random_query(rng, triples):

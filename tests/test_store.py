@@ -1,5 +1,7 @@
 import errno
+import os
 import random
+import stat
 import struct
 import sys
 import zlib
@@ -435,6 +437,55 @@ def test_sibling_predicates_do_not_multiply_join_rows(tmp_path, monkeypatch):
         rows[backend] = 0
         assert len(store.query("//a" + "[/b]" * 8 + "!").resources) == 1
     assert max(rows.values()) <= 100, rows
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: both backends join every binding of a descendant "
+    "chain before projecting onto the return node, so '//a//a//a//a' over 40 "
+    "nested a elements makes 102,050 rows for 37 answers",
+)
+def test_descendant_chains_do_not_multiply_join_rows(tmp_path, monkeypatch):
+    rows = {}
+    real_join = twigjoin.stack_join
+
+    def counting_join(*args):
+        pairs = real_join(*args)
+        rows[backend] += len(pairs)
+        return pairs
+
+    monkeypatch.setattr(twigjoin, "stack_join", counting_join)
+    monkeypatch.setattr(planner, "stack_join", counting_join)
+    for backend in ("centralized", "p2p"):
+        store = Store(config(backend, tmp_path, granularity=()))
+        store.store_resource("<a>" * 40 + "</a>" * 40)
+        rows[backend] = 0
+        assert len(store.query("//a//a//a//a!").resources) == 37
+    # three descendant joins of at most 40 * 39 / 2 = 780 pairs each
+    assert max(rows.values()) <= 3 * 780, rows
+
+
+def test_documents_nested_thousands_deep(tmp_path):
+    # ElementTree parses any depth; labeling and serializing must too
+    depth = 5000
+    text = "<a>" * depth + "x" + "</a>" * depth
+
+    def answers(store):
+        return [[(r.resource_id, r.payload) for r in store.query(q).resources]
+                for q in ('/a!', '//a[/a="x"]!')]
+
+    for backend in ("centralized", "p2p"):
+        store = Store(config(backend, tmp_path, granularity=()))
+        assert store.store_resource(text) == ["1#1"]
+        got = answers(store)
+        assert got == [[("1#1", text)], [(f"1#{depth - 1}", "<a><a>x</a></a>")]]
+        assert store.get_resource("1#1").payload == text
+        path = str(tmp_path / f"{backend}.snap")
+        snapshot(store, path)
+        again = restore(path)
+        assert answers(again) == got
+        assert again.get_resource("1#1").payload == text
 
 
 def test_index_keys_longer_than_64_kib(tmp_path):
@@ -951,6 +1002,50 @@ def test_failed_snapshot_write_keeps_the_last_good_file(tmp_path, any_store, mon
     again = restore(str(path))
     assert sorted(again.documents) == [1]
     assert again.get_resource("1#6").payload == "<par>xml</par>"
+
+
+def test_snapshot_fsyncs_the_file_before_the_rename_and_the_directory_after(
+        tmp_path, any_store, monkeypatch):
+    # the rename may reach the disk only after the bytes it publishes, and
+    # is itself durable only once the directory holding it is synced
+    any_store.store_resource(D1)
+    path = tmp_path / "x.snap"
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    snapshot(any_store, str(path))
+    assert calls == ["fsync file", "replace", "fsync dir"]
+    monkeypatch.undo()
+    assert sorted(restore(str(path)).documents) == [1]
+
+
+def test_failed_snapshot_fsync_keeps_the_last_good_file(tmp_path, any_store, monkeypatch):
+    any_store.store_resource(D1)
+    path = tmp_path / "snaps" / "x.snap"
+    path.parent.mkdir()
+    snapshot(any_store, str(path))
+    good = path.read_bytes()
+    any_store.store_resource("<doc><par>late</par></doc>")
+
+    def fsync(fd):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(IoFailure, match="Input/output"):
+        snapshot(any_store, str(path))
+    monkeypatch.undo()
+    assert [p.name for p in path.parent.iterdir()] == ["x.snap"]
+    assert path.read_bytes() == good
 
 
 def test_restored_p2p_store_reproduces_stats(tmp_path):
