@@ -15,13 +15,13 @@ for serialization and is not word-indexed.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, islice
 from operator import attrgetter, itemgetter
 from sys import intern
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from xml.parsers import expat
 
 from .errors import EmptyInput, MalformedXml, UnknownNode
 
@@ -96,10 +96,10 @@ class Document:
     its query methods build on first use: the name, word and value postings
     of ``named``, ``with_word`` and ``in_range``, the one-label join rows of
     ``rows``, one ``Rows`` per name, and each such list's skip index, which
-    the join kernel builds on its first skip over it.  Serialization keeps
+    the join kernel builds on its first skip over it.  The parse writes
     the canonical ``text`` and its offset table ``spans``, one ``array`` of
-    character offsets by label position (see ``_kept``), which resource
-    extraction builds at ingest and restore.
+    character offsets by label position (see ``parse_document``), and every
+    payload is a slice of that text.
 
     ``nodes`` is in document (start) order, with the root first.  What a
     node is indexed under beyond its name, its words and integer values,
@@ -128,8 +128,8 @@ class Document:
         # name -> (integer texts in ascending order, the node holding each)
         self._by_value: dict[str, tuple[list[int], list[Node]]] | None = None
         self._rows: dict[str | None, Rows] = {}  # None: every name
-        self.text: str | None = None
-        self.spans: array | None = None
+        self.text: str  # set by ``parse_document``, as are the spans
+        self.spans: array
 
     def finish(self) -> None:
         self.root = self.nodes[0]
@@ -306,89 +306,123 @@ def parse_int_content(text: str) -> int | None:
 
 
 def parse_document(xml_text: str, doc_id: int) -> Document:
-    """Parse ``xml_text`` and assign interval labels in one counter pass.
+    """Parse ``xml_text``, label its nodes and write its canonical text in
+    one pass over the parser's events.
 
     Whitespace-only text nodes are dropped so payloads stay canonical.
     Raises EmptyInput for blank input and MalformedXml for anything the
-    XML tokenizer rejects (including trailing content after the root) and
-    for namespaced names, which ElementTree reports as ``{uri}local``: no
-    serialization could write them back as well-formed XML.
+    XML tokenizer rejects (including trailing content after the root), for
+    a reference to an entity the document does not declare, and for
+    namespaced names, reported as ``{uri}local``: no serialization could
+    write them back as well-formed XML.  A syntax error anywhere wins over
+    a namespaced name; of those, the first in labeling order is reported,
+    an attribute at its element's start and an element at its end.
+
+    The parser is set up as ElementTree sets up its own, and events arrive
+    in document order, so each start, text and end takes the next label
+    position and appends that position's part of the canonical text: the
+    start tag with its attributes at an element's start, an empty part at
+    each attribute, the escaped text at a text node and the end tag at the
+    element's end, empty when the element self-closes.  So ``spans[p]`` is
+    the text's length up to the end of position ``p``'s part, and an
+    element labeled ``(start, end)`` is ``text[spans[start - 1] : spans[end]]``.
     """
     if not xml_text.strip():
         raise EmptyInput("no XML content")
-    try:
-        root_elem = ET.fromstring(xml_text)
-    except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from None
-
     doc = Document(doc_id)
-    _label(root_elem, doc_id, doc.nodes, doc._children)
-    doc.finish()
-    return doc
+    nodes = doc.nodes
+    children = doc._children
+    parts: list[str] = []  # position p's part is parts[p - 1]
+    data: list[str] = []  # character data since the last start or end tag
+    # per open element, outermost first: its start tag without the closing
+    # bracket, its start, its slot in nodes (filled once its end is known),
+    # its last attribute's position and its children so far
+    stack: list[tuple[str, int, int, int, list[Node]]] = []
+    namespaced: list[str] = []  # the first namespaced name, in labeling order
 
+    def add_text() -> None:
+        value = "".join(data)
+        data.clear()
+        if value.strip():
+            pos = len(parts) + 1
+            node = Node(TEXT, value, StructuralId(doc_id, pos, pos, len(stack) + 1))
+            nodes.append(node)
+            stack[-1][4].append(node)
+            parts.append(_escape(value, _TEXT_ESCAPES))
 
-def _label(
-    root: ET.Element, doc_id: int, nodes: list[Node], children: dict[int, list[Node]]
-) -> None:
-    """Label ``root``'s subtree from position 1 on: append its nodes to
-    ``nodes`` in document order and record each element's children in
-    ``children`` by its start.
-
-    The open ancestors of the element being labeled live on an explicit
-    stack, so any depth the parser accepts is labeled.
-    """
-    pos = 0
-    # per open ancestor, outermost first: the element, its start, its slot
-    # in nodes (filled once its end is known), its children so far and its
-    # child elements not yet labeled
-    stack: list[tuple[ET.Element, int, int, list[Node], Iterator[ET.Element]]] = []
-    elem = root
-    while True:
+    def open_element(name: str, attrs: list[str]) -> None:
+        if data:
+            add_text()
         depth = len(stack) + 1
-        pos += 1
-        start = pos
         slot = len(nodes)
         nodes.append(None)  # type: ignore[arg-type]
+        parts.append("")
+        start = pos = len(parts)
         kids: list[Node] = []
-        for name, value in elem.attrib.items():
+        tag = "<" + name
+        for i in range(0, len(attrs), 2):
+            attr, value = attrs[i], attrs[i + 1]
+            if "}" in attr and not namespaced:
+                namespaced.append("{" + attr)
             pos += 1
-            node = Node(ATTRIBUTE, "@" + _plain(name),
-                        StructuralId(doc_id, pos, pos, depth + 1), value)
+            node = Node(ATTRIBUTE, "@" + attr, StructuralId(doc_id, pos, pos, depth + 1),
+                        value)
             nodes.append(node)
             kids.append(node)
-        text = elem.text
-        if text and text.strip():
-            pos += 1
-            node = Node(TEXT, text, StructuralId(doc_id, pos, pos, depth + 1))
-            nodes.append(node)
-            kids.append(node)
-        rest = iter(elem)
-        # close each element with no child left, innermost first
-        while (child := next(rest, None)) is None:
-            pos += 1
-            node = nodes[slot] = Node(ELEMENT, _plain(elem.tag),
-                                      StructuralId(doc_id, start, pos, depth))
-            if kids:
-                children[start] = kids
-            if not stack:
-                return
-            text = elem.tail
-            elem, start, slot, kids, rest = stack.pop()
-            kids.append(node)
-            if text and text.strip():
-                pos += 1
-                node = Node(TEXT, text, StructuralId(doc_id, pos, pos, depth))
-                nodes.append(node)
-                kids.append(node)
-            depth -= 1
-        stack.append((elem, start, slot, kids, rest))
-        elem = child
+            parts.append("")
+            tag += f' {attr}="{_escape(value, _ATTR_ESCAPES)}"'
+        parts[start - 1] = tag + ">"
+        stack.append((tag, start, slot, pos, kids))
 
+    def close_element(name: str) -> None:
+        if data:
+            add_text()
+        tag, start, slot, inner, kids = stack.pop()
+        if "}" in name and not namespaced:
+            namespaced.append("{" + name)
+        if len(parts) == inner:  # no child but attributes: self-closed
+            parts[start - 1] = tag + "/>"
+            parts.append("")
+        else:
+            parts.append("</" + name + ">")
+        node = nodes[slot] = Node(
+            ELEMENT, name, StructuralId(doc_id, start, len(parts), len(stack) + 1))
+        if kids:
+            children[start] = kids
+        if stack:
+            stack[-1][4].append(node)
 
-def _plain(name: str) -> str:
-    if name[0] == "{":
-        raise MalformedXml(f"namespaced name {name!r} is not supported")
-    return name
+    def refuse_entity(markup: str) -> None:
+        # a reference to an entity the parser could not expand, as
+        # ElementTree refuses it: an external DTD may declare more
+        # entities, so expat itself lets the reference through
+        if markup.startswith("&"):
+            ref = markup.encode("utf-8")[:100].decode("utf-8", "replace")
+            raise MalformedXml(f"undefined entity {ref}: line {parser.CurrentLineNumber}, "
+                               f"column {parser.CurrentColumnNumber}")
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.ordered_attributes = True
+    parser.buffer_text = True
+    parser.StartElementHandler = open_element
+    parser.EndElementHandler = close_element
+    parser.CharacterDataHandler = data.append
+    parser.DefaultHandlerExpand = refuse_entity
+    try:
+        parser.Parse(xml_text, True)
+    except expat.ExpatError as exc:
+        raise MalformedXml(str(exc)) from None
+    finally:
+        # refuse_entity refers to the parser, which refers to it: left in
+        # place, that cycle would keep the parser and all of the parse's
+        # state, parts included, until the cyclic collector ran
+        parser.DefaultHandlerExpand = None
+    if namespaced:
+        raise MalformedXml(f"namespaced name {namespaced[0]!r} is not supported")
+    doc.spans = array("q", accumulate(map(len, parts), initial=0))
+    doc.text = "".join(parts)
+    doc.finish()
+    return doc
 
 
 # parsing turns a literal CR in text, and a literal tab, LF or CR in an
@@ -408,87 +442,17 @@ def serialize_subtree(doc: Document, root_label: StructuralId) -> str:
 
     No XML declaration, attributes in document order, no added whitespace;
     childless elements serialize self-closed.  Only element nodes are
-    addressable.  The text is a slice of the document's kept text.
+    addressable.  The text is a slice of the document's text.
     """
     node = doc.node_at(root_label)
     if node.kind != ELEMENT:
         raise UnknownNode(f"label {root_label} is not an element node")
-    text, spans = _kept(doc)
-    return text[spans[root_label.start - 1] : spans[root_label.end]]
-
-
-def _kept(doc: Document) -> tuple[str, array]:
-    """The document's canonical text and its offset table, built by one
-    ``_write`` of the root on first use and kept.
-
-    ``_write`` appends one part per label position, so ``spans[p]`` is the
-    text's length up to the end of position ``p``'s part, and an element
-    labeled ``(start, end)`` is ``text[spans[start - 1] : spans[end]]``.
-    """
-    if doc.text is None:
-        out: list[str] = []
-        _write(doc, doc.root, out)
-        doc.spans = array("q", accumulate(map(len, out), initial=0))
-        doc.text = "".join(out)
-    return doc.text, doc.spans  # type: ignore[return-value]
-
-
-def _write(doc: Document, node: Node, out: list[str]) -> None:
-    """Append ``node``'s canonical text to ``out``, one part per label
-    position in its interval: the start tag with its attributes at its
-    start, an empty part at each attribute, each text node's escaped text
-    at its own and the end tag at its end (empty when it self-closes).
-
-    The open elements live on an explicit stack, so any depth is written.
-    """
-    inner = _open(doc, node, out)
-    stack = [] if inner is None else [(node, iter(inner))]
-    while stack:
-        elem, rest = stack[-1]
-        for kid in rest:
-            if kid.kind == TEXT:
-                out.append(_escape(kid.name_or_value, _TEXT_ESCAPES))
-            elif (inner := _open(doc, kid, out)) is None:
-                continue
-            elif len(inner) == 1 and inner[0].kind == TEXT:
-                # most elements hold one text child: no frame for them
-                out.append(_escape(inner[0].name_or_value, _TEXT_ESCAPES))
-                out.append("</" + kid.name_or_value + ">")
-            else:
-                stack.append((kid, iter(inner)))
-                break
-        else:
-            stack.pop()
-            out.append("</" + elem.name_or_value + ">")
-
-
-def _open(doc: Document, node: Node, out: list[str]) -> list[Node] | None:
-    """Append ``node``'s start tag and an empty part per attribute; return
-    its children after the attributes, or None when it self-closes (its
-    end part is then appended, empty).
-
-    A document's attribute nodes come before its other children.
-    """
-    kids = doc._children.get(node.label.start, ())
-    n = 0
-    tag = "<" + node.name_or_value
-    for kid in kids:
-        if kid.kind != ATTRIBUTE:
-            break
-        n += 1
-        tag += f' {kid.name_or_value[1:]}="{_escape(kid.attr_value, _ATTR_ESCAPES)}"'
-    if n == len(kids):
-        out.append(tag + "/>")
-        out += [""] * (n + 1)
-        return None
-    out.append(tag + ">")
-    out += [""] * n
-    return kids[n:]
+    return doc.text[doc.spans[root_label.start - 1] : doc.spans[root_label.end]]
 
 
 def serialize_document(doc: Document) -> str:
-    """The document's kept text: the root resource's payload itself."""
-    return _kept(doc)[0]
+    """The document's text: the root resource's payload itself."""
+    return doc.text
 
 
 def serialize_node(doc: Document, label: StructuralId) -> str:
@@ -511,11 +475,11 @@ def extract_resources(doc: Document, granularity: set[str]) -> list[Resource]:
     """One resource for the root plus one per element named in ``granularity``.
 
     Resource ids are ``"<doc_id>#<start>"``; attribute and text nodes are
-    never resources.  The root's payload is the document's kept text, and
+    never resources.  The root's payload is the document's text, and
     each other payload is a slice of it, equal to ``serialize_subtree`` of
     that element.
     """
-    text, spans = _kept(doc)
+    text, spans = doc.text, doc.spans
     resources = [_resource(doc.root.label, text)]
     if granularity:
         for node in islice(doc.nodes, 1, None):

@@ -16,7 +16,8 @@ attribute.  A name-char is any character but a space and ``/[]=!"@*``,
 so a pattern can name every element and attribute a document can carry.
 A node carries at most one value predicate (word equality or integer
 range); the quoted word must be one word as the index splits text
-(``split_words``), in any case.
+(``split_words``), in any case.  A pattern holds at most ``MAX_NODES``
+nodes.
 
 Canonical serialization reproduces the parse with minimal whitespace: its
 text parses back to the same pattern.
@@ -37,6 +38,13 @@ DESCENDANT = "descendant"
 _NAME_RE = re.compile(r'@?[^\s/\[\]=!"@*]+|\*')
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _WORD_RE = re.compile(r'"([^"]*)"')
+
+# this parser recurses once per nested predicate, and the p2p planner's
+# plan walks recurse once per join, one join per edge; under Python's
+# default limit of 1,000 frames both backends answer patterns of up to
+# 329 nodes when called from a script's top level, and the bound leaves
+# room for deeper callers
+MAX_NODES = 200
 
 
 class PNode:
@@ -150,6 +158,8 @@ class _Parser:
         m = _NAME_RE.match(self.text, self.pos)
         if not m:
             raise self.fail("expected a name or '*'")
+        if len(self.pattern.nodes) == MAX_NODES:
+            raise self.fail(f"a pattern holds at most {MAX_NODES} nodes")
         self.pos = m.end()
         node = PNode(len(self.pattern.nodes), m.group())
         self.pattern.nodes.append(node)

@@ -158,6 +158,7 @@ def test_user_errors_exit_1(workdir, capsys):
     assert main(["rdf-query", "bad.rq"]) == 1
     assert main(["query", "//c in 0.." + "9" * 5000 + "!"]) == 1
     assert main(["query", '//par="x-y"!']) == 1
+    assert main(["query", "//a" + "[/a" * 600 + "]" * 600 + "!"]) == 1
     (workdir / "bad.tsv").write_text("a\t\tb\n", encoding="utf-8")
     assert main(["rdf-load", "bad.tsv"]) == 1
     err = capsys.readouterr().err
@@ -306,7 +307,8 @@ def test_help_exits_0(workdir, capsys):
 def test_importing_the_cli_loads_every_module_and_no_dataclasses():
     # the benchmark's tracer imports twigstore.cli, then patches the
     # twigstore modules it finds loaded; the records are plain classes, so
-    # a cold start loads neither dataclasses nor the inspect module it needs
+    # a cold start loads neither dataclasses nor the inspect module it
+    # needs, and documents are parsed by expat itself, so no ElementTree
     package = Path(twigstore.__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
     code = "import sys, twigstore.cli; print(*sys.modules)"
@@ -317,4 +319,4 @@ def test_importing_the_cli_loads_every_module_and_no_dataclasses():
     modules = {f"twigstore.{path.stem}" for path in package.glob("*.py")} - {
         "twigstore.__init__"}
     assert "twigstore.store" in modules and modules <= loaded
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "xml.etree"} & loaded

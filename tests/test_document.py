@@ -1,3 +1,4 @@
+import gc
 import random
 import xml.etree.ElementTree as ET
 from array import array
@@ -10,7 +11,6 @@ from twigstore.document import (
     ELEMENT,
     TEXT,
     StructuralId,
-    _write,
     extract_resources,
     is_ancestor,
     is_parent,
@@ -25,6 +25,7 @@ from twigstore.pattern import DESCENDANT
 from twigstore.store import Store, StoreConfig, restore, snapshot
 from twigstore.twigjoin import stack_join
 
+from etree_oracle import parse_with_etree, write
 from helpers import random_document_text
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
@@ -234,7 +235,7 @@ def test_escaping_round_trip():
     '<a><b x:y="1" xmlns:x="urn:v"/></a>',
 ])
 def test_namespaced_names_refused(text):
-    # ElementTree reports them as {uri}local, which no serialization can
+    # the parser reports them as {uri}local, which no serialization can
     # write back as well-formed XML
     with pytest.raises(MalformedXml):
         parse_document(text, 1)
@@ -316,8 +317,8 @@ def test_one_pass_extraction_equals_per_resource_serialization(tree, granularity
         if n.kind == ELEMENT and n is not doc.root and n.name in granularity
     ]
     assert [r.root_label for r in resources] == [n.label for n in wanted]
-    # the oracle is a fresh walk, which reads neither the kept text nor
-    # its offsets; it runs before anything else reads them
+    # the oracle is a fresh walk over the labeled nodes, which reads
+    # neither the parse's text nor its offsets
     fresh = parse_document(_xml_text(tree), 3)
     for res, node in zip(resources, wanted):
         assert res.resource_id == f"3#{res.root_label.start}"
@@ -325,10 +326,10 @@ def test_one_pass_extraction_equals_per_resource_serialization(tree, granularity
 
 
 def _walk(doc, node) -> str:
-    """``node``'s text from a fresh recursive ``_write``, which appends one
-    part per label position in its interval."""
+    """``node``'s text from a fresh walk of the oracle's ``write``, which
+    appends one part per label position in its interval."""
     out = []
-    _write(doc, node, out)
+    write(doc, node, out)
     assert len(out) == node.label.end - node.label.start + 1
     return "".join(out)
 
@@ -353,16 +354,138 @@ def test_slices_equal_a_fresh_walk_before_and_after_restore(tmp_path_factory, tr
     _assert_slices_match_walks(doc)
 
 
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the document's labeled nodes, its
+    children lists, text and offsets, or the type and message of its
+    refusal."""
+    try:
+        doc = parse(text, 4)
+    except Exception as exc:  # the refusals are compared, whatever they are
+        return type(exc), str(exc)
+    return doc.nodes, list(doc._children.items()), doc.text, doc.spans.tolist()
+
+
+def _assert_parses_like_etree(text):
+    assert _outcome(parse_document, text) == _outcome(parse_with_etree, text)
+
+
+@given(tree=_ELEMENT_TREES)
+def test_parse_equals_the_etree_oracle_on_random_trees(tree):
+    _assert_parses_like_etree(_xml_text(tree))
+
+
+_DEEP = "<a>" * 5000 + "x" + "</a>" * 5000
+
+_PARSER_CASES = [
+    # comments and processing instructions inside text, before and after
+    # the root
+    "<a>x<!--c-->y<?pi data?>z<b/> <!--c--> </a>",
+    "<!--c--><?pi?><a>t</a><!--c--><?pi?>",
+    # CDATA, character references and predefined entities
+    "<a><![CDATA[<b>&amp;]]>t<![CDATA[]]></a>",
+    "<a>&#65;&#x42;&amp;&lt;&gt;&quot;&apos;</a>",
+    # internal DTD entities, in text and in attribute values, one of them
+    # expanding to markup
+    '<!DOCTYPE a [<!ENTITY e "x<b>y</b>z"><!ENTITY f "q">]><a k="&f;">&e;&f;</a>',
+    # ATTLIST defaults, which follow the specified attributes
+    '<!DOCTYPE a [<!ATTLIST a k CDATA "d" j CDATA #IMPLIED>]><a x="1"><a/></a>',
+    # tab, newline, CR and escaped markup in attribute values; CR in text
+    '<a x="p\tq\nr&lt;s&#9;&#10;&#13;" y=\'"\'>x\r\ny&#13;</a>',
+    # a raw < in an attribute value is refused
+    '<a x="<"/>',
+    # an encoding declaration does not apply to text already decoded; a BOM
+    '<?xml version="1.0" encoding="latin-1"?><a>é</a>',
+    "\ufeff<a>t</a>",
+    # whitespace-only text and tails are dropped, other tails kept
+    "<a>  <b/>\n\t<c> </c> x <d/>y</a>",
+    "<a>\n<b>t</b>\n</a>\n",
+    # junk after the root, a second root, unclosed and mismatched tags
+    "<a/>junk",
+    "<a/><b/>",
+    "<a>",
+    "<a><b></a>",
+    "",
+    "  \n",
+    "<a>]]></a>",
+    # text longer than the parser's text buffer, and one split by entities
+    "<a>" + "x" * 20000 + "</a>",
+    "<a>" + "x&amp;" * 5000 + "</a>",
+    # an entity no DTD declares: expat refuses it itself
+    "<a>&e;</a>",
+    # an entity an external DTD might declare: expat lets it through,
+    # and ElementTree refuses it
+    '<!DOCTYPE a SYSTEM "a.dtd"><a>&e;</a>',
+    '<!DOCTYPE a SYSTEM "a.dtd"><a>t&e;&f;</a>',
+    '<!DOCTYPE a [<!ENTITY % p "x">%p;]><a>&e;</a>',
+    '<!DOCTYPE a [<!ENTITY e SYSTEM "e.xml">]><a>&e;</a>',
+    '<!DOCTYPE a SYSTEM "a.dtd"><a>&' + "é" * 60 + ";</a>",
+    '<?xml version="1.0" standalone="yes"?><!DOCTYPE a SYSTEM "a.dtd"><a>&e;</a>',
+    # namespaced names are reported as {uri}local: an element at its end
+    # and an attribute at its element's start
+    '<x:a xmlns:x="urn:u"><x:b>t</x:b></x:a>',
+    '<x:a xmlns:x="urn:u"><b y:z="1" xmlns:y="urn:v"/></x:a>',
+    '<a xmlns="urn:u"><b/></a>',
+    '<a xml:lang="en">t</a>',
+    '<a xmlns=""><b/></a>',
+    "<x:a>t</x:a>",
+    # a syntax error, and an undefined entity, win over a namespaced name
+    '<x:a xmlns:x="urn:u"><b></x:a>',
+    '<a xmlns:y="urn:v" y:z="1"><b></a>',
+    '<x:a xmlns:x="urn:u"/><junk/>',
+    '<!DOCTYPE a SYSTEM "a.dtd"><x:a xmlns:x="urn:u">&e;</x:a>',
+    # any depth
+    _DEEP,
+    "<a>" * 5000 + "</a>" * 4999,
+]
+
+
+@pytest.mark.parametrize("text", _PARSER_CASES)
+def test_parse_equals_the_etree_oracle(text):
+    _assert_parses_like_etree(text)
+
+
+def test_parse_refusals_the_first_parser_got_wrong():
+    # pinned apart from the oracle, so a broken oracle cannot hide them
+    with pytest.raises(MalformedXml) as exc:
+        parse_document('<!DOCTYPE a SYSTEM "a.dtd"><a>&e;</a>', 1)
+    assert str(exc.value) == "undefined entity &e;: line 1, column 30"
+    with pytest.raises(MalformedXml) as exc:
+        parse_document('<x:a xmlns:x="urn:u"><x:b>t</x:b></x:a>', 1)
+    assert str(exc.value) == "namespaced name '{urn:u}b' is not supported"
+    with pytest.raises(MalformedXml) as exc:
+        parse_document('<x:a xmlns:x="urn:u"><b y:z="1" xmlns:y="urn:v"/></x:a>', 1)
+    assert str(exc.value) == "namespaced name '{urn:v}z' is not supported"
+    with pytest.raises(MalformedXml) as exc:
+        parse_document('<x:a xmlns:x="urn:u"><b></x:a>', 1)
+    assert str(exc.value) == "mismatched tag: line 1, column 26"
+
+
+@pytest.mark.parametrize("text", [D1, "<a><b></a>", '<x:a xmlns:x="urn:u"/>',
+                                  '<!DOCTYPE a SYSTEM "a.dtd"><a>&e;</a>'])
+def test_a_parse_leaves_nothing_for_the_cyclic_collector(text):
+    # a parse's state is freed when it returns or raises, so a restore of
+    # many documents leaves no cycle behind for a full collection to find
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            parse_document(text, 1)
+        except MalformedXml:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("backend", ["centralized", "p2p"])
-def test_kept_text_is_one_copy_built_on_first_use(tmp_path, backend):
+def test_text_is_one_copy_built_by_the_parse(tmp_path, backend):
     doc = parse_document(D1, 1)
-    # parsing builds neither the text nor its offsets
-    assert doc.text is None and doc.spans is None
-    sec = doc.nodes[1].label
-    assert serialize_subtree(doc, sec) == "<sec><title>dht</title><par>xml</par></sec>"
+    # the parse writes the text and its offsets
     assert doc.text == D1
     # one array of offsets, one per label position and one before them
     assert type(doc.spans) is array and len(doc.spans) == doc.root.label.end + 1
+    sec = doc.nodes[1].label
+    assert serialize_subtree(doc, sec) == "<sec><title>dht</title><par>xml</par></sec>"
 
     store = Store(StoreConfig(backend=backend, resource_granularity={"par"}))
     store.store_resource(D1)

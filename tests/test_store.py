@@ -467,7 +467,7 @@ def test_descendant_chains_do_not_multiply_join_rows(tmp_path, monkeypatch):
 
 
 def test_documents_nested_thousands_deep(tmp_path):
-    # ElementTree parses any depth; labeling and serializing must too
+    # expat parses any depth, and labels and text come from its events
     depth = 5000
     text = "<a>" * depth + "x" + "</a>" * depth
 
@@ -486,6 +486,39 @@ def test_documents_nested_thousands_deep(tmp_path):
         again = restore(path)
         assert answers(again) == got
         assert again.get_resource("1#1").payload == text
+
+
+# a nested predicate, a child step and a sibling predicate each add one
+# node to a pattern
+_OVERSIZED_PATTERNS = [
+    "//a" + "[/a" * 600 + "]" * 600 + "!",
+    "//a" + "/a" * 600 + "!",
+    "//a" + "[/a]" * 600 + "!",
+]
+
+
+@pytest.mark.parametrize("text", _OVERSIZED_PATTERNS, ids=["nested", "chain", "siblings"])
+def test_patterns_of_too_many_nodes_are_refused_alike(tmp_path, text):
+    for backend in ("centralized", "p2p"):
+        store = Store(config(backend, tmp_path, granularity=()))
+        store.store_resource("<a>" * 5 + "x" + "</a>" * 5)
+        with pytest.raises(PatternSyntaxError, match="at most 200 nodes"):
+            store.query(text)
+
+
+def test_patterns_of_the_most_nodes_answer_alike(tmp_path):
+    depth = 250
+    text = "<a>" * depth + "x" + "</a>" * depth
+    patterns = ["//a" + "[/a" * 199 + "]" * 199 + "!", "//a" + "/a" * 199 + "!",
+                "//a" + "[/a]" * 199 + "!"]
+    got = {}
+    for backend in ("centralized", "p2p"):
+        store = Store(config(backend, tmp_path, granularity=()))
+        store.store_resource(text)
+        got[backend] = [[r.resource_id for r in store.query(q).resources]
+                        for q in patterns]
+    assert got["p2p"] == got["centralized"]
+    assert [len(ids) for ids in got["p2p"]] == [depth - 199, depth - 199, depth - 1]
 
 
 def test_index_keys_longer_than_64_kib(tmp_path):
@@ -636,6 +669,26 @@ def test_snapshot_bytes_do_not_depend_on_the_snapshot_path(tmp_path, any_store):
         blobs.append(path.read_bytes())
         assert restore(str(path)).config.snapshot_path == str(path)
     assert blobs[0] == blobs[1]
+
+
+def test_restore_renders_a_stored_text_as_ingest_does(tmp_path, any_store):
+    # snapshot stores each document's canonical text, but a DOC record of
+    # well-formed, non-canonical XML must restore to the payloads that
+    # ingesting the same text gives, never to the stored text as it is
+    text = ("<doc>\n  <sec id='s1'>\n    <title>dht</title>\n    <!-- note -->\n"
+            "    <par>xml</par>\n    <b></b>\n  </sec>\n</doc>\n")
+    ids = any_store.store_resource(text)
+    conf = any_store.config.to_text().encode()
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", conf), (b"DOC\x00", struct.pack(">Q", 1) + text.encode())],
+                    magic=b"TWIGSNAP3\n")
+    path.write_bytes(snapshot_in_layout(path.read_bytes(), b"TWIGSNAP4\n"))
+    again = restore(str(path))
+    payloads = [any_store.get_resource(rid).payload for rid in ids]
+    assert [again.get_resource(rid).payload for rid in ids] == payloads
+    assert payloads[0] == ('<doc><sec id="s1"><title>dht</title><par>xml</par><b/></sec>'
+                           "</doc>")
+    assert again.query("//par!").resources[0].payload == "<par>xml</par>"
 
 
 def test_restore_adopts_its_file_over_a_recorded_path(tmp_path, any_store):
