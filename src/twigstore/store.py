@@ -14,10 +14,11 @@ resource-index probe (the p2p backend first resolves the owning peer via
 the overlay, then probes that peer's index once).
 
 ``snapshot`` writes a store to one file and ``restore`` reads it back:
-the config, each document's XML, the triples and the stats report, one
-record each, every record's content deflated (``TWIGSNAP4``).  Files of
-the older ``TWIGSNAP3`` and ``TWIGSNAP2`` layouts, whose contents are
-stored as they are, still restore.
+the config, every document's XML, the triples and the stats report, one
+record each, every record's content deflated (``TWIGSNAP5``).  Files of
+the older layouts, which hold one record per document, still restore:
+``TWIGSNAP4``, deflated as now, and ``TWIGSNAP3`` and ``TWIGSNAP2``,
+whose contents are stored as they are.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import contextlib
 import os
 import struct
 import zlib
+from typing import Iterator
 
 from . import planner
 from .document import (
@@ -61,6 +63,9 @@ from .twigjoin import local_bindings
 
 CENTRALIZED = "centralized"
 P2P = "p2p"
+# building a p2p store costs time quadratic in its peers (each range join
+# recomputes every interval), so a config or snapshot may not ask for more
+MAX_PEERS = 1024
 
 
 class StoreConfig:
@@ -81,8 +86,8 @@ class StoreConfig:
     def validate(self) -> None:
         if self.backend not in (CENTRALIZED, P2P):
             raise MalformedInput(f"unknown backend {self.backend!r}")
-        if self.backend == P2P and self.peer_count < 1:
-            raise MalformedInput("p2p backend needs peer_count >= 1")
+        if self.backend == P2P and not 1 <= self.peer_count <= MAX_PEERS:
+            raise MalformedInput(f"p2p backend needs peer_count in 1..{MAX_PEERS}")
 
     def to_text(self) -> str:
         granularity = ",".join(sorted(self.resource_granularity))
@@ -272,7 +277,8 @@ class Store:
 
 # -- snapshot format -------------------------------------------------------------
 
-_MAGIC = b"TWIGSNAP4\n"  # crc32 trailer, deflated payloads
+_MAGIC = b"TWIGSNAP5\n"  # crc32 trailer, deflated payloads, one DOC record
+_V4_MAGIC = b"TWIGSNAP4\n"  # as TWIGSNAP5, one DOC record per document; still read
 _V3_MAGIC = b"TWIGSNAP3\n"  # crc32 trailer, payloads as they are; still read
 _V2_MAGIC = b"TWIGSNAP2\n"  # FNV-1a 64 trailer, payloads as they are; still read
 _RETIRED_MAGIC = b"TWIGSNAP1\n"
@@ -292,7 +298,7 @@ def _record(tag: bytes, payload: bytes) -> bytes:
 
 
 def _inflate(tag: bytes, n: int, packed: bytes) -> bytes:
-    """The content of the ``n``-th record of a ``TWIGSNAP4`` file, whose
+    """The content of the ``n``-th record of a deflated file, whose
     payload ``packed`` is the content's length, 8 bytes, then its zlib
     stream; the stream is inflated at most one byte past that length."""
     name = tag.rstrip(b"\x00").decode() + f" record {n}"
@@ -326,14 +332,19 @@ def _inflate(tag: bytes, n: int, packed: bytes) -> bytes:
 def snapshot(store: Store, path: str) -> None:
     """Write config, documents, triples, and stats to ``path``.
 
-    All triples go in one ``TRPL`` record, one per line; ``Store.rdf_load``
-    refuses a triple whose text could not be read back.
+    All documents go in one ``DOC`` record, in rising doc-id order, each
+    as its doc id and the byte length of its UTF-8 text, 8 bytes each,
+    then that text; deflating them as one stream lets each document reuse
+    the tags and words of those before it.  All triples go in one ``TRPL``
+    record, one per line; ``Store.rdf_load`` refuses a triple whose text
+    could not be read back.  A store without documents or triples writes
+    no such record.
 
     Resources are not written: ``restore`` derives them again from each
     document and the config's ``resource_granularity``.  Nor is the
     config's ``snapshot_path``: a file does not record where it lives.
 
-    The file starts with the magic ``TWIGSNAP4``.  Each record is a 4-byte
+    The file starts with the magic ``TWIGSNAP5``.  Each record is a 4-byte
     tag and the 8-byte length of its payload; the payload is the length
     of the record's content, 8 bytes, then that content deflated by
     ``zlib.compress`` at level 1.  The file ends with the CRC-32
@@ -349,9 +360,13 @@ def snapshot(store: Store, path: str) -> None:
     conf = StoreConfig(config.backend, config.peer_count,
                        config.resource_granularity, snapshot_path="").to_text()
     blob += _record(b"CONF", conf.encode("utf-8"))
-    for doc_id in sorted(store.documents):
-        text = serialize_document(store.documents[doc_id])
-        blob += _record(b"DOC\x00", struct.pack(">Q", doc_id) + text.encode("utf-8"))
+    if store.documents:
+        docs = bytearray()
+        for doc_id in sorted(store.documents):
+            text = serialize_document(store.documents[doc_id]).encode("utf-8")
+            docs += struct.pack(">QQ", doc_id, len(text))
+            docs += text
+        blob += _record(b"DOC\x00", docs)
     if store.triples:
         text = "\n".join(triple.text() for triple in store.triples)
         blob += _record(b"TRPL", text.encode("utf-8"))
@@ -386,16 +401,20 @@ def restore(path: str) -> Store:
     the checksum but does not read back (a bad config, document or triple
     line, a second ``NSTA`` record, an edge line no run could record, or
     an ``NSTA`` total that is missing or not the sum of its edges) raises
-    CorruptSnapshot naming its record.
+    CorruptSnapshot naming its record; a document's fault names its doc
+    id, as in ``DOC record of doc id 2: ...``.
 
-    The file's magic picks its layout.  ``TWIGSNAP4`` payloads are
-    deflated, and each is inflated when the loop over the records reaches
-    it, at most one byte past its recorded length: a payload that is no
-    deflate stream, or that inflates to another length or has bytes after
-    its stream, raises CorruptSnapshot naming the record.  ``TWIGSNAP3``
-    and ``TWIGSNAP2`` payloads, which older versions wrote, are read as
-    they are.  The magic also picks the checksum: ``zlib.crc32`` for
-    ``TWIGSNAP4`` and ``TWIGSNAP3``, FNV-1a 64 for ``TWIGSNAP2``.
+    The file's magic picks its layout.  ``TWIGSNAP5`` and ``TWIGSNAP4``
+    payloads are deflated, and each is inflated when the loop over the
+    records reaches it, at most one byte past its recorded length: a
+    payload that is no deflate stream, or that inflates to another length
+    or has bytes after its stream, raises CorruptSnapshot naming the
+    record.  A ``TWIGSNAP5`` file holds at most one ``DOC`` record, whose
+    entries must each have a whole header and text that ends within the
+    record.  ``TWIGSNAP4`` and the older layouts hold one ``DOC`` record
+    per document, its doc id and then its text; ``TWIGSNAP3`` and
+    ``TWIGSNAP2`` payloads are read as they are.  The magic also picks the
+    checksum: ``zlib.crc32``, or FNV-1a 64 for ``TWIGSNAP2``.
     ``TWIGSNAP1`` files are refused.
     """
     try:
@@ -408,12 +427,13 @@ def restore(path: str) -> Store:
             "TWIGSNAP1 snapshots are no longer read; re-ingest the documents"
         )
     magic = blob[: len(_MAGIC)]
-    if len(blob) < len(_MAGIC) + 8 or magic not in (_MAGIC, _V3_MAGIC, _V2_MAGIC):
+    if len(blob) < len(_MAGIC) + 8 or magic not in (_MAGIC, _V4_MAGIC, _V3_MAGIC, _V2_MAGIC):
         raise CorruptSnapshot("bad magic or truncated file")
     body, checksum = blob[:-8], struct.unpack(">Q", blob[-8:])[0]
     check = fnv1a64 if magic == _V2_MAGIC else zlib.crc32
     if check(body) != checksum:
         raise CorruptSnapshot("checksum mismatch")
+    deflated = magic in (_MAGIC, _V4_MAGIC)
 
     records: list[tuple[bytes, bytes]] = []
     off = len(_MAGIC)
@@ -431,7 +451,7 @@ def restore(path: str) -> Store:
     if not records or records[0][0] != b"CONF":
         raise CorruptSnapshot("missing CONFIG record")
     tag, payload = records[0]
-    if magic == _MAGIC:
+    if deflated:
         payload = _inflate(tag, 1, payload)
     try:
         config = StoreConfig.from_text(_utf8(tag, payload))
@@ -442,23 +462,27 @@ def restore(path: str) -> Store:
     put = store.dht.put_direct if config.backend == P2P else None
 
     saved_report = None
+    docs_read = False
     for n, (tag, payload) in enumerate(records[1:], 2):
         if tag not in (b"DOC\x00", b"TRPL", b"NSTA"):
             raise CorruptSnapshot(f"unknown record tag {tag!r}")
-        if magic == _MAGIC:
+        if deflated:
             payload = _inflate(tag, n, payload)
         if tag == b"DOC\x00":
-            if len(payload) < 8:
+            if magic == _MAGIC:
+                if docs_read:
+                    raise CorruptSnapshot(
+                        f"DOC record of doc id after {store._next_doc_id - 1}: "
+                        "a second DOC record"
+                    )
+                docs_read = True
+                entries = _doc_entries(payload)
+            elif len(payload) < 8:
                 raise CorruptSnapshot("DOC record too short for its doc id")
-            (doc_id,) = struct.unpack_from(">Q", payload, 0)
-            if doc_id < store._next_doc_id:
-                raise CorruptSnapshot(f"doc id {doc_id} does not rise")
-            try:
-                doc = parse_document(_utf8(tag, payload[8:]), doc_id)
-            except (EmptyInput, MalformedXml) as exc:
-                raise CorruptSnapshot(f"DOC record of doc id {doc_id}: {exc}") from None
-            store._register(doc, put)
-            store._next_doc_id = doc_id + 1
+            else:  # older layouts: one document per record
+                entries = [(struct.unpack_from(">Q", payload)[0], memoryview(payload)[8:])]
+            for doc_id, text in entries:
+                _restore_document(store, doc_id, text, put)
         elif tag == b"TRPL":
             # one triple per line; older files hold one triple per record
             try:
@@ -475,6 +499,46 @@ def restore(path: str) -> Store:
     if saved_report is not None:
         _restore_stats(store, saved_report)
     return store
+
+
+def _doc_entries(content: bytes) -> Iterator[tuple[int, memoryview]]:
+    """The doc id and UTF-8 text of each entry of a ``TWIGSNAP5`` ``DOC``
+    record's ``content``: the doc id and the text's byte length, 8 bytes
+    each, then the text."""
+    view, off, doc_id = memoryview(content), 0, 0
+    while off < len(view):
+        if off + 16 > len(view):
+            raise CorruptSnapshot(
+                f"DOC record of doc id after {doc_id}: entry header of "
+                f"{len(view) - off} bytes, not 16"
+            )
+        doc_id, size = struct.unpack_from(">QQ", view, off)
+        off += 16
+        if size > len(view) - off:
+            raise CorruptSnapshot(
+                f"DOC record of doc id {doc_id}: text of {size} bytes runs past "
+                f"the record's end, {len(view) - off} bytes on"
+            )
+        yield doc_id, view[off : off + size]
+        off += size
+
+
+def _restore_document(store: Store, doc_id: int, text: memoryview, put: PutFn | None) -> None:
+    """Parse and register one stored document, whose doc id must be above
+    every doc id before it."""
+    name = f"DOC record of doc id {doc_id}"
+    if doc_id < store._next_doc_id:
+        raise CorruptSnapshot(f"{name}: doc id does not rise above {store._next_doc_id - 1}")
+    try:
+        xml = str(text, "utf-8")
+    except UnicodeDecodeError:
+        raise CorruptSnapshot(f"{name}: text is not UTF-8") from None
+    try:
+        doc = parse_document(xml, doc_id)
+    except (EmptyInput, MalformedXml) as exc:
+        raise CorruptSnapshot(f"{name}: {exc}") from None
+    store._register(doc, put)
+    store._next_doc_id = doc_id + 1
 
 
 def _utf8(tag: bytes, payload: bytes) -> str:

@@ -212,29 +212,52 @@ def skew_cluster(big: int, small: int):
 
 def snapshot_in_layout(blob: bytes, layout: bytes) -> bytes:
     """The records of the snapshot file ``blob``, whose layout is any of
-    ``TWIGSNAP2``, ``3`` and ``4``, written again in the layout whose magic
-    is ``layout``.
+    ``TWIGSNAP2`` to ``5``, written again in the layout whose magic is
+    ``layout``.
 
-    ``TWIGSNAP4`` holds each record's content as its length, 8 bytes, and
-    ``zlib.compress`` of it at level 1; ``TWIGSNAP3`` and ``TWIGSNAP2``
-    hold it as it is.  The trailer is a crc32, or an FNV-1a 64 for
-    ``TWIGSNAP2``.  ``blob``'s own trailer is dropped unchecked, so a test
-    may splice records into ``blob`` first.
+    ``TWIGSNAP5`` and ``TWIGSNAP4`` hold each record's content as its
+    length, 8 bytes, and ``zlib.compress`` of it at level 1; ``TWIGSNAP3``
+    and ``TWIGSNAP2`` hold it as it is.  ``TWIGSNAP5`` holds every
+    document in one ``DOC`` record, each as its doc id and its text's
+    byte length, 8 bytes each, then the text; the others hold one ``DOC``
+    record per document, its doc id, 8 bytes, then its text.  Going to
+    ``TWIGSNAP5``, the documents are joined into one record where the
+    first of them was; coming from it, that record is split in place.
+    The trailer is a crc32, or an FNV-1a 64 for ``TWIGSNAP2``.  ``blob``'s
+    own trailer is dropped unchecked, so a test may splice records into
+    ``blob`` first.
     """
-    deflated = blob.startswith(b"TWIGSNAP4\n")
-    off, end = blob.index(b"\n") + 1, len(blob) - 8
-    body = bytearray(layout)
+    source = blob[: blob.index(b"\n") + 1]
+    off, end = len(source), len(blob) - 8
+    records: list[tuple[bytes, bytes]] = []
     while off < end:
         tag = blob[off : off + 4]
         (length,) = struct.unpack_from(">Q", blob, off + 4)
         content = blob[off + 12 : off + 12 + length]
         off += 12 + length
-        if deflated:
+        if source in (b"TWIGSNAP4\n", b"TWIGSNAP5\n"):
             content = zlib.decompress(content[8:])
-        if layout == b"TWIGSNAP4\n":
+        if tag == b"DOC\x00" and source == b"TWIGSNAP5\n":
+            at = 0
+            while at < len(content):
+                doc_id, size = struct.unpack_from(">QQ", content, at)
+                text = content[at + 16 : at + 16 + size]
+                records.append((tag, struct.pack(">Q", doc_id) + text))
+                at += 16 + size
+        else:
+            records.append((tag, content))
+    assert off == end
+    docs = [content for tag, content in records if tag == b"DOC\x00"]
+    if layout == b"TWIGSNAP5\n" and docs:
+        first = [tag for tag, _ in records].index(b"DOC\x00")
+        records = [record for record in records if record[0] != b"DOC\x00"]
+        joined = b"".join(doc[:8] + struct.pack(">Q", len(doc) - 8) + doc[8:] for doc in docs)
+        records.insert(first, (b"DOC\x00", joined))
+    body = bytearray(layout)
+    for tag, content in records:
+        if layout in (b"TWIGSNAP4\n", b"TWIGSNAP5\n"):
             content = struct.pack(">Q", len(content)) + zlib.compress(content, 1)
         body += tag + struct.pack(">Q", len(content)) + content
-    assert off == end
     check = fnv1a64 if layout == b"TWIGSNAP2\n" else zlib.crc32
     return bytes(body + struct.pack(">Q", check(body)))
 

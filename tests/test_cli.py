@@ -261,13 +261,14 @@ def test_corrupt_snapshot_exit_1(workdir, capsys):
         assert "error:" in capsys.readouterr().err
 
 
-def test_query_rewrites_a_version_3_store_as_version_4(workdir, capsys):
+def test_query_rewrites_an_older_store_as_version_5(workdir, capsys):
+    main(["ingest", "d1.xml"])
     main(["ingest", "d1.xml"])
     main(["rdf-load", "triples.tsv"])
     main(["query", "//par!"])
     snap = workdir / "demo.snap"
     current = snap.read_bytes()
-    assert current.startswith(b"TWIGSNAP4\n")
+    assert current.startswith(b"TWIGSNAP5\n")
     capsys.readouterr()
 
     def run(*argv) -> str:
@@ -275,17 +276,18 @@ def test_query_rewrites_a_version_3_store_as_version_4(workdir, capsys):
         return capsys.readouterr().out
 
     before = run("stats")
-    snap.write_bytes(snapshot_in_layout(current, b"TWIGSNAP3\n"))
-    assert run("stats") == before
+    # the same query on the TWIGSNAP5 store answers, counts and saves alike
     answers = run("query", '//sec[/title="dht"]!')
     rewritten = snap.read_bytes()
-    assert rewritten.startswith(b"TWIGSNAP4\n")
+    assert rewritten.startswith(b"TWIGSNAP5\n")
     after = run("stats")
-    # the same query on the TWIGSNAP4 store answers, counts and saves alike
-    snap.write_bytes(current)
-    assert run("query", '//sec[/title="dht"]!') == answers
-    assert snap.read_bytes() == rewritten
-    assert run("stats") == after != before
+    assert after != before
+    for layout in (b"TWIGSNAP4\n", b"TWIGSNAP3\n"):
+        snap.write_bytes(snapshot_in_layout(current, layout))
+        assert run("stats") == before, layout
+        assert run("query", '//sec[/title="dht"]!') == answers, layout
+        assert snap.read_bytes() == rewritten, layout
+        assert run("stats") == after, layout
 
 
 @pytest.mark.parametrize("argv", [["bogus"], ["get"], ["query", "//a!", "extra"]])

@@ -28,7 +28,7 @@ from twigstore.overlay import (
     unpack_count,
     unpack_str,
 )
-from twigstore.store import P2P, Store, StoreConfig
+from twigstore.store import MAX_PEERS, P2P, Store, StoreConfig
 
 from helpers import check_partition, check_ring
 
@@ -76,6 +76,13 @@ def test_fnv1a64_known_vector():
     # standard FNV-1a test vectors
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+def test_every_allowed_peer_has_its_own_ring_position():
+    # a config may ask for up to MAX_PEERS peers, numbered from 1, so no
+    # config reaches HashOverlay.join's position-collision ValueError
+    positions = {HashOverlay().peer_position(peer) for peer in range(1, MAX_PEERS + 1)}
+    assert len(positions) == MAX_PEERS
 
 
 def test_ring_ownership_after_join():

@@ -24,14 +24,14 @@ from twigstore.errors import (
 )
 from twigstore.document import Document, split_words
 from twigstore.netsim import Network
-from twigstore.overlay import fnv1a64
+from twigstore.overlay import DhtService, fnv1a64
 from twigstore.rdfstore import (
     ConjunctiveQuery,
     Triple,
     TriplePattern,
     parse_query_text,
 )
-from twigstore.store import P2P, Store, StoreConfig, restore, snapshot
+from twigstore.store import MAX_PEERS, P2P, Store, StoreConfig, restore, snapshot
 
 from helpers import (
     TAGS,
@@ -615,12 +615,21 @@ def test_snapshot_records_in_order(tmp_path, any_store):
     path = tmp_path / "x.snap"
     snapshot(any_store, str(path))
     blob = path.read_bytes()
-    assert blob.startswith(b"TWIGSNAP4\n")
-    # all triples share one TRPL record, one per line
-    assert _record_tags(blob) == [b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"NSTA"]
+    assert blob.startswith(b"TWIGSNAP5\n")
+    # all documents share one DOC record, and all triples one TRPL record,
+    # one per line; the older layouts hold one DOC record per document
+    assert _record_tags(blob) == [b"CONF", b"DOC\x00", b"TRPL", b"NSTA"]
     plain = snapshot_in_layout(blob, b"TWIGSNAP3\n")
-    assert _record_tags(plain) == _record_tags(blob)
+    assert _record_tags(plain) == [b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"NSTA"]
     assert b"a\ttype\tDoc\na\tauthor\tb" in plain
+    # each entry of the DOC record is its doc id, its text's byte length
+    # and the text
+    at = len(b"TWIGSNAP5\n")
+    (length,) = struct.unpack_from(">Q", blob, at + 4)
+    at += 12 + length
+    (length,) = struct.unpack_from(">Q", blob, at + 4)
+    docs = zlib.decompress(blob[at + 20 : at + 12 + length])
+    assert docs == b"".join(struct.pack(">QQ", i, len(D1)) + D1.encode() for i in (1, 2))
 
 
 def test_restore_reads_one_triple_per_record(tmp_path, any_store):
@@ -682,10 +691,12 @@ def test_restore_renders_a_stored_text_as_ingest_does(tmp_path, any_store):
     path = tmp_path / "x.snap"
     _write_snapshot(path, [(b"CONF", conf), (b"DOC\x00", struct.pack(">Q", 1) + text.encode())],
                     magic=b"TWIGSNAP3\n")
-    path.write_bytes(snapshot_in_layout(path.read_bytes(), b"TWIGSNAP4\n"))
-    again = restore(str(path))
-    payloads = [any_store.get_resource(rid).payload for rid in ids]
-    assert [again.get_resource(rid).payload for rid in ids] == payloads
+    v3 = path.read_bytes()
+    for layout in (b"TWIGSNAP4\n", b"TWIGSNAP5\n"):
+        path.write_bytes(snapshot_in_layout(v3, layout))
+        again = restore(str(path))
+        payloads = [any_store.get_resource(rid).payload for rid in ids]
+        assert [again.get_resource(rid).payload for rid in ids] == payloads, layout
     assert payloads[0] == ('<doc><sec id="s1"><title>dht</title><par>xml</par><b/></sec>'
                            "</doc>")
     assert again.query("//par!").resources[0].payload == "<par>xml</par>"
@@ -725,14 +736,19 @@ def test_restore_ignores_a_recorded_seed(tmp_path, any_store):
 @pytest.mark.parametrize("doc_ids", [(1, 1), (2, 1), (0,), (1, 3, 3)])
 def test_restore_refuses_doc_ids_that_do_not_rise(tmp_path, any_store, doc_ids):
     # snapshot writes doc ids from 1 up in rising order; a repeated id would
-    # replace a document whose postings stay published
+    # replace a document whose postings stay published; the same entries
+    # as one TWIGSNAP5 DOC record are refused alike
     conf = any_store.config.to_text().encode()
     texts = ["<a><b>x</b><b>y</b></a>", "<z><q>w</q></z>", D1]
     docs = [(b"DOC\x00", struct.pack(">Q", i) + t.encode()) for i, t in zip(doc_ids, texts)]
     path = tmp_path / "x.snap"
     _write_snapshot(path, [(b"CONF", conf), *docs])
-    with pytest.raises(CorruptSnapshot, match="doc id"):
-        restore(str(path))
+    v2 = path.read_bytes()
+    for layout in (b"TWIGSNAP2\n", b"TWIGSNAP5\n"):
+        path.write_bytes(snapshot_in_layout(v2, layout))
+        with pytest.raises(CorruptSnapshot,
+                           match=f"DOC record of doc id {doc_ids[-1]}: doc id does not rise"):
+            restore(str(path))
 
 
 @pytest.mark.parametrize("report", [b"1 x 3 4\ntotal 3 4\n", b"1 2 3\ntotal 3 4\n"])
@@ -825,8 +841,12 @@ def test_restore_refuses_bad_record_content_as_corrupt(tmp_path, any_store, tag,
     conf = [] if tag == b"CONF" else [(b"CONF", any_store.config.to_text().encode())]
     path = tmp_path / "x.snap"
     _write_snapshot(path, [*conf, (tag, payload)])
-    with pytest.raises(CorruptSnapshot, match=tag.rstrip(b"\x00").decode() + " record"):
-        restore(str(path))
+    v2 = path.read_bytes()
+    name = "DOC record of doc id 1: " if tag == b"DOC\x00" else tag.decode() + " record"
+    for layout in (b"TWIGSNAP2\n", b"TWIGSNAP5\n"):
+        path.write_bytes(snapshot_in_layout(v2, layout))
+        with pytest.raises(CorruptSnapshot, match=name):
+            restore(str(path))
 
 
 def test_restore_refuses_version_1(tmp_path, any_store):
@@ -869,9 +889,9 @@ def test_restore_reads_version_2(tmp_path, any_store):
 
 @pytest.mark.parametrize("backend", ["centralized", "p2p"])
 def test_every_layout_restores_the_same_store(tmp_path, backend):
-    # the exact-costs corpus, triples and queries, saved as TWIGSNAP4 and
-    # rendered as TWIGSNAP3 (the layout whose sha256 test_exact_costs pins)
-    # and as TWIGSNAP2
+    # the exact-costs corpus, triples and queries, saved as TWIGSNAP5 and
+    # rendered as TWIGSNAP4, as TWIGSNAP3 (the layout whose sha256
+    # test_exact_costs pins) and as TWIGSNAP2
     from test_exact_costs import DOCS, PEERS, QUERIES, RDF_QUERY, TRIPLES
 
     store = Store(StoreConfig(backend=backend, peer_count=PEERS,
@@ -881,11 +901,12 @@ def test_every_layout_restores_the_same_store(tmp_path, backend):
     store.rdf_load(TRIPLES)
     for text in QUERIES.values():
         store.query(text)
-    path = tmp_path / "v4.snap"
+    path = tmp_path / "v5.snap"
     snapshot(store, str(path))
     blob = path.read_bytes()
     rdf = parse_query_text(RDF_QUERY)
-    for layout in (b"TWIGSNAP4\n", b"TWIGSNAP3\n", b"TWIGSNAP2\n"):
+    assert blob.startswith(b"TWIGSNAP5\n")
+    for layout in (b"TWIGSNAP5\n", b"TWIGSNAP4\n", b"TWIGSNAP3\n", b"TWIGSNAP2\n"):
         old = tmp_path / "layout.snap"
         old.write_bytes(snapshot_in_layout(blob, layout))
         again, reference = restore(str(old)), restore(str(path))
@@ -898,7 +919,7 @@ def test_every_layout_restores_the_same_store(tmp_path, backend):
             ], (layout, text)
         assert again.rdf_query(rdf) == reference.rdf_query(rdf), layout
         # the same queries leave the same traffic, and the next save of
-        # either store is the same TWIGSNAP4 file
+        # either store is the same TWIGSNAP5 file
         assert again.stats_report() == reference.stats_report(), layout
         snapshot(again, str(old))
         snapshot(reference, str(tmp_path / "reference.snap"))
@@ -930,17 +951,19 @@ _DOC_STREAM = zlib.compress(_DOC_CONTENT, 1)
 def test_restore_and_stats_refuse_a_bad_deflated_record(tmp_path, capsys, packed, fault):
     # the crc32 holds, so each file reaches the record loop; neither a
     # zlib.error nor an OverflowError may get out, and the CLI's error
-    # names the record
+    # names the record; both deflated layouts refuse the record before
+    # reading its content, so one content serves both
     cfg = config("p2p", tmp_path)
     cfg.snapshot_path = str(tmp_path / "x.snap")
     (tmp_path / "store.cfg").write_text(cfg.to_text(), encoding="utf-8")
-    _write_snapshot(tmp_path / "x.snap", [(b"CONF", _deflated(cfg.to_text().encode())),
-                                          (b"DOC\x00", packed)], b"TWIGSNAP4\n")
-    with pytest.raises(CorruptSnapshot) as exc:
-        restore(cfg.snapshot_path)
-    assert str(exc.value).startswith(f"DOC record 2: {fault}")
-    assert cli_main(["stats", "--config", str(tmp_path / "store.cfg")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: DOC record 2: {fault}")
+    for magic in (b"TWIGSNAP4\n", b"TWIGSNAP5\n"):
+        _write_snapshot(tmp_path / "x.snap", [(b"CONF", _deflated(cfg.to_text().encode())),
+                                              (b"DOC\x00", packed)], magic)
+        with pytest.raises(CorruptSnapshot) as exc:
+            restore(cfg.snapshot_path)
+        assert str(exc.value).startswith(f"DOC record 2: {fault}"), magic
+        assert cli_main(["stats", "--config", str(tmp_path / "store.cfg")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: DOC record 2: {fault}"), magic
 
 
 def test_restore_inflates_no_further_than_one_byte_past_the_recorded_length(
@@ -964,13 +987,73 @@ def test_restore_inflates_no_further_than_one_byte_past_the_recorded_length(
 
     monkeypatch.setattr(zlib, "decompressobj", Counting)
     conf = config("p2p", tmp_path).to_text().encode()
-    stream = zlib.compress(struct.pack(">Q", 1) + bytes(1 << 20), 1)
     path = tmp_path / "x.snap"
-    _write_snapshot(path, [(b"CONF", _deflated(conf)),
-                           (b"DOC\x00", struct.pack(">Q", 10) + stream)], b"TWIGSNAP4\n")
-    with pytest.raises(CorruptSnapshot, match="DOC record 2: inflates to more than"):
-        restore(str(path))
-    assert inflated == [len(conf), 11]
+    # one document per record, then every document's entry in one record
+    for magic, header in ((b"TWIGSNAP4\n", struct.pack(">Q", 1)),
+                          (b"TWIGSNAP5\n", struct.pack(">QQ", 1, 1 << 20))):
+        stream = zlib.compress(header + bytes(1 << 20), 1)
+        _write_snapshot(path, [(b"CONF", _deflated(conf)),
+                               (b"DOC\x00", struct.pack(">Q", 10) + stream)], magic)
+        inflated.clear()
+        with pytest.raises(CorruptSnapshot, match="DOC record 2: inflates to more than"):
+            restore(str(path))
+        assert inflated == [len(conf), 11], magic
+
+
+def _entry(doc_id: int, text: bytes, size: int | None = None) -> bytes:
+    """One entry of a TWIGSNAP5 DOC record; ``size`` overrides the length."""
+    return struct.pack(">QQ", doc_id, len(text) if size is None else size) + text
+
+
+@pytest.mark.parametrize("docs, fault", [
+    ([_entry(1, b"<a/>") + _entry(2, b"")[:5]],
+     "DOC record of doc id after 1: entry header of 5 bytes, not 16"),
+    ([_entry(1, b"<a/>")[:12]], "DOC record of doc id after 0: entry header of 12 bytes"),
+    ([_entry(1, b"<a/>") + _entry(2, b"<b/>", 9)],
+     "DOC record of doc id 2: text of 9 bytes runs past the record's end, 4 bytes on"),
+    ([_entry(1, b"<a/>") + _entry(1, b"<b/>")],
+     "DOC record of doc id 1: doc id does not rise above 1"),
+    ([_entry(3, b"<a/>") + _entry(2, b"<b/>")],
+     "DOC record of doc id 2: doc id does not rise above 3"),
+    ([_entry(1, b"<a/>") + _entry(2, b"<a>caf\xe9</a>")],
+     "DOC record of doc id 2: text is not UTF-8"),
+    ([_entry(1, b"<a/>") + _entry(2, b"<lib><paper></lib>")],
+     "DOC record of doc id 2: mismatched tag"),
+    ([_entry(1, b"<a/>"), _entry(2, b"<b/>")],
+     "DOC record of doc id after 1: a second DOC record"),
+    ([_entry(1, b"<a/>"), b""], "DOC record of doc id after 1: a second DOC record"),
+], ids=["header-cut", "first-header-cut", "text-past-end", "id-repeated", "id-falls",
+        "not-utf8", "malformed", "second-record", "second-record-empty"])
+def test_restore_and_stats_refuse_a_bad_doc_entry(tmp_path, capsys, docs, fault):
+    # each entry of a TWIGSNAP5 DOC record is checked as a TWIGSNAP4 DOC
+    # record was, and a fault names the doc id it was found at
+    cfg = config("p2p", tmp_path)
+    cfg.snapshot_path = str(tmp_path / "x.snap")
+    (tmp_path / "store.cfg").write_text(cfg.to_text(), encoding="utf-8")
+    records = [(b"CONF", cfg.to_text().encode())] + [(b"DOC\x00", doc) for doc in docs]
+    _write_snapshot(tmp_path / "x.snap", [(tag, _deflated(content)) for tag, content in records],
+                    b"TWIGSNAP5\n")
+    with pytest.raises(CorruptSnapshot) as exc:
+        restore(cfg.snapshot_path)
+    assert str(exc.value).startswith(fault)
+    assert cli_main(["stats", "--config", str(tmp_path / "store.cfg")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {fault}")
+
+
+def test_many_small_documents_share_one_deflate_stream(tmp_path):
+    # a fresh stream per small document never sees the tags and words of
+    # the ones before it; as one stream, 40 one-element documents take at
+    # most three quarters of the bytes that one record each does
+    store = Store(config("p2p", tmp_path))
+    for i in range(40):
+        store.store_resource(f"<message kind='notice'>peer {i} joined the overlay</message>")
+    path = tmp_path / "x.snap"
+    snapshot(store, str(path))
+    blob = path.read_bytes()
+    assert blob.startswith(b"TWIGSNAP5\n")
+    per_document = snapshot_in_layout(blob, b"TWIGSNAP4\n")
+    assert _record_tags(per_document).count(b"DOC\x00") == 40
+    assert 4 * len(blob) <= 3 * len(per_document)
 
 
 def test_restore_refuses_a_trailer_of_the_other_version(tmp_path, any_store):
@@ -1244,6 +1327,37 @@ def test_config_round_trip_and_validation():
         StoreConfig.from_text("nonsense\n")
     with pytest.raises(ValueError):
         StoreConfig.from_text("backend=p2p\npeer_count=0\n")
+
+
+def test_a_peer_count_above_the_cap_is_refused_before_any_peer_is_built(
+        tmp_path, capsys, monkeypatch):
+    # building a p2p store takes time quadratic in its peers, so a config,
+    # or a snapshot whose checksum holds, that asks for a billion peers
+    # would keep `store init` or `store stats` busy practically forever
+    added = []
+    monkeypatch.setattr(DhtService, "add_peer", lambda self, peer: added.append(peer))
+    refusal = f"p2p backend needs peer_count in 1..{MAX_PEERS}"
+    snap = tmp_path / "x.snap"
+    huge = f"backend=p2p\npeer_count={10**9}\nsnapshot_path={snap}\n"
+    assert StoreConfig.from_text(f"backend=p2p\npeer_count={MAX_PEERS}\n").peer_count == MAX_PEERS
+    for count in (MAX_PEERS + 1, 10**9):
+        with pytest.raises(MalformedInput, match=refusal):
+            StoreConfig.from_text(f"backend=p2p\npeer_count={count}\n")
+        with pytest.raises(MalformedInput, match=refusal):
+            Store(StoreConfig(backend="p2p", peer_count=count))
+    (tmp_path / "huge.cfg").write_text(huge, encoding="utf-8")
+    assert cli_main(["init", "--config", str(tmp_path / "huge.cfg")]) == 1
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+    _write_snapshot(snap, [(b"CONF", _deflated(huge.encode()))], b"TWIGSNAP5\n")
+    with pytest.raises(CorruptSnapshot, match=f"^CONF record: {refusal}$"):
+        restore(str(snap))
+    cfg = config("p2p", tmp_path)
+    cfg.snapshot_path = str(snap)
+    (tmp_path / "store.cfg").write_text(cfg.to_text(), encoding="utf-8")
+    assert cli_main(["stats", "--config", str(tmp_path / "store.cfg")]) == 1
+    assert capsys.readouterr().err == f"error: CONF record: {refusal}\n"
+    assert added == []
 
 
 @pytest.mark.parametrize("line", ["article, sec", " article ,sec ", "article,,sec,"])
