@@ -16,9 +16,7 @@ the overlay, then probes that peer's index once).
 ``snapshot`` writes a store to one file and ``restore`` reads it back:
 the config, every document's XML, the triples and the stats report, one
 record each, every record's content deflated (``TWIGSNAP5``).  Files of
-the older layouts, which hold one record per document, still restore:
-``TWIGSNAP4``, deflated as now, and ``TWIGSNAP3`` and ``TWIGSNAP2``,
-whose contents are stored as they are.
+the retired layouts, ``TWIGSNAP1`` to ``TWIGSNAP4``, are refused.
 """
 
 from __future__ import annotations
@@ -50,7 +48,8 @@ from .errors import (
 )
 from .indexing import IndexService, resource_key
 from .netsim import Network, NetworkStats, PeerId
-from .overlay import DhtService, PutFn, fnv1a64
+from .overlay import DhtService, PutFn
+from .overlay import fnv1a64  # noqa: F401 - unused here; perfbench's tracer wraps it
 from .pattern import TreePattern, parse_pattern
 from .rdfstore import (
     ConjunctiveQuery,
@@ -278,10 +277,7 @@ class Store:
 # -- snapshot format -------------------------------------------------------------
 
 _MAGIC = b"TWIGSNAP5\n"  # crc32 trailer, deflated payloads, one DOC record
-_V4_MAGIC = b"TWIGSNAP4\n"  # as TWIGSNAP5, one DOC record per document; still read
-_V3_MAGIC = b"TWIGSNAP3\n"  # crc32 trailer, payloads as they are; still read
-_V2_MAGIC = b"TWIGSNAP2\n"  # FNV-1a 64 trailer, payloads as they are; still read
-_RETIRED_MAGIC = b"TWIGSNAP1\n"
+_RETIRED_MAGICS = tuple(b"TWIGSNAP%d\n" % n for n in range(1, 5))  # refused
 
 # zlib level 1: level 6 saves 5-6 more points of the file at 4-6 times the
 # compress time, and every mutating CLI command writes a snapshot
@@ -396,44 +392,38 @@ def restore(path: str) -> Store:
     A p2p store's postings go straight to their owners through
     ``DhtService.put_direct``: no message is simulated, and the stats are
     the ones the ``NSTA`` record saved.  The store's ``snapshot_path`` is
-    ``path``, whatever path an older file recorded.  Doc ids must be
+    ``path``, whatever path its ``CONF`` record names.  Doc ids must be
     positive and rising, as ``snapshot`` writes them.  Content that passed
     the checksum but does not read back (a bad config, document or triple
-    line, a second ``NSTA`` record, an edge line no run could record, or
-    an ``NSTA`` total that is missing or not the sum of its edges) raises
-    CorruptSnapshot naming its record; a document's fault names its doc
-    id, as in ``DOC record of doc id 2: ...``.
+    line, a record tag that comes twice, an edge line no run could record,
+    or an ``NSTA`` total that is missing or not the sum of its edges)
+    raises CorruptSnapshot naming its record; a document's fault names its
+    doc id, as in ``DOC record of doc id 2: ...``.
 
-    The file's magic picks its layout.  ``TWIGSNAP5`` and ``TWIGSNAP4``
-    payloads are deflated, and each is inflated when the loop over the
-    records reaches it, at most one byte past its recorded length: a
-    payload that is no deflate stream, or that inflates to another length
-    or has bytes after its stream, raises CorruptSnapshot naming the
-    record.  A ``TWIGSNAP5`` file holds at most one ``DOC`` record, whose
-    entries must each have a whole header and text that ends within the
-    record.  ``TWIGSNAP4`` and the older layouts hold one ``DOC`` record
-    per document, its doc id and then its text; ``TWIGSNAP3`` and
-    ``TWIGSNAP2`` payloads are read as they are.  The magic also picks the
-    checksum: ``zlib.crc32``, or FNV-1a 64 for ``TWIGSNAP2``.
-    ``TWIGSNAP1`` files are refused.
+    Only ``TWIGSNAP5`` files are read; one of the retired ``TWIGSNAP1`` to
+    ``TWIGSNAP4`` is refused by its magic, before its checksum is read.
+    ``CONF`` comes first, and no tag comes twice.  Each payload is
+    inflated when the loop over the records reaches it, at most one byte
+    past its recorded length: a payload that is no deflate stream, or that
+    inflates to another length or has bytes after its stream, raises
+    CorruptSnapshot naming the record.  Each entry of the ``DOC`` record
+    must have a whole header and text that ends within the record.
     """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise IoFailure(str(exc)) from None
-    if blob.startswith(_RETIRED_MAGIC):
-        raise CorruptSnapshot(
-            "TWIGSNAP1 snapshots are no longer read; re-ingest the documents"
-        )
     magic = blob[: len(_MAGIC)]
-    if len(blob) < len(_MAGIC) + 8 or magic not in (_MAGIC, _V4_MAGIC, _V3_MAGIC, _V2_MAGIC):
+    if magic in _RETIRED_MAGICS:
+        raise CorruptSnapshot(
+            f"{magic.decode().strip()} snapshots are no longer read; re-ingest the documents"
+        )
+    if len(blob) < len(_MAGIC) + 8 or magic != _MAGIC:
         raise CorruptSnapshot("bad magic or truncated file")
     body, checksum = blob[:-8], struct.unpack(">Q", blob[-8:])[0]
-    check = fnv1a64 if magic == _V2_MAGIC else zlib.crc32
-    if check(body) != checksum:
+    if zlib.crc32(body) != checksum:
         raise CorruptSnapshot("checksum mismatch")
-    deflated = magic in (_MAGIC, _V4_MAGIC)
 
     records: list[tuple[bytes, bytes]] = []
     off = len(_MAGIC)
@@ -451,47 +441,35 @@ def restore(path: str) -> Store:
     if not records or records[0][0] != b"CONF":
         raise CorruptSnapshot("missing CONFIG record")
     tag, payload = records[0]
-    if deflated:
-        payload = _inflate(tag, 1, payload)
     try:
-        config = StoreConfig.from_text(_utf8(tag, payload))
+        config = StoreConfig.from_text(_utf8(tag, _inflate(tag, 1, payload)))
     except MalformedInput as exc:
         raise CorruptSnapshot(f"CONF record: {exc}") from None
     config.snapshot_path = path
     store = Store(config)
     put = store.dht.put_direct if config.backend == P2P else None
 
+    seen = {b"CONF"}
     saved_report = None
-    docs_read = False
     for n, (tag, payload) in enumerate(records[1:], 2):
-        if tag not in (b"DOC\x00", b"TRPL", b"NSTA"):
+        if tag not in (b"CONF", b"DOC\x00", b"TRPL", b"NSTA"):
             raise CorruptSnapshot(f"unknown record tag {tag!r}")
-        if deflated:
-            payload = _inflate(tag, n, payload)
+        if tag in seen:
+            second = "second " + tag.rstrip(b"\x00").decode() + " record"
+            if tag == b"DOC\x00":
+                second = f"DOC record of doc id after {store._next_doc_id - 1}: a {second}"
+            raise CorruptSnapshot(second)
+        seen.add(tag)
+        payload = _inflate(tag, n, payload)
         if tag == b"DOC\x00":
-            if magic == _MAGIC:
-                if docs_read:
-                    raise CorruptSnapshot(
-                        f"DOC record of doc id after {store._next_doc_id - 1}: "
-                        "a second DOC record"
-                    )
-                docs_read = True
-                entries = _doc_entries(payload)
-            elif len(payload) < 8:
-                raise CorruptSnapshot("DOC record too short for its doc id")
-            else:  # older layouts: one document per record
-                entries = [(struct.unpack_from(">Q", payload)[0], memoryview(payload)[8:])]
-            for doc_id, text in entries:
+            for doc_id, text in _doc_entries(payload):
                 _restore_document(store, doc_id, text, put)
         elif tag == b"TRPL":
-            # one triple per line; older files hold one triple per record
             try:
-                store.triples += map(Triple.from_text, _utf8(tag, payload).split("\n"))
+                store.triples = list(map(Triple.from_text, _utf8(tag, payload).split("\n")))
             except MalformedInput as exc:
                 raise CorruptSnapshot(f"TRPL record: {exc}") from None
         else:
-            if saved_report is not None:
-                raise CorruptSnapshot("second NSTA record")
             saved_report = _utf8(tag, payload)
 
     if config.backend == P2P:

@@ -1,5 +1,5 @@
 """Shared test plumbing: random corpora, random patterns, cluster setup,
-snapshot layouts."""
+snapshot files."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from twigstore import planner
 from twigstore.document import Document, parse_document
 from twigstore.indexing import IndexService
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService, HashOverlay, RangeOverlay, fnv1a64
+from twigstore.overlay import DhtService, HashOverlay, RangeOverlay
 from twigstore.pattern import TreePattern, parse_pattern
 from twigstore.store import Store
 from twigstore.twigjoin import Binding, Row, local_bindings, sort_bindings
@@ -210,56 +210,46 @@ def skew_cluster(big: int, small: int):
     return net, index, ctx, builder, pattern, (big_tag, small_tag), doc
 
 
-def snapshot_in_layout(blob: bytes, layout: bytes) -> bytes:
-    """The records of the snapshot file ``blob``, whose layout is any of
-    ``TWIGSNAP2`` to ``5``, written again in the layout whose magic is
-    ``layout``.
+def deflated(content: bytes) -> bytes:
+    """A record's payload as ``snapshot`` writes it: the content's length,
+    8 bytes, then the content deflated at level 1."""
+    return struct.pack(">Q", len(content)) + zlib.compress(content, 1)
 
-    ``TWIGSNAP5`` and ``TWIGSNAP4`` hold each record's content as its
-    length, 8 bytes, and ``zlib.compress`` of it at level 1; ``TWIGSNAP3``
-    and ``TWIGSNAP2`` hold it as it is.  ``TWIGSNAP5`` holds every
-    document in one ``DOC`` record, each as its doc id and its text's
-    byte length, 8 bytes each, then the text; the others hold one ``DOC``
-    record per document, its doc id, 8 bytes, then its text.  Going to
-    ``TWIGSNAP5``, the documents are joined into one record where the
-    first of them was; coming from it, that record is split in place.
-    The trailer is a crc32, or an FNV-1a 64 for ``TWIGSNAP2``.  ``blob``'s
-    own trailer is dropped unchecked, so a test may splice records into
-    ``blob`` first.
+
+def write_snapshot(path, records: list[tuple[bytes, bytes]]) -> None:
+    """Write a ``TWIGSNAP5`` file of ``records``, each a tag and its
+    payload as it is to be stored, to ``path`` under its valid crc32."""
+    body = b"TWIGSNAP5\n" + b"".join(
+        tag + struct.pack(">Q", len(payload)) + payload for tag, payload in records
+    )
+    path.write_bytes(body + struct.pack(">Q", zlib.crc32(body)))
+
+
+def plain_snapshot(blob: bytes) -> bytes:
+    """The ``TWIGSNAP5`` file ``blob`` in the plain form whose sha256
+    ``test_exact_costs`` pins: each record's content inflated, and each
+    document in a ``DOC`` record of its own, its doc id, 8 bytes, then its
+    text, written under the retired magic ``TWIGSNAP3`` and a crc32, as
+    that layout held them.  ``blob``'s own trailer is dropped unchecked.
     """
-    source = blob[: blob.index(b"\n") + 1]
-    off, end = len(source), len(blob) - 8
-    records: list[tuple[bytes, bytes]] = []
+    off, end = len(b"TWIGSNAP5\n"), len(blob) - 8
+    body = bytearray(b"TWIGSNAP3\n")
     while off < end:
         tag = blob[off : off + 4]
         (length,) = struct.unpack_from(">Q", blob, off + 4)
-        content = blob[off + 12 : off + 12 + length]
+        content = zlib.decompress(blob[off + 20 : off + 12 + length])
         off += 12 + length
-        if source in (b"TWIGSNAP4\n", b"TWIGSNAP5\n"):
-            content = zlib.decompress(content[8:])
-        if tag == b"DOC\x00" and source == b"TWIGSNAP5\n":
-            at = 0
+        records = [content]
+        if tag == b"DOC\x00":
+            records, at = [], 0
             while at < len(content):
                 doc_id, size = struct.unpack_from(">QQ", content, at)
-                text = content[at + 16 : at + 16 + size]
-                records.append((tag, struct.pack(">Q", doc_id) + text))
+                records.append(struct.pack(">Q", doc_id) + content[at + 16 : at + 16 + size])
                 at += 16 + size
-        else:
-            records.append((tag, content))
+        for record in records:
+            body += tag + struct.pack(">Q", len(record)) + record
     assert off == end
-    docs = [content for tag, content in records if tag == b"DOC\x00"]
-    if layout == b"TWIGSNAP5\n" and docs:
-        first = [tag for tag, _ in records].index(b"DOC\x00")
-        records = [record for record in records if record[0] != b"DOC\x00"]
-        joined = b"".join(doc[:8] + struct.pack(">Q", len(doc) - 8) + doc[8:] for doc in docs)
-        records.insert(first, (b"DOC\x00", joined))
-    body = bytearray(layout)
-    for tag, content in records:
-        if layout in (b"TWIGSNAP4\n", b"TWIGSNAP5\n"):
-            content = struct.pack(">Q", len(content)) + zlib.compress(content, 1)
-        body += tag + struct.pack(">Q", len(content)) + content
-    check = fnv1a64 if layout == b"TWIGSNAP2\n" else zlib.crc32
-    return bytes(body + struct.pack(">Q", check(body)))
+    return bytes(body + struct.pack(">Q", zlib.crc32(body)))
 
 
 def check_ring(ov: HashOverlay) -> None:

@@ -9,10 +9,9 @@ import pytest
 
 import twigstore
 from twigstore.cli import main
-from twigstore.overlay import fnv1a64
 from twigstore.store import Store
 
-from helpers import snapshot_in_layout
+from helpers import deflated, plain_snapshot, write_snapshot
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
 
@@ -235,33 +234,35 @@ def test_corrupt_snapshot_exit_1(workdir, capsys):
     (workdir / "demo.snap").write_bytes(blob[:-4])
     assert main(["stats"]) == 1
     assert "error:" in capsys.readouterr().err
-    # a well-formed file in the retired version-1 format
-    body = b"TWIGSNAP1\n" + blob[len(b"TWIGSNAP2\n") : -8]
-    (workdir / "demo.snap").write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+    # a file in the retired version-1 format
+    (workdir / "demo.snap").write_bytes(b"TWIGSNAP1\n" + blob[len(b"TWIGSNAP5\n") :])
     assert main(["stats"]) == 1
     assert "TWIGSNAP1" in capsys.readouterr().err
     # checksummed files whose records do not decode
     conf = (workdir / "store.cfg").read_bytes()
-    doc_id = struct.pack(">Q", 1)
+
+    def entry(text: bytes) -> bytes:
+        return struct.pack(">QQ", 1, len(text)) + text
+
     bad_records = [
         [(b"CONF", conf), (b"DOC\x00", b"\x00\x01")],
-        [(b"CONF", conf), (b"DOC\x00", doc_id + b"<a>caf\xe9</a>")],
-        [(b"CONF", conf), (b"DOC\x00", doc_id + b"<a/>"), (b"DOC\x00", doc_id + b"<z/>")],
+        [(b"CONF", conf), (b"DOC\x00", entry(b"<a>caf\xe9</a>"))],
+        [(b"CONF", conf), (b"DOC\x00", entry(b"<a/>")), (b"DOC\x00", entry(b"<z/>"))],
         [(b"CONF", conf), (b"TRPL", b"a\tb\t\xff")],
         [(b"CONF", conf), (b"NSTA", b"total 0 \xff")],
         [(b"CONF", conf), (b"NSTA", b"1 x 3 4\ntotal 3 4\n")],
         [(b"CONF", conf + b"\xff")],
     ]
     for records in bad_records:
-        body = b"TWIGSNAP2\n" + b"".join(
-            tag + struct.pack(">Q", len(payload)) + payload for tag, payload in records
-        )
-        (workdir / "demo.snap").write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+        write_snapshot(workdir / "demo.snap",
+                       [(tag, deflated(content)) for tag, content in records])
         assert main(["stats"]) == 1, records[-1]
         assert "error:" in capsys.readouterr().err
 
 
-def test_query_rewrites_an_older_store_as_version_5(workdir, capsys):
+def test_query_and_stats_leave_a_retired_store_alone(workdir, capsys):
+    # a store in a retired layout is refused, and the refusal saves
+    # nothing: the file stays as it was for the documents to be re-ingested
     main(["ingest", "d1.xml"])
     main(["ingest", "d1.xml"])
     main(["rdf-load", "triples.tsv"])
@@ -270,24 +271,16 @@ def test_query_rewrites_an_older_store_as_version_5(workdir, capsys):
     current = snap.read_bytes()
     assert current.startswith(b"TWIGSNAP5\n")
     capsys.readouterr()
-
-    def run(*argv) -> str:
-        assert main(list(argv)) == 0
-        return capsys.readouterr().out
-
-    before = run("stats")
-    # the same query on the TWIGSNAP5 store answers, counts and saves alike
-    answers = run("query", '//sec[/title="dht"]!')
-    rewritten = snap.read_bytes()
-    assert rewritten.startswith(b"TWIGSNAP5\n")
-    after = run("stats")
-    assert after != before
-    for layout in (b"TWIGSNAP4\n", b"TWIGSNAP3\n"):
-        snap.write_bytes(snapshot_in_layout(current, layout))
-        assert run("stats") == before, layout
-        assert run("query", '//sec[/title="dht"]!') == answers, layout
-        assert snap.read_bytes() == rewritten, layout
-        assert run("stats") == after, layout
+    # a TWIGSNAP3 file as that layout held the same store, and a forged
+    # TWIGSNAP4 header on the current records
+    for old in (plain_snapshot(current), b"TWIGSNAP4\n" + current[len(b"TWIGSNAP5\n") :]):
+        snap.write_bytes(old)
+        for argv in (["query", '//sec[/title="dht"]!'], ["stats"]):
+            assert main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert f"error: {old[:9].decode()} snapshots are no longer read" in err, argv
+            assert snap.read_bytes() == old, argv
 
 
 @pytest.mark.parametrize("argv", [["bogus"], ["get"], ["query", "//a!", "extra"]])

@@ -14,8 +14,8 @@ or ingest, by the sha256 of its envelopes (``envelopes_sha256``), so
 reordering the items inside an envelope, or the requests of one read,
 shows even where every count and answer stays.  Each backend's
 snapshot of the whole corpus is pinned by the sha256 of its records'
-contents, inflated and written in the ``TWIGSNAP3`` layout, which stores
-them as they are; the deflated bytes depend on the zlib build.
+contents, inflated and written in the retired ``TWIGSNAP3`` layout, which
+stored them as they are; the deflated bytes depend on the zlib build.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from twigstore.planner import plan_to_xml
 from twigstore.rdfstore import Triple, parse_query_text
 from twigstore.store import Store, StoreConfig, restore, snapshot
 
-from helpers import snapshot_in_layout
+from helpers import plain_snapshot
 
 VENUES = ("vldb", "sigmod", "icde", "edbt")
 SURNAMES = ("smith", "chen", "garcia", "kumar", "ito")
@@ -274,7 +274,7 @@ def test_snapshot_bytes(tmp_path, backend):
     path = tmp_path / "store.snap"
     snapshot(store, str(path))
     blob = path.read_bytes()
-    plain = snapshot_in_layout(blob, b"TWIGSNAP3\n")
+    plain = plain_snapshot(blob)
     assert hashlib.sha256(plain).hexdigest() == SNAPSHOT_SHA256[backend]
     # deflating the records at least halves the file
     assert blob.startswith(b"TWIGSNAP5\n") and 2 * len(blob) <= len(plain)

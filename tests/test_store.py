@@ -24,7 +24,7 @@ from twigstore.errors import (
 )
 from twigstore.document import Document, split_words
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService, fnv1a64
+from twigstore.overlay import DhtService
 from twigstore.rdfstore import (
     ConjunctiveQuery,
     Triple,
@@ -38,7 +38,9 @@ from helpers import (
     WORDS,
     random_document_text,
     random_pattern_text,
-    snapshot_in_layout,
+    deflated,
+    plain_snapshot,
+    write_snapshot,
 )
 
 D1 = "<doc><sec><title>dht</title><par>xml</par></sec></doc>"
@@ -598,14 +600,15 @@ def test_word_and_value_postings_are_built_on_first_use(tmp_path, monkeypatch):
     assert all(d._by_word is not None for d in fresh.documents.values())
 
 
-def _record_tags(blob: bytes) -> list[bytes]:
-    off, end, tags = blob.index(b"\n") + 1, len(blob) - 8, []
+def _records(blob: bytes) -> list[tuple[bytes, bytes]]:
+    """The tag and payload of each record of the snapshot file ``blob``."""
+    off, end, records = blob.index(b"\n") + 1, len(blob) - 8, []
     while off < end:
-        tags.append(blob[off : off + 4])
         (length,) = struct.unpack_from(">Q", blob, off + 4)
+        records.append((blob[off : off + 4], blob[off + 12 : off + 12 + length]))
         off += 12 + length
     assert off == end
-    return tags
+    return records
 
 
 def test_snapshot_records_in_order(tmp_path, any_store):
@@ -617,52 +620,28 @@ def test_snapshot_records_in_order(tmp_path, any_store):
     blob = path.read_bytes()
     assert blob.startswith(b"TWIGSNAP5\n")
     # all documents share one DOC record, and all triples one TRPL record,
-    # one per line; the older layouts hold one DOC record per document
-    assert _record_tags(blob) == [b"CONF", b"DOC\x00", b"TRPL", b"NSTA"]
-    plain = snapshot_in_layout(blob, b"TWIGSNAP3\n")
-    assert _record_tags(plain) == [b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"NSTA"]
+    # one per line; the plain rendering holds one DOC record per document
+    records = _records(blob)
+    assert [tag for tag, _ in records] == [b"CONF", b"DOC\x00", b"TRPL", b"NSTA"]
+    plain = plain_snapshot(blob)
+    assert [tag for tag, _ in _records(plain)] == [
+        b"CONF", b"DOC\x00", b"DOC\x00", b"TRPL", b"NSTA"]
     assert b"a\ttype\tDoc\na\tauthor\tb" in plain
     # each entry of the DOC record is its doc id, its text's byte length
     # and the text
-    at = len(b"TWIGSNAP5\n")
-    (length,) = struct.unpack_from(">Q", blob, at + 4)
-    at += 12 + length
-    (length,) = struct.unpack_from(">Q", blob, at + 4)
-    docs = zlib.decompress(blob[at + 20 : at + 12 + length])
+    docs = zlib.decompress(records[1][1][8:])
     assert docs == b"".join(struct.pack(">QQ", i, len(D1)) + D1.encode() for i in (1, 2))
 
 
-def test_restore_reads_one_triple_per_record(tmp_path, any_store):
-    # files written before all triples shared one TRPL record, which were
-    # TWIGSNAP2 files with an FNV-1a 64 trailer
-    triples = [Triple("a", "type", "Doc"), Triple("a", "author", "b")]
-    any_store.store_resource(D1)
-    any_store.rdf_load(triples)
-    path = tmp_path / "x.snap"
-    snapshot(any_store, str(path))
-    blob = snapshot_in_layout(path.read_bytes(), b"TWIGSNAP3\n")
-    at = blob.index(b"TRPL")
-    (length,) = struct.unpack_from(">Q", blob, at + 4)
-    split = b"".join(
-        b"TRPL" + struct.pack(">Q", len(raw)) + raw
-        for raw in (t.text().encode("utf-8") for t in triples)
-    )
-    spliced = blob[:at] + split + blob[at + 12 + length :]
-    path.write_bytes(snapshot_in_layout(spliced, b"TWIGSNAP2\n"))
-    again = restore(str(path))
-    assert again.triples == triples
-    query = parse_query_text("SELECT ?x ?y\n?x author ?y\n")
-    assert again.rdf_query(query) == any_store.rdf_query(query) == [("a", "b")]
+def _write_snapshot(path, records) -> None:
+    """A ``TWIGSNAP5`` file of ``records``, each a tag and its content,
+    deflated as ``snapshot`` deflates it, under its valid crc32."""
+    write_snapshot(path, [(tag, deflated(content)) for tag, content in records])
 
 
-def _write_snapshot(path, records, magic=b"TWIGSNAP2\n") -> None:
-    """A file of ``records``, each a tag and its payload as it is to be
-    stored, under ``magic`` and its valid checksum."""
-    body = magic + b"".join(
-        tag + struct.pack(">Q", len(payload)) + payload for tag, payload in records
-    )
-    check = fnv1a64 if magic == b"TWIGSNAP2\n" else zlib.crc32
-    path.write_bytes(body + struct.pack(">Q", check(body)))
+def _entry(doc_id: int, text: bytes, size: int | None = None) -> bytes:
+    """One entry of a DOC record; ``size`` overrides the length."""
+    return struct.pack(">QQ", doc_id, len(text) if size is None else size) + text
 
 
 def test_snapshot_bytes_do_not_depend_on_the_snapshot_path(tmp_path, any_store):
@@ -689,45 +668,41 @@ def test_restore_renders_a_stored_text_as_ingest_does(tmp_path, any_store):
     ids = any_store.store_resource(text)
     conf = any_store.config.to_text().encode()
     path = tmp_path / "x.snap"
-    _write_snapshot(path, [(b"CONF", conf), (b"DOC\x00", struct.pack(">Q", 1) + text.encode())],
-                    magic=b"TWIGSNAP3\n")
-    v3 = path.read_bytes()
-    for layout in (b"TWIGSNAP4\n", b"TWIGSNAP5\n"):
-        path.write_bytes(snapshot_in_layout(v3, layout))
-        again = restore(str(path))
-        payloads = [any_store.get_resource(rid).payload for rid in ids]
-        assert [again.get_resource(rid).payload for rid in ids] == payloads, layout
+    _write_snapshot(path, [(b"CONF", conf), (b"DOC\x00", _entry(1, text.encode()))])
+    again = restore(str(path))
+    payloads = [any_store.get_resource(rid).payload for rid in ids]
+    assert [again.get_resource(rid).payload for rid in ids] == payloads
     assert payloads[0] == ('<doc><sec id="s1"><title>dht</title><par>xml</par><b/></sec>'
                            "</doc>")
     assert again.query("//par!").resources[0].payload == "<par>xml</par>"
 
 
 def test_restore_adopts_its_file_over_a_recorded_path(tmp_path, any_store):
-    # files written before the path was left out still name one in CONF
+    # a CONF record may name a path, as files written before the path was
+    # left out did; the store lives in the file it was read from
     any_store.store_resource(D1)
     config = any_store.config
     conf = StoreConfig(config.backend, config.peer_count,
                        config.resource_granularity, "elsewhere.snap").to_text()
     path = tmp_path / "x.snap"
-    _write_snapshot(path, [(b"CONF", conf.encode()),
-                           (b"DOC\x00", struct.pack(">Q", 1) + D1.encode())])
+    _write_snapshot(path, [(b"CONF", conf.encode()), (b"DOC\x00", _entry(1, D1.encode()))])
     again = restore(str(path))
     assert again.config.snapshot_path == str(path)
     assert again.get_resource("1#6").payload == "<par>xml</par>"
 
 
 def test_restore_ignores_a_recorded_seed(tmp_path, any_store):
-    # files written while the config had a seed field hold a seed= line
+    # a CONF record may hold a seed= line, as files written while the
+    # config had a seed field did
     any_store.store_resource(D1)
     conf = any_store.config.to_text() + "seed=7\n"
     path = tmp_path / "x.snap"
-    _write_snapshot(path, [(b"CONF", conf.encode()),
-                           (b"DOC\x00", struct.pack(">Q", 1) + D1.encode())])
+    _write_snapshot(path, [(b"CONF", conf.encode()), (b"DOC\x00", _entry(1, D1.encode()))])
     again = restore(str(path))
     assert again.get_resource("1#6").payload == "<par>xml</par>"
     fresh = tmp_path / "y.snap"
     snapshot(again, str(fresh))
-    blob = snapshot_in_layout(fresh.read_bytes(), b"TWIGSNAP3\n")
+    blob = plain_snapshot(fresh.read_bytes())
     (length,) = struct.unpack_from(">Q", blob, 14)
     assert blob[10:14] == b"CONF"
     assert "seed=" not in blob[22 : 22 + length].decode()
@@ -736,19 +711,15 @@ def test_restore_ignores_a_recorded_seed(tmp_path, any_store):
 @pytest.mark.parametrize("doc_ids", [(1, 1), (2, 1), (0,), (1, 3, 3)])
 def test_restore_refuses_doc_ids_that_do_not_rise(tmp_path, any_store, doc_ids):
     # snapshot writes doc ids from 1 up in rising order; a repeated id would
-    # replace a document whose postings stay published; the same entries
-    # as one TWIGSNAP5 DOC record are refused alike
+    # replace a document whose postings stay published
     conf = any_store.config.to_text().encode()
     texts = ["<a><b>x</b><b>y</b></a>", "<z><q>w</q></z>", D1]
-    docs = [(b"DOC\x00", struct.pack(">Q", i) + t.encode()) for i, t in zip(doc_ids, texts)]
+    docs = b"".join(_entry(i, t.encode()) for i, t in zip(doc_ids, texts))
     path = tmp_path / "x.snap"
-    _write_snapshot(path, [(b"CONF", conf), *docs])
-    v2 = path.read_bytes()
-    for layout in (b"TWIGSNAP2\n", b"TWIGSNAP5\n"):
-        path.write_bytes(snapshot_in_layout(v2, layout))
-        with pytest.raises(CorruptSnapshot,
-                           match=f"DOC record of doc id {doc_ids[-1]}: doc id does not rise"):
-            restore(str(path))
+    _write_snapshot(path, [(b"CONF", conf), (b"DOC\x00", docs)])
+    with pytest.raises(CorruptSnapshot,
+                       match=f"DOC record of doc id {doc_ids[-1]}: doc id does not rise"):
+        restore(str(path))
 
 
 @pytest.mark.parametrize("report", [b"1 x 3 4\ntotal 3 4\n", b"1 2 3\ntotal 3 4\n"])
@@ -826,12 +797,25 @@ def test_restore_refuses_a_second_stats_record(tmp_path, any_store):
         restore(str(path))
 
 
+@pytest.mark.parametrize("tag", [b"TRPL", b"CONF"])
+def test_restore_refuses_a_second_triples_or_config_record(tmp_path, any_store, tag):
+    # snapshot writes each record once: a second TRPL record would restore
+    # its triples twice, and a second CONF record, even a copy of the
+    # first, is no config the store was saved with
+    content = {b"CONF": any_store.config.to_text().encode(), b"TRPL": b"a\ttype\tDoc"}
+    path = tmp_path / "x.snap"
+    _write_snapshot(path, [(b"CONF", content[b"CONF"]), (b"TRPL", content[b"TRPL"]),
+                           (tag, content[tag])])
+    with pytest.raises(CorruptSnapshot, match=f"^second {tag.decode()} record$"):
+        restore(str(path))
+
+
 @pytest.mark.parametrize("tag, payload", [
     (b"CONF", b"backend=ring\n"),
     (b"CONF", b"peer_count\n"),
-    (b"DOC\x00", struct.pack(">Q", 1) + b"<a><b></a>"),
-    (b"DOC\x00", struct.pack(">Q", 1) + b" \n"),
-    (b"DOC\x00", struct.pack(">Q", 1) + b'<x:a xmlns:x="urn:u"/>'),
+    (b"DOC\x00", _entry(1, b"<a><b></a>")),
+    (b"DOC\x00", _entry(1, b" \n")),
+    (b"DOC\x00", _entry(1, b'<x:a xmlns:x="urn:u"/>')),
     (b"TRPL", b"a\tb\tc\na\tb\n"),
 ], ids=["conf-backend", "conf-line", "doc-malformed", "doc-blank", "doc-namespaced",
         "trpl-line"])
@@ -841,57 +825,48 @@ def test_restore_refuses_bad_record_content_as_corrupt(tmp_path, any_store, tag,
     conf = [] if tag == b"CONF" else [(b"CONF", any_store.config.to_text().encode())]
     path = tmp_path / "x.snap"
     _write_snapshot(path, [*conf, (tag, payload)])
-    v2 = path.read_bytes()
     name = "DOC record of doc id 1: " if tag == b"DOC\x00" else tag.decode() + " record"
-    for layout in (b"TWIGSNAP2\n", b"TWIGSNAP5\n"):
-        path.write_bytes(snapshot_in_layout(v2, layout))
-        with pytest.raises(CorruptSnapshot, match=name):
-            restore(str(path))
+    with pytest.raises(CorruptSnapshot, match=name):
+        restore(str(path))
 
 
 def test_restore_refuses_version_1(tmp_path, any_store):
     any_store.store_resource(D1)
     path = tmp_path / "x.snap"
     snapshot(any_store, str(path))
-    body = b"TWIGSNAP1\n" + path.read_bytes()[len(b"TWIGSNAP2\n") : -8]
-    path.write_bytes(body + struct.pack(">Q", fnv1a64(body)))
+    path.write_bytes(b"TWIGSNAP1\n" + path.read_bytes()[len(b"TWIGSNAP5\n") :])
     with pytest.raises(CorruptSnapshot, match="TWIGSNAP1"):
         restore(str(path))
 
 
-def test_restore_reads_version_2(tmp_path, any_store):
-    any_store.store_resource(D1)
-    any_store.store_resource("<lib><paper><year>2003</year><par>dht</par></paper></lib>")
-    any_store.rdf_load([Triple("a", "type", "Doc")])
-    any_store.query('//par="dht"!')
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
+def test_restore_refuses_a_retired_layout_by_its_magic(tmp_path, version):
+    # only TWIGSNAP5 is read; a retired magic is refused before any
+    # checksum is read, so a crc32 that holds, a wrong trailer and none at
+    # all are refused alike, while any other magic is no snapshot at all
+    store = Store(config("p2p", tmp_path))
+    store.store_resource(D1)
     path = tmp_path / "x.snap"
-    snapshot(any_store, str(path))
+    snapshot(store, str(path))
     blob = path.read_bytes()
-    old = tmp_path / "old.snap"
-    old.write_bytes(snapshot_in_layout(blob, b"TWIGSNAP2\n"))
-    again, fresh = restore(str(old)), restore(str(path))
-    for store in (again, fresh):
-        assert {i: d.nodes for i, d in store.documents.items()} == {
-            i: d.nodes for i, d in any_store.documents.items()
-        }
-        assert store.triples == any_store.triples
-        assert store.stats_report() == any_store.stats_report()
-    if any_store.config.backend == P2P:
-        assert _overlay_stores(again) == _overlay_stores(fresh) == _overlay_stores(any_store)
-    # the next snapshot of a version-2 file is the current version
-    snapshot(again, str(old))
-    assert old.read_bytes() == blob
-    for q in ('//par="dht"!', "//paper[/year in 2000..2005]!"):
-        assert [(r.resource_id, r.payload) for r in again.query(q).resources] == [
-            (r.resource_id, r.payload) for r in any_store.query(q).resources
-        ]
+    magic = b"TWIGSNAP%d\n" % version
+    body = magic + blob[len(magic) : -8]
+    refusal = f"^TWIGSNAP{version} snapshots are no longer read; re-ingest the documents$"
+    for trailer in (struct.pack(">Q", zlib.crc32(body)), bytes(8), b""):
+        path.write_bytes(body + trailer)
+        with pytest.raises(CorruptSnapshot, match=refusal):
+            restore(str(path))
+    other = b"TWIGSNAP%d\n" % (version + 5)
+    path.write_bytes(other + blob[len(other) :])
+    with pytest.raises(CorruptSnapshot, match="^bad magic or truncated file$"):
+        restore(str(path))
 
 
 @pytest.mark.parametrize("backend", ["centralized", "p2p"])
 def test_every_layout_restores_the_same_store(tmp_path, backend):
-    # the exact-costs corpus, triples and queries, saved as TWIGSNAP5 and
-    # rendered as TWIGSNAP4, as TWIGSNAP3 (the layout whose sha256
-    # test_exact_costs pins) and as TWIGSNAP2
+    # TWIGSNAP5 is the one layout restore reads: the exact-costs corpus,
+    # triples and queries, saved and restored, give the same stats,
+    # per-peer stores, answers and RDF rows as the store that was saved
     from test_exact_costs import DOCS, PEERS, QUERIES, RDF_QUERY, TRIPLES
 
     store = Store(StoreConfig(backend=backend, peer_count=PEERS,
@@ -903,34 +878,30 @@ def test_every_layout_restores_the_same_store(tmp_path, backend):
         store.query(text)
     path = tmp_path / "v5.snap"
     snapshot(store, str(path))
-    blob = path.read_bytes()
     rdf = parse_query_text(RDF_QUERY)
-    assert blob.startswith(b"TWIGSNAP5\n")
-    for layout in (b"TWIGSNAP5\n", b"TWIGSNAP4\n", b"TWIGSNAP3\n", b"TWIGSNAP2\n"):
-        old = tmp_path / "layout.snap"
-        old.write_bytes(snapshot_in_layout(blob, layout))
-        again, reference = restore(str(old)), restore(str(path))
-        assert again.stats_report() == reference.stats_report() == store.stats_report()
-        if backend == P2P:
-            assert _overlay_stores(again) == _overlay_stores(reference), layout
-        for text in QUERIES.values():
-            assert [(r.resource_id, r.payload) for r in again.query(text).resources] == [
-                (r.resource_id, r.payload) for r in reference.query(text).resources
-            ], (layout, text)
-        assert again.rdf_query(rdf) == reference.rdf_query(rdf), layout
-        # the same queries leave the same traffic, and the next save of
-        # either store is the same TWIGSNAP5 file
-        assert again.stats_report() == reference.stats_report(), layout
-        snapshot(again, str(old))
-        snapshot(reference, str(tmp_path / "reference.snap"))
-        assert old.read_bytes() == (tmp_path / "reference.snap").read_bytes(), layout
+    assert path.read_bytes().startswith(b"TWIGSNAP5\n")
+    again = restore(str(path))
+    assert {i: d.nodes for i, d in again.documents.items()} == {
+        i: d.nodes for i, d in store.documents.items()
+    }
+    assert again.triples == store.triples
+    assert again.stats_report() == store.stats_report()
+    if backend == P2P:
+        assert _overlay_stores(again) == _overlay_stores(store)
+    for text in QUERIES.values():
+        assert [(r.resource_id, r.payload) for r in again.query(text).resources] == [
+            (r.resource_id, r.payload) for r in store.query(text).resources
+        ], text
+    assert again.rdf_query(rdf) == store.rdf_query(rdf)
+    # the same queries leave the same traffic, and the next save of either
+    # store is the same file
+    assert again.stats_report() == store.stats_report()
+    snapshot(again, str(path))
+    snapshot(store, str(tmp_path / "reference.snap"))
+    assert path.read_bytes() == (tmp_path / "reference.snap").read_bytes()
 
 
-def _deflated(content: bytes) -> bytes:
-    return struct.pack(">Q", len(content)) + zlib.compress(content, 1)
-
-
-_DOC_CONTENT = struct.pack(">Q", 1) + D1.encode()
+_DOC_CONTENT = _entry(1, D1.encode())
 _DOC_STREAM = zlib.compress(_DOC_CONTENT, 1)
 
 
@@ -951,19 +922,17 @@ _DOC_STREAM = zlib.compress(_DOC_CONTENT, 1)
 def test_restore_and_stats_refuse_a_bad_deflated_record(tmp_path, capsys, packed, fault):
     # the crc32 holds, so each file reaches the record loop; neither a
     # zlib.error nor an OverflowError may get out, and the CLI's error
-    # names the record; both deflated layouts refuse the record before
-    # reading its content, so one content serves both
+    # names the record
     cfg = config("p2p", tmp_path)
     cfg.snapshot_path = str(tmp_path / "x.snap")
     (tmp_path / "store.cfg").write_text(cfg.to_text(), encoding="utf-8")
-    for magic in (b"TWIGSNAP4\n", b"TWIGSNAP5\n"):
-        _write_snapshot(tmp_path / "x.snap", [(b"CONF", _deflated(cfg.to_text().encode())),
-                                              (b"DOC\x00", packed)], magic)
-        with pytest.raises(CorruptSnapshot) as exc:
-            restore(cfg.snapshot_path)
-        assert str(exc.value).startswith(f"DOC record 2: {fault}"), magic
-        assert cli_main(["stats", "--config", str(tmp_path / "store.cfg")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: DOC record 2: {fault}"), magic
+    write_snapshot(tmp_path / "x.snap", [(b"CONF", deflated(cfg.to_text().encode())),
+                                         (b"DOC\x00", packed)])
+    with pytest.raises(CorruptSnapshot) as exc:
+        restore(cfg.snapshot_path)
+    assert str(exc.value).startswith(f"DOC record 2: {fault}")
+    assert cli_main(["stats", "--config", str(tmp_path / "store.cfg")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: DOC record 2: {fault}")
 
 
 def test_restore_inflates_no_further_than_one_byte_past_the_recorded_length(
@@ -988,21 +957,12 @@ def test_restore_inflates_no_further_than_one_byte_past_the_recorded_length(
     monkeypatch.setattr(zlib, "decompressobj", Counting)
     conf = config("p2p", tmp_path).to_text().encode()
     path = tmp_path / "x.snap"
-    # one document per record, then every document's entry in one record
-    for magic, header in ((b"TWIGSNAP4\n", struct.pack(">Q", 1)),
-                          (b"TWIGSNAP5\n", struct.pack(">QQ", 1, 1 << 20))):
-        stream = zlib.compress(header + bytes(1 << 20), 1)
-        _write_snapshot(path, [(b"CONF", _deflated(conf)),
-                               (b"DOC\x00", struct.pack(">Q", 10) + stream)], magic)
-        inflated.clear()
-        with pytest.raises(CorruptSnapshot, match="DOC record 2: inflates to more than"):
-            restore(str(path))
-        assert inflated == [len(conf), 11], magic
-
-
-def _entry(doc_id: int, text: bytes, size: int | None = None) -> bytes:
-    """One entry of a TWIGSNAP5 DOC record; ``size`` overrides the length."""
-    return struct.pack(">QQ", doc_id, len(text) if size is None else size) + text
+    stream = zlib.compress(_entry(1, bytes(1 << 20)), 1)
+    write_snapshot(path, [(b"CONF", deflated(conf)),
+                          (b"DOC\x00", struct.pack(">Q", 10) + stream)])
+    with pytest.raises(CorruptSnapshot, match="DOC record 2: inflates to more than"):
+        restore(str(path))
+    assert inflated == [len(conf), 11]
 
 
 @pytest.mark.parametrize("docs, fault", [
@@ -1025,14 +985,13 @@ def _entry(doc_id: int, text: bytes, size: int | None = None) -> bytes:
 ], ids=["header-cut", "first-header-cut", "text-past-end", "id-repeated", "id-falls",
         "not-utf8", "malformed", "second-record", "second-record-empty"])
 def test_restore_and_stats_refuse_a_bad_doc_entry(tmp_path, capsys, docs, fault):
-    # each entry of a TWIGSNAP5 DOC record is checked as a TWIGSNAP4 DOC
-    # record was, and a fault names the doc id it was found at
+    # each entry of the DOC record is checked on its own, and a fault
+    # names the doc id it was found at
     cfg = config("p2p", tmp_path)
     cfg.snapshot_path = str(tmp_path / "x.snap")
     (tmp_path / "store.cfg").write_text(cfg.to_text(), encoding="utf-8")
-    records = [(b"CONF", cfg.to_text().encode())] + [(b"DOC\x00", doc) for doc in docs]
-    _write_snapshot(tmp_path / "x.snap", [(tag, _deflated(content)) for tag, content in records],
-                    b"TWIGSNAP5\n")
+    _write_snapshot(tmp_path / "x.snap",
+                    [(b"CONF", cfg.to_text().encode())] + [(b"DOC\x00", doc) for doc in docs])
     with pytest.raises(CorruptSnapshot) as exc:
         restore(cfg.snapshot_path)
     assert str(exc.value).startswith(fault)
@@ -1043,7 +1002,7 @@ def test_restore_and_stats_refuse_a_bad_doc_entry(tmp_path, capsys, docs, fault)
 def test_many_small_documents_share_one_deflate_stream(tmp_path):
     # a fresh stream per small document never sees the tags and words of
     # the ones before it; as one stream, 40 one-element documents take at
-    # most three quarters of the bytes that one record each does
+    # most three quarters of the bytes that a stream per entry does
     store = Store(config("p2p", tmp_path))
     for i in range(40):
         store.store_resource(f"<message kind='notice'>peer {i} joined the overlay</message>")
@@ -1051,22 +1010,11 @@ def test_many_small_documents_share_one_deflate_stream(tmp_path):
     snapshot(store, str(path))
     blob = path.read_bytes()
     assert blob.startswith(b"TWIGSNAP5\n")
-    per_document = snapshot_in_layout(blob, b"TWIGSNAP4\n")
-    assert _record_tags(per_document).count(b"DOC\x00") == 40
-    assert 4 * len(blob) <= 3 * len(per_document)
-
-
-def test_restore_refuses_a_trailer_of_the_other_version(tmp_path, any_store):
-    any_store.store_resource(D1)
-    path = tmp_path / "x.snap"
-    snapshot(any_store, str(path))
-    v3 = snapshot_in_layout(path.read_bytes(), b"TWIGSNAP3\n")
-    v2 = snapshot_in_layout(v3, b"TWIGSNAP2\n")
-    # each magic with the other version's checksum of the same body
-    for magic, trailer in ((b"TWIGSNAP3\n", v2[-8:]), (b"TWIGSNAP2\n", v3[-8:])):
-        path.write_bytes(magic + v3[10:-8] + trailer)
-        with pytest.raises(CorruptSnapshot, match="checksum mismatch"):
-            restore(str(path))
+    stream = dict(_records(blob))[b"DOC\x00"][8:]
+    entries = list(store_module._doc_entries(zlib.decompress(stream)))
+    assert len(entries) == 40
+    one_each = sum(len(zlib.compress(_entry(i, bytes(text)), 1)) for i, text in entries)
+    assert 4 * len(stream) <= 3 * one_each
 
 
 def test_restore_truncated_file(tmp_path, any_store):
@@ -1274,8 +1222,7 @@ def test_legacy_overlays_line_is_ignored(tmp_path, overlays):
     assert "overlays" not in store.config.to_text()
 
     path = tmp_path / "legacy.snap"
-    _write_snapshot(path, [(b"CONF", text.encode()),
-                           (b"DOC\x00", struct.pack(">Q", 1) + doc.encode())])
+    _write_snapshot(path, [(b"CONF", text.encode()), (b"DOC\x00", _entry(1, doc.encode()))])
     again = restore(str(path))
     assert [(r.resource_id, r.payload) for r in again.query(query).resources] == expected
 
@@ -1349,7 +1296,7 @@ def test_a_peer_count_above_the_cap_is_refused_before_any_peer_is_built(
     assert cli_main(["init", "--config", str(tmp_path / "huge.cfg")]) == 1
     assert capsys.readouterr().err == f"error: {refusal}\n"
 
-    _write_snapshot(snap, [(b"CONF", _deflated(huge.encode()))], b"TWIGSNAP5\n")
+    _write_snapshot(snap, [(b"CONF", huge.encode())])
     with pytest.raises(CorruptSnapshot, match=f"^CONF record: {refusal}$"):
         restore(str(snap))
     cfg = config("p2p", tmp_path)
