@@ -10,16 +10,18 @@ containment, which is what the distributed structural joins rely on.
 Attributes are modeled as child nodes named ``"@name"`` so tree patterns
 can address them like elements; the attribute's value is kept on the node
 for serialization and is not word-indexed.
+
+A document has one posting index, ``Document.postings``, keyed as the
+overlays key it (``t:name``, ``w:word``, ``v:name=enc``, defined here)
+from each node's ``Document.terms``: the p2p backend publishes it and
+the centralized backend reads it.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, islice
-from operator import attrgetter, itemgetter
-from sys import intern
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from xml.parsers import expat
 
@@ -35,6 +37,39 @@ _INT_RE = re.compile(r"([+-]?)0*([0-9]+)")
 # text counts as an integer only within +-INT_WINDOW, on both backends
 INT_WINDOW = 10**18
 _WINDOW_DIGITS = len(str(INT_WINDOW))
+# a value key's integer, offset to be non-negative, as 20 decimal digits:
+# byte order on the keys of one name is numeric order
+_INT_OFFSET = 10**19
+
+
+# -- posting keys: prefix-disjoint, one per name, word and (name, value) ------
+
+
+def tag_key(name: str) -> str:
+    return "t:" + name
+
+
+def word_key(word: str) -> str:
+    return "w:" + word
+
+
+def encode_int(value: int) -> str:
+    if abs(value) > INT_WINDOW + 1:
+        raise ValueError(f"{value} outside the range-indexable window")
+    return f"{value + _INT_OFFSET:020d}"
+
+
+def value_key(name: str, value: int) -> str:
+    return f"v:{name}={encode_int(value)}"
+
+
+def value_bounds(name: str, lo: int, hi: int) -> tuple[str, str] | None:
+    """The half-open key interval of ``name`` values in [lo, hi], clipped
+    to the window; None when no integer in the window lies in [lo, hi]."""
+    lo, hi = max(lo, -INT_WINDOW), min(hi, INT_WINDOW)
+    if lo > hi:
+        return None
+    return value_key(name, lo), value_key(name, hi + 1)
 
 
 class StructuralId(NamedTuple):
@@ -76,8 +111,8 @@ class Node:
 
 
 class Rows(list):
-    """One-label rows ``(label,)`` in label order: a name's nodes as the
-    structural-join kernel reads them.
+    """One-label rows ``(label,)`` in label order: a posting list as the
+    structural-join kernel reads it.
 
     ``reach`` is the kernel's skip index over these rows, None until
     ``twigjoin.stack_join`` first skips parents in them; it is kept here,
@@ -93,27 +128,22 @@ class Rows(list):
 
 class Document:
     """Parsed XML document; immutable after construction, apart from what
-    its query methods build on first use: the name, word and value postings
-    of ``named``, ``with_word`` and ``in_range``, the one-label join rows of
-    ``rows``, one ``Rows`` per name, and each such list's skip index, which
-    the join kernel builds on its first skip over it.  The parse writes
-    the canonical ``text`` and its offset table ``spans``, one ``array`` of
-    character offsets by label position (see ``parse_document``), and every
-    payload is a slice of that text.
+    the centralized backend builds on its first query: the document's
+    posting index (``index``), its sorted value keys, the one-label join
+    rows of each key read (``rows``), and each such list's skip index,
+    which the join kernel builds on its first skip over it.  The parse
+    writes the canonical ``text`` and its offset table ``spans``, one
+    ``array`` of character offsets by label position (see
+    ``parse_document``), and every payload is a slice of that text.
 
-    ``nodes`` is in document (start) order, with the root first.  What a
-    node is indexed under beyond its name, its words and integer values,
-    is decided in one place, ``terms``, which the p2p publication reads
-    too.  The name postings are built in one pass over ``nodes``, the word
-    and value postings together in another (``_postings``, on the first
-    word or range lookup), each name's rows in one pass over its postings,
-    and none of them is persisted, so parsing (every ingest and restore)
-    pays for none of them.
+    ``nodes`` is in document (start) order, with the root first.  Nothing
+    built on first use is persisted, so parsing (every ingest and restore)
+    pays for none of it.
     """
 
     __slots__ = (
-        "doc_id", "root", "nodes", "_children", "_by_start", "_by_name",
-        "_by_word", "_by_value", "_rows", "text", "spans",
+        "doc_id", "root", "nodes", "_children", "_by_start", "_index",
+        "_value_keys", "_rows", "text", "spans",
     )
 
     def __init__(self, doc_id: int):
@@ -122,12 +152,10 @@ class Document:
         self.nodes: list[Node] = []
         self._children: dict[int, list[Node]] = {}  # by start
         self._by_start: dict[int, Node] = {}
-        self._by_name: dict[str | None, list[Node]] | None = None  # None: every name
-        # name -> word -> the nodes whose text children hold the word
-        self._by_word: dict[str, dict[str, tuple[Node, ...]]] | None = None
-        # name -> (integer texts in ascending order, the node holding each)
-        self._by_value: dict[str, tuple[list[int], list[Node]]] | None = None
-        self._rows: dict[str | None, Rows] = {}  # None: every name
+        self._index: dict[str, list[StructuralId]] | None = None
+        self._value_keys: list[str] | None = None
+        # (posting key, name kept or None) -> its join rows
+        self._rows: dict[tuple[str, str | None], Rows] = {}
         self.text: str  # set by ``parse_document``, as are the spans
         self.spans: array
 
@@ -148,72 +176,61 @@ class Document:
             raise UnknownNode(f"no node at start {start} in document {self.doc_id}")
         return node
 
-    def named(self, name: str | None) -> list[Node]:
-        """The element and attribute nodes called ``name`` (any name for
-        None), in document order."""
-        if self._by_name is None:
-            by_name: dict[str | None, list[Node]] = {}
-            for node in self.nodes:
-                if node.kind != TEXT:
-                    by_name.setdefault(node.name, []).append(node)
-            self._by_name = by_name
-        if name is None and None not in self._by_name:
-            self._by_name[None] = [node for node in self.nodes if node.kind != TEXT]
-        return self._by_name.get(name, [])
-
-    def rows(self, name: str | None) -> Rows:
-        """``named(name)`` as the join kernel's one-label rows, in label
-        order; built on the first call for ``name`` and kept."""
-        rows = self._rows.get(name)
-        if rows is None:
-            rows = self._rows[name] = Rows((node.label,) for node in self.named(name))
-        return rows
-
-    def with_word(self, name: str | None, word: str) -> Sequence[Node]:
-        """The nodes called ``name`` (any name for None) with ``word`` among
-        their ``terms``, in document order."""
-        if self._by_word is None:
-            self._postings()
-        if name is not None:
-            return self._by_word.get(name, {}).get(word, ())
-        runs = (by_word.get(word, ()) for by_word in self._by_word.values())
-        return sorted(chain.from_iterable(runs), key=attrgetter("label"))
-
-    def in_range(self, name: str | None, lo: int, hi: int) -> list[Node]:
-        """The nodes called ``name`` (any name for None) with a value in
-        ``[lo, hi]`` among their ``terms``, each once, in document order."""
-        if self._by_value is None:
-            self._postings()
-        names = self._by_value if name is None else [name]
-        hits: dict[StructuralId, Node] = {}
-        for each in names:
-            values, nodes = self._by_value.get(each, ((), ()))
-            for node in nodes[bisect_left(values, lo) : bisect_right(values, hi)]:
-                hits[node.label] = node
-        return [hits[label] for label in sorted(hits)]
-
-    def _postings(self) -> None:
-        """Build the word and value postings together, in one pass over
-        ``nodes`` reading each node's ``terms``."""
-        by_word: dict[str, dict[str, list[Node]]] = {}
-        pairs: dict[str, list[tuple[int, Node]]] = {}
+    def postings(self) -> dict[str, list[StructuralId]]:
+        """The document's posting index, built afresh: per key, in the
+        order keys are first filed, the labels of its element and
+        attribute nodes in label order.  One pass over ``nodes``, which is
+        in label order (mixed content ``<a><b>foo</b>foo</a>`` included),
+        files each node under ``tag_key`` of its name, then ``word_key`` of
+        each word and ``value_key`` of each value of its ``terms``, so no
+        list holds a label twice."""
+        index: dict[str, list[StructuralId]] = {}
         for node in self.nodes:
+            if node.kind == TEXT:
+                continue
+            name, label = node.name_or_value, node.label
+            index.setdefault(tag_key(name), []).append(label)
             words, values = self.terms(node)
-            if words:
-                postings = by_word.setdefault(node.name, {})
-                for word in words:
-                    # one string per distinct word, whichever names hold it
-                    postings.setdefault(intern(word), []).append(node)
-            if values:
-                pairs.setdefault(node.name, []).extend((v, node) for v in values)
-        self._by_word = {
-            name: {word: tuple(nodes) for word, nodes in postings.items()}
-            for name, postings in by_word.items()
-        }
-        self._by_value = {}
-        for name, entries in pairs.items():
-            entries.sort(key=itemgetter(0))  # stable: ties stay in document order
-            self._by_value[name] = ([v for v, _ in entries], [n for _, n in entries])
+            for word in words:
+                index.setdefault(word_key(word), []).append(label)
+            for value in values:
+                index.setdefault(value_key(name, value), []).append(label)
+        return index
+
+    def index(self) -> dict[str, list[StructuralId]]:
+        """``postings``, built on the first call and kept: the centralized
+        backend's index.  The p2p backend publishes ``postings`` and keeps
+        nothing here."""
+        if self._index is None:
+            self._index = self.postings()
+        return self._index
+
+    def value_keys(self) -> list[str]:
+        """The ``v:`` keys of ``index``, sorted as the range overlay orders
+        them; built on the first call and kept."""
+        if self._value_keys is None:
+            self._value_keys = sorted(k for k in self.index() if k[0] == "v")
+        return self._value_keys
+
+    def rows(self, key: str, name: str | None) -> Rows:
+        """The labels ``index`` holds under ``key``, kept to the nodes
+        called ``name`` unless it is None, as the join kernel's one-label
+        rows in label order; built on the first call for the pair and
+        kept.  Key ``"*"`` holds every element and attribute: each
+        ``t:`` list, merged."""
+        rows = self._rows.get((key, name))
+        if rows is None:
+            index = self.index()
+            if key == "*":
+                labels = sorted(chain.from_iterable(
+                    labels for k, labels in index.items() if k[0] == "t"))
+            else:
+                labels = index.get(key, [])
+            if name is not None:
+                by_start = self._by_start
+                labels = [lb for lb in labels if by_start[lb.start].name_or_value == name]
+            rows = self._rows[(key, name)] = Rows(zip(labels))
+        return rows
 
     def terms(self, node: Node) -> tuple[Sequence[str], Sequence[int]]:
         """What ``node`` is indexed under on both backends: the distinct

@@ -1,31 +1,20 @@
 """Publishing documents into the overlays and serving posting lookups.
 
-Index keys are prefix-disjoint by construction:
-
-* ``t:<name>``  — one posting per element/attribute node with that name
-* ``w:<word>``  — one posting per element with the word among its terms
-* ``v:<tag>=<enc>`` — one posting per element named ``tag`` with the
-  integer encoded by ``enc`` among its terms
-* ``r:<resource id>`` — the store's resource index: the peer holding it
-
-A node's terms are ``Document.terms``: the distinct words and integers of
-its text children, the one rule by which the centralized backend's word
-and value postings are built too.
+A document's postings are ``Document.postings``, its one posting index,
+which the centralized backend reads too; ``document`` defines its keys
+(``t:<name>``, ``w:<word>``, ``v:<name>=<enc>``).  The store adds
+``r:<resource id>`` keys, its resource index: the peer holding each
+resource.  The prefixes keep the keys disjoint.
 
 Every p2p store runs two overlays: value keys live on the order-preserving
 range overlay ``dht.range``, which alone answers interval lookups, and
 every other key (the RDF store's triple keys too) on the hash overlay
 ``dht.hash``.
 
-A posting is one structural id, serialized fixed-width (4 x 64-bit,
-big-endian) so list sizes are predictable for the planner's cost model.
-Integer values are encoded as offset 20-digit decimals, which preserves
-order under byte-wise comparison; ``Document.terms`` holds no integer
-outside the +-10^18 window this encoding covers, and ``value_bounds``
-clips a query range to it.
-
-The four fields are fixed-width unsigned big-endian integers in label
-field order, so byte order on encoded postings is ``StructuralId`` order.
+A posting is one structural id, its four fields in label field order as
+fixed-width unsigned 64-bit big-endian integers: list sizes are
+predictable for the planner's cost model, and byte order on encoded
+postings is ``StructuralId`` order.
 A publication puts each posting key's postings of one document as one
 value, a run: the postings concatenated in label order, so sorted and
 distinct.  Documents are published and restored in doc-id order, and a
@@ -36,28 +25,28 @@ document published twice) is split into 32-byte records, which are
 deduped and sorted in C.  A label is a tuple of its four fields, so it
 packs as it is.
 
-This module turns a plan leaf into index work: its key (``tag_key``,
-``word_key``, ``value_bounds``), its estimated posting count from the
-published counts (``key_count``, ``range_count``), and its lookup, which
-returns distinct postings in label order.  A word-predicated node's
-Intersect reads its stored list with ``lookup_among``, which decodes only
-the postings the other list holds.
+This module turns a plan leaf into index work: its estimated posting
+count from the published counts (``key_count``, ``range_count``), and
+its lookup, which returns distinct postings in label order.  A
+word-predicated node's Intersect reads its stored list with
+``lookup_among``, which decodes only the postings the other list holds.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import starmap
+import sys
+from array import array
+from itertools import chain, starmap
 from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
-from .document import INT_WINDOW, TEXT, Document, StructuralId
+from .document import Document, StructuralId, tag_key, value_bounds, word_key
 from .overlay import DhtService, Items, PutFn
 from .netsim import PeerId
 
 POSTING_SIZE = 32
 
-_INT_OFFSET = 10**19
 _POSTING = struct.Struct(">QQQQ")
 _RECORD = struct.Struct(f"{POSTING_SIZE}s")
 
@@ -67,8 +56,12 @@ def encode_posting(sid: StructuralId) -> bytes:
 
 
 def encode_postings(sids: Iterable[StructuralId]) -> bytes:
-    """The encodings of ``sids``, concatenated."""
-    return b"".join(starmap(_POSTING.pack, sids))
+    """The encodings of ``sids``, concatenated: their fields as big-endian
+    64-bit words, converted in one C pass."""
+    words = array("Q", chain.from_iterable(sids))
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words.tobytes()
 
 
 def decode_postings(raw: bytes) -> list[StructuralId]:
@@ -94,45 +87,8 @@ def _sorted_postings(runs: list[bytes]) -> list[StructuralId]:
     return decode_postings(b"".join(sorted(set(_records(runs)))))
 
 
-def _run_items(runs: dict[str, list[bytes]], stats: dict[str, int]) -> Items:
-    """One item per key: its postings, in label order, joined into a run;
-    ``stats`` counts the postings."""
-    items = []
-    for key, postings in runs.items():
-        stats[key] = stats.get(key, 0) + len(postings)
-        items.append((key, b"".join(postings)))
-    return items
-
-
-def tag_key(name: str) -> str:
-    return "t:" + name
-
-
-def word_key(word: str) -> str:
-    return "w:" + word
-
-
-def encode_int(value: int) -> str:
-    if abs(value) > INT_WINDOW + 1:
-        raise ValueError(f"{value} outside the range-indexable window")
-    return f"{value + _INT_OFFSET:020d}"
-
-
-def value_key(tag: str, value: int) -> str:
-    return f"v:{tag}={encode_int(value)}"
-
-
 def resource_key(resource_id: str) -> str:
     return "r:" + resource_id
-
-
-def value_bounds(tag: str, lo: int, hi: int) -> tuple[str, str] | None:
-    """The half-open key interval of ``tag`` values in [lo, hi], clipped to
-    the window; None when no integer in the window lies in [lo, hi]."""
-    lo, hi = max(lo, -INT_WINDOW), min(hi, INT_WINDOW)
-    if lo > hi:
-        return None
-    return value_key(tag, lo), value_key(tag, hi + 1)
 
 
 # -- estimates: counts over the published-postings dict ``IndexService.stats``
@@ -178,40 +134,32 @@ class IndexService:
     def index_document(
         self, doc: Document, via: PeerId, put: PutFn | None = None, lead: Items = ()
     ) -> int:
-        """Publish all postings for ``doc``; returns the count published.
+        """Publish ``doc.postings()``; returns the count published.
 
-        Each ``t:``, ``w:`` and ``v:`` key gets one item, the run of its
-        postings in ``doc``, grouped by key during one pass over
-        ``doc.nodes``.  Each element and attribute is published under its
-        ``t:`` key, then a ``w:`` key per word and a ``v:`` key per value
-        of ``doc.terms``, the rule the centralized backend reads too.
-        ``nodes`` is in label order, so every run is, mixed content
-        (``<a><b>foo</b>foo</a>``) included.  The hash overlay gets one
-        batch: the ``lead`` items (the store's ``r:`` keys), then the runs.
-        The range overlay gets one batch of value runs.  ``put`` defaults
-        to the routed ``DhtService.put``; snapshot restore passes
+        Each key gets one item, the run of its postings in ``doc``, encoded
+        once.  The hash overlay gets one batch: the ``lead`` items (the
+        store's ``r:`` keys), then the ``t:`` and ``w:`` runs.  The range
+        overlay gets one batch of ``v:`` runs.  Each batch keeps the keys'
+        order in ``postings``; nothing is kept on ``doc``.  ``put``
+        defaults to the routed ``DhtService.put``; snapshot restore passes
         ``DhtService.put_direct``.
         """
-        # per key, its postings in ``doc``
-        hashed: dict[str, list[bytes]] = {}
-        ranged: dict[str, list[bytes]] = {}
-        for node in doc.nodes:
-            if node.kind == TEXT:
-                continue
-            # encoded once; its tag, word and value postings share the bytes
-            posting = encode_posting(node.label)
-            hashed.setdefault(tag_key(node.name), []).append(posting)
-            words, values = doc.terms(node)
-            for word in words:
-                hashed.setdefault(word_key(word), []).append(posting)
-            for value in values:
-                ranged.setdefault(value_key(node.name, value), []).append(posting)
-
-        published = sum(map(len, [*hashed.values(), *ranged.values()]))
+        postings = doc.postings()
+        # every list encoded in one pass, then sliced into its run
+        encoded = encode_postings(chain.from_iterable(postings.values()))
+        hashed: Items = list(lead)
+        ranged: Items = []
+        published = 0
+        for key, labels in postings.items():
+            end = published + len(labels)
+            run = encoded[POSTING_SIZE * published : POSTING_SIZE * end]
+            (ranged if key[0] == "v" else hashed).append((key, run))
+            self.stats[key] = self.stats.get(key, 0) + len(labels)
+            published = end
         put = put or self.dht.put
-        put(self.dht.hash, via, [*lead, *_run_items(hashed, self.stats)])
+        put(self.dht.hash, via, hashed)
         if ranged:
-            put(self.dht.range, via, _run_items(ranged, self.stats))
+            put(self.dht.range, via, ranged)
         return published
 
     # -- lookups: distinct postings in label order ----------------------

@@ -42,6 +42,9 @@ from .document import (
     StructuralId,
     recompose,
     serialize_node,
+    tag_key,
+    value_bounds,
+    word_key,
 )
 from .errors import PlanSiteUnreachable, UnsupportedWildcardRoot
 from .indexing import (
@@ -51,9 +54,6 @@ from .indexing import (
     encode_postings,
     key_count,
     range_count,
-    tag_key,
-    value_bounds,
-    word_key,
 )
 from .netsim import Envelope, Network, NetworkStats, PeerId
 from .overlay import REQUEST_BODY, DhtService

@@ -2,7 +2,8 @@
 
 The centralized backend keeps documents in one process and answers
 pattern queries with ``local_bindings``, the stack-based structural join
-over candidates looked up in the documents' name, word and value postings.
+over candidates read from each document's posting index, the one the p2p
+backend publishes (``Document.postings``), kept from the first query.
 The p2p backend hosts a simulated peer network with one hash and one range
 overlay, indexes every ingested document, and answers queries through the
 decompose -> place -> execute pipeline.  Both backends return identical
@@ -87,6 +88,12 @@ class StoreConfig:
             raise MalformedInput(f"unknown backend {self.backend!r}")
         if self.backend == P2P and not 1 <= self.peer_count <= MAX_PEERS:
             raise MalformedInput(f"p2p backend needs peer_count in 1..{MAX_PEERS}")
+        for name in sorted(self.resource_granularity):
+            # ``to_text`` joins the names with "," and ``from_text`` strips
+            # and splits them, so no other name reads back as it was
+            if not name or "," in name or any(map(str.isspace, name)):
+                raise MalformedInput(f"resource_granularity name {name!r} is empty "
+                                     "or holds a comma or whitespace")
 
     def to_text(self) -> str:
         granularity = ",".join(sorted(self.resource_granularity))

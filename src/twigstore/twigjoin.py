@@ -12,13 +12,13 @@ directly; that is the p2p backend's only tree-pattern path.
 ``holistic_join`` folds it over a pattern's edges for ``local_bindings``
 (the centralized backend, which leaves its bindings unsorted), starting at
 the edge whose join can emit the fewest rows.  Its inputs are
-per-document one-label rows: a predicate-free node's are the document's
-own ``Rows``, built once per name and kept with their skip index; a
-predicated node's come from the document's word and value postings, the
-per-tag element streams the stack joins assume (Zhang et
-al., SIGMOD 2001, feed inverted word lists to the join the same way).  So
-a query pays for what it joins, not for copying or sorting candidate
-lists.  Results are bindings; no payloads move until recomposition.
+per-document one-label rows read from the document's posting index, the
+lists the p2p backend publishes: the inverted lists the stack joins
+consume directly (Zhang et al., SIGMOD 2001).  A name's and a word's are
+``Rows`` built once and kept with their skip index; a range's are
+gathered from the ``v:`` keys between its bounds.  So a query pays for
+what it joins, not for copying or sorting candidate lists.  Results are
+bindings; no payloads move until recomposition.
 
 ``eval_naive`` scans every node of every document for every pattern node,
 checks its name and predicates against the text (``_node_matches``), and
@@ -47,6 +47,9 @@ from .document import (
     is_parent,
     parse_int_content,
     split_words,
+    tag_key,
+    value_bounds,
+    word_key,
 )
 from .pattern import CHILD, PNode, TreePattern, bfs_edges
 
@@ -106,23 +109,42 @@ def _all_nodes(doc: Document, pnode: PNode) -> list[Node]:
 
 def _candidate_rows(doc: Document, pnode: PNode, root_only: bool) -> Sequence[Row]:
     """The one-label rows of the nodes of ``doc`` that match ``pnode``, in
-    label order, read from the document's postings without checking any
-    text.  A predicate-free node's are the document's cached ``rows``; a
-    word- or range-predicated node's are made from the nodes its word or
-    value postings hold.  A wildcard takes every name's; a pattern node
-    carries at most one value predicate, so one postings list answers it.
-    ``root_only`` keeps the document root, the one node at depth 1 and the
-    first in label order."""
+    label order, read from the document's posting index (``Document.index``)
+    without checking any text: the lists the p2p backend looks up for the
+    same node.  A name's are ``t:name``'s and a wildcard's every ``t:``
+    list's; a word-predicated node's are ``w:word``'s, kept to the nodes
+    of its name unless it is a wildcard (p2p's ``Intersect`` of the two
+    lists); a range-predicated node's are ``_range_rows``.  A pattern node
+    carries at most one value predicate.  ``root_only`` keeps the
+    document root, the one node at depth 1 and the first in label order."""
     name = None if pnode.is_wildcard else pnode.name
     if pnode.word is not None:
-        rows = [(node.label,) for node in doc.with_word(name, pnode.word)]
+        rows = doc.rows(word_key(pnode.word), name)
     elif pnode.has_range:
-        rows = [(node.label,) for node in doc.in_range(name, pnode.lo, pnode.hi)]
+        rows = _range_rows(doc, name, pnode.lo, pnode.hi)
     else:
-        rows = doc.rows(name)
+        rows = doc.rows("*" if name is None else tag_key(name), None)
     if root_only:
         return rows[:1] if rows and rows[0][0].depth == 1 else []
     return rows
+
+
+def _range_rows(doc: Document, name: str | None, lo: int, hi: int) -> list[Row]:
+    """The rows of the nodes called ``name`` (any name for None) with a
+    value in [lo, hi], each once, in label order: the lists under the
+    document's ``v:`` keys between each name's ``value_bounds``, found by
+    bisecting the sorted keys as the range overlay scans them."""
+    keys, index = doc.value_keys(), doc.index()
+    names = [name] if name is not None else {k[2 : k.index("=")] for k in keys}
+    labels: set[StructuralId] = set()
+    for each in names:
+        bounds = value_bounds(each, lo, hi)
+        if bounds is None:
+            return []
+        first = bisect_left(keys, bounds[0])
+        for key in keys[first : bisect_left(keys, bounds[1], first)]:
+            labels.update(index[key])
+    return sorted(zip(labels))
 
 
 def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
@@ -159,12 +181,10 @@ def eval_naive(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
 def local_bindings(pattern: TreePattern, docs: list[Document]) -> list[Binding]:
     """The centralized backend's evaluation: every binding, unsorted.
 
-    Each pattern node's candidate rows are looked up in the document's
-    postings: a word-predicated node's in ``Document.with_word``, a
-    range-predicated node's in ``Document.in_range`` and any other node's
-    are the document's ``Document.rows``; a wildcard merges every name's.
-    No text is split or parsed, and no name's labels are copied, at query
-    time once a document's postings and rows are built.
+    Each pattern node's candidate rows are read from the document's
+    posting index (``_candidate_rows``), keyed as the p2p backend
+    publishes it.  No text is split or parsed at query time, and a name's
+    or word's rows are built once per document and kept.
     """
     bindings: list[Binding] = []
     root_only = pattern.root_axis == CHILD

@@ -19,11 +19,12 @@ from twigstore.document import (
     serialize_document,
     serialize_node,
     serialize_subtree,
+    value_key,
 )
 from twigstore.errors import EmptyInput, MalformedXml, UnknownNode
 from twigstore.pattern import DESCENDANT
 from twigstore.store import Store, StoreConfig, restore, snapshot
-from twigstore.twigjoin import stack_join
+from twigstore.twigjoin import _range_rows, stack_join
 
 from etree_oracle import parse_with_etree, write
 from helpers import random_document_text
@@ -73,71 +74,89 @@ def test_attributes_are_child_nodes():
 def test_name_postings_hold_elements_and_attributes_only(tmp_path):
     # text "a" and the attribute value "b" look like names but are not
     doc = parse_document('<a id="b"><b>a</b>a<a/></a>', 1)
-    # parsing builds neither the postings nor the join rows
-    assert doc._by_name is None and doc._rows == {}
-    assert [(n.kind, n.label.start) for n in doc.named("a")] == [
-        (ELEMENT, 1), (ELEMENT, 7)
-    ]
-    assert [n.label.start for n in doc.named("b")] == [3]
-    assert [(n.kind, n.attr_value) for n in doc.named("@id")] == [(ATTRIBUTE, "b")]
-    assert doc.named("c") == []
-    # a wildcard's postings: every element and attribute, built once
-    every = doc.named(None)
-    assert every == [n for n in doc.nodes if n.kind != TEXT]
-    assert doc.named(None) is every
+    # parsing builds neither the index nor the join rows
+    assert doc._index is None and doc._rows == {}
+    postings = doc.postings()
+    # each element and attribute under its name's key, in label order,
+    # the keys in the order one pass over the nodes first files them
+    assert {key: [lb.start for lb in labels] for key, labels in postings.items()} == {
+        "t:a": [1, 7], "w:a": [1, 3], "t:@id": [2], "t:b": [3]}
+    assert list(postings) == ["t:a", "w:a", "t:@id", "t:b"]
+    # postings builds afresh and keeps nothing; index builds once and keeps
+    assert doc.postings() == postings and doc.postings() is not postings
+    assert doc._index is None
+    assert doc.index() == postings and doc.index() is doc.index()
 
-    # a name's join rows are its postings' labels, built once per name; a
-    # restored store's documents hold neither postings nor rows
+    # a name's join rows are its postings' labels, built once per key; a
+    # restored store's documents hold neither index nor rows
     central = Store(StoreConfig(resource_granularity={"a"}))
     central.store_resource("<r><a/><a><b/></a></r>")
     snapshot(central, str(tmp_path / "s.snap"))
     (doc,) = restore(str(tmp_path / "s.snap")).documents.values()
-    assert doc._by_name is None and doc._rows == {}
-    rows = doc.rows("a")
-    assert rows == [(n.label,) for n in doc.named("a")] and len(rows) == 2
-    assert doc.rows("a") is rows and list(doc._rows) == ["a"]
+    assert doc._index is None and doc._rows == {}
+    rows = doc.rows("t:a", None)
+    assert rows == [(label,) for label in doc.postings()["t:a"]] and len(rows) == 2
+    assert doc.rows("t:a", None) is rows and list(doc._rows) == [("t:a", None)]
+    assert doc.rows("t:c", None) == []
+    # a wildcard's rows: every element and attribute, built once
+    every = doc.rows("*", None)
+    assert every == [(n.label,) for n in doc.nodes if n.kind != TEXT]
+    assert doc.rows("*", None) is every
     # the skip index is built by the first join that skips a parent, the
     # empty a that ends before the b starts, and kept with the rows
     assert rows.reach is None
-    b_rows = doc.rows("b")
+    b_rows = doc.rows("t:b", None)
     assert stack_join(DESCENDANT, rows, 0, b_rows, 0) == [(rows[1], b_rows[0])]
     reach = rows.reach
     assert reach == [(1, 3), (1, 7)]
     stack_join(DESCENDANT, rows, 0, b_rows, 0)
-    assert rows.reach is reach and doc.rows("a") is rows
+    assert rows.reach is reach and doc.rows("t:a", None) is rows
 
 
 def test_word_and_value_postings_read_text_children_only():
     doc = parse_document(
         '<a><b>Xml xml</b><b id="7">7<c>XML 8</c>0012</b>Straße<a>ﬁle-xml</a>xml</a>', 1
     )
-    # parsing builds neither postings structure
-    assert doc._by_word is None and doc._by_value is None
     # a node's terms: distinct words, then integers, of its text children
     assert doc.terms(doc.node_by_start(5)) == (("7", "0012"), (7, 12))
     assert doc.terms(doc.root) == (("straße", "xml"), ())
     assert doc.terms(doc.node_by_start(6)) == doc.terms(doc.node_by_start(7)) == ((), ())
+    postings = doc.postings()
 
-    def starts(nodes):
-        return [n.label.start for n in nodes]
+    def starts(key, name=None):
+        return [row[0].start for row in doc.rows(key, name)]
 
-    # each node once, in document order, words folded as split_words folds them
-    assert starts(doc.with_word("a", "xml")) == [1, 14]
-    assert starts(doc.with_word("b", "xml")) == [2]
-    assert starts(doc.with_word(None, "xml")) == [1, 2, 8, 14]
-    assert starts(doc.with_word("a", "straße")) == [1]
-    assert starts(doc.with_word("a", "ﬁle")) == [14]
-    assert starts(doc.with_word("c", "8")) == [8]
-    assert doc.with_word("@id", "7") == doc.with_word("b", "b") == ()
-    # the first word lookup builds the value postings too, in the same pass
-    by_value = doc._by_value
-    assert by_value is not None
+    # each node once, in label order, words folded as split_words folds
+    # them, and the attribute value "7" under no key
+    assert [lb.start for lb in postings["w:xml"]] == [1, 2, 8, 14]
+    assert [lb.start for lb in postings["w:7"]] == [5]
+    # the value keys: "7" and "0012" of the second b, and no "XML 8"
+    assert {key: [lb.start for lb in labels] for key, labels in postings.items()
+            if key.startswith("v:")} == {value_key("b", 7): [5], value_key("b", 12): [5]}
+
+    # the centralized reader: a word's rows, kept to a name's nodes
+    assert doc._index is None and doc._value_keys is None
+    assert starts("w:xml") == [1, 2, 8, 14]
+    assert starts("w:xml", "a") == [1, 14]
+    assert starts("w:xml", "b") == [2]
+    assert starts("w:straße", "a") == [1]
+    assert starts("w:ﬁle", "a") == [14]
+    assert starts("w:8", "c") == [8]
+    assert starts("w:7", "@id") == starts("w:b", "b") == []
+    index = doc.index()
+    assert doc._value_keys is None  # a word read sorts no value key
+
+    def in_range(name, lo, hi):
+        return [row[0].start for row in _range_rows(doc, name, lo, hi)]
+
     # "7" and "0012" both lie in 7..12, yet their element comes once
-    assert starts(doc.in_range("b", 7, 12)) == [5]
-    assert starts(doc.in_range(None, -5, 12)) == [5]
-    assert doc.in_range("b", 8, 11) == doc.in_range("@id", 0, 10) == []
-    assert doc.in_range("c", 8, 8) == []  # "XML 8" is no integer
-    assert doc._by_value is by_value  # range lookups build nothing again
+    assert in_range("b", 7, 12) == [5]
+    assert in_range(None, -5, 12) == [5]
+    assert in_range("b", 8, 11) == in_range("@id", 0, 10) == []
+    assert in_range("c", 8, 8) == []  # "XML 8" is no integer
+    assert in_range("b", 10**19, 10**19 + 5) == []  # beyond the window
+    assert doc._value_keys == [value_key("b", 7), value_key("b", 12)]
+    assert doc.index() is index  # range reads do not build it again
 
 
 def test_whitespace_only_text_dropped():

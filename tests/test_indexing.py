@@ -3,23 +3,29 @@ import struct
 
 from hypothesis import given, settings, strategies as st
 
-from twigstore.document import ELEMENT, ATTRIBUTE, TEXT, StructuralId, parse_document
+from twigstore.document import (
+    ATTRIBUTE,
+    ELEMENT,
+    StructuralId,
+    encode_int,
+    parse_document,
+    tag_key,
+    value_bounds,
+    value_key,
+    word_key,
+)
 from twigstore.indexing import (
     POSTING_SIZE,
     decode_postings,
-    encode_int,
     encode_posting,
     encode_postings,
     key_count,
     range_count,
-    tag_key,
-    value_bounds,
-    value_key,
     value_tags,
-    word_key,
 )
 from twigstore.pattern import PNode
-from twigstore.twigjoin import _predicates_hold
+from twigstore.store import Store, StoreConfig
+from twigstore.twigjoin import _all_nodes, _candidate_rows
 
 from helpers import (
     INT_HI, INT_LO, TAGS, WORDS, index_corpus, make_cluster, random_corpus,
@@ -106,7 +112,7 @@ def test_a_word_in_two_text_children_is_published_once():
     stored = dht.hash.members[dht.hash.owner_of("w:dht")]["w:dht"]
     assert stored == [encode_posting(p)]
     assert index.stats["w:dht"] == 1
-    assert [node.label for node in doc.with_word(None, "dht")] == [p]
+    assert doc.postings()["w:dht"] == [p]
 
 
 def test_an_integer_in_two_text_children_is_published_once():
@@ -118,7 +124,7 @@ def test_an_integer_in_two_text_children_is_published_once():
     key = value_key("n", 12)
     assert dht.range.members[dht.range.owner_of(key)][key] == [encode_posting(n)]
     assert index.stats[key] == 1
-    assert [node.label for node in doc.in_range("n", 0, 20)] == [n]
+    assert doc.postings()[key] == [n]
 
 
 def test_same_doc_indexed_under_two_ids():
@@ -161,40 +167,74 @@ def test_index_completeness_against_traversal():
     assert sorted(tags) == index.known_tags()
 
 
-def test_both_backends_index_each_node_under_its_terms():
-    """A node's published keys are its tag key plus the keys of its
-    ``terms``, and the centralized word and range lookups find it exactly
-    where the oracle's full text check holds, on mixed-content documents."""
-    rng = random.Random(32)
-    net, dht, index = make_cluster(1)
-    for doc_id in range(1, 81):
-        doc = parse_document(random_document_text(rng), doc_id)
-        published: dict[StructuralId, list[str]] = {}
+def _pattern_nodes():
+    """One pattern node per name, word and value test the random
+    documents can match, on each name and on the wildcard."""
+    for name in [*TAGS, "@id", "*"]:
+        yield PNode(0, name)
+        for word in WORDS:
+            pnode = PNode(0, name)
+            pnode.word = word
+            yield pnode
+        for lo, hi in [(INT_LO, INT_LO), (INT_LO + 3, INT_HI - 5), (INT_HI, INT_HI + 9)]:
+            pnode = PNode(0, name)
+            pnode.lo, pnode.hi = lo, hi
+            yield pnode
 
-        def put(ov, via, items):
-            for key, run in items:
-                for sid in decode_postings(run):
-                    published.setdefault(sid, []).append(key)
 
-        index.index_document(doc, 1, put)
-        for node in doc.nodes:
-            if node.kind == TEXT:
-                continue
-            words, values = doc.terms(node)
-            want = [tag_key(node.name), *map(word_key, words),
-                    *(value_key(node.name, v) for v in values)]
-            assert sorted(published.pop(node.label)) == sorted(want)
-            pnode = PNode(0, node.name)
-            for word in WORDS:
-                pnode.word = word
-                hit = node in doc.with_word(node.name, word)
-                assert hit == _predicates_hold(doc, node, pnode), (node.label, word)
-            pnode.word = None
-            for value in range(INT_LO, INT_HI + 1):
-                pnode.lo = pnode.hi = value
-                hit = node in doc.in_range(node.name, value, value)
-                assert hit == _predicates_hold(doc, node, pnode), (node.label, value)
-        assert not published  # no text node is published
+def _p2p_leaf(store, pnode):
+    """What the p2p backend looks up for a one-node pattern's leaf: the
+    tag (every tag's for a wildcard), word or value-range postings, a
+    named word node's as the Intersect of its tag and word lists."""
+    index, via = store.index, store.query_peer
+    if pnode.has_range:
+        return index.lookup_value_range(pnode.name, pnode.lo, pnode.hi, via)
+    if pnode.word is None:
+        return index.lookup("*" if pnode.is_wildcard else tag_key(pnode.name), via)
+    words = index.lookup_word(pnode.word, via)
+    if pnode.is_wildcard:
+        return words
+    return sorted(set(words) & set(index.lookup_tag(pnode.name, via)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), peers=st.sampled_from([1, 3, 8]))
+def test_both_backends_index_each_node_under_its_terms(seed, peers):
+    """One index, two readers.  Each document's runs, as the p2p peers
+    store them, decode to exactly ``Document.postings``, key by key; and
+    for every name, word, range and wildcard node, the centralized
+    candidate rows read from that index are the p2p backend's leaf lookup
+    restricted to the document, and the nodes where the oracle's full
+    text check holds, on random mixed-content documents."""
+    rng = random.Random(seed)
+    texts = [random_document_text(rng, 30) for _ in range(rng.randint(1, 4))]
+    p2p = Store(StoreConfig(backend="p2p", peer_count=peers))
+    central = Store(StoreConfig())
+    for text in texts:
+        p2p.store_resource(text)
+        central.store_resource(text)
+
+    stored: dict[int, dict[str, list[StructuralId]]] = {}
+    for ov in (p2p.dht.hash, p2p.dht.range):
+        for peer_store in ov.members.values():
+            for key, runs in peer_store.items():
+                if key.startswith("r:"):
+                    continue  # the store's resource index, not postings
+                for run in runs:
+                    (doc_id,) = struct.unpack_from(">Q", run)
+                    assert key not in stored.setdefault(doc_id, {}), key
+                    stored[doc_id][key] = decode_postings(run)
+    assert stored.keys() == p2p.documents.keys()
+    for doc_id, doc in p2p.documents.items():
+        assert stored[doc_id] == doc.postings(), doc_id
+
+    leaves = [(pnode, _p2p_leaf(p2p, pnode)) for pnode in _pattern_nodes()]
+    for doc_id, doc in central.documents.items():
+        for pnode, found in leaves:
+            rows = [row for (row,) in _candidate_rows(doc, pnode, False)]
+            assert rows == [sid for sid in found if sid.doc_id == doc_id], (
+                pnode.name, pnode.word, pnode.lo)
+            assert rows == [node.label for node in _all_nodes(doc, pnode)]
 
 
 def test_value_round_trip_exact_bounds():

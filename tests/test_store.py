@@ -560,44 +560,50 @@ def test_snapshot_round_trip(tmp_path, any_store):
 def test_word_and_value_postings_are_built_on_first_use(tmp_path, monkeypatch):
     builds = []
 
-    def counted(doc, real=Document._postings):
+    def counted(doc, real=Document.postings):
         builds.append(doc.doc_id)
-        real(doc)
+        return real(doc)
 
-    monkeypatch.setattr(Document, "_postings", counted)
+    monkeypatch.setattr(Document, "postings", counted)
     p2p = Store(config("p2p", tmp_path))
     central = Store(config("centralized", tmp_path))
     for store in (p2p, central):
         store.store_resource(D1)
         store.store_resource("<lib><par>two xml</par><par>3</par></lib>")
+    # a p2p ingest publishes each document's postings once; a
+    # centralized ingest builds none
+    assert builds == [1, 2]
     p2p.query('//par="xml"!')
     p2p.query("//par in 1..5!")
-    path = str(tmp_path / "x.snap")
+    p2p_path, path = str(tmp_path / "p.snap"), str(tmp_path / "x.snap")
+    snapshot(p2p, p2p_path)
+    p2p_again = restore(p2p_path)
+    assert builds == [1, 2, 1, 2]  # a p2p restore publishes them again
+    # and no p2p document keeps an index or rows, queried or not
+    assert all(d._index is None and d._rows == {}
+               for store in (p2p, p2p_again) for d in store.documents.values())
     snapshot(central, path)
     again = restore(path)
-    # ingest on either backend, p2p queries and a restore build none
-    assert not builds
     docs = list(again.documents.values())
-
-    def built():
-        return [(d._by_word is not None, d._by_value is not None) for d in docs]
-
-    assert built() == [(False, False)] * 2
-    # the first word lookup builds both, once per document
+    # a centralized restore builds none either
+    assert builds == [1, 2, 1, 2]
+    assert all(d._index is None for d in [*central.documents.values(), *docs])
+    # the first query builds each document's index, once
+    builds.clear()
     again.query('//sec[/title="dht"]/par!')
     assert sorted(builds) == [1, 2]
-    assert built() == [(True, True)] * 2
-    kept = [(d._by_word, d._by_value) for d in docs]
+    kept = [d._index for d in docs]
+    assert None not in kept
     assert len(again.query('//par="two"!').resources) == 1
     assert len(again.query("//par in 1..5!").resources) == 1
-    # another word and a range lookup reuse them
+    # another word and a range lookup reuse it
     assert sorted(builds) == [1, 2]
-    assert all(d._by_word is w and d._by_value is v for d, (w, v) in zip(docs, kept))
-    # and a range lookup first builds both as well
+    assert all(d._index is index for d, index in zip(docs, kept))
+    # and a range lookup first builds it as well
     fresh = restore(path)
     assert len(fresh.query("//par in 1..5!").resources) == 1
     assert sorted(builds) == [1, 1, 2, 2]
-    assert all(d._by_word is not None for d in fresh.documents.values())
+    assert all(d._index is not None for d in fresh.documents.values())
 
 
 def _records(blob: bytes) -> list[tuple[bytes, bytes]]:
@@ -1305,6 +1311,21 @@ def test_a_peer_count_above_the_cap_is_refused_before_any_peer_is_built(
     assert cli_main(["stats", "--config", str(tmp_path / "store.cfg")]) == 1
     assert capsys.readouterr().err == f"error: CONF record: {refusal}\n"
     assert added == []
+
+
+@pytest.mark.parametrize("names", [{"a,b"}, {" b"}, {"b\nc"}, {"b", ""}, {"a\tb"}, {"b "}])
+def test_granularity_names_the_config_text_cannot_carry_are_refused(names, tmp_path, capsys):
+    # to_text joins the names with "," and from_text strips and splits
+    # them, so such a name restored as other names, or not at all
+    with pytest.raises(MalformedInput, match="resource_granularity name"):
+        Store(StoreConfig(resource_granularity=names))
+    # a name with inner whitespace is the one a config file can hold
+    cfg = tmp_path / "store.cfg"
+    cfg.write_text(f"resource_granularity=a b\nsnapshot_path={tmp_path}/s.snap\n",
+                   encoding="utf-8")
+    assert cli_main(["init", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: resource_granularity name")
+    assert not (tmp_path / "s.snap").exists()
 
 
 @pytest.mark.parametrize("line", ["article, sec", " article ,sec ", "article,,sec,"])

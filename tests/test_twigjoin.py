@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twigstore import twigjoin
-from twigstore.document import StructuralId, parse_document, serialize_document
+from twigstore.document import StructuralId, parse_document, serialize_document, tag_key
 from twigstore.errors import UnsupportedWildcardRoot
 from twigstore.indexing import decode_postings, encode_postings
 from twigstore.pattern import (
@@ -126,8 +126,9 @@ def test_stack_join_skips_match_nested_loop(texts, axis, names, picks):
     docs = [parse_document(text, d) for d, text in enumerate(texts, start=1)]
 
     def pool(name):
-        return [n.label for doc in docs
-                for n in (doc.nodes if name is None else doc.named(name))]
+        return [label for doc in docs
+                for label in ([n.label for n in doc.nodes] if name is None
+                              else doc.postings().get(tag_key(name), []))]
 
     p_pool, c_pool = pool(names[0]), pool(names[1])
     p_labels = [p_pool[k % len(p_pool)] for k in picks[0]] if p_pool else []
