@@ -158,6 +158,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("\n".join(lines))
     elif args.command == "get":
         resource = store.get_resource(args.resource_id)
+        _save(store)  # a p2p get's lookup moves traffic
         print(resource.payload)
     elif args.command == "query":
         result = store.query(args.pattern)

@@ -12,9 +12,9 @@ can address them like elements; the attribute's value is kept on the node
 for serialization and is not word-indexed.
 
 A document has one posting index, ``Document.postings``, keyed as the
-overlays key it (``t:name``, ``w:word``, ``v:name=enc``, defined here)
-from each node's ``Document.terms``: the p2p backend publishes it and
-the centralized backend reads it.
+overlays key it (``t:name``, ``w:word``, ``v:name=enc``, built and read
+back only here) from each node's ``Document.terms``: the p2p backend
+publishes it and the centralized backend reads it.
 """
 
 from __future__ import annotations
@@ -70,6 +70,28 @@ def value_bounds(name: str, lo: int, hi: int) -> tuple[str, str] | None:
     if lo > hi:
         return None
     return value_key(name, lo), value_key(name, hi + 1)
+
+
+def tag_name(key: str) -> str | None:
+    """The name ``key`` is the ``tag_key`` of; None for any other key."""
+    return key[2:] if key[:2] == "t:" else None
+
+
+def is_value_key(key: str) -> bool:
+    return key[:2] == "v:"
+
+
+def value_intervals(name: str, lo: int, hi: int, keys: Iterable[str]) -> list[tuple[str, str]]:
+    """The ``value_bounds`` of ``name`` in [lo, hi], or for ``"*"`` of each
+    name ``keys`` holds a ``value_key`` of, in name order; none when no
+    integer in the window lies in [lo, hi]."""
+    bounds = value_bounds(name, lo, hi)
+    if bounds is None:
+        return []
+    if name != "*":
+        return [bounds]
+    names = sorted({k[2 : k.index("=")] for k in keys if is_value_key(k)})
+    return [value_bounds(each, lo, hi) for each in names]
 
 
 class StructuralId(NamedTuple):
@@ -209,7 +231,7 @@ class Document:
         """The ``v:`` keys of ``index``, sorted as the range overlay orders
         them; built on the first call and kept."""
         if self._value_keys is None:
-            self._value_keys = sorted(k for k in self.index() if k[0] == "v")
+            self._value_keys = sorted(filter(is_value_key, self.index()))
         return self._value_keys
 
     def rows(self, key: str, name: str | None) -> Rows:

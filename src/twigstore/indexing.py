@@ -41,7 +41,15 @@ from itertools import chain, starmap
 from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
-from .document import Document, StructuralId, tag_key, value_bounds, word_key
+from .document import (
+    Document,
+    StructuralId,
+    is_value_key,
+    tag_key,
+    tag_name,
+    value_intervals,
+    word_key,
+)
 from .overlay import DhtService, Items, PutFn
 from .netsim import PeerId
 
@@ -49,10 +57,6 @@ POSTING_SIZE = 32
 
 _POSTING = struct.Struct(">QQQQ")
 _RECORD = struct.Struct(f"{POSTING_SIZE}s")
-
-
-def encode_posting(sid: StructuralId) -> bytes:
-    return _POSTING.pack(*sid)
 
 
 def encode_postings(sids: Iterable[StructuralId]) -> bytes:
@@ -97,25 +101,14 @@ def resource_key(resource_id: str) -> str:
 def key_count(stats: dict[str, int], key: str) -> int:
     """Postings published under ``key``; ``"*"`` counts every tag's."""
     if key == "*":
-        return sum(c for k, c in stats.items() if k.startswith("t:"))
+        return sum(c for k, c in stats.items() if tag_name(k) is not None)
     return stats.get(key, 0)
-
-
-def value_tags(stats: dict[str, int]) -> list[str]:
-    """The tags with value postings, sorted: the only tags ``"*"`` expands
-    to in a range."""
-    return sorted({k[2 : k.index("=")] for k in stats if k.startswith("v:")})
 
 
 def range_count(stats: dict[str, int], tag: str, lo: int, hi: int) -> int:
     """Value postings of ``tag`` (``"*"``: any tag) with content in [lo, hi]."""
-    total = 0
-    for t in value_tags(stats) if tag == "*" else [tag]:
-        bounds = value_bounds(t, lo, hi)
-        if bounds is not None:
-            lo_key, hi_key = bounds
-            total += sum(c for k, c in stats.items() if lo_key <= k < hi_key)
-    return total
+    return sum(c for lo_key, hi_key in value_intervals(tag, lo, hi, stats)
+               for k, c in stats.items() if lo_key <= k < hi_key)
 
 
 class IndexService:
@@ -153,7 +146,7 @@ class IndexService:
         for key, labels in postings.items():
             end = published + len(labels)
             run = encoded[POSTING_SIZE * published : POSTING_SIZE * end]
-            (ranged if key[0] == "v" else hashed).append((key, run))
+            (ranged if is_value_key(key) else hashed).append((key, run))
             self.stats[key] = self.stats.get(key, 0) + len(labels)
             published = end
         put = put or self.dht.put
@@ -198,20 +191,17 @@ class IndexService:
         self, tag: str, lo: int, hi: int, via: PeerId
     ) -> list[StructuralId]:
         """Postings of ``tag`` elements (``"*"``: of every tag with value
-        postings, ``value_tags``) with integer content in [lo, hi]; a range
-        outside the window fetches nothing."""
-        if value_bounds(tag, lo, hi) is None:
-            return []
-        tags = value_tags(self.stats) if tag == "*" else [tag]
+        postings, one ``get_range`` per tag in name order) with integer
+        content in [lo, hi]; a range outside the window fetches nothing."""
         runs: list[bytes] = []
-        for t in tags:
-            runs += self.dht.get_range(via, *value_bounds(t, lo, hi))
+        for bounds in value_intervals(tag, lo, hi, self.stats):
+            runs += self.dht.get_range(via, *bounds)
         return _sorted_postings(runs)
 
     def known_tags(self) -> list[str]:
         """The element and attribute names with postings, sorted: the tags
         ``"*"`` expands to."""
-        return sorted(k[2:] for k in self.stats if k.startswith("t:"))
+        return sorted(name for name in map(tag_name, self.stats) if name is not None)
 
     def lookup_all(self, via: PeerId) -> list[StructuralId]:
         """Union of all tag posting lists (wildcard candidate source)."""

@@ -107,10 +107,6 @@ class Network:
             raise UnknownPeer(f"recipient {to_peer} does not exist")
         self._queue.append(Envelope(from_peer, to_peer, payload, self.tick + 1))
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._queue)
-
     def drop_pending(self) -> None:
         """Forget every queued envelope undelivered and uncharged."""
         self._queue.clear()

@@ -43,6 +43,7 @@ from .document import (
     recompose,
     serialize_node,
     tag_key,
+    tag_name,
     value_bounds,
     word_key,
 )
@@ -332,7 +333,7 @@ def _name_count(leaf: Plan, stats: dict[str, int]) -> int:
     looks up: every tag's for a wildcard, a word-only one included."""
     if leaf.op == "RangeLookup":
         return key_count(stats, "*" if leaf.tag == "*" else tag_key(leaf.tag))
-    return key_count(stats, leaf.key if leaf.key.startswith("t:") else "*")
+    return key_count(stats, "*" if tag_name(leaf.key) is None else leaf.key)
 
 
 def _annotate(plan: Plan, stats: dict[str, int], names: dict[int, int]) -> None:
@@ -343,7 +344,7 @@ def _annotate(plan: Plan, stats: dict[str, int], names: dict[int, int]) -> None:
     if plan.op == "IndexLookup":
         plan.est_rows = key_count(stats, plan.key)
         # an Intersect's tag leaf names its node; its word leaf does not
-        if plan.key.startswith("t:") or plan.var not in names:
+        if tag_name(plan.key) is not None or plan.var not in names:
             names[plan.var] = _name_count(plan, stats)
     elif plan.op == "RangeLookup":
         plan.est_rows = range_count(stats, plan.tag, plan.lo, plan.hi)
@@ -563,7 +564,8 @@ def decode_dataset(payload: bytes, ncols: int) -> list[Row]:
 
 
 class ExecutionContext:
-    """Runtime the executor needs: overlays, index, and document homes.
+    """Runtime the executor needs: overlays, index, the documents by doc
+    id, and ``home_of``, the rule that gives each doc id its home peer.
 
     A batched subtree fetch is one of the overlay service's requests: sent
     by ``DhtService.gather`` and answered by ``DhtService.reply``.
@@ -572,12 +574,14 @@ class ExecutionContext:
     def __init__(
         self,
         index: IndexService,
-        documents: dict[int, tuple[Document, PeerId]],
+        documents: dict[int, Document],
+        home_of: Callable[[int], PeerId],
     ):
         self.index = index
         self.dht = index.dht
         self.net = index.dht.net
         self.documents = documents
+        self.home_of = home_of
         self._inbox: list[bytes] = []
         self.dht.register_handler(TAG_DATASET, self._on_dataset)
         self.dht.register_handler(TAG_FETCH, self._on_fetch)
@@ -590,7 +594,7 @@ class ExecutionContext:
         in request order."""
         payloads = []
         for doc_id, start in struct.iter_unpack(">QQ", env.payload[REQUEST_BODY:]):
-            doc, _home = self.documents[doc_id]
+            doc = self.documents[doc_id]
             label = doc.node_by_start(start).label  # the request carries the start only
             payloads.append(serialize_node(doc, label).encode("utf-8"))
         self.dht.reply(env, payloads)
@@ -608,9 +612,9 @@ class ExecutionContext:
         out: list[str] = [""] * len(sids)
         remote: dict[PeerId, list[int]] = {}
         for i, sid in enumerate(sids):
-            doc, home = self.documents[sid.doc_id]
+            home = self.home_of(sid.doc_id)
             if home == via:
-                out[i] = serialize_node(doc, sid)
+                out[i] = serialize_node(self.documents[sid.doc_id], sid)
             else:
                 remote.setdefault(home, []).append(i)
         bodies = {

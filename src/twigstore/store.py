@@ -10,9 +10,12 @@ decompose -> place -> execute pipeline.  Both backends return identical
 resource lists for the same corpus; the p2p result additionally carries
 the network stats delta its evaluation produced.
 
-Resource access is O(1): looking up a resource id costs exactly one
-resource-index probe (the p2p backend first resolves the owning peer via
-the overlay, then probes that peer's index once).
+Both backends keep each document once (``documents``) and each resource
+once (``resources``).  A p2p document's home peer is one rule,
+``Store.home_of``: homes go round robin over the peers by doc id.
+Resource access is O(1): looking up a resource id costs exactly one probe
+of ``resources``; the p2p backend first routes the id's ``r:`` lookup
+through the hash overlay, and an id it does not find there is not found.
 
 ``snapshot`` writes a store to one file and ``restore`` reads it back:
 the config, every document's XML, the triples and the stats report, one
@@ -151,16 +154,17 @@ class Store:
         config.validate()
         self.config = config
         self.documents: dict[int, Document] = {}
+        self.resources: dict[str, Resource] = {}
         self.triples: list[Triple] = []
         self.probe_count = 0
         self._next_doc_id = 1
-        self._zero_stats = NetworkStats()
 
         if config.backend == CENTRALIZED:
-            self.resources: dict[str, Resource] = {}
+            self.stats = NetworkStats()  # sends nothing, so it never moves
             return
 
         self.net = Network()
+        self.stats = self.net.stats
         self.dht = DhtService(self.net)
         self.members: list[PeerId] = list(range(1, config.peer_count + 1))
         for peer in self.members:
@@ -169,12 +173,12 @@ class Store:
             for peer in self.members:
                 self.dht.join(ov, peer)
         self.index = IndexService(self.dht)
-        self.doc_homes: dict[int, tuple[Document, PeerId]] = {}
-        self.exec_ctx = planner.ExecutionContext(self.index, self.doc_homes)
-        self.peer_resources: dict[PeerId, dict[str, Resource]] = {
-            p: {} for p in self.members
-        }
+        self.exec_ctx = planner.ExecutionContext(self.index, self.documents, self.home_of)
         self.query_peer: PeerId = self.members[0]
+
+    def home_of(self, doc_id: int) -> PeerId:
+        """The peer a p2p document lives on: round robin by doc id."""
+        return self.members[(doc_id - 1) % len(self.members)]
 
     # -- ingest ------------------------------------------------------------
 
@@ -185,45 +189,36 @@ class Store:
         return self._register(doc)
 
     def _register(self, doc: Document, put: PutFn | None = None) -> list[str]:
-        """Record ``doc`` and publish its resource keys and postings, one
-        batch per overlay.
+        """Record ``doc`` and its resources; on p2p, then publish from its
+        home its resource keys, each naming that home in 8 bytes, and its
+        postings, one batch per overlay.
 
         ``put`` defaults to the routed ``DhtService.put``; snapshot restore
         passes ``DhtService.put_direct``.
         """
-        doc_id = doc.doc_id
-        self.documents[doc_id] = doc
+        self.documents[doc.doc_id] = doc
         resources = extract_resources(doc, self.config.resource_granularity)
-        if self.config.backend == CENTRALIZED:
-            for res in resources:
-                self.resources[res.resource_id] = res
-            return [res.resource_id for res in resources]
-
-        home = self.members[(doc_id - 1) % len(self.members)]
-        self.doc_homes[doc_id] = (doc, home)
-        where = struct.pack(">Q", home)
-        home_keys = []
         for res in resources:
-            self.peer_resources[home][res.resource_id] = res
-            home_keys.append((resource_key(res.resource_id), where))
-        self.index.index_document(doc, home, put, home_keys)
+            self.resources[res.resource_id] = res
+        if self.config.backend == P2P:
+            home = self.home_of(doc.doc_id)
+            where = struct.pack(">Q", home)
+            home_keys = [(resource_key(res.resource_id), where) for res in resources]
+            self.index.index_document(doc, home, put, home_keys)
         return [res.resource_id for res in resources]
 
     # -- resource access ----------------------------------------------------
 
     def get_resource(self, resource_id: str) -> Resource:
-        if self.config.backend == CENTRALIZED:
-            self.probe_count += 1
-            resource = self.resources.get(resource_id)
-            if resource is None:
-                raise NotFound(f"no resource {resource_id!r}")
-            return resource
-        values = self.dht.get(self.query_peer, resource_key(resource_id))
-        if not values:
+        if self.config.backend == P2P and not self.dht.get(
+            self.query_peer, resource_key(resource_id)
+        ):
             raise NotFound(f"no resource {resource_id!r}")
-        (home,) = struct.unpack(">Q", values[0])
         self.probe_count += 1
-        return self.peer_resources[home][resource_id]
+        resource = self.resources.get(resource_id)
+        if resource is None:
+            raise NotFound(f"no resource {resource_id!r}")
+        return resource
 
     # -- queries ------------------------------------------------------------
 
@@ -270,12 +265,6 @@ class Store:
         return eval_conjunctive(query, self.query_peer, self.dht)
 
     # -- stats -------------------------------------------------------------------
-
-    @property
-    def stats(self) -> NetworkStats:
-        if self.config.backend == CENTRALIZED:
-            return self._zero_stats
-        return self.net.stats
 
     def stats_report(self) -> str:
         return self.stats.report()
@@ -540,7 +529,7 @@ def _restore_stats(store: Store, report: str) -> None:
     store's peers (a centralized store has none), appear once, count a
     message at least and no negative bytes, and charge a self edge none."""
     peers = store.config.peer_count if store.config.backend == P2P else 0
-    stats = store.net.stats if peers else NetworkStats()
+    stats = store.stats
     *edges, total = report.splitlines() or [""]
     if total.split()[:1] != ["total"]:
         raise CorruptSnapshot("NSTA record does not end with its total line")

@@ -48,7 +48,7 @@ from .document import (
     parse_int_content,
     split_words,
     tag_key,
-    value_bounds,
+    value_intervals,
     word_key,
 )
 from .pattern import CHILD, PNode, TreePattern, bfs_edges
@@ -121,7 +121,7 @@ def _candidate_rows(doc: Document, pnode: PNode, root_only: bool) -> Sequence[Ro
     if pnode.word is not None:
         rows = doc.rows(word_key(pnode.word), name)
     elif pnode.has_range:
-        rows = _range_rows(doc, name, pnode.lo, pnode.hi)
+        rows = _range_rows(doc, pnode.name, pnode.lo, pnode.hi)
     else:
         rows = doc.rows("*" if name is None else tag_key(name), None)
     if root_only:
@@ -129,20 +129,16 @@ def _candidate_rows(doc: Document, pnode: PNode, root_only: bool) -> Sequence[Ro
     return rows
 
 
-def _range_rows(doc: Document, name: str | None, lo: int, hi: int) -> list[Row]:
-    """The rows of the nodes called ``name`` (any name for None) with a
+def _range_rows(doc: Document, name: str, lo: int, hi: int) -> list[Row]:
+    """The rows of the nodes called ``name`` (``"*"``: any name) with a
     value in [lo, hi], each once, in label order: the lists under the
-    document's ``v:`` keys between each name's ``value_bounds``, found by
+    document's value keys in each of its ``value_intervals``, found by
     bisecting the sorted keys as the range overlay scans them."""
     keys, index = doc.value_keys(), doc.index()
-    names = [name] if name is not None else {k[2 : k.index("=")] for k in keys}
     labels: set[StructuralId] = set()
-    for each in names:
-        bounds = value_bounds(each, lo, hi)
-        if bounds is None:
-            return []
-        first = bisect_left(keys, bounds[0])
-        for key in keys[first : bisect_left(keys, bounds[1], first)]:
+    for lo_key, hi_key in value_intervals(name, lo, hi, keys):
+        first = bisect_left(keys, lo_key)
+        for key in keys[first : bisect_left(keys, hi_key, first)]:
             labels.update(index[key])
     return sorted(zip(labels))
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import struct
 import zlib
+from typing import Callable
 
 from twigstore import planner
 from twigstore.document import Document, parse_document
@@ -141,14 +142,18 @@ def make_cluster(
 
 def index_corpus(
     index: IndexService, docs: list[Document], peers: list[int]
-) -> dict[int, tuple[Document, int]]:
-    """Index docs round-robin over peers; returns the doc -> home map."""
-    homes: dict[int, tuple[Document, int]] = {}
+) -> tuple[dict[int, Document], Callable[[int], int]]:
+    """Index docs round-robin over peers by doc id, as a store homes them;
+    returns the documents by doc id and that home rule, the arguments
+    ``planner.ExecutionContext`` takes after the index."""
+    def home_of(doc_id: int) -> int:
+        return peers[(doc_id - 1) % len(peers)]
+
+    documents: dict[int, Document] = {}
     for doc in docs:
-        home = peers[(doc.doc_id - 1) % len(peers)]
-        homes[doc.doc_id] = (doc, home)
-        index.index_document(doc, home)
-    return homes
+        documents[doc.doc_id] = doc
+        index.index_document(doc, home_of(doc.doc_id))
+    return documents, home_of
 
 
 def planner_bindings(store: Store, pattern: TreePattern) -> list[Binding]:
@@ -203,8 +208,7 @@ def skew_cluster(big: int, small: int):
         else:
             parts.append(f"<{big_tag}/>")
     doc = parse_document("<r>" + "".join(parts) + "</r>", 1)
-    homes = index_corpus(index, [doc], [2, 3, 4, 5, 6])
-    ctx = planner.ExecutionContext(index, homes)
+    ctx = planner.ExecutionContext(index, *index_corpus(index, [doc], [2, 3, 4, 5, 6]))
     builder = planner.PlanBuilder(dht, query_peer)
     pattern = parse_pattern(f"//{big_tag}[/{small_tag}]!")
     return net, index, ctx, builder, pattern, (big_tag, small_tag), doc

@@ -90,8 +90,7 @@ def test_criterion_1_tree_pattern_oracle_equivalence():
 def _pipeline_trial(rng, collect_bytes=None):
     docs = random_corpus(rng, max_docs=6, max_nodes=40)
     net, dht, index = make_cluster(4)
-    homes = index_corpus(index, docs, [1, 2, 3, 4])
-    ctx = planner.ExecutionContext(index, homes)
+    ctx = planner.ExecutionContext(index, *index_corpus(index, docs, [1, 2, 3, 4]))
     builder = PlanBuilder(dht, 1)
     pattern = random_pattern(rng, max_nodes=5)
     want = eval_naive(pattern, docs)

@@ -11,17 +11,16 @@ from twigstore.document import (
     parse_document,
     tag_key,
     value_bounds,
+    value_intervals,
     value_key,
     word_key,
 )
 from twigstore.indexing import (
     POSTING_SIZE,
     decode_postings,
-    encode_posting,
     encode_postings,
     key_count,
     range_count,
-    value_tags,
 )
 from twigstore.pattern import PNode
 from twigstore.store import Store, StoreConfig
@@ -50,7 +49,7 @@ def _split(values):
 
 def test_posting_wire_format():
     sid = StructuralId(3, 14, 15, 9)
-    raw = encode_posting(sid)
+    raw = encode_postings([sid])
     assert len(raw) == POSTING_SIZE
     assert raw == bytes.fromhex(
         "0000000000000003000000000000000e000000000000000f0000000000000009"
@@ -62,7 +61,7 @@ def test_posting_wire_format():
 def test_posting_lists_encode_and_decode_in_one_call():
     sids = [StructuralId(2**64 - 1, 2**32, 2**33, 7), StructuralId(1, 2, 3, 1)]
     raw = encode_postings(iter(sids))
-    assert raw == b"".join(map(encode_posting, sids))
+    assert raw == b"".join(struct.pack(">QQQQ", *sid) for sid in sids)
     assert decode_postings(raw) == sids
     assert encode_postings([]) == b"" and decode_postings(b"") == []
 
@@ -110,7 +109,7 @@ def test_a_word_in_two_text_children_is_published_once():
     assert index.index_document(doc, 1) == 7
     p = StructuralId(1, 2, 8, 2)
     stored = dht.hash.members[dht.hash.owner_of("w:dht")]["w:dht"]
-    assert stored == [encode_posting(p)]
+    assert stored == [encode_postings([p])]
     assert index.stats["w:dht"] == 1
     assert doc.postings()["w:dht"] == [p]
 
@@ -122,7 +121,7 @@ def test_an_integer_in_two_text_children_is_published_once():
     assert index.index_document(doc, 1) == 5
     n = StructuralId(1, 2, 7, 2)
     key = value_key("n", 12)
-    assert dht.range.members[dht.range.owner_of(key)][key] == [encode_posting(n)]
+    assert dht.range.members[dht.range.owner_of(key)][key] == [encode_postings([n])]
     assert index.stats[key] == 1
     assert doc.postings()[key] == [n]
 
@@ -355,8 +354,8 @@ def test_lookups_return_distinct_postings_in_label_order():
     wkey, vkey = word_key("xml"), value_key("n", 7)
     assert len(_stored(dht.hash, wkey)) == 1
     for key in (tag_key("p"), wkey):
-        dht.put(dht.hash, 2, [(key, encode_posting(sid)) for sid in _WIDE * 2])
-    dht.put(dht.range, 3, [(vkey, encode_posting(sid)) for sid in _WIDE[::-1]])
+        dht.put(dht.hash, 2, [(key, encode_postings([sid])) for sid in _WIDE * 2])
+    dht.put(dht.range, 3, [(vkey, encode_postings([sid])) for sid in _WIDE[::-1]])
 
     def read(ov, key, lookup):
         owner, other = _owner_and_other(ov, key)
@@ -392,12 +391,17 @@ _FIELD = st.one_of(st.integers(0, 3), st.integers(2**32 - 2, 2**32 + 2),
 def test_byte_order_is_label_order(sids, peers):
     net, dht, index = make_cluster(peers)
     key = tag_key("x")
-    dht.put(dht.hash, 1, [(key, encode_posting(sid)) for sid in sids + sids[:3]])
+    dht.put(dht.hash, 1, [(key, encode_postings([sid])) for sid in sids + sids[:3]])
     for via in range(1, peers + 1):
         assert index.lookup(key, via) == sorted(set(sids))
 
 
-def test_value_tags_lists_the_tags_with_value_postings():
+def test_value_intervals_span_each_name_with_value_postings():
+    # "*" expands to the names with value postings, in name order, and
+    # only those; a named range is its own bounds whatever the keys hold
     stats = {"t:a": 3, "v:year=1": 2, "v:year=2": 1, "v:n=3": 1, "w:x": 1}
-    assert value_tags(stats) == ["n", "year"]
-    assert value_tags({"t:a": 1}) == []
+    assert value_intervals("*", 0, 9, stats) == [
+        value_bounds("n", 0, 9), value_bounds("year", 0, 9)]
+    assert value_intervals("*", 0, 9, {"t:a": 1}) == []
+    assert value_intervals("a", 0, 9, {}) == [value_bounds("a", 0, 9)]
+    assert value_intervals("*", 10**19, 10**19 + 1, stats) == []  # beyond the window

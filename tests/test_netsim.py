@@ -109,18 +109,24 @@ def test_empty_queue_returns_immediately():
 
 def test_tick_budget_conserves_envelopes():
     net = Network()
+    pinging = [True]
 
     def forward(net_, env):
-        net_.send(env.to_peer, env.from_peer, env.payload)  # ping forever
+        if pinging:
+            net_.send(env.to_peer, env.from_peer, env.payload)  # ping forever
 
     net.spawn_peer(1, forward)
     net.spawn_peer(2, forward)
     net.send(1, 2, b"x")
     with pytest.raises(TickBudgetExceeded):
         net.run_until_quiescent(5)
-    assert net.pending_count == 1  # the undelivered envelope is still queued
     delivered = net.stats.messages_sent
     assert delivered == 5
+    # the undelivered envelope is still queued, alone: a drain that sends
+    # nothing more delivers exactly one
+    pinging.clear()
+    net.run_until_quiescent(5)
+    assert net.stats.messages_sent == delivered + 1
 
 
 def test_stats_totals_match_edges():
@@ -240,6 +246,6 @@ def test_delivery_follows_send_order_like_a_heap(ops):
                 outcomes.append("exceeded")
         assert outcomes[0] == outcomes[1]
         assert log == model.log
-        assert (net.tick, net.pending_count) == (model.tick, len(model.queue))
-    assert net.pending_count == 0
+        assert (net.tick, len(net._queue)) == (model.tick, len(model.queue))
+    net.run_until_quiescent(0)  # a zero budget refuses any queued envelope
     assert net.stats.messages_sent == len(log)

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -560,7 +561,7 @@ def test_place_never_costs_more_than_a_scrambled_input_randomized():
         members = list(range(1, peers + 1))
         net, dht, index = make_cluster(peers)
         docs = random_corpus(rng, max_docs=6, max_nodes=30)
-        ctx = ExecutionContext(index, index_corpus(index, docs, members))
+        ctx = ExecutionContext(index, *index_corpus(index, docs, members))
         query_peer = rng.choice(members)
         builder = PlanBuilder(dht, query_peer)
         for _ in range(3):
@@ -622,8 +623,7 @@ def pipeline(store_docs, pattern_text, query_peer=1):
     parsed pattern and documents and the context to execute it in."""
     net, dht, index = make_cluster()
     docs = [parse_document(text, i + 1) for i, text in enumerate(store_docs)]
-    homes = index_corpus(index, docs, [1, 2, 3, 4])
-    ctx = ExecutionContext(index, homes)
+    ctx = ExecutionContext(index, *index_corpus(index, docs, [1, 2, 3, 4]))
     pattern = parse_pattern(pattern_text)
     builder = PlanBuilder(dht, query_peer)
     plan = place(builder.build(decompose(pattern)), index.stats, query_peer)
@@ -653,8 +653,7 @@ def test_execute_bindings_match_naive():
 def test_execute_twice_same_results():
     net, dht, index = make_cluster()
     docs = [parse_document(D1, 1)]
-    homes = index_corpus(index, docs, [1, 2, 3, 4])
-    ctx = ExecutionContext(index, homes)
+    ctx = ExecutionContext(index, *index_corpus(index, docs, [1, 2, 3, 4]))
     pattern = parse_pattern("//sec!")
     builder = PlanBuilder(dht, 1)
     plan = place(builder.build(decompose(pattern)).kids[0], index.stats, 1)
@@ -665,7 +664,7 @@ def test_execute_twice_same_results():
 
 def test_unreachable_site():
     net, dht, index = make_cluster()
-    ctx = ExecutionContext(index, {})
+    ctx = ExecutionContext(index, *index_corpus(index, [], [1]))
     plan = Plan("IndexLookup", 99, key="t:x", var=0, cols=(0,))
     with pytest.raises(PlanSiteUnreachable):
         execute(plan, ctx)
@@ -710,14 +709,13 @@ def test_dataset_round_trip_keeps_the_wire_bytes(ncols, nrows):
     # the width.  No operator has zero columns, and a payload's length
     # could not count zero-width rows.
     from twigstore.document import StructuralId
-    from twigstore.indexing import encode_posting
     from twigstore.planner import decode_dataset, encode_dataset
 
     rng = random.Random(ncols * 1000 + nrows)
     field = lambda: rng.choice([rng.randrange(4), rng.randrange(2**64)])
     rows = [tuple(StructuralId(field(), field(), field(), field())
                   for _ in range(ncols)) for _ in range(nrows)]
-    want = b"".join(encode_posting(sid) for row in rows for sid in row)
+    want = b"".join(struct.pack(">QQQQ", *sid) for row in rows for sid in row)
     raw = encode_dataset(rows)
     assert raw == want
     assert decode_dataset(raw, ncols) == rows
@@ -761,8 +759,7 @@ def test_semantics_preserved_through_pipeline_randomized():
     for trial in range(20):
         docs = random_corpus(rng, max_docs=4, max_nodes=20)
         net, dht, index = make_cluster()
-        homes = index_corpus(index, docs, [1, 2, 3, 4])
-        ctx = ExecutionContext(index, homes)
+        ctx = ExecutionContext(index, *index_corpus(index, docs, [1, 2, 3, 4]))
         builder = PlanBuilder(dht, 1)
         pattern = random_pattern(rng)
         naive_bindings = eval_naive(pattern, docs)
@@ -796,7 +793,7 @@ def test_every_operator_emits_rows_as_wide_as_its_columns(monkeypatch, peers):
     for _ in range(150):
         docs = random_corpus(rng, max_docs=6, max_nodes=40)
         net, dht, index = make_cluster(peers)
-        ctx = ExecutionContext(index, index_corpus(index, docs, members))
+        ctx = ExecutionContext(index, *index_corpus(index, docs, members))
         query_peer = rng.choice(members)
         pattern = random_pattern(rng, max_nodes=5)
         built = PlanBuilder(dht, query_peer).build(decompose(pattern))

@@ -22,9 +22,9 @@ from twigstore.errors import (
     PatternSyntaxError,
     UnseedablePattern,
 )
-from twigstore.document import Document, split_words
+from twigstore.document import Document, serialize_node, split_words
 from twigstore.netsim import Network
-from twigstore.overlay import DhtService
+from twigstore.overlay import REQUEST_BODY, DhtService
 from twigstore.rdfstore import (
     ConjunctiveQuery,
     Triple,
@@ -396,6 +396,82 @@ def test_recomposition_fetches_once_per_remote_home(tmp_path, remote_homes):
         if to == p2p.query_peer and payload[0] == 0x03 and payload[1:5] in fetch_ids
     ]
     assert len(fetch_ids) == len(answers_back) == remote_homes
+
+
+RESOURCE_DOCS = [
+    '<lib><paper id="p1"><year>2003</year><title>dht xml</title></paper></lib>',
+    "<lib><paper><title>twig</title></paper><paper><year>1999</year><par>x</par></paper></lib>",
+    "<paper><sec><par>x</par><par>y <b>z</b></par></sec></paper>",
+]
+# no resource: malformed ids, a zero-padded doc id or start, the @id
+# attribute and the year element (outside the granularity) of document
+# 1, and a doc id past the last
+NO_RESOURCE = ["", "abc", "1#", "#1", "01#1", "1#01", "1#3", "1#4", "4#1"]
+# each get's (messages, bytes) on p2p, the store's ids then NO_RESOURCE:
+# the routed r: lookup, as it was before both backends shared one map
+GET_DELTAS = {
+    1: [(0, 0)] * 18,
+    4: [(3, 57)] * 5 + [(3, 59)] + [(3, 57)] * 3
+       + [(3, 39), (3, 45), (3, 43), (3, 43), (0, 0), (3, 47), (0, 0), (3, 45), (3, 45)],
+    8: [(3, 57), (4, 77), (3, 57), (4, 77), (3, 57), (3, 59), (3, 57), (3, 57), (3, 57)]
+       + [(3, 39), (3, 45), (3, 43), (3, 43), (0, 0), (3, 47), (0, 0), (3, 45), (4, 65)],
+}
+
+
+@pytest.mark.parametrize("peers", [1, 4, 8])
+def test_one_resource_map_serves_both_backends(tmp_path, peers):
+    stores = [Store(config(backend, tmp_path, granularity=("paper", "par"), peers=peers))
+              for backend in ("centralized", "p2p")]
+    ids = [[rid for text in RESOURCE_DOCS for rid in store.store_resource(text)]
+           for store in stores]
+    assert ids[0] == ids[1]
+    ids = ids[0]
+    assert len(ids) == 9
+
+    def gets(store):
+        """Each id's resource fields, or NotFound, and the get's stats delta."""
+        out = []
+        for rid in ids + NO_RESOURCE:
+            before = store.stats.copy()
+            try:
+                res = store.get_resource(rid)
+                got = (res.resource_id, res.doc_id, res.root_label, res.payload)
+            except NotFound:
+                got = None
+            delta = store.stats.delta_since(before)
+            out.append((got, (delta.messages_sent, delta.bytes_sent)))
+        return out
+
+    central, p2p = gets(stores[0]), gets(stores[1])
+    assert [got for got, _ in central] == [got for got, _ in p2p]
+    for rid, (got, _) in zip(ids, central):
+        doc_id, start = map(int, rid.split("#"))
+        assert got[:2] == (rid, doc_id) and got[2][:2] == (doc_id, start)
+        assert got[3] == serialize_node(stores[0].documents[doc_id], got[2])
+    assert [got for got, _ in central[len(ids):]] == [None] * len(NO_RESOURCE)
+    assert [delta for _, delta in central] == [(0, 0)] * len(central)
+    assert [delta for _, delta in p2p] == GET_DELTAS[peers]
+    for store, before in zip(stores, (central, p2p)):
+        snapshot(store, str(tmp_path / "s.snap"))
+        assert gets(restore(str(tmp_path / "s.snap"))) == before
+
+    # every Recompose fetch asks the home of each document it names
+    p2p_store = stores[1]
+    fetched = []
+    send = p2p_store.net.send
+
+    def spy(frm, to, payload):
+        if payload[0] == planner.TAG_FETCH:
+            body = payload[REQUEST_BODY:]
+            fetched.extend((to, doc_id) for doc_id, _ in struct.iter_unpack(">QQ", body))
+        send(frm, to, payload)
+
+    p2p_store.net.send = spy
+    for query in ("//par!", "//paper!"):
+        want = [(r.resource_id, r.payload) for r in stores[0].query(query).resources]
+        assert [(r.resource_id, r.payload) for r in p2p_store.query(query).resources] == want
+    assert all(to == p2p_store.home_of(doc_id) for to, doc_id in fetched)
+    assert {doc_id for _, doc_id in fetched} == (set() if peers == 1 else {2, 3})
 
 
 @pytest.mark.xfail(
