@@ -1,10 +1,10 @@
 """Command line interface.
 
 State persists between invocations through the snapshot file named by the
-config (``snapshot_path``); every mutating command rewrites it, before it
-prints.  Exit codes: 0 success (``--help`` too), 1 user error (command
-usage, syntax, not found, bad input) or a stdout reader that went away,
-2 internal error.
+config (``snapshot_path``); a mutating command that succeeds, and a read
+that moved traffic, rewrite it before they print.  Exit codes: 0 success
+(``--help`` too), 1 user error (command usage, syntax, not found, bad
+input) or a stdout reader that went away, 2 internal error.
 """
 
 from __future__ import annotations
@@ -78,6 +78,16 @@ def _load_store(config_path: str) -> Store:
 
 def _save(store: Store) -> None:
     snapshot(store, store.config.snapshot_path)
+
+
+def _run_read(store: Store, read):
+    """``read()``, saving ``store`` if it moved traffic, even if it raised."""
+    sent = store.stats.messages_sent
+    try:
+        return read()
+    finally:
+        if store.stats.messages_sent != sent:
+            _save(store)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -157,12 +167,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         _save(store)
         print("\n".join(lines))
     elif args.command == "get":
-        resource = store.get_resource(args.resource_id)
-        _save(store)  # a p2p get's lookup moves traffic
+        resource = _run_read(store, lambda: store.get_resource(args.resource_id))
         print(resource.payload)
     elif args.command == "query":
-        result = store.query(args.pattern)
-        _save(store)
+        result = _run_read(store, lambda: store.query(args.pattern))
         for resource in result.resources:
             print(f"{resource.resource_id}\t{_escape_payload(resource.payload)}")
         print(
@@ -175,8 +183,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         _save(store)
         print(f"loaded {count} triples")
     elif args.command == "rdf-query":
-        rows = store.rdf_query(parse_query_text(_read(args.file)))
-        _save(store)
+        query = parse_query_text(_read(args.file))
+        rows = _run_read(store, lambda: store.rdf_query(query))
         for row in rows:
             print("\t".join(row))
     elif args.command == "stats":

@@ -108,6 +108,32 @@ def bfs_edges(pattern: TreePattern) -> list[tuple[int, int, str]]:
     return sorted(pattern.edges, key=lambda edge: depth[edge[1]])
 
 
+def join_order(
+    edges: list[tuple[int, int, str]], sizes: list[int]
+) -> list[tuple[int, int, str]]:
+    """A connected tree's ``edges`` in the order both backends join them, by
+    the nodes' candidate counts ``sizes`` (Wu, Patel, Jagadish, ICDE 2003):
+    first the edge that can emit the fewest rows (a child-axis join one per
+    child, a descendant-axis join one per pair), then each time the edge out
+    of the joined nodes whose other end has the fewest, ties in edge order."""
+    rest = list(edges)
+    if not rest:
+        return []
+    first = min(rest, key=lambda e: (
+        sizes[e[1]] if e[2] == CHILD else sizes[e[0]] * sizes[e[1]]))
+    rest.remove(first)
+    order, joined = [first], {first[0], first[1]}
+    while rest:
+        edge = min(
+            (e for e in rest if (e[0] in joined) != (e[1] in joined)),
+            key=lambda e: sizes[e[1] if e[0] in joined else e[0]],
+        )
+        rest.remove(edge)
+        order.append(edge)
+        joined.update(edge[:2])
+    return order
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text

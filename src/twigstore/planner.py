@@ -4,8 +4,8 @@ A parsed pattern is decomposed by overlay capability in one pass over its
 edges: every integer-range predicate node is a unit of its own, answered
 by the range overlay (the only one answering interval lookups), and each
 maximal connected run of the other nodes is a unit the hash overlay
-answers.  The plan joins each unit's leaves in breadth-first order, then
-joins the units together over the cut edges, in pattern order.
+answers.  The plan joins each unit in ``pattern.join_order``, as the
+centralized fold does, then the units over the cut edges in pattern order.
 
 Plans are operator trees; leaves are index lookups pinned at the peers
 owning their keys, and every other operator carries the site where its
@@ -19,10 +19,10 @@ rows and the columns by that rule.  Row estimates come from
 the published posting counts alone: a leaf's is its key's count, and a
 child-axis join's is bounded by both sides, its child side's rows and its
 parent side's rows times the average fanout between the two nodes' names
-(``annotate``).  A query is planned as
-``decompose`` -> ``PlanBuilder.build`` (the naive placement) -> ``place``
-(each join at its largest input's site, when that estimates no dearer
-than the built plan).  ``place`` is the one placement optimizer; the
+(``annotate``).  A query is planned as ``PlanBuilder.build`` (which
+calls ``decompose``; the naive placement) -> ``place`` (each join at its
+largest input's site, when that estimates no dearer than the built
+plan).  ``place`` is the one placement optimizer; the
 ``rewrite`` engine beside it defines no rule and runs on no query path.
 
 Execution interprets the plan over the simulation: Ship edges and
@@ -58,7 +58,7 @@ from .indexing import (
 )
 from .netsim import Envelope, Network, NetworkStats, PeerId
 from .overlay import REQUEST_BODY, DhtService
-from .pattern import CHILD, TreePattern, bfs_edges
+from .pattern import CHILD, TreePattern, join_order
 from .twigjoin import Row, in_join_order, stack_join
 
 DESC_FANOUT = 4  # ancestor multiplicity assumed for descendant-axis joins
@@ -183,42 +183,25 @@ def plan_to_xml(plan: Plan) -> str:
 # -- decomposition -----------------------------------------------------------
 
 
-class Decomposition:
-    """The pattern's units and the join script that reassembles them.
+def decompose(pattern: TreePattern) -> dict[int, int]:
+    """Split by overlay capability into units, as the map from each
+    pattern node to the top node of its unit.
 
     A unit is one range-predicated node, which the range overlay answers,
     or a maximal connected run of the other nodes, which the hash overlay
-    answers; it is named by its top node.  ``joins`` are the edges between
-    units, in pattern order: each one's parent lies in the root's unit or
-    in a unit an earlier join attached.
-    """
-
-    def __init__(
-        self,
-        pattern: TreePattern,
-        unit_of: dict[int, int],  # pattern node -> the top node of its unit
-        joins: list[tuple[int, int, str]],  # cut edges (parent, child, axis)
-    ):
-        self.pattern = pattern
-        self.unit_of = unit_of
-        self.joins = joins
-
-
-def decompose(pattern: TreePattern) -> Decomposition:
-    """Split by overlay capability; range nodes cannot join a hash unit."""
+    answers.  A cut edge, between two units, is one whose child tops its
+    own unit."""
     if pattern.all_wildcard:
         raise UnsupportedWildcardRoot(
             "pattern has no named node to seed an index lookup"
         )
     unit_of = {0: 0}
-    joins: list[tuple[int, int, str]] = []
-    for p, c, axis in pattern.edges:  # a parent's unit is known first
+    for p, c, _ in pattern.edges:  # a parent's unit is known first
         if pattern.nodes[p].has_range or pattern.nodes[c].has_range:
             unit_of[c] = c
-            joins.append((p, c, axis))
         else:
             unit_of[c] = unit_of[p]
-    return Decomposition(pattern, unit_of, joins)
+    return unit_of
 
 
 # -- plan construction --------------------------------------------------------
@@ -280,26 +263,33 @@ class PlanBuilder:
             child_var=child, cols=left.cols + right.cols, kids=[left, right],
         )
 
-    def build(self, dec: Decomposition) -> Plan:
+    def build(self, pattern: TreePattern, stats: dict[str, int]) -> Plan:
         """The logical plan with the placer's naive sites and Ship edges.
 
-        Each unit's leaves are joined in breadth-first order from its top
-        node; the units are then joined onto the root's, one per cut edge,
-        under a Recompose at the query peer.  The Recompose's input,
-        ``kids[0]``, yields the bindings.
+        Each unit of ``decompose`` joins its inner edges in ``join_order`` of
+        its leaves' rows as ``annotate`` estimates them from ``stats``; the
+        units then join the root's, one per cut edge in pattern order, under
+        a Recompose at the query peer, whose ``kids[0]`` yields the bindings.
         """
-        pattern, unit_of = dec.pattern, dec.unit_of
-        units = {0: self.leaf_for(pattern, 0)}  # unit -> its plan so far
-        for edge in bfs_edges(pattern):
-            child = edge[1]
-            unit = unit_of[child]
-            plan = self.leaf_for(pattern, child)
-            if unit != child:  # the child extends its parent's unit
-                plan = self._join(units[unit], plan, edge)
+        unit_of = decompose(pattern)
+        leaves = [self.leaf_for(pattern, node.idx) for node in pattern.nodes]
+        for leaf in leaves:
+            if leaf.op != "RangeLookup":  # a unit of its own, never ordered
+                annotate(leaf, stats)
+        sizes = [leaf.est_rows for leaf in leaves]
+        units = {}  # unit -> its plan
+        for unit in dict.fromkeys(unit_of.values()):
+            inner = [e for e in pattern.edges if unit_of[e[1]] == unit != e[1]]
+            order = join_order(inner, sizes)
+            plan = leaves[order[0][0] if order else unit]
+            for edge in order:
+                p, c, _ = edge
+                plan = self._join(plan, leaves[c if p in plan.cols else p], edge)
             units[unit] = plan
         acc = units[0]
-        for edge in dec.joins:
-            acc = self._join(acc, units[edge[1]], edge)
+        for edge in pattern.edges:
+            if unit_of[edge[1]] == edge[1]:  # a cut edge
+                acc = self._join(acc, units[edge[1]], edge)
 
         acc = Plan(
             "Recompose", self.query_peer,

@@ -242,9 +242,8 @@ class Store:
         return QueryResult(*planner.execute(plan, self.exec_ctx))
 
     def build_plan(self, pattern: TreePattern) -> planner.Plan:
-        dec = planner.decompose(pattern)
         builder = planner.PlanBuilder(self.dht, self.query_peer)
-        plan = builder.build(dec)
+        plan = builder.build(pattern, self.index.stats)
         return planner.place(plan, self.index.stats, self.query_peer)
 
     # -- rdf ------------------------------------------------------------------

@@ -10,13 +10,13 @@ order.  The planner's StructJoin operator calls it
 directly; that is the p2p backend's only tree-pattern path.
 
 ``holistic_join`` folds it over a pattern's edges for ``local_bindings``
-(the centralized backend, which leaves its bindings unsorted), starting at
-the edge whose join can emit the fewest rows.  Its inputs are
-per-document one-label rows read from the document's posting index, the
-lists the p2p backend publishes: the inverted lists the stack joins
-consume directly (Zhang et al., SIGMOD 2001).  A name's and a word's are
-``Rows`` built once and kept with their skip index; a range's are
-gathered from the ``v:`` keys between its bounds.  So a query pays for
+(the centralized backend, which leaves its bindings unsorted), in
+``pattern.join_order``, the order the planner joins a hash unit in.  Its
+inputs are per-document one-label rows read from the document's posting
+index, the lists the p2p backend publishes: the inverted lists the stack
+joins consume directly (Zhang et al., SIGMOD 2001).  A name's and a
+word's are ``Rows`` built once and kept with their skip index; a range's
+are gathered from the ``v:`` keys between its bounds.  So a query pays for
 what it joins, not for copying or sorting candidate lists.  Results are
 bindings; no payloads move until recomposition.
 
@@ -51,7 +51,7 @@ from .document import (
     value_intervals,
     word_key,
 )
-from .pattern import CHILD, PNode, TreePattern, bfs_edges
+from .pattern import CHILD, PNode, TreePattern, bfs_edges, join_order
 
 Binding = tuple[StructuralId, ...]
 Row = tuple[StructuralId, ...]
@@ -221,45 +221,27 @@ class QueryCache:
 # -- structural join -------------------------------------------------------
 
 
-def _edge_bound(cands: list[Sequence[Row]], edge: tuple[int, int, str]) -> int:
-    """The most rows an edge's join can emit over candidate lists that hold
-    each label once: one per child candidate on the child axis, whose
-    child has one parent, and one per candidate pair on the descendant
-    axis."""
-    p, c, axis = edge
-    if axis == CHILD:
-        return len(cands[c])
-    return len(cands[p]) * len(cands[c])
-
-
 def holistic_join(pattern: TreePattern, cands: list[Sequence[Row]]) -> list[Binding]:
     """Join each pattern node's one-label candidate rows, each list in label
     order, over the pattern's edges (unsorted bindings); ``local_bindings``
     calls it once per document.
 
-    The fold starts at the edge whose output bound (``_edge_bound``) is
-    smallest, so ``/dblp/article[/venue="w"]/title!`` first joins the few
-    ``venue``s to their ``article``s rather than every ``article`` to
-    ``dblp``.  It then joins, one ``stack_join`` at a time, the edge out of
-    the bound nodes whose unbound end has the fewest candidates (ties in
-    pattern order), so the most selective lists bound the rows every later
-    join steps through (join order by selectivity: Wu, Patel, Jagadish,
-    ICDE 2003).  The bound rows are the parent side of an edge to a child
+    The edges are joined one ``stack_join`` at a time in ``join_order`` of
+    the candidate counts, so ``/dblp/article[/venue="w"]/title!`` first
+    joins the few ``venue``s to their ``article``s rather than every
+    ``article`` to ``dblp``.  The bound rows are the parent side of an edge to a child
     and the child side of an edge to a parent.  The kernel emits them in
     the child column's label order, so they are sorted again only when the
     next join reads another column.  Duplicate candidate rows all survive.
     """
     if any(not c for c in cands):
         return []
-    edges = list(pattern.edges)
+    edges = join_order(pattern.edges, [len(c) for c in cands])
     if not edges:
         return list(cands[0])
-    edge = min(edges, key=lambda e: _edge_bound(cands, e))
-    slot = {edge[0]: 0}  # pattern node -> its column in ``rows``
-    rows, order = cands[edge[0]], 0  # ``rows`` is in column ``order``'s label order
-    while True:
-        edges.remove(edge)
-        p, c, axis = edge
+    slot = {edges[0][0]: 0}  # pattern node -> its column in ``rows``
+    rows, order = cands[edges[0][0]], 0  # ``rows`` is in column ``order``'s label order
+    for p, c, axis in edges:
         if p in slot:
             col = slot[p]
             pairs = stack_join(axis, in_join_order(rows, col, order), col, cands[c], 0)
@@ -273,12 +255,6 @@ def holistic_join(pattern: TreePattern, cands: list[Sequence[Row]]) -> list[Bind
             order = col
         if not rows:
             return []
-        if not edges:
-            break
-        edge = min(
-            (e for e in edges if (e[0] in slot) != (e[1] in slot)),
-            key=lambda e: len(cands[e[1] if e[0] in slot else e[0]]),
-        )
     return list(map(itemgetter(*[slot[i] for i in range(len(slot))]), rows))
 
 

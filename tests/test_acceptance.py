@@ -11,7 +11,7 @@ from twigstore import planner
 from twigstore.document import serialize_document
 from twigstore.netsim import Network
 from twigstore.overlay import DhtService, Overlay
-from twigstore.planner import PlanBuilder, decompose, execute, place
+from twigstore.planner import PlanBuilder, execute, place
 from twigstore.rdfstore import (
     ConjunctiveQuery,
     Triple,
@@ -94,7 +94,7 @@ def _pipeline_trial(rng, collect_bytes=None):
     builder = PlanBuilder(dht, 1)
     pattern = random_pattern(rng, max_nodes=5)
     want = eval_naive(pattern, docs)
-    naive_plan = builder.build(decompose(pattern)).kids[0]
+    naive_plan = builder.build(pattern, index.stats).kids[0]
     placed_plan = place(naive_plan, index.stats, 1)
     placed_result, placed_delta = execute(placed_plan, ctx)
     assert dataset_to_bindings(pattern, placed_plan, placed_result) == want, (
@@ -116,8 +116,7 @@ def test_criterion_2_end_to_end_plan_correctness():
 def test_criterion_3_transfer_reduction():
     with Criterion(3, "transfer reduction", 10):
         net, index, ctx, builder, pattern, _, doc = skew_cluster(1000, 10)
-        dec = decompose(pattern)
-        naive_plan = builder.build(dec).kids[0]
+        naive_plan = builder.build(pattern, index.stats).kids[0]
         placed_plan = place(naive_plan, index.stats, 1)
         want = eval_naive(pattern, [doc])
         naive_result, naive_delta = execute(naive_plan, ctx)

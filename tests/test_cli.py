@@ -9,6 +9,7 @@ import pytest
 
 import twigstore
 from twigstore.cli import main
+from twigstore.errors import NotFound
 from twigstore.store import Store, restore
 
 from helpers import deflated, plain_snapshot, write_snapshot
@@ -78,6 +79,39 @@ def test_get_persists_stats(workdir, capsys):
     capsys.readouterr()
     assert main(["stats"]) == 0
     assert capsys.readouterr().out == store.stats_report()
+
+
+def test_failed_get_persists_its_lookup(workdir, capsys):
+    # the r: lookup of an id that is not stored leaves the query peer all
+    # the same; the failed get exits 1 and the next command's stats show it
+    main(["ingest", "d1.xml"])
+    store = restore(str(workdir / "demo.snap"))
+    before = store.stats.copy()
+    with pytest.raises(NotFound):
+        store.get_resource("9#9")
+    assert store.stats.delta_since(before).bytes_sent > 0
+    assert main(["get", "9#9"]) == 1
+    capsys.readouterr()
+    assert main(["stats"]) == 0
+    assert capsys.readouterr().out == store.stats_report()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["get", "1#6"], 0), (["get", "9#9"], 1), (["query", "//par!"], 0),
+    (["rdf-query", "q.rq"], 0),
+], ids=lambda case: " ".join(case) if isinstance(case, list) else None)
+def test_centralized_reads_leave_the_snapshot_alone(workdir, capsys, argv, code):
+    # a centralized read moves no traffic, so it writes no snapshot: the
+    # file keeps its inode and its bytes
+    cfg = workdir / "store.cfg"
+    cfg.write_text(cfg.read_text().replace("backend=p2p", "backend=centralized"))
+    assert main(["init"]) == 0
+    assert main(["ingest", "d1.xml"]) == 0
+    assert main(["rdf-load", "triples.tsv"]) == 0
+    snap = workdir / "demo.snap"
+    inode, blob = snap.stat().st_ino, snap.read_bytes()
+    assert main(argv) == code
+    assert (snap.stat().st_ino, snap.read_bytes()) == (inode, blob)
 
 
 def test_query_beyond_the_integer_window_prints_nothing(workdir, capsys):

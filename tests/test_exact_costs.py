@@ -8,7 +8,8 @@ to move none leaves them alone.
 Per query the pins are messages and bytes, messages and bytes per wire tag
 (the first payload byte, counted by wrapping ``Network.send`` and charged
 as ``NetworkStats.record`` charges them: a message a peer sends itself
-costs no bytes), and the sha256 of the answers and of the placed plan XML.
+costs no bytes), and the sha256 of the answers and of the placed plan XML;
+the rows its structural joins emit are pinned per form on both backends.
 Ingest is pinned as messages and bytes per document, and every step, query
 or ingest, by the sha256 of its envelopes (``envelopes_sha256``), so
 reordering the items inside an envelope, or the requests of one read,
@@ -26,6 +27,7 @@ from collections import defaultdict
 
 import pytest
 
+from twigstore import planner, twigjoin
 from twigstore.netsim import Network
 from twigstore.pattern import parse_pattern
 from twigstore.planner import plan_to_xml
@@ -183,10 +185,10 @@ QUERY_COSTS = {
         "plan": "37b54b255f012bbbd113b462f480222786659ca069f0904d9301ca5eb623e914",
     },
     "word": {
-        "cost": (9, 3078),
-        "tags": {0x03: (3, 204), 0x10: (3, 2691), 0x11: (3, 183)},
+        "cost": (8, 1829),
+        "tags": {0x03: (3, 204), 0x10: (2, 1442), 0x11: (3, 183)},
         "result": (12, "c77b80b3895c173694e5d87a5bddd5ff7c0a58ca837631cb9142332c105bbf3f"),
-        "plan": "a4b942d96b8b31c5a645f34fc39990ef34d5bd6c5e9380af926e15a8ed6ab92f",
+        "plan": "1f136cdc0a8ca2aeba8a154bb36c582bcba37f33ce2320d992484db60465b7d9",
     },
     "branch": {
         "cost": (9, 1932),
@@ -204,7 +206,7 @@ QUERY_COSTS = {
         "cost": (10, 3335),
         "tags": {0x03: (3, 204), 0x10: (4, 3012), 0x11: (3, 119)},
         "result": (6, "008008eb644d4495dd275f8dcd655e697f322b61ab1f2471bd50e668bff2a8da"),
-        "plan": "bf6b1243a049cc2496ac3d0a6a97dcc266d58159a8aee65fdb2a4da70f6d6648",
+        "plan": "27c499d5d9ea1044dfd47e8ca63cd7a42fcdb471b2203af7d0d375ac1aef42cd",
     },
     "wildcard": {
         "cost": (8, 2381),
@@ -226,10 +228,10 @@ QUERY_COSTS = {
 # every count and answer stays
 QUERY_ENVELOPES = {
     "range": "08354574d91bdcd413082e5f768797598f69e3cc89072e21c63f506b4a2505f9",
-    "word": "c53bbd4c42474714a60c505fdeb09c2e7dcce0f4570739cf83071d2f4885924f",
+    "word": "e10baee43cff9944801d6f0aafbf973c38f9fa15366d71b2db70963096738d82",
     "branch": "072fb716c5614df1b93b7d9d6888739a3bdae311b1c6d05f63470b4e924f6348",
     "deep": "94fc5260db84f242e84a077096fa97321e817101ae9af567f72c7b8be08a0718",
-    "root": "0bad0ebc4290d46159f31d8e0c00513be33a622fb24697e665afb9d02bb0a8e3",
+    "root": "6770590171de826d029a7ff29a5c95423f4d34aa575c048354a87fa8f8f63bcd",
     "wildcard": "62c9b00902f3276c0465434f6fadbcee3f57f0303b6dde22444a6d0bc481d502",
     "rdf": "e206ae99410516f3f146accb9f1873ce6a8d02af634770b8293405d7cc856f34",
 }
@@ -253,12 +255,49 @@ def test_traffic_per_tag_adds_up_to_the_stats(observed):
         assert (msgs, byts) == step["cost"], name
 
 
+# rows every stack_join of one query emits, summed, per form: (p2p,
+# centralized).  Both join a hash unit by ``pattern.join_order``, but the
+# plan orders it by estimates over all documents and joins their lists at
+# once, and joins a range node as a unit of its own, after its hash unit
+JOIN_ROWS = {
+    "range": (33, 18),
+    "word": (36, 24),
+    "branch": (14, 13),
+    "deep": (57, 42),
+    "root": (18, 18),
+    "wildcard": (12, 12),
+}
+
+
+def test_join_rows_per_form(monkeypatch):
+    rows = {}
+    for col, backend in enumerate(("p2p", "centralized")):
+        store = Store(StoreConfig(backend=backend, peer_count=PEERS,
+                                  resource_granularity={"article"}))
+        for text in DOCS:
+            store.store_resource(text)
+        for form, text in QUERIES.items():
+            emitted = [0]
+
+            def counting(*args, real=twigjoin.stack_join):
+                pairs = real(*args)
+                emitted[0] += len(pairs)
+                return pairs
+
+            with monkeypatch.context() as patch:
+                patch.setattr(planner, "stack_join", counting)
+                patch.setattr(twigjoin, "stack_join", counting)
+                store.query(text)
+            rows.setdefault(form, [0, 0])[col] = emitted[0]
+    assert {form: tuple(pair) for form, pair in rows.items()} == JOIN_ROWS
+
+
 # sha256 of each backend's snapshot after the corpus, the triples and one
 # run of every query form, in the TWIGSNAP3 layout; the p2p file holds
 # that traffic in its stats
 SNAPSHOT_SHA256 = {
     "centralized": "0c9fed8d38391266d57be18ba0e994d5cd1980e1933385b85053dfeecbe74a9a",
-    "p2p": "f2c093dbf1124cf4d4011760d00607c460fc39c90ae0c02e6d9d61a20cc58a0f",
+    "p2p": "f2053b3faa3a128d368e649bef91c32fc089c4b71af03fe8f71945140e7e6b5d",
 }
 
 

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from twigstore.errors import PatternSyntaxError
-from twigstore.pattern import CHILD, DESCENDANT, canonical, parse_pattern
+from twigstore.pattern import CHILD, DESCENDANT, canonical, join_order, parse_pattern
 
-from helpers import random_pattern_text
+from helpers import random_pattern, random_pattern_text
 
 
 def test_descendant_with_word_predicate():
@@ -128,3 +128,36 @@ def test_canonical_round_trip_randomized():
         assert [n.name for n in q.nodes] == [n.name for n in p.nodes]
         assert q.edges == p.edges
         assert q.return_nodes == p.return_nodes
+
+
+def test_join_order_randomized():
+    # each edge once, each later edge out of the joined nodes, and each
+    # choice the smallest: the first by its output bound, a later one by
+    # the candidates of its unjoined end, ties in edge order
+    rng = random.Random(0x70)
+    reordered = 0
+    for _ in range(2000):
+        pattern = random_pattern(rng, max_nodes=8)
+        sizes = [rng.choice((0, 1, 2, 3, 5, 8, 40)) for _ in pattern.nodes]
+        order = join_order(pattern.edges, sizes)
+        assert sorted(order) == sorted(pattern.edges), pattern.edges
+        if not order:
+            continue
+
+        def bound(edge):
+            p, c, axis = edge
+            return sizes[c] if axis == CHILD else sizes[p] * sizes[c]
+
+        assert order[0] == min(pattern.edges, key=bound)
+        joined = set(order[0][:2])
+        rest = [e for e in pattern.edges if e != order[0]]
+        for edge in order[1:]:
+            assert (edge[0] in joined) != (edge[1] in joined), (order, edge)
+            frontier = [e for e in rest if (e[0] in joined) != (e[1] in joined)]
+            assert edge == min(
+                frontier, key=lambda e: sizes[e[1] if e[0] in joined else e[0]]
+            ), (order, edge)
+            joined.update(edge[:2])
+            rest.remove(edge)
+        reordered += order != pattern.edges
+    assert reordered >= 200

@@ -7,7 +7,7 @@ from twigstore import planner
 from twigstore.document import parse_document
 from twigstore.errors import PlanSiteUnreachable, UnsupportedWildcardRoot
 from twigstore.indexing import key_count
-from twigstore.pattern import parse_pattern
+from twigstore.pattern import join_order, parse_pattern
 from twigstore.planner import (
     ExecutionContext,
     Plan,
@@ -37,24 +37,31 @@ from helpers import (
 # -- decomposition -------------------------------------------------------------
 
 
+def _cut_edges(pattern, unit_of):
+    """The edges between units: each one's child tops its own unit."""
+    return [edge for edge in pattern.edges if unit_of[edge[1]] == edge[1]]
+
+
 def test_decompose_capability_split():
     pattern = parse_pattern('//paper[/year in 2000..2005][/title="xml"]!')
-    dec = decompose(pattern)
-    assert dec.unit_of == {0: 0, 1: 1, 2: 0}  # paper and title stay together
-    assert dec.joins == [(0, 1, "child")]
+    unit_of = decompose(pattern)
+    assert unit_of == {0: 0, 1: 1, 2: 0}  # paper and title stay together
+    assert _cut_edges(pattern, unit_of) == [(0, 1, "child")]
 
 
 def test_decompose_no_range_single_fragment():
-    dec = decompose(parse_pattern("//sec[/title]!"))
-    assert dec.unit_of == {0: 0, 1: 0}
-    assert dec.joins == []
+    pattern = parse_pattern("//sec[/title]!")
+    unit_of = decompose(pattern)
+    assert unit_of == {0: 0, 1: 0}
+    assert _cut_edges(pattern, unit_of) == []
 
 
 def test_decompose_range_node_splits_fragments():
     # b sits below the range node, so it forms its own hash unit
-    dec = decompose(parse_pattern("//a[/y in 1..5[/b]]!"))
-    assert dec.unit_of == {0: 0, 1: 1, 2: 2}
-    assert dec.joins == [(0, 1, "child"), (1, 2, "child")]
+    pattern = parse_pattern("//a[/y in 1..5[/b]]!")
+    unit_of = decompose(pattern)
+    assert unit_of == {0: 0, 1: 1, 2: 2}
+    assert _cut_edges(pattern, unit_of) == [(0, 1, "child"), (1, 2, "child")]
 
 
 def test_decompose_all_wildcard_propagates():
@@ -69,8 +76,8 @@ def test_decompose_units_randomized():
         pattern = random_pattern(rng, max_nodes=7)
         if pattern.all_wildcard:
             continue
-        dec = decompose(pattern)
-        nodes, unit_of = pattern.nodes, dec.unit_of
+        unit_of = decompose(pattern)
+        nodes = pattern.nodes
         parent = {c: p for p, c, _ in pattern.edges}
         assert sorted(unit_of) == [n.idx for n in nodes]
         for idx, unit in unit_of.items():
@@ -88,16 +95,56 @@ def test_decompose_units_randomized():
         for p, c, _ in pattern.edges:  # hash units are maximal
             if not (nodes[p].has_range or nodes[c].has_range):
                 assert unit_of[p] == unit_of[c], pattern
-        assert dec.joins == [
+        cuts = _cut_edges(pattern, unit_of)
+        assert cuts == [
             edge for edge in pattern.edges if unit_of[edge[0]] != unit_of[edge[1]]
         ]
         attached = {unit_of[0]}
-        for p, c, _ in dec.joins:
+        for p, c, _ in cuts:
             assert unit_of[p] in attached, pattern
             attached.add(unit_of[c])
         assert attached == set(unit_of.values())
-        multi += len(dec.joins) >= 2
+        multi += len(cuts) >= 2
     assert multi >= 20
+
+
+def _joins_bottom_up(plan):
+    """The plan's StructJoins as edges, each after the joins below it."""
+    out = [edge for kid in plan.kids for edge in _joins_bottom_up(kid)]
+    if plan.op == "StructJoin":
+        out.append((plan.parent_var, plan.child_var, plan.axis))
+    return out
+
+
+def test_each_unit_joins_in_join_order():
+    # the StructJoins between two nodes of one unit come in join_order of
+    # that unit's inner edges, over the leaves' estimated rows, in the
+    # built plan and in the placed one
+    rng = random.Random(0x10)
+    checked = reordered = 0
+    for _ in range(300):
+        net, dht, index = make_cluster()
+        index_corpus(index, random_corpus(rng, max_docs=4, max_nodes=30), [1, 2, 3, 4])
+        pattern = random_pattern(rng, max_nodes=7)
+        if pattern.all_wildcard:
+            continue
+        builder = PlanBuilder(dht, 1)
+        sizes = []
+        for node in pattern.nodes:
+            leaf = builder.leaf_for(pattern, node.idx)
+            planner.annotate(leaf, index.stats)
+            sizes.append(leaf.est_rows)
+        built = builder.build(pattern, index.stats)
+        placed = place(built, index.stats, 1)
+        unit_of = decompose(pattern)
+        for unit in set(unit_of.values()):
+            inner = [e for e in pattern.edges if unit_of[e[1]] == unit != e[1]]
+            order = join_order(inner, sizes)
+            for plan in (built, placed):
+                assert [e for e in _joins_bottom_up(plan) if e in inner] == order
+            checked += len(inner) >= 2
+            reordered += order != inner
+    assert checked >= 50 and reordered >= 20
 
 
 # plan_to_xml of PlanBuilder.build on make_cluster()'s four peers, query
@@ -178,18 +225,19 @@ BUILD_GOLDENS = {
         "</StructJoin>"
         "</Recompose>"
     ),
-    # one hash unit, joined breadth-first: title before ref's child note
+    # one hash unit in join_order; no document is indexed, so every leaf
+    # estimates 0 rows and the ties keep edge order: ref's note before title
     "//paper[/ref/note][/title]!": (
         '<Recompose site="1" ret="0">'
-        '<StructJoin site="1" axis="child" parent="1" child="2">'
         '<StructJoin site="1" axis="child" parent="0" child="3">'
+        '<StructJoin site="1" axis="child" parent="1" child="2">'
         '<StructJoin site="1" axis="child" parent="0" child="1">'
         '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
         '<Ship site="1"><IndexLookup site="4" key="t:ref" var="1"/></Ship>'
         "</StructJoin>"
-        '<Ship site="1"><IndexLookup site="4" key="t:title" var="3"/></Ship>'
-        "</StructJoin>"
         '<Ship site="1"><IndexLookup site="2" key="t:note" var="2"/></Ship>'
+        "</StructJoin>"
+        '<Ship site="1"><IndexLookup site="4" key="t:title" var="3"/></Ship>'
         "</StructJoin>"
         "</Recompose>"
     ),
@@ -208,7 +256,7 @@ BUILD_GOLDENS = {
 @pytest.mark.parametrize("text", list(BUILD_GOLDENS))
 def test_build_golden_patterns(text):
     net, dht, index = make_cluster()
-    plan = PlanBuilder(dht, 1).build(decompose(parse_pattern(text)))
+    plan = PlanBuilder(dht, 1).build(parse_pattern(text), index.stats)
     assert plan_to_xml(plan) == BUILD_GOLDENS[text]
 
 
@@ -380,7 +428,7 @@ def test_bounded_estimates_ship_fewer_bytes(fanout_stores, case):
     text, placed_bytes = PLACED_BYTES[case]
     store = fanout_stores["p2p"]
     naive = PlanBuilder(store.dht, store.query_peer).build(
-        decompose(parse_pattern(text)))
+        parse_pattern(text), store.index.stats)
     _, naive_stats = execute(naive, store.exec_ctx)
     got = store.query(text)
     assert got.stats.bytes_sent == placed_bytes < naive_stats.bytes_sent
@@ -447,7 +495,7 @@ def test_build_golden_word_range_and_recompose():
     net, dht, index = make_cluster()
     builder = PlanBuilder(dht, 1)
     pattern = parse_pattern('//paper[/year in 2000..2005][/title="dht"]!')
-    plan = builder.build(decompose(pattern))
+    plan = builder.build(pattern, index.stats)
     assert plan_to_xml(plan) == (
         '<Recompose site="1" ret="0">'
         '<StructJoin site="1" axis="child" parent="0" child="1">'
@@ -465,7 +513,7 @@ def test_build_golden_word_range_and_recompose():
         "</Recompose>"
     )
     # a Recompose input that sits elsewhere ships to the query peer
-    plan = builder.build(decompose(parse_pattern("//paper!"))).kids[0]
+    plan = builder.build(parse_pattern("//paper!"), index.stats).kids[0]
     assert plan_to_xml(plan) == (
         '<Ship site="1"><IndexLookup site="4" key="t:paper" var="0"/></Ship>'
     )
@@ -507,7 +555,7 @@ def test_place_output_carries_fresh_estimates_randomized():
             pattern = random_pattern(rng)
             if pattern.all_wildcard:
                 continue
-            full = builder.build(decompose(pattern))
+            full = builder.build(pattern, index.stats)
             for plan in (full.kids[0], full):  # bindings, then resources
                 placed = place(plan, index.stats, query_peer)
                 fresh = placed.clone()
@@ -568,7 +616,7 @@ def test_place_never_costs_more_than_a_scrambled_input_randomized():
             pattern = random_pattern(rng)
             if pattern.all_wildcard:
                 continue
-            full = builder.build(decompose(pattern))
+            full = builder.build(pattern, index.stats)
             for built in (full.kids[0], full):  # bindings, then resources
                 scrambled = _scramble(built, rng, members, query_peer)
                 pinned = planner._pin_root(scrambled.clone(), query_peer)
@@ -626,7 +674,7 @@ def pipeline(store_docs, pattern_text, query_peer=1):
     ctx = ExecutionContext(index, *index_corpus(index, docs, [1, 2, 3, 4]))
     pattern = parse_pattern(pattern_text)
     builder = PlanBuilder(dht, query_peer)
-    plan = place(builder.build(decompose(pattern)), index.stats, query_peer)
+    plan = place(builder.build(pattern, index.stats), index.stats, query_peer)
     return pattern, docs, plan, ctx
 
 
@@ -656,7 +704,7 @@ def test_execute_twice_same_results():
     ctx = ExecutionContext(index, *index_corpus(index, docs, [1, 2, 3, 4]))
     pattern = parse_pattern("//sec!")
     builder = PlanBuilder(dht, 1)
-    plan = place(builder.build(decompose(pattern)).kids[0], index.stats, 1)
+    plan = place(builder.build(pattern, index.stats).kids[0], index.stats, 1)
     first, _ = execute(plan, ctx)
     second, _ = execute(plan, ctx)
     assert first == second
@@ -739,8 +787,7 @@ def test_estimated_bytes_match_the_shipped_dataset():
 
 def test_skew_workload_placed_beats_naive():
     net, index, ctx, builder, pattern, _, doc = skew_cluster(200, 8)
-    dec = decompose(pattern)
-    naive_plan = builder.build(dec).kids[0]
+    naive_plan = builder.build(pattern, index.stats).kids[0]
     placed_plan = place(naive_plan, index.stats, 1)
     naive_result, naive_delta = execute(naive_plan, ctx)
     placed_result, placed_delta = execute(placed_plan, ctx)
@@ -763,7 +810,7 @@ def test_semantics_preserved_through_pipeline_randomized():
         builder = PlanBuilder(dht, 1)
         pattern = random_pattern(rng)
         naive_bindings = eval_naive(pattern, docs)
-        plan = builder.build(decompose(pattern)).kids[0]
+        plan = builder.build(pattern, index.stats).kids[0]
         placed = place(plan, index.stats, 1)
         for candidate in (plan, placed):
             result, _ = execute(candidate, ctx)
@@ -796,7 +843,7 @@ def test_every_operator_emits_rows_as_wide_as_its_columns(monkeypatch, peers):
         ctx = ExecutionContext(index, *index_corpus(index, docs, members))
         query_peer = rng.choice(members)
         pattern = random_pattern(rng, max_nodes=5)
-        built = PlanBuilder(dht, query_peer).build(decompose(pattern))
+        built = PlanBuilder(dht, query_peer).build(pattern, index.stats)
         for plan in (built.kids[0], built):  # bindings, then resources
             placed = place(plan, index.stats, query_peer)
             result, _ = execute(placed, ctx)
