@@ -2,9 +2,10 @@
 
 A document's postings are ``Document.postings``, its one posting index,
 which the centralized backend reads too; ``document`` defines its keys
-(``t:<name>``, ``w:<word>``, ``v:<name>=<enc>``).  The store adds
-``r:<resource id>`` keys, its resource index: the peer holding each
-resource.  The prefixes keep the keys disjoint.
+(``t:<name>``, ``w:<word>``, ``v:<name>=<enc>``), whose prefixes keep
+them disjoint.  No key names a resource: a p2p get reads the store's
+``resources`` catalog and fetches from the document's home
+(``Store.get_resource``).
 
 Every p2p store runs two overlays: value keys live on the order-preserving
 range overlay ``dht.range``, which alone answers interval lookups, and
@@ -91,10 +92,6 @@ def _sorted_postings(runs: list[bytes]) -> list[StructuralId]:
     return decode_postings(b"".join(sorted(set(_records(runs)))))
 
 
-def resource_key(resource_id: str) -> str:
-    return "r:" + resource_id
-
-
 # -- estimates: counts over the published-postings dict ``IndexService.stats``
 
 
@@ -124,23 +121,20 @@ class IndexService:
 
     # -- publication -----------------------------------------------------
 
-    def index_document(
-        self, doc: Document, via: PeerId, put: PutFn | None = None, lead: Items = ()
-    ) -> int:
-        """Publish ``doc.postings()``; returns the count published.
+    def index_document(self, doc: Document, via: PeerId, put: PutFn | None = None) -> int:
+        """Publish ``doc.postings()`` from ``via``; returns the count published.
 
         Each key gets one item, the run of its postings in ``doc``, encoded
-        once.  The hash overlay gets one batch: the ``lead`` items (the
-        store's ``r:`` keys), then the ``t:`` and ``w:`` runs.  The range
-        overlay gets one batch of ``v:`` runs.  Each batch keeps the keys'
-        order in ``postings``; nothing is kept on ``doc``.  ``put``
+        once.  The hash overlay gets one batch of ``t:`` and ``w:`` runs,
+        the range overlay one batch of ``v:`` runs.  Each batch keeps the
+        keys' order in ``postings``; nothing is kept on ``doc``.  ``put``
         defaults to the routed ``DhtService.put``; snapshot restore passes
         ``DhtService.put_direct``.
         """
         postings = doc.postings()
         # every list encoded in one pass, then sliced into its run
         encoded = encode_postings(chain.from_iterable(postings.values()))
-        hashed: Items = list(lead)
+        hashed: Items = []
         ranged: Items = []
         published = 0
         for key, labels in postings.items():

@@ -51,9 +51,10 @@ the hash overlay, ``get_range`` one interval from the range overlay.
 
 Wire tags: 0x01/0x04 put on the hash/range overlay, 0x02 get, 0x06 range
 scan, 0x03 values.  Every read is a request answered by one values
-envelope: a get, a scan and the plan executor's batched subtree fetch.  A
-request is its wire tag, a 4-byte request id and the 8-byte origin peer,
-then its body from ``REQUEST_BODY`` on: a get's key, a scan's two bounds.
+envelope: a get, a scan and the batched subtree fetch that Recompose and
+``Store.get_resource`` send.  A request is its wire tag, a 4-byte request
+id and the 8-byte origin peer, then its body from ``REQUEST_BODY`` on: a
+get's key, a scan's two bounds.
 The answer is 0x03, the request id, then each value after its 4-byte
 length, up to the end of the envelope.  ``DhtService`` alone writes and
 reads these headers: ``request`` sends one request, ``gather`` sends one

@@ -558,7 +558,8 @@ class ExecutionContext:
     id, and ``home_of``, the rule that gives each doc id its home peer.
 
     A batched subtree fetch is one of the overlay service's requests: sent
-    by ``DhtService.gather`` and answered by ``DhtService.reply``.
+    by ``DhtService.gather`` and answered by ``DhtService.reply``.  It
+    serves a plan's Recompose and ``Store.get_resource`` alike.
     """
 
     def __init__(
@@ -590,7 +591,8 @@ class ExecutionContext:
         self.dht.reply(env, payloads)
 
     def fetch_subtree(self, via: PeerId, sids: list[StructuralId]) -> list[str]:
-        """The serialized subtrees of ``sids``, in order.
+        """The serialized subtrees of ``sids``, in order: the payloads of a
+        query's results and of a p2p get.
 
         Nodes whose document lives at ``via`` are serialized there; every
         other home peer gets one request for all of its nodes, and one

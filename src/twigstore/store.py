@@ -14,8 +14,11 @@ Both backends keep each document once (``documents``) and each resource
 once (``resources``).  A p2p document's home peer is one rule,
 ``Store.home_of``: homes go round robin over the peers by doc id.
 Resource access is O(1): looking up a resource id costs exactly one probe
-of ``resources``; the p2p backend first routes the id's ``r:`` lookup
-through the hash overlay, and an id it does not find there is not found.
+of ``resources``, and an id it does not hold is not found, before any
+message.  On p2p ``resources`` is a control-plane catalog, like the
+posting counts the planner reads: a found resource's payload is fetched
+from its document's home as Recompose fetches a query's results, and
+the catalog's resource, which holds the same text, is returned.
 
 ``snapshot`` writes a store to one file and ``restore`` reads it back:
 the config, every document's XML, the triples and the stats report, one
@@ -50,7 +53,7 @@ from .errors import (
     NotFound,
     UnsupportedWildcardRoot,
 )
-from .indexing import IndexService, resource_key
+from .indexing import IndexService
 from .netsim import Network, NetworkStats, PeerId
 from .overlay import DhtService, PutFn
 from .overlay import fnv1a64  # noqa: F401 - unused here; perfbench's tracer wraps it
@@ -189,9 +192,8 @@ class Store:
         return self._register(doc)
 
     def _register(self, doc: Document, put: PutFn | None = None) -> list[str]:
-        """Record ``doc`` and its resources; on p2p, then publish from its
-        home its resource keys, each naming that home in 8 bytes, and its
-        postings, one batch per overlay.
+        """Record ``doc`` and its resources; on p2p, then publish its
+        postings from its home, one batch per overlay.
 
         ``put`` defaults to the routed ``DhtService.put``; snapshot restore
         passes ``DhtService.put_direct``.
@@ -201,23 +203,21 @@ class Store:
         for res in resources:
             self.resources[res.resource_id] = res
         if self.config.backend == P2P:
-            home = self.home_of(doc.doc_id)
-            where = struct.pack(">Q", home)
-            home_keys = [(resource_key(res.resource_id), where) for res in resources]
-            self.index.index_document(doc, home, put, home_keys)
+            self.index.index_document(doc, self.home_of(doc.doc_id), put)
         return [res.resource_id for res in resources]
 
     # -- resource access ----------------------------------------------------
 
     def get_resource(self, resource_id: str) -> Resource:
-        if self.config.backend == P2P and not self.dht.get(
-            self.query_peer, resource_key(resource_id)
-        ):
-            raise NotFound(f"no resource {resource_id!r}")
         self.probe_count += 1
         resource = self.resources.get(resource_id)
         if resource is None:
             raise NotFound(f"no resource {resource_id!r}")
+        if self.config.backend == P2P:
+            # the payload crosses from the document's home in a counted
+            # fetch, as Recompose's do; the caller gets the catalog's equal
+            # text, so it holds one copy per resource however often fetched
+            self.exec_ctx.fetch_subtree(self.query_peer, [resource.root_label])
         return resource
 
     # -- queries ------------------------------------------------------------

@@ -155,20 +155,20 @@ def observed() -> dict[str, dict]:
 # answer), 0x04 range put, 0x10 dataset ship, 0x11 subtree fetch
 INGEST = {
     "doc1": {
-        "cost": (12, 13145), "result": 7, "tags": {0x01: (11, 12752), 0x04: (1, 393)},
-        "envelopes": "2cee9f569c3b20db958b6945de2d22345ac57921ce3d8a3cc2c632c9e9070382",
+        "cost": (12, 12826), "result": 7, "tags": {0x01: (11, 12433), 0x04: (1, 393)},
+        "envelopes": "6df085a8dd18dd2300dc163981d94a5ab2600a723d2f8ac186db4c1e13eddc8f",
     },
     "doc2": {
-        "cost": (11, 12232), "result": 7, "tags": {0x01: (10, 11839), 0x04: (1, 393)},
-        "envelopes": "ada9c30cb14336be0939c83fa021cece9ad613d24265fbf2541863326a9f355d",
+        "cost": (11, 11933), "result": 7, "tags": {0x01: (10, 11540), 0x04: (1, 393)},
+        "envelopes": "0b856edb9d8696a059e99d3808579e2c7b8fae798a53dcd43155b8ed6c7e9994",
     },
     "doc3": {
-        "cost": (12, 15421), "result": 7, "tags": {0x01: (11, 15028), 0x04: (1, 393)},
-        "envelopes": "42916512bcd64090bdc45f7709911f9dc498411bca45feac507743efb16ad479",
+        "cost": (12, 15101), "result": 7, "tags": {0x01: (11, 14708), 0x04: (1, 393)},
+        "envelopes": "fb8917b6edf23b58e88784f065cd9cc422e924d9e784ffd1f460e30d36e63dbb",
     },
     "doc4": {
-        "cost": (11, 10093), "result": 7, "tags": {0x01: (10, 9700), 0x04: (1, 393)},
-        "envelopes": "da2c3799845b57d2fb5239ca5cdd1deb53c81790d85ef9296f6e877e8f9f738c",
+        "cost": (11, 9832), "result": 7, "tags": {0x01: (10, 9439), 0x04: (1, 393)},
+        "envelopes": "5eb38702c0a8257e400b2131f380caceeaa3a5fffb7f2c4e2da463e355248aac",
     },
     "rdf_load": {
         "cost": (11, 7106), "result": 48, "tags": {0x01: (11, 7106)},
@@ -297,7 +297,7 @@ def test_join_rows_per_form(monkeypatch):
 # that traffic in its stats
 SNAPSHOT_SHA256 = {
     "centralized": "0c9fed8d38391266d57be18ba0e994d5cd1980e1933385b85053dfeecbe74a9a",
-    "p2p": "f2053b3faa3a128d368e649bef91c32fc089c4b71af03fe8f71945140e7e6b5d",
+    "p2p": "ff2ac40eab1c4f3f19201ea52e940e533581244077e7faed5b13b47564175263",
 }
 
 

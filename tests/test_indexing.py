@@ -217,8 +217,6 @@ def test_both_backends_index_each_node_under_its_terms(seed, peers):
     for ov in (p2p.dht.hash, p2p.dht.range):
         for peer_store in ov.members.values():
             for key, runs in peer_store.items():
-                if key.startswith("r:"):
-                    continue  # the store's resource index, not postings
                 for run in runs:
                     (doc_id,) = struct.unpack_from(">Q", run)
                     assert key not in stored.setdefault(doc_id, {}), key

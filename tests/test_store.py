@@ -407,14 +407,15 @@ RESOURCE_DOCS = [
 # attribute and the year element (outside the granularity) of document
 # 1, and a doc id past the last
 NO_RESOURCE = ["", "abc", "1#", "#1", "01#1", "1#01", "1#3", "1#4", "4#1"]
-# each get's (messages, bytes) on p2p, the store's ids then NO_RESOURCE:
-# the routed r: lookup, as it was before both backends shared one map
+# each get's (messages, bytes) on p2p, the store's ids then NO_RESOURCE: a
+# fetch from a remote home is a 29-byte request and an answer of 9 bytes
+# and the payload; document 1 lives on the query peer, and an id that is
+# not stored sends nothing
+REMOTE_GETS = [(2, 127), (2, 72), (2, 82), (2, 50), (2, 97), (2, 50), (2, 59)]
 GET_DELTAS = {
     1: [(0, 0)] * 18,
-    4: [(3, 57)] * 5 + [(3, 59)] + [(3, 57)] * 3
-       + [(3, 39), (3, 45), (3, 43), (3, 43), (0, 0), (3, 47), (0, 0), (3, 45), (3, 45)],
-    8: [(3, 57), (4, 77), (3, 57), (4, 77), (3, 57), (3, 59), (3, 57), (3, 57), (3, 57)]
-       + [(3, 39), (3, 45), (3, 43), (3, 43), (0, 0), (3, 47), (0, 0), (3, 45), (4, 65)],
+    4: [(0, 0)] * 2 + REMOTE_GETS + [(0, 0)] * 9,
+    8: [(0, 0)] * 2 + REMOTE_GETS + [(0, 0)] * 9,
 }
 
 
@@ -472,6 +473,33 @@ def test_one_resource_map_serves_both_backends(tmp_path, peers):
         assert [(r.resource_id, r.payload) for r in p2p_store.query(query).resources] == want
     assert all(to == p2p_store.home_of(doc_id) for to, doc_id in fetched)
     assert {doc_id for _, doc_id in fetched} == (set() if peers == 1 else {2, 3})
+
+
+@pytest.mark.parametrize("peers", [4, 8])
+def test_a_get_is_charged_its_payload(tmp_path, peers):
+    # a get fetches its payload from its document's home, as Recompose
+    # does: a request and its answer, which carries at least the payload,
+    # from a remote home; nothing from the query peer's own, and nothing
+    # for an id that is not stored.  Homes go round robin from peer 1, the
+    # query peer, so document 1's two resources are local and the seven of
+    # documents 2 and 3 are not
+    store = Store(config("p2p", tmp_path, granularity=("paper", "par"), peers=peers))
+    ids = [rid for text in RESOURCE_DOCS for rid in store.store_resource(text)]
+    local = 0
+    for rid in ids + NO_RESOURCE:
+        before = store.stats.copy()
+        try:
+            res = store.get_resource(rid)
+        except NotFound:
+            res = None
+        delta = store.stats.delta_since(before)
+        cost = (delta.messages_sent, delta.bytes_sent)
+        if res is None or store.home_of(res.doc_id) == store.query_peer:
+            local += res is not None
+            assert cost == (0, 0), rid
+        else:
+            assert cost[0] == 2 and cost[1] >= len(res.payload.encode("utf-8")), rid
+    assert local == 2
 
 
 @pytest.mark.xfail(
